@@ -13,10 +13,11 @@ single sparse dot product (Lemma 6):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config import UNLIMITED
 from repro.text.vectors import TermVector
+from repro.text.vocabulary import GLOBAL_VOCABULARY
 
 try:
     import numpy as np
@@ -31,22 +32,17 @@ _ZERO_TOLERANCE = 1e-12
 class AggregatedTermWeights:
     """Incrementally maintained ``AW`` table for one document set.
 
-    With ``track_ids=True`` (requested by array-capable kernel backends)
-    the table also mirrors itself keyed by interned term id, so
-    :meth:`arrays` can expose the summary as sorted contiguous numpy
-    columns for a vectorized Lemma 6 dot product.  The mirror stores the
-    exact floats the string table stores (both come from
-    ``count / norm``), so either representation yields the same sum.
+    :meth:`arrays` exposes the same floats as sorted contiguous numpy
+    columns for a vectorized Lemma 6 dot product; they are derived from
+    the table on demand, so updates pay nothing for them.
     """
 
-    __slots__ = ("_weights", "_ids", "_arrays")
+    __slots__ = ("_weights", "_arrays")
 
-    def __init__(self, track_ids: bool = False) -> None:
+    def __init__(self) -> None:
         self._weights: Dict[str, float] = {}
-        self._ids: Optional[Dict[int, float]] = (
-            {} if (track_ids and np is not None) else None
-        )
-        #: Cached ``(sorted term-id array, weight array)``; rebuilt lazily.
+        #: Cached ``(sorted term-id array, weight array)``; dropped by
+        #: every update, rebuilt by the next :meth:`arrays` call.
         self._arrays = None
 
     @property
@@ -65,12 +61,7 @@ class AggregatedTermWeights:
         weights = self._weights
         for term, count in vector.items():
             weights[term] = weights.get(term, 0.0) + count / norm
-        ids = self._ids
-        if ids is not None:
-            # vector.packed() weights are the same count/norm divisions.
-            for term_id, weight in zip(*vector.packed()):
-                ids[term_id] = ids.get(term_id, 0.0) + weight
-            self._arrays = None
+        self._arrays = None
 
     def remove_document(self, vector: TermVector) -> None:
         """Subtract a previously added document's unit weights."""
@@ -84,15 +75,7 @@ class AggregatedTermWeights:
                 weights.pop(term, None)
             else:
                 weights[term] = remaining
-        ids = self._ids
-        if ids is not None:
-            for term_id, weight in zip(*vector.packed()):
-                remaining = ids.get(term_id, 0.0) - weight
-                if abs(remaining) <= _ZERO_TOLERANCE:
-                    ids.pop(term_id, None)
-                else:
-                    ids[term_id] = remaining
-            self._arrays = None
+        self._arrays = None
 
     def similarity_sum(self, vector: TermVector) -> float:
         """Lemma 6: ``Σ_{d∈S} Sim(d, vector)`` in one pass over ``vector``."""
@@ -110,17 +93,19 @@ class AggregatedTermWeights:
     def arrays(self):
         """``(term_ids, weights)`` numpy columns sorted by id, or None.
 
-        None when id tracking is off (pure-python engines) or the table
-        is empty; callers then fall back to :meth:`similarity_sum`.
+        None when NumPy is missing or the table is empty; callers then
+        fall back to :meth:`similarity_sum`.
         """
-        ids = self._ids
-        if ids is None or not ids:
+        weights = self._weights
+        if np is None or not weights:
             return None
         cached = self._arrays
         if cached is None:
-            id_array = np.fromiter(ids.keys(), dtype=np.int64, count=len(ids))
+            id_array = np.array(
+                GLOBAL_VOCABULARY.encode(weights), dtype=np.int64
+            )
             weight_array = np.fromiter(
-                ids.values(), dtype=np.float64, count=len(ids)
+                weights.values(), dtype=np.float64, count=len(weights)
             )
             order = np.argsort(id_array, kind="stable")
             cached = (id_array[order], weight_array[order])

@@ -48,7 +48,7 @@ from repro.errors import (
     QueryOrderError,
     UnknownQueryError,
 )
-from repro.kernels import resolve_backend
+from repro.kernels import SimCache, resolve_backend
 from repro.kernels.adaptive import (
     DEFAULT_MIN_FLAT_BLOCKS,
     _env_threshold,
@@ -86,6 +86,10 @@ class DasEngine:
         #: Per-publish memo of decay powers (cleared at each publish; the
         #: same handful of age gaps recurs across all evaluated queries).
         self._decay_cache = CachedDecay(self._decay)
+        #: Per-publish memo ``{result doc_id: Sim(d_n, r)}``: the result
+        #: sets and MCS covers a document reaches hold the same few
+        #: stored documents.  Cleared at the top of every document.
+        self._sim_cache = SimCache()
         #: Loop-invariant ``(2-2α)/(k-1)`` of Eqs. 12/19/25.
         self._coeff = diversity_coefficient(
             self._config.alpha, self._config.k
@@ -370,12 +374,8 @@ class DasEngine:
             self._qcols.update(
                 query.query_id, result_set, self._config.alpha, self._coeff
             )
-        if self._config.use_group_filter:
-            # The paper attributes summary construction to insertion time
-            # (Figure 4(b)): build the MCS summaries of touched blocks now.
-            for term, block in touched:
-                block.rebuild_mcs(term, self._result_sets)
-                self.counters.mcs_rebuilds += 1
+        # The insert dropped the touched blocks' MCS summaries; the first
+        # group check that meets a block rebuilds it (Section 7.1).
         self.counters.queries_subscribed += 1
         return result_set.documents_newest_first()
 
@@ -571,6 +571,8 @@ class DasEngine:
         """Algorithm 2 for one document; ``lists_memo`` caches postings
         lookups for the enclosing batch (the index is frozen while a
         publish call runs)."""
+        sim_cache = self._sim_cache
+        sim_cache.clear()
         if document.created_at > self._clock.now:
             self._clock.advance_to(document.created_at)
         self._stats.add(document.vector)
@@ -694,6 +696,7 @@ class DasEngine:
                 heapq.heappush(
                     heap, (blocks[block_index].query_ids[offset], term)
                 )
+        self.counters.sim_cache_hits += sim_cache.lookups - len(sim_cache)
         return notifications
 
     def _try_skip_block(
@@ -751,6 +754,7 @@ class DasEngine:
                 self._config.k,
                 self._config.group_bound_mode,
                 kernels=self._kernels,
+                sim_cache=self._sim_cache,
             )
             if block.mcs_sets:
                 self.counters.sim_evaluations += sum(
@@ -836,7 +840,7 @@ class DasEngine:
                 mutated = obs.time()
                 obs.add("individual_filter", mutated - entered)
                 entered = mutated
-            sims = result_set.similarities_to(vector)
+            sims = result_set.similarities_to(vector, self._sim_cache)
             self.counters.sim_evaluations += len(sims)
             result_set.admit(document, trel, sims)
             self._store.pin(document.doc_id)
@@ -865,7 +869,9 @@ class DasEngine:
             if obs is not None:
                 obs.add("individual_filter", obs.time() - entered)
             return
-        sim_sum, direct, aw_used = result_set.similarity_sum(vector)
+        sim_sum, direct, aw_used = result_set.similarity_sum(
+            vector, self._sim_cache
+        )
         self.counters.sim_evaluations += direct
         self.counters.aw_dot_products += aw_used
         dr_new = (
@@ -880,7 +886,7 @@ class DasEngine:
             mutated = obs.time()
             obs.add("individual_filter", mutated - entered)
             entered = mutated
-        sims_kept = result_set.similarities_to_kept(vector)
+        sims_kept = result_set.similarities_to_kept(vector, self._sim_cache)
         self.counters.sim_evaluations += len(sims_kept)
         evicted = result_set.replace(document, trel, sims_kept)
         self._store.unpin(evicted.doc_id)

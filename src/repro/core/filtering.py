@@ -93,6 +93,7 @@ def block_similarity_lower_bound(
     k: int,
     mode: GroupBoundMode,
     kernels=None,
+    sim_cache=None,
 ) -> float:
     """``Sim̃_min(b, d_n)`` (Eq. 19) from the block's MCS summary.
 
@@ -104,7 +105,9 @@ def block_similarity_lower_bound(
     The per-cover minimum similarities are evaluated by the ``kernels``
     backend (pure Python by default) over a packed form cached on the
     block and keyed by the identity of its cover list, so it survives
-    exactly as long as the MCS summary itself.
+    exactly as long as the MCS summary itself.  ``sim_cache`` is the
+    engine's publish-scoped cosine memo for ``vector``: covers of
+    different blocks hold the same stored documents.
     """
     covers = block.mcs_sets
     if not covers:
@@ -120,7 +123,7 @@ def block_similarity_lower_bound(
     if cache is None or cache[0] is not covers or cache[1] is not kernels:
         cache = (covers, kernels, kernels.pack_covers(covers))
         block.covers_cache = cache
-    total = kernels.cover_min_sim_sum(cache[2], covers, vector)
+    total = kernels.cover_min_sim_sum(cache[2], covers, vector, sim_cache)
     if mode is GroupBoundMode.STRICT:
         residual_slots = (k - 1) - len(covers)
         floor = 0.0

@@ -87,26 +87,28 @@ def build_universe(
 ) -> BlockUniverse:
     """Collect ``U_w(b)`` from the block members' current results."""
     universe = BlockUniverse(term)
+    coverage = universe.coverage
     min_tf: int = 0
     max_norm: float = 0.0
     for query_id in query_ids:
-        result_set = result_sets[query_id]
-        for entry in result_set.entries[1:]:
+        for entry in result_sets[query_id].entries[1:]:
             document = entry.document
-            tf = document.vector.frequency(term)
-            if tf == 0:
-                continue
             doc_id = document.doc_id
-            holders = universe.coverage.get(doc_id)
-            if holders is None:
-                universe.documents[doc_id] = document
-                universe.coverage[doc_id] = {query_id}
-                if min_tf == 0 or tf < min_tf:
-                    min_tf = tf
-                if document.vector.norm > max_norm:
-                    max_norm = document.vector.norm
-            else:
+            holders = coverage.get(doc_id)
+            if holders is not None:
+                # Already a universe member: it contains the term.
                 holders.add(query_id)
+                continue
+            vector = document.vector
+            tf = vector._tf.get(term)
+            if tf is None:
+                continue
+            universe.documents[doc_id] = document
+            coverage[doc_id] = {query_id}
+            if min_tf == 0 or tf < min_tf:
+                min_tf = tf
+            if vector.norm > max_norm:
+                max_norm = vector.norm
     universe.min_term_frequency = min_tf
     universe.max_norm = max_norm
     return universe

@@ -58,7 +58,8 @@ class ResultEntry:
 class QueryResultSet:
     """Result table of one DAS query; entries are kept oldest-first."""
 
-    __slots__ = ("k", "_entries", "_aw", "_budget", "_track_aw", "_kernels", "_packed")
+    __slots__ = ("k", "_entries", "_aw", "_budget", "_track_aw", "_kernels",
+                 "_packed", "_r2_count")
 
     def __init__(
         self,
@@ -75,13 +76,12 @@ class QueryResultSet:
         self._budget = budget
         self._kernels = kernels if kernels is not None else default_kernels()
         self._aw = (
-            AggregatedTermWeights(
-                track_ids=getattr(self._kernels, "wants_aw_arrays", False)
-            )
-            if track_aggregated_weights
-            else None
+            AggregatedTermWeights() if track_aggregated_weights else None
         )
         self._packed = _DIRTY
+        #: Entries of ``entries[1:]`` outside the AW summary (R2): the
+        #: direct cosines a Lemma 6 evaluation still owes.
+        self._r2_count = 0
 
     # -- inspection --------------------------------------------------------
 
@@ -166,13 +166,17 @@ class QueryResultSet:
             self._packed = packed
         return packed
 
-    def similarity_sum(self, vector: TermVector) -> Tuple[float, int, int]:
+    def similarity_sum(
+        self, vector: TermVector, sim_cache=None
+    ) -> Tuple[float, int, int]:
         """``Σ_{d ∈ R \\ {d_e}} Sim(d, vector)``.
 
         Uses the aggregated term weight summary for R1 documents
         (Lemma 6) and direct cosines (one kernel call) for R2 documents.
         Returns the sum plus counters ``(direct_similarities,
         aw_lookups)`` so the engine can meter the work performed.
+        ``sim_cache`` (here and below) is the engine's publish-scoped
+        cosine memo for ``vector``; None computes every cosine afresh.
         """
         aw_used = 0
         total = 0.0
@@ -182,30 +186,35 @@ class QueryResultSet:
             # With every surviving entry folded into the AW summary there
             # are no direct (R2) cosines left — skip the kernel call (and
             # the packing it may trigger) outright.
-            if all(entry.aw_resident for entry in self._entries[1:]):
+            if not self._r2_count:
                 return total, 0, aw_used
         tail_sum, direct = self._kernels.tail_similarity_sum(
             self._packed_entries(),
             self._entries,
             vector,
             skip_aw_resident=self._aw is not None,
+            cache=sim_cache,
         )
         return total + tail_sum, direct, aw_used
 
-    def similarities_to(self, vector: TermVector) -> List[float]:
+    def similarities_to(
+        self, vector: TermVector, sim_cache=None
+    ) -> List[float]:
         """Per-entry similarities against all current entries, in order."""
         return self._kernels.similarities_to(
-            self._packed_entries(), self._entries, vector
+            self._packed_entries(), self._entries, vector, sim_cache
         )
 
-    def similarities_to_kept(self, vector: TermVector) -> List[float]:
+    def similarities_to_kept(
+        self, vector: TermVector, sim_cache=None
+    ) -> List[float]:
         """Similarities against the surviving entries (``entries[1:]``).
 
         The replace path's input: cosines of the candidate document
         against every entry except the oldest, oldest-first.
         """
         return self._kernels.tail_similarities(
-            self._packed_entries(), self._entries, vector
+            self._packed_entries(), self._entries, vector, sim_cache
         )
 
     # -- maintenance ----------------------------------------------------------
@@ -281,17 +290,23 @@ class QueryResultSet:
             head.aw_resident = False
             if self._budget is not None:
                 self._budget.release(len(head.document.vector))
+        else:
+            self._r2_count -= 1
 
     def _append_entry(self, document: Document, trel: float) -> None:
         entry = ResultEntry(document, trel)
-        if self._entries and self._aw is not None:
+        if self._entries:
             # Only non-oldest entries may join the summary; the very first
             # entry stays out (it *is* the oldest).
-            entries = len(document.vector)
-            if self._budget is None or self._budget.try_reserve(entries):
+            if self._aw is not None and (
+                self._budget is None
+                or self._budget.try_reserve(len(document.vector))
+            ):
                 entry.in_r1 = True
                 entry.aw_resident = True
                 self._aw.add_document(document.vector)
+            else:
+                self._r2_count += 1
         self._entries.append(entry)
 
     def release_budget(self) -> None:
@@ -303,3 +318,4 @@ class QueryResultSet:
             if entry.aw_resident:
                 self._budget.release(len(entry.document.vector))
                 entry.aw_resident = False
+                self._r2_count += 1

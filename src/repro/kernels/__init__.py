@@ -37,7 +37,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.kernels.adaptive import AdaptiveKernels, measure_crossover
-from repro.kernels.python_backend import PythonKernels
+from repro.kernels.python_backend import PythonKernels, SimCache
 
 #: Names accepted by ``EngineConfig.backend``.
 BACKEND_CHOICES = ("auto", "python", "numpy")
@@ -106,6 +106,7 @@ __all__ = [
     "AdaptiveKernels",
     "BACKEND_CHOICES",
     "PythonKernels",
+    "SimCache",
     "default_kernels",
     "measure_crossover",
     "numpy_available",

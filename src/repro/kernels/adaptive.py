@@ -162,9 +162,6 @@ class AdaptiveKernels:
     """Batch-committed python/numpy dispatch (``backend = "auto"``)."""
 
     name = "auto"
-    #: Result sets built for this backend keep an id-keyed AW mirror so
-    #: numpy-committed batches can run Lemma 6 as an array dot.
-    wants_aw_arrays = True
 
     def __init__(
         self,
@@ -292,17 +289,26 @@ class AdaptiveKernels:
             packed.inner = self._numpy.pack_entries(entries)
         return packed.inner
 
-    # Committed-numpy forms (no shape check; bound via begin_batch).
+    # Committed-numpy forms (no shape check; bound via begin_batch).  The
+    # publish-scoped ``cache`` only ever reaches the python backend.
 
     def _similarities_to_numpy(
-        self, packed: _AdaptiveEntries, entries: Sequence, vector: TermVector
+        self,
+        packed: _AdaptiveEntries,
+        entries: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> List[float]:
         return self._numpy.similarities_to(
             self._numpy_entries(packed, entries), entries, vector
         )
 
     def _tail_similarities_numpy(
-        self, packed: _AdaptiveEntries, entries: Sequence, vector: TermVector
+        self,
+        packed: _AdaptiveEntries,
+        entries: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> List[float]:
         return self._numpy.tail_similarities(
             self._numpy_entries(packed, entries), entries, vector
@@ -314,6 +320,7 @@ class AdaptiveKernels:
         entries: Sequence,
         vector: TermVector,
         skip_aw_resident: bool,
+        cache=None,
     ) -> Tuple[float, int]:
         return self._numpy.tail_similarity_sum(
             self._numpy_entries(packed, entries),
@@ -328,22 +335,26 @@ class AdaptiveKernels:
     # Legacy per-call forms (class methods; live until begin_batch runs).
 
     def similarities_to(
-        self, packed: _AdaptiveEntries, entries: Sequence, vector: TermVector
+        self,
+        packed: _AdaptiveEntries,
+        entries: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> List[float]:
         if len(entries) >= self.min_rows:
-            return self._numpy.similarities_to(
-                self._numpy_entries(packed, entries), entries, vector
-            )
-        return self._python.similarities_to(None, entries, vector)
+            return self._similarities_to_numpy(packed, entries, vector)
+        return self._python.similarities_to(None, entries, vector, cache)
 
     def tail_similarities(
-        self, packed: _AdaptiveEntries, entries: Sequence, vector: TermVector
+        self,
+        packed: _AdaptiveEntries,
+        entries: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> List[float]:
         if len(entries) >= self.min_rows:
-            return self._numpy.tail_similarities(
-                self._numpy_entries(packed, entries), entries, vector
-            )
-        return self._python.tail_similarities(None, entries, vector)
+            return self._tail_similarities_numpy(packed, entries, vector)
+        return self._python.tail_similarities(None, entries, vector, cache)
 
     def tail_similarity_sum(
         self,
@@ -351,16 +362,14 @@ class AdaptiveKernels:
         entries: Sequence,
         vector: TermVector,
         skip_aw_resident: bool,
+        cache=None,
     ) -> Tuple[float, int]:
         if len(entries) >= self.min_rows:
-            return self._numpy.tail_similarity_sum(
-                self._numpy_entries(packed, entries),
-                entries,
-                vector,
-                skip_aw_resident,
+            return self._tail_similarity_sum_numpy(
+                packed, entries, vector, skip_aw_resident
             )
         return self._python.tail_similarity_sum(
-            None, entries, vector, skip_aw_resident
+            None, entries, vector, skip_aw_resident, cache
         )
 
     def aw_similarity_sum(self, aw, vector: TermVector) -> float:
@@ -381,7 +390,11 @@ class AdaptiveKernels:
         return self._pack_covers_adaptive(covers)
 
     def cover_min_sim_sum(
-        self, packed: _AdaptiveCovers, covers: Sequence, vector: TermVector
+        self,
+        packed: _AdaptiveCovers,
+        covers: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> float:
         # Always dispatches on the holder: a cover packed scalar in one
         # batch stays valid (and scalar) if probed again after a mode
@@ -389,7 +402,7 @@ class AdaptiveKernels:
         # cover-list identity.
         if packed.inner is not None:
             return self._numpy.cover_min_sim_sum(packed.inner, covers, vector)
-        return self._python.cover_min_sim_sum(None, covers, vector)
+        return self._python.cover_min_sim_sum(None, covers, vector, cache)
 
 
 def measure_crossover(

@@ -223,11 +223,13 @@ def _restrict(colmap: dict, vector: TermVector):
 
 
 class NumpyKernels:
-    """Vectorised backend over packed term-id/weight matrices."""
+    """Vectorised backend over packed term-id/weight matrices.
+
+    Every op computes all of its rows in one mat-vec, so the python
+    backend's publish-scoped ``cache`` argument is accepted and ignored.
+    """
 
     name = "numpy"
-    #: Ask result sets to mirror their AW tables as id-keyed arrays.
-    wants_aw_arrays = True
 
     # -- result-set kernels ------------------------------------------------
 
@@ -247,7 +249,11 @@ class NumpyKernels:
         return packed
 
     def similarities_to(
-        self, packed: _PackedEntries, entries: Sequence, vector: TermVector
+        self,
+        packed: _PackedEntries,
+        entries: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> List[float]:
         n = len(entries)
         if n == 0:
@@ -262,7 +268,11 @@ class NumpyKernels:
         return sims.take(packed.order).tolist()
 
     def tail_similarities(
-        self, packed: _PackedEntries, entries: Sequence, vector: TermVector
+        self,
+        packed: _PackedEntries,
+        entries: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> List[float]:
         n = len(entries)
         if n <= 1:
@@ -282,6 +292,7 @@ class NumpyKernels:
         entries: Sequence,
         vector: TermVector,
         skip_aw_resident: bool,
+        cache=None,
     ) -> Tuple[float, int]:
         if skip_aw_resident:
             row_of = packed.row_of
@@ -307,8 +318,7 @@ class NumpyKernels:
     def aw_similarity_sum(self, aw, vector: TermVector) -> float:
         """Lemma 6 aggregated-weight sum over the table's sorted columns.
 
-        Falls back to the dict walk when the table carries no id mirror
-        (result sets built for the python backend, or an empty table).
+        Falls back to the dict walk for an empty table.
         """
         arrays = aw.arrays()
         if arrays is None:
@@ -334,7 +344,11 @@ class NumpyKernels:
         return _PackedCovers(covers)
 
     def cover_min_sim_sum(
-        self, packed: _PackedCovers, covers: Sequence, vector: TermVector
+        self,
+        packed: _PackedCovers,
+        covers: Sequence,
+        vector: TermVector,
+        cache=None,
     ) -> float:
         if not covers:
             return 0.0

@@ -25,6 +25,9 @@ class Counters:
     queries_evaluated: int = 0
     quick_rejections: int = 0
     sim_evaluations: int = 0
+    #: Of ``sim_evaluations``, the values served by the publish-scoped
+    #: cosine cache instead of being computed.
+    sim_cache_hits: int = 0
     aw_dot_products: int = 0
     matches: int = 0
     mcs_rebuilds: int = 0

@@ -217,6 +217,7 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
                 entry.aw_resident = True
             else:
                 entry.in_r1 = False
+    result_set._r2_count = sum(not e.aw_resident for e in entries[1:])
 
     engine._queries[query.query_id] = query
     engine._result_sets[query.query_id] = result_set

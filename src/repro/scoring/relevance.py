@@ -64,20 +64,18 @@ class LanguageModelScorer:
     ) -> float:
         """``TRel`` reusing per-document ``PS`` values computed earlier.
 
-        ``ps_cache`` maps terms *present in the document* to their ``PS``;
-        query keywords missing from the cache fall back to the background
-        probability.  This is the hot path of document processing, where
-        each document's ``PS`` values are computed once and reused across
-        every candidate query.
+        ``ps_cache`` holds the document's ``PS`` per term, seeded with
+        the terms *present in the document*; a query keyword missing
+        from it is absent from the document, where ``PS`` is exactly the
+        background probability, and is memoised too (many queries name
+        the same absent keyword).  This is the hot path of document
+        processing: each ``PS`` is computed once per document and reused
+        across every candidate query.
         """
         score = 1.0
         for term in query_terms:
             value = ps_cache.get(term)
             if value is None:
-                if term in vector:
-                    value = self.ps(vector, term)
-                    ps_cache[term] = value
-                else:
-                    value = self.background(term)
+                value = ps_cache[term] = self.ps(vector, term)
             score *= value
         return score

@@ -90,6 +90,7 @@ STAGE_COUNTERS = {
         "queries_evaluated",
         "quick_rejections",
         "sim_evaluations",
+        "sim_cache_hits",
         "aw_dot_products",
     ),
     "result_update": ("matches", "mcs_invalidations"),

@@ -143,8 +143,13 @@ class TermVector:
 
 
 def cosine_similarity(a: TermVector, b: TermVector) -> float:
-    """Cosine similarity, the ``Sim`` of Eq. 6 (0 when either is empty)."""
-    if a.norm == 0.0 or b.norm == 0.0:
+    """Cosine similarity, the ``Sim`` of Eq. 6 (0 when either is empty).
+
+    Vectors sharing no term (an empty one shares none) short-circuit to
+    the exact ``0.0`` the dot product would give, without the Python-level
+    sum — most stored documents share nothing with a stream document.
+    """
+    if a._tf.keys().isdisjoint(b._tf):
         return 0.0
     return a.dot(b) / (a.norm * b.norm)
 
