@@ -2,7 +2,7 @@
 
 Measures docs/sec through the full in-process transport path —
 ``InProcessClient.publish`` → bounded ingestion queue → matcher task →
-adaptive micro-batch → engine → delivery queue → consuming subscriber —
+drained micro-batch → engine → delivery queue → consuming subscriber —
 at 1, 4 and 16 concurrent publishers.  Unlike ``test_publish_throughput``
 (pure engine cost, ``process_time``), this benchmark is about the
 asyncio pipeline, so it times wall-clock (``perf_counter``) with one

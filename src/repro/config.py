@@ -212,6 +212,15 @@ class EngineConfig:
 #:     Close the session; a consumer too slow to keep up is kicked.
 SLOW_CONSUMER_POLICIES = ("block", "drop_oldest", "coalesce", "disconnect")
 
+#: Retained notifications per durable subscriber, the one default behind
+#: ``ServerConfig.outbox_capacity``, ``SubscriberRegistry`` and ``serve
+#: --outbox-capacity``.  Sized well above a subscriber's ack cadence plus
+#: the fan-out of one matcher batch (``max_batch_size`` documents can
+#: route a few hundred notifications in one step): anything smaller makes
+#: overflow dead-letters a function of the server's own batching instead
+#: of subscriber lag.  Memory follows the actual backlog, not the bound.
+DEFAULT_OUTBOX_CAPACITY = 4096
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -226,7 +235,9 @@ class ServerConfig:
     ingest_capacity: int = 1024
     #: Bound of each subscriber session's outbound queue.
     outbound_capacity: int = 64
-    #: Hard cap on the matcher's adaptive micro-batch size.
+    #: Cap on a matcher micro-batch (it drains what is queued, up to
+    #: this many documents) and on how many requests a TCP connection
+    #: reads ahead of its replies.
     max_batch_size: int = 64
     #: Default slow-consumer policy for new sessions (per-session
     #: overridable), one of :data:`SLOW_CONSUMER_POLICIES`.
@@ -280,7 +291,7 @@ class ServerConfig:
     eventlog_checkpoint_every: int = 0
     #: Retained notifications per durable subscriber; the oldest entry
     #: is dead-lettered on overflow.
-    outbox_capacity: int = 256
+    outbox_capacity: int = DEFAULT_OUTBOX_CAPACITY
     #: Redelivery attempts before an un-acked notification is
     #: dead-lettered ("N consecutive delivery failures").
     dlq_max_attempts: int = 3

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional
 
+from repro.config import DEFAULT_OUTBOX_CAPACITY
 from repro.errors import ReproError
 from repro.eventlog.dlq import DeadLetterQueue
 
@@ -74,7 +75,7 @@ class SubscriberRegistry:
 
     def __init__(
         self,
-        outbox_capacity: int = 256,
+        outbox_capacity: int = DEFAULT_OUTBOX_CAPACITY,
         max_attempts: int = 3,
         dlq: Optional[DeadLetterQueue] = None,
     ) -> None:

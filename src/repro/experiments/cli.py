@@ -25,7 +25,11 @@ import os
 import sys
 from typing import Dict, List, Sequence
 
-from repro.config import METHOD_CONFIGS, SLOW_CONSUMER_POLICIES
+from repro.config import (
+    DEFAULT_OUTBOX_CAPACITY,
+    METHOD_CONFIGS,
+    SLOW_CONSUMER_POLICIES,
+)
 from repro.experiments import sweeps
 from repro.experiments.workload import WorkloadSpec
 
@@ -171,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="cap on the adaptive micro-batch size (default: 64)",
+        help=(
+            "cap on a micro-batch, and on one connection's read-ahead "
+            "window (default: 64)"
+        ),
     )
     serve.add_argument(
         "--eventlog-dir",
@@ -205,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--outbox-capacity",
         type=int,
-        default=256,
+        default=DEFAULT_OUTBOX_CAPACITY,
         help=(
             "retained notifications per durable subscriber before the "
-            "oldest is dead-lettered (default: 256)"
+            "oldest is dead-lettered (default: %(default)s)"
         ),
     )
     serve.add_argument(
@@ -467,7 +474,9 @@ def build_serve_runtime(args):
         eventlog_checkpoint_every=getattr(
             args, "eventlog_checkpoint_every", 0
         ),
-        outbox_capacity=getattr(args, "outbox_capacity", 256),
+        outbox_capacity=getattr(
+            args, "outbox_capacity", DEFAULT_OUTBOX_CAPACITY
+        ),
         dlq_max_attempts=getattr(args, "dlq_max_attempts", 3),
         throttle_rate=getattr(args, "throttle_rate", 0.0),
         throttle_burst=getattr(args, "throttle_burst", 8),

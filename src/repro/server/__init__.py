@@ -4,22 +4,21 @@ The subsystem that turns the in-process engines into a long-running
 network service (see DESIGN.md §8):
 
 * :class:`ServerRuntime` — bounded ingestion queue + single matcher task
-  coalescing publishes into adaptive micro-batches;
+  draining what is queued into micro-batches (group commit);
 * :class:`SubscriberSession` — bounded per-subscriber delivery with
   ``block`` / ``drop_oldest`` / ``coalesce`` / ``disconnect`` policies;
 * :class:`InProcessClient` — the session protocol without a socket;
 * :class:`NdjsonTcpServer` / :class:`NdjsonTcpClient` — the same
-  protocol as newline-delimited JSON over TCP.
+  protocol as newline-delimited JSON over TCP, each connection a
+  pipeline (requests may be sent without awaiting replies).
 """
 
-from repro.server.batching import AdaptiveBatcher
 from repro.server.inprocess import InProcessClient
 from repro.server.runtime import EngineFacade, ServerRuntime
 from repro.server.sessions import SubscriberSession
 from repro.server.tcp import NdjsonTcpClient, NdjsonTcpServer
 
 __all__ = [
-    "AdaptiveBatcher",
     "EngineFacade",
     "InProcessClient",
     "NdjsonTcpClient",

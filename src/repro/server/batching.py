@@ -1,57 +1,25 @@
-"""Adaptive micro-batch sizing for the ingestion matcher.
+"""Micro-batch formation for the ingestion matcher: drain to the cap.
 
-The matcher drains the ingestion queue into micro-batches for
-``publish_batch``.  Batch size is a latency/throughput dial: large
-batches amortise per-batch work (postings-lookup memo, decay memo) but
-delay the first notification of the batch.  Rather than fixing the size,
-the batcher adapts it to observed backlog — the same signal loop used by
-group-commit databases and network interrupt coalescing:
+The matcher turns the ingestion queue into micro-batches for
+``publish_batch``.  The rule is the group-commit one: a batch is
+*everything already queued* when the matcher comes back for more, up to
+``ServerConfig.max_batch_size`` — never a wait for more to arrive.  An
+idle server therefore matches batches of one at single-document latency,
+and a busy one amortises the per-batch costs (one event-log
+``append_many``/fsync, one executor hop, one ``publish_batch``, one
+routing pass) over whatever piled up while the previous batch matched.
+There is no target to ramp: the backlog *is* the batch size.
 
-* after a drain that left the queue **non-empty** (the matcher is the
-  bottleneck) the target doubles, up to the configured cap;
-* after a drain that **emptied** the queue (publishers are the
-  bottleneck) the target halves, back towards single-document latency.
-
-Every realised batch size is recorded in a
+A non-publish item ends the batch (control operations are barriers) and
+runs right after it, so the dequeue order stays the accepted order.  The
+drain itself is a few lines of ``ServerRuntime._matcher_loop``; every
+realised batch size is recorded in a
 :class:`~repro.metrics.instrumentation.BatchHistogram` for the admin
 stats surface.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.metrics.instrumentation import BatchHistogram
 
-
-class AdaptiveBatcher:
-    """Backlog-driven micro-batch target in ``[1, max_batch_size]``."""
-
-    def __init__(
-        self,
-        max_batch_size: int,
-        histogram: Optional[BatchHistogram] = None,
-    ) -> None:
-        if max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {max_batch_size}"
-            )
-        self.max_batch_size = max_batch_size
-        self.histogram = histogram if histogram is not None else BatchHistogram()
-        self._target = 1
-
-    @property
-    def target(self) -> int:
-        """Cap for the next drain."""
-        return self._target
-
-    def record(self, batch_size: int, backlog: int) -> None:
-        """Account one drained batch and adapt the next target.
-
-        ``backlog`` is the ingestion-queue depth right after the drain.
-        """
-        self.histogram.record(batch_size)
-        if backlog > 0:
-            self._target = min(self.max_batch_size, self._target * 2)
-        else:
-            self._target = max(1, self._target // 2)
+__all__ = ["BatchHistogram"]

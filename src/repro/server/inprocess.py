@@ -6,7 +6,9 @@ protocol (see :mod:`repro.server.protocol`) directly against a
 no serialisation, no TCP.  Tests and benchmarks use it to exercise the
 full ingestion/delivery pipeline; anything validated here behaves
 identically over the TCP transport, which shares the same dispatch
-(`ServerRuntime.handle_request`) and session machinery.
+(`ServerRuntime.submit_request` then `complete_request`; the TCP
+transport pipelines the two, this one runs them back to back through
+`handle_request`) and session machinery.
 """
 
 from __future__ import annotations

@@ -116,15 +116,25 @@ def document_from_payload(payload: Dict[str, Any]) -> Document:
 
 
 def notification_payload(
-    notification: Notification, offset: Optional[int] = None
+    notification: Notification,
+    offset: Optional[int] = None,
+    document: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One result-set change; ``offset`` is the event-log offset of the
-    publish that produced it (present only when the log is enabled)."""
+    publish that produced it (present only when the log is enabled).
+
+    ``document`` is the already-built :func:`document_payload` of
+    ``notification.document``, for callers fanning one publish out to
+    many queries; it is shared, not copied."""
     replaced = notification.replaced
     payload = {
         "op": "notify",
         "query_id": notification.query_id,
-        "document": document_payload(notification.document),
+        "document": (
+            document
+            if document is not None
+            else document_payload(notification.document)
+        ),
         "replaced": (
             document_payload(replaced) if replaced is not None else None
         ),

@@ -5,7 +5,7 @@ Architecture (one event loop, one matcher):
 ::
 
     publishers --await put--> [bounded ingest queue] --> matcher task
-                                                           |  adaptive micro-batch
+                                                           |  drains what is queued
                                                            v  (run_in_executor)
                                                      engine.publish_batch
                                                            |
@@ -77,7 +77,7 @@ from repro.metrics.instrumentation import Counters
 from repro.persistence.checkpoint import engine_checkpoint, restore_payload
 from repro.persistence.journal import validate_entry
 from repro.pubsub.service import PublishSubscribeService
-from repro.server.batching import AdaptiveBatcher
+from repro.server.batching import BatchHistogram
 from repro.server.protocol import (
     document_from_payload,
     document_payload,
@@ -134,6 +134,39 @@ class _ControlItem:
         self.session = session
         self.args = args
         self.future = future
+
+
+class PendingReply:
+    """A submitted request whose reply is still owed (see
+    :meth:`ServerRuntime.submit_request`).
+
+    ``future`` is the queued item's future, ``None`` for an op answered
+    without the ingest queue; ``error`` is a failure found while
+    submitting, in which case nothing was queued.
+    """
+
+    __slots__ = ("reply_to", "session", "request", "future", "error")
+
+    def __init__(
+        self, reply_to, session=None, request=None, future=None, error=None
+    ) -> None:
+        self.reply_to = reply_to
+        self.session = session
+        self.request = request
+        self.future = future
+        self.error = error
+
+    def abandon(self) -> None:
+        """Nobody will read this reply (the connection is gone): mark
+        whatever the matcher or ``stop`` later sets on the future as
+        retrieved, so an orphaned failure is not logged as a leak."""
+        if self.future is not None:
+            self.future.add_done_callback(_retrieve)
+
+
+def _retrieve(future: asyncio.Future) -> None:
+    if not future.cancelled():
+        future.exception()
 
 
 class EngineFacade:
@@ -300,7 +333,7 @@ class ServerRuntime:
         if self._config.parallel_workers > 1:
             engine = self._parallelize(engine, self._config.parallel_workers)
         self._facade = EngineFacade(engine)
-        self._batcher = AdaptiveBatcher(self._config.max_batch_size)
+        self._batches = BatchHistogram()
         self._now = self._config.time_source or time.time
         self._injector = self._config.fault_injector
         self._state = "new"
@@ -581,7 +614,10 @@ class ServerRuntime:
         await session.close("client")
         if session.subscriber is not None:
             self._detach_subscriber(session)
-        elif self._state == "running" and session.queries:
+        elif self._state == "running" and session.subscribed:
+            # Not ``session.queries``: a subscribe submitted just before
+            # the close may still be queued (or mid engine call), and the
+            # barrier has to land behind it to retire what it registers.
             await self._submit_control("retire", session, None)
         else:
             for query_id in list(session.queries):
@@ -611,15 +647,25 @@ class ServerRuntime:
                 f"cannot {op}: runtime is {self._state}"
             )
 
-    async def _submit_control(
+    async def _enqueue_control(
         self, kind: str, session: Optional[SubscriberSession], args: object
-    ) -> object:
+    ) -> asyncio.Future:
+        """Queue one control item; returns the future the matcher resolves.
+
+        Suspends only while the ingest queue is full, so successive calls
+        from one task enter the matcher's FIFO in call order.
+        """
         future = self._loop.create_future()
         # No await between the state check and the queue put: FIFO puts
         # guarantee the item lands ahead of any later stop() sentinel.
         self._require_running(kind)
         await self._ingest.put(_ControlItem(kind, session, args, future))
-        return await future
+        return future
+
+    async def _submit_control(
+        self, kind: str, session: Optional[SubscriberSession], args: object
+    ) -> object:
+        return await (await self._enqueue_control(kind, session, args))
 
     async def subscribe(
         self,
@@ -636,10 +682,22 @@ class ServerRuntime:
         validation — and the engine's mode check — surfaces as a
         structured error to the caller.
         """
-        result = await self._submit_control(
+        return await (
+            await self._enqueue_subscribe(session, keywords, location, window)
+        )
+
+    async def _enqueue_subscribe(
+        self,
+        session: Optional[SubscriberSession],
+        keywords: Iterable[str],
+        location: Optional[Tuple[float, float]],
+        window: Optional[int],
+    ) -> asyncio.Future:
+        if session is not None:
+            session.subscribed = True
+        return await self._enqueue_control(
             "subscribe", session, (tuple(keywords), location, window)
         )
-        return result
 
     async def unsubscribe(
         self, query_id: int, session: Optional[SubscriberSession] = None
@@ -664,6 +722,26 @@ class ServerRuntime:
         plus ``"offset"`` when the event log is enabled.  ``session``
         identifies the publisher for per-session throttling.
         """
+        return await (
+            await self._enqueue_publish(
+                tokens, text, created_at, session, location
+            )
+        )
+
+    async def _enqueue_publish(
+        self,
+        tokens: Optional[Sequence[str]],
+        text: Optional[str],
+        created_at: Optional[float],
+        session: Optional[SubscriberSession],
+        location: Optional[Tuple[float, float]],
+    ) -> asyncio.Future:
+        """Queue one document; returns the future of its ack.
+
+        Suspends for the session's throttle and while the ingest queue
+        is full — nothing else — so successive calls from one task are
+        matched in call order.
+        """
         if tokens is None and text is None:
             raise ReproError("publish requires tokens or text")
         self._require_running("publish")
@@ -683,7 +761,7 @@ class ServerRuntime:
                 location=location,
             )
         )
-        return await future
+        return future
 
     async def _throttle(self, session: SubscriberSession) -> None:
         """Queue-based load leveling: await (never reject) a hot client.
@@ -727,11 +805,18 @@ class ServerRuntime:
         floor).  Runs through the matcher barrier so the replayed
         entries and subsequent live notifications form one gap-free,
         duplicate-free stream."""
+        return await (await self._enqueue_resume(session, subscriber, offset))
+
+    async def _enqueue_resume(
+        self,
+        session: SubscriberSession,
+        subscriber: str,
+        offset: Optional[int],
+    ) -> asyncio.Future:
         self._require_eventlog("resume")
-        result = await self._submit_control(
+        return await self._enqueue_control(
             "resume", session, (subscriber, offset)
         )
-        return result
 
     def ack(
         self, session: SubscriberSession, offset: int
@@ -787,8 +872,7 @@ class ServerRuntime:
             "published": self._published,
             "ingest_depth": self._ingest.qsize() if self._ingest else 0,
             "ingest_capacity": self._config.ingest_capacity,
-            "batch_target": self._batcher.target,
-            "batches": self._batcher.histogram.as_dict(),
+            "batches": self._batches.as_dict(),
             "sessions": sessions,
             "policy_drops": drops,
             "coalesced": coalesced,
@@ -803,9 +887,7 @@ class ServerRuntime:
             "telemetry": self._telemetry_section(counters),
             "eventlog": self._eventlog_section(),
             "dlq": self._dlq.stats() if self._dlq is not None else None,
-            "subscribers": (
-                self._registry.stats() if self._registry is not None else None
-            ),
+            "subscribers": self._subscribers_section(),
             "throttling": self._throttling_section(),
         }
 
@@ -819,6 +901,18 @@ class ServerRuntime:
         section["checkpoint_errors"] = self._checkpoint_errors
         section["appended_since_checkpoint"] = self._appended_since_checkpoint
         section["recovery"] = self._recovery
+        return section
+
+    def _subscribers_section(self) -> Optional[Dict[str, Any]]:
+        """Durable-subscriber section of stats(), with each one's ``lag``:
+        how many log records were appended after the one it last acked
+        (its own ack records included, so a live log never reads 0)."""
+        if self._registry is None:
+            return None
+        section = self._registry.stats()
+        last = self._eventlog.end - 1
+        for subscriber in section["subscribers"]:
+            subscriber["lag"] = max(0, last - subscriber["acked"])
         return section
 
     def _throttling_section(self) -> Optional[Dict[str, Any]]:
@@ -882,12 +976,26 @@ class ServerRuntime:
         counters = self._facade.counters().as_dict()
         telemetry = self._telemetry_section(counters)
         gauges = {
-            "repro_batch_target": self._batcher.target,
             "repro_ingest_queue_depth": (
                 self._ingest.qsize() if self._ingest else 0
             ),
             "repro_sessions_open": len(self._sessions),
         }
+        subscribers = self._subscribers_section()
+        if subscribers is not None:
+            # The slow-consumer view: how far the worst durable
+            # subscriber trails the log, how close its outbox is to
+            # overflowing, and what has already overflowed or expired.
+            states = subscribers["subscribers"]
+            gauges["repro_subscriber_lag_max"] = max(
+                (state["lag"] for state in states), default=0
+            )
+            gauges["repro_outbox_depth_max"] = max(
+                (state["outbox_depth"] for state in states), default=0
+            )
+            gauges["repro_dead_lettered_total"] = sum(
+                state["dead_lettered"] for state in states
+            )
         return render_exposition(
             counters,
             telemetry["stages"],
@@ -898,73 +1006,62 @@ class ServerRuntime:
 
     # -- transport-facing dispatch ----------------------------------------
 
-    async def handle_request(
+    async def submit_request(
         self, session: SubscriberSession, payload: object
-    ) -> Dict[str, Any]:
-        """Execute one protocol request; always returns a reply dict."""
+    ) -> "PendingReply":
+        """First half of a protocol request: parse it and queue its work.
+
+        Suspends only for the session's publish throttle or a full
+        ingest queue, so a transport that submits one connection's
+        requests from a single task gets them into the matcher's FIFO in
+        the order they were read — it may read ahead without waiting for
+        replies.  Ops the matcher does not execute (``ack``, ``stats``,
+        ``metrics``, ``dlq``, the ``cluster_stats`` heartbeat) queue
+        nothing here; they run in :meth:`complete_request`, i.e. when
+        the transport reaches them in reply order, so a ``stats`` sent
+        after a publish still reflects it.
+        """
         reply_to = payload.get("id") if isinstance(payload, dict) else None
         try:
             request = parse_request(payload)
             op = request["op"]
-            if op == "subscribe":
+            future = None
+            if op == "publish":
+                location = request.get("location")
+                future = await self._enqueue_publish(
+                    request.get("tokens"),
+                    request.get("text"),
+                    request.get("created_at"),
+                    session,
+                    tuple(location) if location is not None else None,
+                )
+            elif op == "subscribe":
                 keywords = request.get("keywords")
                 if keywords is None:
                     from repro.text.tokenizer import tokenize
 
                     keywords = tokenize(request["text"])
                 location = request.get("location")
-                query_id, initial = await self.subscribe(
+                future = await self._enqueue_subscribe(
                     session,
                     keywords,
-                    location=tuple(location) if location is not None else None,
-                    window=request.get("window"),
+                    tuple(location) if location is not None else None,
+                    request.get("window"),
                 )
-                return ok_reply(
-                    reply_to,
-                    query_id=query_id,
-                    initial=[document_payload(doc) for doc in initial],
+            elif op == "unsubscribe":
+                future = await self._enqueue_control(
+                    "unsubscribe", session, request["query_id"]
                 )
-            if op == "unsubscribe":
-                await self.unsubscribe(request["query_id"], session=session)
-                return ok_reply(reply_to, query_id=request["query_id"])
-            if op == "publish":
-                doc_location = request.get("location")
-                ack = await self.publish(
-                    tokens=request.get("tokens"),
-                    text=request.get("text"),
-                    created_at=request.get("created_at"),
-                    session=session,
-                    location=(
-                        tuple(doc_location)
-                        if doc_location is not None
-                        else None
-                    ),
+            elif op == "results":
+                future = await self._enqueue_control(
+                    "results", None, request["query_id"]
                 )
-                return ok_reply(reply_to, **ack)
-            if op == "resume":
-                result = await self.resume(
+            elif op == "resume":
+                future = await self._enqueue_resume(
                     session, request["subscriber"], request.get("offset")
                 )
-                return ok_reply(reply_to, **result)
-            if op == "ack":
-                return ok_reply(
-                    reply_to, **self.ack(session, request["offset"])
-                )
-            if op == "dlq":
-                return ok_reply(
-                    reply_to, **self.dlq_report(request.get("limit"))
-                )
-            if op == "results":
-                documents = await self.results(request["query_id"])
-                return ok_reply(
-                    reply_to,
-                    query_id=request["query_id"],
-                    results=[document_payload(doc) for doc in documents],
-                )
-            if op == "metrics":
-                return ok_reply(reply_to, metrics=self.metrics_text())
-            if op == "replicate":
-                result = await self._submit_control(
+            elif op == "replicate":
+                future = await self._enqueue_control(
                     "replicate",
                     None,
                     (
@@ -973,23 +1070,83 @@ class ServerRuntime:
                         bool(request.get("notify")),
                     ),
                 )
-                return ok_reply(reply_to, **result)
-            if op == "handoff":
-                result = await self._submit_control(
+            elif op == "handoff":
+                future = await self._enqueue_control(
                     "handoff", None, (request["checkpoint"], request["offset"])
                 )
-                return ok_reply(reply_to, **result)
-            if op == "cluster_stats":
-                if request.get("checkpoint"):
-                    result = await self._submit_control("checkpoint", None, None)
-                    return ok_reply(reply_to, **result)
-                # The heartbeat path skips the batch barrier on purpose:
-                # a membership probe must answer even when the matcher is
-                # deep in a publish backlog.
-                return ok_reply(reply_to, node=self.node_stats())
-            return ok_reply(reply_to, stats=self.stats())
+            elif op == "cluster_stats" and request.get("checkpoint"):
+                future = await self._enqueue_control("checkpoint", None, None)
         except ReproError as exc:
-            return error_reply(exc, reply_to)
+            return PendingReply(reply_to, error=exc)
+        return PendingReply(reply_to, session, request, future)
+
+    async def complete_request(self, pending: "PendingReply") -> Dict[str, Any]:
+        """Second half: wait for the queued work and phrase the reply.
+
+        Always returns a reply dict for a :class:`ReproError`; anything
+        else the engine raised propagates to the transport.
+        """
+        if pending.error is not None:
+            return error_reply(pending.error, pending.reply_to)
+        try:
+            result = None
+            if pending.future is not None:
+                result = await pending.future
+            return ok_reply(
+                pending.reply_to,
+                **self._reply_fields(pending.session, pending.request, result),
+            )
+        except ReproError as exc:
+            return error_reply(exc, pending.reply_to)
+
+    def _reply_fields(
+        self, session: SubscriberSession, request: Dict[str, Any], result: Any
+    ) -> Dict[str, Any]:
+        """The op-specific fields of a successful reply.
+
+        ``result`` is what the matcher resolved the request's queued
+        item with; ops that queued nothing are executed here.
+        """
+        op = request["op"]
+        if op == "publish":
+            return result
+        if op == "subscribe":
+            query_id, initial = result
+            return {
+                "query_id": query_id,
+                "initial": [document_payload(doc) for doc in initial],
+            }
+        if op == "unsubscribe":
+            return {"query_id": request["query_id"]}
+        if op == "results":
+            return {
+                "query_id": request["query_id"],
+                "results": [document_payload(doc) for doc in result],
+            }
+        if op == "ack":
+            return self.ack(session, request["offset"])
+        if op == "dlq":
+            return self.dlq_report(request.get("limit"))
+        if op == "metrics":
+            return {"metrics": self.metrics_text()}
+        if op == "stats":
+            return {"stats": self.stats()}
+        if op == "cluster_stats" and not request.get("checkpoint"):
+            # The heartbeat path skips the batch barrier on purpose: a
+            # membership probe must answer even when the matcher is deep
+            # in a publish backlog.
+            return {"node": self.node_stats()}
+        # resume, replicate, handoff, cluster_stats+checkpoint: like
+        # publish, the matcher's result already is the reply's fields.
+        return result
+
+    async def handle_request(
+        self, session: SubscriberSession, payload: object
+    ) -> Dict[str, Any]:
+        """Execute one protocol request; always returns a reply dict."""
+        return await self.complete_request(
+            await self.submit_request(session, payload)
+        )
 
     # -- matcher ----------------------------------------------------------
 
@@ -1005,25 +1162,27 @@ class ServerRuntime:
         return await self._loop.run_in_executor(self._executor, fn, *args)
 
     async def _matcher_loop(self) -> None:
+        cap = self._config.max_batch_size
         while True:
             item = await self._ingest.get()
             if item is _STOP:
                 return
             held = None
             if isinstance(item, _PublishItem):
+                # Group commit: everything that queued up while the last
+                # batch matched goes through one append/fsync, one
+                # executor hop, one publish_batch and one routing pass.
+                # A control item ends the batch (it is a barrier) and
+                # runs right after it.
                 batch = [item]
-                target = self._batcher.target
-                while len(batch) < target:
-                    try:
-                        nxt = self._ingest.get_nowait()
-                    except asyncio.QueueEmpty:
+                while len(batch) < cap and not self._ingest.empty():
+                    held = self._ingest.get_nowait()
+                    if not isinstance(held, _PublishItem):
                         break
-                    if isinstance(nxt, _PublishItem):
-                        batch.append(nxt)
-                    else:
-                        held = nxt
-                        break
-                self._inflight = list(batch)
+                    batch.append(held)
+                    held = None
+                # ``held`` left the queue too: stop() must still find it.
+                self._inflight = batch + [held]
                 try:
                     await self._run_publish_batch(batch)
                 except Exception as exc:
@@ -1035,7 +1194,7 @@ class ServerRuntime:
                         if not failed.future.done():
                             failed.future.set_exception(exc)
                 self._inflight.clear()
-                self._batcher.record(len(batch), self._ingest.qsize())
+                self._batches.record(len(batch))
             else:
                 held = item
             if held is _STOP:
@@ -1206,6 +1365,7 @@ class ServerRuntime:
             return documents, self._facade.publish_batch(documents)
 
         offsets: Optional[Dict[int, int]] = None
+        payloads: Dict[int, Dict[str, Any]] = {}
         try:
             if self._eventlog is None:
                 if self._injector is not None:
@@ -1219,12 +1379,13 @@ class ServerRuntime:
                 # their records are durable *before* the engine matches
                 # them.  One append_many call = one fsync for the batch.
                 documents = _build_documents()
+                payloads = {
+                    document.doc_id: document_payload(document)
+                    for document in documents
+                }
                 append_started = self._now()
                 assigned = self._eventlog.append_many(
-                    [
-                        publish_record(document_payload(document))
-                        for document in documents
-                    ]
+                    [publish_record(payload) for payload in payloads.values()]
                 )
                 self._pipeline["eventlog_append"].observe(
                     max(0.0, self._now() - append_started)
@@ -1256,7 +1417,7 @@ class ServerRuntime:
         self._published += len(documents)
         notify_started = self._now()
         try:
-            await self._route(notifications, offsets)
+            await self._route(notifications, offsets, payloads)
         except Exception:
             # Delivery failures must not fail the publish acks: the
             # documents *are* in the engine.  Count and move on.
@@ -1278,7 +1439,8 @@ class ServerRuntime:
     async def _route(
         self,
         notifications: List[Notification],
-        offsets: Optional[Dict[int, int]] = None,
+        offsets: Optional[Dict[int, int]],
+        payloads: Dict[int, Dict[str, Any]],
     ) -> None:
         """Fan notifications out to their owning sessions.
 
@@ -1287,22 +1449,40 @@ class ServerRuntime:
         event log enabled (``offsets`` maps doc id -> global offset),
         every notification for a durable subscriber is also retained in
         its outbox until acked — whether or not it is attached.
+
+        ``payloads`` maps doc id -> document payload for the documents
+        the caller already serialised (it is filled in for the rest), so
+        a document is serialised once per batch however many queries it
+        reaches; each notification's payload is likewise built once and
+        the one dict shared by the outbox and the session queue —
+        neither mutates it.
         """
         touched: Dict[int, List[int]] = {}
+
+        def build(notification: Notification, offset: Optional[int]):
+            doc_id = notification.document.doc_id
+            document = payloads.get(doc_id)
+            if document is None:
+                document = payloads[doc_id] = document_payload(
+                    notification.document
+                )
+            return notification_payload(
+                notification, offset=offset, document=document
+            )
+
         for notification in notifications:
             offset = (
                 offsets.get(notification.document.doc_id)
                 if offsets is not None
                 else None
             )
+            payload = None
             if offset is not None and self._registry is not None:
                 name = self._durable_owners.get(notification.query_id)
                 if name is not None:
+                    payload = build(notification, offset)
                     self._registry.offer(
-                        name,
-                        offset,
-                        notification.query_id,
-                        notification_payload(notification, offset=offset),
+                        name, offset, notification.query_id, payload
                     )
             session = self._owners.get(notification.query_id)
             if session is None or session.closed:
@@ -1312,10 +1492,9 @@ class ServerRuntime:
                 if notification.query_id not in queries:
                     queries.append(notification.query_id)
                 continue
-            delivered = await session.offer(
-                notification_payload(notification, offset=offset),
-                notification.query_id,
-            )
+            if payload is None:
+                payload = build(notification, offset)
+            delivered = await session.offer(payload, notification.query_id)
             if delivered and offset is not None:
                 session.delivered_offset = max(
                     session.delivered_offset, offset
@@ -1397,6 +1576,11 @@ class ServerRuntime:
         duplicate at the splice point.
         """
         name, offset = args
+        if session.closed:
+            # The connection dropped with this resume still queued: its
+            # close already ran (and found nothing to detach), so
+            # attaching now would bind the subscriber to a dead session.
+            raise ServerClosedError("session closed before it resumed")
         state = self._registry.get_or_create(name)
         if state.session_id is not None and state.session_id != session.session_id:
             live = self._sessions.get(state.session_id)

@@ -54,6 +54,10 @@ class SubscriberSession:
         self.policy = policy
         #: Query ids owned (subscribed) by this session.
         self.queries: Set[int] = set()
+        #: Set once a subscribe is submitted for this session: closing it
+        #: must then retire behind whatever that subscribe registers,
+        #: even if the matcher has not reached it yet.
+        self.subscribed = False
         #: Durable subscriber name this session resumed as (eventlog
         #: tier); None for anonymous sessions whose queries retire with
         #: the connection.

@@ -6,6 +6,14 @@ writes reply lines and, interleaved, pushes `notify`/`snapshot`/`closed`
 lines from the session's delivery queue.  A per-connection write lock
 keeps reply and push lines from interleaving mid-line.
 
+A connection is a pipeline, not a call: a client may write any number of
+requests without awaiting replies.  The server reads ahead (at most
+``ServerConfig.max_batch_size`` requests wait behind the one being
+answered; past that it stops reading and TCP pushes back), executes one
+connection's requests in the order it read them, and writes their
+replies in that same order — so pipelined publishes reach the matcher
+together and share one micro-batch.
+
 Request dispatch, error replies, and slow-consumer behaviour all live in
 :class:`~repro.server.runtime.ServerRuntime` and
 :class:`~repro.server.sessions.SubscriberSession`; this module only does
@@ -27,7 +35,7 @@ from repro.server.protocol import (
     error_reply,
     raise_for_reply,
 )
-from repro.server.runtime import ServerRuntime
+from repro.server.runtime import PendingReply, ServerRuntime
 
 #: Refuse request lines longer than this (protects the reader buffer).
 MAX_LINE_BYTES = 1 << 20
@@ -145,6 +153,18 @@ class NdjsonTcpServer:
         pusher = asyncio.create_task(
             self._push_loop(session, writer, write_lock)
         )
+        # The connection is a pipeline: this task reads and *submits*
+        # requests in arrival order, the replier answers them in the
+        # same order.  A full window suspends the reader, which is TCP
+        # backpressure on a client that pipelines faster than the
+        # matcher drains.
+        window: asyncio.Queue = asyncio.Queue(
+            self._runtime.config.max_batch_size
+        )
+        replier = asyncio.create_task(
+            self._reply_loop(window, writer, write_lock)
+        )
+        pending: Optional[PendingReply] = None
         try:
             while True:
                 try:
@@ -156,43 +176,80 @@ class NdjsonTcpServer:
                     OSError,
                 ):
                     break
-                except asyncio.CancelledError:
-                    # Server stop(): end the connection quietly; teardown
-                    # happens in the finally block.
-                    break
                 if not line:
                     break
                 if not line.strip():
                     continue
                 try:
                     payload = decode_line(line)
-                except ProtocolError as exc:
-                    reply = error_reply(exc)
-                else:
-                    try:
-                        reply = await self._runtime.handle_request(
-                            session, payload
-                        )
-                    except Exception as exc:
-                        # handle_request converts ReproError itself; an
-                        # unexpected exception must still produce an
-                        # error frame instead of killing the connection
-                        # (and leaking the session) silently.
-                        reply = error_reply(exc)
-                if not await self._write_frame(writer, write_lock, reply):
-                    break
+                    pending = await self._runtime.submit_request(
+                        session, payload
+                    )
+                except Exception as exc:
+                    # A malformed line, or something submit_request did
+                    # not expect (it converts ReproError itself): the
+                    # request still gets an error frame, in its place in
+                    # the reply order, instead of killing the connection
+                    # (and leaking the session) silently.
+                    pending = PendingReply(None, error=exc)
+                await window.put(pending)
+                pending = None
+        except asyncio.CancelledError:
+            # Server stop(): end the connection quietly; teardown
+            # happens in the finally block.
+            pass
         finally:
             try:
+                # If this connection ever submitted a subscribe, its
+                # retirement queues behind everything it submitted: the
+                # requests still in flight are applied (exactly once)
+                # before its queries — including one a still-queued
+                # subscribe is about to register — go away.
                 await self._runtime.close_session(session)
             except (Exception, asyncio.CancelledError):
                 pass
+            replier.cancel()
             pusher.cancel()
-            with _suppress_all():
-                await pusher
+            for helper in (replier, pusher):
+                with _suppress_all():
+                    await helper
+            # Replies nobody will read any more: the one cut off between
+            # submit and the window, and those still queued in it.
+            if pending is not None:
+                pending.abandon()
+            while not window.empty():
+                window.get_nowait().abandon()
             with _suppress_all():
                 writer.close()
                 await writer.wait_closed()
             self._connections.discard(task)
+
+    async def _reply_loop(
+        self,
+        window: asyncio.Queue,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
+        """Answer submitted requests in the order they were read.
+
+        When a reply cannot be written the transport is closed (the
+        reader then sees EOF and tears the connection down), but the
+        loop keeps consuming: a reader blocked on a full window must not
+        wedge, and every outcome still gets retrieved.
+        """
+        connected = True
+        while True:
+            pending = await window.get()
+            try:
+                reply = await self._runtime.complete_request(pending)
+            except Exception as exc:
+                reply = error_reply(exc, pending.reply_to)
+            if connected and not await self._write_frame(
+                writer, write_lock, reply
+            ):
+                connected = False
+                with _suppress_all():
+                    writer.close()
 
     async def _push_loop(
         self,

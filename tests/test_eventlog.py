@@ -653,6 +653,76 @@ def test_runtime_restart_replays_and_resumes_catchup(tmp_path):
     run(after())
 
 
+def test_subscriber_lag_and_slow_consumer_gauges(tmp_path):
+    """"How far behind is subscriber s" from the running server: ``lag``
+    in stats.subscribers and the lag / outbox / dead-letter gauges."""
+    directory = str(tmp_path / "log")
+
+    async def scenario():
+        runtime = ServerRuntime(
+            small_engine(), eventlog_config(directory, outbox_capacity=3)
+        )
+        await runtime.start()
+        client = InProcessClient(runtime)
+        await client.resume("alice", -1)
+        await client.subscribe(["coffee"])  # offset 0
+        for i in range(5):  # offsets 1..5, one notification each
+            await client.publish(
+                tokens=["coffee", f"u{i}"], created_at=float(i + 1)
+            )
+        behind = (await client.stats())["subscribers"]["subscribers"][0]
+        behind_text = await client.metrics()
+        await client.ack(5)  # logged at offset 6
+        caught_up = (await client.stats())["subscribers"]["subscribers"][0]
+        caught_up_text = await client.metrics()
+        await client.close()
+        await runtime.stop()
+        return behind, behind_text, caught_up, caught_up_text
+
+    behind, behind_text, caught_up, caught_up_text = run(scenario())
+    # Nothing acked yet: all six records are ahead of the subscriber,
+    # the 3-entry outbox is full and two notifications overflowed.
+    assert (behind["acked"], behind["lag"]) == (-1, 6)
+    assert (behind["outbox_depth"], behind["dead_lettered"]) == (3, 2)
+    assert "repro_subscriber_lag_max 6" in behind_text
+    assert "repro_outbox_depth_max 3" in behind_text
+    assert "repro_dead_lettered_total 2" in behind_text
+    # After the ack only the ack record itself is past the acked offset.
+    assert (caught_up["acked"], caught_up["lag"]) == (5, 1)
+    assert "repro_subscriber_lag_max 1" in caught_up_text
+    assert "repro_outbox_depth_max 0" in caught_up_text
+    assert "repro_dead_lettered_total 2" in caught_up_text
+
+
+def test_notification_payload_is_built_once_and_shared(tmp_path):
+    directory = str(tmp_path / "log")
+
+    async def scenario():
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        await client.resume("alice", -1)
+        await client.subscribe(["coffee"])
+        await client.subscribe(["beans"])
+        await client.publish(tokens=["coffee", "beans"], created_at=1.0)
+        delivered = await drain(client, 2)
+        retained = [
+            entry["payload"] for entry in runtime._registry.get("alice").outbox
+        ]
+        await client.close()
+        await runtime.stop()
+        return delivered, retained
+
+    delivered, retained = run(scenario())
+    # The session queue and the durable outbox hold the same dict, and
+    # both notifications of the one publish share its document payload.
+    assert [id(payload) for payload in delivered] == [
+        id(payload) for payload in retained
+    ]
+    assert delivered[0]["document"] is delivered[1]["document"]
+    assert delivered[0]["query_id"] != delivered[1]["query_id"]
+
+
 def test_runtime_resume_conflicts(tmp_path):
     directory = str(tmp_path / "log")
 

@@ -1,4 +1,4 @@
-"""Unit tests: protocol encoding/validation, adaptive batching, sessions."""
+"""Unit tests: protocol encoding/validation, batch formation, sessions."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.config import ConfigurationError, ServerConfig
 from repro.errors import ProtocolError, UnknownQueryError
 from repro.metrics.instrumentation import BatchHistogram
-from repro.server.batching import AdaptiveBatcher
 from repro.server.protocol import (
     decode_line,
     document_from_payload,
@@ -106,7 +105,7 @@ def test_server_config_validation():
     assert ServerConfig().evolve(port=0).port == 0
 
 
-# -- adaptive batching ----------------------------------------------------
+# -- micro-batch formation ------------------------------------------------
 
 
 def test_batch_histogram_buckets():
@@ -122,23 +121,6 @@ def test_batch_histogram_buckets():
     }
     with pytest.raises(ValueError):
         histogram.record(0)
-
-
-def test_adaptive_batcher_grows_under_backlog_and_decays_when_idle():
-    batcher = AdaptiveBatcher(max_batch_size=8)
-    assert batcher.target == 1
-    batcher.record(1, backlog=5)
-    assert batcher.target == 2
-    batcher.record(2, backlog=5)
-    batcher.record(4, backlog=5)
-    assert batcher.target == 8
-    batcher.record(8, backlog=3)
-    assert batcher.target == 8  # capped
-    batcher.record(8, backlog=0)
-    assert batcher.target == 4  # decays once the queue empties
-    for _ in range(5):
-        batcher.record(1, backlog=0)
-    assert batcher.target == 1
 
 
 # -- session primitives ---------------------------------------------------

@@ -265,6 +265,94 @@ def test_adaptive_batching_engages_under_backlog():
     assert histogram["batches"] < 60
 
 
+def test_submit_then_complete_pipelines_requests_in_order():
+    """The two halves of ``handle_request`` that the TCP transport
+    pipelines: submitting never waits for a reply, so requests queue up
+    together, and completing in submission order answers them in it."""
+
+    async def scenario():
+        runtime = ServerRuntime(small_engine(), ServerConfig())
+        await runtime.start()
+        client = InProcessClient(runtime)
+        await client.subscribe(["coffee"])
+        requests = [
+            {"op": "publish", "id": i, "tokens": ["coffee", f"u{i}"],
+             "created_at": float(i)}
+            for i in range(10)
+        ]
+        requests.insert(4, {"op": "publish", "id": "bad"})  # no tokens/text
+        requests.append({"op": "stats", "id": "stats"})
+        pending = [
+            await runtime.submit_request(client.session, request)
+            for request in requests
+        ]
+        # Nothing was awaited yet: all ten documents sit in the queue.
+        assert runtime.stats()["ingest_depth"] == 10
+        replies = [
+            await runtime.complete_request(reply) for reply in pending
+        ]
+        await runtime.stop()
+        return replies
+
+    replies = run(scenario())
+    stats = replies.pop()
+    bad = replies.pop(4)
+    assert [reply["reply_to"] for reply in replies] == list(range(10))
+    assert [reply["doc_id"] for reply in replies] == list(range(10))
+    assert (bad["ok"], bad["reply_to"]) == (False, "bad")
+    assert bad["error"]["type"] == "ProtocolError"
+    # The matcher drained what was queued as one batch, and the stats
+    # request — executed when its turn to be answered came — saw it.
+    assert stats["stats"]["accepted"] == 10
+    assert stats["stats"]["batches"]["buckets"] == {"9-16": 1}
+    assert "batch_target" not in stats["stats"]
+
+
+def test_matcher_drains_to_the_cap_and_stops_at_a_barrier():
+    """The batch is whatever is already queued: capped at
+    ``max_batch_size``, ended by a control item (which runs right after
+    it, in order), and a batch of one when nothing else waits."""
+
+    async def scenario():
+        runtime = ServerRuntime(small_engine(), ServerConfig(max_batch_size=4))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        query_id = (await client.subscribe(["coffee"]))["query_id"]
+        publish = [
+            {"op": "publish", "id": i, "tokens": ["coffee", f"u{i}"],
+             "created_at": float(i)}
+            for i in range(8)
+        ]
+        requests = publish[:6] + [
+            {"op": "results", "id": "barrier", "query_id": query_id}
+        ] + publish[6:]
+        pending = [
+            await runtime.submit_request(client.session, request)
+            for request in requests
+        ]
+        replies = [
+            await runtime.complete_request(reply) for reply in pending
+        ]
+        batched = runtime.stats()["batches"]["buckets"]
+        await runtime.publish(tokens=["coffee", "alone"], created_at=9.0)
+        after = runtime.stats()["batches"]["buckets"]
+        await runtime.stop()
+        return replies, batched, after
+
+    replies, batched, after = run(scenario())
+    # 6 queued publishes -> 4 (the cap) + 2 (cut by the barrier), then
+    # the 2 behind the barrier.
+    assert batched == {"3-4": 1, "2": 2}
+    assert after == {"3-4": 1, "2": 2, "1": 1}
+    assert [reply["reply_to"] for reply in replies] == (
+        [0, 1, 2, 3, 4, 5, "barrier", 6, 7]
+    )
+    # The barrier ran in its place: it saw the six before it, not the
+    # two behind it.
+    seen = [doc["doc_id"] for doc in replies[6]["results"]]
+    assert len(seen) == 3 and max(seen) == 5
+
+
 def test_wraps_sharded_engine_and_service():
     async def scenario(engine):
         runtime = ServerRuntime(engine, ServerConfig(drain_timeout=5.0))
