@@ -361,9 +361,7 @@ class DasEngine:
         )
         for document in seeds:
             trel = self._scorer.trel(query.terms, document.vector)
-            sims = result_set.similarities_to(document.vector)
-            self.counters.sim_evaluations += len(sims)
-            result_set.admit(document, trel, sims)
+            self.counters.sim_evaluations += result_set.admit(document, trel)
             self._store.pin(document.doc_id)
         self._queries[query.query_id] = query
         self._result_sets[query.query_id] = result_set
@@ -840,9 +838,9 @@ class DasEngine:
                 mutated = obs.time()
                 obs.add("individual_filter", mutated - entered)
                 entered = mutated
-            sims = result_set.similarities_to(vector, self._sim_cache)
-            self.counters.sim_evaluations += len(sims)
-            result_set.admit(document, trel, sims)
+            self.counters.sim_evaluations += result_set.admit(
+                document, trel, self._sim_cache
+            )
             self._store.pin(document.doc_id)
             self.counters.matches += 1
             notifications.append(Notification(query_id, document, None))
@@ -886,9 +884,11 @@ class DasEngine:
             mutated = obs.time()
             obs.add("individual_filter", mutated - entered)
             entered = mutated
-        sims_kept = result_set.similarities_to_kept(vector, self._sim_cache)
-        self.counters.sim_evaluations += len(sims_kept)
-        evicted = result_set.replace(document, trel, sims_kept)
+        evicted, cosines, aw_dots = result_set.replace(
+            document, trel, self._sim_cache
+        )
+        self.counters.sim_evaluations += cosines
+        self.counters.aw_dot_products += aw_dots
         self._store.unpin(evicted.doc_id)
         self._store.pin(document.doc_id)
         self.counters.matches += 1

@@ -2,17 +2,28 @@
 
 Each entry stores the document, its text relevance ``TRel(q, d)`` and its
 *accumulated similarity* (Eq. 24) — the sum of similarities to the
-strictly newer documents of the result.  Because new results are always
-the newest document of the stream, maintenance is append-at-the-end /
-evict-at-the-front:
+strictly newer documents of the result.  Only the oldest entry's value
+is ever read (Eq. 25 below), so the table completes Eq. 24 *at
+promotion* instead of growing every entry on every update.  New results
+are always the newest document of the stream, so maintenance is
+append-at-the-end / evict-at-the-front, and on arrival of ``d_n``:
 
-* admitting ``d_n`` adds ``Sim(d_i, d_n)`` to every existing entry's
-  accumulated similarity (``d_n`` is newer than all of them);
+* the surviving oldest entry (warm-up only) grows by ``Sim(d_e, d_n)``
+  — its value stays complete;
+* a non-oldest entry grows by ``Sim(d_i, d_n)`` only when ``d_n`` stays
+  out of the aggregated-weight summary (R2, or no summary at all); the
+  similarities to summarised (R1) arrivals are owed until
+* the entry is promoted to oldest, when one Lemma 6 dot product of its
+  own vector against the summary — which then holds exactly the newer
+  R1 documents — pays them all at once;
 * evicting the oldest entry changes nobody's accumulated similarity
   (nothing counts similarities to *older* documents).
 
-The oldest entry's closed form (Eq. 25, corrected to include the decay
-factor so Lemma 1 holds exactly — see DESIGN.md §2) is then
+The promoted value equals the pair-by-pair sum up to float association
+(the contract every Lemma 6 sum already lives under; decisions are
+``TIE_EPSILON``-guarded).  The oldest entry's closed form (Eq. 25,
+corrected to include the decay factor so Lemma 1 holds exactly — see
+DESIGN.md §2) is then
 
     dr_q(q.d_e) = α · TRel(q, d_e) · T(d_e)
                 + (2-2α)/(k-1) · ((k-1) - Sim_acc(q.R, d_e))
@@ -28,6 +39,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
 from repro.kernels import default_kernels
+from repro.kernels.python_backend import cached_cosines
 from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
 from repro.stream.document import Document
@@ -46,7 +58,10 @@ class ResultEntry:
     def __init__(self, document: Document, trel: float) -> None:
         self.document = document
         self.trel = trel
-        #: Eq. 24 — similarity mass against strictly newer result documents.
+        #: Eq. 24 — similarity mass against strictly newer result
+        #: documents.  Complete for the oldest entry; for any other entry
+        #: it covers the newer non-summarised documents only, until
+        #: promotion adds the summarised rest.
         self.sim_acc = 0.0
         #: True if the entry was granted budget for the AW summary (R1).
         self.in_r1 = False
@@ -208,82 +223,85 @@ class QueryResultSet:
     def similarities_to_kept(
         self, vector: TermVector, sim_cache=None
     ) -> List[float]:
-        """Similarities against the surviving entries (``entries[1:]``).
-
-        The replace path's input: cosines of the candidate document
-        against every entry except the oldest, oldest-first.
-        """
+        """Similarities against the surviving entries (``entries[1:]``),
+        oldest-first: what a replacing document is traded off against."""
         return self._kernels.tail_similarities(
             self._packed_entries(), self._entries, vector, sim_cache
         )
 
     # -- maintenance ----------------------------------------------------------
 
-    def admit(
-        self,
-        document: Document,
-        trel: float,
-        sims_to_existing: Sequence[float],
-    ) -> None:
+    def admit(self, document: Document, trel: float, sim_cache=None) -> int:
         """Warm-up insertion of a matching document while ``|R| < k``.
 
-        ``sims_to_existing`` must align with the current entries
-        (oldest-first).  The new document is the stream's newest, so every
-        existing entry's accumulated similarity grows by its similarity to
-        it.
+        The new document is the stream's newest.  Returns the number of
+        cosines computed: one against the oldest entry when ``document``
+        joins the AW summary, one per existing entry when it does not.
+        ``sim_cache`` is the publish's cosine memo for ``document``.
         """
         if self.is_full:
             raise ValueError("result set is full; use replace()")
-        if len(sims_to_existing) != len(self._entries):
-            raise ValueError(
-                f"expected {len(self._entries)} similarities, "
-                f"got {len(sims_to_existing)}"
-            )
-        for entry, sim in zip(self._entries, sims_to_existing):
-            entry.sim_acc += sim
-        self._append_entry(document, trel)
+        entries = self._entries
+        entry = self._new_entry(document, trel, bool(entries))
+        cosines = 0
+        if entries:
+            if entry.aw_resident:
+                head = entries[0]
+                head.sim_acc += cached_cosines(
+                    document.vector, (head.document,), sim_cache
+                )[0]
+                cosines = 1
+            else:
+                sims = self.similarities_to(document.vector, sim_cache)
+                for existing, sim in zip(entries, sims):
+                    existing.sim_acc += sim
+                cosines = len(sims)
+        entries.append(entry)
         if self._packed is not _DIRTY:
-            self._packed = self._kernels.packed_append(
-                self._packed, self._entries
-            )
+            self._packed = self._kernels.packed_append(self._packed, entries)
+        return cosines
 
     def replace(
-        self,
-        document: Document,
-        trel: float,
-        sims_to_kept: Sequence[float],
-    ) -> Document:
-        """Evict ``d_e``, admit ``document``; returns the evicted document.
+        self, document: Document, trel: float, sim_cache=None
+    ) -> Tuple[Document, int, int]:
+        """Evict ``d_e``, admit ``document``, promote the next entry.
 
-        ``sims_to_kept`` aligns with the surviving entries (the current
-        entries minus the oldest, oldest-first).
+        Returns ``(evicted document, cosines, aw_dots)``: cosines are
+        computed against the kept entries only when ``document`` stays
+        out of the AW summary; ``aw_dots`` meters the Lemma 6 dot product
+        that completes the promoted entry's accumulated similarity.
         """
-        if not self._entries:
+        entries = self._entries
+        if not entries:
             raise ValueError("cannot replace in an empty result set")
-        if len(sims_to_kept) != len(self._entries) - 1:
-            raise ValueError(
-                f"expected {len(self._entries) - 1} similarities, "
-                f"got {len(sims_to_kept)}"
-            )
-        evicted_entry = self._entries.pop(0)
         # The evicted entry is never AW-resident (the oldest is excluded
         # from the summary), so only its budget-free removal happens here.
-        assert not evicted_entry.aw_resident
-        self._on_new_oldest()
-        for entry, sim in zip(self._entries, sims_to_kept):
-            entry.sim_acc += sim
-        self._append_entry(document, trel)
+        assert not entries[0].aw_resident
+        head = entries[1] if len(entries) > 1 else None
+        if head is not None:
+            self._on_new_oldest(head)
+        entry = self._new_entry(document, trel, head is not None)
+        cosines = 0
+        if head is not None and not entry.aw_resident:
+            sims = self.similarities_to_kept(document.vector, sim_cache)
+            for index, sim in enumerate(sims, 1):
+                entries[index].sim_acc += sim
+            cosines = len(sims)
+        evicted_entry = entries.pop(0)
+        entries.append(entry)
         if self._packed is not _DIRTY:
-            self._packed = self._kernels.packed_replace(
-                self._packed, self._entries
-            )
-        return evicted_entry.document
+            self._packed = self._kernels.packed_replace(self._packed, entries)
+        aw_dots = 0
+        if head is not None and self._aw is not None:
+            # The summary now holds exactly the R1 documents newer than
+            # ``head`` (itself removed, ``document`` added).  Never through
+            # the publish's cosine memo — that is keyed to ``document``.
+            head.sim_acc += self._aw.similarity_sum(head.document.vector)
+            aw_dots = 1
+        return evicted_entry.document, cosines, aw_dots
 
-    def _on_new_oldest(self) -> None:
-        """Exclude the (possibly new) oldest entry from the AW summary."""
-        if not self._entries:
-            return
-        head = self._entries[0]
+    def _on_new_oldest(self, head: ResultEntry) -> None:
+        """Exclude the entry about to become oldest from the AW summary."""
         if head.aw_resident:
             assert self._aw is not None
             self._aw.remove_document(head.document.vector)
@@ -293,9 +311,12 @@ class QueryResultSet:
         else:
             self._r2_count -= 1
 
-    def _append_entry(self, document: Document, trel: float) -> None:
+    def _new_entry(
+        self, document: Document, trel: float, has_older: bool
+    ) -> ResultEntry:
+        """Build ``document``'s row and settle its R1/R2 side."""
         entry = ResultEntry(document, trel)
-        if self._entries:
+        if has_older:
             # Only non-oldest entries may join the summary; the very first
             # entry stays out (it *is* the oldest).
             if self._aw is not None and (
@@ -307,7 +328,7 @@ class QueryResultSet:
                 self._aw.add_document(document.vector)
             else:
                 self._r2_count += 1
-        self._entries.append(entry)
+        return entry
 
     def release_budget(self) -> None:
         """Return all reserved AW budget (used on unsubscribe)."""

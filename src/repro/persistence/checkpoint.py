@@ -3,7 +3,9 @@
 A checkpoint captures everything the engine cannot rebuild from code:
 configuration, simulated time, collection statistics, the document
 store, the subscriptions and each query's result table (document ids,
-cached TRel, accumulated similarities, R1 membership).  Derived
+cached TRel, accumulated similarities, R1 membership; of the
+accumulated similarities only the oldest row's is read back — the rest
+are re-derived, see ``_restore_query``).  Derived
 structures — the inverted file's block summaries, MCS covers, aggregated
 term weight tables — are *not* stored; they are reconstructed on restore
 (summaries lazily, AW tables eagerly), which keeps checkpoints small and
@@ -26,7 +28,7 @@ from repro.core.query import DasQuery
 from repro.core.result_set import ResultEntry
 from repro.distributed.sharded import ShardedDasEngine
 from repro.stream.document import Document
-from repro.text.vectors import TermVector
+from repro.text.vectors import TermVector, cosine_similarity
 
 #: Format marker for forward compatibility.
 CHECKPOINT_VERSION = 1
@@ -199,7 +201,6 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
                 f"checkpoint references missing document {row['doc']}"
             )
         entry = ResultEntry(document, float(row["trel"]))
-        entry.sim_acc = float(row["sim_acc"])
         entry.in_r1 = bool(row["in_r1"])
         entries.append(entry)
         engine.store.pin(document.doc_id)
@@ -218,6 +219,19 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
             else:
                 entry.in_r1 = False
     result_set._r2_count = sum(not e.aw_resident for e in entries[1:])
+    # Eq. 24 continuity: the oldest row's value is complete in every
+    # file; a non-oldest row holds only its similarities to newer
+    # non-summarised documents (promotion adds the summarised rest), and
+    # files written before promotion-time completion carry full totals
+    # there — so re-derive those slots instead of trusting the file.
+    if entries:
+        entries[0].sim_acc = float(rows[0]["sim_acc"])
+    for newer in range(2, len(entries)):
+        if entries[newer].aw_resident:
+            continue
+        vector = entries[newer].document.vector
+        for entry in entries[1:newer]:
+            entry.sim_acc += cosine_similarity(vector, entry.document.vector)
 
     engine._queries[query.query_id] = query
     engine._result_sets[query.query_id] = result_set

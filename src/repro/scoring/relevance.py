@@ -67,8 +67,9 @@ class LanguageModelScorer:
         ``ps_cache`` holds the document's ``PS`` per term, seeded with
         the terms *present in the document*; a query keyword missing
         from it is absent from the document, where ``PS`` is exactly the
-        background probability, and is memoised too (many queries name
-        the same absent keyword).  This is the hot path of document
+        background probability (``(1-λ)·0/len + b == b`` bit for bit, so
+        ``vector`` is never consulted), and is memoised too (many queries
+        name the same absent keyword).  This is the hot path of document
         processing: each ``PS`` is computed once per document and reused
         across every candidate query.
         """
@@ -76,6 +77,6 @@ class LanguageModelScorer:
         for term in query_terms:
             value = ps_cache.get(term)
             if value is None:
-                value = ps_cache[term] = self.ps(vector, term)
+                value = ps_cache[term] = self.background(term)
             score *= value
         return score

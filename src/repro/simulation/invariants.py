@@ -10,8 +10,15 @@ accepted operation:
 ``lemma1``
     Every replacement strictly improved the diversity-aware relevance:
     ``dr_q(d_n) > dr_q(q.d_e)`` (Lemma 1 reduces the Def. 3 comparison
-    to exactly this), reconstructed post-hoc from the result table's
-    accumulated-similarity deltas.
+    to exactly this).  The left side is recomputed from scratch
+    (cosines of ``d_n`` against the kept entries); the right side is
+    the pre-publish oldest entry's cached values.
+``sim_acc``
+    Eq. 24 where Eq. 25 reads it: for every full query a publish
+    touched, the oldest entry's accumulated similarity equals the
+    brute-force ``Σ cosine(d_e, r)`` over the newer entries within
+    1e-9 — independently of the Lemma 1 audit, so a wrong promotion
+    value cannot hide behind a decision that happened to come out right.
 ``bounds``
     ``FT̃_b`` (Eq. 12, Lemma 2) never exceeds the exact minimum
     threshold of the block's filled members — the soundness direction
@@ -53,8 +60,12 @@ from repro.core.query import DasQuery
 from repro.core.strategies import make_oracle
 from repro.scoring.diversity import diversity_coefficient
 from repro.stream.document import Document
+from repro.text.vectors import cosine_similarity
 
 _NEG_INF = float("-inf")
+#: Allowed gap between the oldest entry's maintained Eq. 24 value and the
+#: brute-force sum (float association of the Lemma 6 dot only).
+_SIM_ACC_TOLERANCE = 1e-9
 
 
 class InvariantViolation:
@@ -102,6 +113,7 @@ class InvariantMonitor:
         self.checks: Dict[str, int] = {
             "size": 0,
             "lemma1": 0,
+            "sim_acc": 0,
             "bounds": 0,
             "strategy": 0,
             "oracle": 0,
@@ -163,9 +175,9 @@ class InvariantMonitor:
     def before_publish(self, document: Document) -> None:
         """Snapshot the replacement-relevant state of every full query.
 
-        Cheap (no scoring): stores the oldest entry's cached values and
-        each entry's accumulated similarity so :meth:`after_publish` can
-        reconstruct both sides of the Lemma 1 comparison from deltas.
+        Cheap (no scoring): stores the oldest entry's cached values —
+        the right side of the Lemma 1 comparison :meth:`after_publish`
+        audits.
         """
         self._pre = {}
         if getattr(self._engine, "strategy", None) is not None:
@@ -182,16 +194,13 @@ class InvariantMonitor:
                 head.sim_acc,
                 len(result_set.entries) - 1,
                 head.document.created_at,
-                {
-                    entry.document.doc_id: entry.sim_acc
-                    for entry in result_set.entries
-                },
             )
 
     def after_publish(
         self, document: Document, notifications: Sequence[Notification]
     ) -> None:
-        """Verify Lemma 1 for every replacement, then mirror the oracle."""
+        """Verify Lemma 1 and the promoted ``sim_acc`` for every
+        replacement, then mirror the oracle."""
         if getattr(self._engine, "strategy", None) is not None:
             if self._oracle is not None:
                 self._oracle.publish(document)
@@ -211,7 +220,7 @@ class InvariantMonitor:
                     f"on doc {document.doc_id}",
                 )
                 continue
-            old_id, old_trel, old_sim, pairs, old_created, sim_map = pre
+            old_id, old_trel, old_sim, pairs, old_created = pre
             if notification.replaced.doc_id != old_id:
                 self._record(
                     "lemma1",
@@ -234,12 +243,10 @@ class InvariantMonitor:
                     f"{document.doc_id}",
                 )
                 continue
-            # Each kept entry's accumulated similarity grew by exactly
-            # Sim(entry, d_n) (Eq. 24 maintenance), so the deltas sum to
-            # the similarity mass the engine traded off in dr_q(d_n).
+            # The similarity mass the engine traded off in dr_q(d_n):
+            # d_n against every kept entry, recomputed from scratch.
             sim_sum = sum(
-                entry.sim_acc
-                - sim_map.get(entry.document.doc_id, entry.sim_acc)
+                cosine_similarity(document.vector, entry.document.vector)
                 for entry in result_set.entries[:-1]
             )
             dr_new = config.alpha * new_entry.trel + coeff * (
@@ -257,8 +264,33 @@ class InvariantMonitor:
                     f"strictly improve dr_oldest={dr_old:.9f}",
                 )
         self._pre = {}
+        self._check_sim_acc(document, notifications)
         if self._oracle is not None:
             self._oracle.publish(document)
+
+    def _check_sim_acc(
+        self, document: Document, notifications: Sequence[Notification]
+    ) -> None:
+        """Eq. 24 audit of every full result set the publish updated."""
+        for notification in notifications:
+            result_set = self._engine._result_sets.get(
+                notification.query_id
+            )
+            if result_set is None or not result_set.is_full:
+                continue
+            self.checks["sim_acc"] += 1
+            head = result_set.entries[0]
+            expected = sum(
+                cosine_similarity(head.document.vector, entry.document.vector)
+                for entry in result_set.entries[1:]
+            )
+            if abs(head.sim_acc - expected) > _SIM_ACC_TOLERANCE:
+                self._record(
+                    "sim_acc",
+                    f"q{notification.query_id} oldest doc "
+                    f"{head.document.doc_id} after doc {document.doc_id}: "
+                    f"sim_acc={head.sim_acc!r} != brute-force {expected!r}",
+                )
 
     def after_subscribe(
         self, query: DasQuery, initial: Sequence[Document]

@@ -14,7 +14,7 @@ from repro.stream.document import Document
 def filled_result_set(k, docs, trel=0.2):
     rs = QueryResultSet(k, track_aggregated_weights=False)
     for d in docs:
-        rs.admit(d, trel, rs.similarities_to(d.vector))
+        rs.admit(d, trel)
     return rs
 
 

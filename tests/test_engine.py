@@ -228,3 +228,57 @@ def test_bad_init_strategy_rejected():
     engine.publish(doc(0, ["coffee"]))
     with pytest.raises(ValueError):
         engine.subscribe(DasQuery(0, ["coffee"]))
+
+
+def _work_pin_run(method, **overrides):
+    """Counters of one fixed 300-document run (60 warm-up documents,
+    40 LQD subscriptions, 240 streamed documents)."""
+    from repro.workloads.corpus import SyntheticTweetCorpus
+    from repro.workloads.queries import lqd_queries
+
+    corpus = SyntheticTweetCorpus(
+        vocab_size=150, n_topics=5, doc_length=(4, 9), seed=19
+    )
+    docs = corpus.documents(300)
+    engine = DasEngine.for_method(
+        method, k=4, block_size=4, backend="python", **overrides
+    )
+    for document in docs[:60]:
+        engine.publish(document)
+    for query in lqd_queries(corpus, 40, first_id=0):
+        engine.subscribe(query)
+    for document in docs[60:]:
+        engine.publish(document)
+    return engine.counters
+
+
+def test_result_updates_do_not_pay_per_entry_cosines():
+    """Work pin (ISSUE 19): with every arrival summarised, the only
+    result-table cosine left is the warm-up head's, so IFilter (no cover
+    cosines) stays at or below one per match — an O(k)-per-update path
+    cannot come back unnoticed."""
+    counters = _work_pin_run("IFilter")
+    assert counters.matches == 285
+    assert counters.sim_evaluations <= counters.matches
+    assert counters.aw_dot_products > 0
+
+
+@pytest.mark.parametrize(
+    "method, overrides, parent_sim_evaluations",
+    [
+        ("BIRT", {}, 7456),
+        ("IRT", {}, 7456),
+        ("IFilter", {"phi_max": 60}, 6621),
+    ],
+    ids=["birt", "irt", "tight-phi-max"],
+)
+def test_baselines_compute_no_more_cosines_than_before(
+    method, overrides, parent_sim_evaluations
+):
+    """The same stream where arrivals stay out of the summary (no AW
+    table, or a ``Φ_max`` that forces R2): ``sim_evaluations`` is not
+    above the count recorded at the commit before promotion-time
+    completion, so Figs. 4–7's baselines were not made slower."""
+    counters = _work_pin_run(method, **overrides)
+    assert counters.matches == 285
+    assert counters.sim_evaluations <= parent_sim_evaluations

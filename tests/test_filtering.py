@@ -79,11 +79,7 @@ def build_block(pool, queries, alpha, scorer):
         for document in pool:
             if rs.is_full:
                 break
-            rs.admit(
-                document,
-                scorer.trel(terms, document.vector),
-                rs.similarities_to(document.vector),
-            )
+            rs.admit(document, scorer.trel(terms, document.vector))
         result_sets[qid] = rs
         block.append(qid)
     block.refresh_metadata(result_sets, alpha)
@@ -207,11 +203,7 @@ def test_quick_bound_never_drops_a_result(scenario):
         for document in pool:
             if rs.is_full:
                 break
-            rs.admit(
-                document,
-                scorer.trel(terms, document.vector),
-                rs.similarities_to(document.vector),
-            )
+            rs.admit(document, scorer.trel(terms, document.vector))
         if not rs.is_full:
             continue
         trel = scorer.trel(terms, new_doc.vector)
@@ -247,7 +239,7 @@ def test_paper_mode_uses_floor():
     rs = QueryResultSet(K, track_aggregated_weights=False)
     docs = [Document.from_tokens(i, ["w"], float(i)) for i in range(K)]
     for d in docs:
-        rs.admit(d, 0.1, rs.similarities_to(d.vector))
+        rs.admit(d, 0.1)
     block.rebuild_mcs("w", {0: rs})
     probe = TermVector({"w": 1})
     strict = block_similarity_lower_bound(

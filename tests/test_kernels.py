@@ -261,11 +261,9 @@ def test_result_set_incremental_matches_python_reference():
             # Touch the packed form so every mutation runs incrementally.
             result_set.similarities_to(random_vector(rngs[name]))
             if not result_set.is_full:
-                sims = result_set.similarities_to(document.vector)
-                result_set.admit(document, 0.5, sims)
+                result_set.admit(document, 0.5)
             else:
-                sims = result_set.similarities_to_kept(document.vector)
-                result_set.replace(document, 0.5, sims)
+                result_set.replace(document, 0.5)
             answers[name] = result_set.similarity_sum(document.vector)
         py_total, py_direct, py_aw = answers["python"]
         np_total, np_direct, np_aw = answers["numpy"]

@@ -156,7 +156,7 @@ def test_build_universe_excludes_oldest_and_foreign_terms():
         Document.from_tokens(2, ["y"], 2.0),        # lacks w -> excluded
     ]
     for d in docs:
-        rs.admit(d, 0.1, rs.similarities_to(d.vector))
+        rs.admit(d, 0.1)
     result_sets[0] = rs
     universe = build_universe("w", [0], result_sets)
     assert set(universe.documents) == {1}

@@ -133,11 +133,7 @@ def fill_result_set(terms, pool, scorer):
     for document in pool:
         if rs.is_full:
             break
-        rs.admit(
-            document,
-            scorer.trel(terms, document.vector),
-            rs.similarities_to(document.vector),
-        )
+        rs.admit(document, scorer.trel(terms, document.vector))
     return rs
 
 

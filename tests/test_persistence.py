@@ -108,3 +108,85 @@ def test_budget_accounting_restored():
         engine.subscribe(query)
     clone = restore(checkpoint(engine))
     assert clone._budget.used == engine._budget.used
+
+
+def _as_parent_commit_payload(payload):
+    """Rewrite a checkpoint into the shape written before Eq. 24 was
+    completed at promotion: every row carries its full per-entry total
+    ``Σ cosine(entry, newer entry)``, not only the oldest row."""
+    import copy
+
+    from repro.text.vectors import TermVector, cosine_similarity
+
+    payload = copy.deepcopy(payload)
+    vectors = {
+        record["id"]: TermVector(record["tf"])
+        for record in payload["documents"]
+    }
+    for query in payload["queries"]:
+        rows = query["results"]
+        for index, row in enumerate(rows):
+            row["sim_acc"] = sum(
+                cosine_similarity(vectors[row["doc"]], vectors[newer["doc"]])
+                for newer in rows[index + 1 :]
+            )
+    return payload
+
+
+@pytest.mark.parametrize(
+    "method, overrides, shapes_differ",
+    [("GIFilter", {"phi_max": 60}, True), ("BIRT", {}, False)],
+    ids=["tight-phi-max", "birt"],
+)
+def test_parent_commit_checkpoint_restores_and_continues(
+    method, overrides, shapes_differ
+):
+    """A file with per-entry ``sim_acc`` totals (the parent commit's) and
+    one written now describe the same state: both restore, and both
+    continue with the live engine's exact change stream.  Under a tight
+    ``Φ_max`` R1 and R2 rows mix, so the two files differ behind the
+    oldest row; without a summary every arrival is paid pair by pair
+    and they coincide."""
+    corpus = SyntheticTweetCorpus(vocab_size=150, n_topics=5, seed=23)
+    docs = corpus.documents(320)
+    live = DasEngine.for_method(method, k=4, block_size=4, **overrides)
+    for document in docs[:60]:
+        live.publish(document)
+    for query in lqd_queries(corpus, 30, first_id=0):
+        live.subscribe(query)
+    for document in docs[60:120]:
+        live.publish(document)
+    assert sum(rs._r2_count for rs in live._result_sets.values()) > 0
+
+    new_shaped = checkpoint(live)
+    parent_shaped = _as_parent_commit_payload(new_shaped)
+    assert shapes_differ == any(
+        old["sim_acc"] != pytest.approx(new["sim_acc"], abs=1e-9)
+        for old_q, new_q in zip(parent_shaped["queries"], new_shaped["queries"])
+        for old, new in zip(old_q["results"][1:], new_q["results"][1:])
+    )
+    from_new, from_parent = restore(new_shaped), restore(parent_shaped)
+
+    def log(notifications):
+        return [
+            (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+            for n in notifications
+        ]
+
+    def head_sim_acc(engine, query_id):
+        return engine._result_sets[query_id].entries[0].sim_acc
+
+    replaced = 0
+    for document in docs[120:]:
+        expected = log(live.publish(document))
+        assert log(from_new.publish(document)) == expected
+        assert log(from_parent.publish(document)) == expected
+        # Every promotion is audited the moment it happens: a restored
+        # row that kept its file total would be counted twice here.
+        for query_id, _doc_id, old_id in expected:
+            replaced += old_id is not None
+            for clone in (from_new, from_parent):
+                assert head_sim_acc(clone, query_id) == pytest.approx(
+                    head_sim_acc(live, query_id), abs=1e-9
+                )
+    assert replaced > 0

@@ -18,8 +18,16 @@ def doc(i, tokens):
 
 
 def admit(rs, document, trel=0.1):
-    sims = rs.similarities_to(document.vector)
-    rs.admit(document, trel, sims)
+    rs.admit(document, trel)
+
+
+def newer_sim_sum(rs, index=0):
+    """Brute-force Eq. 24: entry ``index`` against every newer entry."""
+    entries = rs.entries
+    return sum(
+        cosine_similarity(entries[index].document.vector, other.document.vector)
+        for other in entries[index + 1 :]
+    )
 
 
 def test_admit_fills_in_order():
@@ -41,52 +49,80 @@ def test_admit_beyond_k_raises():
 
 
 def test_admit_wrong_sims_length():
-    rs = QueryResultSet(k=3)
-    admit(rs, doc(0, ["a"]))
-    with pytest.raises(ValueError):
-        rs.admit(doc(1, ["a"]), 0.1, [])  # needs 1 similarity
+    # The per-entry similarity argument is gone; what remains of this
+    # case is its k = 2 edge: the second admit meters exactly one cosine
+    # (against the oldest) and leaves the newcomer's slot at zero.
+    rs = QueryResultSet(k=2)
+    assert rs.admit(doc(0, ["a"]), 0.1) == 0
+    assert rs.admit(doc(1, ["a", "b"]), 0.1) == 1
+    assert rs.entries[0].sim_acc == pytest.approx(newer_sim_sum(rs))
+    assert rs.entries[1].sim_acc == 0.0
 
 
 def test_sim_acc_tracks_newer_documents():
+    """Head-only contract: the oldest entry's Eq. 24 value is complete
+    after every arrival; entries behind it are owed their similarities
+    to summarised (R1) arrivals until promotion."""
     rs = QueryResultSet(k=3)
     a, b, c = doc(0, ["x"]), doc(1, ["x", "y"]), doc(2, ["y"])
     for d in (a, b, c):
         admit(rs, d)
     sim_ab = cosine_similarity(a.vector, b.vector)
     sim_ac = cosine_similarity(a.vector, c.vector)
-    sim_bc = cosine_similarity(b.vector, c.vector)
     entries = rs.entries
     assert entries[0].sim_acc == pytest.approx(sim_ab + sim_ac)
-    assert entries[1].sim_acc == pytest.approx(sim_bc)
+    assert entries[1].sim_acc == 0.0  # c is AW-resident: owed, not paid
     assert entries[2].sim_acc == 0.0
+    # Without a summary every arrival is paid pair by pair, as before.
+    plain = QueryResultSet(k=3, track_aggregated_weights=False)
+    for d in (a, b, c):
+        admit(plain, d)
+    assert plain.entries[0].sim_acc == pytest.approx(sim_ab + sim_ac)
+    assert plain.entries[1].sim_acc == pytest.approx(
+        cosine_similarity(b.vector, c.vector)
+    )
 
 
 def test_replace_evicts_oldest_and_updates_sim_acc():
-    rs = QueryResultSet(k=2)
-    a, b, c = doc(0, ["x"]), doc(1, ["x"]), doc(2, ["x"])
-    admit(rs, a)
-    admit(rs, b)
-    sims = [cosine_similarity(c.vector, b.vector)]
-    evicted = rs.replace(c, 0.2, sims)
+    rs = QueryResultSet(k=3)
+    a, b, c, d = (
+        doc(0, ["x"]), doc(1, ["x", "y"]), doc(2, ["y"]), doc(3, ["x", "y", "y"])
+    )
+    for document in (a, b, c):
+        admit(rs, document)
+    evicted, cosines, aw_dots = rs.replace(d, 0.2)
     assert evicted is a
-    assert [d.doc_id for d in rs.documents()] == [1, 2]
-    # sim_acc counts *newer* co-residents only: b's sim to c, not to the
-    # evicted (older) a.
-    assert rs.entries[0].sim_acc == pytest.approx(1.0)
+    assert [x.doc_id for x in rs.documents()] == [1, 2, 3]
+    # d joined the summary: no per-entry cosine, one Lemma 6 dot product
+    # that completes the promoted b against its newer co-residents c, d
+    # (not against the evicted, older a).
+    assert (cosines, aw_dots) == (0, 1)
+    assert rs.entries[0].sim_acc == pytest.approx(
+        cosine_similarity(b.vector, c.vector)
+        + cosine_similarity(b.vector, d.vector),
+        abs=1e-12,
+    )
+    assert rs.entries[1].sim_acc == 0.0
 
 
 def test_replace_empty_raises():
     rs = QueryResultSet(k=2)
     with pytest.raises(ValueError):
-        rs.replace(doc(0, ["a"]), 0.1, [])
+        rs.replace(doc(0, ["a"]), 0.1)
 
 
 def test_replace_wrong_sims_length():
-    rs = QueryResultSet(k=2)
-    admit(rs, doc(0, ["a"]))
-    admit(rs, doc(1, ["a"]))
-    with pytest.raises(ValueError):
-        rs.replace(doc(2, ["a"]), 0.1, [])
+    # The per-entry similarity argument is gone; what remains of this
+    # case is its k = 1 edge: the newcomer *is* the new oldest — nothing
+    # to promote, no cosine, no dot product, an empty Eq. 24 sum.
+    rs = QueryResultSet(k=1)
+    first = doc(0, ["a"])
+    admit(rs, first)
+    evicted, cosines, aw_dots = rs.replace(doc(1, ["a"]), 0.1)
+    assert evicted is first
+    assert (cosines, aw_dots) == (0, 0)
+    assert rs.entries[0].sim_acc == 0.0
+    assert rs.aw_entry_count == 0
 
 
 def test_dr_oldest_closed_form():
@@ -160,7 +196,7 @@ def test_replace_releases_budget_of_new_oldest():
     admit(rs, doc(0, ["a"]))
     admit(rs, doc(1, ["b", "c"]))  # reserves 2
     assert budget.used == 2
-    rs.replace(doc(2, ["d"]), 0.1, rs.similarities_to(TermVector({"d": 1}))[1:])
+    rs.replace(doc(2, ["d"]), 0.1)
     # doc 1 became the oldest: its 2 entries are released; doc 2 reserved 1.
     assert budget.used == 1
     assert not rs.entries[0].aw_resident
@@ -185,24 +221,83 @@ def test_release_budget_on_teardown():
     )
 )
 def test_sim_acc_invariant_under_churn(token_lists):
-    """After any admit/replace sequence, each entry's sim_acc equals the
-    sum of its similarities to strictly newer co-resident documents."""
+    """After any admit/replace sequence the oldest entry's sim_acc equals
+    the sum of its similarities to the newer co-resident documents, and
+    with no summary to defer to every entry's does."""
     k = 3
     rs = QueryResultSet(k=k)
+    plain = QueryResultSet(k=k, track_aggregated_weights=False)
     for i, tokens in enumerate(token_lists):
         document = doc(i, tokens)
-        if not rs.is_full:
-            admit(rs, document)
-        else:
-            sims = [
-                cosine_similarity(document.vector, entry.document.vector)
-                for entry in rs.entries[1:]
-            ]
-            rs.replace(document, 0.1, sims)
-    documents = rs.documents()
-    for index, entry in enumerate(rs.entries):
-        expected = sum(
-            cosine_similarity(entry.document.vector, other.vector)
-            for other in documents[index + 1 :]
+        for table in (rs, plain):
+            if not table.is_full:
+                admit(table, document)
+            else:
+                table.replace(document, 0.1)
+    assert rs.entries[0].sim_acc == pytest.approx(newer_sim_sum(rs), abs=1e-9)
+    for index, entry in enumerate(plain.entries):
+        assert entry.sim_acc == pytest.approx(
+            newer_sim_sum(plain, index), abs=1e-9
         )
-        assert entry.sim_acc == pytest.approx(expected, abs=1e-9)
+
+
+#: Token alphabet of the churn below: few letters so duplicates (Sim = 1)
+#: are common; the empty list is a zero-norm vector.
+_CHURN_TOKENS = st.lists(st.sampled_from("abcd"), min_size=0, max_size=4)
+
+
+def _churn_table(k, summary):
+    if summary == "unlimited":
+        return QueryResultSet(k=k)
+    if summary == "tight":
+        # Room for about one small document: most arrivals land in R2.
+        return QueryResultSet(k=k, budget=MemoryBudget(3))
+    return QueryResultSet(k=k, track_aggregated_weights=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 6]),
+    summary=st.sampled_from(["unlimited", "tight", "none"]),
+    token_lists=st.lists(_CHURN_TOKENS, min_size=1, max_size=24),
+    trels=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=24, max_size=24
+    ),
+)
+def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
+    """After *every* admit/replace — any k, with an unlimited summary, a
+    ``Φ_max`` forcing R2 rows, or no summary — the oldest entry's
+    ``sim_acc`` is the brute-force Eq. 24 sum and ``dr_oldest`` the value
+    computed from scratch; the meters never exceed the per-entry path."""
+    rs = _churn_table(k, summary)
+    decay = ExponentialDecay(1.01)
+    alpha = 0.4
+    coeff = (2 - 2 * alpha) / (k - 1) if k > 1 else 0.0
+    for i, tokens in enumerate(token_lists):
+        document = doc(i, tokens)
+        replacing = rs.is_full
+        kept = rs.size - 1 if replacing else rs.size
+        if replacing:
+            _evicted, cosines, aw_dots = rs.replace(document, trels[i])
+        else:
+            cosines, aw_dots = rs.admit(document, trels[i]), 0
+        if not rs.entries[-1].aw_resident:
+            assert cosines == kept  # R2 arrival: the per-entry path
+        elif replacing:
+            assert cosines == 0  # R1 arrival: promotion pays instead
+        else:
+            assert cosines == min(kept, 1)  # R1 arrival: the head alone
+        assert aw_dots <= 1
+        head = rs.entries[0]
+        expected = newer_sim_sum(rs)
+        assert head.sim_acc == pytest.approx(expected, abs=1e-9)
+        now = float(i)
+        scratch = alpha * head.trel * decay.at(
+            head.document.created_at, now
+        ) + coeff * ((rs.size - 1) - expected)
+        assert rs.dr_oldest(now, decay, alpha) == pytest.approx(
+            scratch, abs=1e-9
+        )
+        assert rs.static_dr_oldest(alpha) == pytest.approx(
+            alpha * head.trel + coeff * ((rs.size - 1) - expected), abs=1e-9
+        )

@@ -70,6 +70,9 @@ def test_trel_from_ps_matches_trel(scorer):
     direct = scorer.trel(["coffee", "tea"], vector)
     cached = scorer.trel_from_ps(["coffee", "tea"], cache, vector)
     assert cached == pytest.approx(direct)
+    # A miss is a keyword absent from the document: resolved as (and
+    # memoised at) the background probability, bit for bit PS's value.
+    assert cache["tea"] == scorer.background("tea") == scorer.ps(vector, "tea")
 
 
 def test_trel_never_zero(scorer):

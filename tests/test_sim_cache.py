@@ -50,9 +50,7 @@ def test_cached_helper_returns_exact_cosines(members, probes):
     result_set = QueryResultSet(k=max(1, len(members)))
     for doc_id, vector in enumerate(members):
         document = Document(doc_id, vector, float(doc_id))
-        result_set.admit(
-            document, 0.1, result_set.similarities_to(document.vector)
-        )
+        result_set.admit(document, 0.1)
     entries = result_set.entries
     kernels = PythonKernels()
     for probe in probes:

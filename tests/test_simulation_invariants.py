@@ -51,6 +51,8 @@ def test_clean_run_exercises_every_family_without_violations():
     assert monitor.checks["oracle"] == 1
     # 20 publishes into k=3 result sets must have caused replacements.
     assert monitor.checks["lemma1"] > 0
+    # ... and every update of a full result set audits the oldest row.
+    assert monitor.checks["sim_acc"] >= monitor.checks["lemma1"]
 
 
 def test_oracle_can_be_disabled():
@@ -122,6 +124,23 @@ def test_lemma1_check_flags_a_forged_replacement():
     monitor.after_publish(probe, [Notification(0, probe, newest)])
     assert any(
         v.name == "lemma1" and "expected oldest" in v.detail
+        for v in monitor.violations
+    )
+
+
+def test_sim_acc_check_flags_a_double_counted_promotion():
+    engine, monitor, instrumented = make_setup(with_oracle=False)
+    instrumented.subscribe(DasQuery(0, ["w"]))
+    feed(instrumented, 6)
+    result_set = engine._result_sets[0]
+    assert result_set.is_full and monitor.violations == []
+    # The row behind the oldest carries similarity mass promotion will
+    # add again (what trusting a per-entry checkpoint total would do).
+    result_set.entries[1].sim_acc += 0.25
+    feed(instrumented, 6, start_id=6)
+    assert monitor.checks["lemma1"] > 0
+    assert any(
+        v.name == "sim_acc" and "brute-force" in v.detail
         for v in monitor.violations
     )
 
