@@ -63,6 +63,14 @@ from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
 from repro.telemetry import Telemetry
 from repro.text.collection_stats import CollectionStatistics
+
+#: Ceiling of the group-check backoff: while checks keep finding nothing
+#: to skip, at most this many block boundaries pass between two checks.
+MAX_CHECK_BACKOFF = 63
+
+_NEG_INF = float("-inf")
+
+
 class DasEngine:
     """Continuous top-k diversity-aware publish/subscribe."""
 
@@ -164,6 +172,14 @@ class DasEngine:
             "REPRO_FLAT_MIN_BLOCKS", DEFAULT_MIN_FLAT_BLOCKS
         )
         self._flat_active = False
+        #: Yield-driven backoff of the block-boundary check (DESIGN.md
+        #: §6): a check that skips nothing widens the run of boundaries
+        #: traversed without a check (1, 3, 7 … ``MAX_CHECK_BACKOFF``), a
+        #: check that skips resets it to zero.  ``_check_sitout`` is what
+        #: is left of the current run.  Exact either way: a skip is sound
+        #: but optional, an unchecked block's members reject individually.
+        self._check_backoff = 0
+        self._check_sitout = 0
         self.telemetry = telemetry
         #: The active publish's observation; set only while telemetry is
         #: attached and a publish is in flight (hot paths branch on it).
@@ -602,9 +618,12 @@ class DasEngine:
         # computes the Eq. 12 thresholds of every candidate block and
         # compares them against the document's universal Eq. 18 upper
         # bound.  A True verdict is a skip the scalar check is
-        # guaranteed to take; False falls back to the scalar check.
+        # guaranteed to take; False falls back to the scalar check.  It
+        # pays only when most boundaries get checked, so a document that
+        # starts backed off does without (its probes run the scalar
+        # check).
         flat_rows = None
-        if self._flat_active:
+        if self._flat_active and not self._check_backoff:
             obs = self._obs
             if obs is None:
                 flat_rows = self._flat_prepare(lists, ps_cache, now)
@@ -632,38 +651,24 @@ class DasEngine:
             block = blocks[block_index]
             skipped = False
             if offset == 0 and use_blocks:
-                obs = self._obs
-                entered = obs.time() if obs is not None else 0.0
-                # A clean block with a positive batch verdict skips
-                # without the scalar check; otherwise the scalar check
-                # runs, reusing the batch-computed Eq. 12 threshold.  A
-                # block re-dirtied since the batch pass (a result update
-                # mid-document) falls back to the full scalar path.
-                row = (
-                    flat_rows.get(term)
-                    if flat_rows is not None and not block.meta_dirty
-                    else None
-                )
-                if row is not None and row[0][block_index]:
-                    self._flat_skip_effects(term, block)
-                    skip = True
+                if self._check_sitout:
+                    # Backing off: no layer of the group filter runs,
+                    # the block is traversed member by member.
+                    self._check_sitout -= 1
+                    self.counters.group_checks_deferred += 1
                 else:
-                    skip = self._try_skip_block(
+                    skipped = self._check_boundary(
                         term,
                         block,
+                        block_index,
+                        flat_rows,
                         ps_cache,
                         document,
                         cursors,
                         lists,
                         now,
-                        threshold=(
-                            row[1][block_index] if row is not None else None
-                        ),
                     )
-                if obs is not None:
-                    obs.add("group_filter", obs.time() - entered)
-                if skip:
-                    self.counters.blocks_skipped += 1
+                if skipped:
                     # The group bound covers the filled members only;
                     # warm-up members must still see the document.
                     for query_id in block.unfilled_ids:
@@ -674,7 +679,6 @@ class DasEngine:
                             )
                     block_index += 1
                     offset = 0
-                    skipped = True
             if not skipped:
                 if offset == 0:
                     self.counters.blocks_visited += 1
@@ -696,6 +700,59 @@ class DasEngine:
                 )
         self.counters.sim_cache_hits += sim_cache.lookups - len(sim_cache)
         return notifications
+
+    def _check_boundary(
+        self,
+        term: str,
+        block,
+        block_index: int,
+        flat_rows,
+        ps_cache: Dict[str, float],
+        document: Document,
+        cursors: Dict[str, Tuple[int, int]],
+        lists: Dict[str, PostingsList],
+        now: float,
+    ) -> bool:
+        """One engaged block-boundary check; moves the backoff by its yield.
+
+        A clean block with a positive batch verdict skips without the
+        scalar check; otherwise the scalar check runs, reusing the
+        batch-computed Eq. 12 threshold.  A block re-dirtied since the
+        batch pass (a result update mid-document) falls back to the full
+        scalar path.
+        """
+        obs = self._obs
+        entered = obs.time() if obs is not None else 0.0
+        row = (
+            flat_rows.get(term)
+            if flat_rows is not None and not block.meta_dirty
+            else None
+        )
+        if row is not None and row[0][block_index]:
+            self._flat_skip_effects(term, block)
+            skip = True
+        else:
+            skip = self._try_skip_block(
+                term,
+                block,
+                ps_cache,
+                document,
+                cursors,
+                lists,
+                now,
+                threshold=row[1][block_index] if row is not None else None,
+            )
+        if obs is not None:
+            obs.add("group_filter", obs.time() - entered)
+        if skip:
+            self.counters.blocks_skipped += 1
+            self._check_backoff = 0
+        elif block.dtrel_min != _NEG_INF:
+            # A block of warm-up members only has no threshold to beat:
+            # its miss says nothing about whether checking pays.
+            backoff = min(2 * self._check_backoff + 1, MAX_CHECK_BACKOFF)
+            self._check_backoff = self._check_sitout = backoff
+        return skip
 
     def _try_skip_block(
         self,
@@ -729,6 +786,9 @@ class DasEngine:
             threshold = block_threshold_lower_bound(
                 block, self._decay_cache, now, self._config.alpha
             )
+        if threshold == _NEG_INF:
+            # No filled member: nothing any upper bound could stay under.
+            return False
         # TRel̃_max (Eq. 18): document terms whose cursor has not passed
         # this block yet can still contribute relevance to its queries.
         max_id = block.max_id

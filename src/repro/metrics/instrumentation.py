@@ -22,6 +22,10 @@ class Counters:
     blocks_visited: int = 0
     blocks_skipped: int = 0
     group_checks: int = 0
+    #: Block boundaries passed with no check while the engine's
+    #: group-check backoff sat them out (``group_checks`` counts only
+    #: checks actually run).
+    group_checks_deferred: int = 0
     queries_evaluated: int = 0
     quick_rejections: int = 0
     sim_evaluations: int = 0

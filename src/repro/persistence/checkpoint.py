@@ -2,10 +2,11 @@
 
 A checkpoint captures everything the engine cannot rebuild from code:
 configuration, simulated time, collection statistics, the document
-store, the subscriptions and each query's result table (document ids,
+store, the subscriptions, each query's result table (document ids,
 cached TRel, accumulated similarities, R1 membership; of the
 accumulated similarities only the oldest row's is read back — the rest
-are re-derived, see ``_restore_query``).  Derived
+are re-derived, see ``_restore_query``) and where the group-check
+backoff stands.  Derived
 structures — the inverted file's block summaries, MCS covers, aggregated
 term weight tables — are *not* stored; they are reconstructed on restore
 (summaries lazily, AW tables eagerly), which keeps checkpoints small and
@@ -112,6 +113,9 @@ def checkpoint(engine: DasEngine) -> Dict:
         "documents": documents,
         "queries": queries,
         "counters": engine.counters.as_dict(),
+        # Where the group-check backoff stands, so the restored engine
+        # checks the same boundaries the original would have.
+        "check_backoff": [engine._check_backoff, engine._check_sitout],
     }
     if engine.strategy is not None:
         # Strategy modes own their result/candidate state; per-query
@@ -180,6 +184,8 @@ def restore(payload: Dict) -> DasEngine:
     # Pre-counters checkpoints keep the rebuild-produced values.
     if "counters" in payload:
         engine.counters.load(payload["counters"])
+    backoff, sitout = payload.get("check_backoff", (0, 0))
+    engine._check_backoff, engine._check_sitout = int(backoff), int(sitout)
     return engine
 
 

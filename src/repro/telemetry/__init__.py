@@ -85,7 +85,7 @@ STAGE_COUNTERS = {
         "blocks_visited",
         "blocks_skipped",
     ),
-    "group_filter": ("group_checks", "mcs_rebuilds"),
+    "group_filter": ("group_checks", "group_checks_deferred", "mcs_rebuilds"),
     "individual_filter": (
         "queries_evaluated",
         "quick_rejections",

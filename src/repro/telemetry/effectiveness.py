@@ -23,6 +23,7 @@ BOUNDED_RATIOS = (
     "blocks_skipped_ratio",
     "quick_rejection_ratio",
     "group_check_skip_ratio",
+    "group_check_engagement",
     "match_rate",
     "vectorized_batch_fraction",
     "flat_skip_fraction",
@@ -43,6 +44,7 @@ def effectiveness_gauges(
     blocks_visited = values["blocks_visited"]
     blocks_skipped = values["blocks_skipped"]
     queries_evaluated = values["queries_evaluated"]
+    group_checks = values["group_checks"]
     return {
         # Share of candidate blocks the group condition skipped outright.
         "blocks_skipped_ratio": _ratio(
@@ -61,8 +63,15 @@ def effectiveness_gauges(
             values["postings_visited"], values["docs_published"]
         ),
         # Share of group checks that resulted in a skip.
-        "group_check_skip_ratio": _ratio(
-            blocks_skipped, values["group_checks"]
+        "group_check_skip_ratio": _ratio(blocks_skipped, group_checks),
+        # Share of block boundaries where the group check actually ran;
+        # the rest sat out the engine's backoff (``.get``: counters from
+        # checkpoints older than the backoff lack the deferred count).
+        # Near 1 means group filtering is engaged, near 1/64 that it
+        # finds nothing to skip on this workload.
+        "group_check_engagement": _ratio(
+            group_checks,
+            group_checks + values.get("group_checks_deferred", 0),
         ),
         # Share of evaluated queries that produced a result update.
         "match_rate": _ratio(values["matches"], queries_evaluated),

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.config import EngineConfig, GroupBoundMode, UNLIMITED
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
@@ -230,9 +233,9 @@ def test_bad_init_strategy_rejected():
         engine.subscribe(DasQuery(0, ["coffee"]))
 
 
-def _work_pin_run(method, **overrides):
+def _work_pin_run(method, k=4, block_size=4, queries=40, **overrides):
     """Counters of one fixed 300-document run (60 warm-up documents,
-    40 LQD subscriptions, 240 streamed documents)."""
+    ``queries`` LQD subscriptions, 240 streamed documents)."""
     from repro.workloads.corpus import SyntheticTweetCorpus
     from repro.workloads.queries import lqd_queries
 
@@ -241,11 +244,11 @@ def _work_pin_run(method, **overrides):
     )
     docs = corpus.documents(300)
     engine = DasEngine.for_method(
-        method, k=4, block_size=4, backend="python", **overrides
+        method, k=k, block_size=block_size, backend="python", **overrides
     )
     for document in docs[:60]:
         engine.publish(document)
-    for query in lqd_queries(corpus, 40, first_id=0):
+    for query in lqd_queries(corpus, queries, first_id=0):
         engine.subscribe(query)
     for document in docs[60:]:
         engine.publish(document)
@@ -282,3 +285,139 @@ def test_baselines_compute_no_more_cosines_than_before(
     counters = _work_pin_run(method, **overrides)
     assert counters.matches == 285
     assert counters.sim_evaluations <= parent_sim_evaluations
+
+
+# -- group-check backoff (ISSUE 20) ---------------------------------------
+
+
+def _changes(notifications):
+    return sorted(
+        (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+        for n in notifications
+    )
+
+
+_CHURN_TERMS = "pqrstu"
+_PUBLISH = st.tuples(
+    st.just("pub"),
+    st.lists(st.sampled_from(_CHURN_TERMS), min_size=1, max_size=5),
+)
+# Three actions in five publish.
+_CHURN = st.lists(
+    st.one_of(
+        _PUBLISH,
+        _PUBLISH,
+        _PUBLISH,
+        st.tuples(
+            st.just("sub"),
+            st.sets(st.sampled_from(_CHURN_TERMS), min_size=1, max_size=2),
+        ),
+        st.tuples(st.just("unsub"), st.floats(0.0, 1.0, exclude_max=True)),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("block_size", (2, 16))
+@pytest.mark.parametrize("k", (1, 2, 6))
+@settings(max_examples=15, deadline=None)
+@given(actions=_CHURN)
+def test_backoff_changes_no_decision_under_churn(k, block_size, actions):
+    """Which boundaries get a group check is free to choose: under
+    subscribe/unsubscribe churn, with members still warming up, GIFilter
+    (checks backed off and re-engaged by their yield) emits per document
+    the same changes as IFilter and the brute-force oracle, and ends on
+    the same results."""
+    engines = [
+        DasEngine.for_method("GIFilter", k=k, block_size=block_size),
+        DasEngine.for_method("IFilter", k=k, block_size=block_size),
+        NaiveEngine(EngineConfig(k=k, use_blocks=False,
+                                 use_group_filter=False,
+                                 use_agg_weights=False)),
+    ]
+    live = []
+    next_query = next_doc = 0
+    for kind, payload in actions:
+        if kind == "pub":
+            document = doc(next_doc, payload)
+            next_doc += 1
+            emitted = [_changes(e.publish(document)) for e in engines]
+            assert emitted[0] == emitted[1] == emitted[2], document.doc_id
+        elif kind == "sub":
+            for engine in engines:
+                engine.subscribe(DasQuery(next_query, sorted(payload)))
+            live.append(next_query)
+            next_query += 1
+        elif live:
+            query_id = live.pop(int(payload * len(live)))
+            for engine in engines:
+                engine.unsubscribe(query_id)
+    final = [
+        {q: [d.doc_id for d in engine.results(q)] for q in live}
+        for engine in engines
+    ]
+    assert final[0] == final[1] == final[2]
+
+
+def _paying_stream():
+    """30 off-topic documents (so relevance has a low background), two
+    strong results per query, then weak ``alpha`` documents with a strong
+    ``omega`` document every tenth."""
+
+    def strong(doc_id, term, flavour):
+        return doc(doc_id, [term] * 10 + [flavour] * 2)
+
+    docs = [doc(i, ["zeta"] * 32) for i in range(30)]
+    docs += [
+        strong(30, "alpha", "beta"),
+        strong(31, "alpha", "gamma"),
+        strong(32, "omega", "beta"),
+        strong(33, "omega", "gamma"),
+    ]
+    for i in range(34, 274):
+        if i % 10 == 0:
+            docs.append(strong(i, "omega", f"f{i}"))
+        else:
+            docs.append(doc(i, ["alpha"] + ["zeta"] * 31))
+    return docs
+
+
+def _paying_run(always_check):
+    engine = DasEngine.for_method(
+        "GIFilter", k=2, block_size=4, alpha=0.9, decay_base=1.002,
+        backend="python",
+    )
+    for query_id in range(64):
+        engine.subscribe(DasQuery(query_id, ["alpha"]))
+    for query_id in range(64, 80):
+        engine.subscribe(DasQuery(query_id, ["omega"]))
+    changes = []
+    for document in _paying_stream():
+        if always_check:
+            engine._check_backoff = engine._check_sitout = 0
+        changes.append(_changes(engine.publish(document)))
+    return engine.counters, changes
+
+
+def test_backoff_keeps_the_skips_where_group_filtering_pays():
+    """The paper's regime (strong filled results, weak documents): nearly
+    every check skips, and the misses the ``omega`` documents cause cost
+    the engine only the few boundaries after each one."""
+    reference, reference_changes = _paying_run(always_check=True)
+    assert reference.blocks_skipped >= 0.9 * reference.group_checks
+    counters, changes = _paying_run(always_check=False)
+    assert changes == reference_changes
+    assert counters.group_checks_deferred > reference.group_checks_deferred
+    assert counters.blocks_skipped >= 0.8 * reference.blocks_skipped
+
+
+def test_backoff_stops_checking_where_nothing_can_be_skipped():
+    """A third of the evaluated queries accept (k = 24 keeps many result
+    sets warming up), so no block can be skipped: checks fall to a probe
+    every 64th boundary and MCS summaries are built only for a check."""
+    counters = _work_pin_run("GIFilter", k=24, block_size=16, queries=80)
+    assert counters.matches >= 0.3 * counters.queries_evaluated
+    boundaries = counters.group_checks + counters.group_checks_deferred
+    assert counters.group_checks <= boundaries / 16
+    assert counters.mcs_rebuilds <= counters.group_checks

@@ -166,6 +166,11 @@ def test_batch_verdict_fires_and_matches_scalar_decisions(monkeypatch):
     flat_engine = _engine(alpha=0.9)
     flat_notes, flat_final = drive(flat_engine)
     assert flat_engine.counters.flat_skips > 0
+    # The two warm-up documents met blocks with no filled member; those
+    # checks are no evidence against group filtering, so nothing backed
+    # off and the weak document's boundaries were all checked.
+    assert flat_engine.counters.group_checks_deferred == 0
+    assert flat_engine._check_backoff == 0
     monkeypatch.setenv("REPRO_DISABLE_FLAT_POSTINGS", "1")
     scalar_engine = DasEngine(
         EngineConfig(k=2, block_size=2, backend="numpy", alpha=0.9)

@@ -10,11 +10,11 @@ from repro.workloads.corpus import SyntheticTweetCorpus
 from repro.workloads.queries import lqd_queries
 
 
-@pytest.fixture
-def live_engine():
+def build_live_engine(method="GIFilter", n_docs=120):
+    """An engine 90 documents into a stream, with the rest to come."""
     corpus = SyntheticTweetCorpus(vocab_size=150, n_topics=6, seed=12)
-    engine = DasEngine.for_method("GIFilter", k=3, block_size=4)
-    docs = corpus.documents(120)
+    engine = DasEngine.for_method(method, k=3, block_size=4)
+    docs = corpus.documents(n_docs)
     for document in docs[:60]:
         engine.publish(document)
     for query in lqd_queries(corpus, 15, first_id=0):
@@ -22,6 +22,11 @@ def live_engine():
     for document in docs[60:90]:
         engine.publish(document)
     return engine, corpus, docs
+
+
+@pytest.fixture
+def live_engine():
+    return build_live_engine()
 
 
 def test_checkpoint_is_json_safe(live_engine):
@@ -63,6 +68,41 @@ def test_restore_preserves_future_behaviour(live_engine):
         assert [d.doc_id for d in clone.results(query_id)] == [
             d.doc_id for d in engine.results(query_id)
         ]
+
+
+@pytest.mark.parametrize("method", ["GIFilter", "IFilter"])
+def test_restore_continues_the_group_check_schedule(method):
+    """The backoff pair rides in the checkpoint, so the restored engine
+    checks the boundaries the uninterrupted one checks; a file without
+    the key (written before the backoff existed) restores to "check the
+    next boundary".  All three emit the same changes.  The check counts
+    are compared for IFilter, whose verdicts read checkpointed state
+    only; GIFilter's also depend on how many MCS covers survived, and a
+    restore rebuilds them."""
+    engine, _corpus, docs = build_live_engine(method, n_docs=160)
+    payload = checkpoint(engine)
+    assert payload["check_backoff"] == [
+        engine._check_backoff, engine._check_sitout
+    ]
+    assert engine._check_sitout > 0
+    clone = restore(payload)
+    del payload["check_backoff"]
+    legacy = restore(payload)
+    assert (legacy._check_backoff, legacy._check_sitout) == (0, 0)
+
+    def changes(notifications):
+        return sorted((n.query_id, n.document.doc_id) for n in notifications)
+
+    for document in docs[90:]:
+        expected = changes(engine.publish(document))
+        assert changes(clone.publish(document)) == expected
+        assert changes(legacy.publish(document)) == expected
+    if method == "IFilter":
+        for name in ("group_checks", "group_checks_deferred"):
+            assert getattr(clone.counters, name) == getattr(
+                engine.counters, name
+            )
+        assert legacy.counters.group_checks != engine.counters.group_checks
 
 
 def test_restore_preserves_subscription_order_constraint(live_engine):

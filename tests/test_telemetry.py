@@ -175,6 +175,7 @@ def test_effectiveness_ratios():
         blocks_visited=6,
         blocks_skipped=2,
         group_checks=8,
+        group_checks_deferred=24,
         queries_evaluated=20,
         quick_rejections=5,
         sim_evaluations=30,
@@ -186,11 +187,17 @@ def test_effectiveness_ratios():
     assert gauges["sim_evals_per_match"] == pytest.approx(3.0)
     assert gauges["postings_per_doc"] == pytest.approx(4.0)
     assert gauges["group_check_skip_ratio"] == pytest.approx(2 / 8)
+    assert gauges["group_check_engagement"] == pytest.approx(8 / 32)
     assert gauges["match_rate"] == pytest.approx(0.5)
     # A plain dict works too (merged counters cross the wire as dicts).
     assert effectiveness_gauges(counters.as_dict()) == gauges
     for name in BOUNDED_RATIOS:
         assert 0.0 <= gauges[name] <= 1.0
+    # Counter dicts written before the backoff existed lack the deferred
+    # count: every boundary they saw was checked.
+    legacy = counters.as_dict()
+    del legacy["group_checks_deferred"]
+    assert effectiveness_gauges(legacy)["group_check_engagement"] == 1.0
 
 
 # -- Telemetry lifecycle ---------------------------------------------------
