@@ -55,11 +55,6 @@ def derive_rates(payload: dict) -> Dict[str, float]:
         (server-throughput schema): throughput retention of the TCP
         coordinator path, <= 1 — a drop means the tier got relatively
         more expensive.
-    ``derived.daat_speedup``
-        Flat-prefilter-on over flat-prefilter-off GIFilter throughput
-        on the deep-postings DAAT workload (publish-throughput schema,
-        ISSUE 9) — the batch-wide skip pass must not lose to the scalar
-        loop it accelerates.
     ``derived.window_overhead``
         Window-mode over decay-mode GIFilter throughput (ISSUE 10,
         DESIGN.md §16) — the sliding-window strategy's term/expiry
@@ -71,9 +66,6 @@ def derive_rates(payload: dict) -> Dict[str, float]:
         auto, python = gifilter.get("auto"), gifilter.get("python")
         if auto and python:
             derived["derived.kernel_speedup"] = float(auto) / float(python)
-    daat_speedup = payload.get("daat_speedup")
-    if daat_speedup:
-        derived["derived.daat_speedup"] = float(daat_speedup)
     window_overhead = payload.get("window_overhead")
     if window_overhead:
         derived["derived.window_overhead"] = float(window_overhead)

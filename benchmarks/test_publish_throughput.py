@@ -31,10 +31,6 @@ from repro.stream.document import Document
 
 #: Timed rounds per variant (after one untimed warm-up round).
 MEASURE_ROUNDS = 2
-#: The DAAT on/off comparison gates a ratio (``daat_speedup``), which is
-#: far more noise-sensitive than the absolute rates above — give it an
-#: extra round.
-DAAT_MEASURE_ROUNDS = 3
 #: Micro-batch size for the ``publish_batch`` variants.
 BATCH_SIZE = 64
 
@@ -42,22 +38,6 @@ METHODS = ("GIFilter", "IFilter", "BIRT", "IRT")
 
 #: Strategy modes compared by ``run_mode_suite`` (DESIGN.md §16).
 MODES = ("decay", "window", "spatial")
-
-#: Deep-postings workload for the DAAT prefilter comparison (ISSUE 9).
-#: The standard spec's power-law query terms leave ~1 block per postings
-#: list — zero vectorisation width, where the flat prefilter rightly
-#: sits out.  Focusing the query set on 40 trending terms (SQD over 20
-#: topics) with small blocks gives ~9 candidate blocks per document, the
-#: regime the batch-wide skip pass exists for.
-DAAT_SPEC = BENCH_SPEC.evolve(
-    query_set="sqd",
-    n_topics=20,
-    vocab_size=8000,
-    block_size=16,
-    n_history=1200,
-    n_settle=100,
-    n_measure=150,
-)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
@@ -152,60 +132,6 @@ def run_throughput_suite():
     return results
 
 
-def run_daat_suite():
-    """GIFilter on the deep-postings workload, flat prefilter on vs off.
-
-    Both engines are built from the same materialised workload, then the
-    timed rounds *interleave*: each fresh segment is published to both
-    engines back to back (alternating which goes first), so allocator
-    and cache drift over the run hits both variants equally — the gated
-    quantity is their ratio, which sequential per-variant timing left at
-    the mercy of that drift.  Returns None without numpy (the prefilter
-    cannot engage, there is nothing to compare)."""
-    if not numpy_available():
-        return None
-    workload = build_workload(_scaled(DAAT_SPEC))
-    segments = _round_segments(workload, DAAT_MEASURE_ROUNDS)
-    engines = {}
-    for label, disabled in (("flat_on", None), ("flat_off", "1")):
-        previous = os.environ.pop("REPRO_DISABLE_FLAT_POSTINGS", None)
-        if disabled is not None:
-            os.environ["REPRO_DISABLE_FLAT_POSTINGS"] = disabled
-        try:
-            # The mirror attaches at construction, so the env toggle
-            # must cover the build; publishing reads only the instance.
-            engines[label] = _build_engine(workload, "GIFilter", "auto")
-        finally:
-            os.environ.pop("REPRO_DISABLE_FLAT_POSTINGS", None)
-            if previous is not None:
-                os.environ["REPRO_DISABLE_FLAT_POSTINGS"] = previous
-    rates = {label: [] for label in engines}
-    for index, segment in enumerate(segments):
-        order = list(engines.items())
-        if index % 2:
-            order.reverse()
-        for label, engine in order:
-            gc.collect()
-            start = time.process_time()
-            for offset in range(0, len(segment), BATCH_SIZE):
-                engine.publish_batch(segment[offset : offset + BATCH_SIZE])
-            elapsed = time.process_time() - start
-            if index == 0:
-                continue  # warm-up round
-            rates[label].append(
-                len(segment) / elapsed if elapsed > 0 else 0.0
-            )
-    results = {}
-    for label, engine in engines.items():
-        results[label] = {
-            "docs_per_sec": max(rates[label]),
-            "rounds": [round(rate, 1) for rate in rates[label]],
-            "flat_skip_blocks": engine.counters.flat_skips,
-            "candidate_blocks": engine._candidate_blocks(),
-        }
-    return results
-
-
 def _unit_square_point(index):
     """Deterministic low-discrepancy point in the unit square (golden
     ratio sequence) — the mode comparison must not perturb the corpus
@@ -235,8 +161,8 @@ def run_mode_suite():
     Spatial needs geometry: its engine gets located copies of the same
     queries/documents via a deterministic golden-ratio sequence, leaving
     the shared corpus rng streams untouched.  Timed rounds interleave
-    across modes (the DAAT discipline) because the gated quantity is the
-    window/decay *ratio*."""
+    across modes (allocator and cache drift then hits every mode
+    equally) because the gated quantity is the window/decay *ratio*."""
     workload = build_workload(_scaled(BENCH_SPEC))
     segments = _round_segments(workload)
     engines = {}
@@ -297,7 +223,7 @@ def run_mode_suite():
     }
 
 
-def format_table(results, daat=None, modes=None):
+def format_table(results, modes=None):
     lines = [
         "Publish throughput (docs/sec, best of "
         f"{MEASURE_ROUNDS} process_time rounds, {BENCH_SPEC.n_queries} "
@@ -309,19 +235,6 @@ def format_table(results, daat=None, modes=None):
             rounds = ", ".join(f"{rate:.1f}" for rate in record["rounds"])
             lines.append(
                 f"{method:<10} {label:<14} "
-                f"{record['docs_per_sec']:>10.1f}  [{rounds}]"
-            )
-    if daat:
-        lines.append("")
-        lines.append(
-            "DAAT deep-postings workload (GIFilter auto, SQD queries, "
-            f"~{daat['flat_on']['candidate_blocks']} candidate "
-            "blocks/doc)"
-        )
-        for label, record in daat.items():
-            rounds = ", ".join(f"{rate:.1f}" for rate in record["rounds"])
-            lines.append(
-                f"{'GIFilter':<10} {label:<14} "
                 f"{record['docs_per_sec']:>10.1f}  [{rounds}]"
             )
     if modes:
@@ -364,17 +277,6 @@ def test_publish_throughput():
         f"{modes['decay']['docs_per_sec']:.1f} docs/sec"
     )
 
-    daat = run_daat_suite()
-    daat_speedup = None
-    if daat is not None:
-        assert daat["flat_on"]["candidate_blocks"] >= 2, (
-            "deep workload no longer engages the flat prefilter"
-        )
-        daat_speedup = (
-            daat["flat_on"]["docs_per_sec"]
-            / daat["flat_off"]["docs_per_sec"]
-        )
-
     gifilter = results["GIFilter"]
     speedup = None
     auto_speedup = None
@@ -415,24 +317,6 @@ def test_publish_throughput():
         },
         "gifilter_numpy_vs_python_speedup": speedup,
         "gifilter_auto_vs_python_speedup": auto_speedup,
-        "daat": daat
-        and {
-            "spec": {
-                "query_set": DAAT_SPEC.query_set,
-                "n_topics": DAAT_SPEC.n_topics,
-                "vocab_size": DAAT_SPEC.vocab_size,
-                "block_size": DAAT_SPEC.block_size,
-                "n_history": DAAT_SPEC.n_history,
-                "n_measure": DAAT_SPEC.n_measure,
-            },
-            "results": {
-                label: record["docs_per_sec"]
-                for label, record in daat.items()
-            },
-            "flat_skip_blocks": daat["flat_on"]["flat_skip_blocks"],
-            "candidate_blocks": daat["flat_on"]["candidate_blocks"],
-        },
-        "daat_speedup": daat_speedup,
         "modes": {
             mode: record["docs_per_sec"] for mode, record in modes.items()
         },
@@ -441,7 +325,7 @@ def test_publish_throughput():
     with open(JSON_PATH, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    write_output("throughput", format_table(results, daat, modes))
+    write_output("throughput", format_table(results, modes))
 
 
 if __name__ == "__main__":

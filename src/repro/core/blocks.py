@@ -49,7 +49,6 @@ class PostingsBlock:
         "universe_min_tf",
         "universe_max_norm",
         "covers_cache",
-        "member_slots",
     )
 
     def __init__(self) -> None:
@@ -72,9 +71,6 @@ class PostingsBlock:
         #: Kernel-backend packed form of ``mcs_sets``, keyed by the cover
         #: list's identity (see ``filtering.block_similarity_lower_bound``).
         self.covers_cache: Optional[tuple] = None
-        #: Cached columnar slot array for the current membership (ISSUE 6);
-        #: invalidated whenever membership changes.
-        self.member_slots: Optional[object] = None
 
     # -- postings ------------------------------------------------------------
 
@@ -97,7 +93,6 @@ class PostingsBlock:
             )
         self.query_ids.append(query_id)
         self.meta_dirty = True
-        self.member_slots = None
         # A new member invalidates coverage of every existing MCS.
         self.mcs_sets = None
         self.mcs_initial_count = 0
@@ -109,7 +104,6 @@ class PostingsBlock:
         except ValueError:
             return False
         self.meta_dirty = True
-        self.member_slots = None
         # Shrinking membership keeps existing covers valid (they still
         # cover every remaining query), so the MCS summary survives.
         return True
@@ -163,20 +157,19 @@ class PostingsBlock:
         self.meta_dirty = False
 
     def refresh_from_columns(self, columns) -> bool:
-        """Vectorized refresh from :class:`QuerySummaryColumns`.
+        """Refresh from a :class:`~repro.core.columnar.QuerySummaryColumns`.
 
+        Not called by the engine (a dirty block is refreshed by
+        :meth:`refresh_metadata`); kept, with :mod:`repro.core.columnar`,
+        only because ``benchmarks/e2e/tracing.py`` patches it by name.
         Returns True when the columnar store covered every member (all
-        filled), in which case the summaries are refreshed bit-identically
-        to :meth:`refresh_metadata` (min/max over the same float64s).
-        Returns False when any member is unknown or unfilled — the caller
-        falls back to the scalar path, which handles warm-up members.
+        filled), refreshing the summaries bit-identically to
+        :meth:`refresh_metadata`; False when any member is unknown or
+        unfilled.
         """
-        slots = self.member_slots
+        slots = columns.slots_for(self.query_ids)
         if slots is None:
-            slots = columns.slots_for(self.query_ids)
-            if slots is None:
-                return False
-            self.member_slots = slots
+            return False
         summary = columns.summarize(slots)
         if summary is None:
             return False

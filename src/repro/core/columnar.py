@@ -1,4 +1,7 @@
-"""Columnar mirrors of per-query summary state (ISSUE 6 tentpole).
+"""Kept only for the ``benchmarks/e2e/tracing.py`` import until a ``benchmark`` PR drops its rows; imported by nothing under ``src/repro``.
+
+Columnar mirrors of per-query summary state (ISSUE 6 tentpole) — the
+engine stopped building them in ISSUE 21 (DESIGN.md §12).
 
 The scalar block-metadata refresh (:meth:`PostingsBlock.refresh_metadata`)
 walks every member's result set and recomputes ``static_dr_oldest`` from
@@ -15,9 +18,7 @@ refresh would call, as float64.  A min/max over identical float64s is
 order-independent and exact, so columnar and scalar refreshes yield
 bit-identical block summaries — PAPER-mode thresholds included.
 
-The mirror is an acceleration structure only: engines on the pure-python
-backend never build it, and ``REPRO_DISABLE_COLUMNAR=1`` turns it off
-everywhere (the differential suite runs both ways).
+The mirror is an acceleration structure only.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ aggregated term weight summaries (Lemma 6) where enabled.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.config import METHOD_CONFIGS, EngineConfig
@@ -49,11 +48,6 @@ from repro.errors import (
     UnknownQueryError,
 )
 from repro.kernels import SimCache, resolve_backend
-from repro.kernels.adaptive import (
-    DEFAULT_MIN_FLAT_BLOCKS,
-    _env_threshold,
-    choose_flat_commit,
-)
 from repro.metrics.instrumentation import Counters
 from repro.scoring.diversity import diversity_coefficient, dr_score
 from repro.scoring.recency import CachedDecay, ExponentialDecay
@@ -123,22 +117,6 @@ class DasEngine:
         #: caching avoids a per-update bisect + membership scan.
         self._memberships: Dict[int, List[Tuple[str, object]]] = {}
         self._last_query_id: Optional[int] = None
-        #: Columnar mirror of per-query oldest-result summaries (ISSUE 6).
-        #: Pure-python engines skip it — the mirror only pays for itself
-        #: when block refreshes can reduce over numpy arrays — and
-        #: ``REPRO_DISABLE_COLUMNAR=1`` disables it for differential runs.
-        self._qcols = None
-        if (
-            self._config.use_blocks
-            and self._kernels.name != "python"
-            and os.environ.get("REPRO_DISABLE_COLUMNAR") != "1"
-        ):
-            try:
-                from repro.core.columnar import QuerySummaryColumns
-
-                self._qcols = QuerySummaryColumns()
-            except (ImportError, RuntimeError):
-                self._qcols = None
         #: Per-micro-batch shape adaptation hook (adaptive backend only).
         self._kernels_begin_batch = getattr(self._kernels, "begin_batch", None)
         self._init_strategy = init_strategy
@@ -148,30 +126,6 @@ class DasEngine:
         #: window/spatial strategies fully intercept subscribe/publish/
         #: results while the engine keeps owning query-id bookkeeping.
         self._strategy = make_strategy(self)
-        #: Flat postings mirror (ISSUE 9): contiguous per-term arrays so
-        #: the Lemma 7 skip decision runs batch-wide in one NumPy pass.
-        #: Requires the columnar summary mirror (it stores slot indices
-        #: into it); ``REPRO_DISABLE_FLAT_POSTINGS=1`` disables it for
-        #: differential runs.
-        self._flat = None
-        if (
-            self._qcols is not None
-            and os.environ.get("REPRO_DISABLE_FLAT_POSTINGS") != "1"
-        ):
-            try:
-                from repro.core.flat_postings import FlatPostingsIndex
-
-                self._flat = FlatPostingsIndex(self._qcols, self.counters)
-                self._flat.attach(self._index)
-            except (ImportError, RuntimeError):
-                self._flat = None
-        #: Whether the current batch runs the flat prefilter (committed
-        #: per micro-batch alongside the kernel mode; fixed backends use
-        #: the same block-count policy directly).
-        self._flat_min_blocks = _env_threshold(
-            "REPRO_FLAT_MIN_BLOCKS", DEFAULT_MIN_FLAT_BLOCKS
-        )
-        self._flat_active = False
         #: Yield-driven backoff of the block-boundary check (DESIGN.md
         #: §6): a check that skips nothing widens the run of boundaries
         #: traversed without a check (1, 3, 7 … ``MAX_CHECK_BACKOFF``), a
@@ -364,7 +318,7 @@ class DasEngine:
             track_aggregated_weights=self._config.use_agg_weights,
             kernels=self._kernels,
         )
-        seeds = select_initial_documents(
+        seeds, trels = select_initial_documents(
             self._store,
             query.terms,
             self._config.k,
@@ -374,20 +328,23 @@ class DasEngine:
             decay=self._decay,
             now=self._clock.now,
             alpha=self._config.alpha,
+            with_trels=True,
         )
+        for index, trel in enumerate(trels):
+            if trel is None:
+                trels[index] = self._scorer.trel(
+                    query.terms, seeds[index].vector
+                )
+        cosines, aw_dots = result_set.seed(seeds, trels)
+        self.counters.sim_evaluations += cosines
+        self.counters.aw_dot_products += aw_dots
         for document in seeds:
-            trel = self._scorer.trel(query.terms, document.vector)
-            self.counters.sim_evaluations += result_set.admit(document, trel)
             self._store.pin(document.doc_id)
         self._queries[query.query_id] = query
         self._result_sets[query.query_id] = result_set
         self._last_query_id = query.query_id
         touched = self._index.insert(query)
         self._memberships[query.query_id] = touched
-        if self._qcols is not None:
-            self._qcols.update(
-                query.query_id, result_set, self._config.alpha, self._coeff
-            )
         # The insert dropped the touched blocks' MCS summaries; the first
         # group check that meets a block rebuilds it (Section 7.1).
         self.counters.queries_subscribed += 1
@@ -406,8 +363,6 @@ class DasEngine:
         result_set.release_budget()
         del self._memberships[query_id]
         self._index.remove(query)
-        if self._qcols is not None:
-            self._qcols.release(query_id)
 
     def _query_of(self, query_id: int) -> DasQuery:
         query = self._queries.get(query_id)
@@ -521,12 +476,12 @@ class DasEngine:
         return self._index.block_count // terms
 
     def _begin_batch(self, batch_size: int) -> None:
-        """Per-micro-batch shape adaptation (ISSUE 6 satellite 1).
+        """Per-micro-batch shape adaptation.
 
         The adaptive backend commits the whole batch to one kernel mode
-        based on ``batch_size × candidate blocks``; fixed backends just
-        account the batch so ``vectorized_batch_fraction`` stays defined
-        for every engine shape.
+        based on ``k`` and ``batch_size × candidate blocks``; fixed
+        backends just account the batch so ``vectorized_batch_fraction``
+        stays defined for every engine shape.
         """
         begin = self._kernels_begin_batch
         if begin is not None:
@@ -535,7 +490,6 @@ class DasEngine:
                 self._config.k,
                 self._candidate_blocks(),
                 aw_shortcut=self._config.use_agg_weights,
-                min_flat_blocks=self._flat_min_blocks,
             )
         else:
             mode = "numpy" if self._kernels.name == "numpy" else "python"
@@ -543,16 +497,6 @@ class DasEngine:
             self.counters.batches_vectorized += 1
         else:
             self.counters.batches_scalar += 1
-        if self._flat is not None:
-            # The adaptive backend commits the flat prefilter per batch
-            # alongside the kernel mode; fixed numpy backends apply the
-            # same block-count policy directly.
-            committed = getattr(self._kernels, "flat_committed", None)
-            if committed is None:
-                committed = choose_flat_commit(
-                    self._candidate_blocks(), self._flat_min_blocks
-                )
-            self._flat_active = committed
 
     def _publish_one(
         self,
@@ -614,24 +558,6 @@ class DasEngine:
         if not lists:
             return notifications
 
-        # Batch-wide block-skip prefilter (ISSUE 9): one NumPy pass
-        # computes the Eq. 12 thresholds of every candidate block and
-        # compares them against the document's universal Eq. 18 upper
-        # bound.  A True verdict is a skip the scalar check is
-        # guaranteed to take; False falls back to the scalar check.  It
-        # pays only when most boundaries get checked, so a document that
-        # starts backed off does without (its probes run the scalar
-        # check).
-        flat_rows = None
-        if self._flat_active and not self._check_backoff:
-            obs = self._obs
-            if obs is None:
-                flat_rows = self._flat_prepare(lists, ps_cache, now)
-            else:
-                entered = obs.time()
-                flat_rows = self._flat_prepare(lists, ps_cache, now)
-                obs.add("group_filter", obs.time() - entered)
-
         # k-way merge of the postings cursors, cheapest head first.  The
         # heap holds one (current query id, term) pair per unexhausted
         # term, so advancing costs O(log T) instead of the O(T) rescan of
@@ -658,15 +584,7 @@ class DasEngine:
                     self.counters.group_checks_deferred += 1
                 else:
                     skipped = self._check_boundary(
-                        term,
-                        block,
-                        block_index,
-                        flat_rows,
-                        ps_cache,
-                        document,
-                        cursors,
-                        lists,
-                        now,
+                        term, block, ps_cache, document, cursors, lists, now
                     )
                 if skipped:
                     # The group bound covers the filled members only;
@@ -705,43 +623,18 @@ class DasEngine:
         self,
         term: str,
         block,
-        block_index: int,
-        flat_rows,
         ps_cache: Dict[str, float],
         document: Document,
         cursors: Dict[str, Tuple[int, int]],
         lists: Dict[str, PostingsList],
         now: float,
     ) -> bool:
-        """One engaged block-boundary check; moves the backoff by its yield.
-
-        A clean block with a positive batch verdict skips without the
-        scalar check; otherwise the scalar check runs, reusing the
-        batch-computed Eq. 12 threshold.  A block re-dirtied since the
-        batch pass (a result update mid-document) falls back to the full
-        scalar path.
-        """
+        """One engaged block-boundary check; moves the backoff by its yield."""
         obs = self._obs
         entered = obs.time() if obs is not None else 0.0
-        row = (
-            flat_rows.get(term)
-            if flat_rows is not None and not block.meta_dirty
-            else None
+        skip = self._try_skip_block(
+            term, block, ps_cache, document, cursors, lists, now
         )
-        if row is not None and row[0][block_index]:
-            self._flat_skip_effects(term, block)
-            skip = True
-        else:
-            skip = self._try_skip_block(
-                term,
-                block,
-                ps_cache,
-                document,
-                cursors,
-                lists,
-                now,
-                threshold=row[1][block_index] if row is not None else None,
-            )
         if obs is not None:
             obs.add("group_filter", obs.time() - entered)
         if skip:
@@ -763,29 +656,18 @@ class DasEngine:
         cursors: Dict[str, Tuple[int, int]],
         lists: Dict[str, PostingsList],
         now: float,
-        threshold: Optional[float] = None,
     ) -> bool:
-        """Group filtering condition for one block (Lemma 7).
-
-        ``threshold`` carries the batch-computed Eq. 12 value for clean
-        blocks (bit-identical to the per-block derivation below); when
-        None the block is refreshed if dirty and the threshold derived
-        from its summaries.
-        """
+        """Group filtering condition for one block (Lemma 7); a dirty
+        block's summaries are refreshed first (Section 7.1)."""
         self.counters.group_checks += 1
-        if threshold is None:
-            if block.meta_dirty:
-                qcols = self._qcols
-                if qcols is not None and block.refresh_from_columns(qcols):
-                    self.counters.columnar_refreshes += 1
-                else:
-                    block.refresh_metadata(
-                        self._result_sets, self._config.alpha, self._coeff
-                    )
-                    self.counters.scalar_refreshes += 1
-            threshold = block_threshold_lower_bound(
-                block, self._decay_cache, now, self._config.alpha
+        if block.meta_dirty:
+            block.refresh_metadata(
+                self._result_sets, self._config.alpha, self._coeff
             )
+            self.counters.scalar_refreshes += 1
+        threshold = block_threshold_lower_bound(
+            block, self._decay_cache, now, self._config.alpha
+        )
         if threshold == _NEG_INF:
             # No filled member: nothing any upper bound could stay under.
             return False
@@ -827,47 +709,6 @@ class DasEngine:
             coeff=self._coeff,
         )
 
-    def _flat_prepare(self, lists, ps_cache, now):
-        """Run the flat mirror's batch-wide Lemma 7 prefilter (ISSUE 9).
-
-        ``U0`` is Eq. 18 with every document term still active and the
-        Eq. 19 similarity bound at its floor 0 — an upper bound on every
-        value the scalar check can compute, so a positive verdict is
-        exactly a skip the scalar path would take.
-        """
-        max_ps = max(ps_cache[term] for term in lists)
-        upper0_trel = max_ps
-        return self._flat.prepare(
-            lists,
-            self._result_sets,
-            self._config.alpha,
-            self._coeff,
-            self._config.k,
-            upper0_trel,
-            self._decay_cache,
-            now,
-            self.counters,
-        )
-
-    def _flat_skip_effects(self, term: str, block) -> None:
-        """Replicate the scalar side effects of a group-check skip.
-
-        The scalar check maintains MCS summaries *before* deciding, so a
-        prefiltered skip must perform the same rebuild (and the same
-        counter accounting) to keep the flat-on and flat-off runs on
-        identical maintenance schedules.
-        """
-        self.counters.group_checks += 1
-        self.counters.flat_skips += 1
-        if self._config.use_group_filter:
-            if block.needs_mcs_rebuild(self._config.delta_s):
-                block.rebuild_mcs(term, self._result_sets)
-                self.counters.mcs_rebuilds += 1
-            if block.mcs_sets:
-                self.counters.sim_evaluations += sum(
-                    len(cover) for cover in block.mcs_sets
-                )
-
     def _evaluate_query(
         self,
         query_id: int,
@@ -904,8 +745,6 @@ class DasEngine:
             self._store.pin(document.doc_id)
             self.counters.matches += 1
             notifications.append(Notification(query_id, document, None))
-            if self._qcols is not None:
-                self._qcols.update(query_id, result_set, config.alpha, self._coeff)
             self._mark_blocks_dirty(query)
             if result_set.is_full and config.use_group_filter:
                 # The query just left warm-up: existing MCS covers were
@@ -953,8 +792,6 @@ class DasEngine:
         self._store.pin(document.doc_id)
         self.counters.matches += 1
         notifications.append(Notification(query_id, document, evicted))
-        if self._qcols is not None:
-            self._qcols.update(query_id, result_set, config.alpha, self._coeff)
         self._on_result_updated(query, result_set, evicted)
         if obs is not None:
             obs.add("result_update", obs.time() - entered)
@@ -964,11 +801,8 @@ class DasEngine:
     def _mark_blocks_dirty(self, query: DasQuery) -> None:
         if not self._config.use_blocks:
             return
-        flat = self._flat
-        for term, block in self._memberships[query.query_id]:
+        for _term, block in self._memberships[query.query_id]:
             block.meta_dirty = True
-            if flat is not None:
-                flat.note_dirty(term)
 
     def _on_result_updated(
         self, query: DasQuery, result_set: QueryResultSet, evicted: Document
@@ -987,11 +821,8 @@ class DasEngine:
         if oldest is not None:
             invalidated.add(oldest.document.doc_id)
         invalidated = frozenset(invalidated)
-        flat = self._flat
-        for term, block in self._memberships[query.query_id]:
+        for _term, block in self._memberships[query.query_id]:
             block.meta_dirty = True
-            if flat is not None:
-                flat.note_dirty(term)
             if self._config.use_group_filter:
                 dropped = block.invalidate_mcs_with(invalidated)
                 self.counters.mcs_invalidations += dropped

@@ -46,11 +46,7 @@ def threshold_from_summaries(
     recency: float,
     alpha: float,
 ) -> float:
-    """The Eq. 12 threshold arithmetic over bare scalars.
-
-    Shared by the scalar path and the columnar refresh so both sides
-    evaluate the identical float expression (bit-identity is what lets
-    the columnar layout stand in for the object walk)."""
+    """The Eq. 12 threshold arithmetic over bare scalars."""
     return dtrel_min - alpha * trel_max_de * (1.0 - recency)
 
 

@@ -1,4 +1,7 @@
-"""Flat contiguous postings arrays + batch-wide block skipping (ISSUE 9).
+"""Kept only for the ``benchmarks/e2e/tracing.py`` import until a ``benchmark`` PR drops its rows; imported by nothing under ``src/repro``.
+
+Flat contiguous postings arrays + batch-wide block skipping (ISSUE 9) —
+detached from the engine in ISSUE 21 (DESIGN.md §15).
 
 The PR 6 columnar mirror (:mod:`repro.core.columnar`) vectorized block
 *refreshes*, but the DAAT loop itself still walks linked
@@ -40,10 +43,8 @@ Bit-identity contract (extends the PR 6 contract):
   mul/sub are exact given identical inputs, a vectorized ``pow`` is not
   guaranteed to be.
 
-The mirror is an acceleration structure only: it requires the columnar
-summary mirror, ``REPRO_DISABLE_FLAT_POSTINGS=1`` turns it off for
-differential runs, and a checkpoint restore rebuilds it through the
-ordinary insert hooks like the PR 6 mirror.
+The mirror is an acceleration structure only and requires the columnar
+summary mirror.
 """
 
 from __future__ import annotations

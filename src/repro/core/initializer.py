@@ -26,7 +26,7 @@ so their states agree from the first published document onward.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
@@ -49,91 +49,81 @@ def select_initial_documents(
     decay: ExponentialDecay = None,
     now: float = 0.0,
     alpha: float = 0.3,
-) -> List[Document]:
+    with_trels: bool = False,
+) -> Union[List[Document], Tuple[List[Document], List[Optional[float]]]]:
     """Choose up to ``k`` seed documents, returned in arrival order.
 
     The returned list is sorted ascending by document id so the caller
     can admit them sequentially (each admit treats its document as the
-    newest so far).
+    newest so far).  With ``with_trels`` the return value is
+    ``(documents, trels)``: ``trels[i]`` is the ``TRel`` that
+    ``documents[i]`` was ranked by, or None where nothing was scored
+    (``recent``, or no more candidates than ``k``).  Candidates are
+    scored in one :meth:`LanguageModelScorer.trels` pass.
     """
     if strategy not in INIT_STRATEGIES:
         raise ValueError(
             f"unknown init strategy {strategy!r}; expected one of {INIT_STRATEGIES}"
         )
     candidates = store.recent_matching(terms, scan_limit)
-    if not candidates:
-        return []
     if strategy == "recent" or len(candidates) <= k:
-        chosen = candidates[:k]
-    elif strategy == "relevant":
-        if scorer is None or decay is None:
-            raise ValueError("relevant initialisation needs a scorer and decay")
-        terms = tuple(terms)
-        chosen = sorted(
-            candidates,
-            key=lambda document: (
-                scorer.trel(terms, document.vector)
-                * decay.at(document.created_at, now)
-            ),
-            reverse=True,
-        )[:k]
+        documents = candidates[:k][::-1]
+        return (documents, [None] * len(documents)) if with_trels else documents
+    if scorer is None or decay is None:
+        raise ValueError(f"{strategy} initialisation needs a scorer and decay")
+    trels = scorer.trels(terms, [document.vector for document in candidates])
+    keys = [
+        trel * decay.at(document.created_at, now)
+        for trel, document in zip(trels, candidates)
+    ]
+    picked = sorted(range(len(candidates)), key=keys.__getitem__, reverse=True)
+    if strategy == "relevant":
+        picked = picked[:k]
     else:
-        if scorer is None or decay is None:
-            raise ValueError("greedy initialisation needs a scorer and decay")
         # Pre-truncate by relevance so the O(k·m) similarity work stays
         # bounded even with large scan limits.
         if len(candidates) > 4 * k:
-            terms_tuple = tuple(terms)
-            candidates = sorted(
-                candidates,
-                key=lambda document: (
-                    scorer.trel(terms_tuple, document.vector)
-                    * decay.at(document.created_at, now)
-                ),
-                reverse=True,
-            )[: 4 * k]
-        chosen = _greedy_max_sum(
-            candidates, terms, k, scorer, decay, now, alpha
-        )
-    return sorted(chosen, key=lambda document: document.doc_id)
+            candidates = [candidates[index] for index in picked[: 4 * k]]
+            trels = [trels[index] for index in picked[: 4 * k]]
+        picked = _greedy_max_sum(candidates, trels, k, decay, now, alpha)
+    picked.sort(key=lambda index: candidates[index].doc_id)
+    documents = [candidates[index] for index in picked]
+    if with_trels:
+        return documents, [trels[index] for index in picked]
+    return documents
 
 
 def _greedy_max_sum(
     candidates: Sequence[Document],
-    terms: Iterable[str],
+    trels: Sequence[float],
     k: int,
-    scorer: LanguageModelScorer,
     decay: ExponentialDecay,
     now: float,
     alpha: float,
-) -> List[Document]:
-    terms = tuple(terms)
+) -> List[int]:
+    """Indices into ``candidates`` of the greedy max-sum selection."""
     coeff = diversity_coefficient(alpha, k)
-    relevances = {
-        candidate.doc_id: alpha
-        * scorer.trel(terms, candidate.vector)
-        * decay.at(candidate.created_at, now)
-        for candidate in candidates
-    }
-    selected: List[Document] = []
-    remaining = list(candidates)
+    relevances = [
+        alpha * trel * decay.at(candidate.created_at, now)
+        for candidate, trel in zip(candidates, trels)
+    ]
+    selected: List[int] = []
+    remaining = list(range(len(candidates)))
     # Marginal diversity gain of each remaining candidate w.r.t. the
     # selection so far, updated incrementally as documents are picked.
-    diversity_gain = {candidate.doc_id: 0.0 for candidate in candidates}
+    diversity_gain = [0.0] * len(candidates)
     while remaining and len(selected) < k:
-        best_index = 0
+        best_position = 0
         best_value = float("-inf")
-        for index, candidate in enumerate(remaining):
-            value = relevances[candidate.doc_id] + coeff * diversity_gain[
-                candidate.doc_id
-            ]
+        for position, index in enumerate(remaining):
+            value = relevances[index] + coeff * diversity_gain[index]
             if value > best_value:
                 best_value = value
-                best_index = index
-        picked = remaining.pop(best_index)
+                best_position = position
+        picked = remaining.pop(best_position)
         selected.append(picked)
-        for candidate in remaining:
-            diversity_gain[candidate.doc_id] += dissimilarity(
-                candidate.vector, picked.vector
+        for index in remaining:
+            diversity_gain[index] += dissimilarity(
+                candidates[index].vector, candidates[picked].vector
             )
     return selected

@@ -86,11 +86,6 @@ class QueryInvertedFile:
         # these every micro-batch, so they must not be O(terms) walks.
         self._postings_total = 0
         self._blocks_total = 0
-        #: Optional flat-array mirror (ISSUE 9) notified of every
-        #: structural change — including the inserts a checkpoint restore
-        #: replays directly against the index, which is what keeps the
-        #: mirror rebuildable without a separate restore hook.
-        self.mirror = None
 
     @property
     def block_size(self) -> Optional[int]:
@@ -106,11 +101,8 @@ class QueryInvertedFile:
                 self._lists[term] = postings
             before = len(postings.blocks)
             block = postings.append(query.query_id, self._block_size)
-            opened = len(postings.blocks) - before
-            self._blocks_total += opened
+            self._blocks_total += len(postings.blocks) - before
             self._postings_total += 1
-            if self.mirror is not None:
-                self.mirror.on_insert(term, query.query_id, opened > 0)
             touched.append((term, block))
         return touched
 
@@ -122,14 +114,9 @@ class QueryInvertedFile:
             before = len(postings.blocks)
             if postings.remove(query.query_id):
                 self._postings_total -= 1
-                deleted = before - len(postings.blocks)
-                self._blocks_total -= deleted
-                if self.mirror is not None:
-                    self.mirror.on_remove(term, query.query_id, deleted > 0)
+                self._blocks_total -= before - len(postings.blocks)
             if not postings.blocks:
                 del self._lists[term]
-                if self.mirror is not None:
-                    self.mirror.on_term_dropped(term)
 
     def list_for(self, term: str) -> Optional[PostingsList]:
         return self._lists.get(term)

@@ -9,7 +9,9 @@ are always the newest document of the stream, so maintenance is
 append-at-the-end / evict-at-the-front, and on arrival of ``d_n``:
 
 * the surviving oldest entry (warm-up only) grows by ``Sim(d_e, d_n)``
-  — its value stays complete;
+  — its value stays complete (a subscription's seeds arrive together,
+  so :meth:`QueryResultSet.seed` pays the summarised ones with one dot
+  product, as at promotion);
 * a non-oldest entry grows by ``Sim(d_i, d_n)`` only when ``d_n`` stays
   out of the aggregated-weight summary (R2, or no summary at all); the
   similarities to summarised (R1) arrivals are owed until
@@ -260,6 +262,42 @@ class QueryResultSet:
         if self._packed is not _DIRTY:
             self._packed = self._kernels.packed_append(self._packed, entries)
         return cosines
+
+    def seed(
+        self, documents: Sequence[Document], trels: Sequence[float]
+    ) -> Tuple[int, int]:
+        """Fill the empty table with a subscription's seeds, oldest first.
+
+        Rows, R1/R2 split and ``Φ_max`` reservations are those of
+        admitting the seeds one by one; the oldest row's Eq. 24 value is
+        completed the way :meth:`replace` completes a promoted row —
+        cosines only against the seeds that stay out of the summary, then
+        one Lemma 6 dot product for all that joined it — instead of one
+        cosine per seed.  Returns ``(cosines, aw_dots)``.
+        """
+        entries = self._entries
+        if entries:
+            raise ValueError("seed() needs an empty result set")
+        if len(documents) > self.k:
+            raise ValueError(f"{len(documents)} seeds exceed k={self.k}")
+        cosines = 0
+        for document, trel in zip(documents, trels):
+            entry = self._new_entry(document, trel, bool(entries))
+            if entries and not entry.aw_resident:
+                sims = self.similarities_to(document.vector)
+                for existing, sim in zip(entries, sims):
+                    existing.sim_acc += sim
+                cosines += len(sims)
+            entries.append(entry)
+            if self._packed is not _DIRTY:
+                self._packed = self._kernels.packed_append(self._packed, entries)
+        if self._r2_count < len(entries) - 1:
+            # Some seed joined the summary, which holds exactly the R1
+            # seeds newer than the oldest row.
+            head = entries[0]
+            head.sim_acc += self._aw.similarity_sum(head.document.vector)
+            return cosines, 1
+        return cosines, 0
 
     def replace(
         self, document: Document, trel: float, sim_cache=None

@@ -51,7 +51,7 @@ the current host.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.text.vectors import TermVector
 
@@ -73,14 +73,6 @@ DEFAULT_MIN_COVER = 32
 #: ``batch size × candidate blocks`` below which a batch is too small to
 #: amortise packed-cover reuse — everything stays scalar.
 DEFAULT_MIN_BATCH_WORK = 256
-#: Candidate blocks per list below which the flat batch-skip prefilter
-#: (ISSUE 9) stays off for the batch.  The NumPy pass reduces over one
-#: array element per block, so a list must hold at least a couple of
-#: blocks before the pass beats per-block scalar checks; at one block
-#: per list (the degenerate shape the standard benchmark settles into)
-#: there is no vectorisation width at all and the prefilter is pure
-#: overhead.
-DEFAULT_MIN_FLAT_BLOCKS = 2
 
 
 def _env_threshold(name: str, default: int) -> int:
@@ -120,18 +112,6 @@ def choose_batch_mode(
     if batch_size * max(candidate_blocks, 1) >= min_batch_work:
         return "mixed"
     return "python"
-
-
-def choose_flat_commit(
-    candidate_blocks: int, min_flat_blocks: int = DEFAULT_MIN_FLAT_BLOCKS
-) -> bool:
-    """Whether a batch should run the flat block-skip prefilter.
-
-    Orthogonal to :func:`choose_batch_mode`: the prefilter vectorises
-    over *blocks*, not result-set rows, so its profitability depends
-    only on how many blocks each postings list carries.
-    """
-    return candidate_blocks >= min_flat_blocks
 
 
 class _AdaptiveEntries:
@@ -193,15 +173,9 @@ class AdaptiveKernels:
         self.min_rows_no_aw = _env_threshold(
             "REPRO_AUTO_MIN_ROWS_NO_AW", DEFAULT_MIN_ROWS_NO_AW
         )
-        self.min_flat_blocks = _env_threshold(
-            "REPRO_FLAT_MIN_BLOCKS", DEFAULT_MIN_FLAT_BLOCKS
-        )
         #: Current batch mode; ``"per_call"`` = legacy per-call shape
         #: dispatch through the class methods (no batch declared yet).
         self.mode = "per_call"
-        #: Whether the committed batch runs the flat block-skip
-        #: prefilter (ISSUE 9); the engine reads this after begin_batch.
-        self.flat_committed = choose_flat_commit(0, self.min_flat_blocks)
         # Per-mode hot-op tables.  Instance attributes shadow the class
         # methods, so committing a mode binds each op DIRECTLY to the
         # target backend's bound method — no adaptive frame in between.
@@ -231,18 +205,11 @@ class AdaptiveKernels:
         k: int,
         candidate_blocks: int,
         aw_shortcut: bool = True,
-        min_flat_blocks: Optional[int] = None,
     ) -> str:
         """Commit the coming micro-batch to one dispatch mode.
 
         Rebinding only happens on a mode *change*, so steady workloads
         pay a dict lookup and three comparisons per batch.
-
-        ``min_flat_blocks`` overrides the instance threshold for the
-        flat-prefilter commitment — the adaptive dispatcher is a
-        process-wide singleton, so per-engine configuration (the
-        ``REPRO_FLAT_MIN_BLOCKS`` override differential tests use) must
-        ride in with the call, not the constructor.
         """
         mode = choose_batch_mode(
             batch_size,
@@ -257,12 +224,6 @@ class AdaptiveKernels:
             self.mode = mode
             for op_name, impl in self._mode_tables[mode].items():
                 setattr(self, op_name, impl)
-        self.flat_committed = choose_flat_commit(
-            candidate_blocks,
-            self.min_flat_blocks
-            if min_flat_blocks is None
-            else min_flat_blocks,
-        )
         return mode
 
     # -- result-set kernels ------------------------------------------------

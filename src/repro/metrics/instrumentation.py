@@ -38,6 +38,9 @@ class Counters:
     mcs_invalidations: int = 0
     batches_vectorized: int = 0
     batches_scalar: int = 0
+    #: ``columnar_refreshes``, ``flat_skips`` and ``postings_compactions``
+    #: stay zero (the engine builds no mirror, DESIGN.md §12/§15); kept
+    #: because ``benchmarks/e2e/layers.py`` reads them by name.
     columnar_refreshes: int = 0
     scalar_refreshes: int = 0
     flat_skips: int = 0

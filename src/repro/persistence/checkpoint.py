@@ -244,13 +244,6 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
     engine._last_query_id = query.query_id
     touched = engine._index.insert(query)
     engine._memberships[query.query_id] = touched
-    # Columnar summaries are derived state: rebuild them here so legacy
-    # checkpoints (written before the columnar layout existed) restore
-    # into columnar-enabled engines without any payload change.
-    if engine._qcols is not None:
-        engine._qcols.update(
-            query.query_id, result_set, engine.config.alpha, engine._coeff
-        )
     engine.counters.queries_subscribed += 1
 
 

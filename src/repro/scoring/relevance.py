@@ -8,7 +8,7 @@ the query keywords.  The scorer holds a reference to the shared, evolving
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 from repro.text.collection_stats import CollectionStatistics
 from repro.text.vectors import TermVector
@@ -55,6 +55,33 @@ class LanguageModelScorer:
         for term in query_terms:
             score *= self.ps(vector, term)
         return score
+
+    def trels(
+        self, query_terms: Iterable[str], vectors: Iterable[TermVector]
+    ) -> List[float]:
+        """``TRel(q, d)`` of many documents under one query.
+
+        Each keyword's background is computed once per call instead of
+        once per (document, keyword); every score is the same float
+        expression in the same product order as :meth:`trel`, so
+        ``trels(terms, vectors)[i] == trel(terms, vectors[i])`` exactly.
+        """
+        terms = tuple(query_terms)
+        backgrounds = [self.background(term) for term in terms]
+        foreground = 1.0 - self._lambda
+        scores = []
+        for vector in vectors:
+            length = vector.length
+            score = 1.0
+            if length == 0:
+                for background in backgrounds:
+                    score *= background
+            else:
+                frequency = vector.frequency
+                for term, background in zip(terms, backgrounds):
+                    score *= foreground * frequency(term) / length + background
+            scores.append(score)
+        return scores
 
     def trel_from_ps(
         self,

@@ -16,6 +16,7 @@ document, serves two access patterns, and bounds memory:
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.config import UNLIMITED
@@ -94,10 +95,10 @@ class DocumentStore:
         for term in terms:
             bucket = self._term_index.get(term)
             if bucket:
-                # Take the most recent `limit` ids of each term bucket.
-                take = min(limit, len(bucket))
-                for i in range(len(bucket) - take, len(bucket)):
-                    candidate_ids.add(bucket[i])
+                # The most recent `limit` ids of each term bucket, walked
+                # from the tail: indexing a deque costs O(distance from
+                # the nearer end).
+                candidate_ids.update(islice(reversed(bucket), limit))
         ordered = sorted(candidate_ids, reverse=True)[:limit]
         docs = []
         for doc_id in ordered:

@@ -26,7 +26,6 @@ BOUNDED_RATIOS = (
     "group_check_engagement",
     "match_rate",
     "vectorized_batch_fraction",
-    "flat_skip_fraction",
 )
 
 
@@ -83,11 +82,5 @@ def effectiveness_gauges(
             values.get("batches_vectorized", 0),
             values.get("batches_vectorized", 0)
             + values.get("batches_scalar", 0),
-        ),
-        # Share of skipped blocks resolved by the batch-wide flat
-        # prefilter rather than the per-block scalar check (``.get``:
-        # counters from checkpoints older than the flat mirror lack it).
-        "flat_skip_fraction": _ratio(
-            values.get("flat_skips", 0), blocks_skipped
         ),
     }

@@ -18,11 +18,9 @@ from repro.core.engine import DasEngine
 from repro.kernels import resolve_backend
 from repro.kernels.adaptive import (
     DEFAULT_MIN_BATCH_WORK,
-    DEFAULT_MIN_FLAT_BLOCKS,
     DEFAULT_MIN_ROWS,
     DEFAULT_MIN_ROWS_NO_AW,
     choose_batch_mode,
-    choose_flat_commit,
 )
 from repro.telemetry.effectiveness import effectiveness_gauges
 from repro.workloads.corpus import SyntheticTweetCorpus
@@ -33,7 +31,6 @@ def test_defaults_are_pinned():
     assert DEFAULT_MIN_ROWS == 32
     assert DEFAULT_MIN_BATCH_WORK == 256
     assert DEFAULT_MIN_ROWS_NO_AW == 16
-    assert DEFAULT_MIN_FLAT_BLOCKS == 2
 
 
 @pytest.mark.parametrize(
@@ -80,17 +77,6 @@ def test_choose_batch_mode_boundary_no_aw(batch_size, k, blocks, expected):
         choose_batch_mode(batch_size, k, blocks, aw_shortcut=False)
         == expected
     )
-
-
-def test_flat_commit_boundary():
-    """The flat prefilter engages only once lists hold enough blocks
-    for the batch pass to have vectorisation width (ISSUE 9)."""
-    assert not choose_flat_commit(0)
-    assert not choose_flat_commit(1)
-    assert choose_flat_commit(2)
-    assert choose_flat_commit(2, 2)
-    assert not choose_flat_commit(1, 2)
-    assert choose_flat_commit(0, 0)
 
 
 def test_engine_commits_numpy_for_baseline_methods():

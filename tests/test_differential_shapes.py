@@ -1,19 +1,14 @@
 """Differential suite: the three engine shapes must agree exactly.
 
-ISSUE 6 touches both ends of every shape — the columnar index mirrors
-the per-query summaries inside each shard, and the shared-memory wire
-changes how documents reach parallel workers — so this suite drives the
-same seeded workload through
+The shared-memory wire changes how documents reach parallel workers, so
+this suite drives the same seeded workload through
 
 * the single-process :class:`~repro.core.engine.DasEngine`,
 * the in-process :class:`~repro.distributed.ShardedDasEngine`, and
 * the multi-process :class:`~repro.parallel.ParallelShardedEngine`
 
 and asserts identical notifications, result lists and DR values, for
-both the ``python`` and adaptive ``auto`` backends and with the columnar
-mirror forced off.  A second group proves the columnar mirror is purely
-derived state: checkpoints restore it and a restore with the mirror
-disabled makes identical future decisions.
+both the ``python`` and adaptive ``auto`` backends.
 """
 
 from __future__ import annotations
@@ -90,96 +85,6 @@ def test_three_shapes_identical(backend):
     assert sharded == single
     with ParallelShardedEngine(N_SHARDS, config) as parallel:
         assert _trace(parallel, docs, queries) == single
-
-
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_columnar_mirror_does_not_change_decisions(monkeypatch, backend):
-    """The columnar fast path is an optimisation, never a behaviour."""
-    docs, queries = _workload(seed=48)
-    config = _config(backend)
-    baseline = _trace(DasEngine(config), docs, queries)
-    monkeypatch.setenv("REPRO_DISABLE_COLUMNAR", "1")
-    scalar_engine = DasEngine(config)
-    assert scalar_engine._qcols is None
-    assert _trace(scalar_engine, docs, queries) == baseline
-    with ParallelShardedEngine(N_SHARDS, config) as parallel:
-        assert _trace(parallel, docs, queries) == baseline
-
-
-def test_checkpoint_rebuilds_columnar_mirror():
-    docs, queries = _workload(seed=49)
-    engine = DasEngine(_config("auto"))
-    if engine._qcols is None:
-        pytest.skip("columnar mirror unavailable (no numpy)")
-    for query in queries:
-        engine.subscribe(DasQuery(query.query_id, query.terms))
-    engine.publish_batch(docs[:48])
-    restored = restore(checkpoint(engine))
-    # The mirror is derived state: not serialized, rebuilt on restore.
-    assert restored._qcols is not None
-    assert set(restored._qcols.slot_of) == set(engine._qcols.slot_of)
-    # And the restored engine makes identical decisions from here on.
-    for start in range(48, len(docs), BATCH):
-        batch = docs[start : start + BATCH]
-        assert sorted(
-            _note_key(n) for n in restored.publish_batch(batch)
-        ) == sorted(_note_key(n) for n in engine.publish_batch(batch))
-    for query in queries:
-        assert [
-            d.doc_id for d in restored.results(query.query_id)
-        ] == [d.doc_id for d in engine.results(query.query_id)]
-        assert restored.current_dr(query.query_id) == engine.current_dr(
-            query.query_id
-        )
-
-
-@pytest.mark.parametrize("backend", ["numpy", "auto"])
-def test_flat_postings_do_not_change_decisions(monkeypatch, backend):
-    """The batch-wide skip prefilter (ISSUE 9) is an optimisation,
-    never a behaviour — forced on at a scale it would normally sit out,
-    every decision still matches the flat-disabled engine."""
-    docs, queries = _workload(seed=50)
-    config = _config(backend)
-    monkeypatch.setenv("REPRO_FLAT_MIN_BLOCKS", "0")
-    flat_engine = DasEngine(config)
-    if flat_engine._flat is None:
-        pytest.skip("flat mirror unavailable (no numpy)")
-    flat = _trace(flat_engine, docs, queries)
-    assert flat_engine._flat_active
-    monkeypatch.setenv("REPRO_DISABLE_FLAT_POSTINGS", "1")
-    scalar_engine = DasEngine(config)
-    assert scalar_engine._flat is None
-    assert _trace(scalar_engine, docs, queries) == flat
-    with ParallelShardedEngine(N_SHARDS, config) as parallel:
-        assert _trace(parallel, docs, queries) == flat
-
-
-def test_checkpoint_rebuilds_flat_mirror(monkeypatch):
-    """The flat mirror is derived state: a restore replays the queries
-    through the ordinary insert hooks and decisions continue bit-equal."""
-    monkeypatch.setenv("REPRO_FLAT_MIN_BLOCKS", "0")
-    docs, queries = _workload(seed=51)
-    engine = DasEngine(_config("auto"))
-    if engine._flat is None:
-        pytest.skip("flat mirror unavailable (no numpy)")
-    for query in queries:
-        engine.subscribe(DasQuery(query.query_id, query.terms))
-    engine.publish_batch(docs[:48])
-    restored = restore(checkpoint(engine))
-    assert restored._flat is not None
-    assert set(restored._flat.term_names()) == set(
-        engine._index.terms()
-    )
-    for start in range(48, len(docs), BATCH):
-        batch = docs[start : start + BATCH]
-        assert sorted(
-            _note_key(n) for n in restored.publish_batch(batch)
-        ) == sorted(_note_key(n) for n in engine.publish_batch(batch))
-    assert restored.counters.flat_skips == engine.counters.flat_skips
-    for query in queries:
-        assert restored.current_dr(query.query_id) == engine.current_dr(
-            query.query_id
-        )
 
 
 def _mode_config(mode):
@@ -356,25 +261,3 @@ def test_storm_workloads_match_brute_force_oracle(mode):
         engine_log = _replay_storm(DasEngine(config), storm, mode)
         oracle_log = _replay_storm(make_oracle(config), storm, mode)
         assert engine_log == oracle_log
-
-
-def test_checkpoint_restores_without_columnar(monkeypatch):
-    """A checkpoint written with the mirror loads fine without it."""
-    docs, queries = _workload(seed=49)
-    engine = DasEngine(_config("auto"))
-    for query in queries:
-        engine.subscribe(DasQuery(query.query_id, query.terms))
-    engine.publish_batch(docs[:48])
-    payload = checkpoint(engine)
-    monkeypatch.setenv("REPRO_DISABLE_COLUMNAR", "1")
-    restored = restore(payload)
-    assert restored._qcols is None
-    for start in range(48, len(docs), BATCH):
-        batch = docs[start : start + BATCH]
-        assert sorted(
-            _note_key(n) for n in restored.publish_batch(batch)
-        ) == sorted(_note_key(n) for n in engine.publish_batch(batch))
-    for query in queries:
-        assert restored.current_dr(query.query_id) == engine.current_dr(
-            query.query_id
-        )

@@ -123,3 +123,26 @@ def test_unpin_unknown_is_noop():
     store = DocumentStore()
     store.unpin(42)  # must not raise
     assert store.pin_count(42) == 0
+
+
+def test_recent_matching_takes_each_bucket_tail():
+    """Buckets longer than ``limit`` contribute their newest ``limit``
+    ids only, and documents shared by several terms are merged."""
+    store = DocumentStore()
+    for i in range(12):
+        tokens = ["x"] if i % 3 else ["x", "y"]
+        if i in (4, 10):
+            tokens = ["y", "z"]
+        store.add(Document.from_tokens(i, tokens, float(i)))
+    # x: every id but 4 and 10; y: 0, 3, 4, 6, 9, 10; z: 4, 10.
+    assert [d.doc_id for d in store.recent_matching(["x"], limit=3)] == [
+        11, 9, 8
+    ]
+    # Tails: x -> {11, 9, 8, 7}, y -> {10, 9, 6, 4}, z -> {10, 4}; the
+    # union's newest four, with the shared 9 and 10 counted once.
+    assert [
+        d.doc_id for d in store.recent_matching(["x", "y", "z"], limit=4)
+    ] == [11, 10, 9, 8]
+    assert [
+        d.doc_id for d in store.recent_matching(["z", "y"], limit=10)
+    ] == [10, 9, 6, 4, 3, 0]

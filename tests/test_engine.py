@@ -17,6 +17,7 @@ from repro.errors import (
     UnknownQueryError,
 )
 from repro.stream.document import Document
+from repro.text.vectors import cosine_similarity
 
 
 def doc(i, tokens, t=None):
@@ -231,6 +232,48 @@ def test_bad_init_strategy_rejected():
     engine.publish(doc(0, ["coffee"]))
     with pytest.raises(ValueError):
         engine.subscribe(DasQuery(0, ["coffee"]))
+
+
+def test_subscribe_scores_once_and_completes_eq24_with_one_dot(monkeypatch):
+    """Work pin (ISSUE 21): with more candidates than k the ``relevant``
+    ranking's one scored pass is the only scoring a subscribe does, and
+    the oldest seed's accumulated similarity costs one Lemma 6 dot — no
+    per-document ``trel`` call, no per-seed cosine."""
+    engine = make_engine()
+    for i in range(8):
+        engine.publish(doc(i, ["coffee", f"extra{i % 3}"]))
+    before = engine.counters.snapshot()
+    scorer_type = type(engine.scorer)
+    calls = []
+    real_trel = scorer_type.trel
+    monkeypatch.setattr(
+        scorer_type,
+        "trel",
+        lambda self, terms, vector: calls.append(1) or real_trel(self, terms, vector),
+    )
+    results = engine.subscribe(DasQuery(0, ["coffee"]))
+    assert len(results) == 3
+    assert calls == []
+    spent = engine.counters.delta(before)
+    assert spent.sim_evaluations == 0
+    assert spent.aw_dot_products == 1
+    rs = engine._result_sets[0]
+    head = rs.entries[0]
+    assert [e.trel for e in rs.entries] == [
+        real_trel(engine.scorer, ("coffee",), e.document.vector)
+        for e in rs.entries
+    ]
+    assert head.sim_acc == pytest.approx(
+        sum(
+            cosine_similarity(head.document.vector, e.document.vector)
+            for e in rs.entries[1:]
+        ),
+        abs=1e-12,
+    )
+    # With no more candidates than k nothing was ranked, so each seed is
+    # scored once, directly.
+    engine.subscribe(DasQuery(1, ["extra2"]))
+    assert len(calls) == len(engine.results(1)) == 2
 
 
 def _work_pin_run(method, k=4, block_size=4, queries=40, **overrides):

@@ -113,3 +113,56 @@ def test_scan_limit_bounds_candidates():
     )
     assert len(seeds) == 3
     assert [d.doc_id for d in seeds] == [7, 8, 9]
+
+
+def _reference_relevant(store, terms, k, scan_limit, scorer, decay, now):
+    """The ranking the one-pass form must reproduce, scored per document."""
+    ranked = sorted(
+        store.recent_matching(terms, scan_limit),
+        key=lambda d: scorer.trel(terms, d.vector) * decay.at(d.created_at, now),
+        reverse=True,
+    )[:k]
+    return sorted(ranked, key=lambda d: d.doc_id)
+
+
+@pytest.mark.parametrize(
+    "token_lists",
+    [
+        # Ties: four identical documents compete for two places.
+        [["x", "a"], ["x", "a"], ["x", "a"], ["x", "a"], ["y"]],
+        # More than k candidates with distinct scores, two keywords.
+        [["x"], ["x", "y"], ["y", "y", "pad"], ["x", "pad", "pad"],
+         ["x", "x", "y"], ["pad"], ["y"]],
+    ],
+)
+def test_relevant_ranking_is_the_per_document_sort(token_lists):
+    store, scorer, _ = build_store(token_lists)
+    for decay in (ExponentialDecay(1.0), ExponentialDecay(1.3)):
+        now = float(len(token_lists))
+        seeds, trels = select_initial_documents(
+            store, ("x", "y"), 2, 10, strategy="relevant",
+            scorer=scorer, decay=decay, now=now, with_trels=True,
+        )
+        expected = _reference_relevant(
+            store, ("x", "y"), 2, 10, scorer, decay, now
+        )
+        assert [d.doc_id for d in seeds] == [d.doc_id for d in expected]
+        # The TRel handed back is the one ranked by, bit for bit.
+        assert trels == [scorer.trel(("x", "y"), d.vector) for d in seeds]
+        assert seeds == select_initial_documents(
+            store, ("x", "y"), 2, 10, strategy="relevant",
+            scorer=scorer, decay=decay, now=now,
+        )
+
+
+def test_unscored_seeds_come_back_without_trel():
+    store, scorer, decay = build_store([["x"], ["x"], ["y"]])
+    for strategy, k in (("recent", 1), ("relevant", 5)):
+        seeds, trels = select_initial_documents(
+            store, ["x"], k, 10, strategy=strategy,
+            scorer=scorer, decay=decay, now=3.0, with_trels=True,
+        )
+        assert trels == [None] * len(seeds)
+    assert select_initial_documents(
+        store, ["zz"], 2, 10, with_trels=True
+    ) == ([], [])

@@ -230,3 +230,75 @@ def test_parent_commit_checkpoint_restores_and_continues(
                     head_sim_acc(live, query_id), abs=1e-9
                 )
     assert replaced > 0
+
+
+def test_file_written_by_parent_commit_restores_and_continues():
+    """``fixtures/checkpoint_parent_1b475d8.json`` was written by the
+    commit before seeding moved to one Lemma 6 dot (and while the engine
+    still kept its columnar/flat mirrors — derived state, never in the
+    payload): it is :func:`build_live_engine` 90 documents in.  It loads
+    with no key missing or left over, and continues on the change stream
+    of an engine that lived the same history under this commit."""
+    import json
+    import os
+
+    live, _corpus, docs = build_live_engine()
+    path = os.path.join(
+        os.path.dirname(__file__), "fixtures", "checkpoint_parent_1b475d8.json"
+    )
+    with open(path) as handle:
+        payload = json.load(handle)
+    assert sorted(payload) == sorted(checkpoint(live))
+    clone = restore(payload)
+    for query_id, result_set in live._result_sets.items():
+        assert clone._result_sets[query_id].entries[0].sim_acc == pytest.approx(
+            result_set.entries[0].sim_acc, abs=1e-9
+        )
+    replaced = 0
+    for document in docs[90:]:
+        expected = [
+            (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+            for n in live.publish(document)
+        ]
+        assert [
+            (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+            for n in clone.publish(document)
+        ] == expected
+        replaced += sum(old is not None for _q, _d, old in expected)
+    assert replaced > 0
+    for query_id in live._queries:
+        assert clone.current_dr(query_id) == pytest.approx(
+            live.current_dr(query_id)
+        )
+
+
+@pytest.mark.parametrize(
+    "method, overrides",
+    [("GIFilter", {}), ("GIFilter", {"phi_max": 12}), ("BIRT", {})],
+    ids=["unlimited", "tight-phi-max", "birt"],
+)
+def test_restore_right_after_subscribe_keeps_seeded_sim_acc(method, overrides):
+    """Rows seeded at subscription (oldest row completed by one Lemma 6
+    dot) checkpoint and restore to the live engine's very values."""
+    corpus = SyntheticTweetCorpus(vocab_size=150, n_topics=5, seed=23)
+    live = DasEngine.for_method(method, k=4, block_size=4, **overrides)
+    for document in corpus.documents(60):
+        live.publish(document)
+    for query in lqd_queries(corpus, 30, first_id=0):
+        live.subscribe(query)
+    clone = restore(checkpoint(live))
+    seeded = 0
+    for query_id, result_set in live._result_sets.items():
+        restored = clone._result_sets[query_id]
+        assert [e.aw_resident for e in restored.entries] == [
+            e.aw_resident for e in result_set.entries
+        ]
+        for index, (mine, theirs) in enumerate(
+            zip(restored.entries, result_set.entries)
+        ):
+            if index == 0:
+                assert mine.sim_acc == theirs.sim_acc
+            else:
+                assert mine.sim_acc == pytest.approx(theirs.sim_acc, abs=1e-12)
+        seeded += result_set.size > 1
+    assert seeded > 0

@@ -301,3 +301,80 @@ def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
         assert rs.static_dr_oldest(alpha) == pytest.approx(
             alpha * head.trel + coeff * ((rs.size - 1) - expected), abs=1e-9
         )
+
+
+def _seed_table(summary, k):
+    """``(table, budget)`` for one ``Φ_max`` regime of the seed property."""
+    if summary == "none":
+        return QueryResultSet(k=k, track_aggregated_weights=False), None
+    budget = {
+        "unlimited": None,
+        "tight": MemoryBudget(3),  # about one small document: forces R2
+        "zero": MemoryBudget(0),
+    }[summary]
+    return QueryResultSet(k=k, budget=budget), budget
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 6]),
+    summary=st.sampled_from(["unlimited", "tight", "zero", "none"]),
+    token_lists=st.lists(_CHURN_TOKENS, min_size=0, max_size=6),
+    trels=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=6, max_size=6
+    ),
+)
+def test_seed_equals_sequential_admits(k, summary, token_lists, trels):
+    """``seed`` leaves the table as one ``admit`` per seed would: same
+    rows and R1/R2 flags, same ``Φ_max`` use, the same AW table, and the
+    same accumulated similarities — the oldest row's up to float
+    association (one Lemma 6 dot instead of a cosine per seed), every
+    other row's exactly."""
+    documents = [doc(i, tokens) for i, tokens in enumerate(token_lists[:k])]
+    trels = trels[: len(documents)]
+    seeded, seeded_budget = _seed_table(summary, k)
+    twin, twin_budget = _seed_table(summary, k)
+    cosines, aw_dots = seeded.seed(documents, trels)
+    admitted = sum(
+        twin.admit(document, trel) for document, trel in zip(documents, trels)
+    )
+
+    def rows(table):
+        return [
+            (e.document.doc_id, e.trel, e.in_r1, e.aw_resident)
+            for e in table.entries
+        ]
+
+    assert rows(seeded) == rows(twin)
+    assert seeded._r2_count == twin._r2_count
+    if seeded_budget is not None:
+        assert seeded_budget.used == twin_budget.used
+    if summary != "none":
+        assert (
+            seeded.aggregated_weights._weights
+            == twin.aggregated_weights._weights
+        )
+    for index, (mine, theirs) in enumerate(zip(seeded.entries, twin.entries)):
+        if index:
+            assert mine.sim_acc == theirs.sim_acc
+        else:
+            assert mine.sim_acc == pytest.approx(theirs.sim_acc, abs=1e-12)
+    # Cosines only against seeds that stay out of the summary; the rest
+    # of the oldest row's value is one dot product.
+    resident = sum(e.aw_resident for e in seeded.entries)
+    assert aw_dots == (1 if resident else 0)
+    assert cosines == admitted - resident
+    assert cosines == sum(
+        index
+        for index, e in enumerate(seeded.entries)
+        if index and not e.aw_resident
+    )
+
+
+def test_seed_needs_an_empty_table_and_at_most_k_seeds():
+    rs = QueryResultSet(k=2)
+    with pytest.raises(ValueError):
+        rs.seed([doc(i, ["a"]) for i in range(3)], [0.1] * 3)
+    rs.seed([doc(0, ["a"])], [0.1])
+    with pytest.raises(ValueError):
+        rs.seed([doc(1, ["a"])], [0.1])

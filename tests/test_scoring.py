@@ -58,6 +58,35 @@ def test_ps_empty_document(scorer):
     )
 
 
+_WORDS = st.sampled_from(["coffee", "milk", "tea", "mocha", "unseen", "zzz"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.lists(_WORDS, min_size=0, max_size=4),
+    token_lists=st.lists(
+        st.lists(_WORDS, min_size=0, max_size=6), min_size=0, max_size=8
+    ),
+    smoothing=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+)
+def test_trels_is_trel_bit_for_bit(terms, token_lists, smoothing):
+    """The many-documents form returns the very floats ``trel`` does —
+    ranking keys and stored relevances must not depend on which form
+    scored a seed — for empty vectors and unseen keywords alike."""
+    stats = CollectionStatistics()
+    for tokens in (["coffee", "milk"], ["coffee", "tea", "tea"], ["mocha"]):
+        stats.add(TermVector.from_tokens(tokens))
+    scorer = LanguageModelScorer(stats, smoothing)
+    vectors = [TermVector.from_tokens(tokens) for tokens in token_lists]
+    scores = scorer.trels(terms, vectors)
+    assert len(scores) == len(vectors)
+    for score, vector in zip(scores, vectors):
+        assert score == scorer.trel(terms, vector)
+    # A one-shot iterable of keywords is consumed once, not per document.
+    assert scorer.trels(iter(terms), vectors) == scores
+
+
+
 def test_trel_is_product(scorer):
     vector = TermVector.from_tokens(["coffee", "espresso"])
     expected = scorer.ps(vector, "coffee") * scorer.ps(vector, "espresso")
