@@ -258,29 +258,27 @@ class DasEngine:
 
     def index_size_report(self) -> Dict[str, int]:
         """Structural index footprint for the Figure 8 experiment."""
-        aw_entries = sum(
-            result_set.aw_entry_count
-            for result_set in self._result_sets.values()
-        )
-        result_entries = sum(
-            result_set.size for result_set in self._result_sets.values()
-        )
+        result_sets = self._result_sets.values()
         report = {
             "terms": self._index.term_count,
             "postings": self._index.posting_count,
             "blocks": self._index.block_count,
             "mcs_documents": self._index.mcs_document_count(),
-            "aw_entries": aw_entries,
-            "result_entries": result_entries,
+            "aw_entries": sum(rs.aw_entry_count for rs in result_sets),
+            "result_entries": sum(rs.size for rs in result_sets),
+            # Result sets below k: they hold rows only, so ``aw_entries``
+            # belongs to the other ``queries − warmup_queries``.
+            "warmup_queries": sum(not rs.is_full for rs in result_sets),
             "stored_documents": len(self._store),
         }
         # Rough footprint: a posting is an int (28 B in CPython), a result
         # entry carries two floats and a reference (~72 B), an AW entry is
-        # a dict slot (~100 B), an MCS member is a reference (~8 B).
+        # a dict slot plus a float (~60 B), an MCS member is a reference
+        # (~8 B).
         report["approx_bytes"] = (
             report["postings"] * 28
             + report["result_entries"] * 72
-            + report["aw_entries"] * 100
+            + report["aw_entries"] * 60
             + report["mcs_documents"] * 8
         )
         return report
@@ -739,21 +737,23 @@ class DasEngine:
                 mutated = obs.time()
                 obs.add("individual_filter", mutated - entered)
                 entered = mutated
-            self.counters.sim_evaluations += result_set.admit(
-                document, trel, self._sim_cache
-            )
+            cosines, aw_dots = result_set.admit(document, trel)
             self._store.pin(document.doc_id)
             self.counters.matches += 1
             notifications.append(Notification(query_id, document, None))
-            self._mark_blocks_dirty(query)
-            if result_set.is_full and config.use_group_filter:
-                # The query just left warm-up: existing MCS covers were
-                # built over the previously-filled members only and do
-                # not cover it, so the group bound would be unsafe.
-                # Force a rebuild on next use.
-                for _term, block in self._memberships[query_id]:
-                    block.mcs_sets = None
-                    block.mcs_initial_count = 0
+            if result_set.is_full:
+                # The query just left warm-up.  Until now its blocks'
+                # summaries, which cover filled members only, could not
+                # have changed; now it joins them, and MCS covers built
+                # without it would make the group bound unsafe.
+                self.counters.sim_evaluations += cosines
+                self.counters.aw_dot_products += aw_dots
+                if config.use_blocks:
+                    for _term, block in self._memberships[query_id]:
+                        block.meta_dirty = True
+                        if config.use_group_filter:
+                            block.mcs_sets = None
+                            block.mcs_initial_count = 0
             if obs is not None:
                 obs.add("result_update", obs.time() - entered)
             return
@@ -797,12 +797,6 @@ class DasEngine:
             obs.add("result_update", obs.time() - entered)
 
     # -- index maintenance (Section 7.1) ------------------------------------------
-
-    def _mark_blocks_dirty(self, query: DasQuery) -> None:
-        if not self._config.use_blocks:
-            return
-        for _term, block in self._memberships[query.query_id]:
-            block.meta_dirty = True
 
     def _on_result_updated(
         self, query: DasQuery, result_set: QueryResultSet, evicted: Document

@@ -51,17 +51,15 @@ class PostingsList:
         return block if query_id in block.query_ids else None
 
     def remove(self, query_id: int) -> bool:
-        for i, block in enumerate(self.blocks):
-            if block.query_ids and block.min_id <= query_id <= block.max_id:
-                if block.remove(query_id):
-                    if not block.query_ids:
-                        del self.blocks[i]
-                        del self._max_ids[i]
-                    else:
-                        self._max_ids[i] = block.max_id
-                    return True
-                return False
-        return False
+        i = bisect_left(self._max_ids, query_id)
+        if i >= len(self.blocks) or not self.blocks[i].remove(query_id):
+            return False
+        if self.blocks[i].query_ids:
+            self._max_ids[i] = self.blocks[i].max_id
+        else:
+            del self.blocks[i]
+            del self._max_ids[i]
+        return True
 
     @property
     def posting_count(self) -> int:

@@ -8,13 +8,13 @@ promotion* instead of growing every entry on every update.  New results
 are always the newest document of the stream, so maintenance is
 append-at-the-end / evict-at-the-front, and on arrival of ``d_n``:
 
-* the surviving oldest entry (warm-up only) grows by ``Sim(d_e, d_n)``
-  — its value stays complete (a subscription's seeds arrive together,
-  so :meth:`QueryResultSet.seed` pays the summarised ones with one dot
-  product, as at promotion);
-* a non-oldest entry grows by ``Sim(d_i, d_n)`` only when ``d_n`` stays
-  out of the aggregated-weight summary (R2, or no summary at all); the
-  similarities to summarised (R1) arrivals are owed until
+* below ``k`` rows nothing is accumulated: a warm-up table is its rows,
+  and the row that makes ``|R| = k`` settles the whole table at once
+  (:meth:`QueryResultSet._settle`) — the oldest entry's value is
+  completed with one dot product, as at promotion;
+* from then on a non-oldest entry grows by ``Sim(d_i, d_n)`` only when
+  ``d_n`` stays out of the aggregated-weight summary (R2, or no summary
+  at all); the similarities to summarised (R1) arrivals are owed until
 * the entry is promoted to oldest, when one Lemma 6 dot product of its
   own vector against the summary — which then holds exactly the newer
   R1 documents — pays them all at once;
@@ -32,7 +32,8 @@ DESIGN.md §2) is then
 
 The table also owns the query's aggregated term weight summary (Table 4)
 over ``R1 \\ {d_e}`` and the R1/R2 split driven by the shared ``Φ_max``
-budget.
+budget — both exist only once the table is full, because only a full
+result set has a filtering condition (Def. 3) for them to evaluate.
 """
 
 from __future__ import annotations
@@ -92,12 +93,11 @@ class QueryResultSet:
         self._track_aw = track_aggregated_weights
         self._budget = budget
         self._kernels = kernels if kernels is not None else default_kernels()
-        self._aw = (
-            AggregatedTermWeights() if track_aggregated_weights else None
-        )
+        #: Table 4; None until the table fills (and always without AW).
+        self._aw: Optional[AggregatedTermWeights] = None
         self._packed = _DIRTY
-        #: Entries of ``entries[1:]`` outside the AW summary (R2): the
-        #: direct cosines a Lemma 6 evaluation still owes.
+        #: Entries of ``entries[1:]`` of a full table outside the AW
+        #: summary (R2): the direct cosines a Lemma 6 evaluation owes.
         self._r2_count = 0
 
     # -- inspection --------------------------------------------------------
@@ -233,67 +233,63 @@ class QueryResultSet:
 
     # -- maintenance ----------------------------------------------------------
 
-    def admit(self, document: Document, trel: float, sim_cache=None) -> int:
+    def admit(self, document: Document, trel: float) -> Tuple[int, int]:
         """Warm-up insertion of a matching document while ``|R| < k``.
 
-        The new document is the stream's newest.  Returns the number of
-        cosines computed: one against the oldest entry when ``document``
-        joins the AW summary, one per existing entry when it does not.
-        ``sim_cache`` is the publish's cosine memo for ``document``.
+        The new document is the stream's newest.  A warm-up table is its
+        rows: nothing is summarised, reserved or accumulated until the
+        row that fills it.  Returns ``(cosines, aw_dots)`` — the work of
+        :meth:`_settle` for the filling admit, zeros before.
         """
-        if self.is_full:
-            raise ValueError("result set is full; use replace()")
         entries = self._entries
-        entry = self._new_entry(document, trel, bool(entries))
-        cosines = 0
-        if entries:
-            if entry.aw_resident:
-                head = entries[0]
-                head.sim_acc += cached_cosines(
-                    document.vector, (head.document,), sim_cache
-                )[0]
-                cosines = 1
-            else:
-                sims = self.similarities_to(document.vector, sim_cache)
-                for existing, sim in zip(entries, sims):
-                    existing.sim_acc += sim
-                cosines = len(sims)
-        entries.append(entry)
+        if len(entries) >= self.k:
+            raise ValueError("result set is full; use replace()")
+        entries.append(ResultEntry(document, trel))
         if self._packed is not _DIRTY:
             self._packed = self._kernels.packed_append(self._packed, entries)
-        return cosines
+        return self._settle() if len(entries) == self.k else (0, 0)
 
     def seed(
         self, documents: Sequence[Document], trels: Sequence[float]
     ) -> Tuple[int, int]:
-        """Fill the empty table with a subscription's seeds, oldest first.
-
-        Rows, R1/R2 split and ``Φ_max`` reservations are those of
-        admitting the seeds one by one; the oldest row's Eq. 24 value is
-        completed the way :meth:`replace` completes a promoted row —
-        cosines only against the seeds that stay out of the summary, then
-        one Lemma 6 dot product for all that joined it — instead of one
-        cosine per seed.  Returns ``(cosines, aw_dots)``.
-        """
+        """Fill the empty table with a subscription's seeds, oldest first:
+        :meth:`admit` for each, in one call.  Returns ``(cosines,
+        aw_dots)`` — zeros unless the seeds fill the table."""
         entries = self._entries
         if entries:
             raise ValueError("seed() needs an empty result set")
         if len(documents) > self.k:
             raise ValueError(f"{len(documents)} seeds exceed k={self.k}")
+        entries.extend(map(ResultEntry, documents, trels))
+        self._packed = _DIRTY
+        return self._settle() if len(entries) == self.k else (0, 0)
+
+    def _settle(self) -> Tuple[int, int]:
+        """Build the filtering state of a table that just reached ``k``
+        rows; returns ``(cosines, aw_dots)``.
+
+        Each non-oldest row settles its R1/R2 side in row order — the
+        ``Φ_max`` reservations and the AW weights are those of folding
+        the rows in one by one as they arrived.  A row that stays out of
+        the summary pays its cosines to every older row; the oldest
+        row's Eq. 24 value is then completed the way :meth:`replace`
+        completes a promoted row, by one Lemma 6 dot product against the
+        summary, which holds exactly its newer R1 rows.
+        """
+        entries = self._entries
+        if self._track_aw:
+            self._aw = AggregatedTermWeights()
         cosines = 0
-        for document, trel in zip(documents, trels):
-            entry = self._new_entry(document, trel, bool(entries))
-            if entries and not entry.aw_resident:
-                sims = self.similarities_to(document.vector)
-                for existing, sim in zip(entries, sims):
+        for index, entry in enumerate(entries[1:], 1):
+            if not self._join_summary(entry):
+                older = entries[:index]
+                sims = cached_cosines(
+                    entry.document.vector, [e.document for e in older], None
+                )
+                for existing, sim in zip(older, sims):
                     existing.sim_acc += sim
-                cosines += len(sims)
-            entries.append(entry)
-            if self._packed is not _DIRTY:
-                self._packed = self._kernels.packed_append(self._packed, entries)
+                cosines += index
         if self._r2_count < len(entries) - 1:
-            # Some seed joined the summary, which holds exactly the R1
-            # seeds newer than the oldest row.
             head = entries[0]
             head.sim_acc += self._aw.similarity_sum(head.document.vector)
             return cosines, 1
@@ -310,17 +306,17 @@ class QueryResultSet:
         that completes the promoted entry's accumulated similarity.
         """
         entries = self._entries
-        if not entries:
-            raise ValueError("cannot replace in an empty result set")
+        if len(entries) < self.k:
+            raise ValueError("result set is warming up; use admit()")
         # The evicted entry is never AW-resident (the oldest is excluded
         # from the summary), so only its budget-free removal happens here.
         assert not entries[0].aw_resident
         head = entries[1] if len(entries) > 1 else None
         if head is not None:
             self._on_new_oldest(head)
-        entry = self._new_entry(document, trel, head is not None)
+        entry = ResultEntry(document, trel)
         cosines = 0
-        if head is not None and not entry.aw_resident:
+        if head is not None and not self._join_summary(entry):
             sims = self.similarities_to_kept(document.vector, sim_cache)
             for index, sim in enumerate(sims, 1):
                 entries[index].sim_acc += sim
@@ -349,24 +345,19 @@ class QueryResultSet:
         else:
             self._r2_count -= 1
 
-    def _new_entry(
-        self, document: Document, trel: float, has_older: bool
-    ) -> ResultEntry:
-        """Build ``document``'s row and settle its R1/R2 side."""
-        entry = ResultEntry(document, trel)
-        if has_older:
-            # Only non-oldest entries may join the summary; the very first
-            # entry stays out (it *is* the oldest).
-            if self._aw is not None and (
-                self._budget is None
-                or self._budget.try_reserve(len(document.vector))
-            ):
-                entry.in_r1 = True
-                entry.aw_resident = True
-                self._aw.add_document(document.vector)
-            else:
-                self._r2_count += 1
-        return entry
+    def _join_summary(self, entry: ResultEntry) -> bool:
+        """Settle a non-oldest row's R1/R2 side (the oldest row stays out
+        of the summary by definition); True when it joined the summary."""
+        vector = entry.document.vector
+        if self._aw is not None and (
+            self._budget is None or self._budget.try_reserve(len(vector))
+        ):
+            entry.in_r1 = True
+            entry.aw_resident = True
+            self._aw.add_document(vector)
+            return True
+        self._r2_count += 1
+        return False
 
     def release_budget(self) -> None:
         """Return all reserved AW budget (used on unsubscribe)."""

@@ -43,18 +43,16 @@ DocumentPayload = Tuple[int, float, Tuple[int, ...], Tuple[int, ...], object]
 def encode_document(document: Document, vocab: Vocabulary) -> DocumentPayload:
     """Intern the document's terms and return its wire tuple.
 
-    Term ids are ascending, mirroring :meth:`TermVector.packed`; counts
-    are the raw term frequencies so the worker can rebuild an identical
-    :class:`TermVector` (same norms, same packed arrays).
+    Term ids keep the vector's own term order (counts are the raw term
+    frequencies), so the worker rebuilds an identical :class:`TermVector`
+    — same norms, same iteration order, hence bit-equal float sums over
+    ``vector.items()`` (every Lemma 6 dot) on both sides of the pipe.
     """
-    pairs = sorted(
-        (vocab.add(term), count) for term, count in document.vector.items()
-    )
     payload = (
         document.doc_id,
         document.created_at,
-        tuple(pair[0] for pair in pairs),
-        tuple(pair[1] for pair in pairs),
+        tuple(vocab.add(term) for term in document.vector.terms()),
+        tuple(count for _term, count in document.vector.items()),
         document.text,
     )
     if document.location is not None:

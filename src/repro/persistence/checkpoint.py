@@ -6,11 +6,11 @@ store, the subscriptions, each query's result table (document ids,
 cached TRel, accumulated similarities, R1 membership; of the
 accumulated similarities only the oldest row's is read back — the rest
 are re-derived, see ``_restore_query``) and where the group-check
-backoff stands.  Derived
-structures — the inverted file's block summaries, MCS covers, aggregated
-term weight tables — are *not* stored; they are reconstructed on restore
-(summaries lazily, AW tables eagerly), which keeps checkpoints small and
-forward-compatible.
+backoff stands.  Derived structures — the inverted file's block
+summaries, MCS covers, aggregated term weight tables — are *not* stored;
+they are reconstructed on restore (summaries lazily, AW tables eagerly
+for full result tables; a warm-up table is restored as its rows), which
+keeps checkpoints small and forward-compatible.
 
 ``restore`` returns an engine whose observable behaviour is identical to
 the original: same results, same thresholds, same future decisions
@@ -24,6 +24,7 @@ import os
 from typing import Dict, List, Optional, Union
 
 from repro.config import EngineConfig, GroupBoundMode
+from repro.core.agg_weights import AggregatedTermWeights
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.core.result_set import ResultEntry
@@ -199,52 +200,49 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
         track_aggregated_weights=engine.config.use_agg_weights,
         kernels=engine._kernels,
     )
-    entries = []
+    entries = result_set._entries
     for row in rows:
         document = engine.store.get(int(row["doc"]))
         if document is None:
             raise ValueError(
                 f"checkpoint references missing document {row['doc']}"
             )
-        entry = ResultEntry(document, float(row["trel"]))
-        entry.in_r1 = bool(row["in_r1"])
-        entries.append(entry)
+        entries.append(ResultEntry(document, float(row["trel"])))
         engine.store.pin(document.doc_id)
-    result_set._entries = entries
-    # Rebuild the aggregated weight table over R1 \ {oldest} and account
-    # for its budget.
-    aw = result_set.aggregated_weights
-    if aw is not None:
-        for index, entry in enumerate(entries):
-            if index == 0 or not entry.in_r1:
-                continue
-            size = len(entry.document.vector)
-            if engine._budget is None or engine._budget.try_reserve(size):
-                aw.add_document(entry.document.vector)
-                entry.aw_resident = True
-            else:
-                entry.in_r1 = False
-    result_set._r2_count = sum(not e.aw_resident for e in entries[1:])
-    # Eq. 24 continuity: the oldest row's value is complete in every
-    # file; a non-oldest row holds only its similarities to newer
-    # non-summarised documents (promotion adds the summarised rest), and
-    # files written before promotion-time completion carry full totals
-    # there — so re-derive those slots instead of trusting the file.
-    if entries:
-        entries[0].sim_acc = float(rows[0]["sim_acc"])
-    for newer in range(2, len(entries)):
-        if entries[newer].aw_resident:
-            continue
-        vector = entries[newer].document.vector
-        for entry in entries[1:newer]:
-            entry.sim_acc += cosine_similarity(vector, entry.document.vector)
-
     engine._queries[query.query_id] = query
     engine._result_sets[query.query_id] = result_set
     engine._last_query_id = query.query_id
     touched = engine._index.insert(query)
     engine._memberships[query.query_id] = touched
     engine.counters.queries_subscribed += 1
+    if not result_set.is_full:
+        # A warm-up table is its rows: whatever ``sim_acc`` / ``in_r1`` an
+        # older file carries for them is recomputed when the table fills.
+        return
+    # Rebuild the aggregated weight table over R1 \ {oldest} and account
+    # for its budget.
+    budget = engine._budget
+    entries[0].in_r1 = bool(rows[0]["in_r1"])
+    if result_set._track_aw:
+        aw = result_set._aw = AggregatedTermWeights()
+        for entry, row in zip(entries[1:], rows[1:]):
+            size = len(entry.document.vector)
+            if row["in_r1"] and (budget is None or budget.try_reserve(size)):
+                aw.add_document(entry.document.vector)
+                entry.in_r1 = entry.aw_resident = True
+    result_set._r2_count = sum(not e.aw_resident for e in entries[1:])
+    # Eq. 24 continuity: the oldest row's value is complete in every
+    # file; a non-oldest row holds only its similarities to newer
+    # non-summarised documents (promotion adds the summarised rest), and
+    # files written before promotion-time completion carry full totals
+    # there — so re-derive those slots instead of trusting the file.
+    entries[0].sim_acc = float(rows[0]["sim_acc"])
+    for newer in range(2, len(entries)):
+        if entries[newer].aw_resident:
+            continue
+        vector = entries[newer].document.vector
+        for entry in entries[1:newer]:
+            entry.sim_acc += cosine_similarity(vector, entry.document.vector)
 
 
 def checkpoint_sharded(engine: ShardedDasEngine) -> Dict:

@@ -19,6 +19,10 @@ accepted operation:
     brute-force ``Σ cosine(d_e, r)`` over the newer entries within
     1e-9 — independently of the Lemma 1 audit, so a wrong promotion
     value cannot hide behind a decision that happened to come out right.
+``warmup``
+    Summaries start at fill: every result set below ``k`` a publish
+    touched is its rows — no aggregated-weight table, no row on the R1
+    side or holding ``Φ_max``, no accumulated similarity.
 ``bounds``
     ``FT̃_b`` (Eq. 12, Lemma 2) never exceeds the exact minimum
     threshold of the block's filled members — the soundness direction
@@ -114,6 +118,7 @@ class InvariantMonitor:
             "size": 0,
             "lemma1": 0,
             "sim_acc": 0,
+            "warmup": 0,
             "bounds": 0,
             "strategy": 0,
             "oracle": 0,
@@ -271,12 +276,25 @@ class InvariantMonitor:
     def _check_sim_acc(
         self, document: Document, notifications: Sequence[Notification]
     ) -> None:
-        """Eq. 24 audit of every full result set the publish updated."""
+        """Eq. 24 audit of every full result set the publish updated;
+        the ones still warming up must hold rows and nothing else."""
         for notification in notifications:
             result_set = self._engine._result_sets.get(
                 notification.query_id
             )
-            if result_set is None or not result_set.is_full:
+            if result_set is None:
+                continue
+            if not result_set.is_full:
+                self.checks["warmup"] += 1
+                if result_set.aggregated_weights is not None or any(
+                    entry.in_r1 or entry.aw_resident or entry.sim_acc
+                    for entry in result_set.entries
+                ):
+                    self._record(
+                        "warmup",
+                        f"q{notification.query_id} holds filtering state with "
+                        f"{result_set.size} of {result_set.k} results",
+                    )
                 continue
             self.checks["sim_acc"] += 1
             head = result_set.entries[0]

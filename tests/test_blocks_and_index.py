@@ -165,6 +165,40 @@ def test_postings_list_remove_drops_empty_blocks():
     assert not plist.remove(2)
 
 
+def test_postings_list_remove_bisects_a_many_block_list():
+    plist = PostingsList("w")
+    ids = list(range(0, 400, 2))  # 200 even ids, 50 blocks of 4
+    for qid in ids:
+        plist.append(qid, block_size=4)
+    assert len(plist) == 50
+
+    def in_lockstep():
+        return plist._max_ids == [block.max_id for block in plist.blocks]
+
+    # Absent ids: inside a block's range, between blocks, beyond the end.
+    for absent in (1, 7, 399, 400, 10_000, -5):
+        assert not plist.remove(absent)
+    assert plist.posting_count == 200 and in_lockstep()
+    # First, middle and last id of the list; each block's max id moves.
+    for qid in (0, 198, 398):
+        assert plist.remove(qid)
+        assert plist.find_block(qid) is None
+        assert not plist.remove(qid)
+        assert in_lockstep()
+    assert plist._max_ids[-1] == 396 and len(plist) == 50
+    # Emptying a block in the middle drops it — and only it.
+    middle = plist.find_block(200)
+    for qid in list(middle.query_ids):
+        assert plist.remove(qid)
+    assert len(plist) == 49 and middle not in plist.blocks
+    assert in_lockstep()
+    assert plist.posting_count == 200 - 3 - 4
+    # Every survivor is still found, by the same bisection.
+    survivors = [q for block in plist for q in block.query_ids]
+    assert survivors == sorted(survivors)
+    assert all(plist.find_block(qid) is not None for qid in survivors)
+
+
 # -- QueryInvertedFile ----------------------------------------------------------------
 
 

@@ -276,6 +276,58 @@ def test_subscribe_scores_once_and_completes_eq24_with_one_dot(monkeypatch):
     assert len(calls) == len(engine.results(1)) == 2
 
 
+def test_warmup_admit_maintains_nothing_until_the_fill():
+    """Work pin (ISSUE 22): a warm-up admit that does not fill the query
+    is ``admit`` + pin + notification — it leaves every membership
+    block's ``meta_dirty`` as it was and meters no cosine and no dot;
+    the admit that fills the query dirties its blocks, drops their MCS
+    covers and pays exactly one Lemma 6 dot (unlimited ``Φ_max``)."""
+    engine = make_engine()
+    engine.publish(doc(0, ["coffee", "new0"]))
+    before = engine.counters.snapshot()
+    engine.subscribe(DasQuery(0, ["coffee"]))
+    spent = engine.counters.delta(before)
+    # Fewer candidates than k: subscribing builds rows and nothing else.
+    assert (spent.sim_evaluations, spent.aw_dot_products) == (0, 0)
+    result_set = engine._result_sets[0]
+    assert result_set.size == 1 and result_set.aggregated_weights is None
+    assert engine.index_size_report()["warmup_queries"] == 1
+    blocks = [block for _term, block in engine._memberships[0]]
+    assert blocks
+
+    def publish_over_settled_blocks(document):
+        for block in blocks:
+            block.refresh_metadata(
+                engine._result_sets, engine.config.alpha, engine._coeff
+            )
+            block.rebuild_mcs("coffee", engine._result_sets)
+            assert not block.meta_dirty and block.mcs_sets is not None
+        before = engine.counters.snapshot()
+        assert [n.query_id for n in engine.publish(document)] == [0]
+        return engine.counters.delta(before)
+
+    spent = publish_over_settled_blocks(doc(1, ["coffee", "new1"]))
+    assert (spent.sim_evaluations, spent.aw_dot_products) == (0, 0)
+    assert not result_set.is_full and result_set.aggregated_weights is None
+    assert not any(block.meta_dirty for block in blocks)
+    assert all(block.mcs_sets is not None for block in blocks)
+
+    spent = publish_over_settled_blocks(doc(2, ["coffee", "new1", "new2"]))
+    assert result_set.is_full
+    assert (spent.sim_evaluations, spent.aw_dot_products) == (0, 1)
+    assert all(block.meta_dirty and block.mcs_sets is None for block in blocks)
+    report = engine.index_size_report()
+    assert report["warmup_queries"] == 0 and report["aw_entries"] == 3
+    head = result_set.entries[0]
+    assert head.sim_acc == pytest.approx(
+        sum(
+            cosine_similarity(head.document.vector, e.document.vector)
+            for e in result_set.entries[1:]
+        ),
+        abs=1e-12,
+    )
+
+
 def _work_pin_run(method, k=4, block_size=4, queries=40, **overrides):
     """Counters of one fixed 300-document run (60 warm-up documents,
     ``queries`` LQD subscriptions, 240 streamed documents)."""
@@ -299,13 +351,14 @@ def _work_pin_run(method, k=4, block_size=4, queries=40, **overrides):
 
 
 def test_result_updates_do_not_pay_per_entry_cosines():
-    """Work pin (ISSUE 19): with every arrival summarised, the only
-    result-table cosine left is the warm-up head's, so IFilter (no cover
-    cosines) stays at or below one per match — an O(k)-per-update path
-    cannot come back unnoticed."""
+    """Work pin (ISSUE 19, tightened by ISSUE 22): with every arrival
+    summarised no result-table cosine is left — warm-up rows accumulate
+    nothing and the fill is one dot — so IFilter (no cover cosines)
+    computes none at all: an O(k)-per-update path, or a per-admit
+    cosine, cannot come back unnoticed."""
     counters = _work_pin_run("IFilter")
     assert counters.matches == 285
-    assert counters.sim_evaluations <= counters.matches
+    assert counters.sim_evaluations == 0
     assert counters.aw_dot_products > 0
 
 

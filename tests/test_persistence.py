@@ -24,6 +24,35 @@ def build_live_engine(method="GIFilter", n_docs=120):
     return engine, corpus, docs
 
 
+def build_warming_engine(method="GIFilter", **overrides):
+    """A k = 4 engine 120 documents into a 320-document stream, some of
+    its 30 queries still in warm-up; returns ``(engine, documents)``."""
+    corpus = SyntheticTweetCorpus(vocab_size=150, n_topics=5, seed=23)
+    docs = corpus.documents(320)
+    engine = DasEngine.for_method(method, k=4, block_size=4, **overrides)
+    for document in docs[:60]:
+        engine.publish(document)
+    for query in lqd_queries(corpus, 30, first_id=0):
+        engine.subscribe(query)
+    for document in docs[60:120]:
+        engine.publish(document)
+    return engine, docs
+
+
+def change_log(notifications):
+    return [
+        (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+        for n in notifications
+    ]
+
+
+def table_rows(result_set):
+    return [
+        (e.document.doc_id, e.trel, e.sim_acc, e.in_r1, e.aw_resident)
+        for e in result_set.entries
+    ]
+
+
 @pytest.fixture
 def live_engine():
     return build_live_engine()
@@ -187,31 +216,27 @@ def test_parent_commit_checkpoint_restores_and_continues(
     ``Φ_max`` R1 and R2 rows mix, so the two files differ behind the
     oldest row; without a summary every arrival is paid pair by pair
     and they coincide."""
-    corpus = SyntheticTweetCorpus(vocab_size=150, n_topics=5, seed=23)
-    docs = corpus.documents(320)
-    live = DasEngine.for_method(method, k=4, block_size=4, **overrides)
-    for document in docs[:60]:
-        live.publish(document)
-    for query in lqd_queries(corpus, 30, first_id=0):
-        live.subscribe(query)
-    for document in docs[60:120]:
-        live.publish(document)
+    live, docs = build_warming_engine(method, **overrides)
     assert sum(rs._r2_count for rs in live._result_sets.values()) > 0
 
     new_shaped = checkpoint(live)
     parent_shaped = _as_parent_commit_payload(new_shaped)
+    # Full tables only: a warm-up table's rows carry nothing now (the
+    # parent's carry running totals, which the restore ignores).
+    warming = [q for q in new_shaped["queries"] if len(q["results"]) < 4]
+    assert warming and all(
+        (row["sim_acc"], row["in_r1"]) == (0.0, False)
+        for query in warming
+        for row in query["results"]
+    )
     assert shapes_differ == any(
         old["sim_acc"] != pytest.approx(new["sim_acc"], abs=1e-9)
         for old_q, new_q in zip(parent_shaped["queries"], new_shaped["queries"])
+        if len(new_q["results"]) == 4
         for old, new in zip(old_q["results"][1:], new_q["results"][1:])
     )
     from_new, from_parent = restore(new_shaped), restore(parent_shaped)
-
-    def log(notifications):
-        return [
-            (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
-            for n in notifications
-        ]
+    log = change_log
 
     def head_sim_acc(engine, query_id):
         return engine._result_sets[query_id].entries[0].sim_acc
@@ -232,6 +257,56 @@ def test_parent_commit_checkpoint_restores_and_continues(
     assert replaced > 0
 
 
+def _fixture_payload(name):
+    import json
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _restores_and_continues(payload, live, documents):
+    """Restore ``payload``, a parent-commit file of ``live``'s history,
+    and run both over ``documents``: no key missing or left over, the
+    oldest row of every full table as the live engine has it, the same
+    change stream, and — for a table that was in warm-up in the file and
+    filled since — the same completed head value."""
+    assert sorted(payload) == sorted(checkpoint(live))
+    clone = restore(payload)
+    warming = {
+        query_id
+        for query_id, result_set in clone._result_sets.items()
+        if not result_set.is_full
+    }
+    for query_id, result_set in live._result_sets.items():
+        restored = clone._result_sets[query_id]
+        if query_id in warming:
+            # Rows only, whatever the file says about them.
+            assert restored.aggregated_weights is None
+            assert table_rows(restored) == table_rows(result_set)
+        else:
+            assert restored.entries[0].sim_acc == pytest.approx(
+                result_set.entries[0].sim_acc, abs=1e-9
+            )
+    replaced = 0
+    for document in documents:
+        expected = change_log(live.publish(document))
+        assert change_log(clone.publish(document)) == expected
+        replaced += sum(old is not None for _q, _d, old in expected)
+    assert replaced > 0
+    for query_id in live._queries:
+        assert clone.current_dr(query_id) == pytest.approx(
+            live.current_dr(query_id)
+        )
+    filled = [q for q in warming if clone._result_sets[q].is_full]
+    for query_id in filled:
+        assert clone._result_sets[query_id].entries[0].sim_acc == pytest.approx(
+            live._result_sets[query_id].entries[0].sim_acc, abs=1e-9
+        )
+    return warming, filled
+
+
 def test_file_written_by_parent_commit_restores_and_continues():
     """``fixtures/checkpoint_parent_1b475d8.json`` was written by the
     commit before seeding moved to one Lemma 6 dot (and while the engine
@@ -239,37 +314,77 @@ def test_file_written_by_parent_commit_restores_and_continues():
     payload): it is :func:`build_live_engine` 90 documents in.  It loads
     with no key missing or left over, and continues on the change stream
     of an engine that lived the same history under this commit."""
-    import json
-    import os
-
     live, _corpus, docs = build_live_engine()
-    path = os.path.join(
-        os.path.dirname(__file__), "fixtures", "checkpoint_parent_1b475d8.json"
+    _restores_and_continues(
+        _fixture_payload("checkpoint_parent_1b475d8.json"), live, docs[90:]
     )
-    with open(path) as handle:
-        payload = json.load(handle)
-    assert sorted(payload) == sorted(checkpoint(live))
-    clone = restore(payload)
+
+
+def test_tight_phi_max_file_written_by_parent_commit_restores_and_continues():
+    """``fixtures/checkpoint_parent_fd88421_tight_phi_max.json`` was
+    written by the last commit that summarised warm-up tables: it is
+    ``build_warming_engine(phi_max=500)``, whose warm-up rows carry
+    ``in_r1: true``, running ``sim_acc`` totals and a share of ``Φ_max``
+    there.  Here those rows restore as rows, the budget they held goes
+    unreserved, and the stream continues as for an engine that lived the
+    same history under this commit — through the fill of such a table."""
+    payload = _fixture_payload("checkpoint_parent_fd88421_tight_phi_max.json")
+    assert any(
+        row["in_r1"]
+        for query in payload["queries"]
+        if len(query["results"]) < 4
+        for row in query["results"]
+    )
+    live, docs = build_warming_engine(phi_max=500)
+    warming, filled = _restores_and_continues(payload, live, docs[120:])
+    assert warming and filled
+
+
+@pytest.mark.parametrize(
+    "method, overrides",
+    [("GIFilter", {}), ("GIFilter", {"phi_max": 500}), ("BIRT", {})],
+    ids=["unlimited", "tight-phi-max", "birt"],
+)
+def test_round_trip_keeps_warm_up_tables_as_rows(method, overrides):
+    """``restore(checkpoint(e))``: a warm-up table comes back as its rows
+    and nothing else, a full one with the live engine's very oldest-row
+    ``sim_acc``, the shared budget as the live engine holds it; and a
+    warm-up table restored and then filled gets the head value of the
+    one that never left memory."""
+    live, docs = build_warming_engine(method, **overrides)
+    clone = restore(checkpoint(live))
+    warming = []
     for query_id, result_set in live._result_sets.items():
-        assert clone._result_sets[query_id].entries[0].sim_acc == pytest.approx(
-            result_set.entries[0].sim_acc, abs=1e-9
-        )
-    replaced = 0
-    for document in docs[90:]:
-        expected = [
-            (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
-            for n in live.publish(document)
-        ]
-        assert [
-            (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
-            for n in clone.publish(document)
-        ] == expected
-        replaced += sum(old is not None for _q, _d, old in expected)
-    assert replaced > 0
-    for query_id in live._queries:
-        assert clone.current_dr(query_id) == pytest.approx(
-            live.current_dr(query_id)
-        )
+        restored = clone._result_sets[query_id]
+        if result_set.is_full:
+            assert restored.entries[0].sim_acc == result_set.entries[0].sim_acc
+            assert [e.aw_resident for e in restored.entries] == [
+                e.aw_resident for e in result_set.entries
+            ]
+        else:
+            warming.append(query_id)
+            assert restored.aggregated_weights is None
+            assert restored.aw_entry_count == restored._r2_count == 0
+            assert table_rows(restored) == [
+                (e.document.doc_id, e.trel, 0.0, False, False)
+                for e in result_set.entries
+            ]
+    assert warming
+    if live._budget is not None:
+        assert clone._budget.used == live._budget.used
+    filled = 0
+    for document in docs[120:]:
+        expected = change_log(live.publish(document))
+        assert change_log(clone.publish(document)) == expected
+        for query_id, _doc_id, old_id in expected:
+            if query_id in warming and old_id is None:
+                mine = clone._result_sets[query_id]
+                theirs = live._result_sets[query_id]
+                if theirs.is_full:
+                    filled += 1
+                    assert table_rows(mine) == table_rows(theirs)
+                    assert mine._r2_count == theirs._r2_count
+    assert filled > 0
 
 
 @pytest.mark.parametrize(

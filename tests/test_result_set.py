@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.agg_weights import MemoryBudget
+from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
 from repro.core.result_set import QueryResultSet
 from repro.scoring.recency import ExponentialDecay
 from repro.stream.document import Document
@@ -50,12 +50,17 @@ def test_admit_beyond_k_raises():
 
 def test_admit_wrong_sims_length():
     # The per-entry similarity argument is gone; what remains of this
-    # case is its k = 2 edge: the second admit meters exactly one cosine
-    # (against the oldest) and leaves the newcomer's slot at zero.
+    # case is its k = 2 edge: the first admit leaves a warm-up table —
+    # rows only, nothing metered — and the second, which fills it,
+    # meters no cosine and exactly one Lemma 6 dot (the oldest row
+    # against the summary) and leaves the newcomer's slot at zero.
     rs = QueryResultSet(k=2)
-    assert rs.admit(doc(0, ["a"]), 0.1) == 0
-    assert rs.admit(doc(1, ["a", "b"]), 0.1) == 1
-    assert rs.entries[0].sim_acc == pytest.approx(newer_sim_sum(rs))
+    assert rs.admit(doc(0, ["a"]), 0.1) == (0, 0)
+    assert rs.aggregated_weights is None and rs.aw_entry_count == 0
+    assert rs.entries[0].sim_acc == 0.0
+    assert rs.admit(doc(1, ["a", "b"]), 0.1) == (0, 1)
+    assert rs.aw_entry_count == 2
+    assert rs.entries[0].sim_acc == pytest.approx(newer_sim_sum(rs), abs=1e-12)
     assert rs.entries[1].sim_acc == 0.0
 
 
@@ -180,14 +185,21 @@ def test_similarity_sum_with_aw_matches_direct():
 def test_budget_splits_r1_r2():
     budget = MemoryBudget(3)  # room for ~1 document of 2-3 terms
     rs = QueryResultSet(k=4, budget=budget)
-    admit(rs, doc(0, ["a", "b"]))  # oldest: never reserves
-    admit(rs, doc(1, ["c", "d"]))  # fits (2 entries)
-    admit(rs, doc(2, ["e", "f"]))  # does not fit -> R2
+    admit(rs, doc(0, ["a", "b"]))
+    admit(rs, doc(1, ["c", "d"]))
+    admit(rs, doc(2, ["e", "f"]))
+    # Warm-up: no row is on either side yet and Φ_max is untouched.
+    assert budget.used == 0
+    assert not any(e.in_r1 or e.aw_resident for e in rs.entries)
+    admit(rs, doc(3, ["g"]))
+    # The fill settles the rows in row order against the budget.
     entries = rs.entries
-    assert not entries[0].aw_resident
-    assert entries[1].aw_resident and entries[1].in_r1
-    assert not entries[2].aw_resident and not entries[2].in_r1
-    assert budget.used == 2
+    assert not entries[0].aw_resident  # oldest: never reserves
+    assert entries[1].aw_resident and entries[1].in_r1  # fits (2 entries)
+    assert not entries[2].aw_resident and not entries[2].in_r1  # R2
+    assert entries[3].aw_resident and entries[3].in_r1  # fits the last slot
+    assert budget.used == 3
+    assert rs._r2_count == 1
 
 
 def test_replace_releases_budget_of_new_oldest():
@@ -265,10 +277,12 @@ def _churn_table(k, summary):
     ),
 )
 def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
-    """After *every* admit/replace — any k, with an unlimited summary, a
-    ``Φ_max`` forcing R2 rows, or no summary — the oldest entry's
-    ``sim_acc`` is the brute-force Eq. 24 sum and ``dr_oldest`` the value
-    computed from scratch; the meters never exceed the per-entry path."""
+    """A warm-up admit meters nothing and accumulates nothing; from the
+    admit that fills the table on, after *every* admit/replace — any k,
+    with an unlimited summary, a ``Φ_max`` forcing R2 rows, or no summary
+    — the oldest entry's ``sim_acc`` is the brute-force Eq. 24 sum and
+    ``dr_oldest`` the value computed from scratch; the meters never
+    exceed the per-entry path."""
     rs = _churn_table(k, summary)
     decay = ExponentialDecay(1.01)
     alpha = 0.4
@@ -276,17 +290,25 @@ def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
     for i, tokens in enumerate(token_lists):
         document = doc(i, tokens)
         replacing = rs.is_full
-        kept = rs.size - 1 if replacing else rs.size
         if replacing:
             _evicted, cosines, aw_dots = rs.replace(document, trels[i])
         else:
-            cosines, aw_dots = rs.admit(document, trels[i]), 0
-        if not rs.entries[-1].aw_resident:
-            assert cosines == kept  # R2 arrival: the per-entry path
-        elif replacing:
-            assert cosines == 0  # R1 arrival: promotion pays instead
+            cosines, aw_dots = rs.admit(document, trels[i])
+        if not rs.is_full:
+            assert (cosines, aw_dots) == (0, 0)
+            assert all(e.sim_acc == 0.0 for e in rs.entries)
+            continue
+        if replacing:
+            # R2 arrival: the per-entry path; R1: promotion pays instead.
+            assert cosines == (0 if rs.entries[-1].aw_resident else k - 1)
         else:
-            assert cosines == min(kept, 1)  # R1 arrival: the head alone
+            # The fill: each row left out of the summary pays its cosines
+            # to the rows before it, the rest is one dot product.
+            assert cosines == sum(
+                index
+                for index, e in enumerate(rs.entries)
+                if index and not e.aw_resident
+            )
         assert aw_dots <= 1
         head = rs.entries[0]
         expected = newer_sim_sum(rs)
@@ -294,12 +316,12 @@ def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
         now = float(i)
         scratch = alpha * head.trel * decay.at(
             head.document.created_at, now
-        ) + coeff * ((rs.size - 1) - expected)
+        ) + coeff * ((k - 1) - expected)
         assert rs.dr_oldest(now, decay, alpha) == pytest.approx(
             scratch, abs=1e-9
         )
         assert rs.static_dr_oldest(alpha) == pytest.approx(
-            alpha * head.trel + coeff * ((rs.size - 1) - expected), abs=1e-9
+            alpha * head.trel + coeff * ((k - 1) - expected), abs=1e-9
         )
 
 
@@ -315,60 +337,142 @@ def _seed_table(summary, k):
     return QueryResultSet(k=k, budget=budget), budget
 
 
+def _table_state(table):
+    return (
+        [
+            (e.document.doc_id, e.trel, e.sim_acc, e.in_r1, e.aw_resident)
+            for e in table.entries
+        ],
+        table._r2_count,
+        None
+        if table.aggregated_weights is None
+        else dict(table.aggregated_weights._weights),
+    )
+
+
+_SUMMARIES = st.sampled_from(["unlimited", "tight", "zero", "none"])
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     k=st.sampled_from([1, 2, 3, 6]),
-    summary=st.sampled_from(["unlimited", "tight", "zero", "none"]),
+    summary=_SUMMARIES,
     token_lists=st.lists(_CHURN_TOKENS, min_size=0, max_size=6),
     trels=st.lists(
         st.floats(min_value=0.0, max_value=1.0), min_size=6, max_size=6
     ),
 )
 def test_seed_equals_sequential_admits(k, summary, token_lists, trels):
-    """``seed`` leaves the table as one ``admit`` per seed would: same
-    rows and R1/R2 flags, same ``Φ_max`` use, the same AW table, and the
-    same accumulated similarities — the oldest row's up to float
-    association (one Lemma 6 dot instead of a cosine per seed), every
-    other row's exactly."""
+    """``seed`` leaves the table as one ``admit`` per seed would — rows
+    only below k; at k the same rows and R1/R2 flags, ``Φ_max`` use, AW
+    table and accumulated similarities, every float ``==`` (both settle
+    the same rows once) — and meters the same work."""
     documents = [doc(i, tokens) for i, tokens in enumerate(token_lists[:k])]
     trels = trels[: len(documents)]
     seeded, seeded_budget = _seed_table(summary, k)
     twin, twin_budget = _seed_table(summary, k)
-    cosines, aw_dots = seeded.seed(documents, trels)
-    admitted = sum(
+    metered = seeded.seed(documents, trels)
+    admitted = [
         twin.admit(document, trel) for document, trel in zip(documents, trels)
-    )
-
-    def rows(table):
-        return [
-            (e.document.doc_id, e.trel, e.in_r1, e.aw_resident)
-            for e in table.entries
-        ]
-
-    assert rows(seeded) == rows(twin)
-    assert seeded._r2_count == twin._r2_count
+    ]
+    assert _table_state(seeded) == _table_state(twin)
     if seeded_budget is not None:
         assert seeded_budget.used == twin_budget.used
-    if summary != "none":
-        assert (
-            seeded.aggregated_weights._weights
-            == twin.aggregated_weights._weights
-        )
-    for index, (mine, theirs) in enumerate(zip(seeded.entries, twin.entries)):
-        if index:
-            assert mine.sim_acc == theirs.sim_acc
+    assert metered == (admitted[-1] if admitted else (0, 0))
+    assert all(work == (0, 0) for work in admitted[:-1])
+    if len(documents) < k:
+        assert metered == (0, 0)
+        assert seeded.aggregated_weights is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 6]),
+    summary=_SUMMARIES,
+    seeds=st.integers(min_value=0, max_value=6),
+    token_lists=st.lists(_CHURN_TOKENS, min_size=1, max_size=14),
+)
+def test_summaries_start_at_fill(k, summary, seeds, token_lists):
+    """Drive ``seed`` / ``admit`` / ``replace``.  Below k the table is
+    rows: no AW object, ``Φ_max`` untouched, every ``sim_acc`` zero.  The
+    call that fills it settles the rows in row order — AW weights ``==``
+    a table folded with ``add_document`` row by row, flags / ``_r2_count``
+    / budget as sequential ``try_reserve`` gives, head ``sim_acc`` the
+    brute-force sum — and every later replace keeps the books straight."""
+    table, budget = _seed_table(summary, k)
+    documents = [doc(i, tokens) for i, tokens in enumerate(token_lists)]
+    seeds = min(seeds, k, len(documents))
+    alpha, decay = 0.4, ExponentialDecay(1.01)
+    coeff = (2 - 2 * alpha) / (k - 1) if k > 1 else 0.0
+    settled = False
+    for step in range(seeds - 1, len(documents)):
+        if step < seeds:
+            table.seed(documents[:seeds], [0.25] * seeds)
+        elif table.is_full:
+            table.replace(documents[step], 0.25)
         else:
-            assert mine.sim_acc == pytest.approx(theirs.sim_acc, abs=1e-12)
-    # Cosines only against seeds that stay out of the summary; the rest
-    # of the oldest row's value is one dot product.
-    resident = sum(e.aw_resident for e in seeded.entries)
-    assert aw_dots == (1 if resident else 0)
-    assert cosines == admitted - resident
-    assert cosines == sum(
-        index
-        for index, e in enumerate(seeded.entries)
-        if index and not e.aw_resident
-    )
+            table.admit(documents[step], 0.25)
+        entries = table.entries
+        if not table.is_full:
+            assert table.aggregated_weights is None
+            assert table.aw_entry_count == 0 and table._r2_count == 0
+            assert budget is None or budget.used == 0
+            assert all(
+                (e.sim_acc, e.in_r1, e.aw_resident) == (0.0, False, False)
+                for e in entries
+            )
+            continue
+        if not settled:
+            settled = True
+            # Reference: settle rows 1..k-1 one by one, in row order.
+            _twin, reference = _seed_table(summary, k)
+            expected_aw = (
+                AggregatedTermWeights() if summary != "none" else None
+            )
+            flags = [False]
+            for entry in entries[1:]:
+                vector = entry.document.vector
+                joins = expected_aw is not None and (
+                    reference is None or reference.try_reserve(len(vector))
+                )
+                if joins:
+                    expected_aw.add_document(vector)
+                flags.append(joins)
+            assert [e.aw_resident for e in entries] == flags
+            assert [e.in_r1 for e in entries] == flags
+            if expected_aw is None:
+                assert table.aggregated_weights is None
+            else:
+                assert (
+                    table.aggregated_weights._weights == expected_aw._weights
+                )
+            # Rows behind the head hold their newer-R2 similarities only.
+            for index, entry in enumerate(entries[1:], 1):
+                assert entry.sim_acc == pytest.approx(
+                    sum(
+                        cosine_similarity(
+                            entry.document.vector, other.document.vector
+                        )
+                        for other in entries[index + 1 :]
+                        if not other.aw_resident
+                    ),
+                    abs=1e-12,
+                )
+        assert table._r2_count == sum(not e.aw_resident for e in entries[1:])
+        if budget is not None:
+            assert budget.used == sum(
+                len(e.document.vector) for e in entries if e.aw_resident
+            )
+        head = entries[0]
+        assert not head.aw_resident
+        expected = newer_sim_sum(table)
+        assert head.sim_acc == pytest.approx(expected, abs=1e-12)
+        now = float(step)
+        assert table.dr_oldest(now, decay, alpha) == pytest.approx(
+            alpha * head.trel * decay.at(head.document.created_at, now)
+            + coeff * ((k - 1) - expected),
+            abs=1e-12,
+        )
 
 
 def test_seed_needs_an_empty_table_and_at_most_k_seeds():

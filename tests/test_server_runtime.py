@@ -238,8 +238,10 @@ def test_adaptive_batching_engages_under_backlog():
     async def scenario():
         runtime = ServerRuntime(
             small_engine(),
+            # The subscriber never reads; draining to it is not under test.
             ServerConfig(
-                ingest_capacity=256, outbound_capacity=1024, max_batch_size=16
+                ingest_capacity=256, outbound_capacity=1024,
+                max_batch_size=16, drain_timeout=0.1,
             ),
         )
         await runtime.start()
@@ -271,7 +273,8 @@ def test_submit_then_complete_pipelines_requests_in_order():
     together, and completing in submission order answers them in it."""
 
     async def scenario():
-        runtime = ServerRuntime(small_engine(), ServerConfig())
+        # The subscriber never reads; draining to it is not under test.
+        runtime = ServerRuntime(small_engine(), ServerConfig(drain_timeout=0.1))
         await runtime.start()
         client = InProcessClient(runtime)
         await client.subscribe(["coffee"])
@@ -314,7 +317,10 @@ def test_matcher_drains_to_the_cap_and_stops_at_a_barrier():
     it, in order), and a batch of one when nothing else waits."""
 
     async def scenario():
-        runtime = ServerRuntime(small_engine(), ServerConfig(max_batch_size=4))
+        # The subscriber never reads; draining to it is not under test.
+        runtime = ServerRuntime(
+            small_engine(), ServerConfig(max_batch_size=4, drain_timeout=0.1)
+        )
         await runtime.start()
         client = InProcessClient(runtime)
         query_id = (await client.subscribe(["coffee"]))["query_id"]
@@ -437,12 +443,20 @@ def test_stop_reports_documents_lost_to_a_faulted_drain():
         await runtime.start()
         subscriber = InProcessClient(runtime)
         await subscriber.subscribe(["x"])
+
+        async def read_to_the_end():
+            # An unread outbox would make stop() wait out drain_timeout.
+            while await subscriber.next_message() is not None:
+                pass
+
+        reader = asyncio.create_task(read_to_the_end())
         publish_tasks = [
             asyncio.create_task(runtime.publish(tokens=["x", f"u{i}"]))
             for i in range(6)
         ]
         await asyncio.sleep(0)  # let every put land before the sentinel
         await runtime.stop()  # graceful drain hits the injected fault
+        await reader
         acks = await asyncio.gather(*publish_tasks, return_exceptions=True)
         return acks, runtime.stats()
 

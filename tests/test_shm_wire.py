@@ -179,6 +179,35 @@ def test_document_batch_codec_round_trip_through_ring(payloads, lead):
         ring.close()
 
 
+def test_document_round_trip_keeps_the_senders_term_order():
+    """A worker's rebuilt ``TermVector`` iterates its terms in the
+    coordinator's order — through the tuple payload and the binary batch
+    codec — so float sums over ``vector.items()`` (every Lemma 6 dot)
+    agree to the last bit on both sides, whatever ids the vocabulary
+    handed out."""
+    from repro.parallel.wire import decode_document, encode_document
+    from repro.stream.document import Document
+    from repro.text.vocabulary import Vocabulary
+
+    sender, replica = Vocabulary(), Vocabulary()
+    for term in ("apple", "mango", "zebra", "kiwi"):  # ids 0..3
+        sender.add(term)
+        replica.add(term)
+    original = Document.from_tokens(
+        7, ["zebra", "apple", "zebra", "kiwi", "mango", "apple", "zebra"], 3.5
+    )
+    assert [t for t, _c in original.vector.items()] != sorted(
+        t for t, _c in original.vector.items()
+    )
+    payload = encode_document(original, sender)
+    (through_codec,) = decode_document_batch(encode_document_batch([payload]))
+    for wire_payload in (payload, through_codec):
+        decoded = decode_document(wire_payload, replica)
+        assert list(decoded.vector.items()) == list(original.vector.items())
+        assert decoded.vector.norm == original.vector.norm
+        assert (decoded.doc_id, decoded.created_at) == (7, 3.5)
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -53,6 +53,8 @@ def test_clean_run_exercises_every_family_without_violations():
     assert monitor.checks["lemma1"] > 0
     # ... and every update of a full result set audits the oldest row.
     assert monitor.checks["sim_acc"] >= monitor.checks["lemma1"]
+    # ... and every warm-up admit audits that the table is rows only.
+    assert monitor.checks["warmup"] > 0
 
 
 def test_oracle_can_be_disabled():
@@ -143,6 +145,27 @@ def test_sim_acc_check_flags_a_double_counted_promotion():
         v.name == "sim_acc" and "brute-force" in v.detail
         for v in monitor.violations
     )
+
+
+def test_warmup_check_flags_filtering_state_below_k():
+    from repro.core.agg_weights import AggregatedTermWeights
+
+    engine, monitor, instrumented = make_setup(with_oracle=False)
+    instrumented.subscribe(DasQuery(0, ["w"]))
+    feed(instrumented, 1)
+    result_set = engine._result_sets[0]
+    assert not result_set.is_full
+    assert monitor.checks["warmup"] == 1 and monitor.violations == []
+    # An eagerly built summary (the pre-fill contract) must be caught on
+    # the next warm-up admit, and so must a row that reserved budget.
+    result_set._aw = AggregatedTermWeights()
+    feed(instrumented, 1, start_id=1)
+    result_set._aw = None
+    result_set.entries[1].aw_resident = True
+    probe = result_set.entries[1].document
+    monitor.after_publish(probe, [Notification(0, probe, None)])
+    assert [v.name for v in monitor.violations] == ["warmup", "warmup"]
+    assert "2 of 3 results" in monitor.violations[0].detail
 
 
 def test_lemma1_check_flags_replacement_on_unfilled_query():

@@ -373,11 +373,16 @@ def _publish_workload(client):
 
 
 def test_stats_and_metrics_in_process():
+    from repro.config import ServerConfig
     from repro.server import ServerRuntime
     from repro.server.inprocess import InProcessClient
 
     async def scenario():
-        runtime = ServerRuntime(DasEngine(EngineConfig(k=3)))
+        # The client never reads its notifications; draining to it is
+        # not under test.
+        runtime = ServerRuntime(
+            DasEngine(EngineConfig(k=3)), ServerConfig(drain_timeout=0.1)
+        )
         await runtime.start()
         client = InProcessClient(runtime)
         await _publish_workload(client)
