@@ -591,7 +591,8 @@ class DasEngine:
                         if query_id not in evaluated:
                             evaluated.add(query_id)
                             self._evaluate_query(
-                                query_id, document, ps_cache, now, notifications
+                                query_id, term, document, ps_cache, now,
+                                notifications,
                             )
                     block_index += 1
                     offset = 0
@@ -603,7 +604,7 @@ class DasEngine:
                 if query_id not in evaluated:
                     evaluated.add(query_id)
                     self._evaluate_query(
-                        query_id, document, ps_cache, now, notifications
+                        query_id, term, document, ps_cache, now, notifications
                     )
                 offset += 1
                 if offset >= len(block.query_ids):
@@ -710,12 +711,14 @@ class DasEngine:
     def _evaluate_query(
         self,
         query_id: int,
+        term: str,
         document: Document,
         ps_cache: Dict[str, float],
         now: float,
         notifications: List[Notification],
     ) -> None:
-        """Individual filtering steps (Section 6.2) for one query.
+        """Individual filtering steps (Section 6.2) for one query, reached
+        through the posting of its keyword ``term``.
 
         Telemetry attribution: time from entry until the admit/replace
         decision counts as ``individual_filter``; the mutation itself
@@ -761,7 +764,12 @@ class DasEngine:
         dr_oldest = result_set.dr_oldest(
             now, self._decay_cache, config.alpha, coeff=self._coeff
         )
-        if quick_relevance_bound(trel, config.alpha) <= dr_oldest + TIE_EPSILON:
+        # ``term`` is in the document and (usually) in most of q.R: its
+        # addend of the Lemma 6 sum already bounds dr_q(d_n) from above.
+        floor = result_set.similarity_floor(term, vector)
+        if quick_relevance_bound(
+            trel, config.alpha, config.k, floor, self._coeff
+        ) <= dr_oldest + TIE_EPSILON:
             self.counters.quick_rejections += 1
             if obs is not None:
                 obs.add("individual_filter", obs.time() - entered)
@@ -810,13 +818,15 @@ class DasEngine:
         """
         if not self._config.use_blocks:
             return
-        invalidated: Set[int] = {evicted.doc_id}
-        oldest = result_set.oldest
-        if oldest is not None:
-            invalidated.add(oldest.document.doc_id)
-        invalidated = frozenset(invalidated)
+        use_group_filter = self._config.use_group_filter
+        invalidated = None
         for _term, block in self._memberships[query.query_id]:
             block.meta_dirty = True
-            if self._config.use_group_filter:
+            # Since the check backoff few blocks hold covers at all.
+            if use_group_filter and block.mcs_sets:
+                if invalidated is None:
+                    invalidated = frozenset(
+                        (evicted.doc_id, result_set.oldest.document.doc_id)
+                    )
                 dropped = block.invalidate_mcs_with(invalidated)
                 self.counters.mcs_invalidations += dropped

@@ -31,13 +31,33 @@ def accepts(dr_new: float, dr_oldest: float) -> bool:
     return dr_new > dr_oldest + TIE_EPSILON
 
 
-def quick_relevance_bound(trel_new: float, alpha: float) -> float:
-    """Appendix A.1's cheap upper bound on ``dr_q(d_n)``.
+def quick_relevance_bound(
+    trel_new: float,
+    alpha: float,
+    k: int = 2,
+    floor: float = 0.0,
+    coeff: Optional[float] = None,
+) -> float:
+    """Upper bound on ``dr_q(d_n)`` that needs no Lemma 6 dot product.
 
-    Treat every dissimilarity as its maximum 1:
-    ``dr_q(d_n) <= α·TRel(q, d_n) + 2(1-α)``.
+    ``floor`` is any lower bound on ``Σ Sim(d_n, d)`` over ``q.R \\ {d_e}``;
+    the engine passes the one addend of Lemma 6 owned by the keyword
+    whose posting reached the query
+    (:meth:`QueryResultSet.similarity_floor`):
+
+        dr_q(d_n) <= α·TRel(q, d_n) + (2-2α)/(k-1) · ((k-1) - floor)
+
+    With ``floor = 0`` every dissimilarity is at its maximum 1 and this
+    is Appendix A.1's ``α·TRel + 2(1-α)``, whatever ``k >= 2`` is.  The
+    expression has the shape of the exact ``dr_q(d_n)`` the engine
+    computes from the full sum, and every step of it is monotone under
+    IEEE rounding, so ``floor <= sum`` as floats gives ``bound >=
+    dr_q(d_n)`` as floats: the bound never rejects what the full
+    evaluation would accept.
     """
-    return alpha * trel_new + 2.0 * (1.0 - alpha)
+    if coeff is None:
+        coeff = diversity_coefficient(alpha, k)
+    return alpha * trel_new + coeff * ((k - 1) - floor)
 
 
 def threshold_from_summaries(

@@ -214,6 +214,22 @@ class QueryResultSet:
         )
         return total + tail_sum, direct, aw_used
 
+    def similarity_floor(self, term: str, vector: TermVector) -> float:
+        """``AW(term) · tf(term) / ‖vector‖`` — one addend of the Lemma 6
+        dot product, hence an O(1) lower bound on :meth:`similarity_sum`
+        (every addend is non-negative; R2 cosines only add to it).
+        ``0.0`` without a summary or without an entry for ``term``.
+        """
+        aw = self._aw
+        if aw is None:
+            return 0.0
+        count = vector.frequency(term)
+        if not count:
+            return 0.0
+        # Spelled as AggregatedTermWeights.similarity_sum spells it, so
+        # the floor never exceeds the sum in floating point either.
+        return (aw.weight(term) * count) / vector.norm
+
     def similarities_to(
         self, vector: TermVector, sim_cache=None
     ) -> List[float]:

@@ -27,6 +27,8 @@ class Counters:
     #: checks actually run).
     group_checks_deferred: int = 0
     queries_evaluated: int = 0
+    #: Evaluations dismissed before the Lemma 6 dot (relevance + keyword
+    #: floor).
     quick_rejections: int = 0
     sim_evaluations: int = 0
     #: Of ``sim_evaluations``, the values served by the publish-scoped

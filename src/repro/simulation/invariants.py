@@ -19,6 +19,14 @@ accepted operation:
     brute-force ``Σ cosine(d_e, r)`` over the newer entries within
     1e-9 — independently of the Lemma 1 audit, so a wrong promotion
     value cannot hide behind a decision that happened to come out right.
+``floor``
+    The bound in front of the Lemma 6 dot: for every full query a
+    publish reached and each of its keywords in the document, the AW
+    weight the keyword floor reads is not negative and equals
+    ``Σ tf_r(t)/‖r‖`` over the summarised rows recomputed from scratch
+    (1e-9), and ``similarity_floor(t, d_n)`` does not exceed the
+    brute-force ``Σ cosine(d_n, r)`` over the rows behind the oldest —
+    an over-estimated floor would reject documents Def. 3 accepts.
 ``warmup``
     Summaries start at fill: every result set below ``k`` a publish
     touched is its rows — no aggregated-weight table, no row on the R1
@@ -118,6 +126,7 @@ class InvariantMonitor:
             "size": 0,
             "lemma1": 0,
             "sim_acc": 0,
+            "floor": 0,
             "warmup": 0,
             "bounds": 0,
             "strategy": 0,
@@ -270,6 +279,7 @@ class InvariantMonitor:
                 )
         self._pre = {}
         self._check_sim_acc(document, notifications)
+        self._check_floor(document)
         if self._oracle is not None:
             self._oracle.publish(document)
 
@@ -309,6 +319,48 @@ class InvariantMonitor:
                     f"{head.document.doc_id} after doc {document.doc_id}: "
                     f"sim_acc={head.sim_acc!r} != brute-force {expected!r}",
                 )
+
+    def _check_floor(self, document: Document) -> None:
+        """Keyword-floor audit of every full query the publish reached
+        (a skipped block's members hold the same invariant)."""
+        vector = document.vector
+        for query_id, result_set in self._engine._result_sets.items():
+            aw = result_set.aggregated_weights
+            if aw is None or not result_set.is_full:
+                continue
+            kept = result_set.entries[1:]
+            sim_sum = None
+            for term in self._engine._queries[query_id].terms:
+                if term not in vector:
+                    continue
+                self.checks["floor"] += 1
+                weight = aw.weight(term)
+                expected = sum(
+                    entry.document.vector.unit_weight(term)
+                    for entry in kept
+                    if entry.aw_resident
+                )
+                if weight < 0.0 or (
+                    abs(weight - expected) > _SIM_ACC_TOLERANCE
+                ):
+                    self._record(
+                        "floor",
+                        f"q{query_id} AW({term!r})={weight!r} != "
+                        f"recomputed {expected!r} on doc {document.doc_id}",
+                    )
+                    continue
+                if sim_sum is None:
+                    sim_sum = sum(
+                        cosine_similarity(vector, entry.document.vector)
+                        for entry in kept
+                    )
+                floor = result_set.similarity_floor(term, vector)
+                if floor > sim_sum + _SIM_ACC_TOLERANCE:
+                    self._record(
+                        "floor",
+                        f"q{query_id} floor({term!r})={floor!r} exceeds "
+                        f"brute-force {sim_sum!r} on doc {document.doc_id}",
+                    )
 
     def after_subscribe(
         self, query: DasQuery, initial: Sequence[Document]

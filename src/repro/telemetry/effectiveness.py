@@ -1,9 +1,9 @@
 """Filtering-effectiveness gauges derived from the engine work counters.
 
 The paper's evaluation axis is *work avoided*: blocks skipped by the
-group condition (Ineq. 11), candidates dismissed by the quick relevance
-bound before any similarity arithmetic, and how many exact similarity
-evaluations each delivered match ultimately cost.  These gauges are pure
+group condition (Ineq. 11), candidates dismissed before the Lemma 6 dot
+(relevance + keyword floor), and how many exact similarity evaluations
+each delivered match ultimately cost.  These gauges are pure
 functions of :class:`repro.metrics.instrumentation.Counters`, so they
 are exact, deterministic, and identical whether the counters came from
 one engine or were merged across shards/workers.
@@ -49,9 +49,16 @@ def effectiveness_gauges(
         "blocks_skipped_ratio": _ratio(
             blocks_skipped, blocks_visited + blocks_skipped
         ),
-        # Share of evaluated queries dismissed by the quick bound alone.
+        # Share of evaluated queries dismissed before the Lemma 6 dot
+        # (relevance + keyword floor).
         "quick_rejection_ratio": _ratio(
             values["quick_rejections"], queries_evaluated
+        ),
+        # How often the individual filter still pays the dot.  Unbounded
+        # (promotion and fill dots count too), so not in BOUNDED_RATIOS;
+        # ``.get`` for hand-built counter dicts without the dot count.
+        "aw_dots_per_evaluation": _ratio(
+            values.get("aw_dot_products", 0), queries_evaluated
         ),
         # Exact similarity evaluations paid per delivered match.
         "sim_evals_per_match": _ratio(

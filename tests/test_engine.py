@@ -28,6 +28,13 @@ def make_engine(**overrides):
     return DasEngine.for_method("GIFilter", k=3, block_size=4, **overrides)
 
 
+def _changes(notifications):
+    return sorted(
+        (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+        for n in notifications
+    )
+
+
 def test_method_configs():
     assert DasEngine.for_method("GIFilter").method_name == "GIFilter"
     assert DasEngine.for_method("IFilter").method_name == "IFilter"
@@ -331,6 +338,16 @@ def test_warmup_admit_maintains_nothing_until_the_fill():
 def _work_pin_run(method, k=4, block_size=4, queries=40, **overrides):
     """Counters of one fixed 300-document run (60 warm-up documents,
     ``queries`` LQD subscriptions, 240 streamed documents)."""
+    engine = DasEngine.for_method(
+        method, k=k, block_size=block_size, backend="python", **overrides
+    )
+    _work_pin_changes(engine, queries)
+    return engine.counters
+
+
+def _work_pin_changes(engine, queries=40):
+    """Drive the :func:`_work_pin_run` stream through ``engine``; returns
+    the streamed documents' change lists."""
     from repro.workloads.corpus import SyntheticTweetCorpus
     from repro.workloads.queries import lqd_queries
 
@@ -338,16 +355,11 @@ def _work_pin_run(method, k=4, block_size=4, queries=40, **overrides):
         vocab_size=150, n_topics=5, doc_length=(4, 9), seed=19
     )
     docs = corpus.documents(300)
-    engine = DasEngine.for_method(
-        method, k=k, block_size=block_size, backend="python", **overrides
-    )
     for document in docs[:60]:
         engine.publish(document)
     for query in lqd_queries(corpus, queries, first_id=0):
         engine.subscribe(query)
-    for document in docs[60:]:
-        engine.publish(document)
-    return engine.counters
+    return [_changes(engine.publish(document)) for document in docs[60:]]
 
 
 def test_result_updates_do_not_pay_per_entry_cosines():
@@ -383,14 +395,94 @@ def test_baselines_compute_no_more_cosines_than_before(
     assert counters.sim_evaluations <= parent_sim_evaluations
 
 
-# -- group-check backoff (ISSUE 20) ---------------------------------------
+# -- the reaching keyword bounds the dot (ISSUE 23) -------------------------
 
 
-def _changes(notifications):
-    return sorted(
-        (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
-        for n in notifications
+@pytest.mark.parametrize(
+    "method, evaluated, parent_quick, parent_dots, parent_cosines",
+    [("GIFilter", 2549, 406, 2439, 109), ("IFilter", 2558, 408, 2446, 0)],
+)
+def test_floor_rejects_before_the_dot_and_decides_nothing_new(
+    method, evaluated, parent_quick, parent_dots, parent_cosines
+):
+    """Work pin: against the counts recorded at the parent commit the
+    keyword floor moves evaluations from the Lemma 6 dot to the bound in
+    front of it — one for one — and changes nothing else."""
+    counters = _work_pin_run(method)
+    assert counters.matches == 285
+    assert counters.queries_evaluated == evaluated
+    assert counters.sim_evaluations == parent_cosines
+    assert counters.aw_dot_products < parent_dots / 2
+    assert (
+        counters.quick_rejections + counters.aw_dot_products
+        == parent_quick + parent_dots
     )
+
+
+@pytest.mark.parametrize("method", ["BIRT", "IRT"])
+def test_floor_is_zero_without_a_summary(method):
+    """No AW table, no floor: the bound is Appendix A.1's and the
+    baselines' counters are the parent commit's."""
+    counters = _work_pin_run(method)
+    assert (
+        counters.matches,
+        counters.queries_evaluated,
+        counters.quick_rejections,
+        counters.sim_evaluations,
+        counters.sim_cache_hits,
+        counters.aw_dot_products,
+    ) == (285, 2558, 408, 7455, 2405, 0)
+
+
+def test_floor_reads_the_first_reaching_keyword_once(monkeypatch):
+    """A document reaching a 3-keyword query through two of its keywords
+    is evaluated once, with the term whose posting came first."""
+    from repro.core.result_set import QueryResultSet
+
+    engine = DasEngine.for_method("GIFilter", k=2, block_size=4)
+    engine.subscribe(DasQuery(0, ["apple", "mango", "zebra"]))
+    engine.publish(doc(0, ["mango", "zebra"]))
+    engine.publish(doc(1, ["zebra", "mango"]))
+    assert engine.counters.queries_evaluated == 2  # warm-up: no floor read
+    reached = []
+    floor = QueryResultSet.similarity_floor
+
+    def spy(self, term, vector):
+        reached.append(term)
+        return floor(self, term, vector)
+
+    monkeypatch.setattr(QueryResultSet, "similarity_floor", spy)
+    engine.publish(doc(2, ["zebra", "mango", "pad"]))
+    assert reached == ["mango"]
+    assert engine.counters.queries_evaluated == 3
+
+
+def test_overestimated_floor_fails_the_differential(monkeypatch):
+    """Mutation check: a floor that forgets ``/ ‖d_n‖`` is no lower
+    bound, and the oracle differential sees the matches it drops."""
+    from repro.core.result_set import QueryResultSet
+
+    def filter_changes():
+        return _work_pin_changes(
+            DasEngine.for_method("IFilter", k=4, block_size=4)
+        )
+
+    expected = _work_pin_changes(
+        NaiveEngine(EngineConfig(k=4, use_blocks=False,
+                                 use_group_filter=False,
+                                 use_agg_weights=False))
+    )
+    assert filter_changes() == expected
+
+    def no_norm(self, term, vector):
+        aw = self.aggregated_weights
+        return aw.weight(term) * vector.frequency(term) if aw else 0.0
+
+    monkeypatch.setattr(QueryResultSet, "similarity_floor", no_norm)
+    assert filter_changes() != expected
+
+
+# -- group-check backoff (ISSUE 20) ---------------------------------------
 
 
 _CHURN_TERMS = "pqrstu"

@@ -212,6 +212,39 @@ def test_quick_bound_never_drops_a_result(scenario):
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(block_scenario())
+def test_keyword_floor_bound_never_drops_a_result(scenario):
+    """ISSUE 23: with the AW addend of any query keyword in the document
+    as ``floor`` the bound still dominates the exact ``dr_q(d_n)`` — and,
+    as floats, the value the engine computes from the full Lemma 6 sum
+    (plain ``<=``) — and is never looser than Appendix A.1's."""
+    pool, queries, new_doc, alpha, now = scenario
+    stats = CollectionStatistics()
+    for document in pool + [new_doc]:
+        stats.add(document.vector)
+    scorer = LanguageModelScorer(stats, 0.5)
+    coeff = diversity_coefficient(alpha, K)
+    for qid, terms in queries:
+        rs = QueryResultSet(K)
+        for document in pool[:K]:
+            rs.admit(document, scorer.trel(terms, document.vector))
+        trel = scorer.trel(terms, new_doc.vector)
+        dr_new = alpha * trel + coeff * (
+            (K - 1) - rs.similarity_sum(new_doc.vector)[0]
+        )
+        for term in terms:
+            if term not in new_doc.vector:
+                continue
+            floor = rs.similarity_floor(term, new_doc.vector)
+            bound = quick_relevance_bound(trel, alpha, K, floor, coeff)
+            assert dr_new <= bound
+            assert exact_dr_new(terms, rs, new_doc, scorer, alpha) <= (
+                bound + 1e-9
+            )
+            assert bound <= quick_relevance_bound(trel, alpha) + 1e-12
+
+
 def test_accepts_requires_strict_improvement():
     assert not accepts(1.0, 1.0)
     assert not accepts(1.0 + TIE_EPSILON / 2, 1.0)

@@ -482,3 +482,58 @@ def test_seed_needs_an_empty_table_and_at_most_k_seeds():
     rs.seed([doc(0, ["a"])], [0.1])
     with pytest.raises(ValueError):
         rs.seed([doc(1, ["a"])], [0.1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 6]),
+    summary=_SUMMARIES,
+    seeds=st.integers(min_value=0, max_value=6),
+    token_lists=st.lists(_CHURN_TOKENS, min_size=1, max_size=14),
+    probes=st.lists(
+        st.lists(st.sampled_from("abcdz"), min_size=0, max_size=6),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_similarity_floor_never_exceeds_the_sum(
+    k, summary, seeds, token_lists, probes
+):
+    """ISSUE 23: after every ``seed`` / ``admit`` / ``replace`` — any k,
+    unlimited / R2-forcing / zero ``Φ_max`` or no summary, duplicates and
+    zero-norm rows — ``similarity_floor(term, v)`` is at most
+    ``similarity_sum(v)`` for every term of every probe, compared with a
+    plain ``<=``: the floor is one addend of the very float sum it
+    bounds.  It is exactly 0.0 below k, without a summary and for a term
+    the summary lacks, and the summary never holds a weight <= 0 (a
+    negative addend would break the bound)."""
+    table, _budget = _seed_table(summary, k)
+    documents = [doc(i, tokens) for i, tokens in enumerate(token_lists)]
+    vectors = [TermVector.from_tokens(tokens) for tokens in probes]
+    seeds = min(seeds, k, len(documents))
+    for step in range(seeds - 1, len(documents)):
+        if step < seeds:
+            table.seed(documents[:seeds], [0.25] * seeds)
+        elif table.is_full:
+            table.replace(documents[step], 0.25)
+        else:
+            table.admit(documents[step], 0.25)
+        aw = table.aggregated_weights
+        assert (aw is None) == (summary == "none" or not table.is_full)
+        if aw is not None:
+            assert all(weight > 0.0 for weight in aw._weights.values())
+        for vector in vectors:
+            total = table.similarity_sum(vector)[0] if table.is_full else None
+            for term in vector.terms():
+                floor = table.similarity_floor(term, vector)
+                if aw is None or term not in aw._weights:
+                    assert floor == 0.0
+                else:
+                    assert floor == (
+                        aw.weight(term) * vector.frequency(term)
+                    ) / vector.norm
+                    assert 0.0 < floor <= total
+            # A term the probe lacks has no addend, summarised or not.
+            for term in "aq":
+                if term not in vector:
+                    assert table.similarity_floor(term, vector) == 0.0

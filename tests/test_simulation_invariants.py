@@ -55,6 +55,8 @@ def test_clean_run_exercises_every_family_without_violations():
     assert monitor.checks["sim_acc"] >= monitor.checks["lemma1"]
     # ... and every warm-up admit audits that the table is rows only.
     assert monitor.checks["warmup"] > 0
+    # ... and every full query a document reaches has its floor audited.
+    assert monitor.checks["floor"] > 0
 
 
 def test_oracle_can_be_disabled():
@@ -143,6 +145,44 @@ def test_sim_acc_check_flags_a_double_counted_promotion():
     assert monitor.checks["lemma1"] > 0
     assert any(
         v.name == "sim_acc" and "brute-force" in v.detail
+        for v in monitor.violations
+    )
+
+
+def test_floor_check_flags_a_poisoned_aw_entry():
+    engine, monitor, instrumented = make_setup(with_oracle=False)
+    instrumented.subscribe(DasQuery(0, ["w"]))
+    feed(instrumented, 6)
+    result_set = engine._result_sets[0]
+    assert result_set.is_full and monitor.violations == []
+    assert monitor.checks["floor"] > 0
+    # The weight the keyword floor reads, doubled: the floor may now
+    # exceed the similarity mass it is supposed to stay under.
+    weights = result_set.aggregated_weights._weights
+    weights["w"] *= 2.0
+    feed(instrumented, 1, start_id=6)
+    assert any(
+        v.name == "floor" and "recomputed" in v.detail
+        for v in monitor.violations
+    )
+
+
+def test_floor_check_flags_an_overestimated_floor(monkeypatch):
+    from repro.core.result_set import QueryResultSet
+
+    engine, monitor, instrumented = make_setup(with_oracle=False)
+    instrumented.subscribe(DasQuery(0, ["w"]))
+    feed(instrumented, 6)
+    monkeypatch.setattr(
+        QueryResultSet,
+        "similarity_floor",
+        lambda self, term, vector: (
+            self.aggregated_weights.weight(term) * vector.frequency(term)
+        ),
+    )
+    feed(instrumented, 1, start_id=6)
+    assert any(
+        v.name == "floor" and "exceeds" in v.detail
         for v in monitor.violations
     )
 

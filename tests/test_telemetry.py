@@ -179,6 +179,7 @@ def test_effectiveness_ratios():
         queries_evaluated=20,
         quick_rejections=5,
         sim_evaluations=30,
+        aw_dot_products=24,
         matches=10,
     )
     gauges = effectiveness_gauges(counters)
@@ -189,6 +190,9 @@ def test_effectiveness_ratios():
     assert gauges["group_check_skip_ratio"] == pytest.approx(2 / 8)
     assert gauges["group_check_engagement"] == pytest.approx(8 / 32)
     assert gauges["match_rate"] == pytest.approx(0.5)
+    # Promotion and fill dots count too, so this one may exceed 1.
+    assert gauges["aw_dots_per_evaluation"] == pytest.approx(1.2)
+    assert "aw_dots_per_evaluation" not in BOUNDED_RATIOS
     # A plain dict works too (merged counters cross the wire as dicts).
     assert effectiveness_gauges(counters.as_dict()) == gauges
     for name in BOUNDED_RATIOS:

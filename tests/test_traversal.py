@@ -106,3 +106,26 @@ def test_quick_rejection_counter_fires():
     engine.publish(doc(2, ["kw"] + [f"f{i}" for i in range(30)], t=2.0))
     assert engine.counters.quick_rejections == 1
     assert engine.counters.matches == 0
+
+
+def test_keyword_floor_rejects_before_the_dot():
+    """Sibling of the above where relevance is no help: the candidate is
+    the most relevant document yet, but the reaching keyword's AW weight
+    already says it resembles the result too much — rejected by the
+    bound, no Lemma 6 dot paid (ISSUE 23).  Without a summary (IRT) the
+    floor is 0.0 and the same rejection takes the k-1 cosines."""
+    outcomes = {}
+    for method in ("IFilter", "IRT"):
+        engine = DasEngine.for_method(method, k=3, alpha=0.1)
+        for i, pad in enumerate("abc"):
+            engine.publish(doc(i, ["kw", pad]))
+        engine.subscribe(DasQuery(0, ["kw"]))
+        before = engine.counters.snapshot()
+        engine.publish(doc(3, ["kw", "kw", "kw"], t=3.0))
+        outcomes[method] = engine.counters.delta(before)
+    assert outcomes["IFilter"].quick_rejections == 1
+    assert outcomes["IFilter"].aw_dot_products == 0
+    assert outcomes["IFilter"].sim_evaluations == 0
+    assert outcomes["IRT"].quick_rejections == 0
+    assert outcomes["IRT"].sim_evaluations == 2
+    assert outcomes["IFilter"].matches == outcomes["IRT"].matches == 0
