@@ -32,20 +32,6 @@ BENCH_SPEC = WorkloadSpec(
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
-def bench_scale() -> float:
-    """Global benchmark scale factor from ``REPRO_BENCH_SCALE``.
-
-    The CI regression gate runs the throughput benches at a fraction of
-    the committed baselines' document counts (rates are per-second, so
-    they stay comparable); locally the default is full scale.
-    """
-    try:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
-    except ValueError:
-        return 1.0
-    return scale if scale > 0 else 1.0
-
-
 def write_output(name: str, text: str) -> None:
     """Persist a figure table under benchmarks/out/ and echo it."""
     os.makedirs(OUT_DIR, exist_ok=True)

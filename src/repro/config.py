@@ -82,10 +82,6 @@ class EngineConfig:
     phi_max: int = UNLIMITED
     #: Group bound mode, see :class:`GroupBoundMode`.
     group_bound_mode: GroupBoundMode = GroupBoundMode.STRICT
-    #: Scoring kernel backend: ``"auto"`` uses NumPy when importable and
-    #: falls back to pure Python; ``"python"`` / ``"numpy"`` force one.
-    #: Backends are decision-equivalent (see ``repro/kernels``).
-    backend: str = "auto"
 
     # --- Method switches (GIFilter = all True; see DESIGN.md §3) ---
     #: Partition postings lists into blocks and skip whole blocks
@@ -155,11 +151,6 @@ class EngineConfig:
             raise ConfigurationError(
                 "group filtering requires the block-based inverted file "
                 "(use_blocks=True)"
-            )
-        if self.backend not in ("auto", "python", "numpy"):
-            raise ConfigurationError(
-                f"backend must be 'auto', 'python' or 'numpy', "
-                f"got {self.backend!r}"
             )
         if self.mode not in STRATEGY_MODES:
             raise ConfigurationError(

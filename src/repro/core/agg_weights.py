@@ -17,12 +17,6 @@ from typing import Dict
 
 from repro.config import UNLIMITED
 from repro.text.vectors import TermVector
-from repro.text.vocabulary import GLOBAL_VOCABULARY
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    np = None  # type: ignore[assignment]
 
 #: Accumulated float weights below this magnitude are treated as zero and
 #: dropped, so add/remove churn does not leak dictionary entries.
@@ -30,20 +24,12 @@ _ZERO_TOLERANCE = 1e-12
 
 
 class AggregatedTermWeights:
-    """Incrementally maintained ``AW`` table for one document set.
+    """Incrementally maintained ``AW`` table for one document set."""
 
-    :meth:`arrays` exposes the same floats as sorted contiguous numpy
-    columns for a vectorized Lemma 6 dot product; they are derived from
-    the table on demand, so updates pay nothing for them.
-    """
-
-    __slots__ = ("_weights", "_arrays")
+    __slots__ = ("_weights",)
 
     def __init__(self) -> None:
         self._weights: Dict[str, float] = {}
-        #: Cached ``(sorted term-id array, weight array)``; dropped by
-        #: every update, rebuilt by the next :meth:`arrays` call.
-        self._arrays = None
 
     @property
     def entry_count(self) -> int:
@@ -61,7 +47,6 @@ class AggregatedTermWeights:
         weights = self._weights
         for term, count in vector.items():
             weights[term] = weights.get(term, 0.0) + count / norm
-        self._arrays = None
 
     def remove_document(self, vector: TermVector) -> None:
         """Subtract a previously added document's unit weights."""
@@ -75,7 +60,6 @@ class AggregatedTermWeights:
                 weights.pop(term, None)
             else:
                 weights[term] = remaining
-        self._arrays = None
 
     def similarity_sum(self, vector: TermVector) -> float:
         """Lemma 6: ``Σ_{d∈S} Sim(d, vector)`` in one pass over ``vector``."""
@@ -89,28 +73,6 @@ class AggregatedTermWeights:
             if aw is not None:
                 total += aw * count
         return total / norm
-
-    def arrays(self):
-        """``(term_ids, weights)`` numpy columns sorted by id, or None.
-
-        None when NumPy is missing or the table is empty; callers then
-        fall back to :meth:`similarity_sum`.
-        """
-        weights = self._weights
-        if np is None or not weights:
-            return None
-        cached = self._arrays
-        if cached is None:
-            id_array = np.array(
-                GLOBAL_VOCABULARY.encode(weights), dtype=np.int64
-            )
-            weight_array = np.fromiter(
-                weights.values(), dtype=np.float64, count=len(weights)
-            )
-            order = np.argsort(id_array, kind="stable")
-            cached = (id_array[order], weight_array[order])
-            self._arrays = cached
-        return cached
 
 
 class MemoryBudget:

@@ -48,7 +48,6 @@ class PostingsBlock:
         "mcs_initial_count",
         "universe_min_tf",
         "universe_max_norm",
-        "covers_cache",
     )
 
     def __init__(self) -> None:
@@ -68,9 +67,6 @@ class PostingsBlock:
         self.mcs_initial_count: int = 0
         self.universe_min_tf: int = 0
         self.universe_max_norm: float = 0.0
-        #: Kernel-backend packed form of ``mcs_sets``, keyed by the cover
-        #: list's identity (see ``filtering.block_similarity_lower_bound``).
-        self.covers_cache: Optional[tuple] = None
 
     # -- postings ------------------------------------------------------------
 

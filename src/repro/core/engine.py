@@ -47,7 +47,6 @@ from repro.errors import (
     QueryOrderError,
     UnknownQueryError,
 )
-from repro.kernels import SimCache, resolve_backend
 from repro.metrics.instrumentation import Counters
 from repro.scoring.diversity import diversity_coefficient, dr_score
 from repro.scoring.recency import CachedDecay, ExponentialDecay
@@ -57,6 +56,7 @@ from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
 from repro.telemetry import Telemetry
 from repro.text.collection_stats import CollectionStatistics
+from repro.text.vectors import SimCache
 
 #: Ceiling of the group-check backoff: while checks keep finding nothing
 #: to skip, at most this many block boundaries pass between two checks.
@@ -96,7 +96,6 @@ class DasEngine:
         self._coeff = diversity_coefficient(
             self._config.alpha, self._config.k
         )
-        self._kernels = resolve_backend(self._config.backend)
         self._store = (
             store
             if store is not None
@@ -117,8 +116,6 @@ class DasEngine:
         #: caching avoids a per-update bisect + membership scan.
         self._memberships: Dict[int, List[Tuple[str, object]]] = {}
         self._last_query_id: Optional[int] = None
-        #: Per-micro-batch shape adaptation hook (adaptive backend only).
-        self._kernels_begin_batch = getattr(self._kernels, "begin_batch", None)
         self._init_strategy = init_strategy
         self.counters = counters if counters is not None else Counters()
         #: Ranking/expiry strategy seam (DESIGN.md §16).  ``None`` in the
@@ -182,16 +179,6 @@ class DasEngine:
     @property
     def decay(self) -> ExponentialDecay:
         return self._decay
-
-    @property
-    def kernels(self):
-        """The scoring kernel backend selected at construction."""
-        return self._kernels
-
-    @property
-    def backend_name(self) -> str:
-        """Resolved backend: ``"python"`` or ``"numpy"``."""
-        return self._kernels.name
 
     @property
     def query_count(self) -> int:
@@ -314,7 +301,6 @@ class DasEngine:
             self._config.k,
             budget=self._budget,
             track_aggregated_weights=self._config.use_agg_weights,
-            kernels=self._kernels,
         )
         seeds, trels = select_initial_documents(
             self._store,
@@ -391,7 +377,6 @@ class DasEngine:
         """
         if self._strategy is not None:
             return self._strategy.publish(document)
-        self._begin_batch(1)
         if decay_cache is None:
             self._decay_cache.clear()
             return self._publish_one(document, {})
@@ -450,7 +435,6 @@ class DasEngine:
             return [
                 self._strategy.publish(document) for document in documents
             ]
-        self._begin_batch(len(documents))
         if decay_cache is None:
             decay_cache = self._decay_cache
             decay_cache.clear()
@@ -464,37 +448,6 @@ class DasEngine:
             return segments
         finally:
             self._decay_cache = own
-
-    def _candidate_blocks(self) -> int:
-        """Average blocks per postings list — the per-document group-check
-        population a batch will face (O(1) via incremental index totals)."""
-        terms = self._index.term_count
-        if not terms:
-            return 0
-        return self._index.block_count // terms
-
-    def _begin_batch(self, batch_size: int) -> None:
-        """Per-micro-batch shape adaptation.
-
-        The adaptive backend commits the whole batch to one kernel mode
-        based on ``k`` and ``batch_size × candidate blocks``; fixed
-        backends just account the batch so ``vectorized_batch_fraction``
-        stays defined for every engine shape.
-        """
-        begin = self._kernels_begin_batch
-        if begin is not None:
-            mode = begin(
-                batch_size,
-                self._config.k,
-                self._candidate_blocks(),
-                aw_shortcut=self._config.use_agg_weights,
-            )
-        else:
-            mode = "numpy" if self._kernels.name == "numpy" else "python"
-        if mode == "numpy":
-            self.counters.batches_vectorized += 1
-        else:
-            self.counters.batches_scalar += 1
 
     def _publish_one(
         self,
@@ -692,7 +645,6 @@ class DasEngine:
                 term,
                 self._config.k,
                 self._config.group_bound_mode,
-                kernels=self._kernels,
                 sim_cache=self._sim_cache,
             )
             if block.mcs_sets:

@@ -12,10 +12,9 @@ from typing import Optional, Sequence
 from repro.config import GroupBoundMode
 from repro.core.blocks import PostingsBlock
 from repro.core.mcs import min_similarity_floor
-from repro.kernels import default_kernels
 from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
-from repro.text.vectors import TermVector
+from repro.text.vectors import TermVector, cached_cosines
 
 #: Strict-improvement guard: a replacement must beat the old contribution
 #: by more than this margin.  Mathematical ties (common with duplicated
@@ -108,7 +107,6 @@ def block_similarity_lower_bound(
     term: str,
     k: int,
     mode: GroupBoundMode,
-    kernels=None,
     sim_cache=None,
 ) -> float:
     """``Sim̃_min(b, d_n)`` (Eq. 19) from the block's MCS summary.
@@ -118,12 +116,9 @@ def block_similarity_lower_bound(
     ``k - 1 - |S|`` residual slots at similarity 0, which is provably a
     lower bound of the true minimum (see DESIGN.md §2).
 
-    The per-cover minimum similarities are evaluated by the ``kernels``
-    backend (pure Python by default) over a packed form cached on the
-    block and keyed by the identity of its cover list, so it survives
-    exactly as long as the MCS summary itself.  ``sim_cache`` is the
-    engine's publish-scoped cosine memo for ``vector``: covers of
-    different blocks hold the same stored documents.
+    ``sim_cache`` is the engine's publish-scoped cosine memo for
+    ``vector``: covers of different blocks hold the same stored
+    documents.
     """
     covers = block.mcs_sets
     if not covers:
@@ -133,13 +128,9 @@ def block_similarity_lower_bound(
             block.universe_min_tf, block.universe_max_norm, term, vector
         )
         return floor * k if block.mcs_sets is not None else 0.0
-    if kernels is None:
-        kernels = default_kernels()
-    cache = block.covers_cache
-    if cache is None or cache[0] is not covers or cache[1] is not kernels:
-        cache = (covers, kernels, kernels.pack_covers(covers))
-        block.covers_cache = cache
-    total = kernels.cover_min_sim_sum(cache[2], covers, vector, sim_cache)
+    total = 0.0
+    for cover in covers:
+        total += min(cached_cosines(vector, cover.documents, sim_cache))
     if mode is GroupBoundMode.STRICT:
         residual_slots = (k - 1) - len(covers)
         floor = 0.0

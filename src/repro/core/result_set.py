@@ -41,16 +41,10 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
-from repro.kernels import default_kernels
-from repro.kernels.python_backend import cached_cosines
 from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
 from repro.stream.document import Document
-from repro.text.vectors import TermVector
-
-#: Sentinel marking the packed member matrix as stale (``None`` is a
-#: valid packed value for the pure-Python backend).
-_DIRTY = object()
+from repro.text.vectors import TermVector, cached_cosines
 
 
 class ResultEntry:
@@ -76,15 +70,13 @@ class ResultEntry:
 class QueryResultSet:
     """Result table of one DAS query; entries are kept oldest-first."""
 
-    __slots__ = ("k", "_entries", "_aw", "_budget", "_track_aw", "_kernels",
-                 "_packed", "_r2_count")
+    __slots__ = ("k", "_entries", "_aw", "_budget", "_track_aw", "_r2_count")
 
     def __init__(
         self,
         k: int,
         budget: Optional[MemoryBudget] = None,
         track_aggregated_weights: bool = True,
-        kernels=None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -92,10 +84,8 @@ class QueryResultSet:
         self._entries: List[ResultEntry] = []
         self._track_aw = track_aggregated_weights
         self._budget = budget
-        self._kernels = kernels if kernels is not None else default_kernels()
         #: Table 4; None until the table fills (and always without AW).
         self._aw: Optional[AggregatedTermWeights] = None
-        self._packed = _DIRTY
         #: Entries of ``entries[1:]`` of a full table outside the AW
         #: summary (R2): the direct cosines a Lemma 6 evaluation owes.
         self._r2_count = 0
@@ -175,21 +165,13 @@ class QueryResultSet:
 
     # -- similarity sums ------------------------------------------------------
 
-    def _packed_entries(self):
-        """The backend's packed member matrix, rebuilt when stale."""
-        packed = self._packed
-        if packed is _DIRTY:
-            packed = self._kernels.pack_entries(self._entries)
-            self._packed = packed
-        return packed
-
     def similarity_sum(
         self, vector: TermVector, sim_cache=None
     ) -> Tuple[float, int, int]:
         """``Σ_{d ∈ R \\ {d_e}} Sim(d, vector)``.
 
         Uses the aggregated term weight summary for R1 documents
-        (Lemma 6) and direct cosines (one kernel call) for R2 documents.
+        (Lemma 6) and direct cosines for R2 documents.
         Returns the sum plus counters ``(direct_similarities,
         aw_lookups)`` so the engine can meter the work performed.
         ``sim_cache`` (here and below) is the engine's publish-scoped
@@ -197,22 +179,22 @@ class QueryResultSet:
         """
         aw_used = 0
         total = 0.0
-        if self._aw is not None:
-            total += self._kernels.aw_similarity_sum(self._aw, vector)
+        if self._aw is None:
+            rows = self._entries[1:]
+        else:
+            total += self._aw.similarity_sum(vector)
             aw_used = 1
             # With every surviving entry folded into the AW summary there
-            # are no direct (R2) cosines left — skip the kernel call (and
-            # the packing it may trigger) outright.
+            # are no direct (R2) cosines left.
             if not self._r2_count:
                 return total, 0, aw_used
-        tail_sum, direct = self._kernels.tail_similarity_sum(
-            self._packed_entries(),
-            self._entries,
-            vector,
-            skip_aw_resident=self._aw is not None,
-            cache=sim_cache,
-        )
-        return total + tail_sum, direct, aw_used
+            rows = [e for e in self._entries[1:] if not e.aw_resident]
+        tail_sum = 0.0
+        for sim in cached_cosines(
+            vector, [entry.document for entry in rows], sim_cache
+        ):
+            tail_sum += sim
+        return total + tail_sum, len(rows), aw_used
 
     def similarity_floor(self, term: str, vector: TermVector) -> float:
         """``AW(term) · tf(term) / ‖vector‖`` — one addend of the Lemma 6
@@ -234,17 +216,15 @@ class QueryResultSet:
         self, vector: TermVector, sim_cache=None
     ) -> List[float]:
         """Per-entry similarities against all current entries, in order."""
-        return self._kernels.similarities_to(
-            self._packed_entries(), self._entries, vector, sim_cache
-        )
+        return cached_cosines(vector, self.documents(), sim_cache)
 
     def similarities_to_kept(
         self, vector: TermVector, sim_cache=None
     ) -> List[float]:
         """Similarities against the surviving entries (``entries[1:]``),
         oldest-first: what a replacing document is traded off against."""
-        return self._kernels.tail_similarities(
-            self._packed_entries(), self._entries, vector, sim_cache
+        return cached_cosines(
+            vector, [entry.document for entry in self._entries[1:]], sim_cache
         )
 
     # -- maintenance ----------------------------------------------------------
@@ -261,8 +241,6 @@ class QueryResultSet:
         if len(entries) >= self.k:
             raise ValueError("result set is full; use replace()")
         entries.append(ResultEntry(document, trel))
-        if self._packed is not _DIRTY:
-            self._packed = self._kernels.packed_append(self._packed, entries)
         return self._settle() if len(entries) == self.k else (0, 0)
 
     def seed(
@@ -277,7 +255,6 @@ class QueryResultSet:
         if len(documents) > self.k:
             raise ValueError(f"{len(documents)} seeds exceed k={self.k}")
         entries.extend(map(ResultEntry, documents, trels))
-        self._packed = _DIRTY
         return self._settle() if len(entries) == self.k else (0, 0)
 
     def _settle(self) -> Tuple[int, int]:
@@ -339,8 +316,6 @@ class QueryResultSet:
             cosines = len(sims)
         evicted_entry = entries.pop(0)
         entries.append(entry)
-        if self._packed is not _DIRTY:
-            self._packed = self._kernels.packed_replace(self._packed, entries)
         aw_dots = 0
         if head is not None and self._aw is not None:
             # The summary now holds exactly the R1 documents newer than
@@ -377,7 +352,6 @@ class QueryResultSet:
 
     def release_budget(self) -> None:
         """Return all reserved AW budget (used on unsubscribe)."""
-        self._packed = _DIRTY
         if self._budget is None:
             return
         for entry in self._entries:

@@ -2,7 +2,7 @@
 
 ``worker_main`` is the spawn target — a plain importable module-level
 function, so it works under the ``spawn`` start method (the only one
-that is safe with an engine that may have imported NumPy).  The worker
+that is safe in a parent that runs threads or an event loop).  The worker
 owns exactly one :class:`~repro.core.engine.DasEngine` shard plus a
 replica :class:`~repro.text.vocabulary.Vocabulary` that tracks the
 parent's master vocabulary through the delta prefixed to every request

@@ -51,7 +51,6 @@ def _config_to_dict(config: EngineConfig) -> Dict:
         "use_agg_weights": config.use_agg_weights,
         "init_scan_limit": config.init_scan_limit,
         "store_capacity": config.store_capacity,
-        "backend": config.backend,
         "mode": config.mode,
         "window_size": config.window_size,
         "spatial_cells": config.spatial_cells,
@@ -61,6 +60,9 @@ def _config_to_dict(config: EngineConfig) -> Dict:
 
 def _config_from_dict(payload: Dict) -> EngineConfig:
     payload = dict(payload)
+    # Older files name a kernel backend ("auto" / "python" / "numpy");
+    # the engine has one cosine kernel, so the key is ignored.
+    payload.pop("backend", None)
     payload["group_bound_mode"] = GroupBoundMode(payload["group_bound_mode"])
     return EngineConfig(**payload)
 
@@ -198,7 +200,6 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
         engine.config.k,
         budget=engine._budget,
         track_aggregated_weights=engine.config.use_agg_weights,
-        kernels=engine._kernels,
     )
     entries = result_set._entries
     for row in rows:

@@ -9,7 +9,7 @@ engine config, fault plan)``:
   a :class:`~repro.simulation.clock.SimulatedClock` as ``time_source``,
   so asyncio's deterministic ready-queue ordering is the only scheduler
   and no wall-clock value can leak into accepted state;
-* the engine uses the pure-Python kernel backend, so floating-point
+* the engine's arithmetic is plain Python floats, so floating-point
   evaluation order is identical across hosts.
 
 After every op the :class:`~repro.simulation.invariants.InvariantMonitor`
@@ -62,8 +62,8 @@ ACTORS = (
 
 
 def default_engine_config(**overrides) -> EngineConfig:
-    """Small GIFilter engine: k=3, 4-wide blocks, pure-Python kernels."""
-    base = dict(k=3, block_size=4, backend="python", init_scan_limit=8)
+    """Small GIFilter engine: k=3, 4-wide blocks."""
+    base = dict(k=3, block_size=4, init_scan_limit=8)
     base.update(overrides)
     return EngineConfig(**base)
 

@@ -25,7 +25,6 @@ BOUNDED_RATIOS = (
     "group_check_skip_ratio",
     "group_check_engagement",
     "match_rate",
-    "vectorized_batch_fraction",
 )
 
 
@@ -81,13 +80,4 @@ def effectiveness_gauges(
         ),
         # Share of evaluated queries that produced a result update.
         "match_rate": _ratio(values["matches"], queries_evaluated),
-        # Share of publish micro-batches the adaptive kernel layer
-        # committed to the vectorised shape (``.get``: counter dicts
-        # from checkpoints older than the columnar layout lack the
-        # batch-mode counters, and must read as all-scalar, not crash).
-        "vectorized_batch_fraction": _ratio(
-            values.get("batches_vectorized", 0),
-            values.get("batches_vectorized", 0)
-            + values.get("batches_scalar", 0),
-        ),
     }

@@ -4,12 +4,18 @@ A :class:`TermVector` is the system's canonical document representation:
 an immutable map ``term -> frequency`` with its Euclidean norm and token
 count precomputed, because cosine similarities (Eq. 6) and language-model
 scores (Eq. 3) are evaluated millions of times per experiment.
+
+:func:`cached_cosines` over a :class:`SimCache` is the engine's one
+cosine kernel: every ``Sim(d_n, stored document)`` a publish needs — the
+R2 tail of a Lemma 6 sum, a replacement's kept rows, the minimum of an
+MCS cover (Eq. 19) — goes through it, at most once per stored document
+per stream document.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
 class TermVector:
@@ -23,7 +29,7 @@ class TermVector:
         Total token count ``|d.v_d|`` used by the language model.
     """
 
-    __slots__ = ("_tf", "norm", "length", "_packed", "_backend_cache")
+    __slots__ = ("_tf", "norm", "length")
 
     def __init__(self, tf: Mapping[str, int]) -> None:
         cleaned: Dict[str, int] = {}
@@ -35,8 +41,6 @@ class TermVector:
         self._tf = cleaned
         self.length = sum(cleaned.values())
         self.norm = math.sqrt(sum(c * c for c in cleaned.values()))
-        self._packed: Optional[Tuple[Tuple[int, ...], Tuple[float, ...]]] = None
-        self._backend_cache: object = None
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "TermVector":
@@ -92,39 +96,9 @@ class TermVector:
         return f"TermVector({preview}{suffix})"
 
     def __reduce__(self):
-        # Pickle only the term frequencies; norms and the packed caches
-        # (which may hold backend-specific arrays) are rebuilt on load.
+        # Pickle only the term frequencies; the norm and length are
+        # rebuilt on load.
         return (TermVector, (self._tf,))
-
-    # -- packed representation -----------------------------------------------
-
-    def packed(self) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-        """Interned ``(term_ids, unit_weights)`` arrays, ascending by id.
-
-        Term ids come from the process-wide
-        :data:`~repro.text.vocabulary.GLOBAL_VOCABULARY`; weights are
-        ``tf/norm`` so a cosine between two vectors is the dot product of
-        their aligned weights.  Built once per vector and cached — this
-        is the representation the kernel backends operate on.
-        """
-        packed = self._packed
-        if packed is None:
-            from repro.text.vocabulary import GLOBAL_VOCABULARY
-
-            norm = self.norm
-            if norm == 0.0:
-                packed = ((), ())
-            else:
-                pairs = sorted(
-                    (GLOBAL_VOCABULARY.add(term), count)
-                    for term, count in self._tf.items()
-                )
-                packed = (
-                    tuple(pair[0] for pair in pairs),
-                    tuple(pair[1] / norm for pair in pairs),
-                )
-            self._packed = packed
-        return packed
 
     # -- geometry -------------------------------------------------------------
 
@@ -152,6 +126,40 @@ def cosine_similarity(a: TermVector, b: TermVector) -> float:
     if a._tf.keys().isdisjoint(b._tf):
         return 0.0
     return a.dot(b) / (a.norm * b.norm)
+
+
+class SimCache(dict):
+    """``{stored doc_id: Sim(d_n, stored document)}`` for one stream
+    document ``d_n``.  The owner clears it before every document;
+    ``lookups`` meters the values served, so hits = lookups − len."""
+
+    __slots__ = ("lookups",)
+
+    def __init__(self) -> None:
+        self.lookups = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.lookups = 0
+
+
+def cached_cosines(
+    vector: TermVector, documents: Iterable, cache: Optional[SimCache]
+) -> List[float]:
+    """``[cosine_similarity(vector, d.vector) for d in documents]`` — the
+    exact floats — each computed at most once per ``cache``."""
+    if cache is None:
+        return [cosine_similarity(vector, d.vector) for d in documents]
+    get = cache.get
+    sims = []
+    for document in documents:
+        doc_id = document.doc_id
+        sim = get(doc_id)
+        if sim is None:
+            sim = cache[doc_id] = cosine_similarity(vector, document.vector)
+        sims.append(sim)
+    cache.lookups += len(sims)
+    return sims
 
 
 def dissimilarity(a: TermVector, b: TermVector) -> float:

@@ -1,9 +1,10 @@
 """Bidirectional term <-> integer id mapping.
 
 The engine's hot paths key inverted lists by term strings (Python dict
-hashing of short interned strings is fast), but workload generators,
-serialisation and the index-size accounting of Figure 8 benefit from a
-stable dense id space.  :class:`Vocabulary` provides it.
+hashing of short interned strings is fast); the parallel wire format
+(``repro.parallel.wire``) ships documents as term-id / count arrays and
+keeps worker replicas in sync with a master id space.
+:class:`Vocabulary` provides it.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ class Vocabulary:
         return self._id_to_term[start:]
 
 
-#: Process-wide vocabulary shared by every :class:`TermVector`'s packed
-#: term-id representation (see ``text/vectors.py``).  Ids are opaque
-#: labels — sharing one id space across engines is safe and lets packed
-#: vectors be compared without re-interning.
+#: Process-wide master vocabulary of the parallel engines' wire format.
+#: Ids are opaque labels — sharing one id space across engines is safe
+#: and lets every engine of a process reuse terms already interned.
 GLOBAL_VOCABULARY = Vocabulary()

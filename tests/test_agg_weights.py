@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.config import UNLIMITED
 from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
-from repro.kernels import numpy_available
 from repro.text.vectors import TermVector, cosine_similarity
 
 tokens_strategy = st.lists(st.sampled_from("abcde"), min_size=1, max_size=8)
@@ -60,42 +59,6 @@ def test_similarity_sum_empty_cases():
     assert aw.similarity_sum(TermVector({"a": 1})) == 0.0
     aw.add_document(TermVector({"a": 1}))
     assert aw.similarity_sum(TermVector({})) == 0.0
-
-
-def id_mirror(vectors):
-    """The id-keyed accumulation ``arrays()`` used to read (deleted with
-    ISSUE 15): unit weights from ``vector.packed()`` summed per term id
-    in document order."""
-    ids = {}
-    for vector in vectors:
-        for term_id, weight in zip(*vector.packed()):
-            ids[term_id] = ids.get(term_id, 0.0) + weight
-    return sorted(ids.items())
-
-
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not importable")
-@settings(max_examples=60, deadline=None)
-@given(st.lists(tokens_strategy, min_size=1, max_size=6))
-def test_arrays_are_derived_from_the_weight_table(token_lists):
-    documents = [TermVector.from_tokens(tokens) for tokens in token_lists]
-    aw = AggregatedTermWeights()
-    assert aw.arrays() is None  # empty table
-    for vector in documents:
-        aw.add_document(vector)
-    ids, weights = aw.arrays()
-    # Same floats the mirror held (==, not approx), sorted by term id.
-    assert list(zip(ids.tolist(), weights.tolist())) == id_mirror(documents)
-    assert aw.arrays()[0] is ids  # cached until the next update
-    # Every update drops the cached columns.
-    aw.remove_document(documents[0])
-    if len(documents) > 1:
-        rebuilt = aw.arrays()
-        assert rebuilt[0] is not ids
-        assert len(rebuilt[0]) == aw.entry_count
-    else:
-        assert aw.arrays() is None
-    aw.add_document(documents[0])
-    assert len(aw.arrays()[0]) == aw.entry_count
 
 
 def test_budget_reserve_release():

@@ -68,7 +68,7 @@ def run(coroutine, timeout=120.0):
 
 
 def make_engine(shape):
-    base = DasEngine.for_method("GIFilter", k=3, block_size=4, backend="python")
+    base = DasEngine.for_method("GIFilter", k=3, block_size=4)
     if shape == "sharded":
         return ShardedDasEngine(2, base.config)
     return base

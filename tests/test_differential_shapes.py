@@ -7,8 +7,7 @@ this suite drives the same seeded workload through
 * the in-process :class:`~repro.distributed.ShardedDasEngine`, and
 * the multi-process :class:`~repro.parallel.ParallelShardedEngine`
 
-and asserts identical notifications, result lists and DR values, for
-both the ``python`` and adaptive ``auto`` backends.
+and asserts identical notifications, result lists and DR values.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ def _workload(seed=47):
         vocab_size=220, n_topics=8, doc_length=(4, 10), seed=seed
     )
     return corpus.documents(96), lqd_queries(corpus, 12, first_id=0)
-
-
-def _config(backend):
-    return EngineConfig(k=4, block_size=8, backend=backend)
 
 
 def _note_key(notification):
@@ -76,10 +71,9 @@ def _trace(engine, docs, queries):
     return trace
 
 
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_three_shapes_identical(backend):
+def test_three_shapes_identical():
     docs, queries = _workload()
-    config = _config(backend)
+    config = EngineConfig(k=4, block_size=8)
     single = _trace(DasEngine(config), docs, queries)
     sharded = _trace(ShardedDasEngine(N_SHARDS, config), docs, queries)
     assert sharded == single
@@ -93,7 +87,6 @@ def _mode_config(mode):
     return EngineConfig(
         k=4,
         block_size=8,
-        backend="python",
         mode=mode,
         window_size=12,
         spatial_cells=3,

@@ -339,7 +339,7 @@ def _work_pin_run(method, k=4, block_size=4, queries=40, **overrides):
     """Counters of one fixed 300-document run (60 warm-up documents,
     ``queries`` LQD subscriptions, 240 streamed documents)."""
     engine = DasEngine.for_method(
-        method, k=k, block_size=block_size, backend="python", **overrides
+        method, k=k, block_size=block_size, **overrides
     )
     _work_pin_changes(engine, queries)
     return engine.counters
@@ -574,7 +574,6 @@ def _paying_stream():
 def _paying_run(always_check):
     engine = DasEngine.for_method(
         "GIFilter", k=2, block_size=4, alpha=0.9, decay_base=1.002,
-        backend="python",
     )
     for query_id in range(64):
         engine.subscribe(DasQuery(query_id, ["alpha"]))

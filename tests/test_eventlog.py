@@ -552,7 +552,7 @@ def test_torn_checkpoint_falls_back_to_previous(tmp_eventlog):
 
 
 def small_engine():
-    return DasEngine.for_method("GIFilter", k=3, block_size=4, backend="python")
+    return DasEngine.for_method("GIFilter", k=3, block_size=4)
 
 
 def eventlog_config(directory, **overrides):

@@ -211,6 +211,13 @@ def test_server_runtime_parallel_workers(workload):
         await runtime.start()
         session = runtime.open_session()
         query_id, _initial = await runtime.subscribe(session, ["coffee"])
+
+        async def read_to_the_end():
+            # An unread outbox would make stop() wait out drain_timeout.
+            while await session.next_message() is not None:
+                pass
+
+        reader = asyncio.create_task(read_to_the_end())
         acks = []
         for document in docs[:10]:
             tokens = [t for t, _c in document.vector.items()]
@@ -218,6 +225,7 @@ def test_server_runtime_parallel_workers(workload):
         results = await runtime.results(query_id)
         stats = runtime.stats()
         await runtime.stop()
+        await reader
         return engine, acks, results, stats
 
     engine, acks, results, stats = asyncio.run(

@@ -320,6 +320,23 @@ def test_file_written_by_parent_commit_restores_and_continues():
     )
 
 
+@pytest.mark.parametrize("backend", ["auto", "python", "numpy"])
+def test_file_naming_a_kernel_backend_restores(live_engine, backend):
+    """Files written while the engine had kernel backends carry the
+    config key ``"backend"``.  Whatever it names, the file restores to
+    the engine it describes, and a checkpoint written now has no key."""
+    engine, _corpus, docs = live_engine
+    payload = checkpoint(engine)
+    assert "backend" not in payload["config"]
+    payload["config"]["backend"] = backend
+    clone = restore(payload)
+    assert checkpoint(clone)["config"] == checkpoint(engine)["config"]
+    for document in docs[90:]:
+        assert change_log(clone.publish(document)) == change_log(
+            engine.publish(document)
+        )
+
+
 def test_tight_phi_max_file_written_by_parent_commit_restores_and_continues():
     """``fixtures/checkpoint_parent_fd88421_tight_phi_max.json`` was
     written by the last commit that summarised warm-up tables: it is

@@ -31,7 +31,7 @@ def run(coroutine, timeout=30.0):
 
 async def start_stack():
     runtime = ServerRuntime(
-        DasEngine.for_method("GIFilter", k=3, block_size=4, backend="python"),
+        DasEngine.for_method("GIFilter", k=3, block_size=4),
         ServerConfig(outbound_capacity=256, drain_timeout=5.0, port=0),
     )
     await runtime.start()
@@ -274,7 +274,6 @@ async def start_mode_stack(mode):
     config = EngineConfig(
         k=3,
         block_size=4,
-        backend="python",
         mode=mode,
         window_size=8,
         spatial_cells=3,

@@ -28,7 +28,6 @@ def engine():
     # notification per query per document, deterministically.
     return DasEngine.for_method(
         "GIFilter", k=2, block_size=4, alpha=1.0, decay_base=1.5,
-        backend="python",
     )
 
 

@@ -29,7 +29,7 @@ def run(coroutine, timeout=30.0):
 
 
 def small_engine(**overrides):
-    defaults = dict(k=3, block_size=4, backend="python")
+    defaults = dict(k=3, block_size=4)
     defaults.update(overrides)
     return DasEngine.for_method("GIFilter", **defaults)
 

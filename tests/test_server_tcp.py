@@ -24,7 +24,7 @@ async def start_stack(engine=None, **config_overrides):
     defaults.update(config_overrides)
     if engine is None:
         engine = DasEngine.for_method(
-            "GIFilter", k=3, block_size=4, backend="python"
+            "GIFilter", k=3, block_size=4
         )
     runtime = ServerRuntime(engine, ServerConfig(**defaults))
     await runtime.start()
@@ -527,7 +527,7 @@ def test_durable_subscriber_that_keeps_up_is_never_dead_lettered(tmp_path):
             # Pure-relevance ranking with a steep decay: every document
             # displaces the oldest result of every query it matches.
             DasEngine.for_method(
-                "GIFilter", k=2, block_size=4, backend="python",
+                "GIFilter", k=2, block_size=4,
                 alpha=1.0, decay_base=1.5,
             ),
             eventlog_dir=str(tmp_path / "log"),

@@ -29,7 +29,7 @@ from repro.workloads.queries import lqd_queries
 def live_sharded():
     corpus = SyntheticTweetCorpus(vocab_size=120, n_topics=5, seed=3)
     engine = ShardedDasEngine(
-        3, EngineConfig(k=3, block_size=4, backend="python")
+        3, EngineConfig(k=3, block_size=4)
     )
     docs = corpus.documents(100)
     for document in docs[:40]:

@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.core.result_set import QueryResultSet
-from repro.kernels import PythonKernels, SimCache
-from repro.kernels.python_backend import cached_cosines
 from repro.persistence.checkpoint import checkpoint, restore
 from repro.stream.document import Document
-from repro.text.vectors import TermVector, cosine_similarity
+from repro.text.vectors import (
+    SimCache,
+    TermVector,
+    cached_cosines,
+    cosine_similarity,
+)
 from repro.workloads.corpus import SyntheticTweetCorpus
 from repro.workloads.queries import lqd_queries
 
@@ -47,12 +50,14 @@ def test_cosine_short_circuit_is_exact(a, b):
 
 @given(st.lists(vectors, max_size=6), st.lists(vectors, min_size=1, max_size=3))
 def test_cached_helper_returns_exact_cosines(members, probes):
-    result_set = QueryResultSet(k=max(1, len(members)))
+    # No AW summary: the whole tail of the similarity sum is cosines.
+    result_set = QueryResultSet(
+        k=max(1, len(members)), track_aggregated_weights=False
+    )
     for doc_id, vector in enumerate(members):
         document = Document(doc_id, vector, float(doc_id))
         result_set.admit(document, 0.1)
     entries = result_set.entries
-    kernels = PythonKernels()
     for probe in probes:
         expected = [cosine_similarity(probe, e.document.vector) for e in entries]
         cache = SimCache()
@@ -60,10 +65,8 @@ def test_cached_helper_returns_exact_cosines(members, probes):
         for _ in range(2):
             assert result_set.similarities_to(probe, cache) == expected
             assert result_set.similarities_to_kept(probe, cache) == expected[1:]
-            total, count = kernels.tail_similarity_sum(
-                None, entries, probe, False, cache
-            )
-            assert count == max(0, len(entries) - 1)
+            total, count, aw_dots = result_set.similarity_sum(probe, cache)
+            assert (count, aw_dots) == (max(0, len(entries) - 1), 0)
             # Left-to-right float adds (``sum`` compensates on 3.12+).
             assert total == functools.reduce(operator.add, expected[1:], 0.0)
         assert len(cache) == len(entries)
@@ -76,7 +79,7 @@ def test_cached_helper_returns_exact_cosines(members, probes):
 
 def make_engine(method="GIFilter", **overrides) -> DasEngine:
     return DasEngine.for_method(
-        method, k=3, block_size=4, backend="python", **overrides
+        method, k=3, block_size=4, **overrides
     )
 
 

@@ -90,7 +90,7 @@ def test_crash_recovery_preserves_counters(tmp_path):
     from repro.stream.document import Document
     from repro.text.vectors import TermVector
 
-    engine = DasEngine(EngineConfig(k=2, backend="python"))
+    engine = DasEngine(EngineConfig(k=2))
     engine.subscribe(DasQuery(0, ("apple", "pear")))
     for doc_id in range(5):
         engine.publish(

@@ -142,7 +142,7 @@ def test_window_engine_matches_rerank_oracle_under_churn(ops):
     """Every notification, result list, and dr value is byte-identical to
     the full re-rank oracle — including promotions after expiry."""
     config = EngineConfig(
-        k=3, block_size=4, backend="python", mode="window", window_size=6
+        k=3, block_size=4, mode="window", window_size=6
     )
     engine_log, oracle_log = _replay_pair(config, ops)
     assert engine_log == oracle_log
@@ -156,7 +156,6 @@ def test_spatial_engine_matches_brute_force_oracle(ops):
     config = EngineConfig(
         k=3,
         block_size=4,
-        backend="python",
         mode="spatial",
         spatial_cells=3,
         spatial_weight=0.5,

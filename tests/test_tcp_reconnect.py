@@ -26,7 +26,7 @@ async def start_stack(**config_overrides):
     defaults = dict(outbound_capacity=256, drain_timeout=5.0, port=0)
     defaults.update(config_overrides)
     runtime = ServerRuntime(
-        DasEngine.for_method("GIFilter", k=3, block_size=4, backend="python"),
+        DasEngine.for_method("GIFilter", k=3, block_size=4),
         ServerConfig(**defaults),
     )
     await runtime.start()

@@ -332,7 +332,7 @@ def test_render_exposition_format():
 def test_engine_observes_every_publish_once():
     telemetry = Telemetry(time_fn=CountingClock(), sample_rate=1.0)
     engine = DasEngine(
-        EngineConfig(k=2, block_size=4, backend="python"),
+        EngineConfig(k=2, block_size=4),
         telemetry=telemetry,
     )
     engine.subscribe(DasQuery(0, ("apple", "banana")))

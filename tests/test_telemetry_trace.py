@@ -2,8 +2,8 @@
 
 Runs a fixed seeded workload through a fully-sampled engine and compares
 the captured span trees structurally against a committed fixture.  The
-traces contain only counter deltas (no durations), the engine runs the
-pure-Python kernel backend, and sampling is a pure function of
+traces contain only counter deltas (no durations), the engine's
+arithmetic is plain Python floats, and sampling is a pure function of
 ``(seed, doc_id)`` — so the fixture is stable across hosts and runs; a
 mismatch means the pipeline's *shape* changed (stage attribution, span
 structure, or the filtering work a publish performs).
@@ -47,7 +47,7 @@ def run_traced_workload():
         trace_capacity=N_DOCS,
     )
     engine = DasEngine(
-        EngineConfig(k=3, block_size=4, backend="python"),
+        EngineConfig(k=3, block_size=4),
         telemetry=telemetry,
     )
     for document in documents[:10]:
