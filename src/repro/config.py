@@ -240,12 +240,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: Bind port of the NDJSON TCP transport (0 = ephemeral).
     port: int = 8765
-    #: Run the engine as N shard worker *processes*
-    #: (:class:`repro.parallel.ParallelShardedEngine`).  0 or 1 keeps
-    #: the engine in-process.  When > 1, the runtime wraps the fresh
-    #: engine it was given and owns the workers' lifecycle (they stop
-    #: with the runtime).
-    parallel_workers: int = 0
 
     # --- Deterministic-simulation hooks (see repro.simulation) ---
     #: Wall-clock stand-in for default publish timestamps.  ``None``
@@ -317,10 +311,6 @@ class ServerConfig:
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(
                 f"port must be in [0, 65535], got {self.port}"
-            )
-        if self.parallel_workers < 0:
-            raise ConfigurationError(
-                f"parallel_workers must be >= 0, got {self.parallel_workers}"
             )
         if self.time_source is not None and not callable(self.time_source):
             raise ConfigurationError("time_source must be callable or None")

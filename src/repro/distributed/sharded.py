@@ -29,7 +29,11 @@ from repro.config import EngineConfig
 from repro.core.engine import DasEngine
 from repro.core.events import Notification
 from repro.core.query import DasQuery
-from repro.errors import DuplicateQueryError, UnknownQueryError
+from repro.errors import (
+    DuplicateQueryError,
+    QueryOrderError,
+    UnknownQueryError,
+)
 from repro.metrics.instrumentation import Counters
 from repro.scoring.recency import CachedDecay
 from repro.stream.document import Document
@@ -66,6 +70,9 @@ class ShardedDasEngine:
         self.routing = routing
         self._assignment: Dict[int, int] = {}
         self._next_round_robin = 0
+        #: Highest query id ever subscribed: ids are strictly increasing
+        #: across all shards, as on one :class:`DasEngine`.
+        self._last_query_id: Optional[int] = None
         #: One decay-power memo shared by all shards within a publish
         #: (broadcast shards see the same documents, hence the same age
         #: gaps).  ``False`` marks shards with differing decay bases,
@@ -120,9 +127,18 @@ class ShardedDasEngine:
     def subscribe(self, query: DasQuery) -> List[Document]:
         if query.query_id in self._assignment:
             raise DuplicateQueryError(f"query {query.query_id} already subscribed")
+        if (
+            self._last_query_id is not None
+            and query.query_id <= self._last_query_id
+        ):
+            raise QueryOrderError(
+                f"query id {query.query_id} is not after previous id "
+                f"{self._last_query_id}"
+            )
         shard = self._route(query)
         initial = self.shards[shard].subscribe(query)
         self._assignment[query.query_id] = shard
+        self._last_query_id = query.query_id
         return initial
 
     def unsubscribe(self, query_id: int) -> None:

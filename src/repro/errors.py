@@ -70,32 +70,3 @@ class InjectedFaultError(ReproError):
 class ServerClosedError(ReproError):
     """The serving runtime is draining or stopped and rejects new work."""
 
-
-class WorkerCrashError(ReproError):
-    """A shard worker process died and could not be recovered.
-
-    Raised by :class:`repro.parallel.ParallelShardedEngine` after a dead
-    worker's restart-and-replay also failed; the op that observed the
-    crash fails (its acks fail), but the engine facade stays usable —
-    the matcher counts the error instead of dying with the worker.
-    """
-
-
-class NodeDownError(ReproError):
-    """A cluster node is unreachable and no failover target remains.
-
-    Raised by :class:`repro.cluster.ClusterEngine` when a shard's
-    primary died and there is no (live) standby to promote — the op
-    that observed the outage fails, but the coordinator stays usable
-    for the shards that are still healthy.
-    """
-
-
-class ReplicationError(ReproError):
-    """A ``replicate``/``handoff`` op carried an inconsistent stream.
-
-    The node rejects journal suffixes that do not start exactly at its
-    applied offset (a gap would silently diverge the replica); the
-    error message carries the node's current offset so the sender can
-    resend the right suffix.
-    """

@@ -16,9 +16,6 @@ under one monotonic global offset *before* the engine sees it:
 ``ack``
     A subscriber confirmed delivery up to ``offset``; replay uses it to
     trim retained outboxes exactly as the live server did.
-
-These generalise :mod:`repro.persistence.journal`'s positional entries
-(the cluster replication wire) to a self-describing on-disk format.
 """
 
 from __future__ import annotations

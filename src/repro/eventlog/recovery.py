@@ -1,8 +1,8 @@
 """Recovery = latest checkpoint + event-log replay (DESIGN.md §14).
 
 A checkpoint file ``checkpoint-<offset>.json`` pairs an engine payload
-(:func:`repro.persistence.checkpoint.engine_checkpoint` schema — single,
-sharded and parallel deployments interchange files) with a
+(:func:`repro.persistence.checkpoint.engine_checkpoint` schema, single
+or sharded) with a
 :class:`~repro.eventlog.subscribers.SubscriberRegistry` snapshot, both
 taken at one log offset.  Because the registry's retained outboxes ride
 inside the checkpoint, truncating the log up to the checkpoint offset
@@ -137,16 +137,6 @@ class RecoveredState:
     replay_errors: List[Tuple[int, str]] = field(default_factory=list)
 
 
-def _restore_engine(payload: Dict[str, Any], parallel: bool) -> object:
-    from repro.persistence.checkpoint import restore_payload
-
-    if parallel and payload.get("sharded"):
-        from repro.parallel import ParallelShardedEngine
-
-        return ParallelShardedEngine.from_checkpoint(payload)
-    return restore_payload(payload)
-
-
 def replay_record(
     engine: object,
     registry: SubscriberRegistry,
@@ -203,7 +193,6 @@ def recover(
     registry: Optional[SubscriberRegistry] = None,
     fsync: str = "always",
     segment_entries: int = 512,
-    parallel: bool = False,
     injector: Optional[object] = None,
 ) -> RecoveredState:
     """Bring a directory's logged history back to life.
@@ -214,13 +203,15 @@ def recover(
     lets the caller pre-configure capacity/DLQ wiring; a default one is
     built otherwise.
     """
+    from repro.persistence.checkpoint import restore_payload
+
     os.makedirs(directory, exist_ok=True)
     if registry is None:
         registry = SubscriberRegistry()
     checkpoint = latest_checkpoint(directory)
     checkpoint_offset = -1
     if checkpoint is not None:
-        engine = _restore_engine(checkpoint["engine"], parallel)
+        engine = restore_payload(checkpoint["engine"])
         registry.load(checkpoint["subscribers"])
         checkpoint_offset = checkpoint["offset"]
     log = EventLog(

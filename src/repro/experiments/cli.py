@@ -9,9 +9,6 @@ Usage::
     python -m repro.experiments.cli metrics --port 8765
     python -m repro.experiments.cli simulate --seed 42
     python -m repro.experiments.cli simulate --seed 7 --plan 'engine.doc@5:raise'
-    python -m repro.experiments.cli node --port 0
-    python -m repro.experiments.cli cluster --nodes 2 --replicas 1
-    python -m repro.experiments.cli simulate --cluster-nodes 2
     python -m repro.experiments.cli serve --eventlog-dir /var/lib/repro
     python -m repro.experiments.cli simulate --scenario kill9-load
     python -m repro.experiments.cli dlq --dir /var/lib/repro
@@ -144,16 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine shards; > 1 serves a ShardedDasEngine (default: 1)",
     )
     serve.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=0,
-        help=(
-            "run the engine as N shard worker processes "
-            "(ParallelShardedEngine); overrides --shards (default: 0 = "
-            "in-process)"
-        ),
-    )
-    serve.add_argument(
         "--policy",
         choices=SLOW_CONSUMER_POLICIES,
         default="block",
@@ -243,82 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="token-bucket burst capacity (default: 8)",
     )
 
-    node = commands.add_parser(
-        "node",
-        help="run one cluster shard node",
-        description=(
-            "Start a single shard node: a DAS engine behind the serving "
-            "runtime and NDJSON TCP, driven by a cluster coordinator "
-            "through the replicate/handoff/cluster_stats ops.  Prints "
-            "'node listening on HOST:PORT' once bound."
-        ),
-    )
-    node.add_argument("--host", default="127.0.0.1", help="bind address")
-    node.add_argument(
-        "--port", type=int, default=0, help="bind port (default: ephemeral)"
-    )
-    node.add_argument(
-        "--method",
-        choices=sorted(METHOD_CONFIGS),
-        default="GIFilter",
-        help="engine method (default: GIFilter)",
-    )
-    node.add_argument(
-        "--k", type=int, default=30, help="results per query (default: 30)"
-    )
-
-    cluster = commands.add_parser(
-        "cluster",
-        help="run a multi-node cluster behind one coordinator endpoint",
-        description=(
-            "Launch N shard node processes (plus optional standby "
-            "replicas), connect a coordinator that partitions queries, "
-            "fans publishes out, journals every accepted op and fails "
-            "over to standbys, and expose the whole cluster as one "
-            "NDJSON TCP endpoint."
-        ),
-    )
-    cluster.add_argument("--host", default="127.0.0.1", help="bind address")
-    cluster.add_argument(
-        "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
-    )
-    cluster.add_argument(
-        "--nodes", type=int, default=2, help="shard nodes (default: 2)"
-    )
-    cluster.add_argument(
-        "--replicas",
-        type=int,
-        choices=(0, 1),
-        default=1,
-        help="standby replicas per shard (default: 1)",
-    )
-    cluster.add_argument(
-        "--method",
-        choices=sorted(METHOD_CONFIGS),
-        default="GIFilter",
-        help="engine method on every node (default: GIFilter)",
-    )
-    cluster.add_argument(
-        "--k", type=int, default=30, help="results per query (default: 30)"
-    )
-    cluster.add_argument(
-        "--routing",
-        choices=("round_robin", "hash"),
-        default="round_robin",
-        help="query routing policy (default: round_robin)",
-    )
-    cluster.add_argument(
-        "--replica-lag",
-        type=int,
-        default=8,
-        help="journal entries a standby may trail before a flush (default: 8)",
-    )
-    cluster.add_argument(
-        "--journal-dir",
-        default=None,
-        help="directory for write-ahead journal files (default: in-memory)",
-    )
-
     metrics = commands.add_parser(
         "metrics",
         help="scrape a running server's metrics (Prometheus text)",
@@ -377,24 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     simulate.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=0,
-        help=(
-            "instead of the default suite, run the worker-crash scenarios "
-            "against a ParallelShardedEngine with N worker processes"
-        ),
-    )
-    simulate.add_argument(
-        "--cluster-nodes",
-        type=int,
-        default=0,
-        help=(
-            "instead of the default suite, run the node-kill/partition "
-            "scenarios against a live N-node cluster (real processes)"
-        ),
-    )
-    simulate.add_argument(
         "--scenario",
         choices=("kill9-load",),
         default=None,
@@ -447,17 +340,10 @@ def build_serve_runtime(args):
     from repro.distributed import ShardedDasEngine
     from repro.server import NdjsonTcpServer, ServerRuntime
 
-    parallel_workers = getattr(args, "parallel_workers", 0)
     mode = getattr(args, "mode", "decay")
-    if parallel_workers > 1:
-        # The runtime wraps the fresh engine into worker processes and
-        # owns their lifecycle (ServerConfig.parallel_workers).
-        engine = DasEngine.for_method(args.method, k=args.k, mode=mode)
-    elif args.shards > 1:
-        base = DasEngine.for_method(args.method, k=args.k, mode=mode)
-        engine = ShardedDasEngine(args.shards, base.config)
-    else:
-        engine = DasEngine.for_method(args.method, k=args.k, mode=mode)
+    engine = DasEngine.for_method(args.method, k=args.k, mode=mode)
+    if args.shards > 1:
+        engine = ShardedDasEngine(args.shards, engine.config)
     config = ServerConfig(
         ingest_capacity=args.ingest_capacity,
         outbound_capacity=args.outbound_capacity,
@@ -465,7 +351,6 @@ def build_serve_runtime(args):
         slow_consumer_policy=args.policy,
         host=args.host,
         port=args.port,
-        parallel_workers=parallel_workers if parallel_workers > 1 else 0,
         eventlog_dir=getattr(args, "eventlog_dir", None),
         eventlog_fsync=getattr(args, "eventlog_fsync", "always"),
         eventlog_segment_entries=getattr(
@@ -507,62 +392,6 @@ def run_serve(args) -> int:
     return 0
 
 
-def run_node(args) -> int:
-    from repro.cluster import run_node as node_main
-
-    return node_main(
-        host=args.host, port=args.port, method=args.method, k=args.k
-    )
-
-
-async def _cluster_serve(args, engine) -> None:
-    from repro.config import ServerConfig
-    from repro.server import NdjsonTcpServer, ServerRuntime
-
-    runtime = ServerRuntime(
-        engine, ServerConfig(host=args.host, port=args.port)
-    )
-    await runtime.start()
-    server = NdjsonTcpServer(runtime)
-    host, port = await server.start()
-    print(
-        f"cluster serving {args.nodes} nodes "
-        f"(replicas={args.replicas}) on {host}:{port}",
-        flush=True,
-    )
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()
-        await runtime.stop()
-
-
-def run_cluster(args) -> int:
-    from repro.cluster import launch_cluster
-
-    engine, primaries, standbys = launch_cluster(
-        args.nodes,
-        replicas=args.replicas,
-        method=args.method,
-        k=args.k,
-        routing=args.routing,
-        replica_lag=args.replica_lag,
-        journal_dir=args.journal_dir,
-    )
-    engine.start_membership()
-    try:
-        asyncio.run(_cluster_serve(args, engine))
-    except KeyboardInterrupt:
-        print("shutting down", flush=True)
-    finally:
-        engine.close()
-        for node in primaries + [s for s in standbys if s is not None]:
-            node.stop()
-    return 0
-
-
 async def _metrics(args) -> str:
     from repro.server import NdjsonTcpClient
 
@@ -583,11 +412,7 @@ def run_simulate(args) -> int:
     """Run the fault-injection harness; exit non-zero on any violation."""
     import json
 
-    from repro.simulation import (
-        SimulationHarness,
-        run_default_suite,
-        run_parallel_crash_suite,
-    )
+    from repro.simulation import SimulationHarness, run_default_suite
     from repro.simulation.harness import default_engine_config
 
     mode = getattr(args, "mode", "decay")
@@ -605,16 +430,6 @@ def run_simulate(args) -> int:
 
         report = run_kill9_suite(
             args.seed, ops=args.ops, kills=args.kills
-        )
-    elif getattr(args, "cluster_nodes", 0) > 0:
-        from repro.simulation.cluster import run_cluster_crash_suite
-
-        report = run_cluster_crash_suite(
-            args.seed, ops=args.ops, nodes=args.cluster_nodes
-        )
-    elif getattr(args, "parallel_workers", 0) > 0:
-        report = run_parallel_crash_suite(
-            args.seed, ops=args.ops, workers=args.parallel_workers
         )
     elif args.plan is not None:
         report = SimulationHarness(
@@ -716,10 +531,6 @@ def main(argv: Sequence[str] = None) -> int:
         return 0
     if args.command == "serve":
         return run_serve(args)
-    if args.command == "node":
-        return run_node(args)
-    if args.command == "cluster":
-        return run_cluster(args)
     if args.command == "metrics":
         return run_metrics(args)
     if args.command == "simulate":

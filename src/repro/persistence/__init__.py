@@ -1,4 +1,4 @@
-"""Checkpoint/restore of engine state and the op-journal stream."""
+"""Checkpoint/restore of engine state."""
 
 from repro.persistence.checkpoint import (
     CHECKPOINT_VERSION,
@@ -11,29 +11,15 @@ from repro.persistence.checkpoint import (
     restore_sharded,
     save,
 )
-from repro.persistence.journal import (
-    ENTRY_KINDS,
-    OpJournal,
-    publish_entry,
-    subscribe_entry,
-    unsubscribe_entry,
-    validate_entry,
-)
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "ENTRY_KINDS",
-    "OpJournal",
     "checkpoint",
     "checkpoint_sharded",
     "engine_checkpoint",
     "load",
-    "publish_entry",
     "restore",
     "restore_payload",
     "restore_sharded",
     "save",
-    "subscribe_entry",
-    "unsubscribe_entry",
-    "validate_entry",
 ]

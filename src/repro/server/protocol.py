@@ -18,20 +18,10 @@ op                    fields
 ``results``           ``query_id``
 ``stats``             —
 ``metrics``           — (reply carries Prometheus exposition text)
-``replicate``         ``offset``, ``entries`` (journal suffix), ``notify``
-``handoff``           ``checkpoint`` (engine payload), ``offset``
-``cluster_stats``     optional ``checkpoint`` (include an engine payload)
 ``resume``            ``subscriber`` (durable name); optional ``offset``
 ``ack``               ``offset`` (delivery confirmed up to it)
 ``dlq``               optional ``limit`` (newest N dead-letter entries)
 ====================  =====================================================
-
-The last three are the cluster tier's control plane (DESIGN.md §13):
-``replicate`` applies a contiguous op-journal suffix to the node's
-engine (the coordinator drives *both* primaries and standbys with it),
-``handoff`` installs a checkpoint payload wholesale (seeding a replica
-whose journal history was truncated), and ``cluster_stats`` is the
-heartbeat/observability probe.
 
 ``resume``/``ack``/``dlq`` are the durability tier (DESIGN.md §14,
 requires the server to run with an event log): ``resume`` attaches the
@@ -69,9 +59,6 @@ REQUEST_OPS = (
     "results",
     "stats",
     "metrics",
-    "replicate",
-    "handoff",
-    "cluster_stats",
     "resume",
     "ack",
     "dlq",
@@ -254,31 +241,6 @@ def parse_request(payload: Any) -> Dict[str, Any]:
         created_at = payload.get("created_at")
         if created_at is not None and not isinstance(created_at, (int, float)):
             raise ProtocolError("'created_at' must be a number")
-    if op == "replicate":
-        offset = payload.get("offset")
-        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
-            raise ProtocolError("replicate requires a non-negative integer 'offset'")
-        entries = payload.get("entries")
-        if not isinstance(entries, (list, tuple)):
-            raise ProtocolError("replicate requires 'entries' (a list)")
-        for entry in entries:
-            if not isinstance(entry, (list, tuple)) or not entry:
-                raise ProtocolError(
-                    "each replicate entry must be a non-empty list"
-                )
-        notify = payload.get("notify")
-        if notify is not None and not isinstance(notify, bool):
-            raise ProtocolError("'notify' must be a boolean")
-    if op == "handoff":
-        if not isinstance(payload.get("checkpoint"), dict):
-            raise ProtocolError("handoff requires a 'checkpoint' object")
-        offset = payload.get("offset")
-        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
-            raise ProtocolError("handoff requires a non-negative integer 'offset'")
-    if op == "cluster_stats":
-        want = payload.get("checkpoint")
-        if want is not None and not isinstance(want, bool):
-            raise ProtocolError("cluster_stats 'checkpoint' must be a boolean")
     if op == "resume":
         subscriber = payload.get("subscriber")
         if not isinstance(subscriber, str) or not subscriber:

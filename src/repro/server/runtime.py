@@ -57,7 +57,6 @@ from repro.core.query import DasQuery
 from repro.distributed.sharded import ShardedDasEngine
 from repro.errors import (
     ConfigurationError,
-    ReplicationError,
     ReproError,
     ServerClosedError,
     UnknownQueryError,
@@ -74,12 +73,10 @@ from repro.eventlog import (
     write_checkpoint,
 )
 from repro.metrics.instrumentation import Counters
-from repro.persistence.checkpoint import engine_checkpoint, restore_payload
-from repro.persistence.journal import validate_entry
+from repro.persistence.checkpoint import engine_checkpoint
 from repro.pubsub.service import PublishSubscribeService
 from repro.server.batching import BatchHistogram
 from repro.server.protocol import (
-    document_from_payload,
     document_payload,
     error_reply,
     notification_payload,
@@ -173,53 +170,50 @@ class EngineFacade:
     """Uniform engine-like facade over the three wrappable shapes.
 
     Normalises :class:`DasEngine`, :class:`ShardedDasEngine` and
-    :class:`PublishSubscribeService` to the five calls the matcher needs.
+    :class:`PublishSubscribeService` to the calls the matcher needs.
     All engine-touching methods run on the runtime's executor thread.
     """
 
     def __init__(self, engine: object) -> None:
-        self._engine = engine
-        self._is_service = isinstance(engine, PublishSubscribeService)
-        self._next_query_id = self._query_floor()
+        self.replace_engine(engine)
 
     @property
     def engine(self) -> object:
         return self._engine
 
-    def _shards(self) -> Sequence[DasEngine]:
-        if isinstance(self._engine, ShardedDasEngine):
-            return self._engine.shards
-        if self._is_service:
-            return [self._engine.engine]
-        return [self._engine]
+    def replace_engine(self, engine: object) -> None:
+        """Wrap ``engine``: at construction, and for the engine that
+        event-log recovery restored from a checkpoint."""
+        self._engine = engine
+        self._is_service = isinstance(engine, PublishSubscribeService)
+        #: The DAS engine (single or sharded) behind the service wrapper.
+        self._matcher = engine.engine if self._is_service else engine
 
-    def _query_floor(self) -> int:
-        # Engines living out-of-process (ParallelShardedEngine) expose
-        # explicit floor hooks; in-process shapes are introspected.
-        floor = getattr(self._engine, "query_id_floor", None)
-        if floor is not None:
-            return floor()
-        if isinstance(self._engine, ShardedDasEngine):
-            assignment = self._engine._assignment
-            return max(assignment) + 1 if assignment else 0
-        engine = self._engine.engine if self._is_service else self._engine
-        last = getattr(engine, "_last_query_id", None)
+    def _shards(self) -> Sequence[DasEngine]:
+        if isinstance(self._matcher, ShardedDasEngine):
+            return self._matcher.shards
+        return [self._matcher]
+
+    def next_query_id(self) -> int:
+        """The id the next subscribe will be assigned (without taking it):
+        one past the highest id the engine ever accepted, unsubscribed or
+        not, so an id is never handed out twice.
+
+        The eventlog tier appends the subscribe record — which must name
+        the query id — *before* the engine call, so the matcher peeks
+        the id here and registers it via :meth:`subscribe_as`.
+        """
+        last = self._matcher._last_query_id
         return 0 if last is None else last + 1
 
     def doc_id_floor(self) -> int:
-        floor = getattr(self._engine, "doc_id_floor", None)
-        if floor is not None:
-            return floor()
         floors = []
         for shard in self._shards():
-            last = getattr(shard.store, "_last_id", None)
+            last = shard.store._last_id
             floors.append(0 if last is None else last + 1)
-        return max(floors) if floors else 0
+        return max(floors)
 
     def clock_now(self) -> float:
-        now = getattr(self._engine, "clock_now", None)
-        if now is not None:
-            return now()
         return self._shards()[0].clock.now
 
     def subscribe(
@@ -237,21 +231,9 @@ class EngineFacade:
             subscription = self._engine.subscribe(list(keywords))
             query_id = subscription.query_id
             return query_id, self._engine.results(query_id)
-        query_id = max(self._next_query_id, self._query_floor())
-        initial = self._engine.subscribe(
-            DasQuery(query_id, keywords, location=location, window=window)
-        )
-        self._next_query_id = query_id + 1
+        query_id = self.next_query_id()
+        initial = self.subscribe_as(query_id, keywords, location, window)
         return query_id, initial
-
-    def next_query_id(self) -> int:
-        """The id the next subscribe will be assigned (without taking it).
-
-        The eventlog tier appends the subscribe record — which must name
-        the query id — *before* the engine call, so the matcher peeks
-        the id here and registers it via :meth:`subscribe_as`.
-        """
-        return max(self._next_query_id, self._query_floor())
 
     def subscribe_as(
         self,
@@ -260,28 +242,10 @@ class EngineFacade:
         location: Optional[Tuple[float, float]] = None,
         window: Optional[int] = None,
     ) -> List[Document]:
-        """Subscribe under an externally assigned id (journal replay).
-
-        The cluster tier assigns query ids coordinator-side so every
-        replica registers the same query under the same id; the local
-        auto-id floor is bumped past it so direct subscribes on the
-        same node never collide.
-        """
-        if self._is_service:
-            raise ReproError(
-                "replicate is not supported for PublishSubscribeService engines"
-            )
-        initial = self._engine.subscribe(
-            DasQuery(int(query_id), keywords, location=location, window=window)
+        """Subscribe under the id :meth:`next_query_id` handed out."""
+        return self._engine.subscribe(
+            DasQuery(query_id, keywords, location=location, window=window)
         )
-        self._next_query_id = max(self._next_query_id, int(query_id) + 1)
-        return initial
-
-    def replace_engine(self, engine: object) -> None:
-        """Swap in a restored engine (checkpoint handoff)."""
-        self._engine = engine
-        self._is_service = isinstance(engine, PublishSubscribeService)
-        self._next_query_id = self._query_floor()
 
     def unsubscribe(self, query_id: int) -> None:
         self._engine.unsubscribe(query_id)
@@ -295,31 +259,19 @@ class EngineFacade:
         return self._engine.results(query_id)
 
     def counters(self) -> Counters:
-        if self._is_service:
-            return self._engine.engine.counters
-        return self._engine.counters
-
-    def _telemetry_owner(self) -> object:
-        """The object carrying telemetry (the service wraps its engine)."""
-        return self._engine.engine if self._is_service else self._engine
+        return self._matcher.counters
 
     def ensure_telemetry(self) -> None:
         """Attach a default wall-clock telemetry if the engine has none.
 
         No-op for engines that already carry one (e.g. the simulation
-        harness wires a deterministic clock before starting the runtime)
-        and for shapes without an ``attach_telemetry`` hook (parallel
-        workers create their own telemetry in-process).
+        harness wires a deterministic clock before starting the runtime).
         """
-        owner = self._telemetry_owner()
-        attach = getattr(owner, "attach_telemetry", None)
-        if attach is not None and getattr(owner, "telemetry", None) is None:
-            attach(Telemetry())
+        if self._matcher.telemetry is None:
+            self._matcher.attach_telemetry(Telemetry())
 
     def telemetry_snapshot(self) -> Optional[Dict]:
-        owner = self._telemetry_owner()
-        snapshot = getattr(owner, "telemetry_snapshot", None)
-        return snapshot() if snapshot is not None else None
+        return self._matcher.telemetry_snapshot()
 
 
 class ServerRuntime:
@@ -329,9 +281,6 @@ class ServerRuntime:
         self, engine: object, config: Optional[ServerConfig] = None
     ) -> None:
         self._config = config if config is not None else ServerConfig()
-        self._owns_engine = False
-        if self._config.parallel_workers > 1:
-            engine = self._parallelize(engine, self._config.parallel_workers)
         self._facade = EngineFacade(engine)
         self._batches = BatchHistogram()
         self._now = self._config.time_source or time.time
@@ -354,11 +303,6 @@ class ServerRuntime:
         self._delivery_errors = 0
         self._failed_on_stop = 0
         self._unflushed = 0
-        #: Cluster-tier replica bookkeeping: offset of the next journal
-        #: entry this node expects via ``replicate`` (DESIGN.md §13).
-        self._replica_offset = 0
-        self._replicated_entries = 0
-        self._handoffs = 0
         self._retired_drops = {policy: 0 for policy in SLOW_CONSUMER_POLICIES}
         self._retired_coalesced = 0
         # -- durability tier (None unless eventlog_dir is configured) --
@@ -382,33 +326,6 @@ class ServerRuntime:
         self._pipeline = {
             stage: LatencyHistogram() for stage in PIPELINE_STAGES
         }
-
-    def _parallelize(self, engine: object, n_workers: int) -> object:
-        """Honour ``ServerConfig.parallel_workers``: move a fresh engine
-        into shard worker processes.
-
-        Only a fresh :class:`DasEngine` can be wrapped here (live state
-        is not shipped to workers; bring a checkpoint back up with
-        :meth:`repro.parallel.ParallelShardedEngine.from_checkpoint`
-        instead).  An engine that is already parallel is used as-is.
-        The runtime owns wrapped workers and stops them on ``stop()``.
-        """
-        from repro.parallel import ParallelShardedEngine
-
-        if isinstance(engine, ParallelShardedEngine):
-            return engine
-        if (
-            not isinstance(engine, DasEngine)
-            or engine.query_count
-            or len(engine.store)
-        ):
-            raise ConfigurationError(
-                "parallel_workers requires a fresh DasEngine "
-                "(or pass a ParallelShardedEngine directly)"
-            )
-        parallel = ParallelShardedEngine(n_workers, engine.config)
-        self._owns_engine = True
-        return parallel
 
     # -- introspection ----------------------------------------------------
 
@@ -477,7 +394,6 @@ class ServerRuntime:
             registry=registry,
             fsync=config.eventlog_fsync,
             segment_entries=config.eventlog_segment_entries,
-            parallel=config.parallel_workers > 1,
             injector=self._injector,
         )
         if state.engine is not provided:
@@ -488,15 +404,7 @@ class ServerRuntime:
                     "eventlog recovery found a checkpoint but the provided "
                     "engine already holds state; pass a fresh engine"
                 )
-            if self._owns_engine:
-                close = getattr(provided, "close", None)
-                if close is not None:
-                    close()
-            if config.parallel_workers > 1:
-                # The restored parallel engine's workers are ours to stop.
-                self._owns_engine = True
-        # Always re-wrap: recovery replay bypassed the facade's id floor.
-        self._facade.replace_engine(state.engine)
+            self._facade.replace_engine(state.engine)
         self._eventlog = state.log
         self._registry = state.registry
         self._checkpoint_offset = state.checkpoint_offset
@@ -560,10 +468,6 @@ class ServerRuntime:
             self._eventlog.close()
         if self._dlq is not None:
             self._dlq.close()
-        if self._owns_engine:
-            close = getattr(self._facade.engine, "close", None)
-            if close is not None:
-                close()
         self._state = "stopped"
 
     def _fail_pending(self, exc: Exception) -> int:
@@ -882,8 +786,6 @@ class ServerRuntime:
             "failed_on_stop": self._failed_on_stop,
             "unflushed": self._unflushed,
             "counters": counters,
-            "workers": self._worker_stats(),
-            "cluster": self._cluster_stats(),
             "telemetry": self._telemetry_section(counters),
             "eventlog": self._eventlog_section(),
             "dlq": self._dlq.stats() if self._dlq is not None else None,
@@ -929,35 +831,9 @@ class ServerRuntime:
             },
         }
 
-    def _worker_stats(self) -> Optional[Dict[str, Any]]:
-        """Worker liveness/recovery section, None for in-process engines."""
-        worker_stats = getattr(self._facade.engine, "worker_stats", None)
-        return worker_stats() if worker_stats is not None else None
-
-    def _cluster_stats(self) -> Optional[Dict[str, Any]]:
-        """Coordinator shard/membership section, None off-cluster."""
-        cluster_stats = getattr(self._facade.engine, "cluster_stats", None)
-        return cluster_stats() if cluster_stats is not None else None
-
-    def node_stats(self) -> Dict[str, Any]:
-        """The ``cluster_stats`` op payload of a *node*: replica offset,
-        replication accounting and the engine state a coordinator's
-        heartbeat/membership loop watches."""
-        return {
-            "applied_offset": self._replica_offset,
-            "replicated_entries": self._replicated_entries,
-            "handoffs": self._handoffs,
-            "accepted": self._accepted,
-            "published": self._published,
-            "queries": getattr(self._facade.engine, "query_count", None),
-            "next_doc_id": self._next_doc_id,
-            "counters": self._facade.counters().as_dict(),
-            "telemetry": self._facade.telemetry_snapshot(),
-        }
-
     def _telemetry_section(self, counters: Dict[str, int]) -> Dict[str, Any]:
         """One unified telemetry view: engine stages (merged across
-        shards/workers), serving-pipeline stages, span accounting, and
+        shards), serving-pipeline stages, span accounting, and
         the derived filtering-effectiveness gauges."""
         snapshot = self._facade.telemetry_snapshot()
         if snapshot is None:
@@ -1016,10 +892,10 @@ class ServerRuntime:
         requests from a single task gets them into the matcher's FIFO in
         the order they were read — it may read ahead without waiting for
         replies.  Ops the matcher does not execute (``ack``, ``stats``,
-        ``metrics``, ``dlq``, the ``cluster_stats`` heartbeat) queue
-        nothing here; they run in :meth:`complete_request`, i.e. when
-        the transport reaches them in reply order, so a ``stats`` sent
-        after a publish still reflects it.
+        ``metrics``, ``dlq``) queue nothing here; they run in
+        :meth:`complete_request`, i.e. when the transport reaches them in
+        reply order, so a ``stats`` sent after a publish still reflects
+        it.
         """
         reply_to = payload.get("id") if isinstance(payload, dict) else None
         try:
@@ -1060,22 +936,6 @@ class ServerRuntime:
                 future = await self._enqueue_resume(
                     session, request["subscriber"], request.get("offset")
                 )
-            elif op == "replicate":
-                future = await self._enqueue_control(
-                    "replicate",
-                    None,
-                    (
-                        request["offset"],
-                        request["entries"],
-                        bool(request.get("notify")),
-                    ),
-                )
-            elif op == "handoff":
-                future = await self._enqueue_control(
-                    "handoff", None, (request["checkpoint"], request["offset"])
-                )
-            elif op == "cluster_stats" and request.get("checkpoint"):
-                future = await self._enqueue_control("checkpoint", None, None)
         except ReproError as exc:
             return PendingReply(reply_to, error=exc)
         return PendingReply(reply_to, session, request, future)
@@ -1131,13 +991,8 @@ class ServerRuntime:
             return {"metrics": self.metrics_text()}
         if op == "stats":
             return {"stats": self.stats()}
-        if op == "cluster_stats" and not request.get("checkpoint"):
-            # The heartbeat path skips the batch barrier on purpose: a
-            # membership probe must answer even when the matcher is deep
-            # in a publish backlog.
-            return {"node": self.node_stats()}
-        # resume, replicate, handoff, cluster_stats+checkpoint: like
-        # publish, the matcher's result already is the reply's fields.
+        # resume: like publish, the matcher's result already is the
+        # reply's fields.
         return result
 
     async def handle_request(
@@ -1292,23 +1147,6 @@ class ServerRuntime:
             elif item.kind == "retire":
                 await self._retire_queries(item.session)
                 result = None
-            elif item.kind == "replicate":
-                offset, entries, notify = item.args
-                result = await self._call_engine(
-                    self._apply_entries, offset, entries, notify
-                )
-            elif item.kind == "handoff":
-                payload, offset = item.args
-                result = await self._call_engine(
-                    self._install_checkpoint, payload, offset
-                )
-            elif item.kind == "checkpoint":
-                # Stats + checkpoint through one barrier so the payload
-                # and the reported offset describe the same state.
-                checkpoint = await self._call_engine(
-                    engine_checkpoint, self._facade.engine
-                )
-                result = {"node": self.node_stats(), "checkpoint": checkpoint}
             else:  # pragma: no cover - internal invariant
                 raise ReproError(f"unknown control kind {item.kind!r}")
         except Exception as exc:
@@ -1671,98 +1509,3 @@ class ServerRuntime:
             "log_base": self._eventlog.base,
             "reclaimed_bytes": reclaimed,
         }
-
-    # -- cluster node ops (DESIGN.md §13) ----------------------------------
-
-    def _apply_entries(
-        self, offset: int, entries: Sequence[Any], notify: bool
-    ) -> Dict[str, Any]:
-        """Apply a contiguous journal suffix to the local engine.
-
-        The suffix must start exactly at this node's applied offset —
-        a gap means the coordinator skipped entries this replica never
-        saw, and applying the rest would silently fork its state, so
-        the whole batch is rejected with :class:`ReplicationError`
-        before any entry is touched.
-
-        ``results`` aligns with ``entries``: a subscribe entry yields
-        its initial result's doc ids, a publish entry yields
-        ``[query_id, doc_id, replaced_id|None]`` notification triples
-        when ``notify`` (primaries) and ``None`` when not (standbys,
-        which skip the encode cost), an unsubscribe yields ``None``.
-        """
-        if offset != self._replica_offset:
-            raise ReplicationError(
-                f"replicate offset {offset} != applied offset "
-                f"{self._replica_offset}"
-            )
-        results: List[Any] = []
-        for entry in entries:
-            parsed = validate_entry(entry)
-            kind = parsed[0]
-            if kind == "subscribe":
-                _, query_id, terms, options = parsed
-                location = options.get("location")
-                initial = self._facade.subscribe_as(
-                    query_id,
-                    terms,
-                    location=tuple(location) if location is not None else None,
-                    window=options.get("window"),
-                )
-                results.append([doc.doc_id for doc in initial])
-            elif kind == "unsubscribe":
-                self._facade.unsubscribe(parsed[1])
-                results.append(None)
-            else:
-                documents = [document_from_payload(p) for p in parsed[1]]
-                notifications = self._facade.publish_batch(documents)
-                self._accepted += len(documents)
-                self._published += len(documents)
-                for document in documents:
-                    self._next_doc_id = max(
-                        self._next_doc_id, document.doc_id + 1
-                    )
-                    self._last_created_at = max(
-                        self._last_created_at, document.created_at
-                    )
-                results.append(
-                    [
-                        [
-                            n.query_id,
-                            n.document.doc_id,
-                            (
-                                n.replaced.doc_id
-                                if n.replaced is not None
-                                else None
-                            ),
-                        ]
-                        for n in notifications
-                    ]
-                    if notify
-                    else None
-                )
-            self._replica_offset += 1
-            self._replicated_entries += 1
-        return {"offset": self._replica_offset, "results": results}
-
-    def _install_checkpoint(self, payload: Dict, offset: int) -> Dict[str, Any]:
-        """Install a checkpoint wholesale (the ``handoff`` op).
-
-        Used to seed a fresh replica whose journal history was already
-        truncated, and to promote this node onto another shard's state.
-        Replaces the engine, realigns the id floors, and adopts the
-        coordinator's offset as the applied offset; any queries owned by
-        direct client sessions are dropped (post-handoff the node's
-        subscriptions belong to the replication stream).
-        """
-        engine = restore_payload(payload)
-        self._facade.replace_engine(engine)
-        self._facade.ensure_telemetry()
-        self._next_doc_id = self._facade.doc_id_floor()
-        self._last_created_at = self._facade.clock_now()
-        self._replica_offset = int(offset)
-        self._handoffs += 1
-        self._owners.clear()
-        for session in self._sessions.values():
-            session.queries.clear()
-        return {"offset": self._replica_offset, "handoffs": self._handoffs}

@@ -303,9 +303,8 @@ class NdjsonTcpClient:
     With ``reconnect=True`` a dropped connection is re-dialled with
     bounded exponential backoff plus jitter; requests in flight when the
     connection died fail with :class:`ConnectionError` (the caller
-    decides whether to retry — the cluster coordinator replays from its
-    journal instead), requests issued while disconnected wait for the
-    new connection.  Tracked subscriptions are re-issued after a
+    decides whether to retry), requests issued while disconnected wait
+    for the new connection.  Tracked subscriptions are re-issued after a
     successful reconnect; because the server assigns fresh query ids,
     the old->new mapping is exposed as ``resubscriptions`` and the
     ``reconnects``/``resubscribed`` counters in

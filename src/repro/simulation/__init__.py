@@ -28,9 +28,7 @@ from repro.simulation.invariants import (
     InvariantMonitor,
     InvariantViolation,
 )
-from repro.simulation.cluster import run_cluster_crash_suite
 from repro.simulation.eventlog import run_kill9_suite
-from repro.simulation.parallel import run_parallel_crash_suite
 
 __all__ = [
     "FaultInjector",
@@ -47,8 +45,6 @@ __all__ = [
     "default_engine_config",
     "generate_random_plan",
     "generate_schedule",
-    "run_cluster_crash_suite",
     "run_default_suite",
     "run_kill9_suite",
-    "run_parallel_crash_suite",
 ]

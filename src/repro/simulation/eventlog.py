@@ -22,9 +22,9 @@ Checked invariants:
   the offline replay of the log, element for element;
 * **clean DLQ** — a soak without slow consumers must not dead-letter.
 
-Like the parallel and cluster suites this spawns real processes, so it
-is not part of :func:`~repro.simulation.harness.run_default_suite`; the
-CLI exposes it via ``simulate --scenario kill9-load``.
+This spawns real processes, so it is not part of
+:func:`~repro.simulation.harness.run_default_suite`; the CLI exposes it
+via ``simulate --scenario kill9-load``.
 """
 
 from __future__ import annotations

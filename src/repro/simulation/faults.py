@@ -38,13 +38,8 @@ INJECTION_POINTS = (
     "engine.results",  # matcher results op + coalesce snapshot reads
     "tcp.write",  # NdjsonTcpServer, before each outgoing frame
     "checkpoint.write",  # persistence.checkpoint.save, mid-write
-    "worker.publish_batch",  # parallel shard worker, per batch arrival;
-    #   raising actions are process-fatal there (the worker dies)
     "client.publish",  # harness: before submitting a publish op
     "consumer.pull",  # harness: before a consume op
-    "node.fault",  # cluster harness: before an op touches the cluster;
-    #   kill(shard) SIGKILLs that shard's primary process,
-    #   partition(shard) severs the coordinator's connection to it
     "eventlog.fault",  # EventLog.append_many, before any byte is written;
     #   torn writes half the first record's line and poisons the handle
     "eventlog.match",  # matcher, post-append / pre-match — the crash
@@ -55,7 +50,7 @@ INJECTION_POINTS = (
 RAISING_ACTIONS = ("raise", "disconnect", "torn")
 
 #: Actions interpreted by the simulation driver, not production code.
-HARNESS_ACTIONS = ("stall", "delay", "duplicate", "kill", "partition")
+HARNESS_ACTIONS = ("stall", "delay", "duplicate")
 
 _SPEC_RE = re.compile(
     r"^(?P<point>[\w.]+)@(?P<at>\d+)"

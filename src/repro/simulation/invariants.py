@@ -166,17 +166,12 @@ class InvariantMonitor:
         if telemetry is None:
             self._base_spans_finished = 0
             self._base_stage_counts: Dict[str, int] = {}
-            self._prev_wire_counts: Dict[str, int] = {}
             return
         snapshot = telemetry.snapshot()
         self._base_spans_finished = snapshot["spans"]["finished"]
         self._base_stage_counts = {
             stage: sum(wire["counts"])
             for stage, wire in snapshot["stages"].items()
-        }
-        self._prev_wire_counts = {
-            stage: sum(wire["counts"])
-            for stage, wire in snapshot.get("wire", {}).items()
         }
 
     def _record(self, name: str, detail: str) -> None:
@@ -531,29 +526,6 @@ class InvariantMonitor:
                     f"stage {stage} recorded {delta} observations for "
                     f"{finished_delta} finished spans",
                 )
-        # Wire-path histograms (process-parallel deployments only) are
-        # not per-span: decode is per *document off the wire*, encode is
-        # per *reply*, and a worker restart resets its ledger.  The
-        # audited obligation is monotonicity between checks of one
-        # ledger — counts never move backwards and sums stay finite.
-        wire_counts = {}
-        for stage, wire in snapshot.get("wire", {}).items():
-            observed = sum(wire["counts"])
-            wire_counts[stage] = observed
-            previous = self._prev_wire_counts.get(stage, 0)
-            if observed < previous:
-                self._record(
-                    "telemetry",
-                    f"wire stage {stage} moved backwards: "
-                    f"{previous} -> {observed}",
-                )
-            if wire["sum"] < 0.0:
-                self._record(
-                    "telemetry",
-                    f"wire stage {stage} accumulated negative time "
-                    f"{wire['sum']!r}",
-                )
-        self._prev_wire_counts = wire_counts
 
         from repro.telemetry import BOUNDED_RATIOS, effectiveness_gauges
 

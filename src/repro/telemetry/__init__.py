@@ -18,8 +18,8 @@ rely on it):
 * with a :class:`CountingClock` as ``time_fn`` no wall-clock value ever
   enters a histogram, so snapshots are byte-reproducible;
 * :func:`merge_snapshots` is order-insensitive (histogram merge is
-  associative and commutative), so parent-side aggregation across
-  workers equals in-process aggregation exactly.
+  associative and commutative), so aggregation across shards does not
+  depend on shard order.
 
 The serving pipeline's stages (ingest queue wait, micro-batch execution,
 notification fan-out) live runtime-side in
@@ -68,15 +68,6 @@ PIPELINE_STAGES = (
     "eventlog_append",
     "throttle_wait",
 )
-
-#: Wire-path stages of the process-parallel deployment.  They are *not*
-#: per-publish stages: ``wire_decode`` is observed once per document a
-#: worker decodes off the wire (so its count tracks publish spans when
-#: every batch decodes cleanly), while ``wire_encode`` is observed once
-#: per reply a worker encodes (per request, not per document).  They
-#: live in the snapshot's separate ``"wire"`` section so the
-#: one-observation-per-span invariant over ``"stages"`` stays exact.
-WIRE_STAGES = ("wire_decode", "wire_encode")
 
 #: Which work counters each engine stage moves (for span counter deltas).
 STAGE_COUNTERS = {
@@ -151,21 +142,6 @@ class Telemetry:
         )
         #: Most recent sampled traces (bounded; excluded from snapshots).
         self.traces = deque(maxlen=trace_capacity)
-        #: Wire-path histograms, materialised on first observation so
-        #: in-process engines carry no wire series at all.
-        self._wire_histograms: Dict[str, LatencyHistogram] = {}
-
-    # -- wire path ---------------------------------------------------------
-
-    def observe_wire(self, stage: str, seconds: float) -> None:
-        """Observe one wire-path event (see :data:`WIRE_STAGES`)."""
-        histogram = self._wire_histograms.get(stage)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                stage, f"Per-event {stage} latency (seconds)."
-            )
-            self._wire_histograms[stage] = histogram
-        histogram.observe(seconds)
 
     # -- publish lifecycle -------------------------------------------------
 
@@ -251,10 +227,6 @@ class Telemetry:
                 stage: histogram.to_wire()
                 for stage, histogram in self._stage_histograms.items()
             },
-            "wire": {
-                stage: histogram.to_wire()
-                for stage, histogram in self._wire_histograms.items()
-            },
             "spans": self.span_counts(),
         }
 
@@ -263,13 +235,12 @@ def empty_snapshot() -> Dict:
     """The identity element of :func:`merge_snapshots`."""
     return {
         "stages": {},
-        "wire": {},
         "spans": {"started": 0, "finished": 0, "aborted": 0, "sampled": 0},
     }
 
 
 def merge_snapshots(snapshots: Iterable[Optional[Dict]]) -> Dict:
-    """Merge telemetry snapshots (e.g. one per worker) parent-side.
+    """Merge telemetry snapshots (e.g. one per shard).
 
     ``None`` entries (engines without telemetry) are skipped.  Histogram
     series merge element-wise; span counts add.  The result does not
@@ -279,14 +250,11 @@ def merge_snapshots(snapshots: Iterable[Optional[Dict]]) -> Dict:
     for snapshot in snapshots:
         if snapshot is None:
             continue
-        for section in ("stages", "wire"):
-            for stage, wire in snapshot.get(section, {}).items():
-                existing = merged[section].get(stage)
-                merged[section][stage] = (
-                    dict(wire)
-                    if existing is None
-                    else merge_wire(existing, wire)
-                )
+        for stage, wire in snapshot.get("stages", {}).items():
+            existing = merged["stages"].get(stage)
+            merged["stages"][stage] = (
+                dict(wire) if existing is None else merge_wire(existing, wire)
+            )
         for state, value in snapshot.get("spans", {}).items():
             merged["spans"][state] = (
                 merged["spans"].get(state, 0) + int(value)
@@ -308,7 +276,6 @@ __all__ = [
     "STAGE_COUNTERS",
     "Telemetry",
     "TraceSampler",
-    "WIRE_STAGES",
     "effectiveness_gauges",
     "empty_snapshot",
     "merge_snapshots",

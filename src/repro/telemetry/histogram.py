@@ -8,12 +8,12 @@ are fixed at construction, two histograms over the same bounds merge by
 element-wise addition of counts — which makes the merge associative and
 commutative and preserves both total count and total sum exactly (the
 property tests in ``tests/test_telemetry_properties.py`` assert all
-four).  That is the contract the parallel engine relies on when it
-merges per-worker histograms parent-side in any order.
+four).  That is the contract the sharded engine relies on when it
+merges per-shard histograms in any order.
 
 The wire form (:meth:`to_wire` / :meth:`from_wire`) is a JSON-safe dict,
-so histograms cross the worker pipe, the checkpoint layer and the NDJSON
-stats surface without a custom codec.
+so histograms cross the checkpoint layer and the NDJSON stats surface
+without a custom codec.
 """
 
 from __future__ import annotations

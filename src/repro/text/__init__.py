@@ -1,4 +1,4 @@
-"""Text substrate: tokenisation, term vectors, vocabulary, statistics."""
+"""Text substrate: tokenisation, term vectors, statistics."""
 
 from repro.text.collection_stats import CollectionStatistics
 from repro.text.stopwords import ENGLISH_STOPWORDS
@@ -11,7 +11,6 @@ from repro.text.vectors import (
     cosine_similarity,
     dissimilarity,
 )
-from repro.text.vocabulary import Vocabulary
 
 __all__ = [
     "CollectionStatistics",
@@ -20,7 +19,6 @@ __all__ = [
     "ENGLISH_STOPWORDS",
     "TermVector",
     "Tokenizer",
-    "Vocabulary",
     "angular_distance",
     "angular_similarity",
     "cosine_similarity",

@@ -23,8 +23,7 @@ Kill points (where the crash lands relative to one accepted op):
     fault) after an earlier clean checkpoint: recovery must fall back
     to the older checkpoint and a longer replay.
 
-Shapes: a single DAS engine, an in-process sharded engine, and the
-process-parallel deployment (worker subprocesses).
+Shapes: a single DAS engine and an in-process sharded engine.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.errors import ReproError
 from repro.server import InProcessClient, ServerRuntime
 from repro.simulation.faults import FaultPlan
 
-SHAPES = ("single", "sharded", "parallel")
+SHAPES = ("single", "sharded")
 KILL_POINTS = (
     "pre_append",
     "post_append_pre_match",
@@ -74,20 +73,19 @@ def make_engine(shape):
     return base
 
 
-def make_config(directory, shape, plan=None):
+def make_config(directory, plan=None):
     return ServerConfig(
         inline_matcher=True,
         eventlog_dir=directory,
         eventlog_segment_entries=4,
         outbound_capacity=256,
-        parallel_workers=2 if shape == "parallel" else 0,
         fault_injector=FaultPlan.parse(plan).injector() if plan else None,
     )
 
 
 async def start_runtime(directory, shape, plan=None):
     runtime = ServerRuntime(
-        make_engine(shape), make_config(directory, shape, plan)
+        make_engine(shape), make_config(directory, plan)
     )
     await runtime.start()
     return runtime

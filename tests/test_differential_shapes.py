@@ -1,13 +1,9 @@
-"""Differential suite: the three engine shapes must agree exactly.
+"""Differential suite: the two engine shapes must agree exactly.
 
-The shared-memory wire changes how documents reach parallel workers, so
-this suite drives the same seeded workload through
-
-* the single-process :class:`~repro.core.engine.DasEngine`,
-* the in-process :class:`~repro.distributed.ShardedDasEngine`, and
-* the multi-process :class:`~repro.parallel.ParallelShardedEngine`
-
-and asserts identical notifications, result lists and DR values.
+Drives the same seeded workload through the single
+:class:`~repro.core.engine.DasEngine` and the sharded
+:class:`~repro.distributed.ShardedDasEngine` and asserts identical
+notifications, result lists and DR values.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.core.strategies import make_oracle
 from repro.distributed import ShardedDasEngine
-from repro.parallel import ParallelShardedEngine
 from repro.persistence.checkpoint import checkpoint, restore
 from repro.stream.document import Document
 from repro.text.vectors import TermVector
@@ -71,14 +66,12 @@ def _trace(engine, docs, queries):
     return trace
 
 
-def test_three_shapes_identical():
+def test_two_shapes_identical():
     docs, queries = _workload()
     config = EngineConfig(k=4, block_size=8)
     single = _trace(DasEngine(config), docs, queries)
     sharded = _trace(ShardedDasEngine(N_SHARDS, config), docs, queries)
     assert sharded == single
-    with ParallelShardedEngine(N_SHARDS, config) as parallel:
-        assert _trace(parallel, docs, queries) == single
 
 
 def _mode_config(mode):
@@ -150,15 +143,13 @@ def _mode_trace(engine, docs, queries):
 
 @pytest.mark.parametrize("mode", ["decay", "window", "spatial"])
 def test_mode_shape_matrix(mode):
-    """Every ranking/expiry mode behaves identically under all three
-    engine shapes (ISSUE 10, S2)."""
+    """Every ranking/expiry mode behaves identically under both engine
+    shapes."""
     docs, queries = _mode_workload(mode)
     config = _mode_config(mode)
     single = _mode_trace(DasEngine(config), docs, queries)
     sharded = _mode_trace(ShardedDasEngine(N_SHARDS, config), docs, queries)
     assert sharded == single
-    with ParallelShardedEngine(N_SHARDS, config) as parallel:
-        assert _mode_trace(parallel, docs, queries) == single
 
 
 @pytest.mark.parametrize("mode", ["decay", "window", "spatial"])

@@ -21,7 +21,7 @@ from repro.config import EngineConfig, ServerConfig
 from repro.core.engine import DasEngine
 from repro.errors import ProtocolError
 from repro.server import NdjsonTcpClient, NdjsonTcpServer, ServerRuntime
-from repro.server.protocol import decode_line
+from repro.server.protocol import decode_line, error_reply, parse_request
 from repro.server.tcp import MAX_LINE_BYTES
 
 
@@ -166,55 +166,76 @@ def test_seeded_garbage_stream_never_wedges_the_connection():
     run(scenario())
 
 
-#: Malformed cluster-op frames (ISSUE 7, S3): every one must produce a
-#: structured error reply — never a half-applied journal entry, never a
-#: dead connection task.
-CLUSTER_MALFORMED_LINES = [
-    b'{"op": "replicate"}\n',  # missing offset/entries
-    b'{"op": "replicate", "offset": -1, "entries": []}\n',
-    b'{"op": "replicate", "offset": true, "entries": []}\n',
-    b'{"op": "replicate", "offset": 0, "entries": "xx"}\n',
-    b'{"op": "replicate", "offset": 0, "entries": [[]]}\n',  # empty entry
-    b'{"op": "replicate", "offset": 0, "entries": [["fly", 1]]}\n',
-    b'{"op": "replicate", "offset": 0, "entries": [["subscribe", "q", []]]}\n',
-    b'{"op": "replicate", "offset": 0, "entries": [["publish", [{"tf": {}}]]]}\n',
-    b'{"op": "replicate", "offset": 7, "entries": [["unsubscribe", 1]], '
-    b'"notify": false}\n',  # offset gap vs the node's applied offset
-    b'{"op": "replicate", "offset": 0, "entries": [], "notify": "yes"}\n',
-    b'{"op": "handoff"}\n',  # missing checkpoint/offset
-    b'{"op": "handoff", "checkpoint": [], "offset": 0}\n',
-    b'{"op": "handoff", "checkpoint": {}, "offset": 0}\n',  # bad payload
-    b'{"op": "handoff", "checkpoint": {"version": 99}, "offset": 0}\n',
-    b'{"op": "cluster_stats", "checkpoint": "yes"}\n',
+#: Frames of the ops the removed cluster tier spoke — one well-formed in
+#: its old schema, one not, per op.  They are unknown ops now.
+REMOVED_OP_LINES = [
+    b'{"op": "replicate", "offset": 0, "entries": '
+    b'[["subscribe", 5, ["w"]]], "notify": true}\n',
+    b'{"op": "replicate"}\n',
+    b'{"op": "handoff", "checkpoint": {"version": 1}, "offset": 0}\n',
+    b'{"op": "handoff"}\n',
+    b'{"op": "cluster_stats", "checkpoint": true}\n',
+    b'{"op": "cluster_stats"}\n',
 ]
 
 
-def test_malformed_cluster_ops_get_structured_error_replies():
-    async def scenario():
-        runtime, server, host, port = await start_stack()
+def test_malformed_cluster_ops_get_structured_error_replies(tmp_path):
+    """On a durable server, ``replicate``/``handoff``/``cluster_stats``
+    get the structured reply of any unknown op; nothing reaches the
+    engine or the event log, and the connection keeps serving."""
+
+    def unknown_op_error(op):
         try:
-            replies = await raw_exchange(host, port, CLUSTER_MALFORMED_LINES)
-            assert len(replies) == len(CLUSTER_MALFORMED_LINES)
-            for line, reply in zip(CLUSTER_MALFORMED_LINES, replies):
-                assert reply["ok"] is False, line
-                assert "type" in reply["error"], line
-                assert "message" in reply["error"], line
-            # No half-applied entries: the node's replica offset is
-            # untouched and a well-formed replicate still lands.
-            good = await raw_exchange(
-                host,
-                port,
-                [
-                    b'{"op": "cluster_stats", "id": 1}\n',
-                    b'{"op": "replicate", "offset": 0, "entries": '
-                    b'[["subscribe", 0, ["w"]]], "notify": true, "id": 2}\n',
-                ],
-            )
-            assert good[0]["ok"] is True
-            assert good[0]["node"]["applied_offset"] == 0
-            assert good[1]["ok"] is True
-            assert good[1]["offset"] == 1
+            parse_request({"op": op})
+        except ProtocolError as exc:
+            return error_reply(exc)["error"]
+        raise AssertionError(f"{op!r} is still a known op")
+
+    async def scenario():
+        runtime = ServerRuntime(
+            DasEngine.for_method("GIFilter", k=3, block_size=4),
+            ServerConfig(eventlog_dir=str(tmp_path), port=0),
+        )
+        await runtime.start()
+        server = NdjsonTcpServer(runtime)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_LINE_BYTES
+        )
+
+        async def request(line):
+            writer.write(line)
+            await writer.drain()
+            while True:
+                reply = await asyncio.wait_for(reader.readline(), 5.0)
+                assert reply, "connection died mid-exchange"
+                payload = json.loads(reply)
+                if "ok" in payload:  # skip pushed notifications
+                    return payload
+
+        def engine_state():
+            stats = runtime.stats()
+            return stats["counters"], stats["eventlog"]["end"]
+
+        try:
+            first = await request(b'{"op": "subscribe", "keywords": ["w"]}\n')
+            await request(b'{"op": "publish", "tokens": ["w"]}\n')
+            before = engine_state()
+            for line in REMOVED_OP_LINES:
+                reply = await request(line)
+                op = json.loads(line)["op"]
+                assert reply == {"ok": False, "error": unknown_op_error(op)}
+            assert engine_state() == before
+            second = await request(b'{"op": "subscribe", "keywords": ["w"]}\n')
+            published = await request(b'{"op": "publish", "tokens": ["w"]}\n')
+            assert (first["query_id"], second["query_id"]) == (0, 1)
+            assert published["ok"] is True and published["doc_id"] == 1
         finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
             await server.stop()
             await runtime.stop()
 

@@ -8,12 +8,14 @@ identical to an unfailed engine's.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 
 import pytest
 
 from repro.config import EngineConfig
+from repro.core.query import DasQuery
 from repro.distributed import ShardedDasEngine
 from repro.persistence import (
     checkpoint_sharded,
@@ -106,3 +108,89 @@ def test_save_load_single_shard_still_plain(tmp_path):
     path = os.path.join(str(tmp_path), "plain.json")
     save(engine, path)
     assert isinstance(load(path), DasEngine)
+
+
+def change_log(notifications):
+    return [
+        (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+        for n in notifications
+    ]
+
+
+def test_file_written_by_parent_parallel_engine_restores_and_continues():
+    """``fixtures/checkpoint_parent_f894fff_parallel.json`` was written by
+    the last commit with process-parallel workers: its sharded engine
+    with two worker processes, fed the operations below up to document 70.
+    It loads as a :class:`ShardedDasEngine` with the same routing state
+    and continues on the change stream of a sharded engine that lived the
+    same history in-process."""
+    corpus = SyntheticTweetCorpus(vocab_size=120, n_topics=5, seed=3)
+    docs = corpus.documents(100)
+    live = ShardedDasEngine(2, EngineConfig(k=3, block_size=4))
+    for document in docs[:40]:
+        live.publish(document)
+    for query in lqd_queries(corpus, 12, first_id=0):
+        live.subscribe(query)
+    live.publish_batch(docs[40:60])
+    live.unsubscribe(4)
+    for document in docs[60:70]:
+        live.publish(document)
+
+    path = os.path.join(
+        os.path.dirname(__file__),
+        "fixtures",
+        "checkpoint_parent_f894fff_parallel.json",
+    )
+    clone = load(path)
+    assert isinstance(clone, ShardedDasEngine)
+    assert observable(clone) == observable(live)
+    replaced = 0
+    for document in docs[70:]:
+        expected = change_log(live.publish(document))
+        assert change_log(clone.publish(document)) == expected
+        replaced += sum(old is not None for _q, _d, old in expected)
+    assert replaced > 0
+    for query_id in live._assignment:
+        assert clone.current_dr(query_id) == live.current_dr(query_id)
+    # The file has no ``last_query_id``: the newest live id (11) stands in.
+    for engine in (live, clone):
+        engine.subscribe(DasQuery(12, ["the"]))
+    assert clone.shard_of(12) == live.shard_of(12)
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_served_sharded_restart_never_reissues_a_query_id(
+    tmp_path, checkpointed
+):
+    """``serve --shards 2 --eventlog-dir``: subscribe 0, 1, 2, unsubscribe
+    2, restart (recovering from the log alone, or from a checkpoint taken
+    after the unsubscribe): the next subscribe is assigned id 3."""
+    from repro.experiments.cli import build_parser, build_serve_runtime
+
+    argv = ["serve", "--port", "0", "--shards", "2"]
+    argv += ["--eventlog-dir", str(tmp_path)]
+
+    async def scenario():
+        runtime, _tcp = build_serve_runtime(build_parser().parse_args(argv))
+        await runtime.start()
+        session = runtime.open_session()
+        ids = [(await runtime.subscribe(session, ["w"]))[0] for _ in range(3)]
+        await runtime.unsubscribe(ids[-1], session)
+        if checkpointed:
+            await runtime.checkpoint_eventlog()
+        await runtime.stop()
+
+        runtime, _tcp = build_serve_runtime(build_parser().parse_args(argv))
+        await runtime.start()
+        assert isinstance(runtime.engine, ShardedDasEngine)
+        recovery = runtime.stats()["eventlog"]["recovery"]
+        assert (recovery["checkpoint_offset"] >= 0) is checkpointed
+        query_id, _initial = await runtime.subscribe(
+            runtime.open_session(), ["w"]
+        )
+        await runtime.stop()
+        return ids, query_id
+
+    ids, query_id = asyncio.run(asyncio.wait_for(scenario(), 60.0))
+    assert ids == [0, 1, 2]
+    assert query_id == 3

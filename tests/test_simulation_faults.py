@@ -79,12 +79,12 @@ def test_every_action_is_classified():
     assert set(RAISING_ACTIONS) & set(HARNESS_ACTIONS) == set()
     assert "raise" in RAISING_ACTIONS
     assert "stall" in HARNESS_ACTIONS
-    assert "kill" in HARNESS_ACTIONS
-    assert "partition" in HARNESS_ACTIONS
-    assert "node.fault" in INJECTION_POINTS
     assert "eventlog.fault" in INJECTION_POINTS
     assert "eventlog.match" in INJECTION_POINTS
-    assert len(INJECTION_POINTS) == 12
+    assert len(INJECTION_POINTS) == 10
+    # The scale-out shapes' points and actions went with them.
+    assert not {"worker.publish_batch", "node.fault"} & set(INJECTION_POINTS)
+    assert not {"kill", "partition"} & set(HARNESS_ACTIONS)
 
 
 # -- injector mechanics --------------------------------------------------

@@ -1,9 +1,8 @@
 """Property tests for histogram merge algebra (ISSUE 5 satellite 1).
 
-The parallel engine merges per-worker histograms parent-side in whatever
-order worker replies land, and the sharded engine merges shard snapshots
-in shard order; both are only correct if histogram merge is associative
-and commutative and preserves total count and sum under *any* partition
+The sharded engine merges shard snapshots; that merge is only correct,
+whatever the shard order, if histogram merge is associative and
+commutative and preserves total count and sum under *any* partition
 of the observations across shards.  Hypothesis searches for observation
 sets and shard splits that break those laws.
 """
@@ -113,7 +112,7 @@ def test_merge_wire_matches_object_merge(sets):
 @settings(max_examples=40, deadline=None)
 @given(observation_sets(max_sets=4), st.randoms(use_true_random=False))
 def test_snapshot_merge_is_order_insensitive(sets, rng):
-    """merge_snapshots gives one aggregate regardless of worker order."""
+    """merge_snapshots gives one aggregate regardless of shard order."""
     snapshots = []
     for index, values in enumerate(sets):
         histogram = histogram_of(values)

@@ -10,7 +10,7 @@ structure, or the filtering work a publish performs).
 
 Regenerate after an intentional change with::
 
-    PYTHONPATH=src REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_telemetry_trace.py
+    PYTHONPATH=src python tests/test_telemetry_trace.py
 """
 
 from __future__ import annotations
@@ -58,18 +58,13 @@ def run_traced_workload():
     return telemetry
 
 
+def traced_workload_record(telemetry):
+    return {"spans": telemetry.span_counts(), "traces": list(telemetry.traces)}
+
+
 def test_golden_trace_matches_fixture():
-    telemetry = run_traced_workload()
-    traces = list(telemetry.traces)
-    current = {
-        "spans": telemetry.span_counts(),
-        "traces": traces,
-    }
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
-        os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-        with open(FIXTURE, "w") as handle:
-            json.dump(current, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    current = traced_workload_record(run_traced_workload())
+    traces = current["traces"]
     with open(FIXTURE) as handle:
         golden = json.load(handle)
 
@@ -94,3 +89,14 @@ def test_traces_are_run_independent():
     first = list(run_traced_workload().traces)
     second = list(run_traced_workload().traces)
     assert first == second
+
+
+if __name__ == "__main__":
+    with open(FIXTURE, "w") as handle:
+        json.dump(
+            traced_workload_record(run_traced_workload()),
+            handle,
+            indent=2,
+            sort_keys=True,
+        )
+        handle.write("\n")
