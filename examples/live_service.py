@@ -1,25 +1,16 @@
 #!/usr/bin/env python
-"""Live service: callback delivery and sharded scale-out.
+"""Live service: callback and mailbox delivery.
 
-Wraps the engine in :class:`PublishSubscribeService` (push callbacks and
-pull mailboxes), then shows the same workload on a
-:class:`ShardedDasEngine` — the paper's "multiple servers, each handling
-a subset of DAS queries" deployment — and verifies the sharded results
-are identical to a single engine's.
+Wraps the engine in :class:`PublishSubscribeService`: one subscription
+is pushed its notifications through a callback, another collects them
+in a pull mailbox, and a cancelled subscription stops receiving.
 
 Run:  python examples/live_service.py
 """
 
 from __future__ import annotations
 
-from repro import (
-    DasEngine,
-    DasQuery,
-    PublishSubscribeService,
-    ShardedDasEngine,
-    SyntheticTweetCorpus,
-)
-from repro.workloads import lqd_queries
+from repro import DasEngine, PublishSubscribeService
 
 
 def delivery_demo() -> None:
@@ -43,49 +34,11 @@ def delivery_demo() -> None:
         print(f"    - {note.document.text}")
     coffee.cancel()
     service.publish_text("espresso again, but nobody is listening", created_at=4.0)
-    print(f"  after cancel: still {len(alerts)} push(es)\n")
-
-
-def sharding_demo() -> None:
-    print("== sharded deployment (3 shards) ==")
-    corpus = SyntheticTweetCorpus(vocab_size=2000, n_topics=30, seed=23)
-    docs = corpus.documents(600)
-    queries = lqd_queries(corpus, 90, first_id=0)
-
-    single = DasEngine.for_method("GIFilter", k=4)
-    sharded = ShardedDasEngine(
-        3,
-        single.config,
-        routing="least_loaded",
-    )
-    for document in docs[:200]:
-        single.publish(document)
-        sharded.publish(document)
-    for query in queries:
-        single.subscribe(query)
-        sharded.subscribe(query)
-    for document in docs[200:]:
-        single.publish(document)
-        sharded.publish(document)
-
-    for index, load in enumerate(sharded.shard_loads()):
-        print(
-            f"  shard {index}: {load['queries']:3d} queries, "
-            f"{load['postings']:4d} postings"
-        )
-    print(f"  posting imbalance (max/mean): {sharded.imbalance():.2f}")
-
-    identical = all(
-        [d.doc_id for d in single.results(q.query_id)]
-        == [d.doc_id for d in sharded.results(q.query_id)]
-        for q in queries
-    )
-    print(f"  sharded results identical to single engine: {identical}")
+    print(f"  after cancel: still {len(alerts)} push(es)")
 
 
 def main() -> None:
     delivery_demo()
-    sharding_demo()
 
 
 if __name__ == "__main__":

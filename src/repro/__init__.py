@@ -37,7 +37,6 @@ from repro.config import (
     irt_config,
 )
 from repro.core import DasEngine, DasQuery, Notification
-from repro.distributed import ShardedDasEngine
 from repro.pubsub import Mailbox, PublishSubscribeService, Subscription
 from repro.errors import (
     ConfigurationError,
@@ -97,7 +96,6 @@ __all__ = [
     "ServerClosedError",
     "ServerConfig",
     "ServerRuntime",
-    "ShardedDasEngine",
     "Subscription",
     "QueryOrderError",
     "ReproError",

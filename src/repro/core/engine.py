@@ -203,7 +203,7 @@ class DasEngine:
         self.telemetry = telemetry
 
     def telemetry_snapshot(self) -> Optional[Dict]:
-        """Mergeable telemetry snapshot, or None without telemetry."""
+        """JSON-safe telemetry snapshot, or None without telemetry."""
         return self.telemetry.snapshot() if self.telemetry is not None else None
 
     def results(self, query_id: int) -> List[Document]:
@@ -290,7 +290,7 @@ class DasEngine:
             )
         if self._strategy is not None:
             # The strategy owns seeding and result maintenance; the engine
-            # keeps owning id bookkeeping so every caller (facade, harness,
+            # keeps owning id bookkeeping so every caller (runtime, harness,
             # checkpoints) sees the same ``_queries`` surface in all modes.
             initial = self._strategy.subscribe(query)
             self._queries[query.query_id] = query
@@ -362,35 +362,15 @@ class DasEngine:
 
     # -- document processing (Algorithm 2) ---------------------------------------
 
-    def publish(
-        self,
-        document: Document,
-        decay_cache: Optional[CachedDecay] = None,
-    ) -> List[Notification]:
-        """Process one stream document; returns the triggered updates.
-
-        ``decay_cache`` lets a multi-shard caller share one decay-power
-        memo across shards processing the same document (the powers are
-        pure functions of the age gap, so sharing is exact); the caller
-        then owns clearing it.  With the default ``None`` the engine's
-        own per-publish memo is used.
-        """
+    def publish(self, document: Document) -> List[Notification]:
+        """Process one stream document; returns the triggered updates."""
         if self._strategy is not None:
             return self._strategy.publish(document)
-        if decay_cache is None:
-            self._decay_cache.clear()
-            return self._publish_one(document, {})
-        own = self._decay_cache
-        self._decay_cache = decay_cache
-        try:
-            return self._publish_one(document, {})
-        finally:
-            self._decay_cache = own
+        self._decay_cache.clear()
+        return self._publish_one(document, {})
 
     def publish_batch(
-        self,
-        documents: Iterable[Document],
-        decay_cache: Optional[CachedDecay] = None,
+        self, documents: Iterable[Document]
     ) -> List[Notification]:
         """Process a micro-batch of stream documents.
 
@@ -405,49 +385,18 @@ class DasEngine:
         term -> postings-list resolution is memoised across the batch,
         and the decay-power memo is cleared once per batch instead of
         once per document (decay powers are pure functions of the age
-        gap, so reuse across documents is exact).  A sharded caller may
-        pass a shared ``decay_cache`` so sibling shards broadcasting the
-        same batch reuse one memo (the caller owns clearing it).
+        gap, so reuse across documents is exact).
         """
         notifications: List[Notification] = []
-        for segment in self.publish_batch_segmented(documents, decay_cache):
-            notifications.extend(segment)
-        return notifications
-
-    def publish_batch_segmented(
-        self,
-        documents: Iterable[Document],
-        decay_cache: Optional[CachedDecay] = None,
-    ) -> List[List[Notification]]:
-        """:meth:`publish_batch`, keeping per-document segment boundaries.
-
-        Returns one notification list per input document (possibly
-        empty), in input order; :meth:`publish_batch` is exactly the
-        concatenation.  Multi-shard mergers need the boundaries: strategy
-        modes may emit notifications whose subject is *not* the published
-        document (window promotions), so "group by doc id" no longer
-        reconstructs which document produced a notification.
-        """
-        documents = list(documents)
-        if not documents:
-            return []
         if self._strategy is not None:
-            return [
-                self._strategy.publish(document) for document in documents
-            ]
-        if decay_cache is None:
-            decay_cache = self._decay_cache
-            decay_cache.clear()
-        own = self._decay_cache
-        self._decay_cache = decay_cache
-        try:
-            segments: List[List[Notification]] = []
-            lists_memo: Dict[str, Optional[PostingsList]] = {}
             for document in documents:
-                segments.append(self._publish_one(document, lists_memo))
-            return segments
-        finally:
-            self._decay_cache = own
+                notifications.extend(self._strategy.publish(document))
+            return notifications
+        self._decay_cache.clear()
+        lists_memo: Dict[str, Optional[PostingsList]] = {}
+        for document in documents:
+            notifications.extend(self._publish_one(document, lists_memo))
+        return notifications
 
     def _publish_one(
         self,

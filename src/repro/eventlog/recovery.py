@@ -1,8 +1,7 @@
 """Recovery = latest checkpoint + event-log replay (DESIGN.md §14).
 
 A checkpoint file ``checkpoint-<offset>.json`` pairs an engine payload
-(:func:`repro.persistence.checkpoint.engine_checkpoint` schema, single
-or sharded) with a
+(:func:`repro.persistence.checkpoint.checkpoint` schema) with a
 :class:`~repro.eventlog.subscribers.SubscriberRegistry` snapshot, both
 taken at one log offset.  Because the registry's retained outboxes ride
 inside the checkpoint, truncating the log up to the checkpoint offset
@@ -23,11 +22,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.config import EngineConfig
 from repro.core.query import DasQuery
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.eventlog.segments import EventLog
 from repro.eventlog.subscribers import SubscriberRegistry
 
@@ -187,6 +187,20 @@ def replay_record(
                 )
 
 
+def _require_same_config(restored: EngineConfig, provided: EngineConfig) -> None:
+    differing = [
+        f"{item.name} (checkpoint {getattr(restored, item.name)!r}, "
+        f"engine {getattr(provided, item.name)!r})"
+        for item in fields(EngineConfig)
+        if getattr(restored, item.name) != getattr(provided, item.name)
+    ]
+    if differing:
+        raise ConfigurationError(
+            "eventlog checkpoint was written under another engine "
+            "config: " + ", ".join(differing)
+        )
+
+
 def recover(
     directory: str,
     engine: object,
@@ -199,11 +213,12 @@ def recover(
 
     ``engine`` is the *fresh* engine to replay into when no checkpoint
     exists; when one does, the checkpointed engine replaces it (the
-    caller inspects ``RecoveredState.engine`` and swaps).  ``registry``
-    lets the caller pre-configure capacity/DLQ wiring; a default one is
-    built otherwise.
+    caller inspects ``RecoveredState.engine`` and swaps).  That engine
+    must be configured as ``engine`` is: a :class:`ConfigurationError`
+    names the fields that differ.  ``registry`` lets the caller
+    pre-configure capacity/DLQ wiring; a default one is built otherwise.
     """
-    from repro.persistence.checkpoint import restore_payload
+    from repro.persistence.checkpoint import restore
 
     os.makedirs(directory, exist_ok=True)
     if registry is None:
@@ -211,7 +226,9 @@ def recover(
     checkpoint = latest_checkpoint(directory)
     checkpoint_offset = -1
     if checkpoint is not None:
-        engine = restore_payload(checkpoint["engine"])
+        restored = restore(checkpoint["engine"])
+        _require_same_config(restored.config, engine.config)
+        engine = restored
         registry.load(checkpoint["subscribers"])
         checkpoint_offset = checkpoint["offset"]
     log = EventLog(

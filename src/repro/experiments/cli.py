@@ -135,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="engine shards; > 1 serves a ShardedDasEngine (default: 1)",
-    )
-    serve.add_argument(
         "--policy",
         choices=SLOW_CONSUMER_POLICIES,
         default="block",
@@ -337,13 +331,10 @@ def build_serve_runtime(args):
     """Build the (runtime, tcp server) pair for the ``serve`` command."""
     from repro.config import ServerConfig
     from repro.core.engine import DasEngine
-    from repro.distributed import ShardedDasEngine
     from repro.server import NdjsonTcpServer, ServerRuntime
 
     mode = getattr(args, "mode", "decay")
     engine = DasEngine.for_method(args.method, k=args.k, mode=mode)
-    if args.shards > 1:
-        engine = ShardedDasEngine(args.shards, engine.config)
     config = ServerConfig(
         ingest_capacity=args.ingest_capacity,
         outbound_capacity=args.outbound_capacity,

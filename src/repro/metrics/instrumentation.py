@@ -82,14 +82,6 @@ class Counters:
         for f in fields(self):
             setattr(self, f.name, 0)
 
-    def __add__(self, other: "Counters") -> "Counters":
-        return Counters(
-            **{
-                name: value + getattr(other, name)
-                for name, value in self.as_dict().items()
-            }
-        )
-
 
 class BatchHistogram:
     """Power-of-two histogram of micro-batch sizes.

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.config import EngineConfig, GroupBoundMode
 from repro.core.agg_weights import AggregatedTermWeights
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.core.result_set import ResultEntry
-from repro.distributed.sharded import ShardedDasEngine
 from repro.stream.document import Document
 from repro.text.vectors import TermVector, cosine_similarity
 
@@ -130,13 +129,16 @@ def checkpoint(engine: DasEngine) -> Dict:
 
 
 def restore(payload: Dict) -> DasEngine:
-    """Rebuild an engine from a checkpoint dict."""
+    """Rebuild an engine from a checkpoint dict (either schema: a
+    sharded one loads as one engine, see :func:`_merge_shards`)."""
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    if payload.get("sharded"):
+        payload = _merge_shards(payload)
     engine = DasEngine(_config_from_dict(payload["config"]))
 
     # Collection statistics are restored wholesale (re-adding documents
@@ -202,6 +204,52 @@ def _last_query_id(payload: Dict, live_max: Optional[int]) -> Optional[int]:
     return live_max if last is None else int(last)
 
 
+def _merge_shards(payload: Dict) -> Dict:
+    """The single-engine payload of a file in the sharded schema.
+
+    Older releases could split the queries over N in-process engine
+    shards that each saw every document, and wrote ``{"sharded": true,
+    "shards": [...], "last_query_id": ...}`` with one single-engine
+    payload per shard.  Every shard saw the same stream, so config,
+    clock and collection statistics are shard 0's; the store is the
+    union of the shard stores in id order, whose pins the restored rows
+    re-derive (each document's count summed over shards); work counters
+    add up field by field, except ``docs_published``, which every shard
+    counted for every document.  The group-check backoff restarts at
+    0, 0: a skip is optional, so that changes no decision.
+    """
+    shards = payload["shards"]
+    merged = dict(shards[0])
+    documents: Dict[int, Dict] = {}
+    for shard in shards:
+        for record in shard["documents"]:
+            documents.setdefault(int(record["id"]), record)
+    merged["documents"] = [documents[doc_id] for doc_id in sorted(documents)]
+    merged["queries"] = sorted(
+        (record for shard in shards for record in shard["queries"]),
+        key=lambda record: int(record["id"]),
+    )
+    if "strategy" in merged:
+        merged["strategy"] = dict(
+            merged["strategy"],
+            queries={
+                query_id: row
+                for shard in shards
+                for query_id, row in shard["strategy"]["queries"].items()
+            },
+        )
+    if "counters" in merged:
+        counters: Dict[str, int] = {}
+        for shard in shards:
+            for name, value in shard["counters"].items():
+                counters[name] = counters.get(name, 0) + int(value)
+        counters["docs_published"] = int(merged["counters"]["docs_published"])
+        merged["counters"] = counters
+    merged["last_query_id"] = payload.get("last_query_id")
+    merged["check_backoff"] = [0, 0]
+    return merged
+
+
 def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None:
     """Register a query and rebuild its result table row by row."""
     from repro.core.result_set import QueryResultSet
@@ -256,73 +304,8 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
             entry.sim_acc += cosine_similarity(vector, entry.document.vector)
 
 
-def checkpoint_sharded(engine: ShardedDasEngine) -> Dict:
-    """Capture a sharded engine: per-shard checkpoints plus routing state.
-
-    The routing table and round-robin cursor are part of the logical
-    state — without them a restored engine would route new queries
-    differently from the original.
-    """
-    return {
-        "version": CHECKPOINT_VERSION,
-        "sharded": True,
-        "routing": engine.routing,
-        "assignment": {
-            str(query_id): shard
-            for query_id, shard in sorted(engine._assignment.items())
-        },
-        "next_round_robin": engine._next_round_robin,
-        "last_query_id": engine._last_query_id,
-        "shards": [checkpoint(shard) for shard in engine.shards],
-    }
-
-
-def restore_sharded(payload: Dict) -> ShardedDasEngine:
-    """Rebuild a sharded engine from a :func:`checkpoint_sharded` dict."""
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {version!r} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    restored = [restore(shard) for shard in payload["shards"]]
-    shards = iter(restored)
-    engine = ShardedDasEngine(
-        len(restored),
-        routing=payload["routing"],
-        engine_factory=lambda: next(shards),
-    )
-    engine._assignment = {
-        int(query_id): int(shard)
-        for query_id, shard in payload["assignment"].items()
-    }
-    engine._next_round_robin = int(payload["next_round_robin"])
-    engine._last_query_id = _last_query_id(
-        payload, max(engine._assignment, default=None)
-    )
-    return engine
-
-
-def engine_checkpoint(engine: Union[DasEngine, ShardedDasEngine]) -> Dict:
-    """Checkpoint either engine shape to its JSON-safe payload: the
-    :func:`checkpoint_sharded` schema for a sharded engine, the
-    single-engine one otherwise."""
-    if isinstance(engine, ShardedDasEngine):
-        return checkpoint_sharded(engine)
-    return checkpoint(engine)
-
-
-def restore_payload(payload: Dict) -> Union[DasEngine, ShardedDasEngine]:
-    """Restore an in-process engine from any checkpoint payload shape."""
-    if payload.get("sharded"):
-        return restore_sharded(payload)
-    return restore(payload)
-
-
 def save(
-    engine: Union[DasEngine, ShardedDasEngine],
-    path: str,
-    injector: Optional[object] = None,
+    engine: DasEngine, path: str, injector: Optional[object] = None
 ) -> None:
     """Checkpoint the engine to a JSON file, atomically.
 
@@ -332,8 +315,7 @@ def save(
     previous checkpoint at ``path`` intact.  A ``torn`` fault leaves a
     truncated temp file behind — never a truncated checkpoint.
     """
-    payload = engine_checkpoint(engine)
-    data = json.dumps(payload)
+    data = json.dumps(checkpoint(engine))
     tmp_path = path + ".tmp"
     with open(tmp_path, "w") as handle:
         if injector is not None:
@@ -347,7 +329,7 @@ def save(
     os.replace(tmp_path, path)
 
 
-def load(path: str) -> Union[DasEngine, ShardedDasEngine]:
+def load(path: str) -> DasEngine:
     """Restore an engine from a JSON checkpoint file."""
     with open(path) as handle:
-        return restore_payload(json.load(handle))
+        return restore(json.load(handle))

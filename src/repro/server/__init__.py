@@ -1,7 +1,7 @@
 """Async serving runtime: ingestion pipeline, delivery, transports.
 
-The subsystem that turns the in-process engines into a long-running
-network service (see DESIGN.md §8):
+The subsystem that turns the engine into a long-running network
+service (see DESIGN.md §8):
 
 * :class:`ServerRuntime` — bounded ingestion queue + single matcher task
   draining what is queued into micro-batches (group commit);
@@ -14,12 +14,11 @@ network service (see DESIGN.md §8):
 """
 
 from repro.server.inprocess import InProcessClient
-from repro.server.runtime import EngineFacade, ServerRuntime
+from repro.server.runtime import ServerRuntime
 from repro.server.sessions import SubscriberSession
 from repro.server.tcp import NdjsonTcpClient, NdjsonTcpServer
 
 __all__ = [
-    "EngineFacade",
     "InProcessClient",
     "NdjsonTcpClient",
     "NdjsonTcpServer",

@@ -54,7 +54,6 @@ from repro.config import SLOW_CONSUMER_POLICIES, ServerConfig
 from repro.core.engine import DasEngine
 from repro.core.events import Notification
 from repro.core.query import DasQuery
-from repro.distributed.sharded import ShardedDasEngine
 from repro.errors import (
     ConfigurationError,
     ReproError,
@@ -72,9 +71,7 @@ from repro.eventlog import (
     unsubscribe_record,
     write_checkpoint,
 )
-from repro.metrics.instrumentation import Counters
-from repro.persistence.checkpoint import engine_checkpoint
-from repro.pubsub.service import PublishSubscribeService
+from repro.persistence.checkpoint import checkpoint
 from repro.server.batching import BatchHistogram
 from repro.server.protocol import (
     document_payload,
@@ -166,122 +163,18 @@ def _retrieve(future: asyncio.Future) -> None:
         future.exception()
 
 
-class EngineFacade:
-    """Uniform engine-like facade over the three wrappable shapes.
+class ServerRuntime:
+    """Async serving runtime around one :class:`DasEngine` (or a proxy
+    with its surface, such as the simulation's ``InstrumentedEngine``).
 
-    Normalises :class:`DasEngine`, :class:`ShardedDasEngine` and
-    :class:`PublishSubscribeService` to the calls the matcher needs.
-    All engine-touching methods run on the runtime's executor thread.
+    Every engine call runs on the matcher's executor thread.
     """
 
-    def __init__(self, engine: object) -> None:
-        self.replace_engine(engine)
-
-    @property
-    def engine(self) -> object:
-        return self._engine
-
-    def replace_engine(self, engine: object) -> None:
-        """Wrap ``engine``: at construction, and for the engine that
-        event-log recovery restored from a checkpoint."""
-        self._engine = engine
-        self._is_service = isinstance(engine, PublishSubscribeService)
-        #: The DAS engine (single or sharded) behind the service wrapper.
-        self._matcher = engine.engine if self._is_service else engine
-
-    def _shards(self) -> Sequence[DasEngine]:
-        if isinstance(self._matcher, ShardedDasEngine):
-            return self._matcher.shards
-        return [self._matcher]
-
-    def next_query_id(self) -> int:
-        """The id the next subscribe will be assigned (without taking it):
-        one past the highest id the engine ever accepted, unsubscribed or
-        not, so an id is never handed out twice.
-
-        The eventlog tier appends the subscribe record — which must name
-        the query id — *before* the engine call, so the matcher peeks
-        the id here and registers it via :meth:`subscribe_as`.
-        """
-        last = self._matcher._last_query_id
-        return 0 if last is None else last + 1
-
-    def doc_id_floor(self) -> int:
-        floors = []
-        for shard in self._shards():
-            last = shard.store._last_id
-            floors.append(0 if last is None else last + 1)
-        return max(floors)
-
-    def clock_now(self) -> float:
-        return self._shards()[0].clock.now
-
-    def subscribe(
-        self,
-        keywords: Iterable[str],
-        location: Optional[Tuple[float, float]] = None,
-        window: Optional[int] = None,
-    ) -> Tuple[int, List[Document]]:
-        if self._is_service:
-            if location is not None or window is not None:
-                raise ReproError(
-                    "subscribe options (location/window) are not supported "
-                    "for PublishSubscribeService engines"
-                )
-            subscription = self._engine.subscribe(list(keywords))
-            query_id = subscription.query_id
-            return query_id, self._engine.results(query_id)
-        query_id = self.next_query_id()
-        initial = self.subscribe_as(query_id, keywords, location, window)
-        return query_id, initial
-
-    def subscribe_as(
-        self,
-        query_id: int,
-        keywords: Iterable[str],
-        location: Optional[Tuple[float, float]] = None,
-        window: Optional[int] = None,
-    ) -> List[Document]:
-        """Subscribe under the id :meth:`next_query_id` handed out."""
-        return self._engine.subscribe(
-            DasQuery(query_id, keywords, location=location, window=window)
-        )
-
-    def unsubscribe(self, query_id: int) -> None:
-        self._engine.unsubscribe(query_id)
-
-    def publish_batch(
-        self, documents: Sequence[Document]
-    ) -> List[Notification]:
-        return self._engine.publish_batch(documents)
-
-    def results(self, query_id: int) -> List[Document]:
-        return self._engine.results(query_id)
-
-    def counters(self) -> Counters:
-        return self._matcher.counters
-
-    def ensure_telemetry(self) -> None:
-        """Attach a default wall-clock telemetry if the engine has none.
-
-        No-op for engines that already carry one (e.g. the simulation
-        harness wires a deterministic clock before starting the runtime).
-        """
-        if self._matcher.telemetry is None:
-            self._matcher.attach_telemetry(Telemetry())
-
-    def telemetry_snapshot(self) -> Optional[Dict]:
-        return self._matcher.telemetry_snapshot()
-
-
-class ServerRuntime:
-    """Async serving runtime around any engine-like object."""
-
     def __init__(
-        self, engine: object, config: Optional[ServerConfig] = None
+        self, engine: DasEngine, config: Optional[ServerConfig] = None
     ) -> None:
         self._config = config if config is not None else ServerConfig()
-        self._facade = EngineFacade(engine)
+        self._engine = engine
         self._batches = BatchHistogram()
         self._now = self._config.time_source or time.time
         self._injector = self._config.fault_injector
@@ -334,8 +227,19 @@ class ServerRuntime:
         return self._config
 
     @property
-    def engine(self) -> object:
-        return self._facade.engine
+    def engine(self) -> DasEngine:
+        return self._engine
+
+    def _next_query_id(self) -> int:
+        """The id the next subscribe is assigned: one past the highest id
+        the engine ever accepted, unsubscribed or not, so an id is never
+        handed out twice."""
+        last = self._engine._last_query_id
+        return 0 if last is None else last + 1
+
+    def _doc_id_floor(self) -> int:
+        last = self._engine.store._last_id
+        return 0 if last is None else last + 1
 
     @property
     def state(self) -> str:
@@ -354,9 +258,12 @@ class ServerRuntime:
             )
         if self._config.eventlog_dir is not None:
             self._open_eventlog()
-        self._next_doc_id = self._facade.doc_id_floor()
-        self._last_created_at = self._facade.clock_now()
-        self._facade.ensure_telemetry()
+        self._next_doc_id = self._doc_id_floor()
+        self._last_created_at = self._engine.clock.now
+        # Unless the caller wired its own (the simulation harness uses a
+        # deterministic clock), the engine reports wall-clock telemetry.
+        if self._engine.telemetry is None:
+            self._engine.attach_telemetry(Telemetry())
         self._matcher_task = asyncio.create_task(self._matcher_loop())
         self._state = "running"
 
@@ -369,11 +276,6 @@ class ServerRuntime:
         fresh one this runtime was constructed with.
         """
         config = self._config
-        if isinstance(self._facade.engine, PublishSubscribeService):
-            raise ConfigurationError(
-                "eventlog_dir is not supported for PublishSubscribeService "
-                "engines (no externally assigned query ids)"
-            )
         os.makedirs(config.eventlog_dir, exist_ok=True)
         self._dlq = DeadLetterQueue(
             config.eventlog_dir, fsync=config.eventlog_fsync
@@ -383,19 +285,20 @@ class ServerRuntime:
             max_attempts=config.dlq_max_attempts,
             dlq=self._dlq,
         )
-        provided = self._facade.engine
-        fresh = (
-            self._facade.next_query_id() == 0
-            and self._facade.doc_id_floor() == 0
-        )
-        state = recover(
-            config.eventlog_dir,
-            provided,
-            registry=registry,
-            fsync=config.eventlog_fsync,
-            segment_entries=config.eventlog_segment_entries,
-            injector=self._injector,
-        )
+        provided = self._engine
+        fresh = self._next_query_id() == 0 and self._doc_id_floor() == 0
+        try:
+            state = recover(
+                config.eventlog_dir,
+                provided,
+                registry=registry,
+                fsync=config.eventlog_fsync,
+                segment_entries=config.eventlog_segment_entries,
+                injector=self._injector,
+            )
+        except Exception:
+            self._dlq.close()
+            raise
         if state.engine is not provided:
             if not fresh:
                 state.log.close()
@@ -404,7 +307,7 @@ class ServerRuntime:
                     "eventlog recovery found a checkpoint but the provided "
                     "engine already holds state; pass a fresh engine"
                 )
-            self._facade.replace_engine(state.engine)
+            self._engine = state.engine
         self._eventlog = state.log
         self._registry = state.registry
         self._checkpoint_offset = state.checkpoint_offset
@@ -769,7 +672,7 @@ class ServerRuntime:
         for session in self._sessions.values():
             drops[session.policy] += session.dropped
             coalesced += session.coalesced
-        counters = self._facade.counters().as_dict()
+        counters = self._engine.counters.as_dict()
         return {
             "state": self._state,
             "accepted": self._accepted,
@@ -832,10 +735,10 @@ class ServerRuntime:
         }
 
     def _telemetry_section(self, counters: Dict[str, int]) -> Dict[str, Any]:
-        """One unified telemetry view: engine stages (merged across
-        shards), serving-pipeline stages, span accounting, and
-        the derived filtering-effectiveness gauges."""
-        snapshot = self._facade.telemetry_snapshot()
+        """One unified telemetry view: engine stages, serving-pipeline
+        stages, span accounting, and the derived filtering-effectiveness
+        gauges."""
+        snapshot = self._engine.telemetry_snapshot()
         if snapshot is None:
             snapshot = empty_snapshot()
         stages = dict(snapshot["stages"])
@@ -849,7 +752,7 @@ class ServerRuntime:
 
     def metrics_text(self) -> str:
         """The ``metrics`` op payload: Prometheus text exposition."""
-        counters = self._facade.counters().as_dict()
+        counters = self._engine.counters.as_dict()
         telemetry = self._telemetry_section(counters)
         gauges = {
             "repro_ingest_queue_depth": (
@@ -1061,23 +964,30 @@ class ServerRuntime:
             if self._eventlog is not None:
                 await self._maybe_checkpoint()
 
+    def _subscribe_as(
+        self,
+        query_id: int,
+        keywords: Iterable[str],
+        location: Optional[Tuple[float, float]],
+        window: Optional[int],
+    ) -> List[Document]:
+        return self._engine.subscribe(
+            DasQuery(query_id, keywords, location=location, window=window)
+        )
+
     async def _run_control(self, item: _ControlItem) -> None:
         try:
             if item.kind == "subscribe":
                 keywords, location, window = item.args
-                if self._eventlog is None:
-                    query_id, initial = await self._call_engine(
-                        self._facade.subscribe, keywords, location, window
-                    )
-                else:
+                query_id = self._next_query_id()
+                name = (
+                    item.session.subscriber
+                    if item.session is not None
+                    else None
+                )
+                if self._eventlog is not None:
                     # WAL discipline: the subscribe record (naming the
                     # id it will get) is durable before the engine call.
-                    query_id = self._facade.next_query_id()
-                    name = (
-                        item.session.subscriber
-                        if item.session is not None
-                        else None
-                    )
                     self._eventlog.append(
                         subscribe_record(
                             query_id,
@@ -1088,18 +998,14 @@ class ServerRuntime:
                         )
                     )
                     self._appended_since_checkpoint += 1
-                    initial = await self._call_engine(
-                        self._facade.subscribe_as,
-                        query_id,
-                        keywords,
-                        location,
-                        window,
-                    )
-                    if name is not None:
-                        self._registry.record_subscribe(
-                            name, query_id, keywords
-                        )
-                        self._durable_owners[query_id] = name
+                initial = await self._call_engine(
+                    self._subscribe_as, query_id, keywords, location, window
+                )
+                if name is not None:
+                    # Only a resumed session names a subscriber, and
+                    # resume requires the event log.
+                    self._registry.record_subscribe(name, query_id, keywords)
+                    self._durable_owners[query_id] = name
                 self._owners[query_id] = item.session
                 if item.session is not None:
                     item.session.queries.add(query_id)
@@ -1129,7 +1035,7 @@ class ServerRuntime:
                     self._appended_since_checkpoint += 1
                     self._registry.record_unsubscribe(query_id)
                     self._durable_owners.pop(query_id, None)
-                await self._call_engine(self._facade.unsubscribe, query_id)
+                await self._call_engine(self._engine.unsubscribe, query_id)
                 self._owners.pop(query_id, None)
                 if owner is not None:
                     owner.queries.discard(query_id)
@@ -1142,7 +1048,7 @@ class ServerRuntime:
                 if self._injector is not None:
                     self._injector.fire("engine.results")
                 result = await self._call_engine(
-                    self._facade.results, item.args
+                    self._engine.results, item.args
                 )
             elif item.kind == "retire":
                 await self._retire_queries(item.session)
@@ -1200,7 +1106,7 @@ class ServerRuntime:
 
         def _build_and_publish():
             documents = _build_documents()
-            return documents, self._facade.publish_batch(documents)
+            return documents, self._engine.publish_batch(documents)
 
         offsets: Optional[Dict[int, int]] = None
         payloads: Dict[int, Dict[str, Any]] = {}
@@ -1241,7 +1147,7 @@ class ServerRuntime:
                     self._injector.fire("engine.publish_batch")
                 batch_started = self._now()
                 notifications = await self._call_engine(
-                    self._facade.publish_batch, documents
+                    self._engine.publish_batch, documents
                 )
             self._pipeline["micro_batch"].observe(
                 max(0.0, self._now() - batch_started)
@@ -1349,7 +1255,7 @@ class ServerRuntime:
                 if self._injector is not None:
                     self._injector.fire("engine.results")
                 documents = await self._call_engine(
-                    self._facade.results, query_id
+                    self._engine.results, query_id
                 )
                 delivered = await session.offer(
                     snapshot_payload(query_id, documents), query_id
@@ -1394,7 +1300,7 @@ class ServerRuntime:
                     self._durable_owners.pop(query_id, None)
                 try:
                     await self._call_engine(
-                        self._facade.unsubscribe, query_id
+                        self._engine.unsubscribe, query_id
                     )
                 except ReproError:
                     pass
@@ -1481,9 +1387,7 @@ class ServerRuntime:
         drop the log segments the checkpoint made redundant and compact
         the head segment down to the subscriber replay floor."""
         offset = self._eventlog.end
-        engine_payload = await self._call_engine(
-            engine_checkpoint, self._facade.engine
-        )
+        engine_payload = await self._call_engine(checkpoint, self._engine)
         write_checkpoint(
             self._config.eventlog_dir,
             offset,

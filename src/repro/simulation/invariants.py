@@ -649,8 +649,7 @@ class InstrumentedEngine:
     point can fail *between* the documents of one batch and the monitor
     can audit each accepted document individually.  Everything else
     (``store``, ``clock``, ``counters``, private floors) delegates, so
-    the serving runtime's :class:`~repro.server.runtime.EngineFacade`
-    treats it as a plain engine.
+    the serving runtime treats it as a plain engine.
     """
 
     def __init__(
@@ -690,11 +689,6 @@ class InstrumentedEngine:
         for document in documents:
             notifications.extend(self._publish_one(document))
         return notifications
-
-    def publish_batch_segmented(
-        self, documents, decay_cache=None
-    ) -> List[List[Notification]]:
-        return [self._publish_one(document) for document in documents]
 
     def _publish_one(self, document: Document) -> List[Notification]:
         if self._injector is not None:

@@ -16,10 +16,7 @@ rely on it):
 * sampling is a pure function of ``(seed, doc_id)`` — see
   :class:`~repro.telemetry.spans.TraceSampler`;
 * with a :class:`CountingClock` as ``time_fn`` no wall-clock value ever
-  enters a histogram, so snapshots are byte-reproducible;
-* :func:`merge_snapshots` is order-insensitive (histogram merge is
-  associative and commutative), so aggregation across shards does not
-  depend on shard order.
+  enters a histogram, so snapshots are byte-reproducible.
 
 The serving pipeline's stages (ingest queue wait, micro-batch execution,
 notification fan-out) live runtime-side in
@@ -31,18 +28,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.metrics.instrumentation import Counters
 from repro.telemetry.effectiveness import (
     BOUNDED_RATIOS,
     effectiveness_gauges,
 )
-from repro.telemetry.histogram import (
-    DEFAULT_BOUNDS,
-    LatencyHistogram,
-    merge_wire,
-)
+from repro.telemetry.histogram import DEFAULT_BOUNDS, LatencyHistogram
 from repro.telemetry.prometheus import render_exposition
 from repro.telemetry.registry import Counter, Gauge, MetricRegistry
 from repro.telemetry.spans import PublishObservation, TraceSampler
@@ -221,7 +214,7 @@ class Telemetry:
         }
 
     def snapshot(self) -> Dict:
-        """JSON-safe mergeable snapshot (traces excluded, see module doc)."""
+        """JSON-safe snapshot (traces excluded, see module doc)."""
         return {
             "stages": {
                 stage: histogram.to_wire()
@@ -232,34 +225,11 @@ class Telemetry:
 
 
 def empty_snapshot() -> Dict:
-    """The identity element of :func:`merge_snapshots`."""
+    """The snapshot of an engine without telemetry."""
     return {
         "stages": {},
         "spans": {"started": 0, "finished": 0, "aborted": 0, "sampled": 0},
     }
-
-
-def merge_snapshots(snapshots: Iterable[Optional[Dict]]) -> Dict:
-    """Merge telemetry snapshots (e.g. one per shard).
-
-    ``None`` entries (engines without telemetry) are skipped.  Histogram
-    series merge element-wise; span counts add.  The result does not
-    depend on input order.
-    """
-    merged = empty_snapshot()
-    for snapshot in snapshots:
-        if snapshot is None:
-            continue
-        for stage, wire in snapshot.get("stages", {}).items():
-            existing = merged["stages"].get(stage)
-            merged["stages"][stage] = (
-                dict(wire) if existing is None else merge_wire(existing, wire)
-            )
-        for state, value in snapshot.get("spans", {}).items():
-            merged["spans"][state] = (
-                merged["spans"].get(state, 0) + int(value)
-            )
-    return merged
 
 
 __all__ = [
@@ -278,7 +248,5 @@ __all__ = [
     "TraceSampler",
     "effectiveness_gauges",
     "empty_snapshot",
-    "merge_snapshots",
-    "merge_wire",
     "render_exposition",
 ]

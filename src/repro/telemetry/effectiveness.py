@@ -5,8 +5,7 @@ group condition (Ineq. 11), candidates dismissed before the Lemma 6 dot
 (relevance + keyword floor), and how many exact similarity evaluations
 each delivered match ultimately cost.  These gauges are pure
 functions of :class:`repro.metrics.instrumentation.Counters`, so they
-are exact, deterministic, and identical whether the counters came from
-one engine or were merged across shards.
+are exact and deterministic.
 
 Every ratio degrades to ``0.0`` on a zero denominator (a fresh engine
 reports all-zero effectiveness rather than NaN).

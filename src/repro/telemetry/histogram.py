@@ -1,15 +1,9 @@
-"""Fixed-bucket latency histograms with a mergeable wire form.
+"""Fixed-bucket latency histograms with a JSON-safe wire form.
 
-The histogram is the telemetry layer's only aggregatable latency
-primitive: a fixed, strictly increasing tuple of bucket upper bounds
-(Prometheus ``le`` semantics — a bucket counts observations ``<=`` its
-bound) plus one overflow bucket and a running sum.  Because the bounds
-are fixed at construction, two histograms over the same bounds merge by
-element-wise addition of counts — which makes the merge associative and
-commutative and preserves both total count and total sum exactly (the
-property tests in ``tests/test_telemetry_properties.py`` assert all
-four).  That is the contract the sharded engine relies on when it
-merges per-shard histograms in any order.
+The histogram is the telemetry layer's only latency primitive: a fixed,
+strictly increasing tuple of bucket upper bounds (Prometheus ``le``
+semantics — a bucket counts observations ``<=`` its bound) plus one
+overflow bucket and a running sum.
 
 The wire form (:meth:`to_wire` / :meth:`from_wire`) is a JSON-safe dict,
 so histograms cross the checkpoint layer and the NDJSON stats surface
@@ -64,25 +58,6 @@ class LatencyHistogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
 
-    # -- merging ----------------------------------------------------------
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold ``other`` into this histogram in place."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds: "
-                f"{self.bounds} != {other.bounds}"
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.sum += other.sum
-
-    def __add__(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        merged = LatencyHistogram(self.bounds)
-        merged.merge(self)
-        merged.merge(other)
-        return merged
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatencyHistogram):
             return NotImplemented
@@ -101,7 +76,7 @@ class LatencyHistogram:
     # -- wire form ---------------------------------------------------------
 
     def to_wire(self) -> Dict:
-        """JSON-safe mergeable form: bounds, per-bucket counts, sum."""
+        """JSON-safe form: bounds, per-bucket counts, sum."""
         return {
             "bounds": list(self.bounds),
             "counts": list(self.counts),
@@ -130,9 +105,3 @@ class LatencyHistogram:
             out.append(total)
         return out
 
-
-def merge_wire(a: Dict, b: Dict) -> Dict:
-    """Merge two wire-form histograms without materialising objects."""
-    merged = LatencyHistogram.from_wire(a)
-    merged.merge(LatencyHistogram.from_wire(b))
-    return merged.to_wire()

@@ -1,10 +1,9 @@
 """Deterministic trace sampling and per-publish span accounting.
 
-Sampling must be a pure function of ``(seed, doc_id)`` — never of time,
-position in a batch, or shard layout — so the same document is sampled
-(or not) whether it flows through a single engine or an in-process
-sharded engine, and so seeded simulation runs
-reproduce byte-for-byte.  ``crc32`` over ``"{seed}:{doc_id}"`` gives a
+Sampling must be a pure function of ``(seed, doc_id)`` — never of time
+or position in a batch — so the same document is sampled (or not)
+however it is batched, and so seeded simulation runs reproduce
+byte-for-byte.  ``crc32`` over ``"{seed}:{doc_id}"`` gives a
 uniform 32-bit hash with no dependency on Python's per-process hash
 randomisation.
 

@@ -16,7 +16,7 @@ spatial-keyword modes must survive:
   document stream.
 
 Both generators emit plain op dicts (the simulation harness's schedule
-shape) so any engine — in-process, sharded, or an oracle — can
+shape) so any engine — the incremental one or an oracle — can
 replay the same workload:
 
 ``{"op": "publish", "tokens": [...], "location": [x, y] | None}``

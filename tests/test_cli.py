@@ -83,7 +83,6 @@ def test_serve_parser_defaults():
     assert args.command == "serve"
     assert args.method == "GIFilter"
     assert args.port == 8765
-    assert args.shards == 1
     assert args.policy == "block"
 
 
@@ -92,9 +91,8 @@ def test_serve_parser_rejects_bad_policy():
         build_parser().parse_args(["serve", "--policy", "yolo"])
 
 
-def test_build_serve_runtime_single_and_sharded():
+def test_build_serve_runtime():
     from repro.core.engine import DasEngine
-    from repro.distributed import ShardedDasEngine
     from repro.experiments.cli import build_serve_runtime
     from repro.server import NdjsonTcpServer, ServerRuntime
 
@@ -107,11 +105,43 @@ def test_build_serve_runtime_single_and_sharded():
     assert isinstance(runtime.engine, DasEngine)
     assert runtime.config.slow_consumer_policy == "coalesce"
     assert runtime.config.port == 0
+    assert runtime.engine.config.k == 5
 
-    args = build_parser().parse_args(["serve", "--port", "0", "--shards", "2"])
-    runtime, _server = build_serve_runtime(args)
-    assert isinstance(runtime.engine, ShardedDasEngine)
-    assert len(runtime.engine.shards) == 2
+
+def test_restart_under_other_engine_flags_refuses_the_checkpoint(tmp_path):
+    """``serve --k 3 --eventlog-dir D``: subscribe, checkpoint, stop.  A
+    restart with ``--k 5`` must not serve the checkpoint's k = 3 in
+    silence: start raises naming the field.  A restart with the same
+    flags recovers as before."""
+    import asyncio
+
+    from repro.errors import ConfigurationError
+    from repro.experiments.cli import build_serve_runtime
+
+    def runtime(k):
+        argv = ["serve", "--port", "0", "--k", str(k)]
+        argv += ["--eventlog-dir", str(tmp_path)]
+        return build_serve_runtime(build_parser().parse_args(argv))[0]
+
+    async def scenario():
+        first = runtime(3)
+        await first.start()
+        await first.subscribe(first.open_session(), ["coffee"])
+        await first.checkpoint_eventlog()
+        await first.stop()
+
+        with pytest.raises(
+            ConfigurationError, match=r"k \(checkpoint 3, engine 5\)"
+        ):
+            await runtime(5).start()
+
+        same = runtime(3)
+        await same.start()
+        assert same.engine.config.k == 3
+        assert same.engine.query_count == 1
+        await same.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), 60.0))
 
 
 def test_serve_command_starts_and_stops(capsys):

@@ -1,4 +1,4 @@
-"""Crash matrix: kill points × engine shapes, vs an uninterrupted oracle.
+"""Crash matrix: kill points vs an uninterrupted oracle.
 
 Each cell crashes a durable runtime at one pipeline stage and proves
 that, after recovery + ``resume``, the subscriber's end-to-end
@@ -22,8 +22,6 @@ Kill points (where the crash lands relative to one accepted op):
     The crash tears a checkpoint write (``checkpoint.write`` torn
     fault) after an earlier clean checkpoint: recovery must fall back
     to the older checkpoint and a longer replay.
-
-Shapes: a single DAS engine and an in-process sharded engine.
 """
 
 from __future__ import annotations
@@ -35,12 +33,10 @@ import pytest
 
 from repro.config import ServerConfig
 from repro.core.engine import DasEngine
-from repro.distributed import ShardedDasEngine
 from repro.errors import ReproError
 from repro.server import InProcessClient, ServerRuntime
 from repro.simulation.faults import FaultPlan
 
-SHAPES = ("single", "sharded")
 KILL_POINTS = (
     "pre_append",
     "post_append_pre_match",
@@ -66,13 +62,6 @@ def run(coroutine, timeout=120.0):
     return asyncio.run(asyncio.wait_for(coroutine, timeout))
 
 
-def make_engine(shape):
-    base = DasEngine.for_method("GIFilter", k=3, block_size=4)
-    if shape == "sharded":
-        return ShardedDasEngine(2, base.config)
-    return base
-
-
 def make_config(directory, plan=None):
     return ServerConfig(
         inline_matcher=True,
@@ -83,9 +72,10 @@ def make_config(directory, plan=None):
     )
 
 
-async def start_runtime(directory, shape, plan=None):
+async def start_runtime(directory, plan=None):
     runtime = ServerRuntime(
-        make_engine(shape), make_config(directory, plan)
+        DasEngine.for_method("GIFilter", k=3, block_size=4),
+        make_config(directory, plan),
     )
     await runtime.start()
     return runtime
@@ -136,9 +126,9 @@ def canonical(received):
     return [json.dumps(note, sort_keys=True) for note in received]
 
 
-async def run_uninterrupted(directory, shape):
+async def run_uninterrupted(directory):
     """The oracle: the same schedule with no crash."""
-    runtime = await start_runtime(directory, shape)
+    runtime = await start_runtime(directory)
     driver = Driver(runtime)
     await driver.attach(-1)
     for keywords in SUBSCRIPTIONS:
@@ -151,7 +141,7 @@ async def run_uninterrupted(directory, shape):
     return canonical(driver.received)
 
 
-async def run_with_crash(directory, shape, kill_point):
+async def run_with_crash(directory, kill_point):
     plan = None
     if kill_point == "post_append_pre_match":
         # Arrivals at eventlog.match count publish batches only.
@@ -159,7 +149,7 @@ async def run_with_crash(directory, shape, kill_point):
     elif kill_point == "mid_checkpoint":
         plan = "checkpoint.write@2:torn"
 
-    runtime = await start_runtime(directory, shape, plan)
+    runtime = await start_runtime(directory, plan)
     driver = Driver(runtime)
     await driver.attach(-1)
     for keywords in SUBSCRIPTIONS:
@@ -196,7 +186,7 @@ async def run_with_crash(directory, shape, kill_point):
     await runtime.stop(drain=False)
 
     # -- recovery ---------------------------------------------------------
-    runtime = await start_runtime(directory, shape)
+    runtime = await start_runtime(directory)
     driver2 = Driver(runtime)
     driver2.received = driver.received
     driver2.acked = driver.acked
@@ -217,15 +207,10 @@ async def run_with_crash(directory, shape, kill_point):
     return canonical(driver2.received), stats
 
 
-@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("kill_point", KILL_POINTS)
-def test_crash_matrix_stream_is_byte_identical(
-    tmp_path, shape, kill_point
-):
-    oracle = run(run_uninterrupted(str(tmp_path / "oracle"), shape))
-    stream, stats = run(
-        run_with_crash(str(tmp_path / "crash"), shape, kill_point)
-    )
+def test_crash_matrix_stream_is_byte_identical(tmp_path, kill_point):
+    oracle = run(run_uninterrupted(str(tmp_path / "oracle")))
+    stream, stats = run(run_with_crash(str(tmp_path / "crash"), kill_point))
     # Zero accepted-op loss and no duplicate delivery, byte for byte.
     assert stream == oracle
     pairs = [

@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import ServerConfig
 from repro.core.engine import DasEngine
+from repro.core.query import DasQuery
 from repro.errors import ConfigurationError, ReproError
 from repro.eventlog import (
     DeadLetterQueue,
@@ -35,8 +36,7 @@ from repro.eventlog import (
     validate_record,
     write_checkpoint,
 )
-from repro.persistence.checkpoint import engine_checkpoint
-from repro.pubsub import PublishSubscribeService
+from repro.persistence.checkpoint import checkpoint
 from repro.server import InProcessClient, ServerRuntime
 from repro.simulation.faults import FaultPlan
 
@@ -485,8 +485,6 @@ def test_checkpoint_replaces_replay_and_prunes(tmp_eventlog):
     engine = _engine()
     registry = SubscriberRegistry()
     log.append(subscribe_record(0, ["coffee"], subscriber="alice"))
-    from repro.core.query import DasQuery
-
     engine.subscribe(DasQuery(0, ["coffee"]))
     registry.record_subscribe("alice", 0, ["coffee"])
     for i in range(5):
@@ -498,7 +496,7 @@ def test_checkpoint_replaces_replay_and_prunes(tmp_eventlog):
         write_checkpoint(
             directory,
             offset,
-            engine_checkpoint(engine),
+            checkpoint(engine),
             registry.snapshot(),
             keep=2,
         )
@@ -534,14 +532,14 @@ def test_torn_checkpoint_falls_back_to_previous(tmp_eventlog):
     engine = _engine()
     registry = SubscriberRegistry()
     write_checkpoint(
-        directory, 1, engine_checkpoint(engine), registry.snapshot()
+        directory, 1, checkpoint(engine), registry.snapshot()
     )
     injector = FaultPlan.parse("checkpoint.write@1:torn").injector()
     with pytest.raises(Exception):
         write_checkpoint(
             directory,
             5,
-            engine_checkpoint(engine),
+            checkpoint(engine),
             registry.snapshot(),
             injector=injector,
         )
@@ -899,14 +897,22 @@ def test_runtime_anonymous_queries_retire_in_log(tmp_path):
 
 
 def test_eventlog_requires_checkpointable_engine(tmp_path):
+    """Recovery restores a checkpoint into an engine of its own, which
+    replaces the one the runtime was given; an engine that already holds
+    state would be dropped in silence, so the runtime refuses it."""
     directory = str(tmp_path / "log")
 
     async def scenario():
-        runtime = ServerRuntime(
-            PublishSubscribeService(small_engine()),
-            eventlog_config(directory),
-        )
-        with pytest.raises(ConfigurationError):
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        await runtime.subscribe(runtime.open_session(), ["coffee"])
+        await runtime.checkpoint_eventlog()
+        await runtime.stop()
+
+        busy = small_engine()
+        busy.subscribe(DasQuery(0, ["tea"]))
+        runtime = ServerRuntime(busy, eventlog_config(directory))
+        with pytest.raises(ConfigurationError, match="fresh engine"):
             await runtime.start()
 
     run(scenario())

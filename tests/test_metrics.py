@@ -31,14 +31,13 @@ def doc(i, tokens, t=None):
 # -- Counters ----------------------------------------------------------------
 
 
-def test_counters_delta_and_add():
+def test_counters_delta():
     a = Counters(docs_published=5, matches=2)
     b = Counters(docs_published=8, matches=3)
     delta = b.delta(a)
     assert delta.docs_published == 3
     assert delta.matches == 1
-    combined = a + delta
-    assert combined.docs_published == 8
+    assert a.delta(a) == Counters()
 
 
 def test_counters_snapshot_independent():

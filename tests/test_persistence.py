@@ -324,18 +324,16 @@ def test_file_written_by_parent_commit_restores_and_continues():
 @pytest.mark.parametrize("shape", ["single", "sharded"])
 def test_restore_remembers_an_unsubscribed_newest_query_id(shape):
     """Subscribe 0, 1, 2 and unsubscribe 2: the live engine rejects id 2
-    from then on, and so does one restored from a checkpoint taken now —
-    while a file without ``last_query_id`` falls back to the newest live
-    id, as files written before the key did."""
+    from then on, and so does one restored from a checkpoint taken now,
+    in the single-engine schema or the older sharded one — while a file
+    without ``last_query_id`` falls back to the newest live id, as files
+    written before the key did."""
     from repro.core.query import DasQuery
-    from repro.distributed import ShardedDasEngine
     from repro.errors import QueryOrderError
-    from repro.persistence import engine_checkpoint, restore_payload
+    from tests.test_sharded_checkpoint import sharded_schema
 
     def build():
         engine = DasEngine.for_method("GIFilter", k=3, block_size=4)
-        if shape == "sharded":
-            engine = ShardedDasEngine(2, engine.config)
         for query_id in range(3):
             engine.subscribe(DasQuery(query_id, ["w"]))
         engine.unsubscribe(2)
@@ -348,13 +346,15 @@ def test_restore_remembers_an_unsubscribed_newest_query_id(shape):
             return False
         return True
 
-    payload = engine_checkpoint(build())
+    payload = checkpoint(build())
+    if shape == "sharded":
+        payload = sharded_schema(payload)
     assert payload["last_query_id"] == 2
     assert accepts(build(), 2) is False
-    assert accepts(restore_payload(payload), 2) is False
-    assert accepts(restore_payload(payload), 3) is True
+    assert accepts(restore(payload), 2) is False
+    assert accepts(restore(payload), 3) is True
     del payload["last_query_id"]
-    assert accepts(restore_payload(payload), 2) is True
+    assert accepts(restore(payload), 2) is True
 
 
 @pytest.mark.parametrize("backend", ["auto", "python", "numpy"])

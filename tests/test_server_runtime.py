@@ -16,9 +16,7 @@ import pytest
 from repro.config import ServerConfig
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
-from repro.distributed import ShardedDasEngine
 from repro.errors import EmptyQueryError, ServerClosedError
-from repro.pubsub import PublishSubscribeService
 from repro.server import InProcessClient, ServerRuntime
 from repro.stream.document import Document
 
@@ -359,9 +357,21 @@ def test_matcher_drains_to_the_cap_and_stops_at_a_barrier():
     assert len(seen) == 3 and max(seen) == 5
 
 
-def test_wraps_sharded_engine_and_service():
-    async def scenario(engine):
-        runtime = ServerRuntime(engine, ServerConfig(drain_timeout=5.0))
+def test_wraps_instrumented_engine():
+    """The runtime calls the engine directly, so a proxy with its surface
+    serves like the engine: the simulation's ``InstrumentedEngine``
+    forwards the reads the runtime makes, and the runtime continues the
+    query ids, document ids and clock of an engine fed before it."""
+    from repro.simulation.invariants import InstrumentedEngine
+
+    engine = small_engine()
+    engine.subscribe(DasQuery(4, ["tea"]))
+    engine.publish(Document.from_tokens(6, ["tea", "pot"], 2.0))
+
+    async def scenario():
+        runtime = ServerRuntime(
+            InstrumentedEngine(engine), ServerConfig(drain_timeout=5.0)
+        )
         await runtime.start()
         subscriber = InProcessClient(runtime)
         reply = await subscriber.subscribe(["coffee"])
@@ -371,14 +381,16 @@ def test_wraps_sharded_engine_and_service():
         message = await subscriber.next_message(timeout=5.0)
         results = await subscriber.results(reply["query_id"])
         await runtime.stop()
-        assert ack["doc_id"] == 0
-        assert message["op"] == "notify"
-        assert message["document"]["doc_id"] == 0
-        assert [doc["doc_id"] for doc in results] == [0]
+        return reply, ack, message, results
 
-    config = DasEngine.for_method("GIFilter", k=3, block_size=4).config
-    run(scenario(ShardedDasEngine(2, config)))
-    run(scenario(PublishSubscribeService(DasEngine(config))))
+    reply, ack, message, results = run(scenario())
+    assert reply["query_id"] == 5
+    # Ids continue past the engine's; time never runs backwards.
+    assert (ack["doc_id"], ack["created_at"]) == (7, 2.0)
+    assert message["op"] == "notify"
+    assert message["document"]["doc_id"] == 7
+    assert [doc["doc_id"] for doc in results] == [7]
+    assert engine.counters.docs_published == 2
 
 
 def test_matcher_survives_a_poisoned_batch():

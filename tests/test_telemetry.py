@@ -29,8 +29,6 @@ from repro.telemetry import (
     Telemetry,
     TraceSampler,
     effectiveness_gauges,
-    empty_snapshot,
-    merge_snapshots,
     render_exposition,
 )
 from repro.text.vectors import TermVector
@@ -92,22 +90,14 @@ def test_histogram_buckets_and_bounds():
         LatencyHistogram(bounds=())
 
 
-def test_histogram_merge_and_wire_round_trip():
-    a = LatencyHistogram()
-    b = LatencyHistogram()
-    a.observe(1e-5)
-    b.observe(0.5)
-    b.observe(3.0)
-    merged = a + b
-    assert merged.count == 3
-    assert merged.sum == pytest.approx(a.sum + b.sum)
-    assert a.count == 1  # __add__ does not mutate
-
-    wire = merged.to_wire()
-    back = LatencyHistogram.from_wire(wire)
-    assert back == merged
-    with pytest.raises(ValueError):
-        a.merge(LatencyHistogram(bounds=(1.0, 2.0)))
+def test_histogram_wire_round_trip():
+    histogram = LatencyHistogram()
+    for value in (1e-5, 0.5, 3.0):
+        histogram.observe(value)
+    back = LatencyHistogram.from_wire(histogram.to_wire())
+    assert back == histogram
+    assert back.count == 3
+    assert back != LatencyHistogram()
     with pytest.raises(ValueError):
         LatencyHistogram.from_wire(
             {"bounds": [1.0], "counts": [1], "sum": 0.0}
@@ -259,27 +249,6 @@ def test_trace_ring_is_bounded():
     assert len(telemetry.traces) == 3
     assert [trace["doc_id"] for trace in telemetry.traces] == [7, 8, 9]
     assert telemetry.span_counts()["sampled"] == 10
-
-
-# -- snapshot merge --------------------------------------------------------
-
-
-def test_merge_snapshots_skips_none_and_adds():
-    a = Telemetry(time_fn=CountingClock(), sample_rate=0.0)
-    b = Telemetry(time_fn=CountingClock(), sample_rate=0.0)
-    counters = Counters()
-    for telemetry, count in ((a, 2), (b, 3)):
-        for doc_id in range(count):
-            observation = telemetry.begin_publish(doc_id, counters)
-            telemetry.end_publish(observation, counters)
-    merged = merge_snapshots([a.snapshot(), None, b.snapshot()])
-    assert merged["spans"]["finished"] == 5
-    for stage in ENGINE_STAGES:
-        assert sum(merged["stages"][stage]["counts"]) == 5
-    assert merge_snapshots([None, None]) == empty_snapshot()
-    # Order-insensitive.
-    flipped = merge_snapshots([b.snapshot(), a.snapshot(), None])
-    assert flipped == merged
 
 
 # -- Prometheus rendering --------------------------------------------------
