@@ -219,7 +219,10 @@ class ServerConfig:
 
     Capacities are in messages.  The ingestion queue bounds how far
     publishers can run ahead of the matcher; the outbound capacity bounds
-    how far the matcher can run ahead of each subscriber.
+    how far the matcher can run ahead of each subscriber.  The matcher
+    runs on the event loop's thread, so served processes, tests and the
+    simulation harness all execute the same path; ``time_source`` and
+    ``fault_injector`` are the only seams a test substitutes.
     """
 
     #: Bound of the publish ingestion queue (publishers await space).
@@ -247,12 +250,6 @@ class ServerConfig:
     #: :class:`~repro.simulation.clock.SimulatedClock` so accepted
     #: timestamps are a pure function of the op schedule.
     time_source: Optional[Callable[[], float]] = None
-    #: Run engine calls inline on the event loop instead of the
-    #: one-thread executor.  Removes the only cross-thread handoff in
-    #: the runtime, making async interleavings deterministic; costs
-    #: event-loop latency while a batch matches, so production keeps
-    #: the executor (False).
-    inline_matcher: bool = False
     #: Fault-injection hook (:class:`repro.simulation.faults.FaultInjector`
     #: or anything with a ``fire(point)`` method).  ``None`` disables
     #: every injection point at the cost of one attribute check.

@@ -1,4 +1,4 @@
-"""Metrics: instrumentation counters, timers, quality proxies."""
+"""Metrics: instrumentation counters, quality proxies."""
 
 from repro.metrics.instrumentation import BatchHistogram, Counters
 from repro.metrics.quality import (
@@ -11,13 +11,11 @@ from repro.metrics.quality import (
     relevance_aspect,
     user_study_table,
 )
-from repro.metrics.timing import Stopwatch
 
 __all__ = [
     "BatchHistogram",
     "Counters",
     "QualityReport",
-    "Stopwatch",
     "evaluate_result_set",
     "likert_rescale",
     "mean_report",

@@ -1,12 +1,12 @@
 """The asyncio serving runtime: ingestion pipeline + fan-out delivery.
 
-Architecture (one event loop, one matcher):
+Architecture (one event loop, one thread, one matcher):
 
 ::
 
     publishers --await put--> [bounded ingest queue] --> matcher task
                                                            |  drains what is queued
-                                                           v  (run_in_executor)
+                                                           v  (on the loop)
                                                      engine.publish_batch
                                                            |
                               per-subscriber sessions <----+  route notifications
@@ -18,9 +18,10 @@ task, so the engine only ever sees one call at a time and the dequeue
 order *is* the accepted serialization: under any interleaving of
 concurrent publishers, each subscriber observes exactly the notification
 subsequence of one sequential publish order (the order acknowledged ids
-were assigned).  Engine calls run on a one-thread executor so the event
-loop keeps accepting requests and feeding consumers while a batch
-matches.
+were assigned).  Engine calls run directly on the event loop: a batch
+blocks the loop while it matches, and the matcher yields once per turn
+so transports and consumers run between batches.  ``stats`` and
+``metrics`` read the engine between matcher turns, never mid-batch.
 
 Control operations act as batch barriers: the matcher flushes the
 publish batch it is coalescing before executing them, which gives
@@ -46,7 +47,6 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,8 +71,8 @@ from repro.eventlog import (
     unsubscribe_record,
     write_checkpoint,
 )
+from repro.metrics.instrumentation import BatchHistogram
 from repro.persistence.checkpoint import checkpoint
-from repro.server.batching import BatchHistogram
 from repro.server.protocol import (
     document_payload,
     error_reply,
@@ -167,7 +167,8 @@ class ServerRuntime:
     """Async serving runtime around one :class:`DasEngine` (or a proxy
     with its surface, such as the simulation's ``InstrumentedEngine``).
 
-    Every engine call runs on the matcher's executor thread.
+    Every engine call runs on the event loop's thread, inside the matcher
+    task or (``stats``/``metrics`` reads) between its turns.
     """
 
     def __init__(
@@ -181,7 +182,6 @@ class ServerRuntime:
         self._state = "new"
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ingest: Optional[asyncio.Queue] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._matcher_task: Optional[asyncio.Task] = None
         self._sessions: Dict[int, SubscriberSession] = {}
         self._owners: Dict[int, SubscriberSession] = {}
@@ -252,10 +252,6 @@ class ServerRuntime:
             raise ServerClosedError(f"runtime already {self._state}")
         self._loop = asyncio.get_running_loop()
         self._ingest = asyncio.Queue(self._config.ingest_capacity)
-        if not self._config.inline_matcher:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-matcher"
-            )
         if self._config.eventlog_dir is not None:
             self._open_eventlog()
         self._next_doc_id = self._doc_id_floor()
@@ -365,8 +361,6 @@ class ServerRuntime:
         self._failed_on_stop += self._fail_pending(
             ServerClosedError("server stopped")
         )
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         if self._eventlog is not None:
             self._eventlog.close()
         if self._dlq is not None:
@@ -423,8 +417,8 @@ class ServerRuntime:
             self._detach_subscriber(session)
         elif self._state == "running" and session.subscribed:
             # Not ``session.queries``: a subscribe submitted just before
-            # the close may still be queued (or mid engine call), and the
-            # barrier has to land behind it to retire what it registers.
+            # the close may still be queued, and the barrier has to land
+            # behind it to retire what it registers.
             await self._submit_control("retire", session, None)
         else:
             for query_id in list(session.queries):
@@ -908,17 +902,6 @@ class ServerRuntime:
 
     # -- matcher ----------------------------------------------------------
 
-    async def _call_engine(self, fn, *args):
-        """Run an engine call off-loop, or inline when so configured.
-
-        ``inline_matcher`` removes the runtime's only cross-thread
-        handoff, which makes the accepted interleaving a pure function
-        of the submission order (the simulation harness relies on this).
-        """
-        if self._executor is None:
-            return fn(*args)
-        return await self._loop.run_in_executor(self._executor, fn, *args)
-
     async def _matcher_loop(self) -> None:
         cap = self._config.max_batch_size
         while True:
@@ -929,9 +912,9 @@ class ServerRuntime:
             if isinstance(item, _PublishItem):
                 # Group commit: everything that queued up while the last
                 # batch matched goes through one append/fsync, one
-                # executor hop, one publish_batch and one routing pass.
-                # A control item ends the batch (it is a barrier) and
-                # runs right after it.
+                # publish_batch and one routing pass.  A control item
+                # ends the batch (it is a barrier) and runs right after
+                # it.
                 batch = [item]
                 while len(batch) < cap and not self._ingest.empty():
                     held = self._ingest.get_nowait()
@@ -962,18 +945,11 @@ class ServerRuntime:
                 await self._run_control(held)
                 self._inflight.clear()
             if self._eventlog is not None:
-                await self._maybe_checkpoint()
-
-    def _subscribe_as(
-        self,
-        query_id: int,
-        keywords: Iterable[str],
-        location: Optional[Tuple[float, float]],
-        window: Optional[int],
-    ) -> List[Document]:
-        return self._engine.subscribe(
-            DasQuery(query_id, keywords, location=location, window=window)
-        )
+                self._maybe_checkpoint()
+            # Engine calls never suspend, and neither does ``get()`` while
+            # items are queued: without this yield the matcher would drain
+            # the whole queue before any transport or consumer task ran.
+            await asyncio.sleep(0)
 
     async def _run_control(self, item: _ControlItem) -> None:
         try:
@@ -998,8 +974,10 @@ class ServerRuntime:
                         )
                     )
                     self._appended_since_checkpoint += 1
-                initial = await self._call_engine(
-                    self._subscribe_as, query_id, keywords, location, window
+                initial = self._engine.subscribe(
+                    DasQuery(
+                        query_id, keywords, location=location, window=window
+                    )
                 )
                 if name is not None:
                     # Only a resumed session names a subscriber, and
@@ -1035,7 +1013,7 @@ class ServerRuntime:
                     self._appended_since_checkpoint += 1
                     self._registry.record_unsubscribe(query_id)
                     self._durable_owners.pop(query_id, None)
-                await self._call_engine(self._engine.unsubscribe, query_id)
+                self._engine.unsubscribe(query_id)
                 self._owners.pop(query_id, None)
                 if owner is not None:
                     owner.queries.discard(query_id)
@@ -1043,15 +1021,13 @@ class ServerRuntime:
             elif item.kind == "resume":
                 result = await self._resume(item.session, item.args)
             elif item.kind == "eventlog_checkpoint":
-                result = await self._write_eventlog_checkpoint()
+                result = self._write_eventlog_checkpoint()
             elif item.kind == "results":
                 if self._injector is not None:
                     self._injector.fire("engine.results")
-                result = await self._call_engine(
-                    self._engine.results, item.args
-                )
+                result = self._engine.results(item.args)
             elif item.kind == "retire":
-                await self._retire_queries(item.session)
+                self._retire_queries(item.session)
                 result = None
             else:  # pragma: no cover - internal invariant
                 raise ReproError(f"unknown control kind {item.kind!r}")
@@ -1080,7 +1056,9 @@ class ServerRuntime:
             prepared.append((item, doc_id, timestamp))
             self._accepted += 1
 
-        def _build_documents():
+        offsets: Optional[Dict[int, int]] = None
+        payloads: Dict[int, Dict[str, Any]] = {}
+        try:
             documents = []
             for publish_item, doc_id, timestamp in prepared:
                 if publish_item.tokens is not None:
@@ -1102,27 +1080,10 @@ class ServerRuntime:
                             publish_item.location,
                         )
                     )
-            return documents
-
-        def _build_and_publish():
-            documents = _build_documents()
-            return documents, self._engine.publish_batch(documents)
-
-        offsets: Optional[Dict[int, int]] = None
-        payloads: Dict[int, Dict[str, Any]] = {}
-        try:
-            if self._eventlog is None:
-                if self._injector is not None:
-                    self._injector.fire("engine.publish_batch")
-                batch_started = self._now()
-                documents, notifications = await self._call_engine(
-                    _build_and_publish
-                )
-            else:
-                # WAL discipline: documents are built on the loop and
-                # their records are durable *before* the engine matches
-                # them.  One append_many call = one fsync for the batch.
-                documents = _build_documents()
+            if self._eventlog is not None:
+                # WAL discipline: the batch's records are durable *before*
+                # the engine matches it.  One append_many call = one fsync
+                # for the batch.
                 payloads = {
                     document.doc_id: document_payload(document)
                     for document in documents
@@ -1139,16 +1100,16 @@ class ServerRuntime:
                     document.doc_id: offset
                     for document, offset in zip(documents, assigned)
                 }
-                # The post-append / pre-match crash window: a fault here
-                # loses nothing — the records are durable and recovery
-                # replays them (at-least-once for in-doubt publishes).
-                if self._injector is not None:
+            if self._injector is not None:
+                if self._eventlog is not None:
+                    # The post-append / pre-match crash window: a fault
+                    # here loses nothing — the records are durable and
+                    # recovery replays them (at-least-once for in-doubt
+                    # publishes).
                     self._injector.fire("eventlog.match")
-                    self._injector.fire("engine.publish_batch")
-                batch_started = self._now()
-                notifications = await self._call_engine(
-                    self._engine.publish_batch, documents
-                )
+                self._injector.fire("engine.publish_batch")
+            batch_started = self._now()
+            notifications = self._engine.publish_batch(documents)
             self._pipeline["micro_batch"].observe(
                 max(0.0, self._now() - batch_started)
             )
@@ -1244,7 +1205,7 @@ class ServerRuntime:
                     session.delivered_offset, offset
                 )
             if not delivered and session.closed:
-                await self._disconnect_session(session)
+                self._disconnect_session(session)
         for session_id, query_ids in touched.items():
             session = self._sessions.get(session_id)
             if session is None or session.closed:
@@ -1254,17 +1215,15 @@ class ServerRuntime:
                     continue
                 if self._injector is not None:
                     self._injector.fire("engine.results")
-                documents = await self._call_engine(
-                    self._engine.results, query_id
-                )
                 delivered = await session.offer(
-                    snapshot_payload(query_id, documents), query_id
+                    snapshot_payload(query_id, self._engine.results(query_id)),
+                    query_id,
                 )
                 if not delivered and session.closed:
-                    await self._disconnect_session(session)
+                    self._disconnect_session(session)
                     break
 
-    async def _disconnect_session(self, session: SubscriberSession) -> None:
+    def _disconnect_session(self, session: SubscriberSession) -> None:
         """A slow-consumer disconnect: drop its subscriptions and retire.
 
         Durable subscribers detach instead — the outage is exactly what
@@ -1276,10 +1235,10 @@ class ServerRuntime:
         if session.subscriber is not None:
             self._detach_subscriber(session)
         else:
-            await self._retire_queries(session)
+            self._retire_queries(session)
         self._remove_session(session)
 
-    async def _retire_queries(self, session: SubscriberSession) -> None:
+    def _retire_queries(self, session: SubscriberSession) -> None:
         """Unsubscribe every query a closing session owns (matcher ctx).
 
         With the event log enabled each retirement is logged first, so
@@ -1299,9 +1258,7 @@ class ServerRuntime:
                     self._registry.record_unsubscribe(query_id)
                     self._durable_owners.pop(query_id, None)
                 try:
-                    await self._call_engine(
-                        self._engine.unsubscribe, query_id
-                    )
+                    self._engine.unsubscribe(query_id)
                 except ReproError:
                     pass
                 self._owners.pop(query_id, None)
@@ -1366,7 +1323,7 @@ class ServerRuntime:
             "replayed": replayed,
         }
 
-    async def _maybe_checkpoint(self) -> None:
+    def _maybe_checkpoint(self) -> None:
         """Auto-checkpoint after every N appended records (matcher ctx).
 
         A failed checkpoint (including an injected ``checkpoint.write``
@@ -1377,21 +1334,20 @@ class ServerRuntime:
         if every <= 0 or self._appended_since_checkpoint < every:
             return
         try:
-            await self._write_eventlog_checkpoint()
+            self._write_eventlog_checkpoint()
         except Exception:
             self._checkpoint_errors += 1
             self._appended_since_checkpoint = 0
 
-    async def _write_eventlog_checkpoint(self) -> Dict[str, Any]:
+    def _write_eventlog_checkpoint(self) -> Dict[str, Any]:
         """Checkpoint engine + registry at the current log end, then
         drop the log segments the checkpoint made redundant and compact
         the head segment down to the subscriber replay floor."""
         offset = self._eventlog.end
-        engine_payload = await self._call_engine(checkpoint, self._engine)
         write_checkpoint(
             self._config.eventlog_dir,
             offset,
-            engine_payload,
+            checkpoint(self._engine),
             self._registry.snapshot(),
             injector=self._injector,
         )

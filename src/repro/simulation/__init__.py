@@ -1,8 +1,8 @@
 """Deterministic fault-injection and invariant-checking harness.
 
 Wraps the serving runtime (:mod:`repro.server`) and the DAS engine in a
-seeded simulation: reproducible async interleavings via
-:class:`SimulatedClock` + ``ServerConfig.inline_matcher``, fault
+seeded simulation: reproducible async interleavings via the runtime's
+one-thread matcher + :class:`SimulatedClock` as ``time_source``, fault
 injection via the :class:`FaultPlan` DSL, and per-op auditing of the
 paper's invariants via :class:`InvariantMonitor`.  See DESIGN.md §9.
 """

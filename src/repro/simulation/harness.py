@@ -5,10 +5,10 @@ engine config, fault plan)``:
 
 * the op schedule (subscribe / unsubscribe / publish bursts / results /
   consume) is pre-generated from ``random.Random(seed)``;
-* the runtime runs with ``inline_matcher=True`` (no executor thread) and
-  a :class:`~repro.simulation.clock.SimulatedClock` as ``time_source``,
-  so asyncio's deterministic ready-queue ordering is the only scheduler
-  and no wall-clock value can leak into accepted state;
+* the runtime is the production one — its matcher runs on the event
+  loop, so asyncio's deterministic ready-queue ordering is the only
+  scheduler — with a :class:`~repro.simulation.clock.SimulatedClock` as
+  ``time_source``, so no wall-clock value can leak into accepted state;
 * the engine's arithmetic is plain Python floats, so floating-point
   evaluation order is identical across hosts.
 
@@ -210,7 +210,6 @@ class SimulationHarness:
         injector: Optional[FaultInjector],
     ) -> Tuple[ServerRuntime, List[SubscriberSession]]:
         config = ServerConfig(
-            inline_matcher=True,
             time_source=clock,
             fault_injector=injector,
             ingest_capacity=64,

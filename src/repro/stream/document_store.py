@@ -130,12 +130,14 @@ class DocumentStore:
         excess = len(self._docs) - self._capacity
         if excess <= 0:
             return
-        # Scan oldest-first, skipping pinned documents.  Pinned documents
-        # may push the store over capacity; that is deliberate — results
-        # must stay resolvable.
+        # Scan oldest-first, skipping pinned documents and the newest one:
+        # it is still being published, so no result set has had the chance
+        # to pin it yet (a later ``add`` evicts it if none did).  Both may
+        # push the store over capacity; that is deliberate — results must
+        # stay resolvable.
         victims = []
         for doc_id in self._docs:
-            if self._pins.get(doc_id, 0) == 0:
+            if doc_id != self._last_id and self._pins.get(doc_id, 0) == 0:
                 victims.append(doc_id)
                 if len(victims) == excess:
                     break

@@ -64,7 +64,6 @@ def run(coroutine, timeout=120.0):
 
 def make_config(directory, plan=None):
     return ServerConfig(
-        inline_matcher=True,
         eventlog_dir=directory,
         eventlog_segment_entries=4,
         outbound_capacity=256,

@@ -156,6 +156,25 @@ def test_results_are_pinned_against_eviction():
         assert engine.store.get(document.doc_id) is not None
 
 
+def test_bounded_store_keeps_the_document_it_is_publishing(tmp_path):
+    """The store is filled before any result set can pin the new
+    document; with every older one pinned it must not evict the new one,
+    which the engine then admits as a result row."""
+    from repro.persistence.checkpoint import load, save
+
+    engine = DasEngine.for_method("GIFilter", k=2, store_capacity=2)
+    engine.subscribe(DasQuery(0, ["coffee"]))
+    for i in range(3):
+        engine.publish(doc(i, ["coffee"]))
+    assert [d.doc_id for d in engine.results(0)] == [2, 1]
+    for document in engine.results(0):
+        assert engine.store.get(document.doc_id) is not None
+    path = str(tmp_path / "engine.json")
+    save(engine, path)
+    restored = load(path)
+    assert [d.doc_id for d in restored.results(0)] == [2, 1]
+
+
 def test_current_dr_nonnegative_and_consistent():
     engine = make_engine()
     for i in range(4):

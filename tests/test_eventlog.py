@@ -555,7 +555,6 @@ def small_engine():
 
 def eventlog_config(directory, **overrides):
     options = dict(
-        inline_matcher=True,
         eventlog_dir=directory,
         eventlog_segment_entries=4,
         outbound_capacity=256,
@@ -920,9 +919,7 @@ def test_eventlog_requires_checkpointable_engine(tmp_path):
 
 def test_resume_requires_eventlog(tmp_path):
     async def scenario():
-        runtime = ServerRuntime(
-            small_engine(), ServerConfig(inline_matcher=True)
-        )
+        runtime = ServerRuntime(small_engine(), ServerConfig())
         await runtime.start()
         client = InProcessClient(runtime)
         with pytest.raises(ReproError):

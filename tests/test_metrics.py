@@ -1,8 +1,6 @@
-"""Tests for counters, timers and the user-study quality proxies."""
+"""Tests for counters and the user-study quality proxies."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.metrics.quality import (
     relevance_aspect,
     user_study_table,
 )
-from repro.metrics.timing import Stopwatch
 from repro.scoring.recency import ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.document import Document
@@ -52,22 +49,6 @@ def test_counters_reset_and_dict():
     assert counters.as_dict()["matches"] == 4
     counters.reset()
     assert counters.matches == 0
-
-
-# -- Stopwatch ---------------------------------------------------------------
-
-
-def test_stopwatch_accumulates():
-    watch = Stopwatch()
-    with watch:
-        time.sleep(0.002)
-    with watch:
-        pass
-    assert watch.calls == 2
-    assert watch.total > 0.0
-    assert watch.mean_ms == pytest.approx(watch.mean * 1000)
-    watch.reset()
-    assert watch.calls == 0 and watch.mean == 0.0
 
 
 # -- Quality proxies --------------------------------------------------------------

@@ -10,6 +10,7 @@ here against a reference engine replaying the server's *accepted* order
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -391,6 +392,51 @@ def test_wraps_instrumented_engine():
     assert message["document"]["doc_id"] == 7
     assert [doc["doc_id"] for doc in results] == [7]
     assert engine.counters.docs_published == 2
+
+
+class ThreadRecordingEngine:
+    """Engine proxy recording ``(method, thread id)`` for every call."""
+
+    def __init__(self, engine):
+        self._inner = engine
+        self.calls = []
+
+    def __getattr__(self, name):
+        value = getattr(self._inner, name)
+        if not callable(value):
+            return value
+
+        def call(*args, **kwargs):
+            self.calls.append((name, threading.get_ident()))
+            return value(*args, **kwargs)
+
+        return call
+
+
+def test_served_engine_runs_on_the_event_loop_thread():
+    """The matcher calls the engine on the loop's own thread, and the
+    runtime starts no thread of its own."""
+    engine = ThreadRecordingEngine(small_engine())
+
+    async def scenario():
+        before = set(threading.enumerate())
+        runtime = ServerRuntime(engine, ServerConfig(drain_timeout=5.0))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        reply = await client.subscribe(["coffee"])
+        await client.publish(tokens=["coffee", "fresh"], created_at=1.0)
+        await client.next_message(timeout=5.0)
+        await client.results(reply["query_id"])
+        await client.stats()
+        started = set(threading.enumerate()) - before
+        await runtime.stop()
+        return threading.get_ident(), started
+
+    loop_thread, started = run(scenario())
+    called = {name for name, _thread in engine.calls}
+    assert {"subscribe", "publish_batch", "results"} <= called
+    assert {thread for _name, thread in engine.calls} == {loop_thread}
+    assert started == set()
 
 
 def test_matcher_survives_a_poisoned_batch():
