@@ -1,18 +1,9 @@
-"""Ablations called out in DESIGN.md §5: group bound mode, AW on/off."""
+"""Ablations called out in DESIGN.md §5: init strategy, AW on/off."""
 
 from __future__ import annotations
 
 from benchmarks.common import BENCH_SPEC, save_figure
 from repro.experiments import sweeps
-
-
-def test_abl_bound_mode(benchmark):
-    fig = benchmark.pedantic(
-        lambda: sweeps.bound_mode_ablation(BENCH_SPEC), rounds=1, iterations=1
-    )
-    save_figure(fig)
-    # Eq. 19 verbatim prunes at least as much as the strict bound.
-    assert fig.series["paper"]["skip%"] >= fig.series["strict"]["skip%"] - 1e-9
 
 
 def test_abl_init_strategy(benchmark):

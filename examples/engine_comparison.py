@@ -5,17 +5,18 @@ Runs IRT, BIRT, IFilter and GIFilter over an identical workload and
 prints wall-clock cost plus the machine-independent work counters that
 explain it — similarity computations saved by the aggregated term
 weights, blocks skipped by the group filter.  Finishes by checking that
-all methods produced identical result sets (Section 8.4.1).
+all methods produced identical result sets (Section 8.4.1), and exits 1
+if they did not.
 
 Run:  python examples/engine_comparison.py
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 from repro import DasEngine, SyntheticTweetCorpus
-from repro.config import GroupBoundMode
 from repro.workloads import lqd_queries
 
 N_QUERIES = 3000
@@ -23,7 +24,7 @@ HISTORY = 3000
 LIVE = 250
 
 
-def main() -> None:
+def main() -> int:
     corpus = SyntheticTweetCorpus(
         vocab_size=30000,
         n_topics=300,
@@ -45,7 +46,6 @@ def main() -> None:
             k=20,
             block_size=64,
             smoothing_lambda=0.3,
-            group_bound_mode=GroupBoundMode.STRICT,
         )
         for document in history:
             engine.publish(document)
@@ -85,7 +85,8 @@ def main() -> None:
         "\nall methods produced identical result sets:"
         f" {'yes' if agree else 'NO (bug!)'}"
     )
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

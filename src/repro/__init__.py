@@ -29,7 +29,6 @@ from repro.config import (
     SLOW_CONSUMER_POLICIES,
     UNLIMITED,
     EngineConfig,
-    GroupBoundMode,
     ServerConfig,
     birt_config,
     gifilter_config,
@@ -80,7 +79,6 @@ __all__ = [
     "EmptyQueryError",
     "EngineConfig",
     "ExponentialDecay",
-    "GroupBoundMode",
     "InProcessClient",
     "IrtEngine",
     "LanguageModelScorer",

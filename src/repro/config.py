@@ -1,13 +1,11 @@
 """Engine configuration.
 
 All tunables from the paper's Table 5 live here, plus the switches that
-select between the evaluated methods (GIFilter / IFilter / BIRT / IRT) and
-the group-bound mode discussed in DESIGN.md section 2.
+select between the evaluated methods (GIFilter / IFilter / BIRT / IRT).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -30,26 +28,6 @@ UNLIMITED = -1
 #:     relevance, queries carry a location, candidate grid cells are
 #:     pruned by an Eq. 12-style upper bound.
 STRATEGY_MODES = ("decay", "window", "spatial")
-
-
-class GroupBoundMode(enum.Enum):
-    """How the group similarity bound ``Sim̃_min`` (Eq. 19) is computed.
-
-    ``STRICT``
-        Provably safe lower bound: documents not covered by a minimal
-        covering set contribute similarity 0, and only ``k - 1 - |S|``
-        residual slots are assumed.  Group filtering never drops a true
-        result, so GIFilter matches the naive engine exactly.
-
-    ``PAPER``
-        Equation 19 verbatim: residual documents contribute
-        ``minSim(U_w(b), d_n)`` each and ``k - |S|`` slots are assumed.
-        Slightly tighter (more pruning) but in rare corner cases may filter
-        a document that a per-query check would have admitted.
-    """
-
-    STRICT = "strict"
-    PAPER = "paper"
 
 
 @dataclass(frozen=True)
@@ -80,8 +58,6 @@ class EngineConfig:
     #: Budget for aggregated term weight summaries, in entries
     #: (``Φ_max``).  ``UNLIMITED`` disables the R1/R2 split.
     phi_max: int = UNLIMITED
-    #: Group bound mode, see :class:`GroupBoundMode`.
-    group_bound_mode: GroupBoundMode = GroupBoundMode.STRICT
 
     # --- Method switches (GIFilter = all True; see DESIGN.md §3) ---
     #: Partition postings lists into blocks and skip whole blocks

@@ -20,7 +20,6 @@ from repro.core.mcs import (
     BlockUniverse,
     build_universe,
     greedy_mcs_gen,
-    min_similarity_floor,
     verify_cover,
 )
 from repro.core.query import DasQuery
@@ -47,7 +46,6 @@ __all__ = [
     "exact_group_threshold",
     "greedy_mcs_gen",
     "group_filters_out",
-    "min_similarity_floor",
     "quick_relevance_bound",
     "select_initial_documents",
     "verify_cover",

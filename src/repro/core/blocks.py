@@ -46,8 +46,6 @@ class PostingsBlock:
         "earliest_de",
         "mcs_sets",
         "mcs_initial_count",
-        "universe_min_tf",
-        "universe_max_norm",
     )
 
     def __init__(self) -> None:
@@ -65,8 +63,6 @@ class PostingsBlock:
         #: covering set exists" (the bound then degrades to BIRT's 0).
         self.mcs_sets: Optional[List[CoverSet]] = None
         self.mcs_initial_count: int = 0
-        self.universe_min_tf: int = 0
-        self.universe_max_norm: float = 0.0
 
     # -- postings ------------------------------------------------------------
 
@@ -204,8 +200,6 @@ class PostingsBlock:
         universe = build_universe(term, filled, result_sets)
         self.mcs_sets = greedy_mcs_gen(filled, universe)
         self.mcs_initial_count = len(self.mcs_sets)
-        self.universe_min_tf = universe.min_term_frequency
-        self.universe_max_norm = universe.max_norm
         return universe
 
     def invalidate_mcs_with(self, doc_ids: Set[int]) -> int:
@@ -224,9 +218,5 @@ class PostingsBlock:
             for cover in self.mcs_sets
             if doc_ids.isdisjoint(cover.doc_ids)
         ]
-        if len(surviving) == before:
-            # Unchanged: keep the existing list object so packed-cover
-            # caches keyed by its identity stay valid.
-            return 0
         self.mcs_sets = surviving
         return before - len(surviving)

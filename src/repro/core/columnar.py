@@ -16,7 +16,7 @@ Bit-identity contract: ``update`` stores values produced by the *same*
 scalar code path (``QueryResultSet.static_dr_oldest``) that the scalar
 refresh would call, as float64.  A min/max over identical float64s is
 order-independent and exact, so columnar and scalar refreshes yield
-bit-identical block summaries — PAPER-mode thresholds included.
+bit-identical block summaries.
 
 The mirror is an acceleration structure only.
 """

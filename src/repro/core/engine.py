@@ -589,12 +589,7 @@ class DasEngine:
                 block.rebuild_mcs(term, self._result_sets)
                 self.counters.mcs_rebuilds += 1
             sim_lower = block_similarity_lower_bound(
-                block,
-                document.vector,
-                term,
-                self._config.k,
-                self._config.group_bound_mode,
-                sim_cache=self._sim_cache,
+                block, document.vector, sim_cache=self._sim_cache
             )
             if block.mcs_sets:
                 self.counters.sim_evaluations += sum(

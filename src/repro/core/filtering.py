@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.config import GroupBoundMode
 from repro.core.blocks import PostingsBlock
-from repro.core.mcs import min_similarity_floor
 from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
 from repro.text.vectors import TermVector, cached_cosines
@@ -104,43 +102,26 @@ def block_trel_upper_bound(active_ps_values: Sequence[float]) -> float:
 def block_similarity_lower_bound(
     block: PostingsBlock,
     vector: TermVector,
-    term: str,
-    k: int,
-    mode: GroupBoundMode,
     sim_cache=None,
 ) -> float:
     """``Sim̃_min(b, d_n)`` (Eq. 19) from the block's MCS summary.
 
-    ``PAPER`` follows Eq. 19 verbatim — ``k - |S|`` residual slots, each
-    floored at ``minSim(U_w(b), d_n)`` (Eq. 20).  ``STRICT`` assumes only
-    ``k - 1 - |S|`` residual slots at similarity 0, which is provably a
-    lower bound of the true minimum (see DESIGN.md §2).
+    ``Σ_{S ∈ MCS(b)} min_{d ∈ S} Sim(d_n, d)``: the covers are disjoint
+    and each holds a document of every filled member's ``R \\ {d_e}``, so
+    every member's similarity sum has one distinct addend per cover at
+    or above that cover's minimum, and its other rows add at least 0.
+    Eq. 19 verbatim also floors ``k - |S|`` residual rows at
+    ``minSim(U_w(b), d_n)``; a residual row need not contain ``w`` and
+    there are only ``k - 1 - |S|`` of them, so that is not a lower bound
+    (DESIGN.md §2).
 
     ``sim_cache`` is the engine's publish-scoped cosine memo for
     ``vector``: covers of different blocks hold the same stored
     documents.
     """
-    covers = block.mcs_sets
-    if not covers:
-        if mode is GroupBoundMode.STRICT:
-            return 0.0
-        floor = min_similarity_floor(
-            block.universe_min_tf, block.universe_max_norm, term, vector
-        )
-        return floor * k if block.mcs_sets is not None else 0.0
     total = 0.0
-    for cover in covers:
+    for cover in block.mcs_sets or ():
         total += min(cached_cosines(vector, cover.documents, sim_cache))
-    if mode is GroupBoundMode.STRICT:
-        residual_slots = (k - 1) - len(covers)
-        floor = 0.0
-    else:
-        residual_slots = k - len(covers)
-        floor = min_similarity_floor(
-            block.universe_min_tf, block.universe_max_norm, term, vector
-        )
-    if residual_slots > 0 and floor > 0.0:
-        total += floor * residual_slots
     return total
 
 

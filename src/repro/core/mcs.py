@@ -61,19 +61,14 @@ class BlockUniverse:
     coverage:
         doc_id -> set of query ids whose result (minus the oldest) holds
         the document.
-    min_term_frequency / max_norm:
-        ``min{tf_w(d)}`` and ``max{||d||}`` over the universe — the
-        time-independent ingredients of ``minSim`` (Eq. 20).
     """
 
-    __slots__ = ("term", "documents", "coverage", "min_term_frequency", "max_norm")
+    __slots__ = ("term", "documents", "coverage")
 
     def __init__(self, term: str) -> None:
         self.term = term
         self.documents: Dict[int, Document] = {}
         self.coverage: Dict[int, Set[int]] = {}
-        self.min_term_frequency: int = 0
-        self.max_norm: float = 0.0
 
     @property
     def is_empty(self) -> bool:
@@ -88,8 +83,6 @@ def build_universe(
     """Collect ``U_w(b)`` from the block members' current results."""
     universe = BlockUniverse(term)
     coverage = universe.coverage
-    min_tf: int = 0
-    max_norm: float = 0.0
     for query_id in query_ids:
         for entry in result_sets[query_id].entries[1:]:
             document = entry.document
@@ -99,18 +92,10 @@ def build_universe(
                 # Already a universe member: it contains the term.
                 holders.add(query_id)
                 continue
-            vector = document.vector
-            tf = vector._tf.get(term)
-            if tf is None:
+            if term not in document.vector._tf:
                 continue
             universe.documents[doc_id] = document
             coverage[doc_id] = {query_id}
-            if min_tf == 0 or tf < min_tf:
-                min_tf = tf
-            if vector.norm > max_norm:
-                max_norm = vector.norm
-    universe.min_term_frequency = min_tf
-    universe.max_norm = max_norm
     return universe
 
 
@@ -243,26 +228,4 @@ def make_universe_for_benchmark(
             doc_id, TermVector({"w": 1}), float(doc_id)
         )
         universe.coverage[doc_id] = holders
-    universe.min_term_frequency = 1
-    universe.max_norm = 1.0
     return universe, query_ids
-
-
-def min_similarity_floor(
-    universe_min_tf: int,
-    universe_max_norm: float,
-    term: str,
-    vector,
-) -> float:
-    """``minSim(U_w(b), d_n)`` (Eq. 20).
-
-    Zero when the universe is empty or the new document lacks the term
-    (the latter cannot happen on the traversal path, but keeps the
-    function total).
-    """
-    if universe_min_tf <= 0 or universe_max_norm <= 0.0:
-        return 0.0
-    tf_new = vector.frequency(term)
-    if tf_new == 0 or vector.norm == 0.0:
-        return 0.0
-    return (universe_min_tf * tf_new) / (universe_max_norm * vector.norm)

@@ -30,6 +30,7 @@ from repro.core.query import DasQuery
 from repro.errors import ConfigurationError, ReproError
 from repro.eventlog.segments import EventLog
 from repro.eventlog.subscribers import SubscriberRegistry
+from repro.persistence.checkpoint import _write_atomic, restore
 
 #: Checkpoint file naming: checkpoint-<20-digit offset>.json
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -69,8 +70,8 @@ def write_checkpoint(
 ) -> str:
     """Atomically write a checkpoint at ``offset``; prunes old ones.
 
-    Same crash discipline as :func:`repro.persistence.checkpoint.save`:
-    the payload goes to a sibling temp file first and an injected
+    Same crash discipline as :func:`repro.persistence.checkpoint.save`
+    (one temp-file, fsync and replace sequence): an injected
     ``checkpoint.write`` ``torn`` fault leaves a truncated *temp* file —
     never a truncated checkpoint — so recovery falls back to the previous
     one.
@@ -81,21 +82,8 @@ def write_checkpoint(
         "engine": engine_payload,
         "subscribers": subscribers_payload,
     }
-    data = json.dumps(payload)
     path = checkpoint_path(directory, offset)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w") as handle:
-        if injector is not None:
-            try:
-                injector.fire("checkpoint.write")
-            except Exception as exc:
-                if getattr(exc, "action", "") == "torn":
-                    handle.write(data[: len(data) // 2])
-                raise
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    _write_atomic(path, json.dumps(payload), injector)
     for old in _checkpoint_offsets(directory)[:-keep]:
         os.remove(checkpoint_path(directory, old))
     return path
@@ -218,8 +206,6 @@ def recover(
     names the fields that differ.  ``registry`` lets the caller
     pre-configure capacity/DLQ wiring; a default one is built otherwise.
     """
-    from repro.persistence.checkpoint import restore
-
     os.makedirs(directory, exist_ok=True)
     if registry is None:
         registry = SubscriberRegistry()

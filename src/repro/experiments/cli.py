@@ -60,7 +60,6 @@ FIGURES: Dict[str, tuple] = {
     "fig16": ("effect of # document terms", _single(sweeps.doc_terms)),
     "fig17": ("scalability on SQD", _single(sweeps.sqd_scale)),
     "fig18": ("DisC window size", _single(sweeps.window_size)),
-    "abl-bound": ("ablation: group bound mode", _single(sweeps.bound_mode_ablation)),
     "abl-aw": ("ablation: aggregated weights", _single(sweeps.agg_weights_ablation)),
     "abl-init": ("ablation: init strategy", _single(sweeps.init_strategy_ablation)),
 }

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.disc import tune_radius
-from repro.config import GroupBoundMode
 from repro.experiments.results import FigureResult, UserStudyResult
 from repro.experiments.runner import MethodRun, run_das_methods, run_method
 from repro.experiments.workload import DAS_METHODS, Workload, WorkloadSpec, build_workload
@@ -632,32 +631,6 @@ def window_size(
 
 
 # -- Ablations (DESIGN.md §5) ------------------------------------------------------------
-
-
-def bound_mode_ablation(spec: WorkloadSpec = TINY) -> FigureResult:
-    """PAPER vs STRICT group bound: pruning power and result divergence."""
-    series: Dict[str, Dict[object, float]] = {}
-    divergence = 0
-    results_by_mode = {}
-    for mode in (GroupBoundMode.PAPER, GroupBoundMode.STRICT):
-        workload = build_workload(spec.evolve(group_bound_mode=mode))
-        run = run_method(
-            workload, lambda: workload.make_engine("GIFilter"), mode.value
-        )
-        skipped = run.counters.blocks_skipped
-        visited = run.counters.blocks_visited
-        series[mode.value] = {
-            "ms/doc": run.doc_ms,
-            "skip%": 100.0 * skipped / max(1, skipped + visited),
-        }
-    return FigureResult(
-        figure="Ablation A1",
-        title="Group bound mode: Eq. 19 verbatim (paper) vs strict",
-        param_name="metric",
-        param_values=["ms/doc", "skip%"],
-        series=series,
-        unit="mixed",
-    )
 
 
 def init_strategy_ablation(spec: WorkloadSpec = TINY) -> FigureResult:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.baselines import DiscEngine, MsIncEngine, NaiveEngine
-from repro.config import GroupBoundMode
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.stream.document import Document
@@ -56,9 +55,6 @@ class WorkloadSpec:
     topic_exponent: float = 0.8
     noise_ratio: float = 0.3
     seed: int = 2015
-    #: Eq. 19 estimator mode for GIFilter benches (the paper's verbatim
-    #: estimator; the library default is the provably safe STRICT).
-    group_bound_mode: GroupBoundMode = GroupBoundMode.PAPER
 
     def evolve(self, **changes) -> "WorkloadSpec":
         return replace(self, **changes)
@@ -90,7 +86,6 @@ class Workload:
             delta_s=spec.delta_s,
             phi_max=spec.phi_max,
             smoothing_lambda=spec.smoothing_lambda,
-            group_bound_mode=spec.group_bound_mode,
         )
         engine = DasEngine.for_method(method, **overrides)
         return DasEngine(

@@ -24,7 +24,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
-from repro.config import EngineConfig, GroupBoundMode
+from repro.config import EngineConfig
 from repro.core.agg_weights import AggregatedTermWeights
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
@@ -45,7 +45,6 @@ def _config_to_dict(config: EngineConfig) -> Dict:
         "block_size": config.block_size,
         "delta_s": config.delta_s,
         "phi_max": config.phi_max,
-        "group_bound_mode": config.group_bound_mode.value,
         "use_blocks": config.use_blocks,
         "use_group_filter": config.use_group_filter,
         "use_agg_weights": config.use_agg_weights,
@@ -63,7 +62,11 @@ def _config_from_dict(payload: Dict) -> EngineConfig:
     # Older files name a kernel backend ("auto" / "python" / "numpy");
     # the engine has one cosine kernel, so the key is ignored.
     payload.pop("backend", None)
-    payload["group_bound_mode"] = GroupBoundMode(payload["group_bound_mode"])
+    # Older files name a group bound ("strict" / "paper"); the engine has
+    # one, the exact one.  A "paper" file restores under it too: a skip
+    # is optional, and the exact bound skips only where Eq. 19 verbatim
+    # would have.
+    payload.pop("group_bound_mode", None)
     return EngineConfig(**payload)
 
 
@@ -304,18 +307,17 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
             entry.sim_acc += cosine_similarity(vector, entry.document.vector)
 
 
-def save(
-    engine: DasEngine, path: str, injector: Optional[object] = None
+def _write_atomic(
+    path: str, data: str, injector: Optional[object] = None
 ) -> None:
-    """Checkpoint the engine to a JSON file, atomically.
+    """Write ``data`` to ``path`` so a crash leaves the old file or the new.
 
-    The payload is written to a sibling temp file and moved into place
-    with ``os.replace``, so a crash mid-write (simulated through the
+    The data goes to a sibling temp file, is fsynced, and is moved into
+    place with ``os.replace``.  A crash mid-write (simulated through the
     ``checkpoint.write`` injection point of ``injector``) leaves any
-    previous checkpoint at ``path`` intact.  A ``torn`` fault leaves a
-    truncated temp file behind — never a truncated checkpoint.
+    previous file at ``path`` intact; a ``torn`` fault leaves a truncated
+    temp file behind — never a truncated ``path``.
     """
-    data = json.dumps(checkpoint(engine))
     tmp_path = path + ".tmp"
     with open(tmp_path, "w") as handle:
         if injector is not None:
@@ -326,7 +328,18 @@ def save(
                     handle.write(data[: len(data) // 2])
                 raise
         handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp_path, path)
+
+
+def save(
+    engine: DasEngine, path: str, injector: Optional[object] = None
+) -> None:
+    """Checkpoint the engine to a JSON file, atomically (see
+    :func:`_write_atomic`): a crash leaves the previous checkpoint at
+    ``path`` or the new one, never a truncated or empty one."""
+    _write_atomic(path, json.dumps(checkpoint(engine)), injector)
 
 
 def load(path: str) -> DasEngine:

@@ -39,8 +39,7 @@ accepted operation:
     Result sets equal the :class:`~repro.baselines.naive.NaiveEngine`
     fed the same ops — the end-to-end guarantee that no bound
     (``FT̃_b``, ``TRel̃_max``, ``Sim̃_min``) ever wrongly skipped a
-    delivery.  Exact equality holds under ``GroupBoundMode.STRICT``
-    (the default; see DESIGN.md §2).
+    delivery.
 ``telemetry``
     The telemetry ledger stays coherent under faults: publish spans
     balance (started = finished + aborted), work counters never move

@@ -1,4 +1,4 @@
-"""Unified telemetry: registry, stage histograms, spans, effectiveness.
+"""Unified telemetry: stage histograms, spans, effectiveness.
 
 One :class:`Telemetry` instance observes every publish an engine
 processes.  The engine calls :meth:`Telemetry.begin_publish` /
@@ -37,7 +37,6 @@ from repro.telemetry.effectiveness import (
 )
 from repro.telemetry.histogram import DEFAULT_BOUNDS, LatencyHistogram
 from repro.telemetry.prometheus import render_exposition
-from repro.telemetry.registry import Counter, Gauge, MetricRegistry
 from repro.telemetry.spans import PublishObservation, TraceSampler
 
 #: Engine-side stages of one publish, in pipeline order.  Every stage is
@@ -112,27 +111,14 @@ class Telemetry:
         trace_capacity: int = 64,
     ) -> None:
         self._time = time_fn if time_fn is not None else time.perf_counter
-        self.registry = MetricRegistry()
         self.sampler = TraceSampler(seed, sample_rate)
         self._stage_histograms = {
-            stage: self.registry.histogram(
-                f"stage_{stage}",
-                f"Per-publish {stage} latency (seconds).",
-            )
-            for stage in ENGINE_STAGES
+            stage: LatencyHistogram() for stage in ENGINE_STAGES
         }
-        self._spans_started = self.registry.counter(
-            "spans_started", "Publish spans opened."
-        )
-        self._spans_finished = self.registry.counter(
-            "spans_finished", "Publish spans completed."
-        )
-        self._spans_aborted = self.registry.counter(
-            "spans_aborted", "Publish spans aborted by an error."
-        )
-        self._spans_sampled = self.registry.counter(
-            "spans_sampled", "Publish spans captured as traces."
-        )
+        self._spans_started = 0
+        self._spans_finished = 0
+        self._spans_aborted = 0
+        self._spans_sampled = 0
         #: Most recent sampled traces (bounded; excluded from snapshots).
         self.traces = deque(maxlen=trace_capacity)
 
@@ -142,7 +128,7 @@ class Telemetry:
         self, doc_id: int, counters: Counters
     ) -> PublishObservation:
         """Open the observation for one publish (engine hot path)."""
-        self._spans_started.inc()
+        self._spans_started += 1
         baseline = (
             counters.as_dict() if self.sampler.sampled(doc_id) else None
         )
@@ -162,16 +148,16 @@ class Telemetry:
             self._stage_histograms[stage].observe(
                 observation.stage_seconds.get(stage, 0.0)
             )
-        self._spans_finished.inc()
+        self._spans_finished += 1
         if observation.baseline is not None:
-            self._spans_sampled.inc()
+            self._spans_sampled += 1
             self.traces.append(
                 self._build_trace(observation, counters.as_dict())
             )
 
     def abort_publish(self, observation: PublishObservation) -> None:
         """A publish raised mid-flight; keep the span ledger balanced."""
-        self._spans_aborted.inc()
+        self._spans_aborted += 1
 
     @staticmethod
     def _build_trace(
@@ -207,10 +193,10 @@ class Telemetry:
 
     def span_counts(self) -> Dict[str, int]:
         return {
-            "started": self._spans_started.value,
-            "finished": self._spans_finished.value,
-            "aborted": self._spans_aborted.value,
-            "sampled": self._spans_sampled.value,
+            "started": self._spans_started,
+            "finished": self._spans_finished,
+            "aborted": self._spans_aborted,
+            "sampled": self._spans_sampled,
         }
 
     def snapshot(self) -> Dict:
@@ -235,12 +221,9 @@ def empty_snapshot() -> Dict:
 __all__ = [
     "BOUNDED_RATIOS",
     "CountingClock",
-    "Counter",
     "DEFAULT_BOUNDS",
     "ENGINE_STAGES",
-    "Gauge",
     "LatencyHistogram",
-    "MetricRegistry",
     "PIPELINE_STAGES",
     "PublishObservation",
     "STAGE_COUNTERS",

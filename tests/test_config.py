@@ -8,7 +8,6 @@ from repro.config import (
     METHOD_CONFIGS,
     UNLIMITED,
     EngineConfig,
-    GroupBoundMode,
     birt_config,
     gifilter_config,
     ifilter_config,
@@ -20,7 +19,6 @@ from repro.errors import ConfigurationError
 def test_defaults_are_valid():
     config = EngineConfig()
     assert config.k == 30
-    assert config.group_bound_mode is GroupBoundMode.STRICT
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveEngine
-from repro.config import EngineConfig, GroupBoundMode, UNLIMITED
+from repro.config import EngineConfig, UNLIMITED
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.errors import (
@@ -219,18 +219,6 @@ def test_many_queries_multiple_blocks():
     assert len({n.query_id for n in notes}) == len(notes)
     index = engine.index_size_report()
     assert index["blocks"] >= 4
-
-
-def test_paper_bound_mode_runs():
-    engine = DasEngine.for_method(
-        "GIFilter", k=2, block_size=2, group_bound_mode=GroupBoundMode.PAPER
-    )
-    for i in range(6):
-        engine.publish(doc(i, ["shared"]))
-    for qid in range(4):
-        engine.subscribe(DasQuery(qid, ["shared"]))
-    engine.publish(doc(50, ["shared"], t=50.0))
-    assert engine.counters.group_checks >= 1
 
 
 def test_phi_max_zero_pushes_everything_to_r2():

@@ -1,11 +1,9 @@
 """Cross-engine equivalence: the paper's methods produce identical results.
 
 Section 8.4.1: "IRT, BIRT, IFilter, and GIFilter are all developed for
-processing DAS queries, and they produce the same result."  With the
-STRICT group bound this holds *exactly* — including against the naive
-O(k²)-per-query oracle — for any stream, any subscription schedule and
-any parameter setting.  The PAPER bound (Eq. 19 verbatim) is checked for
-high agreement instead.
+processing DAS queries, and they produce the same result."  This holds
+*exactly* — including against the naive O(k²)-per-query oracle — for
+any stream, any subscription schedule and any parameter setting.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveEngine
-from repro.config import EngineConfig, GroupBoundMode
+from repro.config import EngineConfig
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.stream.document import Document
@@ -53,11 +51,10 @@ def result_ids(engine, queries):
     }
 
 
-def build_engines(k, block_size, alpha=0.3, mode=GroupBoundMode.STRICT):
+def build_engines(k, block_size, alpha=0.3):
     engines = {
         method: DasEngine.for_method(
-            method, k=k, block_size=block_size, alpha=alpha,
-            group_bound_mode=mode,
+            method, k=k, block_size=block_size, alpha=alpha
         )
         for method in METHODS
     }
@@ -178,43 +175,3 @@ def test_equivalence_with_unsubscribes():
     reference = result_ids(engines["Naive"], kept)
     for method in METHODS:
         assert result_ids(engines[method], kept) == reference, method
-
-
-def test_paper_mode_high_agreement():
-    """Eq. 19 verbatim drops a small fraction of borderline results; on a
-    tweet-like *sparse* corpus (where the Eq. 20 floor is approximately
-    valid, see DESIGN.md §2) most result sets still match STRICT exactly
-    despite per-decision differences compounding over the stream.  On
-    dense corpora agreement collapses — which is why STRICT is the
-    library default."""
-    corpus = SyntheticTweetCorpus(
-        vocab_size=20000,
-        n_topics=200,
-        doc_length=(4, 16),
-        term_exponent=0.7,
-        topic_exponent=0.8,
-        noise_ratio=0.3,
-        seed=21,
-    )
-    docs = corpus.documents(300)
-    queries = lqd_queries(corpus, 60, first_id=0)
-    strict = DasEngine.for_method("GIFilter", k=4, block_size=4)
-    paper = DasEngine.for_method(
-        "GIFilter", k=4, block_size=4, group_bound_mode=GroupBoundMode.PAPER
-    )
-    for document in docs[:50]:
-        strict.publish(document)
-        paper.publish(document)
-    for query in queries:
-        strict.subscribe(query)
-        paper.subscribe(query)
-    for document in docs[50:]:
-        strict.publish(document)
-        paper.publish(document)
-    agree = sum(
-        1
-        for q in queries
-        if [d.doc_id for d in strict.results(q.query_id)]
-        == [d.doc_id for d in paper.results(q.query_id)]
-    )
-    assert agree / len(queries) >= 0.7

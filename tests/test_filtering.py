@@ -6,9 +6,9 @@ checked against its exact counterpart:
 
 * ``FT̃_b`` never exceeds the true minimum filtering threshold (Lemma 2);
 * ``TRel̃_max`` never underestimates the best query relevance (Lemma 4);
-* STRICT-mode ``Sim̃_min`` never overestimates the true minimum
-  similarity mass — so a STRICT group skip can never drop a document
-  that some member query would have accepted (Lemma 7 safety).
+* ``Sim̃_min`` never overestimates the true minimum similarity mass —
+  so a group skip can never drop a document that some member query
+  would have accepted (Lemma 7 safety).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GroupBoundMode
 from repro.core.blocks import PostingsBlock
 from repro.core.filtering import (
     TIE_EPSILON,
@@ -35,7 +34,7 @@ from repro.scoring.recency import ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.document import Document
 from repro.text.collection_stats import CollectionStatistics
-from repro.text.vectors import TermVector, cosine_similarity
+from repro.text.vectors import cosine_similarity
 
 ALPHABET = ["w", "a", "b", "c", "d"]
 K = 3
@@ -143,9 +142,7 @@ def test_strict_similarity_bound_is_safe(scenario):
     block, result_sets = build_block(pool, queries, alpha, scorer)
     if block.has_unfilled:
         return
-    sim_lower = block_similarity_lower_bound(
-        block, new_doc.vector, "w", K, GroupBoundMode.STRICT
-    )
+    sim_lower = block_similarity_lower_bound(block, new_doc.vector)
     exact_min = min(
         sum(
             cosine_similarity(new_doc.vector, entry.document.vector)
@@ -173,9 +170,7 @@ def test_lemma7_strict_skip_never_drops_a_result(scenario):
         scorer.ps(new_doc.vector, term) for term in new_doc.vector.terms()
     ]
     trel_upper = block_trel_upper_bound(ps_values)
-    sim_lower = block_similarity_lower_bound(
-        block, new_doc.vector, "w", K, GroupBoundMode.STRICT
-    )
+    sim_lower = block_similarity_lower_bound(block, new_doc.vector)
     if group_filters_out(trel_upper, sim_lower, threshold, alpha, K):
         terms_by_qid = dict(queries)
         for qid in block.query_ids:
@@ -185,7 +180,7 @@ def test_lemma7_strict_skip_never_drops_a_result(scenario):
             )
             dr_old = rs.dr_oldest(now, decay, alpha)
             assert not accepts(dr_new, dr_old), (
-                "STRICT group skip dropped a true result"
+                "group skip dropped a true result"
             )
 
 
@@ -263,22 +258,3 @@ def test_threshold_bound_unfilled_block_is_neg_inf():
 
 def test_trel_upper_bound_empty_is_zero():
     assert block_trel_upper_bound([]) == 0.0
-
-
-def test_paper_mode_uses_floor():
-    """PAPER mode adds the Eq. 20 floor for residual slots."""
-    block = PostingsBlock()
-    block.append(0)
-    rs = QueryResultSet(K, track_aggregated_weights=False)
-    docs = [Document.from_tokens(i, ["w"], float(i)) for i in range(K)]
-    for d in docs:
-        rs.admit(d, 0.1)
-    block.rebuild_mcs("w", {0: rs})
-    probe = TermVector({"w": 1})
-    strict = block_similarity_lower_bound(
-        block, probe, "w", K, GroupBoundMode.STRICT
-    )
-    paper = block_similarity_lower_bound(
-        block, probe, "w", K, GroupBoundMode.PAPER
-    )
-    assert paper >= strict

@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.config import GroupBoundMode
 from repro.core.agg_weights import MemoryBudget
 from repro.core.blocks import PostingsBlock
 from repro.core.filtering import block_similarity_lower_bound
@@ -151,24 +150,19 @@ def test_cover_min_sim_sum_matches_cosine():
         expected = left_to_right(
             min(cosines(probe, cover.documents)) for cover in covers
         )
-        # STRICT floors the residual slots at 0: the bound is the sum.
-        k = len(covers) + 1
         block = block_with(covers)
         for cache in (None, SimCache()):
             assert block_similarity_lower_bound(
-                block, probe, "t0", k, GroupBoundMode.STRICT, sim_cache=cache
+                block, probe, sim_cache=cache
             ) == expected
 
 
 def test_cover_min_sim_sum_empty_cases():
     probe = TermVector({"x": 1})
     for covers in (None, []):
-        assert block_similarity_lower_bound(
-            block_with(covers), probe, "x", 3, GroupBoundMode.STRICT
-        ) == 0.0
+        assert block_similarity_lower_bound(block_with(covers), probe) == 0.0
     rng = random.Random(47)
     covers = [CoverSet([Document(1, random_vector(rng), 0.0)])]
     assert block_similarity_lower_bound(
-        block_with(covers), TermVector({"zzz": 2}), "zzz", 3,
-        GroupBoundMode.STRICT,
+        block_with(covers), TermVector({"zzz": 2})
     ) == 0.0

@@ -5,7 +5,6 @@ Includes the paper's Example 1 / Table 2 instance as a fixture.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +14,10 @@ from repro.core.mcs import (
     CoverSet,
     build_universe,
     greedy_mcs_gen,
-    min_similarity_floor,
     verify_cover,
 )
 from repro.core.result_set import QueryResultSet
 from repro.stream.document import Document
-from repro.text.vectors import TermVector
 
 
 def make_universe(coverage):
@@ -30,8 +27,6 @@ def make_universe(coverage):
         document = Document.from_tokens(doc_id, ["w"], float(doc_id))
         universe.documents[doc_id] = document
         universe.coverage[doc_id] = set(holders)
-    universe.min_term_frequency = 1
-    universe.max_norm = 1.0
     return universe
 
 
@@ -161,32 +156,3 @@ def test_build_universe_excludes_oldest_and_foreign_terms():
     universe = build_universe("w", [0], result_sets)
     assert set(universe.documents) == {1}
     assert universe.coverage[1] == {0}
-    assert universe.min_term_frequency == 1
-    assert universe.max_norm == docs[1].vector.norm
-
-
-def test_min_similarity_floor():
-    vector = TermVector({"w": 2, "z": 1})
-    floor = min_similarity_floor(1, 2.0, "w", vector)
-    assert floor == pytest.approx((1 * 2) / (2.0 * vector.norm))
-    assert min_similarity_floor(0, 2.0, "w", vector) == 0.0
-    assert min_similarity_floor(1, 0.0, "w", vector) == 0.0
-    assert min_similarity_floor(1, 2.0, "absent", vector) == 0.0
-
-
-def test_floor_is_a_true_lower_bound_for_universe_docs():
-    """Every universe document's similarity to a term-sharing probe is at
-    least the Eq. 20 floor."""
-    from repro.text.vectors import cosine_similarity
-
-    docs = [
-        TermVector({"w": 1, "a": 2}),
-        TermVector({"w": 3, "b": 1}),
-        TermVector({"w": 2}),
-    ]
-    probe = TermVector({"w": 1, "c": 4})
-    min_tf = min(v.frequency("w") for v in docs)
-    max_norm = max(v.norm for v in docs)
-    floor = min_similarity_floor(min_tf, max_norm, "w", probe)
-    for vector in docs:
-        assert cosine_similarity(vector, probe) >= floor - 1e-12

@@ -7,10 +7,8 @@ Definition 5 (checked on arbitrary random universes):
 2. *minimal* — removing any single member breaks property (1);
 3. the emitted sets are pairwise disjoint and drawn from the universe.
 
-Eq. 19/20 soundness (checked on blocks built from real result sets):
-``minSim`` never exceeds any actual universe similarity, STRICT-mode
-``Sim̃_min`` never exceeds the exact minimum similarity mass, and PAPER
-mode is always at least as aggressive as STRICT.
+Eq. 19 soundness (checked on blocks built from real result sets):
+``Sim̃_min`` never exceeds the exact minimum similarity mass.
 """
 
 from __future__ import annotations
@@ -18,14 +16,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GroupBoundMode
 from repro.core.blocks import PostingsBlock
 from repro.core.mcs import (
     BlockUniverse,
     CoverSet,
     build_universe,
     greedy_mcs_gen,
-    min_similarity_floor,
     verify_cover,
 )
 from repro.core.result_set import QueryResultSet
@@ -55,10 +51,6 @@ def random_universe(draw):
             doc_id, TermVector({"w": tf}), float(doc_id)
         )
         universe.coverage[doc_id] = holders
-    universe.min_term_frequency = 1
-    universe.max_norm = max(
-        doc.vector.norm for doc in universe.documents.values()
-    )
     return universe, query_ids
 
 
@@ -95,37 +87,6 @@ def test_greedy_emits_nothing_when_some_query_is_uncoverable(case):
     uncoverable = max(query_ids) + 1
     covers = greedy_mcs_gen(query_ids + [uncoverable], universe)
     assert covers == []
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    tf_new=st.integers(min_value=1, max_value=5),
-    extra_new=st.lists(st.sampled_from(ALPHABET[1:]), max_size=4),
-    docs=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=5),
-            st.lists(st.sampled_from(ALPHABET[1:]), max_size=4),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-)
-def test_min_similarity_floor_lower_bounds_every_universe_similarity(
-    tf_new, extra_new, docs
-):
-    """Eq. 20: ``minSim`` <= ``Sim(d_n, d)`` for every universe doc."""
-    new_vector = TermVector(
-        {"w": tf_new, **{t: extra_new.count(t) for t in set(extra_new)}}
-    )
-    vectors = [
-        TermVector({"w": tf, **{t: extra.count(t) for t in set(extra)}})
-        for tf, extra in docs
-    ]
-    min_tf = min(tf for tf, _extra in docs)
-    max_norm = max(vector.norm for vector in vectors)
-    floor = min_similarity_floor(min_tf, max_norm, "w", new_vector)
-    for vector in vectors:
-        assert floor <= cosine_similarity(new_vector, vector) + 1e-12
 
 
 def fill_result_set(terms, pool, scorer):
@@ -185,7 +146,7 @@ def test_build_universe_excludes_the_oldest_entries(case):
 
 @settings(max_examples=100, deadline=None)
 @given(block_case())
-def test_eq19_strict_is_sound_and_paper_is_at_least_as_aggressive(case):
+def test_eq19_bound_is_sound(case):
     pool, queries, new_doc = case
     stats = CollectionStatistics()
     for document in pool + [new_doc]:
@@ -200,12 +161,7 @@ def test_eq19_strict_is_sound_and_paper_is_at_least_as_aggressive(case):
     block.rebuild_mcs("w", result_sets)
     if block.has_unfilled:
         return
-    strict = block_similarity_lower_bound(
-        block, new_doc.vector, "w", K, GroupBoundMode.STRICT
-    )
-    paper = block_similarity_lower_bound(
-        block, new_doc.vector, "w", K, GroupBoundMode.PAPER
-    )
+    sim_lower = block_similarity_lower_bound(block, new_doc.vector)
     exact_min = min(
         sum(
             cosine_similarity(new_doc.vector, entry.document.vector)
@@ -213,8 +169,5 @@ def test_eq19_strict_is_sound_and_paper_is_at_least_as_aggressive(case):
         )
         for qid in block.query_ids
     )
-    # Soundness: a STRICT group skip can never drop a true delivery.
-    assert strict <= exact_min + 1e-9
-    # PAPER (Eq. 19 verbatim) grants >= the STRICT similarity mass: one
-    # more residual slot, floored at minSim >= 0.
-    assert paper >= strict - 1e-12
+    # Soundness: a group skip can never drop a true delivery.
+    assert sim_lower <= exact_min + 1e-9

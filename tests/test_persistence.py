@@ -154,6 +154,34 @@ def test_save_load_file_roundtrip(live_engine, tmp_path):
         ]
 
 
+def test_save_fsyncs_the_file_before_replacing(live_engine, tmp_path, monkeypatch):
+    """The whole payload is flushed and fsynced before it takes the
+    checkpoint's name, so a crash right after the rename cannot leave an
+    empty or partial checkpoint at ``path``."""
+    import os
+
+    engine, _corpus, _docs = live_engine
+    path = str(tmp_path / "engine.json")
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save(engine, path)
+    assert events == [
+        ("fsync", os.path.getsize(path)),
+        ("replace", path + ".tmp", path),
+    ]
+
+
 def test_restore_rejects_bad_version():
     with pytest.raises(ValueError):
         restore({"version": 999})
@@ -370,6 +398,29 @@ def test_file_naming_a_kernel_backend_restores(live_engine, backend):
     assert checkpoint(clone)["config"] == checkpoint(engine)["config"]
     for document in docs[90:]:
         assert change_log(clone.publish(document)) == change_log(
+            engine.publish(document)
+        )
+
+
+@pytest.mark.parametrize("bound", ["strict", "paper"])
+def test_file_naming_a_group_bound_mode_restores(live_engine, bound):
+    """Files written while the engine had two group bounds carry the
+    config key ``"group_bound_mode"``.  Whatever it names, the file
+    restores under the one exact bound — a ``"paper"`` file too, because
+    a skip is optional — continues on the change stream of the engine it
+    describes, and a checkpoint written now has no key."""
+    engine, _corpus, docs = live_engine
+    payload = checkpoint(engine)
+    assert "group_bound_mode" not in payload["config"]
+    payload["config"]["group_bound_mode"] = bound
+    clone = restore(payload)
+    assert checkpoint(clone)["config"] == checkpoint(engine)["config"]
+
+    def changes(notifications):
+        return sorted(change_log(notifications), key=lambda change: change[:2])
+
+    for document in docs[90:]:
+        assert changes(clone.publish(document)) == changes(
             engine.publish(document)
         )
 

@@ -1,7 +1,7 @@
 """Model-based stateful testing: GIFilter vs the naive oracle.
 
 Hypothesis drives random interleavings of publish / subscribe /
-unsubscribe against both the full engine (STRICT bounds) and the
+unsubscribe against both the full engine (every bound on) and the
 O(k²)-per-query oracle, asserting identical observable state after every
 step.  This exercises exactly the maintenance paths that are easy to get
 wrong: block metadata staleness, MCS invalidation, AW budget churn,

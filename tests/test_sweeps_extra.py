@@ -77,12 +77,6 @@ def test_other_systems_sweep():
         assert label in fig_b.series
 
 
-def test_bound_mode_ablation():
-    fig = sweeps.bound_mode_ablation(MICRO)
-    assert set(fig.series) == {"paper", "strict"}
-    assert fig.series["paper"]["skip%"] >= fig.series["strict"]["skip%"] - 1e-9
-
-
 def test_agg_weights_ablation():
     fig = sweeps.agg_weights_ablation(MICRO)
     assert (

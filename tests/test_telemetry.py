@@ -1,6 +1,6 @@
 """Tests for the unified telemetry layer (ISSUE 5 tentpole).
 
-Covers the metric registry, the fixed-bucket latency histogram and its
+Covers the fixed-bucket latency histogram and its
 wire form, deterministic trace sampling, the per-publish span lifecycle,
 the derived filtering-effectiveness gauges, Prometheus text rendering,
 engine threading, and the server's ``stats``/``metrics`` surface over
@@ -24,7 +24,6 @@ from repro.telemetry import (
     DEFAULT_BOUNDS,
     ENGINE_STAGES,
     LatencyHistogram,
-    MetricRegistry,
     PIPELINE_STAGES,
     Telemetry,
     TraceSampler,
@@ -38,35 +37,6 @@ def doc(doc_id, terms, t=None):
     return Document(
         doc_id, TermVector({term: 1 for term in terms}), float(doc_id if t is None else t)
     )
-
-
-# -- registry --------------------------------------------------------------
-
-
-def test_registry_counter_gauge_histogram():
-    registry = MetricRegistry()
-    counter = registry.counter("reqs", "Requests.")
-    counter.inc()
-    counter.inc(3)
-    assert counter.value == 4
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-    gauge = registry.gauge("depth", "Queue depth.")
-    gauge.set(7.5)
-    assert gauge.value == 7.5
-
-    histogram = registry.histogram("lat", "Latency.")
-    histogram.observe(0.5)
-    assert histogram.count == 1
-
-    # Get-or-create: same name returns the same instance.
-    assert registry.counter("reqs", "Requests.") is counter
-    # ...but a type collision is an error, not a silent overwrite.
-    with pytest.raises(ValueError):
-        registry.gauge("reqs", "Requests.")
-    assert sorted(registry.names()) == ["depth", "lat", "reqs"]
-    assert registry.get("missing") is None
 
 
 # -- histogram -------------------------------------------------------------
