@@ -12,17 +12,23 @@ BIRT (baseline)   yes         no                no
 IRT (baseline)    no          no                no
 ================  ==========  ================  ===============
 
-Document processing follows Algorithm 2: the postings lists of the
-document's terms are traversed document-at-a-time; at each block boundary
-the group filtering condition (Lemma 7) may skip the whole block; every
-surviving posting goes through the quick relevance bound (Appendix A.1)
-and then the individual filtering condition (Definition 3) evaluated via
-aggregated term weight summaries (Lemma 6) where enabled.
+Document processing follows Algorithm 2: the ``(query id, term)``
+postings of the document's terms are sorted once, which is the
+document-at-a-time order (ids ascending, ties by term), and walked in
+runs between the block boundaries where the group filtering condition
+(Lemma 7) is checked and may skip the whole block; boundaries that the
+check backoff sits out are passed in one step.  Each query is evaluated
+at its first posting: a full result set first meets the quick relevance
+bound (Appendix A.1) with the reaching keyword's ``PS`` standing in for
+``TRel`` (``PS ≥ TRel``), then with ``TRel`` itself, and only then the
+individual filtering condition (Definition 3), evaluated via aggregated
+term weight summaries (Lemma 6) where enabled.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.config import METHOD_CONFIGS, EngineConfig
@@ -441,9 +447,6 @@ class DasEngine:
         if not vector:
             return notifications
         now = self._clock.now
-        ps_cache = {
-            term: self._scorer.ps(vector, term) for term in vector.terms()
-        }
 
         # Postings lists of the document's terms that index any query.
         lists: Dict[str, PostingsList] = {}
@@ -457,85 +460,116 @@ class DasEngine:
                 lists[term] = postings
         if not lists:
             return notifications
+        # A reached query is in the list of each of its keywords, so the
+        # reached terms are all of its keywords the document contains.
+        ps_cache = {term: self._scorer.ps(vector, term) for term in lists}
 
-        # k-way merge of the postings cursors, cheapest head first.  The
-        # heap holds one (current query id, term) pair per unexhausted
-        # term, so advancing costs O(log T) instead of the O(T) rescan of
-        # min(active, key=...).
-        cursors: Dict[str, Tuple[int, int]] = {term: (0, 0) for term in lists}
-        evaluated: Set[int] = set()
-        heap: List[Tuple[int, str]] = [
-            (postings.blocks[0].query_ids[0], term)
-            for term, postings in lists.items()
-        ]
-        heapq.heapify(heap)
-        use_blocks = self._config.use_blocks
-        while heap:
-            _query_id, term = heapq.heappop(heap)
-            block_index, offset = cursors[term]
-            blocks = lists[term].blocks
-            block = blocks[block_index]
-            skipped = False
-            if offset == 0 and use_blocks:
-                if self._check_sitout:
-                    # Backing off: no layer of the group filter runs,
-                    # the block is traversed member by member.
-                    self._check_sitout -= 1
-                    self.counters.group_checks_deferred += 1
-                else:
-                    skipped = self._check_boundary(
-                        term, block, ps_cache, document, cursors, lists, now
-                    )
-                if skipped:
-                    # The group bound covers the filled members only;
-                    # warm-up members must still see the document.
-                    for query_id in block.unfilled_ids:
-                        if query_id not in evaluated:
-                            evaluated.add(query_id)
-                            self._evaluate_query(
-                                query_id, term, document, ps_cache, now,
-                                notifications,
-                            )
-                    block_index += 1
-                    offset = 0
-            if not skipped:
-                if offset == 0:
-                    self.counters.blocks_visited += 1
-                query_id = block.query_ids[offset]
-                self.counters.postings_visited += 1
-                if query_id not in evaluated:
-                    evaluated.add(query_id)
-                    self._evaluate_query(
+        # Every (query id, term) posting, sorted: the document-at-a-time
+        # order, ties broken by term.  ``starts`` holds each block's first
+        # posting, the boundary where the group filter may be checked.
+        pairs: List[Tuple[int, str]] = []
+        starts = []
+        for term, postings in lists.items():
+            for block in postings.blocks:
+                query_ids = block.query_ids
+                pairs.extend(zip(query_ids, repeat(term)))
+                starts.append((query_ids[0], term, block))
+        pairs.sort()
+        counters = self.counters
+        # Warm-up members of a skipped block, evaluated at its boundary.
+        early: Set[int] = set()
+        last = None
+        position = 0
+        if self._config.use_blocks:
+            starts.sort()
+            boundary = 0
+            while boundary < len(starts):
+                sitout = self._check_sitout
+                if sitout:
+                    # Backing off: no layer of the group filter runs for
+                    # the next ``sitout`` boundaries, whose blocks are
+                    # traversed member by member.
+                    passed = min(sitout, len(starts) - boundary)
+                    self._check_sitout = sitout - passed
+                    counters.group_checks_deferred += passed
+                    counters.blocks_visited += passed
+                    boundary += passed
+                    continue
+                first_id, term, block = starts[boundary]
+                boundary += 1
+                stop = bisect_left(pairs, (first_id, term), position)
+                last = self._evaluate_run(
+                    pairs[position:stop], last, early, document, ps_cache,
+                    now, notifications,
+                )
+                position = stop
+                # TRel̃_max (Eq. 18): the document terms with a posting
+                # left in this block's id range.
+                end = bisect_left(pairs, (block.max_id + 1,), position)
+                window = pairs[position:end]
+                active_ps = [ps_cache[t] for t in {t for _q, t in window}]
+                if not self._check_boundary(
+                    term, block, document, active_ps, now
+                ):
+                    counters.blocks_visited += 1
+                    continue
+                # The group bound covers the filled members only;
+                # warm-up members must still see the document.
+                for query_id in block.unfilled_ids:
+                    if query_id != last and query_id not in early:
+                        early.add(query_id)
+                        self._evaluate_query(
+                            query_id, term, document, ps_cache, now,
+                            notifications,
+                        )
+                pairs[position:end] = [
+                    pair for pair in window if pair[1] != term
+                ]
+        else:
+            counters.blocks_visited += len(starts)
+        self._evaluate_run(
+            pairs[position:], last, early, document, ps_cache, now,
+            notifications,
+        )
+        counters.sim_cache_hits += sim_cache.lookups - len(sim_cache)
+        return notifications
+
+    def _evaluate_run(
+        self,
+        run: List[Tuple[int, str]],
+        last: Optional[int],
+        early: Set[int],
+        document: Document,
+        ps_cache: Dict[str, float],
+        now: float,
+        notifications: List[Notification],
+    ) -> Optional[int]:
+        """Evaluate each query of a sorted run of postings at its first
+        posting, unless it was evaluated early; ``last`` is the id of the
+        posting before the run.  Returns the id of the run's last one."""
+        self.counters.postings_visited += len(run)
+        evaluate = self._evaluate_query
+        for query_id, term in run:
+            if query_id != last:
+                last = query_id
+                if query_id not in early:
+                    evaluate(
                         query_id, term, document, ps_cache, now, notifications
                     )
-                offset += 1
-                if offset >= len(block.query_ids):
-                    block_index += 1
-                    offset = 0
-            cursors[term] = (block_index, offset)
-            if block_index < len(blocks):
-                heapq.heappush(
-                    heap, (blocks[block_index].query_ids[offset], term)
-                )
-        self.counters.sim_cache_hits += sim_cache.lookups - len(sim_cache)
-        return notifications
+        return last
 
     def _check_boundary(
         self,
         term: str,
         block,
-        ps_cache: Dict[str, float],
         document: Document,
-        cursors: Dict[str, Tuple[int, int]],
-        lists: Dict[str, PostingsList],
+        active_ps: List[float],
         now: float,
     ) -> bool:
         """One engaged block-boundary check; moves the backoff by its yield."""
         obs = self._obs
         entered = obs.time() if obs is not None else 0.0
-        skip = self._try_skip_block(
-            term, block, ps_cache, document, cursors, lists, now
-        )
+        skip = self._try_skip_block(term, block, document, active_ps, now)
         if obs is not None:
             obs.add("group_filter", obs.time() - entered)
         if skip:
@@ -552,14 +586,14 @@ class DasEngine:
         self,
         term: str,
         block,
-        ps_cache: Dict[str, float],
         document: Document,
-        cursors: Dict[str, Tuple[int, int]],
-        lists: Dict[str, PostingsList],
+        active_ps: List[float],
         now: float,
     ) -> bool:
         """Group filtering condition for one block (Lemma 7); a dirty
-        block's summaries are refreshed first (Section 7.1)."""
+        block's summaries are refreshed first (Section 7.1).
+        ``active_ps`` are the ``PS`` of the document terms that can still
+        reach the block's queries (Eq. 18)."""
         self.counters.group_checks += 1
         if block.meta_dirty:
             block.refresh_metadata(
@@ -572,16 +606,6 @@ class DasEngine:
         if threshold == _NEG_INF:
             # No filled member: nothing any upper bound could stay under.
             return False
-        # TRel̃_max (Eq. 18): document terms whose cursor has not passed
-        # this block yet can still contribute relevance to its queries.
-        max_id = block.max_id
-        active_ps: List[float] = []
-        for other_term, (block_index, offset) in cursors.items():
-            blocks = lists[other_term].blocks
-            if block_index >= len(blocks):
-                continue
-            if blocks[block_index].query_ids[offset] <= max_id:
-                active_ps.append(ps_cache[other_term])
         trel_upper = block_trel_upper_bound(active_ps)
         sim_lower = 0.0
         if self._config.use_group_filter:
@@ -627,11 +651,11 @@ class DasEngine:
         query = self._queries[query_id]
         result_set = self._result_sets[query_id]
         vector = document.vector
-        trel = self._scorer.trel_from_ps(query.terms, ps_cache, vector)
         config = self._config
 
         if not result_set.is_full:
             # Warm-up: every matching document is admitted until |R| = k.
+            trel = self._scorer.trel_from_ps(query.terms, ps_cache, vector)
             if obs is not None:
                 mutated = obs.time()
                 obs.add("individual_filter", mutated - entered)
@@ -663,9 +687,19 @@ class DasEngine:
         # ``term`` is in the document and (usually) in most of q.R: its
         # addend of the Lemma 6 sum already bounds dr_q(d_n) from above.
         floor = result_set.similarity_floor(term, vector)
-        if quick_relevance_bound(
-            trel, config.alpha, config.k, floor, self._coeff
-        ) <= dr_oldest + TIE_EPSILON:
+        # TRel is a float product of PS values <= 1, one of them the
+        # reaching keyword's, so PS(term) >= TRel bounds it before it is
+        # paid: this tier rejects only what the TRel tier would.
+        beaten = dr_oldest + TIE_EPSILON
+        rejected = quick_relevance_bound(
+            ps_cache[term], config.alpha, config.k, floor, self._coeff
+        ) <= beaten
+        if not rejected:
+            trel = self._scorer.trel_from_ps(query.terms, ps_cache, vector)
+            rejected = quick_relevance_bound(
+                trel, config.alpha, config.k, floor, self._coeff
+            ) <= beaten
+        if rejected:
             self.counters.quick_rejections += 1
             if obs is not None:
                 obs.add("individual_filter", obs.time() - entered)

@@ -80,8 +80,9 @@ class QueryInvertedFile:
             raise ValueError(f"block_size must be >= 1 or None, got {block_size}")
         self._block_size = block_size
         self._lists: Dict[str, PostingsList] = {}
-        # Incremental totals: the per-batch vectorization heuristic reads
-        # these every micro-batch, so they must not be O(terms) walks.
+        # Incremental totals: ``DasEngine.index_size_report`` reads them
+        # for the Figure 8 footprint and every benchmark run's notes, so
+        # they must not be O(terms) walks.
         self._postings_total = 0
         self._blocks_total = 0
 

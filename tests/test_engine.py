@@ -489,6 +489,67 @@ def test_overestimated_floor_fails_the_differential(monkeypatch):
     assert filter_changes() != expected
 
 
+# -- the reaching keyword's PS bounds TRel before it is paid -----------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` in a shim; returns the list it appends to."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "method, evaluated, parent_quick, parent_dots",
+    [("GIFilter", 2549, 1728, 1117), ("IFilter", 2558, 1738, 1116)],
+)
+def test_keyword_ps_rejects_before_trel_and_decides_nothing_new(
+    monkeypatch, method, evaluated, parent_quick, parent_dots
+):
+    """Work pin: with ``PS`` of the reaching keyword tried in front of
+    ``TRel``, what is matched, evaluated, rejected by a bound and paid a
+    Lemma 6 dot equals the counts recorded with the ``TRel`` bound alone;
+    only ``TRel`` computations go."""
+    from repro.scoring.relevance import LanguageModelScorer
+
+    calls = _count_calls(monkeypatch, LanguageModelScorer, "trel_from_ps")
+    counters = _work_pin_run(method)
+    assert (
+        counters.matches,
+        counters.queries_evaluated,
+        counters.quick_rejections,
+        counters.aw_dot_products,
+    ) == (285, evaluated, parent_quick, parent_dots)
+    assert len(calls) < counters.queries_evaluated
+
+
+def test_documents_reaching_no_query_are_not_scored(monkeypatch):
+    """History replay and a document no query indexes make no ``PS``
+    call; a reaching document scores only the terms whose lists it
+    reaches."""
+    from repro.scoring.relevance import LanguageModelScorer
+
+    engine = make_engine()
+    calls = _count_calls(monkeypatch, LanguageModelScorer, "ps")
+    for i in range(4):
+        engine.publish(doc(i, ["coffee", f"pad{i}"]))
+    assert calls == []
+    monkeypatch.undo()
+    engine.subscribe(DasQuery(0, ["coffee"]))
+    calls = _count_calls(monkeypatch, LanguageModelScorer, "ps")
+    engine.publish(doc(4, ["tea", "milk"]))
+    engine.publish_batch([doc(5, ["tea"]), doc(6, ["milk", "sugar"])])
+    assert calls == []
+    engine.publish(doc(7, ["coffee", "tea", "milk"]))
+    assert [term for _vector, term in calls] == ["coffee"]
+
+
 # -- group-check backoff (ISSUE 20) ---------------------------------------
 
 

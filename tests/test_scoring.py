@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.scoring.contribution import (
@@ -102,6 +102,48 @@ def test_trel_from_ps_matches_trel(scorer):
     # A miss is a keyword absent from the document: resolved as (and
     # memoised at) the background probability, bit for bit PS's value.
     assert cache["tea"] == scorer.background("tea") == scorer.ps(vector, "tea")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc_tokens=st.lists(_WORDS, min_size=1, max_size=6),
+    history=st.lists(st.lists(_WORDS, min_size=1, max_size=6), max_size=6),
+    others=st.lists(_WORDS, max_size=4),
+    smoothing=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    data=st.data(),
+)
+@example(
+    doc_tokens=["coffee"], history=[], others=[], smoothing=0.2, data=None
+)
+@example(
+    doc_tokens=["coffee"], history=[["coffee"], ["coffee", "coffee"]],
+    others=["tea"], smoothing=0.5, data=None,
+)
+def test_reaching_keyword_ps_bounds_trel(
+    doc_tokens, history, others, smoothing, data
+):
+    """The engine's first quick-bound tier: ``TRel`` is a float product
+    of ``PS`` values, one of them each present keyword's, so it is at most
+    that keyword's ``PS`` as floats — in any keyword order, for one-term
+    documents and a one-term collection too."""
+    stats = CollectionStatistics()
+    for tokens in history:
+        stats.add(TermVector.from_tokens(tokens))
+    vector = TermVector.from_tokens(doc_tokens)
+    stats.add(vector)
+    scorer = LanguageModelScorer(stats, smoothing)
+    ps_cache = {term: scorer.ps(vector, term) for term in vector.terms()}
+    present = sorted(ps_cache)
+    if data is not None:
+        present = data.draw(
+            st.lists(st.sampled_from(present), min_size=1, unique=True)
+        )
+    keywords = list(dict.fromkeys(present + others))
+    if data is not None:
+        keywords = data.draw(st.permutations(keywords))
+    trel = scorer.trel_from_ps(keywords, dict(ps_cache), vector)
+    for term in present:
+        assert trel <= ps_cache[term]
 
 
 def test_trel_never_zero(scorer):
