@@ -102,20 +102,15 @@ class PostingsBlock:
 
     # -- metadata -----------------------------------------------------------
 
-    def refresh_metadata(
-        self,
-        result_sets: Dict[int, QueryResultSet],
-        alpha: float,
-        coeff: Optional[float] = None,
-    ) -> None:
+    def refresh_metadata(self, result_sets: Dict[int, QueryResultSet]) -> None:
         """Recompute components (2)-(4) from per-query O(1) summaries.
 
         Members still warming up (``|R| < k``) are collected into
         :attr:`unfilled_ids`; the threshold summaries cover the *filled*
         members only, so a group skip remains valid for them while the
-        unfilled members are evaluated individually by the engine.
-        ``coeff`` optionally carries the precomputed diversity
-        coefficient through to the per-member summaries.
+        unfilled members are evaluated individually by the engine.  A
+        member's Eq. 13 term is its table's kept ``kept_rel + kept_div``,
+        which is :meth:`QueryResultSet.static_dr_oldest` bit for bit.
         """
         dtrel_min = float("inf")
         trel_max = 0.0
@@ -126,7 +121,7 @@ class PostingsBlock:
             if not result_set.is_full:
                 unfilled.append(query_id)
                 continue
-            static = result_set.static_dr_oldest(alpha, coeff)
+            static = result_set.kept_rel + result_set.kept_div
             if static < dtrel_min:
                 dtrel_min = static
             oldest = result_set.oldest

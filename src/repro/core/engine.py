@@ -22,7 +22,10 @@ at its first posting: a full result set first meets the quick relevance
 bound (Appendix A.1) with the reaching keyword's ``PS`` standing in for
 ``TRel`` (``PS ≥ TRel``), then with ``TRel`` itself, and only then the
 individual filtering condition (Definition 3), evaluated via aggregated
-term weight summaries (Lemma 6) where enabled.
+term weight summaries (Lemma 6) where enabled.  The run loop decides the
+two quick tiers inline, from the ``dr_q(q.d_e)`` halves the query's
+result table keeps (Eq. 25); :meth:`DasEngine._evaluate_query` is the
+same decision spelled with the from-scratch reference forms.
 """
 
 from __future__ import annotations
@@ -69,6 +72,19 @@ from repro.text.vectors import SimCache
 MAX_CHECK_BACKOFF = 63
 
 _NEG_INF = float("-inf")
+
+#: ``lists_memo`` miss marker (None is a memoised "no postings list").
+_UNRESOLVED = object()
+
+
+def keyword_bounds(vector, ps_cache: Dict[str, float], alpha: float):
+    """``{t: (α·PS(d_n, t), tf(d_n, t))}`` for the reached keywords: what
+    the quick tiers read of the keyword whose posting reached a query,
+    computed once per publish."""
+    return {
+        term: (alpha * ps, vector.frequency(term))
+        for term, ps in ps_cache.items()
+    }
 
 
 class DasEngine:
@@ -307,6 +323,8 @@ class DasEngine:
             self._config.k,
             budget=self._budget,
             track_aggregated_weights=self._config.use_agg_weights,
+            alpha=self._config.alpha,
+            coeff=self._coeff,
         )
         seeds, trels = select_initial_documents(
             self._store,
@@ -451,11 +469,9 @@ class DasEngine:
         # Postings lists of the document's terms that index any query.
         lists: Dict[str, PostingsList] = {}
         for term in vector.terms():
-            try:
-                postings = lists_memo[term]
-            except KeyError:
-                postings = self._index.list_for(term)
-                lists_memo[term] = postings
+            postings = lists_memo.get(term, _UNRESOLVED)
+            if postings is _UNRESOLVED:
+                postings = lists_memo[term] = self._index.list_for(term)
             if postings is not None and postings.blocks:
                 lists[term] = postings
         if not lists:
@@ -463,6 +479,7 @@ class DasEngine:
         # A reached query is in the list of each of its keywords, so the
         # reached terms are all of its keywords the document contains.
         ps_cache = {term: self._scorer.ps(vector, term) for term in lists}
+        keywords = keyword_bounds(vector, ps_cache, self._config.alpha)
 
         # Every (query id, term) posting, sorted: the document-at-a-time
         # order, ties broken by term.  ``starts`` holds each block's first
@@ -500,7 +517,7 @@ class DasEngine:
                 stop = bisect_left(pairs, (first_id, term), position)
                 last = self._evaluate_run(
                     pairs[position:stop], last, early, document, ps_cache,
-                    now, notifications,
+                    keywords, now, notifications,
                 )
                 position = stop
                 # TRel̃_max (Eq. 18): the document terms with a posting
@@ -528,8 +545,8 @@ class DasEngine:
         else:
             counters.blocks_visited += len(starts)
         self._evaluate_run(
-            pairs[position:], last, early, document, ps_cache, now,
-            notifications,
+            pairs[position:], last, early, document, ps_cache, keywords,
+            now, notifications,
         )
         counters.sim_cache_hits += sim_cache.lookups - len(sim_cache)
         return notifications
@@ -541,21 +558,81 @@ class DasEngine:
         early: Set[int],
         document: Document,
         ps_cache: Dict[str, float],
+        keywords: Dict[str, Tuple[float, int]],
         now: float,
         notifications: List[Notification],
     ) -> Optional[int]:
         """Evaluate each query of a sorted run of postings at its first
         posting, unless it was evaluated early; ``last`` is the id of the
-        posting before the run.  Returns the id of the run's last one."""
-        self.counters.postings_visited += len(run)
-        evaluate = self._evaluate_query
+        posting before the run.  Returns the id of the run's last one.
+
+        A full query is decided here, in :meth:`_evaluate_query`'s float
+        expressions and order: ``dr_q(q.d_e)`` from its table's kept
+        halves and the memoised ``T(d_e)``, the reaching keyword's floor
+        ``(AW(t)·tf(t))/‖d_n‖``, then the ``PS`` and ``TRel`` tiers.  Only
+        a warm-up admit and a survivor of both tiers call out.
+        """
+        counters = self.counters
+        counters.postings_visited += len(run)
+        obs = self._obs
+        result_sets = self._result_sets
+        queries = self._queries
+        powers = self._decay_cache.powers
+        at_age = self._decay_cache.at_age
+        trel_from_ps = self._scorer.trel_from_ps
+        alpha = self._config.alpha
+        coeff = self._coeff
+        k_minus_1 = self._config.k - 1
+        vector = document.vector
+        norm = vector.norm
+        evaluated = quick = 0
+        entered = 0.0
         for query_id, term in run:
-            if query_id != last:
-                last = query_id
-                if query_id not in early:
-                    evaluate(
-                        query_id, term, document, ps_cache, now, notifications
-                    )
+            if query_id == last:
+                continue
+            last = query_id
+            if query_id in early:
+                continue
+            evaluated += 1
+            if obs is not None:
+                entered = obs.time()
+            result_set = result_sets[query_id]
+            created = result_set.kept_created
+            if created is None:
+                self._admit(
+                    query_id, result_set, document, ps_cache, entered,
+                    notifications,
+                )
+                continue
+            age = now - created
+            recency = powers.get(age)
+            if recency is None:
+                recency = at_age(age)
+            dr_oldest = result_set.kept_rel * recency + result_set.kept_div
+            beaten = dr_oldest + TIE_EPSILON
+            alpha_ps, tf = keywords[term]
+            floor = 0.0
+            aw = result_set._aw
+            if aw is not None:
+                weight = aw._weights.get(term)
+                if weight is not None:
+                    floor = (weight * tf) / norm
+            spread = coeff * (k_minus_1 - floor)
+            rejected = alpha_ps + spread <= beaten
+            if not rejected:
+                trel = trel_from_ps(queries[query_id].terms, ps_cache, vector)
+                rejected = alpha * trel + spread <= beaten
+            if not rejected:
+                self._compete(
+                    query_id, result_set, document, trel, dr_oldest, entered,
+                    notifications,
+                )
+                continue
+            quick += 1
+            if obs is not None:
+                obs.add("individual_filter", obs.time() - entered)
+        counters.queries_evaluated += evaluated
+        counters.quick_rejections += quick
         return last
 
     def _check_boundary(
@@ -596,9 +673,7 @@ class DasEngine:
         reach the block's queries (Eq. 18)."""
         self.counters.group_checks += 1
         if block.meta_dirty:
-            block.refresh_metadata(
-                self._result_sets, self._config.alpha, self._coeff
-            )
+            block.refresh_metadata(self._result_sets)
             self.counters.scalar_refreshes += 1
         threshold = block_threshold_lower_bound(
             block, self._decay_cache, now, self._config.alpha
@@ -640,6 +715,12 @@ class DasEngine:
         """Individual filtering steps (Section 6.2) for one query, reached
         through the posting of its keyword ``term``.
 
+        The reference form of :meth:`_evaluate_run`'s per-query decision:
+        ``dr_q(q.d_e)``, the keyword floor and both quick bounds come from
+        :meth:`QueryResultSet.dr_oldest`,
+        :meth:`QueryResultSet.similarity_floor` and
+        :func:`quick_relevance_bound`, computed from scratch.
+
         Telemetry attribution: time from entry until the admit/replace
         decision counts as ``individual_filter``; the mutation itself
         (result-set update, store pinning, notification, block
@@ -648,39 +729,15 @@ class DasEngine:
         self.counters.queries_evaluated += 1
         obs = self._obs
         entered = obs.time() if obs is not None else 0.0
-        query = self._queries[query_id]
         result_set = self._result_sets[query_id]
+        if not result_set.is_full:
+            self._admit(
+                query_id, result_set, document, ps_cache, entered,
+                notifications,
+            )
+            return
         vector = document.vector
         config = self._config
-
-        if not result_set.is_full:
-            # Warm-up: every matching document is admitted until |R| = k.
-            trel = self._scorer.trel_from_ps(query.terms, ps_cache, vector)
-            if obs is not None:
-                mutated = obs.time()
-                obs.add("individual_filter", mutated - entered)
-                entered = mutated
-            cosines, aw_dots = result_set.admit(document, trel)
-            self._store.pin(document.doc_id)
-            self.counters.matches += 1
-            notifications.append(Notification(query_id, document, None))
-            if result_set.is_full:
-                # The query just left warm-up.  Until now its blocks'
-                # summaries, which cover filled members only, could not
-                # have changed; now it joins them, and MCS covers built
-                # without it would make the group bound unsafe.
-                self.counters.sim_evaluations += cosines
-                self.counters.aw_dot_products += aw_dots
-                if config.use_blocks:
-                    for _term, block in self._memberships[query_id]:
-                        block.meta_dirty = True
-                        if config.use_group_filter:
-                            block.mcs_sets = None
-                            block.mcs_initial_count = 0
-            if obs is not None:
-                obs.add("result_update", obs.time() - entered)
-            return
-
         dr_oldest = result_set.dr_oldest(
             now, self._decay_cache, config.alpha, coeff=self._coeff
         )
@@ -695,7 +752,9 @@ class DasEngine:
             ps_cache[term], config.alpha, config.k, floor, self._coeff
         ) <= beaten
         if not rejected:
-            trel = self._scorer.trel_from_ps(query.terms, ps_cache, vector)
+            trel = self._scorer.trel_from_ps(
+                self._queries[query_id].terms, ps_cache, vector
+            )
             rejected = quick_relevance_bound(
                 trel, config.alpha, config.k, floor, self._coeff
             ) <= beaten
@@ -704,8 +763,67 @@ class DasEngine:
             if obs is not None:
                 obs.add("individual_filter", obs.time() - entered)
             return
+        self._compete(
+            query_id, result_set, document, trel, dr_oldest, entered,
+            notifications,
+        )
+
+    def _admit(
+        self,
+        query_id: int,
+        result_set: QueryResultSet,
+        document: Document,
+        ps_cache: Dict[str, float],
+        entered: float,
+        notifications: List[Notification],
+    ) -> None:
+        """Warm-up: every matching document is admitted until |R| = k.
+        ``entered`` is the observation clock at the evaluation's start."""
+        obs = self._obs
+        trel = self._scorer.trel_from_ps(
+            self._queries[query_id].terms, ps_cache, document.vector
+        )
+        if obs is not None:
+            mutated = obs.time()
+            obs.add("individual_filter", mutated - entered)
+            entered = mutated
+        cosines, aw_dots = result_set.admit(document, trel)
+        self._store.pin(document.doc_id)
+        self.counters.matches += 1
+        notifications.append(Notification(query_id, document, None))
+        if result_set.is_full:
+            # The query just left warm-up.  Until now its blocks'
+            # summaries, which cover filled members only, could not
+            # have changed; now it joins them, and MCS covers built
+            # without it would make the group bound unsafe.
+            self.counters.sim_evaluations += cosines
+            self.counters.aw_dot_products += aw_dots
+            config = self._config
+            if config.use_blocks:
+                for _term, block in self._memberships[query_id]:
+                    block.meta_dirty = True
+                    if config.use_group_filter:
+                        block.mcs_sets = None
+                        block.mcs_initial_count = 0
+        if obs is not None:
+            obs.add("result_update", obs.time() - entered)
+
+    def _compete(
+        self,
+        query_id: int,
+        result_set: QueryResultSet,
+        document: Document,
+        trel: float,
+        dr_oldest: float,
+        entered: float,
+        notifications: List[Notification],
+    ) -> None:
+        """A full query past both quick tiers: the individual filtering
+        condition (Definition 3) on the Lemma 6 sum, then the replace."""
+        obs = self._obs
+        config = self._config
         sim_sum, direct, aw_used = result_set.similarity_sum(
-            vector, self._sim_cache
+            document.vector, self._sim_cache
         )
         self.counters.sim_evaluations += direct
         self.counters.aw_dot_products += aw_used
@@ -729,15 +847,16 @@ class DasEngine:
         self._store.unpin(evicted.doc_id)
         self._store.pin(document.doc_id)
         self.counters.matches += 1
+        self.counters.replacements += 1
         notifications.append(Notification(query_id, document, evicted))
-        self._on_result_updated(query, result_set, evicted)
+        self._on_result_updated(query_id, result_set, evicted)
         if obs is not None:
             obs.add("result_update", obs.time() - entered)
 
     # -- index maintenance (Section 7.1) ------------------------------------------
 
     def _on_result_updated(
-        self, query: DasQuery, result_set: QueryResultSet, evicted: Document
+        self, query_id: int, result_set: QueryResultSet, evicted: Document
     ) -> None:
         """Propagate a replacement to every block the query belongs to.
 
@@ -750,7 +869,7 @@ class DasEngine:
             return
         use_group_filter = self._config.use_group_filter
         invalidated = None
-        for _term, block in self._memberships[query.query_id]:
+        for _term, block in self._memberships[query_id]:
             block.meta_dirty = True
             # Since the check backoff few blocks hold covers at all.
             if use_group_filter and block.mcs_sets:

@@ -314,7 +314,7 @@ class FlatPostingsIndex:
                     if counters is not None:
                         counters.columnar_refreshes += 1
                 else:
-                    block.refresh_metadata(result_sets, alpha, coeff)
+                    block.refresh_metadata(result_sets)
                     if counters is not None:
                         counters.scalar_refreshes += 1
         elif dirty:
@@ -340,7 +340,7 @@ class FlatPostingsIndex:
             for index in dirty:
                 block = blocks[index]
                 if unfilled_any[index]:
-                    block.refresh_metadata(result_sets, alpha, coeff)
+                    block.refresh_metadata(result_sets)
                     if counters is not None:
                         counters.scalar_refreshes += 1
                 else:

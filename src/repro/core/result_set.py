@@ -30,6 +30,16 @@ DESIGN.md §2) is then
     dr_q(q.d_e) = α · TRel(q, d_e) · T(d_e)
                 + (2-2α)/(k-1) · ((k-1) - Sim_acc(q.R, d_e))
 
+A full table keeps that value's two halves, ``α·TRel(q, d_e)`` and
+``(2-2α)/(k-1) · ((k-1) - Sim_acc)``, and ``d_e``'s creation time as
+plain attributes, set by the writers that change the oldest row
+(:meth:`QueryResultSet._settle`, :meth:`QueryResultSet.replace`, and the
+checkpoint restore).  The engine's run loop decides a full query from
+them with one decay lookup; :meth:`QueryResultSet.dr_oldest` and
+:meth:`QueryResultSet.static_dr_oldest` stay the from-scratch reference
+forms, and the kept forms equal them bit for bit (``alpha * trel *
+recency`` is ``(alpha * trel) * recency`` in Python).
+
 The table also owns the query's aggregated term weight summary (Table 4)
 over ``R1 \\ {d_e}`` and the R1/R2 split driven by the shared ``Φ_max``
 budget — both exist only once the table is full, because only a full
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro.config import EngineConfig
 from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
 from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
@@ -70,17 +81,41 @@ class ResultEntry:
 class QueryResultSet:
     """Result table of one DAS query; entries are kept oldest-first."""
 
-    __slots__ = ("k", "_entries", "_aw", "_budget", "_track_aw", "_r2_count")
+    __slots__ = (
+        "k",
+        "_entries",
+        "_aw",
+        "_budget",
+        "_track_aw",
+        "_r2_count",
+        "_alpha",
+        "_coeff",
+        "kept_rel",
+        "kept_div",
+        "kept_created",
+    )
 
     def __init__(
         self,
         k: int,
         budget: Optional[MemoryBudget] = None,
         track_aggregated_weights: bool = True,
+        alpha: float = EngineConfig.alpha,
+        coeff: Optional[float] = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
+        #: The ``α`` and ``(2-2α)/(k-1)`` the kept thresholds are built
+        #: with (the engine passes its own, so every table shares them).
+        self._alpha = alpha
+        self._coeff = diversity_coefficient(alpha, k) if coeff is None else coeff
+        #: ``α·TRel(q, d_e)``, ``(2-2α)/(k-1) · ((k-1) - Sim_acc(d_e))``
+        #: and ``d_e.created_at`` of a full table: ``dr_q(q.d_e)`` is
+        #: ``kept_rel · T(d_e) + kept_div``.  All None below ``k``.
+        self.kept_rel: Optional[float] = None
+        self.kept_div: Optional[float] = None
+        self.kept_created: Optional[float] = None
         self._entries: List[ResultEntry] = []
         self._track_aw = track_aggregated_weights
         self._budget = budget
@@ -285,8 +320,20 @@ class QueryResultSet:
         if self._r2_count < len(entries) - 1:
             head = entries[0]
             head.sim_acc += self._aw.similarity_sum(head.document.vector)
+            self._keep_thresholds()
             return cosines, 1
+        self._keep_thresholds()
         return cosines, 0
+
+    def _keep_thresholds(self) -> None:
+        """Keep the oldest row's halves of Eq. 25 — the same float
+        expressions as :meth:`dr_oldest`; called whenever a full table's
+        oldest row or its ``Sim_acc`` changes."""
+        entries = self._entries
+        head = entries[0]
+        self.kept_rel = self._alpha * head.trel
+        self.kept_div = self._coeff * ((len(entries) - 1) - head.sim_acc)
+        self.kept_created = head.document.created_at
 
     def replace(
         self, document: Document, trel: float, sim_cache=None
@@ -323,6 +370,7 @@ class QueryResultSet:
             # the publish's cosine memo — that is keyed to ``document``.
             head.sim_acc += self._aw.similarity_sum(head.document.vector)
             aw_dots = 1
+        self._keep_thresholds()
         return evicted_entry.document, cosines, aw_dots
 
     def _on_new_oldest(self, head: ResultEntry) -> None:

@@ -36,6 +36,9 @@ class Counters:
     sim_cache_hits: int = 0
     aw_dot_products: int = 0
     matches: int = 0
+    #: Of ``matches``, those that replaced the oldest result of a full
+    #: query; the rest are warm-up admits.
+    replacements: int = 0
     mcs_rebuilds: int = 0
     mcs_invalidations: int = 0
     #: ``batches_vectorized``, ``batches_scalar``, ``columnar_refreshes``,

@@ -261,6 +261,8 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
         engine.config.k,
         budget=engine._budget,
         track_aggregated_weights=engine.config.use_agg_weights,
+        alpha=engine.config.alpha,
+        coeff=engine._coeff,
     )
     entries = result_set._entries
     for row in rows:
@@ -305,6 +307,7 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
         vector = entries[newer].document.vector
         for entry in entries[1:newer]:
             entry.sim_acc += cosine_similarity(vector, entry.document.vector)
+    result_set._keep_thresholds()
 
 
 def _write_atomic(

@@ -58,27 +58,29 @@ class CachedDecay:
 
     Exposes the same ``at`` / ``at_age`` interface as the wrapped decay
     and returns bit-identical values (each power is computed by the
-    wrapped decay exactly once per cache lifetime).
+    wrapped decay exactly once per cache lifetime).  ``powers`` is the
+    memo itself, ``{age: T}``; the engine's run loop reads it directly
+    and calls :meth:`at_age` only on a miss.
     """
 
-    __slots__ = ("_decay", "_cache")
+    __slots__ = ("_decay", "powers")
 
     def __init__(self, decay: ExponentialDecay) -> None:
         self._decay = decay
-        self._cache: dict = {}
+        self.powers: dict = {}
 
     @property
     def base(self) -> float:
         return self._decay.base
 
     def clear(self) -> None:
-        self._cache.clear()
+        self.powers.clear()
 
     def at_age(self, age: float) -> float:
-        value = self._cache.get(age)
+        value = self.powers.get(age)
         if value is None:
             value = self._decay.at_age(age)
-            self._cache[age] = value
+            self.powers[age] = value
         return value
 
     def at(self, created_at: float, now: float) -> float:

@@ -19,6 +19,9 @@ accepted operation:
     brute-force ``Σ cosine(d_e, r)`` over the newer entries within
     1e-9 — independently of the Lemma 1 audit, so a wrong promotion
     value cannot hide behind a decision that happened to come out right.
+    The same check holds the table's kept thresholds to the reference
+    forms exactly (``==``): ``kept_rel · T(d_e) + kept_div`` is
+    ``dr_oldest`` and ``kept_rel + kept_div`` is ``static_dr_oldest``.
 ``floor``
     The bound in front of the Lemma 6 dot: for every full query a
     publish reached and each of its keywords in the document, the AW
@@ -280,8 +283,11 @@ class InvariantMonitor:
     def _check_sim_acc(
         self, document: Document, notifications: Sequence[Notification]
     ) -> None:
-        """Eq. 24 audit of every full result set the publish updated;
-        the ones still warming up must hold rows and nothing else."""
+        """Eq. 24 audit of every full result set the publish updated,
+        with its kept thresholds; the ones still warming up must hold
+        rows and nothing else."""
+        engine = self._engine
+        now, decay, alpha = engine.clock.now, engine.decay, engine.config.alpha
         for notification in notifications:
             result_set = self._engine._result_sets.get(
                 notification.query_id
@@ -312,6 +318,20 @@ class InvariantMonitor:
                     f"q{notification.query_id} oldest doc "
                     f"{head.document.doc_id} after doc {document.doc_id}: "
                     f"sim_acc={head.sim_acc!r} != brute-force {expected!r}",
+                )
+            kept = (result_set.kept_rel, result_set.kept_div)
+            reference = (
+                result_set.dr_oldest(now, decay, alpha),
+                result_set.static_dr_oldest(alpha),
+            )
+            if None in kept or (
+                kept[0] * decay.at(result_set.kept_created, now) + kept[1],
+                kept[0] + kept[1],
+            ) != reference:
+                self._record(
+                    "sim_acc",
+                    f"q{notification.query_id} kept thresholds {kept!r} "
+                    f"after doc {document.doc_id} != reference {reference!r}",
                 )
 
     def _check_floor(self, document: Document) -> None:

@@ -61,7 +61,7 @@ def test_refresh_metadata_all_filled():
         0: filled_result_set(2, [doc(0, ["w"]), doc(1, ["w"])], trel=0.4),
         1: filled_result_set(2, [doc(2, ["w"]), doc(3, ["x"])], trel=0.1),
     }
-    block.refresh_metadata(result_sets, alpha=0.3)
+    block.refresh_metadata(result_sets)
     assert not block.meta_dirty
     assert not block.has_unfilled
     assert block.unfilled_ids == []
@@ -81,7 +81,7 @@ def test_refresh_metadata_with_unfilled_member():
         0: filled_result_set(2, [doc(0, ["w"]), doc(1, ["w"])]),
         1: filled_result_set(2, [doc(2, ["w"])]),  # only 1 of 2 -> unfilled
     }
-    block.refresh_metadata(result_sets, alpha=0.3)
+    block.refresh_metadata(result_sets)
     assert block.has_unfilled
     assert block.unfilled_ids == [1]
     # summaries still cover the filled member
@@ -92,7 +92,7 @@ def test_refresh_metadata_nothing_filled():
     block = PostingsBlock()
     block.append(0)
     result_sets = {0: filled_result_set(2, [doc(0, ["w"])])}
-    block.refresh_metadata(result_sets, alpha=0.3)
+    block.refresh_metadata(result_sets)
     assert block.dtrel_min == float("-inf")
 
 

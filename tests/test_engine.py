@@ -311,9 +311,7 @@ def test_warmup_admit_maintains_nothing_until_the_fill():
 
     def publish_over_settled_blocks(document):
         for block in blocks:
-            block.refresh_metadata(
-                engine._result_sets, engine.config.alpha, engine._coeff
-            )
+            block.refresh_metadata(engine._result_sets)
             block.rebuild_mcs("coffee", engine._result_sets)
             assert not block.meta_dirty and block.mcs_sets is not None
         before = engine.counters.snapshot()
@@ -443,8 +441,9 @@ def test_floor_is_zero_without_a_summary(method):
 
 def test_floor_reads_the_first_reaching_keyword_once(monkeypatch):
     """A document reaching a 3-keyword query through two of its keywords
-    is evaluated once, with the term whose posting came first."""
-    from repro.core.result_set import QueryResultSet
+    is evaluated once, with the term whose posting came first: the run
+    loop reads that keyword's ``(α·PS, tf)`` and no other."""
+    import repro.core.engine as engine_module
 
     engine = DasEngine.for_method("GIFilter", k=2, block_size=4)
     engine.subscribe(DasQuery(0, ["apple", "mango", "zebra"]))
@@ -452,13 +451,16 @@ def test_floor_reads_the_first_reaching_keyword_once(monkeypatch):
     engine.publish(doc(1, ["zebra", "mango"]))
     assert engine.counters.queries_evaluated == 2  # warm-up: no floor read
     reached = []
-    floor = QueryResultSet.similarity_floor
+    real = engine_module.keyword_bounds
 
-    def spy(self, term, vector):
-        reached.append(term)
-        return floor(self, term, vector)
+    class Spy(dict):
+        def __getitem__(self, term):
+            reached.append(term)
+            return dict.__getitem__(self, term)
 
-    monkeypatch.setattr(QueryResultSet, "similarity_floor", spy)
+    monkeypatch.setattr(
+        engine_module, "keyword_bounds", lambda *args: Spy(real(*args))
+    )
     engine.publish(doc(2, ["zebra", "mango", "pad"]))
     assert reached == ["mango"]
     assert engine.counters.queries_evaluated == 3
@@ -466,8 +468,10 @@ def test_floor_reads_the_first_reaching_keyword_once(monkeypatch):
 
 def test_overestimated_floor_fails_the_differential(monkeypatch):
     """Mutation check: a floor that forgets ``/ ‖d_n‖`` is no lower
-    bound, and the oracle differential sees the matches it drops."""
-    from repro.core.result_set import QueryResultSet
+    bound, and the oracle differential sees the matches it drops.  The
+    run loop divides ``AW(t)·tf(t)`` by the norm, so scaling the ``tf``
+    it reads by the norm cancels the division."""
+    import repro.core.engine as engine_module
 
     def filter_changes():
         return _work_pin_changes(
@@ -480,12 +484,15 @@ def test_overestimated_floor_fails_the_differential(monkeypatch):
                                  use_agg_weights=False))
     )
     assert filter_changes() == expected
+    real = engine_module.keyword_bounds
 
-    def no_norm(self, term, vector):
-        aw = self.aggregated_weights
-        return aw.weight(term) * vector.frequency(term) if aw else 0.0
+    def no_norm(vector, ps_cache, alpha):
+        return {
+            term: (alpha_ps, tf * vector.norm)
+            for term, (alpha_ps, tf) in real(vector, ps_cache, alpha).items()
+        }
 
-    monkeypatch.setattr(QueryResultSet, "similarity_floor", no_norm)
+    monkeypatch.setattr(engine_module, "keyword_bounds", no_norm)
     assert filter_changes() != expected
 
 

@@ -74,14 +74,14 @@ def build_block(pool, queries, alpha, scorer):
     result_sets = {}
     block = PostingsBlock()
     for qid, terms in queries:
-        rs = QueryResultSet(K, track_aggregated_weights=False)
+        rs = QueryResultSet(K, track_aggregated_weights=False, alpha=alpha)
         for document in pool:
             if rs.is_full:
                 break
             rs.admit(document, scorer.trel(terms, document.vector))
         result_sets[qid] = rs
         block.append(qid)
-    block.refresh_metadata(result_sets, alpha)
+    block.refresh_metadata(result_sets)
     block.rebuild_mcs("w", result_sets)
     return block, result_sets
 

@@ -90,7 +90,7 @@ def test_greedy_emits_nothing_when_some_query_is_uncoverable(case):
 
 
 def fill_result_set(terms, pool, scorer):
-    rs = QueryResultSet(K, track_aggregated_weights=False)
+    rs = QueryResultSet(K, track_aggregated_weights=False, alpha=0.5)
     for document in pool:
         if rs.is_full:
             break
@@ -157,7 +157,7 @@ def test_eq19_bound_is_sound(case):
     for qid, terms in queries:
         result_sets[qid] = fill_result_set(terms, pool, scorer)
         block.append(qid)
-    block.refresh_metadata(result_sets, 0.5)
+    block.refresh_metadata(result_sets)
     block.rebuild_mcs("w", result_sets)
     if block.has_unfilled:
         return

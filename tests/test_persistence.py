@@ -455,19 +455,34 @@ def test_round_trip_keeps_warm_up_tables_as_rows(method, overrides):
     and nothing else, a full one with the live engine's very oldest-row
     ``sim_acc``, the shared budget as the live engine holds it; and a
     warm-up table restored and then filled gets the head value of the
-    one that never left memory."""
+    one that never left memory.  A full table's kept thresholds come back
+    equal (``==``) to the reference forms and to the live table's."""
     live, docs = build_warming_engine(method, **overrides)
     clone = restore(checkpoint(live))
+    now, decay, alpha = clone.clock.now, clone.decay, clone.config.alpha
     warming = []
     for query_id, result_set in live._result_sets.items():
         restored = clone._result_sets[query_id]
+        kept = (restored.kept_rel, restored.kept_div, restored.kept_created)
         if result_set.is_full:
             assert restored.entries[0].sim_acc == result_set.entries[0].sim_acc
+            recency = decay.at(restored.kept_created, now)
+            assert restored.kept_rel * recency + restored.kept_div == (
+                restored.dr_oldest(now, decay, alpha)
+            )
+            assert restored.kept_rel + restored.kept_div == (
+                restored.static_dr_oldest(alpha)
+            )
+            assert kept == (
+                result_set.kept_rel, result_set.kept_div,
+                result_set.kept_created,
+            )
             assert [e.aw_resident for e in restored.entries] == [
                 e.aw_resident for e in result_set.entries
             ]
         else:
             warming.append(query_id)
+            assert kept == (None, None, None)
             assert restored.aggregated_weights is None
             assert restored.aw_entry_count == restored._r2_count == 0
             assert table_rows(restored) == [

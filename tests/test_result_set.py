@@ -258,42 +258,70 @@ def test_sim_acc_invariant_under_churn(token_lists):
 _CHURN_TOKENS = st.lists(st.sampled_from("abcd"), min_size=0, max_size=4)
 
 
-def _churn_table(k, summary):
+def _churn_table(k, summary, alpha):
     if summary == "unlimited":
-        return QueryResultSet(k=k)
+        return QueryResultSet(k=k, alpha=alpha)
     if summary == "tight":
         # Room for about one small document: most arrivals land in R2.
-        return QueryResultSet(k=k, budget=MemoryBudget(3))
-    return QueryResultSet(k=k, track_aggregated_weights=False)
+        return QueryResultSet(k=k, budget=MemoryBudget(3), alpha=alpha)
+    return QueryResultSet(k=k, track_aggregated_weights=False, alpha=alpha)
+
+
+def assert_kept_thresholds(table, now, decay, alpha):
+    """The table's kept halves of Eq. 25 equal the from-scratch reference
+    forms with a plain ``==`` (the run loop decides on them); a table
+    below k keeps none."""
+    kept = (table.kept_rel, table.kept_div, table.kept_created)
+    if not table.is_full:
+        assert kept == (None, None, None)
+        return
+    recency = decay.at(table.kept_created, now)
+    assert table.kept_rel * recency + table.kept_div == table.dr_oldest(
+        now, decay, alpha
+    )
+    assert table.kept_rel + table.kept_div == table.static_dr_oldest(alpha)
+    assert table.kept_created == table.oldest.document.created_at
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.sampled_from([1, 2, 3, 6]),
     summary=st.sampled_from(["unlimited", "tight", "none"]),
+    seeds=st.integers(min_value=0, max_value=6),
+    release=st.booleans(),
     token_lists=st.lists(_CHURN_TOKENS, min_size=1, max_size=24),
     trels=st.lists(
         st.floats(min_value=0.0, max_value=1.0), min_size=24, max_size=24
     ),
 )
-def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
+def test_head_sim_acc_under_churn(
+    k, summary, seeds, release, token_lists, trels
+):
     """A warm-up admit meters nothing and accumulates nothing; from the
-    admit that fills the table on, after *every* admit/replace — any k,
-    with an unlimited summary, a ``Φ_max`` forcing R2 rows, or no summary
-    — the oldest entry's ``sim_acc`` is the brute-force Eq. 24 sum and
-    ``dr_oldest`` the value computed from scratch; the meters never
-    exceed the per-entry path."""
-    rs = _churn_table(k, summary)
+    seed/admit that fills the table on, after *every* seed/admit/replace
+    — any k, with an unlimited summary, a ``Φ_max`` forcing R2 rows, or
+    no summary — the oldest entry's ``sim_acc`` is the brute-force Eq. 24
+    sum, ``dr_oldest`` the value computed from scratch, and the kept
+    thresholds equal the reference forms exactly (also after a final
+    ``release_budget``); the meters never exceed the per-entry path."""
     decay = ExponentialDecay(1.01)
     alpha = 0.4
+    rs = _churn_table(k, summary, alpha)
     coeff = (2 - 2 * alpha) / (k - 1) if k > 1 else 0.0
-    for i, tokens in enumerate(token_lists):
-        document = doc(i, tokens)
+    documents = [doc(i, tokens) for i, tokens in enumerate(token_lists)]
+    seeds = min(seeds, k, len(documents))
+    now = 0.0
+    for i in range(max(seeds, 1) - 1, len(documents)):
+        document = documents[i]
         replacing = rs.is_full
-        if replacing:
+        if i < seeds:
+            cosines, aw_dots = rs.seed(documents[:seeds], trels[:seeds])
+        elif replacing:
             _evicted, cosines, aw_dots = rs.replace(document, trels[i])
         else:
             cosines, aw_dots = rs.admit(document, trels[i])
+        now = i + 0.5
+        assert_kept_thresholds(rs, now, decay, alpha)
         if not rs.is_full:
             assert (cosines, aw_dots) == (0, 0)
             assert all(e.sim_acc == 0.0 for e in rs.entries)
@@ -313,7 +341,6 @@ def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
         head = rs.entries[0]
         expected = newer_sim_sum(rs)
         assert head.sim_acc == pytest.approx(expected, abs=1e-9)
-        now = float(i)
         scratch = alpha * head.trel * decay.at(
             head.document.created_at, now
         ) + coeff * ((k - 1) - expected)
@@ -323,6 +350,9 @@ def test_head_sim_acc_under_churn(k, summary, token_lists, trels):
         assert rs.static_dr_oldest(alpha) == pytest.approx(
             alpha * head.trel + coeff * ((k - 1) - expected), abs=1e-9
         )
+    if release:
+        rs.release_budget()
+        assert_kept_thresholds(rs, now, decay, alpha)
 
 
 def _seed_table(summary, k):

@@ -102,7 +102,7 @@ def test_bounds_check_flags_an_unsound_block_threshold():
     # FT̃_b exceeds the exact minimum threshold.
     tampered = False
     for _term, block in engine.iter_term_blocks():
-        block.refresh_metadata(engine._result_sets, engine.config.alpha)
+        block.refresh_metadata(engine._result_sets)
         if not tampered and block.dtrel_min != float("-inf"):
             block.dtrel_min += 100.0
             tampered = True
@@ -145,6 +145,24 @@ def test_sim_acc_check_flags_a_double_counted_promotion():
     assert monitor.checks["lemma1"] > 0
     assert any(
         v.name == "sim_acc" and "brute-force" in v.detail
+        for v in monitor.violations
+    )
+
+
+def test_sim_acc_check_flags_a_stale_kept_threshold(monkeypatch):
+    from repro.core.result_set import QueryResultSet
+
+    engine, monitor, instrumented = make_setup(with_oracle=False)
+    instrumented.subscribe(DasQuery(0, ["w"]))
+    feed(instrumented, 6)
+    assert engine._result_sets[0].is_full and monitor.violations == []
+    # A replace that leaves the kept halves of Eq. 25 at the evicted
+    # row's values: the run loop would decide on a stale threshold.
+    monkeypatch.setattr(QueryResultSet, "_keep_thresholds", lambda self: None)
+    feed(instrumented, 6, start_id=6)
+    assert monitor.checks["lemma1"] > 0
+    assert any(
+        v.name == "sim_acc" and "kept thresholds" in v.detail
         for v in monitor.violations
     )
 
