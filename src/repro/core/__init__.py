@@ -23,7 +23,7 @@ from repro.core.mcs import (
     verify_cover,
 )
 from repro.core.query import DasQuery
-from repro.core.result_set import QueryResultSet, ResultEntry
+from repro.core.result_set import QueryResultSet
 
 __all__ = [
     "AggregatedTermWeights",
@@ -36,7 +36,6 @@ __all__ = [
     "PostingsList",
     "QueryInvertedFile",
     "QueryResultSet",
-    "ResultEntry",
     "TIE_EPSILON",
     "accepts",
     "block_similarity_lower_bound",

@@ -124,10 +124,10 @@ class PostingsBlock:
             static = result_set.kept_rel + result_set.kept_div
             if static < dtrel_min:
                 dtrel_min = static
-            oldest = result_set.oldest
-            if oldest.trel > trel_max:
-                trel_max = oldest.trel
-            created = oldest.document.created_at
+            trel = result_set._trels[0]
+            if trel > trel_max:
+                trel_max = trel
+            created = result_set.kept_created
             if created < earliest:
                 earliest = created
         self.unfilled_ids = unfilled

@@ -120,10 +120,9 @@ class QuerySummaryColumns:
         if not result_set.is_full:
             self.filled[slot] = False
             return
-        oldest = result_set.oldest
         self.static_dr[slot] = result_set.static_dr_oldest(alpha, coeff)
-        self.trel_de[slot] = oldest.trel
-        self.created_de[slot] = oldest.document.created_at
+        self.trel_de[slot] = result_set._trels[0]
+        self.created_de[slot] = result_set._docs[0].created_at
         self.filled[slot] = True
 
     def slots_for(self, query_ids: Sequence[int]):

@@ -281,12 +281,15 @@ class DasEngine:
             "stored_documents": len(self._store),
         }
         # Rough footprint: a posting is an int (28 B in CPython), a result
-        # entry carries two floats and a reference (~72 B), an AW entry is
-        # a dict slot plus a float (~60 B), an MCS member is a reference
-        # (~8 B).
+        # row is a list slot, two doubles and a flag byte in its table's
+        # columns (~30 B: sys.getsizeof of the four columns of full k=20
+        # tables after admit / seed and replace churn, CPython 3.11,
+        # over-allocation included, read 29.4-31.0 B per row), an AW
+        # entry is a dict slot plus a float (~60 B), an MCS member is a
+        # reference (~8 B).
         report["approx_bytes"] = (
             report["postings"] * 28
-            + report["result_entries"] * 72
+            + report["result_entries"] * 30
             + report["aw_entries"] * 60
             + report["mcs_documents"] * 8
         )
@@ -366,8 +369,8 @@ class DasEngine:
             return
         result_set = self._result_sets.pop(query_id)
         del self._queries[query_id]
-        for entry in result_set.entries:
-            self._store.unpin(entry.document.doc_id)
+        for document in result_set._docs:
+            self._store.unpin(document.doc_id)
         result_set.release_budget()
         del self._memberships[query_id]
         self._index.remove(query)
@@ -875,7 +878,7 @@ class DasEngine:
             if use_group_filter and block.mcs_sets:
                 if invalidated is None:
                     invalidated = frozenset(
-                        (evicted.doc_id, result_set.oldest.document.doc_id)
+                        (evicted.doc_id, result_set._docs[0].doc_id)
                     )
                 dropped = block.invalidate_mcs_with(invalidated)
                 self.counters.mcs_invalidations += dropped

@@ -18,6 +18,7 @@ Theorem 2), with two robustness refinements over the pseudo-code:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.result_set import QueryResultSet
@@ -84,8 +85,7 @@ def build_universe(
     universe = BlockUniverse(term)
     coverage = universe.coverage
     for query_id in query_ids:
-        for entry in result_sets[query_id].entries[1:]:
-            document = entry.document
+        for document in islice(result_sets[query_id]._docs, 1, None):
             doc_id = document.doc_id
             holders = coverage.get(doc_id)
             if holders is not None:

@@ -1,29 +1,35 @@
 """Query result tables (Table 3) and per-query result maintenance.
 
-Each entry stores the document, its text relevance ``TRel(q, d)`` and its
-*accumulated similarity* (Eq. 24) — the sum of similarities to the
-strictly newer documents of the result.  Only the oldest entry's value
-is ever read (Eq. 25 below), so the table completes Eq. 24 *at
-promotion* instead of growing every entry on every update.  New results
+A table stores its rows as columns, oldest first: the documents in a
+list, their text relevances ``TRel(q, d)`` and *accumulated
+similarities* (Eq. 24: the sum of similarities to the strictly newer
+documents of the result) in two ``array('d')``, and one flag byte per
+row (:data:`IN_R1`, :data:`AW_RESIDENT`).  No row is an object of its
+own, so a table is four collector-tracked objects (itself, its document
+list and the two arrays; the bytearray is untracked) whatever ``k`` is;
+:meth:`QueryResultSet.rows` is the read-only tuple view for cold
+readers.  Only the oldest row's Eq. 24 value is ever read (Eq. 25
+below), so the table completes it *at promotion* instead of growing
+every row on every update.  New results
 are always the newest document of the stream, so maintenance is
 append-at-the-end / evict-at-the-front, and on arrival of ``d_n``:
 
 * below ``k`` rows nothing is accumulated: a warm-up table is its rows,
   and the row that makes ``|R| = k`` settles the whole table at once
-  (:meth:`QueryResultSet._settle`) — the oldest entry's value is
+  (:meth:`QueryResultSet._settle`) — the oldest row's value is
   completed with one dot product, as at promotion;
-* from then on a non-oldest entry grows by ``Sim(d_i, d_n)`` only when
+* from then on a non-oldest row grows by ``Sim(d_i, d_n)`` only when
   ``d_n`` stays out of the aggregated-weight summary (R2, or no summary
   at all); the similarities to summarised (R1) arrivals are owed until
-* the entry is promoted to oldest, when one Lemma 6 dot product of its
+* the row is promoted to oldest, when one Lemma 6 dot product of its
   own vector against the summary — which then holds exactly the newer
   R1 documents — pays them all at once;
-* evicting the oldest entry changes nobody's accumulated similarity
+* evicting the oldest row changes nobody's accumulated similarity
   (nothing counts similarities to *older* documents).
 
 The promoted value equals the pair-by-pair sum up to float association
 (the contract every Lemma 6 sum already lives under; decisions are
-``TIE_EPSILON``-guarded).  The oldest entry's closed form (Eq. 25,
+``TIE_EPSILON``-guarded).  The oldest row's closed form (Eq. 25,
 corrected to include the decay factor so Lemma 1 holds exactly — see
 DESIGN.md §2) is then
 
@@ -38,7 +44,9 @@ checkpoint restore).  The engine's run loop decides a full query from
 them with one decay lookup; :meth:`QueryResultSet.dr_oldest` and
 :meth:`QueryResultSet.static_dr_oldest` stay the from-scratch reference
 forms, and the kept forms equal them bit for bit (``alpha * trel *
-recency`` is ``(alpha * trel) * recency`` in Python).
+recency`` is ``(alpha * trel) * recency`` in Python).  An ``array('d')``
+slot holds the same IEEE double a Python float does, so reading a
+column back gives the float that was written.
 
 The table also owns the query's aggregated term weight summary (Table 4)
 over ``R1 \\ {d_e}`` and the R1/R2 split driven by the shared ``Φ_max``
@@ -48,7 +56,8 @@ result set has a filtering condition (Def. 3) for them to evaluate.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import EngineConfig
 from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
@@ -57,33 +66,27 @@ from repro.scoring.recency import ExponentialDecay
 from repro.stream.document import Document
 from repro.text.vectors import TermVector, cached_cosines
 
+#: Row flag: the row was granted ``Φ_max`` budget for the AW summary (R1).
+IN_R1 = 1
+#: Row flag: the row's weights are folded into the AW summary (it is in
+#: R1 and is not the oldest row).
+AW_RESIDENT = 2
 
-class ResultEntry:
-    """One row of the query result table."""
-
-    __slots__ = ("document", "trel", "sim_acc", "in_r1", "aw_resident")
-
-    def __init__(self, document: Document, trel: float) -> None:
-        self.document = document
-        self.trel = trel
-        #: Eq. 24 — similarity mass against strictly newer result
-        #: documents.  Complete for the oldest entry; for any other entry
-        #: it covers the newer non-summarised documents only, until
-        #: promotion adds the summarised rest.
-        self.sim_acc = 0.0
-        #: True if the entry was granted budget for the AW summary (R1).
-        self.in_r1 = False
-        #: True while the entry's weights are folded into the AW table
-        #: (i.e. it is in R1 and is not the oldest entry).
-        self.aw_resident = False
+#: One row of :meth:`QueryResultSet.rows`: ``(document, trel, sim_acc,
+#: in_r1, aw_resident)``.
+Row = Tuple[Document, float, float, bool, bool]
 
 
 class QueryResultSet:
-    """Result table of one DAS query; entries are kept oldest-first."""
+    """Result table of one DAS query; rows are kept oldest-first, as
+    columns."""
 
     __slots__ = (
         "k",
-        "_entries",
+        "_docs",
+        "_trels",
+        "_sim",
+        "_flags",
         "_aw",
         "_budget",
         "_track_aw",
@@ -116,46 +119,52 @@ class QueryResultSet:
         self.kept_rel: Optional[float] = None
         self.kept_div: Optional[float] = None
         self.kept_created: Optional[float] = None
-        self._entries: List[ResultEntry] = []
+        #: The row columns, oldest first.  ``_sim`` is Eq. 24's
+        #: ``Sim_acc``: complete for the oldest row; any other row holds
+        #: its similarities to newer non-summarised rows only, until
+        #: promotion adds the summarised rest.
+        self._docs: List[Document] = []
+        self._trels = array("d")
+        self._sim = array("d")
+        self._flags = bytearray()
         self._track_aw = track_aggregated_weights
         self._budget = budget
         #: Table 4; None until the table fills (and always without AW).
         self._aw: Optional[AggregatedTermWeights] = None
-        #: Entries of ``entries[1:]`` of a full table outside the AW
-        #: summary (R2): the direct cosines a Lemma 6 evaluation owes.
+        #: Rows of ``rows()[1:]`` of a full table outside the AW summary
+        #: (R2): the direct cosines a Lemma 6 evaluation owes.
         self._r2_count = 0
 
     # -- inspection --------------------------------------------------------
 
     @property
     def size(self) -> int:
-        return len(self._entries)
+        return len(self._docs)
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.k
+        return len(self._docs) >= self.k
 
-    @property
-    def entries(self) -> Sequence[ResultEntry]:
-        return self._entries
-
-    @property
-    def oldest(self) -> Optional[ResultEntry]:
-        """``q.d_e``'s entry, or None while empty."""
-        return self._entries[0] if self._entries else None
+    def rows(self) -> List[Row]:
+        """``(document, trel, sim_acc, in_r1, aw_resident)`` per row,
+        oldest first — a copy, for checkpoints, audits and tests; the
+        publish path reads the columns."""
+        return [
+            (document, trel, sim, bool(flag & IN_R1), bool(flag & AW_RESIDENT))
+            for document, trel, sim, flag in zip(
+                self._docs, self._trels, self._sim, self._flags
+            )
+        ]
 
     def documents(self) -> List[Document]:
         """Result documents, oldest first."""
-        return [entry.document for entry in self._entries]
+        return list(self._docs)
 
     def documents_newest_first(self) -> List[Document]:
-        return [entry.document for entry in reversed(self._entries)]
-
-    def __iter__(self) -> Iterator[ResultEntry]:
-        return iter(self._entries)
+        return self._docs[::-1]
 
     def __contains__(self, doc_id: int) -> bool:
-        return any(entry.document.doc_id == doc_id for entry in self._entries)
+        return any(document.doc_id == doc_id for document in self._docs)
 
     @property
     def aggregated_weights(self) -> Optional[AggregatedTermWeights]:
@@ -177,11 +186,10 @@ class QueryResultSet:
         ``n - 1`` co-resident documents.  ``coeff`` is the diversity
         coefficient, passable to avoid recomputing the loop invariant.
         """
-        entry = self._entries[0]
         if coeff is None:
             coeff = diversity_coefficient(alpha, self.k)
-        pairs = len(self._entries) - 1
-        return alpha * entry.trel + coeff * (pairs - entry.sim_acc)
+        pairs = len(self._docs) - 1
+        return alpha * self._trels[0] + coeff * (pairs - self._sim[0])
 
     def dr_oldest(
         self,
@@ -191,12 +199,11 @@ class QueryResultSet:
         coeff: Optional[float] = None,
     ) -> float:
         """``dr_q(q.d_e)`` (Eq. 7 / corrected Eq. 25) at time ``now``."""
-        entry = self._entries[0]
-        recency = decay.at(entry.document.created_at, now)
+        recency = decay.at(self._docs[0].created_at, now)
         if coeff is None:
             coeff = diversity_coefficient(alpha, self.k)
-        pairs = len(self._entries) - 1
-        return alpha * entry.trel * recency + coeff * (pairs - entry.sim_acc)
+        pairs = len(self._docs) - 1
+        return alpha * self._trels[0] * recency + coeff * (pairs - self._sim[0])
 
     # -- similarity sums ------------------------------------------------------
 
@@ -214,20 +221,24 @@ class QueryResultSet:
         """
         aw_used = 0
         total = 0.0
+        docs = self._docs
         if self._aw is None:
-            rows = self._entries[1:]
+            rows = docs[1:]
         else:
             total += self._aw.similarity_sum(vector)
             aw_used = 1
-            # With every surviving entry folded into the AW summary there
+            # With every surviving row folded into the AW summary there
             # are no direct (R2) cosines left.
             if not self._r2_count:
                 return total, 0, aw_used
-            rows = [e for e in self._entries[1:] if not e.aw_resident]
+            flags = self._flags
+            rows = [
+                docs[index]
+                for index in range(1, len(docs))
+                if not flags[index] & AW_RESIDENT
+            ]
         tail_sum = 0.0
-        for sim in cached_cosines(
-            vector, [entry.document for entry in rows], sim_cache
-        ):
+        for sim in cached_cosines(vector, rows, sim_cache):
             tail_sum += sim
         return total + tail_sum, len(rows), aw_used
 
@@ -250,17 +261,15 @@ class QueryResultSet:
     def similarities_to(
         self, vector: TermVector, sim_cache=None
     ) -> List[float]:
-        """Per-entry similarities against all current entries, in order."""
-        return cached_cosines(vector, self.documents(), sim_cache)
+        """Per-row similarities against all current rows, in order."""
+        return cached_cosines(vector, self._docs, sim_cache)
 
     def similarities_to_kept(
         self, vector: TermVector, sim_cache=None
     ) -> List[float]:
-        """Similarities against the surviving entries (``entries[1:]``),
+        """Similarities against the surviving rows (all but the oldest),
         oldest-first: what a replacing document is traded off against."""
-        return cached_cosines(
-            vector, [entry.document for entry in self._entries[1:]], sim_cache
-        )
+        return cached_cosines(vector, self._docs[1:], sim_cache)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -272,11 +281,14 @@ class QueryResultSet:
         row that fills it.  Returns ``(cosines, aw_dots)`` — the work of
         :meth:`_settle` for the filling admit, zeros before.
         """
-        entries = self._entries
-        if len(entries) >= self.k:
+        docs = self._docs
+        if len(docs) >= self.k:
             raise ValueError("result set is full; use replace()")
-        entries.append(ResultEntry(document, trel))
-        return self._settle() if len(entries) == self.k else (0, 0)
+        docs.append(document)
+        self._trels.append(trel)
+        self._sim.append(0.0)
+        self._flags.append(0)
+        return self._settle() if len(docs) == self.k else (0, 0)
 
     def seed(
         self, documents: Sequence[Document], trels: Sequence[float]
@@ -284,13 +296,21 @@ class QueryResultSet:
         """Fill the empty table with a subscription's seeds, oldest first:
         :meth:`admit` for each, in one call.  Returns ``(cosines,
         aw_dots)`` — zeros unless the seeds fill the table."""
-        entries = self._entries
-        if entries:
+        if self._docs:
             raise ValueError("seed() needs an empty result set")
         if len(documents) > self.k:
             raise ValueError(f"{len(documents)} seeds exceed k={self.k}")
-        entries.extend(map(ResultEntry, documents, trels))
-        return self._settle() if len(entries) == self.k else (0, 0)
+        self._extend_rows(documents, trels)
+        return self._settle() if len(self._docs) == self.k else (0, 0)
+
+    def _extend_rows(
+        self, documents: Sequence[Document], trels: Sequence[float]
+    ) -> None:
+        """Append warm-up rows: no similarity accumulated, no flags."""
+        self._docs.extend(documents)
+        self._trels.extend(trels)
+        self._sim.extend([0.0] * len(documents))
+        self._flags.extend(bytes(len(documents)))
 
     def _settle(self) -> Tuple[int, int]:
         """Build the filtering state of a table that just reached ``k``
@@ -304,22 +324,21 @@ class QueryResultSet:
         completes a promoted row, by one Lemma 6 dot product against the
         summary, which holds exactly its newer R1 rows.
         """
-        entries = self._entries
+        docs, sim, flags = self._docs, self._sim, self._flags
         if self._track_aw:
             self._aw = AggregatedTermWeights()
         cosines = 0
-        for index, entry in enumerate(entries[1:], 1):
-            if not self._join_summary(entry):
-                older = entries[:index]
-                sims = cached_cosines(
-                    entry.document.vector, [e.document for e in older], None
-                )
-                for existing, sim in zip(older, sims):
-                    existing.sim_acc += sim
-                cosines += index
-        if self._r2_count < len(entries) - 1:
-            head = entries[0]
-            head.sim_acc += self._aw.similarity_sum(head.document.vector)
+        for index in range(1, len(docs)):
+            vector = docs[index].vector
+            if self._join_summary(vector):
+                flags[index] = IN_R1 | AW_RESIDENT
+                continue
+            sims = cached_cosines(vector, docs[:index], None)
+            for older, value in enumerate(sims):
+                sim[older] += value
+            cosines += index
+        if self._r2_count < len(docs) - 1:
+            sim[0] += self._aw.similarity_sum(docs[0].vector)
             self._keep_thresholds()
             return cosines, 1
         self._keep_thresholds()
@@ -329,70 +348,78 @@ class QueryResultSet:
         """Keep the oldest row's halves of Eq. 25 — the same float
         expressions as :meth:`dr_oldest`; called whenever a full table's
         oldest row or its ``Sim_acc`` changes."""
-        entries = self._entries
-        head = entries[0]
-        self.kept_rel = self._alpha * head.trel
-        self.kept_div = self._coeff * ((len(entries) - 1) - head.sim_acc)
-        self.kept_created = head.document.created_at
+        docs = self._docs
+        self.kept_rel = self._alpha * self._trels[0]
+        self.kept_div = self._coeff * ((len(docs) - 1) - self._sim[0])
+        self.kept_created = docs[0].created_at
 
     def replace(
         self, document: Document, trel: float, sim_cache=None
     ) -> Tuple[Document, int, int]:
-        """Evict ``d_e``, admit ``document``, promote the next entry.
+        """Evict ``d_e``, admit ``document``, promote the next row.
 
         Returns ``(evicted document, cosines, aw_dots)``: cosines are
-        computed against the kept entries only when ``document`` stays
-        out of the AW summary; ``aw_dots`` meters the Lemma 6 dot product
-        that completes the promoted entry's accumulated similarity.
+        computed against the kept rows only when ``document`` stays out
+        of the AW summary; ``aw_dots`` meters the Lemma 6 dot product
+        that completes the promoted row's accumulated similarity.
+
+        The columns shift in place (a pop at the front, an append at the
+        back), so a replace leaves no new object behind.
         """
-        entries = self._entries
-        if len(entries) < self.k:
+        docs = self._docs
+        count = len(docs)
+        if count < self.k:
             raise ValueError("result set is warming up; use admit()")
-        # The evicted entry is never AW-resident (the oldest is excluded
+        flags, sim, trels = self._flags, self._sim, self._trels
+        # The evicted row is never AW-resident (the oldest is excluded
         # from the summary), so only its budget-free removal happens here.
-        assert not entries[0].aw_resident
-        head = entries[1] if len(entries) > 1 else None
-        if head is not None:
-            self._on_new_oldest(head)
-        entry = ResultEntry(document, trel)
+        assert not flags[0] & AW_RESIDENT
+        aw = self._aw
         cosines = 0
-        if head is not None and not self._join_summary(entry):
-            sims = self.similarities_to_kept(document.vector, sim_cache)
-            for index, sim in enumerate(sims, 1):
-                entries[index].sim_acc += sim
-            cosines = len(sims)
-        evicted_entry = entries.pop(0)
-        entries.append(entry)
+        flag = 0
+        if count > 1:
+            # Row 1 is about to become the oldest: it leaves the summary.
+            if flags[1] & AW_RESIDENT:
+                head_vector = docs[1].vector
+                aw.remove_document(head_vector)
+                flags[1] = IN_R1
+                if self._budget is not None:
+                    self._budget.release(len(head_vector))
+            else:
+                self._r2_count -= 1
+            if self._join_summary(document.vector):
+                flag = IN_R1 | AW_RESIDENT
+            else:
+                sims = self.similarities_to_kept(document.vector, sim_cache)
+                for index, value in enumerate(sims, 1):
+                    sim[index] += value
+                cosines = len(sims)
+        evicted = docs.pop(0)
+        del trels[0]
+        del sim[0]
+        del flags[0]
+        docs.append(document)
+        trels.append(trel)
+        sim.append(0.0)
+        flags.append(flag)
         aw_dots = 0
-        if head is not None and self._aw is not None:
+        if count > 1 and aw is not None:
             # The summary now holds exactly the R1 documents newer than
-            # ``head`` (itself removed, ``document`` added).  Never through
-            # the publish's cosine memo — that is keyed to ``document``.
-            head.sim_acc += self._aw.similarity_sum(head.document.vector)
+            # the promoted row (itself removed, ``document`` added).  Never
+            # through the publish's cosine memo — that is keyed to
+            # ``document``.
+            sim[0] += aw.similarity_sum(docs[0].vector)
             aw_dots = 1
         self._keep_thresholds()
-        return evicted_entry.document, cosines, aw_dots
+        return evicted, cosines, aw_dots
 
-    def _on_new_oldest(self, head: ResultEntry) -> None:
-        """Exclude the entry about to become oldest from the AW summary."""
-        if head.aw_resident:
-            assert self._aw is not None
-            self._aw.remove_document(head.document.vector)
-            head.aw_resident = False
-            if self._budget is not None:
-                self._budget.release(len(head.document.vector))
-        else:
-            self._r2_count -= 1
-
-    def _join_summary(self, entry: ResultEntry) -> bool:
+    def _join_summary(self, vector: TermVector) -> bool:
         """Settle a non-oldest row's R1/R2 side (the oldest row stays out
-        of the summary by definition); True when it joined the summary."""
-        vector = entry.document.vector
+        of the summary by definition); True when it joined the summary —
+        the caller then sets the row's ``IN_R1 | AW_RESIDENT`` flags."""
         if self._aw is not None and (
             self._budget is None or self._budget.try_reserve(len(vector))
         ):
-            entry.in_r1 = True
-            entry.aw_resident = True
             self._aw.add_document(vector)
             return True
         self._r2_count += 1
@@ -402,8 +429,9 @@ class QueryResultSet:
         """Return all reserved AW budget (used on unsubscribe)."""
         if self._budget is None:
             return
-        for entry in self._entries:
-            if entry.aw_resident:
-                self._budget.release(len(entry.document.vector))
-                entry.aw_resident = False
+        docs, flags = self._docs, self._flags
+        for index, flag in enumerate(flags):
+            if flag & AW_RESIDENT:
+                self._budget.release(len(docs[index].vector))
+                flags[index] = flag & IN_R1
                 self._r2_count += 1

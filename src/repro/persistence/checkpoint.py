@@ -28,7 +28,7 @@ from repro.config import EngineConfig
 from repro.core.agg_weights import AggregatedTermWeights
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
-from repro.core.result_set import ResultEntry
+from repro.core.result_set import AW_RESIDENT, IN_R1, QueryResultSet
 from repro.stream.document import Document
 from repro.text.vectors import TermVector, cosine_similarity
 
@@ -99,12 +99,12 @@ def checkpoint(engine: DasEngine) -> Dict:
             result_set = engine._result_sets[query_id]
             record["results"] = [
                 {
-                    "doc": entry.document.doc_id,
-                    "trel": entry.trel,
-                    "sim_acc": entry.sim_acc,
-                    "in_r1": entry.in_r1,
+                    "doc": document.doc_id,
+                    "trel": trel,
+                    "sim_acc": sim_acc,
+                    "in_r1": in_r1,
                 }
-                for entry in result_set.entries
+                for document, trel, sim_acc, in_r1, _ in result_set.rows()
             ]
         queries.append(record)
     payload = {
@@ -254,9 +254,7 @@ def _merge_shards(payload: Dict) -> Dict:
 
 
 def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None:
-    """Register a query and rebuild its result table row by row."""
-    from repro.core.result_set import QueryResultSet
-
+    """Register a query and rebuild its result table's columns."""
     result_set = QueryResultSet(
         engine.config.k,
         budget=engine._budget,
@@ -264,15 +262,16 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
         alpha=engine.config.alpha,
         coeff=engine._coeff,
     )
-    entries = result_set._entries
+    documents = []
     for row in rows:
         document = engine.store.get(int(row["doc"]))
         if document is None:
             raise ValueError(
                 f"checkpoint references missing document {row['doc']}"
             )
-        entries.append(ResultEntry(document, float(row["trel"])))
+        documents.append(document)
         engine.store.pin(document.doc_id)
+    result_set._extend_rows(documents, [float(row["trel"]) for row in rows])
     engine._queries[query.query_id] = query
     engine._result_sets[query.query_id] = result_set
     engine._last_query_id = query.query_id
@@ -286,27 +285,32 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
     # Rebuild the aggregated weight table over R1 \ {oldest} and account
     # for its budget.
     budget = engine._budget
-    entries[0].in_r1 = bool(rows[0]["in_r1"])
+    flags = result_set._flags
+    if rows[0]["in_r1"]:
+        flags[0] = IN_R1
     if result_set._track_aw:
         aw = result_set._aw = AggregatedTermWeights()
-        for entry, row in zip(entries[1:], rows[1:]):
-            size = len(entry.document.vector)
-            if row["in_r1"] and (budget is None or budget.try_reserve(size)):
-                aw.add_document(entry.document.vector)
-                entry.in_r1 = entry.aw_resident = True
-    result_set._r2_count = sum(not e.aw_resident for e in entries[1:])
+        for index in range(1, len(documents)):
+            vector = documents[index].vector
+            if rows[index]["in_r1"] and (
+                budget is None or budget.try_reserve(len(vector))
+            ):
+                aw.add_document(vector)
+                flags[index] = IN_R1 | AW_RESIDENT
+    result_set._r2_count = sum(not flag & AW_RESIDENT for flag in flags[1:])
     # Eq. 24 continuity: the oldest row's value is complete in every
     # file; a non-oldest row holds only its similarities to newer
     # non-summarised documents (promotion adds the summarised rest), and
     # files written before promotion-time completion carry full totals
     # there — so re-derive those slots instead of trusting the file.
-    entries[0].sim_acc = float(rows[0]["sim_acc"])
-    for newer in range(2, len(entries)):
-        if entries[newer].aw_resident:
+    sim = result_set._sim
+    sim[0] = float(rows[0]["sim_acc"])
+    for newer in range(2, len(documents)):
+        if flags[newer] & AW_RESIDENT:
             continue
-        vector = entries[newer].document.vector
-        for entry in entries[1:newer]:
-            entry.sim_acc += cosine_similarity(vector, entry.document.vector)
+        vector = documents[newer].vector
+        for index in range(1, newer):
+            sim[index] += cosine_similarity(vector, documents[index].vector)
     result_set._keep_thresholds()
 
 

@@ -198,13 +198,13 @@ class InvariantMonitor:
         for query_id, result_set in self._engine._result_sets.items():
             if not result_set.is_full:
                 continue
-            head = result_set.entries[0]
+            head, trel, sim_acc, _, _ = result_set.rows()[0]
             self._pre[query_id] = (
-                head.document.doc_id,
-                head.trel,
-                head.sim_acc,
-                len(result_set.entries) - 1,
-                head.document.created_at,
+                head.doc_id,
+                trel,
+                sim_acc,
+                result_set.size - 1,
+                head.created_at,
             )
 
     def after_publish(
@@ -243,24 +243,24 @@ class InvariantMonitor:
             result_set = self._engine._result_sets.get(
                 notification.query_id
             )
-            if result_set is None or not result_set.entries:
+            if result_set is None or not result_set.size:
                 continue
-            new_entry = result_set.entries[-1]
-            if new_entry.document.doc_id != document.doc_id:
+            rows = result_set.rows()
+            newest, new_trel = rows[-1][:2]
+            if newest.doc_id != document.doc_id:
                 self._record(
                     "lemma1",
                     f"q{notification.query_id} newest entry is doc "
-                    f"{new_entry.document.doc_id}, expected "
-                    f"{document.doc_id}",
+                    f"{newest.doc_id}, expected {document.doc_id}",
                 )
                 continue
             # The similarity mass the engine traded off in dr_q(d_n):
             # d_n against every kept entry, recomputed from scratch.
             sim_sum = sum(
-                cosine_similarity(document.vector, entry.document.vector)
-                for entry in result_set.entries[:-1]
+                cosine_similarity(document.vector, row[0].vector)
+                for row in rows[:-1]
             )
-            dr_new = config.alpha * new_entry.trel + coeff * (
+            dr_new = config.alpha * new_trel + coeff * (
                 (config.k - 1) - sim_sum
             )
             recency = self._engine.decay.at(old_created, now)
@@ -297,8 +297,8 @@ class InvariantMonitor:
             if not result_set.is_full:
                 self.checks["warmup"] += 1
                 if result_set.aggregated_weights is not None or any(
-                    entry.in_r1 or entry.aw_resident or entry.sim_acc
-                    for entry in result_set.entries
+                    in_r1 or aw_resident or sim_acc
+                    for _, _, sim_acc, in_r1, aw_resident in result_set.rows()
                 ):
                     self._record(
                         "warmup",
@@ -307,17 +307,18 @@ class InvariantMonitor:
                     )
                 continue
             self.checks["sim_acc"] += 1
-            head = result_set.entries[0]
+            rows = result_set.rows()
+            head, _, head_sim = rows[0][:3]
             expected = sum(
-                cosine_similarity(head.document.vector, entry.document.vector)
-                for entry in result_set.entries[1:]
+                cosine_similarity(head.vector, row[0].vector)
+                for row in rows[1:]
             )
-            if abs(head.sim_acc - expected) > _SIM_ACC_TOLERANCE:
+            if abs(head_sim - expected) > _SIM_ACC_TOLERANCE:
                 self._record(
                     "sim_acc",
                     f"q{notification.query_id} oldest doc "
-                    f"{head.document.doc_id} after doc {document.doc_id}: "
-                    f"sim_acc={head.sim_acc!r} != brute-force {expected!r}",
+                    f"{head.doc_id} after doc {document.doc_id}: "
+                    f"sim_acc={head_sim!r} != brute-force {expected!r}",
                 )
             kept = (result_set.kept_rel, result_set.kept_div)
             reference = (
@@ -342,7 +343,12 @@ class InvariantMonitor:
             aw = result_set.aggregated_weights
             if aw is None or not result_set.is_full:
                 continue
-            kept = result_set.entries[1:]
+            kept = result_set.documents()[1:]
+            resident = [
+                kept_document
+                for kept_document, _, _, _, aw_resident in result_set.rows()[1:]
+                if aw_resident
+            ]
             sim_sum = None
             for term in self._engine._queries[query_id].terms:
                 if term not in vector:
@@ -350,9 +356,8 @@ class InvariantMonitor:
                 self.checks["floor"] += 1
                 weight = aw.weight(term)
                 expected = sum(
-                    entry.document.vector.unit_weight(term)
-                    for entry in kept
-                    if entry.aw_resident
+                    summarised.vector.unit_weight(term)
+                    for summarised in resident
                 )
                 if weight < 0.0 or (
                     abs(weight - expected) > _SIM_ACC_TOLERANCE
@@ -365,8 +370,8 @@ class InvariantMonitor:
                     continue
                 if sim_sum is None:
                     sim_sum = sum(
-                        cosine_similarity(vector, entry.document.vector)
-                        for entry in kept
+                        cosine_similarity(vector, kept_document.vector)
+                        for kept_document in kept
                     )
                 floor = result_set.similarity_floor(term, vector)
                 if floor > sim_sum + _SIM_ACC_TOLERANCE:
@@ -437,12 +442,12 @@ class InvariantMonitor:
                     )
             return
         for query_id, result_set in self._engine._result_sets.items():
-            size = len(result_set.entries)
+            size = result_set.size
             if size > k:
                 self._record(
                     "size", f"q{query_id} holds {size} results, k={k}"
                 )
-            ids = [entry.document.doc_id for entry in result_set.entries]
+            ids = [document.doc_id for document in result_set.documents()]
             if any(a >= b for a, b in zip(ids, ids[1:])):
                 self._record(
                     "size", f"q{query_id} entries out of stream order: {ids}"

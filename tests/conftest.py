@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import shutil
+from typing import List, NamedTuple
 
 import pytest
 
@@ -35,6 +36,22 @@ from repro import (
     SyntheticTweetCorpus,
     TermVector,
 )
+
+
+class Row(NamedTuple):
+    """One result-table row, named: what ``QueryResultSet.rows()`` lists
+    as a plain tuple."""
+
+    document: Document
+    trel: float
+    sim_acc: float
+    in_r1: bool
+    aw_resident: bool
+
+
+def table_rows(result_set) -> List[Row]:
+    """``result_set.rows()`` with named fields, oldest first."""
+    return [Row(*row) for row in result_set.rows()]
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from repro.errors import (
 )
 from repro.stream.document import Document
 from repro.text.vectors import cosine_similarity
+from tests.conftest import table_rows
 
 
 def doc(i, tokens, t=None):
@@ -227,7 +228,7 @@ def test_phi_max_zero_pushes_everything_to_r2():
     for i in range(5):
         engine.publish(doc(i, ["coffee", f"v{i}"]))
     rs = engine._result_sets[0]
-    assert all(not entry.aw_resident for entry in rs.entries)
+    assert all(not entry.aw_resident for entry in table_rows(rs))
     assert rs.aw_entry_count == 0
 
 
@@ -272,15 +273,15 @@ def test_subscribe_scores_once_and_completes_eq24_with_one_dot(monkeypatch):
     assert spent.sim_evaluations == 0
     assert spent.aw_dot_products == 1
     rs = engine._result_sets[0]
-    head = rs.entries[0]
-    assert [e.trel for e in rs.entries] == [
+    head = table_rows(rs)[0]
+    assert [e.trel for e in table_rows(rs)] == [
         real_trel(engine.scorer, ("coffee",), e.document.vector)
-        for e in rs.entries
+        for e in table_rows(rs)
     ]
     assert head.sim_acc == pytest.approx(
         sum(
             cosine_similarity(head.document.vector, e.document.vector)
-            for e in rs.entries[1:]
+            for e in table_rows(rs)[1:]
         ),
         abs=1e-12,
     )
@@ -330,11 +331,11 @@ def test_warmup_admit_maintains_nothing_until_the_fill():
     assert all(block.meta_dirty and block.mcs_sets is None for block in blocks)
     report = engine.index_size_report()
     assert report["warmup_queries"] == 0 and report["aw_entries"] == 3
-    head = result_set.entries[0]
+    head = table_rows(result_set)[0]
     assert head.sim_acc == pytest.approx(
         sum(
             cosine_similarity(head.document.vector, e.document.vector)
-            for e in result_set.entries[1:]
+            for e in table_rows(result_set)[1:]
         ),
         abs=1e-12,
     )

@@ -35,6 +35,7 @@ from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.document import Document
 from repro.text.collection_stats import CollectionStatistics
 from repro.text.vectors import cosine_similarity
+from tests.conftest import table_rows
 
 ALPHABET = ["w", "a", "b", "c", "d"]
 K = 3
@@ -89,7 +90,7 @@ def build_block(pool, queries, alpha, scorer):
 def exact_dr_new(terms, rs, new_doc, scorer, alpha):
     sims = sum(
         cosine_similarity(new_doc.vector, entry.document.vector)
-        for entry in rs.entries[1:]
+        for entry in table_rows(rs)[1:]
     )
     coeff = diversity_coefficient(alpha, K)
     return alpha * scorer.trel(terms, new_doc.vector) + coeff * (K - 1 - sims)
@@ -146,7 +147,7 @@ def test_strict_similarity_bound_is_safe(scenario):
     exact_min = min(
         sum(
             cosine_similarity(new_doc.vector, entry.document.vector)
-            for entry in result_sets[qid].entries[1:]
+            for entry in table_rows(result_sets[qid])[1:]
         )
         for qid in block.query_ids
     )

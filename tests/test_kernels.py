@@ -23,6 +23,7 @@ from repro.core.mcs import CoverSet
 from repro.core.result_set import QueryResultSet
 from repro.stream.document import Document
 from repro.text.vectors import SimCache, TermVector, cosine_similarity
+from tests.conftest import table_rows
 
 
 def random_vector(rng: random.Random, pool: int = 40, terms: int = 6):
@@ -91,7 +92,7 @@ def test_tail_similarity_sum_matches_cosine():
         result_set = make_result_set(
             rng, n, first_id=100 * trial + 50, budget=budget, track_aw=True
         )
-        rows = result_set.entries[1:]
+        rows = table_rows(result_set)[1:]
         direct = [e.document for e in rows if not e.aw_resident]
         resident_seen += len(rows) - len(direct)
         direct_seen += len(direct)

@@ -30,6 +30,7 @@ from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.document import Document
 from repro.text.collection_stats import CollectionStatistics
 from repro.text.vectors import TermVector, cosine_similarity
+from tests.conftest import table_rows
 
 K = 3
 ALPHABET = ["w", "a", "b", "c"]
@@ -134,13 +135,13 @@ def test_build_universe_excludes_the_oldest_entries(case):
     universe = build_universe("w", [q for q, _t in queries], result_sets)
     eligible = set()
     for qid, _terms in queries:
-        for entry in result_sets[qid].entries[1:]:
+        for entry in table_rows(result_sets[qid])[1:]:
             eligible.add(entry.document.doc_id)
     assert set(universe.documents) == eligible
     for doc_id, holders in universe.coverage.items():
         for qid in holders:
             assert doc_id in {
-                e.document.doc_id for e in result_sets[qid].entries[1:]
+                e.document.doc_id for e in table_rows(result_sets[qid])[1:]
             }
 
 
@@ -165,7 +166,7 @@ def test_eq19_bound_is_sound(case):
     exact_min = min(
         sum(
             cosine_similarity(new_doc.vector, entry.document.vector)
-            for entry in result_sets[qid].entries[1:]
+            for entry in table_rows(result_sets[qid])[1:]
         )
         for qid in block.query_ids
     )

@@ -8,6 +8,7 @@ from repro.core.engine import DasEngine
 from repro.persistence import CHECKPOINT_VERSION, checkpoint, load, restore, save
 from repro.workloads.corpus import SyntheticTweetCorpus
 from repro.workloads.queries import lqd_queries
+from tests.conftest import table_rows
 
 
 def build_live_engine(method="GIFilter", n_docs=120):
@@ -46,10 +47,10 @@ def change_log(notifications):
     ]
 
 
-def table_rows(result_set):
+def id_rows(result_set):
     return [
         (e.document.doc_id, e.trel, e.sim_acc, e.in_r1, e.aw_resident)
-        for e in result_set.entries
+        for e in table_rows(result_set)
     ]
 
 
@@ -267,7 +268,7 @@ def test_parent_commit_checkpoint_restores_and_continues(
     log = change_log
 
     def head_sim_acc(engine, query_id):
-        return engine._result_sets[query_id].entries[0].sim_acc
+        return table_rows(engine._result_sets[query_id])[0].sim_acc
 
     replaced = 0
     for document in docs[120:]:
@@ -313,10 +314,10 @@ def _restores_and_continues(payload, live, documents):
         if query_id in warming:
             # Rows only, whatever the file says about them.
             assert restored.aggregated_weights is None
-            assert table_rows(restored) == table_rows(result_set)
+            assert id_rows(restored) == id_rows(result_set)
         else:
-            assert restored.entries[0].sim_acc == pytest.approx(
-                result_set.entries[0].sim_acc, abs=1e-9
+            assert table_rows(restored)[0].sim_acc == pytest.approx(
+                table_rows(result_set)[0].sim_acc, abs=1e-9
             )
     replaced = 0
     for document in documents:
@@ -330,8 +331,9 @@ def _restores_and_continues(payload, live, documents):
         )
     filled = [q for q in warming if clone._result_sets[q].is_full]
     for query_id in filled:
-        assert clone._result_sets[query_id].entries[0].sim_acc == pytest.approx(
-            live._result_sets[query_id].entries[0].sim_acc, abs=1e-9
+        head = table_rows(clone._result_sets[query_id])[0]
+        assert head.sim_acc == pytest.approx(
+            table_rows(live._result_sets[query_id])[0].sim_acc, abs=1e-9
         )
     return warming, filled
 
@@ -465,7 +467,8 @@ def test_round_trip_keeps_warm_up_tables_as_rows(method, overrides):
         restored = clone._result_sets[query_id]
         kept = (restored.kept_rel, restored.kept_div, restored.kept_created)
         if result_set.is_full:
-            assert restored.entries[0].sim_acc == result_set.entries[0].sim_acc
+            head = table_rows(restored)[0]
+            assert head.sim_acc == table_rows(result_set)[0].sim_acc
             recency = decay.at(restored.kept_created, now)
             assert restored.kept_rel * recency + restored.kept_div == (
                 restored.dr_oldest(now, decay, alpha)
@@ -477,17 +480,17 @@ def test_round_trip_keeps_warm_up_tables_as_rows(method, overrides):
                 result_set.kept_rel, result_set.kept_div,
                 result_set.kept_created,
             )
-            assert [e.aw_resident for e in restored.entries] == [
-                e.aw_resident for e in result_set.entries
+            assert [e.aw_resident for e in table_rows(restored)] == [
+                e.aw_resident for e in table_rows(result_set)
             ]
         else:
             warming.append(query_id)
             assert kept == (None, None, None)
             assert restored.aggregated_weights is None
             assert restored.aw_entry_count == restored._r2_count == 0
-            assert table_rows(restored) == [
+            assert id_rows(restored) == [
                 (e.document.doc_id, e.trel, 0.0, False, False)
-                for e in result_set.entries
+                for e in table_rows(result_set)
             ]
     assert warming
     if live._budget is not None:
@@ -502,7 +505,7 @@ def test_round_trip_keeps_warm_up_tables_as_rows(method, overrides):
                 theirs = live._result_sets[query_id]
                 if theirs.is_full:
                     filled += 1
-                    assert table_rows(mine) == table_rows(theirs)
+                    assert id_rows(mine) == id_rows(theirs)
                     assert mine._r2_count == theirs._r2_count
     assert filled > 0
 
@@ -525,11 +528,11 @@ def test_restore_right_after_subscribe_keeps_seeded_sim_acc(method, overrides):
     seeded = 0
     for query_id, result_set in live._result_sets.items():
         restored = clone._result_sets[query_id]
-        assert [e.aw_resident for e in restored.entries] == [
-            e.aw_resident for e in result_set.entries
+        assert [e.aw_resident for e in table_rows(restored)] == [
+            e.aw_resident for e in table_rows(result_set)
         ]
         for index, (mine, theirs) in enumerate(
-            zip(restored.entries, result_set.entries)
+            zip(table_rows(restored), table_rows(result_set))
         ):
             if index == 0:
                 assert mine.sim_acc == theirs.sim_acc

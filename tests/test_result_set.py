@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.core.result_set import QueryResultSet
 from repro.scoring.recency import ExponentialDecay
 from repro.stream.document import Document
 from repro.text.vectors import TermVector, cosine_similarity
+from tests.conftest import table_rows
 
 
 def doc(i, tokens):
@@ -23,7 +26,7 @@ def admit(rs, document, trel=0.1):
 
 def newer_sim_sum(rs, index=0):
     """Brute-force Eq. 24: entry ``index`` against every newer entry."""
-    entries = rs.entries
+    entries = table_rows(rs)
     return sum(
         cosine_similarity(entries[index].document.vector, other.document.vector)
         for other in entries[index + 1 :]
@@ -37,7 +40,7 @@ def test_admit_fills_in_order():
     assert rs.is_full
     assert [d.doc_id for d in rs.documents()] == [0, 1, 2]
     assert [d.doc_id for d in rs.documents_newest_first()] == [2, 1, 0]
-    assert rs.oldest.document.doc_id == 0
+    assert table_rows(rs)[0].document.doc_id == 0
     assert 1 in rs and 9 not in rs
 
 
@@ -57,11 +60,12 @@ def test_admit_wrong_sims_length():
     rs = QueryResultSet(k=2)
     assert rs.admit(doc(0, ["a"]), 0.1) == (0, 0)
     assert rs.aggregated_weights is None and rs.aw_entry_count == 0
-    assert rs.entries[0].sim_acc == 0.0
+    assert table_rows(rs)[0].sim_acc == 0.0
     assert rs.admit(doc(1, ["a", "b"]), 0.1) == (0, 1)
     assert rs.aw_entry_count == 2
-    assert rs.entries[0].sim_acc == pytest.approx(newer_sim_sum(rs), abs=1e-12)
-    assert rs.entries[1].sim_acc == 0.0
+    head = table_rows(rs)[0]
+    assert head.sim_acc == pytest.approx(newer_sim_sum(rs), abs=1e-12)
+    assert table_rows(rs)[1].sim_acc == 0.0
 
 
 def test_sim_acc_tracks_newer_documents():
@@ -74,7 +78,7 @@ def test_sim_acc_tracks_newer_documents():
         admit(rs, d)
     sim_ab = cosine_similarity(a.vector, b.vector)
     sim_ac = cosine_similarity(a.vector, c.vector)
-    entries = rs.entries
+    entries = table_rows(rs)
     assert entries[0].sim_acc == pytest.approx(sim_ab + sim_ac)
     assert entries[1].sim_acc == 0.0  # c is AW-resident: owed, not paid
     assert entries[2].sim_acc == 0.0
@@ -82,8 +86,8 @@ def test_sim_acc_tracks_newer_documents():
     plain = QueryResultSet(k=3, track_aggregated_weights=False)
     for d in (a, b, c):
         admit(plain, d)
-    assert plain.entries[0].sim_acc == pytest.approx(sim_ab + sim_ac)
-    assert plain.entries[1].sim_acc == pytest.approx(
+    assert table_rows(plain)[0].sim_acc == pytest.approx(sim_ab + sim_ac)
+    assert table_rows(plain)[1].sim_acc == pytest.approx(
         cosine_similarity(b.vector, c.vector)
     )
 
@@ -102,12 +106,12 @@ def test_replace_evicts_oldest_and_updates_sim_acc():
     # that completes the promoted b against its newer co-residents c, d
     # (not against the evicted, older a).
     assert (cosines, aw_dots) == (0, 1)
-    assert rs.entries[0].sim_acc == pytest.approx(
+    assert table_rows(rs)[0].sim_acc == pytest.approx(
         cosine_similarity(b.vector, c.vector)
         + cosine_similarity(b.vector, d.vector),
         abs=1e-12,
     )
-    assert rs.entries[1].sim_acc == 0.0
+    assert table_rows(rs)[1].sim_acc == 0.0
 
 
 def test_replace_empty_raises():
@@ -126,7 +130,7 @@ def test_replace_wrong_sims_length():
     evicted, cosines, aw_dots = rs.replace(doc(1, ["a"]), 0.1)
     assert evicted is first
     assert (cosines, aw_dots) == (0, 0)
-    assert rs.entries[0].sim_acc == 0.0
+    assert table_rows(rs)[0].sim_acc == 0.0
     assert rs.aw_entry_count == 0
 
 
@@ -138,7 +142,7 @@ def test_dr_oldest_closed_form():
     alpha = 0.4
     now = 2.0
     value = rs.dr_oldest(now, decay, alpha)
-    entry = rs.oldest
+    entry = table_rows(rs)[0]
     coeff = (2 - 2 * alpha) / 2
     expected = alpha * 0.5 * decay.at(0.0, now) + coeff * (2 - entry.sim_acc)
     assert value == pytest.approx(expected)
@@ -190,10 +194,10 @@ def test_budget_splits_r1_r2():
     admit(rs, doc(2, ["e", "f"]))
     # Warm-up: no row is on either side yet and Φ_max is untouched.
     assert budget.used == 0
-    assert not any(e.in_r1 or e.aw_resident for e in rs.entries)
+    assert not any(e.in_r1 or e.aw_resident for e in table_rows(rs))
     admit(rs, doc(3, ["g"]))
     # The fill settles the rows in row order against the budget.
-    entries = rs.entries
+    entries = table_rows(rs)
     assert not entries[0].aw_resident  # oldest: never reserves
     assert entries[1].aw_resident and entries[1].in_r1  # fits (2 entries)
     assert not entries[2].aw_resident and not entries[2].in_r1  # R2
@@ -211,7 +215,7 @@ def test_replace_releases_budget_of_new_oldest():
     rs.replace(doc(2, ["d"]), 0.1)
     # doc 1 became the oldest: its 2 entries are released; doc 2 reserved 1.
     assert budget.used == 1
-    assert not rs.entries[0].aw_resident
+    assert not table_rows(rs)[0].aw_resident
 
 
 def test_release_budget_on_teardown():
@@ -246,8 +250,9 @@ def test_sim_acc_invariant_under_churn(token_lists):
                 admit(table, document)
             else:
                 table.replace(document, 0.1)
-    assert rs.entries[0].sim_acc == pytest.approx(newer_sim_sum(rs), abs=1e-9)
-    for index, entry in enumerate(plain.entries):
+    head = table_rows(rs)[0]
+    assert head.sim_acc == pytest.approx(newer_sim_sum(rs), abs=1e-9)
+    for index, entry in enumerate(table_rows(plain)):
         assert entry.sim_acc == pytest.approx(
             newer_sim_sum(plain, index), abs=1e-9
         )
@@ -280,7 +285,7 @@ def assert_kept_thresholds(table, now, decay, alpha):
         now, decay, alpha
     )
     assert table.kept_rel + table.kept_div == table.static_dr_oldest(alpha)
-    assert table.kept_created == table.oldest.document.created_at
+    assert table.kept_created == table_rows(table)[0].document.created_at
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,21 +329,21 @@ def test_head_sim_acc_under_churn(
         assert_kept_thresholds(rs, now, decay, alpha)
         if not rs.is_full:
             assert (cosines, aw_dots) == (0, 0)
-            assert all(e.sim_acc == 0.0 for e in rs.entries)
+            assert all(e.sim_acc == 0.0 for e in table_rows(rs))
             continue
         if replacing:
             # R2 arrival: the per-entry path; R1: promotion pays instead.
-            assert cosines == (0 if rs.entries[-1].aw_resident else k - 1)
+            assert cosines == (0 if table_rows(rs)[-1].aw_resident else k - 1)
         else:
             # The fill: each row left out of the summary pays its cosines
             # to the rows before it, the rest is one dot product.
             assert cosines == sum(
                 index
-                for index, e in enumerate(rs.entries)
+                for index, e in enumerate(table_rows(rs))
                 if index and not e.aw_resident
             )
         assert aw_dots <= 1
-        head = rs.entries[0]
+        head = table_rows(rs)[0]
         expected = newer_sim_sum(rs)
         assert head.sim_acc == pytest.approx(expected, abs=1e-9)
         scratch = alpha * head.trel * decay.at(
@@ -371,7 +376,7 @@ def _table_state(table):
     return (
         [
             (e.document.doc_id, e.trel, e.sim_acc, e.in_r1, e.aw_resident)
-            for e in table.entries
+            for e in table_rows(table)
         ],
         table._r2_count,
         None
@@ -442,7 +447,7 @@ def test_summaries_start_at_fill(k, summary, seeds, token_lists):
             table.replace(documents[step], 0.25)
         else:
             table.admit(documents[step], 0.25)
-        entries = table.entries
+        entries = table_rows(table)
         if not table.is_full:
             assert table.aggregated_weights is None
             assert table.aw_entry_count == 0 and table._r2_count == 0
@@ -567,3 +572,72 @@ def test_similarity_floor_never_exceeds_the_sum(
             for term in "aq":
                 if term not in vector:
                     assert table.similarity_floor(term, vector) == 0.0
+
+
+def _tracked_count(table):
+    """Collector-tracked objects reachable from ``table`` through
+    ``gc.get_referents``, itself included, other than the ``Document``s
+    (owned by the store); types are not walked into."""
+    seen = {id(table)}
+    stack = [table]
+    count = 1
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or not gc.is_tracked(ref):
+                continue
+            seen.add(id(ref))
+            if isinstance(ref, Document):
+                continue
+            count += 1
+            if not isinstance(ref, type):
+                stack.append(ref)
+    return count
+
+
+@pytest.mark.parametrize("phi_max", [None, 5])
+@pytest.mark.parametrize("fill", ["admit", "seed"])
+def test_row_state_is_not_gc_tracked(fill, phi_max):
+    """A full table reaches the same tracked objects whatever ``k`` is:
+    its rows are columns, not one object each.  A tight ``Φ_max`` leaves
+    rows on both sides of the R1/R2 split."""
+    counts = {}
+    for k in (2, 20, 40):
+        documents = [
+            doc(i, [f"t{i % 7}", f"u{i % 5}", "w"]) for i in range(2 * k + 3)
+        ]
+        budget = None if phi_max is None else MemoryBudget(phi_max)
+        table = QueryResultSet(k, budget=budget)
+        if fill == "seed":
+            table.seed(documents[:k], [0.5] * k)
+        else:
+            for document in documents[:k]:
+                table.admit(document, 0.5)
+        for document in documents[k:]:
+            table.replace(document, 0.25)
+        assert table.is_full
+        if phi_max is not None and k > 2:
+            flags = [row[4] for row in table.rows()[1:]]
+            assert any(flags) and not all(flags)
+        counts[k] = _tracked_count(table)
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_rows_is_a_tuple_copy_of_the_columns():
+    table = QueryResultSet(k=3, budget=MemoryBudget(2))
+    documents = [doc(i, [f"t{i}", "w"]) for i in range(4)]
+    for document in documents[:3]:
+        table.admit(document, 0.5)
+    table.replace(documents[3], 0.25)
+    rows = table.rows()
+    assert [type(row) for row in rows] == [tuple] * 3
+    assert [row[0] for row in rows] == documents[1:]
+    assert [row[1] for row in rows] == [0.5, 0.5, 0.25]
+    # Row 1 joined the summary at the fill and left it at promotion;
+    # the budget of 2 then held the newest row's two terms.
+    assert [row[3:] for row in rows] == [
+        (True, False),
+        (False, False),
+        (True, True),
+    ]
+    rows.pop()
+    assert table.size == 3

@@ -27,6 +27,7 @@ from repro.text.vectors import (
 )
 from repro.workloads.corpus import SyntheticTweetCorpus
 from repro.workloads.queries import lqd_queries
+from tests.conftest import table_rows
 
 # Empty vectors (zero norm) and vectors over disjoint halves of the
 # alphabet are drawn on purpose: both take the short-circuit.
@@ -57,7 +58,7 @@ def test_cached_helper_returns_exact_cosines(members, probes):
     for doc_id, vector in enumerate(members):
         document = Document(doc_id, vector, float(doc_id))
         result_set.admit(document, 0.1)
-    entries = result_set.entries
+    entries = table_rows(result_set)
     for probe in probes:
         expected = [cosine_similarity(probe, e.document.vector) for e in entries]
         cache = SimCache()
@@ -157,8 +158,8 @@ def test_subscribe_seeding_never_reads_the_publish_cache():
         assert [d.doc_id for d in poisoned.subscribe(query)] == [
             d.doc_id for d in clean.subscribe(query)
         ]
-        mine = poisoned._result_sets[query.query_id].entries
-        theirs = clean._result_sets[query.query_id].entries
+        mine = table_rows(poisoned._result_sets[query.query_id])
+        theirs = table_rows(clean._result_sets[query.query_id])
         assert [e.sim_acc for e in mine] == [e.sim_acc for e in theirs]
     assert (dict(poisoned._sim_cache), poisoned._sim_cache.lookups) == before
 
@@ -166,9 +167,10 @@ def test_subscribe_seeding_never_reads_the_publish_cache():
 def r2_counts_hold(engine: DasEngine) -> bool:
     # A warm-up table has settled no row yet: nothing resident, count 0.
     return all(
-        rs._r2_count == sum(not e.aw_resident for e in rs.entries[1:])
+        rs._r2_count == sum(not e.aw_resident for e in table_rows(rs)[1:])
         if rs.is_full
-        else rs._r2_count == 0 and not any(e.aw_resident for e in rs.entries)
+        else rs._r2_count == 0
+        and not any(e.aw_resident for e in table_rows(rs))
         for rs in engine._result_sets.values()
     )
 
@@ -207,9 +209,9 @@ def test_r2_count_tracks_non_resident_tail_entries():
         released = next(iter(engine._result_sets.values()))
         released.release_budget()
         assert released._r2_count == sum(
-            not e.aw_resident for e in released.entries[1:]
+            not e.aw_resident for e in table_rows(released)[1:]
         )
-        assert not any(e.aw_resident for e in released.entries)
+        assert not any(e.aw_resident for e in table_rows(released))
 
 
 def test_similarity_sum_matches_direct_cosines_under_a_tight_budget():
@@ -227,7 +229,7 @@ def test_similarity_sum_matches_direct_cosines_under_a_tight_budget():
         assert direct == result_set._r2_count
         expected = sum(
             cosine_similarity(probe, e.document.vector)
-            for e in result_set.entries[1:]
+            for e in table_rows(result_set)[1:]
         )
         assert abs(total - expected) < 1e-9
 

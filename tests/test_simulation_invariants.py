@@ -14,6 +14,7 @@ import pytest
 from repro.core.engine import DasEngine
 from repro.core.events import Notification
 from repro.core.query import DasQuery
+from repro.core.result_set import AW_RESIDENT
 from repro.simulation import (
     InstrumentedEngine,
     InvariantMonitor,
@@ -69,13 +70,25 @@ def test_oracle_can_be_disabled():
     assert monitor.violations == []
 
 
+def _columns(result_set):
+    """A result table's row columns, for tests that corrupt a row."""
+    return (
+        result_set._docs,
+        result_set._trels,
+        result_set._sim,
+        result_set._flags,
+    )
+
+
 def test_size_check_flags_overfull_and_out_of_order_results():
     engine, monitor, instrumented = make_setup(with_oracle=False)
     instrumented.subscribe(DasQuery(0, ["w"]))
     feed(instrumented, 8)
-    entries = engine._result_sets[0].entries
-    assert len(entries) == engine.config.k
-    entries.append(entries[0])  # overfull AND breaks stream order
+    result_set = engine._result_sets[0]
+    assert result_set.size == engine.config.k
+    # Copy the oldest row to the back: overfull AND breaks stream order.
+    for column in _columns(result_set):
+        column.append(column[0])
     monitor.check_all()
     names = [v.name for v in monitor.violations]
     assert names.count("size") == 2
@@ -88,7 +101,8 @@ def test_oracle_check_flags_a_dropped_result():
     feed(instrumented, 8)
     monitor.check_all()
     assert monitor.violations == []
-    engine._result_sets[0].entries.pop()  # silently lose a delivery
+    for column in _columns(engine._result_sets[0]):
+        column.pop()  # silently lose a delivery
     monitor.check_oracle()
     assert [v.name for v in monitor.violations] == ["oracle"]
 
@@ -120,7 +134,7 @@ def test_lemma1_check_flags_a_forged_replacement():
     feed(instrumented, 6)
     result_set = engine._result_sets[0]
     assert result_set.is_full
-    newest = result_set.entries[-1].document
+    newest = result_set.documents()[-1]
     probe = Document.from_tokens(99, ["w"], 50.0)
     monitor.before_publish(probe)
     # Forge an eviction of the *newest* entry: Lemma 1 only ever evicts
@@ -140,7 +154,7 @@ def test_sim_acc_check_flags_a_double_counted_promotion():
     assert result_set.is_full and monitor.violations == []
     # The row behind the oldest carries similarity mass promotion will
     # add again (what trusting a per-entry checkpoint total would do).
-    result_set.entries[1].sim_acc += 0.25
+    result_set._sim[1] += 0.25
     feed(instrumented, 6, start_id=6)
     assert monitor.checks["lemma1"] > 0
     assert any(
@@ -219,8 +233,8 @@ def test_warmup_check_flags_filtering_state_below_k():
     result_set._aw = AggregatedTermWeights()
     feed(instrumented, 1, start_id=1)
     result_set._aw = None
-    result_set.entries[1].aw_resident = True
-    probe = result_set.entries[1].document
+    result_set._flags[1] |= AW_RESIDENT
+    probe = result_set.documents()[1]
     monitor.after_publish(probe, [Notification(0, probe, None)])
     assert [v.name for v in monitor.violations] == ["warmup", "warmup"]
     assert "2 of 3 results" in monitor.violations[0].detail
@@ -232,7 +246,7 @@ def test_lemma1_check_flags_replacement_on_unfilled_query():
     feed(instrumented, 1)  # result set not full: no eviction possible
     probe = Document.from_tokens(99, ["w"], 50.0)
     monitor.before_publish(probe)
-    evicted = engine._result_sets[0].entries[0].document
+    evicted = engine._result_sets[0].documents()[0]
     monitor.after_publish(probe, [Notification(0, probe, evicted)])
     assert any(
         v.name == "lemma1" and "not full" in v.detail
