@@ -3,7 +3,8 @@
 Each block holds at most ``p_max`` query ids (ascending) and is augmented
 with the five components listed in Section 4.3:
 
-1. ``min_id`` / ``max_id`` of its postings;
+1. its id range, ``query_ids[0]`` to ``query_ids[-1]``: the engine
+   checks a document's blocks in the order of their first ids;
 2. ``DTRel_min(b)`` (Eq. 13) — minimum over members of the
    time-independent part of ``dr_q(q.d_e)``;
 3. ``TRel(q_m, q_m.d_e)`` (Eq. 14) — maximum oldest-document relevance;
@@ -65,14 +66,6 @@ class PostingsBlock:
         self.mcs_initial_count: int = 0
 
     # -- postings ------------------------------------------------------------
-
-    @property
-    def min_id(self) -> int:
-        return self.query_ids[0]
-
-    @property
-    def max_id(self) -> int:
-        return self.query_ids[-1]
 
     def __len__(self) -> int:
         return len(self.query_ids)

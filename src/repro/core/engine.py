@@ -12,13 +12,18 @@ BIRT (baseline)   yes         no                no
 IRT (baseline)    no          no                no
 ================  ==========  ================  ===============
 
-Document processing follows Algorithm 2: the ``(query id, term)``
-postings of the document's terms are sorted once, which is the
-document-at-a-time order (ids ascending, ties by term), and walked in
-runs between the block boundaries where the group filtering condition
-(Lemma 7) is checked and may skip the whole block; boundaries that the
-check backoff sits out are passed in one step.  Each query is evaluated
-at its first posting: a full result set first meets the quick relevance
+Document processing follows Algorithm 2 with the checks run first.  The
+blocks of the document's postings lists are walked once in the
+document-at-a-time order of their first posting (ids ascending, ties by
+term); at each boundary the check backoff either sits out or the group
+filtering condition (Lemma 7) is checked, with ``PS(d_n, t)`` of the
+block's own term as ``TRel̃_max``, and may skip the block.  A skipped
+block keeps only its warm-up members' postings, every other block all of
+them, and the kept ``(query id, term)`` postings are sorted once and
+walked as one run.  A query's result table changes only through its own
+evaluation, so a check made before any evaluation decides what it would
+at the query's posting.  Each query is evaluated at its first posting:
+a full result set first meets the quick relevance
 bound (Appendix A.1) with the reaching keyword's ``PS`` standing in for
 ``TRel`` (``PS ≥ TRel``), then with ``TRel`` itself, and only then the
 individual filtering condition (Definition 3), evaluated via aggregated
@@ -30,9 +35,8 @@ same decision spelled with the from-scratch reference forms.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import METHOD_CONFIGS, EngineConfig
 from repro.core.agg_weights import MemoryBudget
@@ -133,9 +137,10 @@ class DasEngine:
         )
         self._queries: Dict[int, DasQuery] = {}
         self._result_sets: Dict[int, QueryResultSet] = {}
-        #: query id -> [(term, block)] memberships.  Blocks are
-        #: append-only, so a query's block never changes after insertion;
-        #: caching avoids a per-update bisect + membership scan.
+        #: query id -> [(term, block)] memberships, as ``insert``
+        #: returned them: a query's block never changes after insertion,
+        #: so updates mark it and ``unsubscribe`` hands it back to
+        #: ``remove``.
         self._memberships: Dict[int, List[Tuple[str, object]]] = {}
         self._last_query_id: Optional[int] = None
         self._init_strategy = init_strategy
@@ -372,8 +377,7 @@ class DasEngine:
         for document in result_set._docs:
             self._store.unpin(document.doc_id)
         result_set.release_budget()
-        del self._memberships[query_id]
-        self._index.remove(query)
+        self._index.remove(query_id, self._memberships.pop(query_id))
 
     def _query_of(self, query_id: int) -> DasQuery:
         query = self._queries.get(query_id)
@@ -484,72 +488,38 @@ class DasEngine:
         ps_cache = {term: self._scorer.ps(vector, term) for term in lists}
         keywords = keyword_bounds(vector, ps_cache, self._config.alpha)
 
-        # Every (query id, term) posting, sorted: the document-at-a-time
-        # order, ties broken by term.  ``starts`` holds each block's first
-        # posting, the boundary where the group filter may be checked.
-        pairs: List[Tuple[int, str]] = []
-        starts = []
-        for term, postings in lists.items():
-            for block in postings.blocks:
-                query_ids = block.query_ids
-                pairs.extend(zip(query_ids, repeat(term)))
-                starts.append((query_ids[0], term, block))
-        pairs.sort()
+        # 1. Check: every block in the document-at-a-time order of its
+        # first posting (ids ascending, ties by term), where the group
+        # filter may be checked or the backoff sits the boundary out.
+        # 2. Keep: a skipped block's warm-up members, which the group
+        # bound does not cover, and every posting of every other block.
+        # 3. Sort: the kept ``(query id, term)`` postings in the same order.
         counters = self.counters
-        # Warm-up members of a skipped block, evaluated at its boundary.
-        early: Set[int] = set()
-        last = None
-        position = 0
-        if self._config.use_blocks:
+        use_blocks = self._config.use_blocks
+        starts = [
+            (block.query_ids[0], term, block)
+            for term, postings in lists.items()
+            for block in postings.blocks
+        ]
+        if use_blocks:
             starts.sort()
-            boundary = 0
-            while boundary < len(starts):
-                sitout = self._check_sitout
-                if sitout:
-                    # Backing off: no layer of the group filter runs for
-                    # the next ``sitout`` boundaries, whose blocks are
-                    # traversed member by member.
-                    passed = min(sitout, len(starts) - boundary)
-                    self._check_sitout = sitout - passed
-                    counters.group_checks_deferred += passed
-                    counters.blocks_visited += passed
-                    boundary += passed
-                    continue
-                first_id, term, block = starts[boundary]
-                boundary += 1
-                stop = bisect_left(pairs, (first_id, term), position)
-                last = self._evaluate_run(
-                    pairs[position:stop], last, early, document, ps_cache,
-                    keywords, now, notifications,
-                )
-                position = stop
-                # TRel̃_max (Eq. 18): the document terms with a posting
-                # left in this block's id range.
-                end = bisect_left(pairs, (block.max_id + 1,), position)
-                window = pairs[position:end]
-                active_ps = [ps_cache[t] for t in {t for _q, t in window}]
-                if not self._check_boundary(
-                    term, block, document, active_ps, now
+        pairs: List[Tuple[int, str]] = []
+        for _first_id, term, block in starts:
+            if use_blocks:
+                if self._check_sitout:
+                    self._check_sitout -= 1
+                    counters.group_checks_deferred += 1
+                elif self._check_boundary(
+                    term, block, document, ps_cache[term], now
                 ):
-                    counters.blocks_visited += 1
+                    pairs.extend(zip(block.unfilled_ids, repeat(term)))
                     continue
-                # The group bound covers the filled members only;
-                # warm-up members must still see the document.
-                for query_id in block.unfilled_ids:
-                    if query_id != last and query_id not in early:
-                        early.add(query_id)
-                        self._evaluate_query(
-                            query_id, term, document, ps_cache, now,
-                            notifications,
-                        )
-                pairs[position:end] = [
-                    pair for pair in window if pair[1] != term
-                ]
-        else:
-            counters.blocks_visited += len(starts)
+            counters.blocks_visited += 1
+            counters.postings_visited += len(block.query_ids)
+            pairs.extend(zip(block.query_ids, repeat(term)))
+        pairs.sort()
         self._evaluate_run(
-            pairs[position:], last, early, document, ps_cache, keywords,
-            now, notifications,
+            pairs, document, ps_cache, keywords, now, notifications
         )
         counters.sim_cache_hits += sim_cache.lookups - len(sim_cache)
         return notifications
@@ -557,17 +527,14 @@ class DasEngine:
     def _evaluate_run(
         self,
         run: List[Tuple[int, str]],
-        last: Optional[int],
-        early: Set[int],
         document: Document,
         ps_cache: Dict[str, float],
         keywords: Dict[str, Tuple[float, int]],
         now: float,
         notifications: List[Notification],
-    ) -> Optional[int]:
+    ) -> None:
         """Evaluate each query of a sorted run of postings at its first
-        posting, unless it was evaluated early; ``last`` is the id of the
-        posting before the run.  Returns the id of the run's last one.
+        posting.
 
         A full query is decided here, in :meth:`_evaluate_query`'s float
         expressions and order: ``dr_q(q.d_e)`` from its table's kept
@@ -576,7 +543,6 @@ class DasEngine:
         a warm-up admit and a survivor of both tiers call out.
         """
         counters = self.counters
-        counters.postings_visited += len(run)
         obs = self._obs
         result_sets = self._result_sets
         queries = self._queries
@@ -590,12 +556,11 @@ class DasEngine:
         norm = vector.norm
         evaluated = quick = 0
         entered = 0.0
+        last = None
         for query_id, term in run:
             if query_id == last:
                 continue
             last = query_id
-            if query_id in early:
-                continue
             evaluated += 1
             if obs is not None:
                 entered = obs.time()
@@ -636,20 +601,19 @@ class DasEngine:
                 obs.add("individual_filter", obs.time() - entered)
         counters.queries_evaluated += evaluated
         counters.quick_rejections += quick
-        return last
 
     def _check_boundary(
         self,
         term: str,
         block,
         document: Document,
-        active_ps: List[float],
+        ps: float,
         now: float,
     ) -> bool:
         """One engaged block-boundary check; moves the backoff by its yield."""
         obs = self._obs
         entered = obs.time() if obs is not None else 0.0
-        skip = self._try_skip_block(term, block, document, active_ps, now)
+        skip = self._try_skip_block(term, block, document, ps, now)
         if obs is not None:
             obs.add("group_filter", obs.time() - entered)
         if skip:
@@ -667,13 +631,13 @@ class DasEngine:
         term: str,
         block,
         document: Document,
-        active_ps: List[float],
+        ps: float,
         now: float,
     ) -> bool:
         """Group filtering condition for one block (Lemma 7); a dirty
-        block's summaries are refreshed first (Section 7.1).
-        ``active_ps`` are the ``PS`` of the document terms that can still
-        reach the block's queries (Eq. 18)."""
+        block's summaries are refreshed first (Section 7.1).  ``ps`` is
+        ``PS(d_n, term)``: every member holds ``term``, so it bounds each
+        member's ``TRel`` (Eq. 18)."""
         self.counters.group_checks += 1
         if block.meta_dirty:
             block.refresh_metadata(self._result_sets)
@@ -684,7 +648,7 @@ class DasEngine:
         if threshold == _NEG_INF:
             # No filled member: nothing any upper bound could stay under.
             return False
-        trel_upper = block_trel_upper_bound(active_ps)
+        trel_upper = block_trel_upper_bound((ps,))
         sim_lower = 0.0
         if self._config.use_group_filter:
             if block.needs_mcs_rebuild(self._config.delta_s):
@@ -718,7 +682,8 @@ class DasEngine:
         """Individual filtering steps (Section 6.2) for one query, reached
         through the posting of its keyword ``term``.
 
-        The reference form of :meth:`_evaluate_run`'s per-query decision:
+        The reference form of :meth:`_evaluate_run`'s per-query decision,
+        which the publish path does not call (tests compare against it):
         ``dr_q(q.d_e)``, the keyword floor and both quick bounds come from
         :meth:`QueryResultSet.dr_oldest`,
         :meth:`QueryResultSet.similarity_floor` and

@@ -90,11 +90,12 @@ def block_threshold_lower_bound(
 def block_trel_upper_bound(active_ps_values: Sequence[float]) -> float:
     """``TRel̃_max(b, d_n)`` (Eq. 18, Lemma 4).
 
-    ``active_ps_values`` are the ``PS(d_n, w_i)`` of the document terms
-    whose postings cursor has not yet passed the block.  Because every
-    ``PS`` is at most 1, the product over a query's keywords cannot
-    exceed any single factor, hence the maximum single factor bounds the
-    block's best text relevance.
+    ``active_ps_values`` are ``PS(d_n, w)`` of document terms ``w`` that
+    every member of the block holds; the engine passes one, that of the
+    block's own term.  ``TRel(q, d_n)`` is a float product of ``PS``
+    values at most 1, one of them ``PS(d_n, w)`` for each such ``w``, so
+    it cannot exceed any of them — a bound never looser than Eq. 18's
+    maximum over the terms that can still reach the block.
     """
     return max(active_ps_values) if active_ps_values else 0.0
 

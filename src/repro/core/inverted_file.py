@@ -2,16 +2,15 @@
 
 One postings list per term; each list is a sequence of
 :class:`~repro.core.blocks.PostingsBlock` objects whose id ranges are
-disjoint and ascending, so the block containing a query id is found by
-bisection over a flat ``max_id`` array maintained incrementally (the
-previous implementation rebuilt that array on every lookup).  With
+disjoint and ascending.  Nothing looks a block up by id: a query's
+``(term, block)`` memberships are the list :meth:`QueryInvertedFile.insert`
+returns, and :meth:`QueryInvertedFile.remove` takes them back.  With
 ``block_size = None`` the file degrades to a plain (unblocked) inverted
 file — the structure used by the IRT baseline.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.blocks import PostingsBlock
@@ -21,14 +20,11 @@ from repro.core.query import DasQuery
 class PostingsList:
     """All blocks of one term."""
 
-    __slots__ = ("term", "blocks", "_max_ids")
+    __slots__ = ("term", "blocks")
 
     def __init__(self, term: str) -> None:
         self.term = term
         self.blocks: List[PostingsBlock] = []
-        #: ``blocks[i].max_id`` mirror kept in lockstep for O(log B)
-        #: ``find_block`` without a per-call list rebuild.
-        self._max_ids: List[int] = []
 
     def append(self, query_id: int, block_size: Optional[int]) -> PostingsBlock:
         """Append a posting, opening a new block when the last one is full."""
@@ -36,30 +32,9 @@ class PostingsList:
             block_size is not None and len(self.blocks[-1]) >= block_size
         ):
             self.blocks.append(PostingsBlock())
-            self._max_ids.append(query_id)
         block = self.blocks[-1]
         block.append(query_id)
-        self._max_ids[-1] = query_id
         return block
-
-    def find_block(self, query_id: int) -> Optional[PostingsBlock]:
-        """Block whose id range contains ``query_id`` (None if absent)."""
-        index = bisect_left(self._max_ids, query_id)
-        if index >= len(self.blocks):
-            return None
-        block = self.blocks[index]
-        return block if query_id in block.query_ids else None
-
-    def remove(self, query_id: int) -> bool:
-        i = bisect_left(self._max_ids, query_id)
-        if i >= len(self.blocks) or not self.blocks[i].remove(query_id):
-            return False
-        if self.blocks[i].query_ids:
-            self._max_ids[i] = self.blocks[i].max_id
-        else:
-            del self.blocks[i]
-            del self._max_ids[i]
-        return True
 
     @property
     def posting_count(self) -> int:
@@ -105,32 +80,25 @@ class QueryInvertedFile:
             touched.append((term, block))
         return touched
 
-    def remove(self, query: DasQuery) -> None:
-        for term in query.terms:
-            postings = self._lists.get(term)
-            if postings is None:
+    def remove(
+        self, query_id: int, touched: List[Tuple[str, PostingsBlock]]
+    ) -> None:
+        """Drop a query from the ``(term, block)`` list :meth:`insert`
+        returned for it, and the blocks and lists that become empty."""
+        for term, block in touched:
+            if not block.remove(query_id):
                 continue
-            before = len(postings.blocks)
-            if postings.remove(query.query_id):
-                self._postings_total -= 1
-                self._blocks_total -= before - len(postings.blocks)
+            self._postings_total -= 1
+            if block.query_ids:
+                continue
+            postings = self._lists[term]
+            postings.blocks.remove(block)
+            self._blocks_total -= 1
             if not postings.blocks:
                 del self._lists[term]
 
     def list_for(self, term: str) -> Optional[PostingsList]:
         return self._lists.get(term)
-
-    def blocks_for_query(
-        self, query: DasQuery
-    ) -> Iterator[Tuple[str, PostingsBlock]]:
-        """The (term, block) memberships of a query — one per keyword."""
-        for term in query.terms:
-            postings = self._lists.get(term)
-            if postings is None:
-                continue
-            block = postings.find_block(query.query_id)
-            if block is not None:
-                yield term, block
 
     # -- accounting (Figure 8) --------------------------------------------------
 

@@ -29,7 +29,7 @@ def test_block_append_keeps_order():
     block = PostingsBlock()
     block.append(1)
     block.append(5)
-    assert block.min_id == 1 and block.max_id == 5
+    assert block.query_ids == [1, 5]
     assert len(block) == 2
     with pytest.raises(ValueError):
         block.append(3)
@@ -146,59 +146,6 @@ def test_postings_list_unbounded_single_block():
     assert len(plist) == 1
 
 
-def test_find_block():
-    plist = PostingsList("w")
-    for qid in (0, 2, 4, 6, 8, 10):
-        plist.append(qid, block_size=2)
-    block = plist.find_block(4)
-    assert block is not None and 4 in block.query_ids
-    assert plist.find_block(5) is None
-    assert plist.find_block(99) is None
-
-
-def test_postings_list_remove_drops_empty_blocks():
-    plist = PostingsList("w")
-    for qid in (1, 2, 3):
-        plist.append(qid, block_size=1)
-    assert plist.remove(2)
-    assert len(plist) == 2
-    assert not plist.remove(2)
-
-
-def test_postings_list_remove_bisects_a_many_block_list():
-    plist = PostingsList("w")
-    ids = list(range(0, 400, 2))  # 200 even ids, 50 blocks of 4
-    for qid in ids:
-        plist.append(qid, block_size=4)
-    assert len(plist) == 50
-
-    def in_lockstep():
-        return plist._max_ids == [block.max_id for block in plist.blocks]
-
-    # Absent ids: inside a block's range, between blocks, beyond the end.
-    for absent in (1, 7, 399, 400, 10_000, -5):
-        assert not plist.remove(absent)
-    assert plist.posting_count == 200 and in_lockstep()
-    # First, middle and last id of the list; each block's max id moves.
-    for qid in (0, 198, 398):
-        assert plist.remove(qid)
-        assert plist.find_block(qid) is None
-        assert not plist.remove(qid)
-        assert in_lockstep()
-    assert plist._max_ids[-1] == 396 and len(plist) == 50
-    # Emptying a block in the middle drops it — and only it.
-    middle = plist.find_block(200)
-    for qid in list(middle.query_ids):
-        assert plist.remove(qid)
-    assert len(plist) == 49 and middle not in plist.blocks
-    assert in_lockstep()
-    assert plist.posting_count == 200 - 3 - 4
-    # Every survivor is still found, by the same bisection.
-    survivors = [q for block in plist for q in block.query_ids]
-    assert survivors == sorted(survivors)
-    assert all(plist.find_block(qid) is not None for qid in survivors)
-
-
 # -- QueryInvertedFile ----------------------------------------------------------------
 
 
@@ -213,22 +160,72 @@ def test_insert_returns_touched_blocks():
 def test_insert_and_find():
     index = QueryInvertedFile(block_size=2)
     for qid in range(4):
-        index.insert(DasQuery(qid, ["x"]))
-    found = list(index.blocks_for_query(DasQuery(3, ["x"])))
-    assert len(found) == 1
-    term, block = found[0]
-    assert term == "x" and 3 in block.query_ids
+        touched = index.insert(DasQuery(qid, ["x"]))
+    assert len(touched) == 1
+    term, block = touched[0]
+    assert term == "x" and block.query_ids == [2, 3]
+    assert block is index.list_for("x").blocks[-1]
     assert index.block_count == 2
 
 
 def test_remove_query():
     index = QueryInvertedFile(block_size=4)
     q = DasQuery(0, ["a", "b"])
-    index.insert(q)
-    index.remove(q)
+    touched = index.insert(q)
+    index.remove(q.query_id, touched)
     assert index.term_count == 0
     assert index.posting_count == 0
-    index.remove(q)  # idempotent
+    assert index.block_count == 0
+    index.remove(q.query_id, touched)  # idempotent
+    assert index.posting_count == 0 and index.block_count == 0
+
+
+def test_postings_list_remove_drops_empty_blocks():
+    index = QueryInvertedFile(block_size=1)
+    touched = {qid: index.insert(DasQuery(qid, ["w"])) for qid in (1, 2, 3)}
+    index.remove(2, touched[2])
+    assert [block.query_ids for block in index.list_for("w")] == [[1], [3]]
+    assert index.block_count == 2 and index.posting_count == 2
+    index.remove(2, touched[2])
+    assert index.block_count == 2 and index.posting_count == 2
+
+
+def test_remove_from_a_many_block_list():
+    index = QueryInvertedFile(block_size=4)
+    ids = list(range(0, 400, 2))  # 200 even ids, 50 blocks of 4
+    touched = {
+        qid: index.insert(DasQuery(qid, ["w", f"own{qid}"])) for qid in ids
+    }
+    w_block = {qid: dict(touched[qid])["w"] for qid in ids}
+    plist = index.list_for("w")
+    assert len(plist) == 50
+
+    def totals_agree():
+        blocks = [block for _term, block in index.items()]
+        return (
+            index.block_count == len(blocks)
+            and index.posting_count == sum(len(b) for b in blocks)
+        )
+
+    # First, middle and last id of the list: each one's block shrinks and
+    # stays; its own one-posting list goes.
+    for qid in (0, 198, 398):
+        block = w_block[qid]
+        index.remove(qid, touched[qid])
+        assert qid not in block.query_ids and block in plist.blocks
+        assert index.list_for(f"own{qid}") is None
+        assert totals_agree()
+    assert len(plist) == 50
+    assert index.posting_count == 2 * (200 - 3)
+    # Emptying a block in the middle drops it — and only it.
+    middle = w_block[200]
+    for qid in list(middle.query_ids):
+        index.remove(qid, touched[qid])
+    assert len(plist) == 49 and middle not in plist.blocks
+    assert totals_agree()
+    assert plist.posting_count == 200 - 3 - 4
+    survivors = [q for block in plist for q in block.query_ids]
+    assert survivors == sorted(survivors)
 
 
 def test_invalid_block_size():

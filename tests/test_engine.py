@@ -583,7 +583,7 @@ _CHURN = st.lists(
 )
 
 
-@pytest.mark.parametrize("block_size", (2, 16))
+@pytest.mark.parametrize("block_size", (1, 2, 16))
 @pytest.mark.parametrize("k", (1, 2, 6))
 @settings(max_examples=15, deadline=None)
 @given(actions=_CHURN)
@@ -591,11 +591,12 @@ def test_backoff_changes_no_decision_under_churn(k, block_size, actions):
     """Which boundaries get a group check is free to choose: under
     subscribe/unsubscribe churn, with members still warming up, GIFilter
     (checks backed off and re-engaged by their yield) emits per document
-    the same changes as IFilter and the brute-force oracle, and ends on
-    the same results."""
+    the same changes as IFilter, BIRT, IRT and the brute-force oracle,
+    and ends on the same results."""
     engines = [
-        DasEngine.for_method("GIFilter", k=k, block_size=block_size),
-        DasEngine.for_method("IFilter", k=k, block_size=block_size),
+        DasEngine.for_method(method, k=k, block_size=block_size)
+        for method in ("GIFilter", "IFilter", "BIRT", "IRT")
+    ] + [
         NaiveEngine(EngineConfig(k=k, use_blocks=False,
                                  use_group_filter=False,
                                  use_agg_weights=False)),
@@ -607,7 +608,7 @@ def test_backoff_changes_no_decision_under_churn(k, block_size, actions):
             document = doc(next_doc, payload)
             next_doc += 1
             emitted = [_changes(e.publish(document)) for e in engines]
-            assert emitted[0] == emitted[1] == emitted[2], document.doc_id
+            assert all(e == emitted[-1] for e in emitted), document.doc_id
         elif kind == "sub":
             for engine in engines:
                 engine.subscribe(DasQuery(next_query, sorted(payload)))
@@ -621,7 +622,40 @@ def test_backoff_changes_no_decision_under_churn(k, block_size, actions):
         {q: [d.doc_id for d in engine.results(q)] for q in live}
         for engine in engines
     ]
-    assert final[0] == final[1] == final[2]
+    assert all(f == final[-1] for f in final)
+
+
+def test_block_term_ps_is_the_trel_upper_bound():
+    """``TRel̃_max`` of a block is ``PS(d_n, t)`` of its own term ``t``,
+    which every member holds.  Query 1, on ``kappa`` alone, lies inside
+    the ``alpha`` block's id range (queries 0 and 2, strong results), and
+    the document is mostly ``kappa``: Eq. 18's maximum over the terms
+    still to come in that range would take the high ``PS(kappa)`` and
+    keep the block, the block term's low ``PS(alpha)`` skips it.  The
+    changes equal the brute-force oracle's."""
+    engines = [
+        DasEngine.for_method(
+            "GIFilter", k=2, block_size=4, alpha=0.9, decay_base=1.002
+        ),
+        NaiveEngine(EngineConfig(k=2, alpha=0.9, decay_base=1.002,
+                                 use_blocks=False, use_group_filter=False,
+                                 use_agg_weights=False)),
+    ]
+    emitted = []
+    for engine in engines:
+        for i in range(30):
+            engine.publish(doc(i, ["zeta"] * 32))
+        engine.publish(doc(30, ["alpha"] * 10 + ["beta"] * 2))
+        engine.publish(doc(31, ["alpha"] * 10 + ["gamma"] * 2))
+        for query_id, term in enumerate(("alpha", "kappa", "alpha")):
+            engine.subscribe(DasQuery(query_id, [term]))
+        emitted.append(_changes(engine.publish(
+            doc(32, ["alpha"] + ["kappa"] * 20 + ["zeta"] * 11)
+        )))
+    # Query 1's block holds a warm-up member only, so it cannot be the
+    # skipped one.
+    assert engines[0].counters.blocks_skipped == 1
+    assert emitted[0] == emitted[1] == [(1, 32, None)]
 
 
 def _paying_stream():

@@ -118,18 +118,16 @@ def test_lemma2_threshold_lower_bound(scenario):
 @settings(max_examples=80, deadline=None)
 @given(block_scenario())
 def test_lemma4_trel_upper_bound(scenario):
+    """``TRel̃_max`` from the block's own term: every member holds ``w``,
+    so its ``TRel`` is at most ``PS(d_n, w)`` — as floats, no slack."""
     pool, queries, new_doc, alpha, now = scenario
     stats = CollectionStatistics()
     for document in pool + [new_doc]:
         stats.add(document.vector)
     scorer = LanguageModelScorer(stats, 0.5)
-    # All of the new document's terms are "active" in this scenario.
-    ps_values = [
-        scorer.ps(new_doc.vector, term) for term in new_doc.vector.terms()
-    ]
-    upper = block_trel_upper_bound(ps_values)
+    upper = block_trel_upper_bound((scorer.ps(new_doc.vector, "w"),))
     for qid, terms in queries:
-        assert scorer.trel(terms, new_doc.vector) <= upper + 1e-12
+        assert scorer.trel(terms, new_doc.vector) <= upper
 
 
 @settings(max_examples=80, deadline=None)
@@ -167,10 +165,8 @@ def test_lemma7_strict_skip_never_drops_a_result(scenario):
     if block.has_unfilled:
         return
     threshold = block_threshold_lower_bound(block, decay, now, alpha)
-    ps_values = [
-        scorer.ps(new_doc.vector, term) for term in new_doc.vector.terms()
-    ]
-    trel_upper = block_trel_upper_bound(ps_values)
+    # The engine's TRel̃_max: the PS of the term every member holds.
+    trel_upper = block_trel_upper_bound((scorer.ps(new_doc.vector, "w"),))
     sim_lower = block_similarity_lower_bound(block, new_doc.vector)
     if group_filters_out(trel_upper, sim_lower, threshold, alpha, K):
         terms_by_qid = dict(queries)

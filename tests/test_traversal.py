@@ -20,27 +20,16 @@ def doc(i, tokens, t=None):
     return Document.from_tokens(i, tokens, float(i) if t is None else t)
 
 
-# -- the heap merge as a reference traversal ---------------------------------
+# -- a checks-first reference traversal ---------------------------------------
 
 
-def _cursor_active_ps(block, cursors, lists, ps_cache):
-    """TRel̃_max's active terms read off the cursors: every term whose
-    cursor has not passed ``block`` yet."""
-    active = []
-    for term, (block_index, offset) in cursors.items():
-        blocks = lists[term].blocks
-        if (
-            block_index < len(blocks)
-            and blocks[block_index].query_ids[offset] <= block.max_id
-        ):
-            active.append(ps_cache[term])
-    return active
-
-
-class HeapEngine(DasEngine):
-    """Algorithm 2 as a k-way heap merge of one postings cursor per term,
-    popping one posting at a time.  The engine's sorted traversal must
-    evaluate, check and skip exactly as this does."""
+class ChecksFirstEngine(DasEngine):
+    """Algorithm 2 with the checks first, spelled out: every block is
+    checked (or sat out) in the order of its first posting, then the
+    surviving postings of all terms are merged and walked one at a time,
+    each query decided by :meth:`DasEngine._evaluate_query` at its first
+    posting.  The engine's one sorted run must evaluate, check and skip
+    exactly as this does."""
 
     def _publish_core(self, document, lists_memo):
         sim_cache = self._sim_cache
@@ -52,10 +41,6 @@ class HeapEngine(DasEngine):
         self.counters.docs_published += 1
         notifications = []
         vector = document.vector
-        if not vector:
-            return notifications
-        now = self._clock.now
-        ps_cache = {term: self._scorer.ps(vector, term) for term in vector.terms()}
         lists = {}
         for term in vector.terms():
             postings = self._index.list_for(term)
@@ -63,57 +48,35 @@ class HeapEngine(DasEngine):
                 lists[term] = postings
         if not lists:
             return notifications
-        cursors = {term: (0, 0) for term in lists}
-        evaluated = set()
-        heap = [
-            (postings.blocks[0].query_ids[0], term)
+        now = self._clock.now
+        ps_cache = {term: self._scorer.ps(vector, term) for term in lists}
+        use_blocks = self._config.use_blocks
+        # (query id, term, counted) per surviving posting, one list per
+        # term; a skipped block's warm-up postings are not counted.
+        walked = {term: [] for term in lists}
+        starts = sorted(
+            (block.query_ids[0], term, block)
             for term, postings in lists.items()
-        ]
-        heapq.heapify(heap)
-        while heap:
-            _query_id, term = heapq.heappop(heap)
-            block_index, offset = cursors[term]
-            blocks = lists[term].blocks
-            block = blocks[block_index]
-            skipped = False
-            if offset == 0 and self._config.use_blocks:
-                if self._check_sitout:
-                    self._check_sitout -= 1
-                    self.counters.group_checks_deferred += 1
-                else:
-                    skipped = self._check_boundary(
-                        term, block, document,
-                        _cursor_active_ps(block, cursors, lists, ps_cache),
-                        now,
-                    )
-                if skipped:
-                    for query_id in block.unfilled_ids:
-                        if query_id not in evaluated:
-                            evaluated.add(query_id)
-                            self._evaluate_query(
-                                query_id, term, document, ps_cache, now,
-                                notifications,
-                            )
-                    block_index += 1
-                    offset = 0
-            if not skipped:
-                if offset == 0:
-                    self.counters.blocks_visited += 1
-                query_id = block.query_ids[offset]
-                self.counters.postings_visited += 1
-                if query_id not in evaluated:
-                    evaluated.add(query_id)
-                    self._evaluate_query(
-                        query_id, term, document, ps_cache, now, notifications
-                    )
-                offset += 1
-                if offset >= len(block.query_ids):
-                    block_index += 1
-                    offset = 0
-            cursors[term] = (block_index, offset)
-            if block_index < len(blocks):
-                heapq.heappush(
-                    heap, (blocks[block_index].query_ids[offset], term)
+            for block in postings.blocks
+        )
+        for _first_id, term, block in starts:
+            if use_blocks and self._check_sitout:
+                self._check_sitout -= 1
+                self.counters.group_checks_deferred += 1
+            elif use_blocks and self._check_boundary(
+                term, block, document, ps_cache[term], now
+            ):
+                walked[term] += [(q, term, 0) for q in block.unfilled_ids]
+                continue
+            self.counters.blocks_visited += 1
+            walked[term] += [(q, term, 1) for q in block.query_ids]
+        evaluated = set()
+        for query_id, term, counted in heapq.merge(*walked.values()):
+            self.counters.postings_visited += counted
+            if query_id not in evaluated:
+                evaluated.add(query_id)
+                self._evaluate_query(
+                    query_id, term, document, ps_cache, now, notifications
                 )
         self.counters.sim_cache_hits += sim_cache.lookups - len(sim_cache)
         return notifications
@@ -129,7 +92,7 @@ def _log(notifications):
 
 
 def _assert_same_traversal(method, k, block_size, actions, **overrides):
-    """Drive ``actions`` through the engine and the heap reference.
+    """Drive ``actions`` through the engine and the checks-first reference.
 
     A publish is ``("pub", (tokens, schedule))``; a non-None ``schedule``
     is the ``(_check_backoff, _check_sitout)`` pair both engines are
@@ -139,7 +102,7 @@ def _assert_same_traversal(method, k, block_size, actions, **overrides):
         overrides["block_size"] = block_size
     engines = [
         DasEngine.for_method(method, k=k, **overrides),
-        HeapEngine.for_method(method, k=k, **overrides),
+        ChecksFirstEngine.for_method(method, k=k, **overrides),
     ]
     live = []
     next_query = next_doc = 0
@@ -153,6 +116,8 @@ def _assert_same_traversal(method, k, block_size, actions, **overrides):
                     engine._check_backoff, engine._check_sitout = schedule
             emitted = [_log(engine.publish(document)) for engine in engines]
             assert emitted[0] == emitted[1], document.doc_id
+            ids = [query_id for query_id, _doc, _replaced in emitted[0]]
+            assert ids == sorted(ids), document.doc_id
             counters = [engine.counters.as_dict() for engine in engines]
             assert counters[0] == counters[1], document.doc_id
             backoff = [
@@ -210,9 +175,9 @@ _CHURN = st.lists(
 @given(k=st.sampled_from((1, 2, 6)), actions=_CHURN)
 def test_sorted_traversal_is_the_heap_merge(method, block_size, k, actions):
     """Under subscribe/unsubscribe churn and forced check schedules, the
-    sorted traversal emits the heap merge's notifications in the same
-    order, meters the same counters and leaves the same backoff state
-    after every publish."""
+    one sorted run emits the checks-first reference's notifications in
+    the same order (ascending query id), meters the same counters and
+    leaves the same backoff state after every publish."""
     _assert_same_traversal(method, k, block_size, actions)
 
 
@@ -253,6 +218,28 @@ def test_sorted_traversal_is_the_heap_merge_where_checks_skip(seed):
     assert counters.group_checks_deferred > 0
 
 
+def test_skip_with_a_warm_up_member_notifies_in_query_id_order():
+    """A skipped block's warm-up member admits the document in its id's
+    turn: query 2 (warm-up, in the skipped ``alpha`` block with the
+    filled query 0) is notified after query 1 (warm-up, ``beta``), not at
+    the block's boundary ahead of it."""
+    engine = DasEngine.for_method(
+        "GIFilter", k=2, block_size=4, alpha=0.9, decay_base=1.002,
+        init_scan_limit=0,
+    )
+    for i in range(30):
+        engine.publish(doc(i, ["zeta"] * 32))
+    engine.subscribe(DasQuery(0, ["alpha"]))
+    engine.publish(doc(30, ["alpha"] * 10 + ["beta"] * 2))
+    engine.publish(doc(31, ["alpha"] * 10 + ["gamma"] * 2))
+    engine.subscribe(DasQuery(1, ["beta"]))
+    engine.subscribe(DasQuery(2, ["alpha"]))
+    before = engine.counters.blocks_skipped
+    notes = engine.publish(doc(32, ["alpha", "beta"] + ["zeta"] * 30))
+    assert engine.counters.blocks_skipped == before + 1
+    assert [n.query_id for n in notes] == [1, 2]
+
+
 _TIE_ACTIONS = [
     ("sub", {"mango", "zebra"}),
     ("pub", (["mango", "a"], None)),
@@ -262,8 +249,7 @@ _TIE_ACTIONS = [
 
 
 class _ReversedTerm(str):
-    """A term whose ``<`` (all that sorting and ``bisect`` use) is
-    reversed."""
+    """A term whose ``<`` (all that sorting uses) is reversed."""
 
     def __lt__(self, other):
         return str.__gt__(self, other)
