@@ -36,7 +36,6 @@ from repro.config import (
     irt_config,
 )
 from repro.core import DasEngine, DasQuery, Notification
-from repro.pubsub import Mailbox, PublishSubscribeService, Subscription
 from repro.errors import (
     ConfigurationError,
     DocumentOrderError,
@@ -82,19 +81,16 @@ __all__ = [
     "InProcessClient",
     "IrtEngine",
     "LanguageModelScorer",
-    "Mailbox",
     "MsIncEngine",
     "NaiveEngine",
     "NdjsonTcpClient",
     "NdjsonTcpServer",
     "Notification",
     "ProtocolError",
-    "PublishSubscribeService",
     "SLOW_CONSUMER_POLICIES",
     "ServerClosedError",
     "ServerConfig",
     "ServerRuntime",
-    "Subscription",
     "QueryOrderError",
     "ReproError",
     "SimulationClock",

@@ -170,8 +170,8 @@ class EngineConfig:
 #:     Apply backpressure: the matcher waits for queue space, so no
 #:     notification is ever lost (at the cost of head-of-line blocking).
 #: ``drop_oldest``
-#:     Evict the oldest queued message; newest updates win (mirrors
-#:     :class:`repro.pubsub.subscriber.Mailbox`).
+#:     Evict the oldest queued message; newest updates win, and the
+#:     session counts what it dropped.
 #: ``coalesce``
 #:     Keep only the latest result-set snapshot per query; intermediate
 #:     updates collapse while the consumer lags.
@@ -222,8 +222,8 @@ class ServerConfig:
 
     # --- Deterministic-simulation hooks (see repro.simulation) ---
     #: Wall-clock stand-in for default publish timestamps.  ``None``
-    #: uses ``time.time``; the simulation harness passes a
-    #: :class:`~repro.simulation.clock.SimulatedClock` so accepted
+    #: uses ``time.time``; the simulation harness passes the ``now`` of
+    #: a :class:`~repro.stream.clock.SimulationClock` so accepted
     #: timestamps are a pure function of the op schedule.
     time_source: Optional[Callable[[], float]] = None
     #: Fault-injection hook (:class:`repro.simulation.faults.FaultInjector`

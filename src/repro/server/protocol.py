@@ -44,6 +44,7 @@ snapshot) and ``{"op": "closed"}`` (the session ended).
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional
 
 import repro.errors as errors
@@ -180,6 +181,14 @@ def raise_for_reply(reply: Dict[str, Any]) -> Dict[str, Any]:
 # -- request validation (client -> server) --------------------------------
 
 
+def _is_finite_number(value: Any) -> bool:
+    """A finite JSON number; ``json.loads`` also yields NaN and ±inf, and
+    ``true`` / ``false`` are ints to Python."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _validate_location(location: Any, op: str) -> None:
     """Shape check for strategy-mode locations: an (x, y) number pair.
 
@@ -191,10 +200,7 @@ def _validate_location(location: Any, op: str) -> None:
     if (
         not isinstance(location, (list, tuple))
         or len(location) != 2
-        or any(
-            not isinstance(value, (int, float)) or isinstance(value, bool)
-            for value in location
-        )
+        or not all(_is_finite_number(value) for value in location)
     ):
         raise ProtocolError(
             f"{op} 'location' must be a pair of numbers [x, y]"
@@ -239,8 +245,8 @@ def parse_request(payload: Any) -> Dict[str, Any]:
         if tokens is not None and not isinstance(tokens, (list, tuple)):
             raise ProtocolError("'tokens' must be a list of terms")
         created_at = payload.get("created_at")
-        if created_at is not None and not isinstance(created_at, (int, float)):
-            raise ProtocolError("'created_at' must be a number")
+        if created_at is not None and not _is_finite_number(created_at):
+            raise ProtocolError("'created_at' must be a finite number")
     if op == "resume":
         subscriber = payload.get("subscriber")
         if not isinstance(subscriber, str) or not subscriber:

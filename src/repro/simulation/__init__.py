@@ -2,12 +2,12 @@
 
 Wraps the serving runtime (:mod:`repro.server`) and the DAS engine in a
 seeded simulation: reproducible async interleavings via the runtime's
-one-thread matcher + :class:`SimulatedClock` as ``time_source``, fault
-injection via the :class:`FaultPlan` DSL, and per-op auditing of the
-paper's invariants via :class:`InvariantMonitor`.  See DESIGN.md §9.
+one-thread matcher + a :class:`~repro.stream.clock.SimulationClock` as
+``time_source``, fault injection via the :class:`FaultPlan` DSL, and
+per-op auditing of the paper's invariants via :class:`InvariantMonitor`.
+See DESIGN.md §9.
 """
 
-from repro.simulation.clock import SimulatedClock
 from repro.simulation.faults import (
     FaultInjector,
     FaultPlan,
@@ -40,7 +40,6 @@ __all__ = [
     "InvariantMonitor",
     "InvariantViolation",
     "RAISING_ACTIONS",
-    "SimulatedClock",
     "SimulationHarness",
     "default_engine_config",
     "generate_random_plan",

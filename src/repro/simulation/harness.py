@@ -7,8 +7,9 @@ engine config, fault plan)``:
   consume) is pre-generated from ``random.Random(seed)``;
 * the runtime is the production one — its matcher runs on the event
   loop, so asyncio's deterministic ready-queue ordering is the only
-  scheduler — with a :class:`~repro.simulation.clock.SimulatedClock` as
-  ``time_source``, so no wall-clock value can leak into accepted state;
+  scheduler — with a :class:`~repro.stream.clock.SimulationClock`'s
+  ``now`` as ``time_source``, so no wall-clock value can leak into
+  accepted state;
 * the engine's arithmetic is plain Python floats, so floating-point
   evaluation order is identical across hosts.
 
@@ -39,9 +40,9 @@ from repro.persistence.checkpoint import (
 )
 from repro.server.runtime import ServerRuntime
 from repro.server.sessions import SubscriberSession
-from repro.simulation.clock import SimulatedClock
 from repro.simulation.faults import FaultInjector, FaultPlan
 from repro.simulation.invariants import InstrumentedEngine, InvariantMonitor
+from repro.stream.clock import SimulationClock
 from repro.telemetry import CountingClock, Telemetry
 
 #: Keyword universe of generated schedules (small, so queries overlap and
@@ -206,11 +207,11 @@ class SimulationHarness:
     async def _start_runtime(
         self,
         instrumented: InstrumentedEngine,
-        clock: SimulatedClock,
+        clock: SimulationClock,
         injector: Optional[FaultInjector],
     ) -> Tuple[ServerRuntime, List[SubscriberSession]]:
         config = ServerConfig(
-            time_source=clock,
+            time_source=lambda: clock.now,
             fault_injector=injector,
             ingest_capacity=64,
             max_batch_size=8,
@@ -230,7 +231,7 @@ class SimulationHarness:
         schedule = generate_schedule(
             random.Random(self.seed), self.n_ops, self.engine_config.mode
         )
-        clock = SimulatedClock()
+        clock = SimulationClock(1000.0)
         injector = self.plan.injector() if self.plan is not None else None
         engine = DasEngine(
             self.engine_config, telemetry=self._make_telemetry()
@@ -259,7 +260,7 @@ class SimulationHarness:
             ):
                 snapshot = {
                     "payload": take_checkpoint(engine),
-                    "clock": clock.snapshot(),
+                    "clock": clock.now,
                     "active": [list(pair) for pair in active],
                     "errors": [list(record) for record in errors],
                     "consumed": list(consumed),
@@ -286,7 +287,7 @@ class SimulationHarness:
                 engine.attach_telemetry(self._make_telemetry())
                 monitor.rebind(engine)
                 instrumented = InstrumentedEngine(engine, monitor, injector)
-                clock.restore(snapshot["clock"])
+                clock = SimulationClock(snapshot["clock"])
                 if injector is not None and snapshot["injector"] is not None:
                     injector.restore(snapshot["injector"])
                 active = [tuple(pair) for pair in snapshot["active"]]
@@ -303,7 +304,7 @@ class SimulationHarness:
                 continue
 
             monitor.op_index = index
-            clock.tick()
+            clock.advance(1.0)
             for actor in list(stall_until):
                 if index >= stall_until[actor]:
                     await sessions[actor].set_stalled(False)

@@ -1,21 +1,11 @@
-"""Stream substrate: documents, clock, store, sources."""
+"""Stream substrate: documents, clock, store."""
 
 from repro.stream.clock import SimulationClock
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
-from repro.stream.source import (
-    DocumentSource,
-    FileSource,
-    TextSource,
-    TokenListSource,
-)
 
 __all__ = [
     "Document",
-    "DocumentSource",
     "DocumentStore",
-    "FileSource",
     "SimulationClock",
-    "TextSource",
-    "TokenListSource",
 ]

@@ -48,10 +48,12 @@ class DocumentStore:
             raise DocumentOrderError(
                 f"document id {doc_id} is not after previous id {self._last_id}"
             )
-        if document.created_at < self._last_time:
+        # Written so that NaN fails it too: once stored, a NaN time would
+        # pass every later comparison.
+        if not document.created_at >= self._last_time:
             raise DocumentOrderError(
-                f"document {doc_id} created_at {document.created_at} precedes "
-                f"previous timestamp {self._last_time}"
+                f"document {doc_id} created_at {document.created_at} is not "
+                f"at or after previous timestamp {self._last_time}"
             )
         self._docs[doc_id] = document
         self._last_id = doc_id

@@ -1,25 +1,14 @@
-"""Workloads: synthetic corpus, query sets, arrival schedules."""
+"""Workloads: synthetic corpus, query sets, storm shapes."""
 
 from repro.workloads.corpus import SyntheticTweetCorpus, zipf_weights
 from repro.workloads.queries import lqd_queries, sqd_queries
-from repro.workloads.schedule import (
-    Event,
-    EventKind,
-    interleave,
-    split_into_intervals,
-)
-from repro.workloads.storms import churn_storm, flash_crowd, storm_suite
+from repro.workloads.storms import churn_storm, flash_crowd
 
 __all__ = [
-    "Event",
-    "EventKind",
     "SyntheticTweetCorpus",
     "churn_storm",
     "flash_crowd",
-    "interleave",
     "lqd_queries",
-    "split_into_intervals",
     "sqd_queries",
-    "storm_suite",
     "zipf_weights",
 ]

@@ -28,7 +28,7 @@ Generation is fully deterministic given the corpus seed and ``salt``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.workloads.corpus import SyntheticTweetCorpus
 
@@ -147,17 +147,3 @@ def churn_storm(
             )
             ops.append(op)
     return ops
-
-
-def storm_suite(
-    corpus: Optional[SyntheticTweetCorpus] = None, salt: int = 0
-) -> Dict[str, List[Dict[str, Any]]]:
-    """The canonical four storms, keyed ``<kind>_<mode>`` — one workload
-    per strategy mode per storm shape, for differential sweeps."""
-    corpus = corpus if corpus is not None else SyntheticTweetCorpus(seed=11)
-    return {
-        "flash_window": flash_crowd(corpus, mode="window", salt=salt),
-        "flash_spatial": flash_crowd(corpus, mode="spatial", salt=salt),
-        "churn_window": churn_storm(corpus, mode="window", salt=salt),
-        "churn_spatial": churn_storm(corpus, mode="spatial", salt=salt),
-    }

@@ -53,26 +53,6 @@ def test_main_run_micro(capsys):
     assert "Figure 15" in out
 
 
-def test_file_source(tmp_path):
-    from repro.stream import FileSource
-
-    path = tmp_path / "tweets.txt"
-    path.write_text(
-        "Great coffee downtown!\n"
-        "\n"
-        "a 1 2\n"  # tokenises to nothing -> skipped
-        "Storm warning tonight\n"
-    )
-    docs = FileSource(str(path), interval=2.0).take(10)
-    assert len(docs) == 2
-    assert docs[0].vector.frequency("coffee") == 1
-    assert docs[1].doc_id == 1
-    assert docs[1].created_at == 2.0
-    assert docs[0].text == "Great coffee downtown!"
-    with pytest.raises(ValueError):
-        FileSource(str(path), interval=-1.0)
-
-
 # -- serve command (ISSUE 2) --------------------------------------------------
 
 

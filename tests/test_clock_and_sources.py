@@ -1,11 +1,10 @@
-"""Tests for the simulation clock and document sources."""
+"""Tests for the simulation clock and documents."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.stream.clock import SimulationClock
-from repro.stream.source import TextSource, TokenListSource
 
 
 def test_clock_starts_at_zero():
@@ -30,37 +29,6 @@ def test_clock_advance_to():
     clock.advance_to(7.5)  # same time allowed
     with pytest.raises(ValueError):
         clock.advance_to(7.0)
-
-
-def test_token_list_source_assigns_ids_and_times():
-    source = TokenListSource(
-        [["a"], ["b"], ["c"]], start_time=100.0, interval=2.0, first_id=10
-    )
-    docs = source.take(3)
-    assert [d.doc_id for d in docs] == [10, 11, 12]
-    assert [d.created_at for d in docs] == [100.0, 102.0, 104.0]
-    assert docs[1].vector.frequency("b") == 1
-
-
-def test_source_take_stops_early():
-    source = TokenListSource([["a"], ["b"], ["c"]])
-    assert len(source.take(2)) == 2
-    assert len(TokenListSource([["a"]]).take(5)) == 1
-
-
-def test_text_source_tokenises():
-    source = TextSource(["Hot Coffee now!", "tea time"], interval=1.0)
-    docs = source.take(2)
-    assert docs[0].vector.frequency("coffee") == 1
-    assert docs[0].text == "Hot Coffee now!"
-    assert docs[1].doc_id == 1
-
-
-def test_source_rejects_negative_interval():
-    with pytest.raises(ValueError):
-        TokenListSource([], interval=-1.0)
-    with pytest.raises(ValueError):
-        TextSource([], interval=-0.5)
 
 
 def test_document_ordering_and_equality():

@@ -41,6 +41,9 @@ def test_rejects_time_regression():
     store.add(Document.from_tokens(0, ["a"], 10.0))
     with pytest.raises(DocumentOrderError):
         store.add(Document.from_tokens(1, ["b"], 5.0))
+    with pytest.raises(DocumentOrderError):
+        store.add(Document.from_tokens(1, ["b"], float("nan")))
+    store.add(Document.from_tokens(1, ["b"], 10.0))
 
 
 def test_duplicate_id_error_is_order_error_subtype_or_distinct():

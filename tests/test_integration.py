@@ -11,22 +11,24 @@ from repro import (
     SyntheticTweetCorpus,
 )
 from repro.scoring.diversity import dr_score
-from repro.workloads import interleave, lqd_queries
+from repro.workloads import lqd_queries
 
 
 def test_full_pipeline_with_interleaved_arrivals():
-    """Corpus -> schedule -> engine -> notifications -> results."""
+    """Corpus -> arrivals -> engine -> notifications -> results.
+
+    Two documents arrive per second and one query every two seconds, so
+    query ``j`` subscribes right after document ``4j`` is published.
+    """
     corpus = SyntheticTweetCorpus(vocab_size=300, n_topics=10, seed=42)
-    docs = corpus.documents(200)
+    docs = corpus.documents(200, interval=0.5)
     queries = lqd_queries(corpus, 30, first_id=0)
-    events = interleave(docs, queries, doc_rate=2.0, query_rate=0.5)
     engine = DasEngine.for_method("GIFilter", k=5, block_size=8)
     notifications = 0
-    for event in events:
-        if event.kind.value == "document":
-            notifications += len(engine.publish(event.document))
-        else:
-            engine.subscribe(event.query)
+    for index, document in enumerate(docs):
+        notifications += len(engine.publish(document))
+        if index % 4 == 0 and index // 4 < len(queries):
+            engine.subscribe(queries[index // 4])
     assert engine.query_count == 30
     assert notifications > 0
     # every result is well-formed: matches the query, unique, sorted

@@ -67,6 +67,12 @@ def test_decode_line_rejects_garbage():
         {"op": "publish"},
         {"op": "publish", "tokens": "coffee"},
         {"op": "publish", "tokens": ["a"], "created_at": "now"},
+        {"op": "publish", "tokens": ["a"], "created_at": float("nan")},
+        {"op": "publish", "tokens": ["a"], "created_at": float("inf")},
+        {"op": "publish", "tokens": ["a"], "created_at": float("-inf")},
+        {"op": "publish", "tokens": ["a"], "created_at": True},
+        {"op": "publish", "tokens": ["a"], "location": [float("nan"), 0.5]},
+        {"op": "subscribe", "keywords": ["a"], "location": [0.5, float("inf")]},
     ],
 )
 def test_parse_request_rejects_malformed(request_payload):

@@ -11,11 +11,8 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
 from repro.experiments.cli import main as cli_main
 from repro.simulation import (
-    SimulatedClock,
     SimulationHarness,
     generate_random_plan,
     generate_schedule,
@@ -26,24 +23,6 @@ import random
 
 def report_bytes(**kwargs) -> str:
     return json.dumps(SimulationHarness(**kwargs).run(), sort_keys=True)
-
-
-def test_simulated_clock_is_a_pure_counter():
-    clock = SimulatedClock(start=10.0, step=0.5)
-    assert clock() == 10.0
-    assert clock.now == 10.0
-    clock.tick()
-    clock.tick(3)
-    assert clock() == 12.0
-    clock.advance_to(20.0)
-    assert clock.now == 20.0
-    with pytest.raises(ValueError):
-        clock.advance_to(5.0)  # monotone: never moves backwards
-    assert clock.now == 20.0
-    state = clock.snapshot()
-    clock.tick(4)
-    clock.restore(state)
-    assert clock.now == 20.0
 
 
 def test_schedule_is_a_pure_function_of_the_seed():

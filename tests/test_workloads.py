@@ -1,4 +1,4 @@
-"""Tests for the synthetic corpus, query generators and schedules."""
+"""Tests for the synthetic corpus and query generators."""
 
 from __future__ import annotations
 
@@ -6,16 +6,8 @@ import random
 
 import pytest
 
-from repro.core.query import DasQuery
-from repro.stream.document import Document
 from repro.workloads.corpus import SyntheticTweetCorpus, zipf_weights
 from repro.workloads.queries import lqd_queries, sqd_queries
-from repro.workloads.schedule import (
-    Event,
-    EventKind,
-    interleave,
-    split_into_intervals,
-)
 
 
 def test_zipf_weights_decreasing():
@@ -111,48 +103,3 @@ def test_query_generation_validation():
         lqd_queries(corpus, 5, min_terms=3, max_terms=2)
     with pytest.raises(ValueError):
         sqd_queries([], 5)
-
-
-def test_interleave_orders_by_time():
-    docs = [Document.from_tokens(i, ["x"], float(i)) for i in range(4)]
-    queries = [DasQuery(i, ["x"]) for i in range(2)]
-    events = interleave(docs, queries, doc_rate=1.0, query_rate=0.5)
-    times = [e.time for e in events]
-    assert times == sorted(times)
-    # documents are re-stamped to their scheduled arrival times
-    doc_events = [e for e in events if e.kind is EventKind.DOCUMENT]
-    assert [e.document.created_at for e in doc_events] == [0.0, 1.0, 2.0, 3.0]
-    # tie at t=0 broken in favour of the document
-    assert events[0].kind is EventKind.DOCUMENT
-
-
-def test_interleave_rate_validation():
-    docs = [Document.from_tokens(0, ["x"], 0.0)]
-    with pytest.raises(ValueError):
-        interleave(docs, [], doc_rate=0.0)
-    with pytest.raises(ValueError):
-        interleave([], [DasQuery(0, ["x"])], query_rate=0.0)
-
-
-def test_split_into_intervals():
-    docs = [Document.from_tokens(i, ["x"], float(i)) for i in range(10)]
-    events = interleave(docs, [], doc_rate=1.0)
-    buckets = split_into_intervals(events, 5)
-    assert len(buckets) == 5
-    assert sum(len(b) for b in buckets) == 10
-    assert all(len(b) == 2 for b in buckets)
-
-
-def test_split_empty_events():
-    assert split_into_intervals([], 3) == [[], [], []]
-    with pytest.raises(ValueError):
-        split_into_intervals([], 0)
-
-
-def test_event_payload_accessors():
-    document = Document.from_tokens(0, ["x"], 0.0)
-    query = DasQuery(0, ["x"])
-    doc_event = Event(0.0, EventKind.DOCUMENT, document)
-    query_event = Event(0.0, EventKind.QUERY, query)
-    assert doc_event.document is document
-    assert query_event.query is query
