@@ -107,14 +107,17 @@ def notification_payload(
     notification: Notification,
     offset: Optional[int] = None,
     document: Optional[Dict[str, Any]] = None,
+    replaced: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One result-set change; ``offset`` is the event-log offset of the
     publish that produced it (present only when the log is enabled).
 
-    ``document`` is the already-built :func:`document_payload` of
-    ``notification.document``, for callers fanning one publish out to
-    many queries; it is shared, not copied."""
-    replaced = notification.replaced
+    ``document`` / ``replaced`` are the already-built
+    :func:`document_payload` of ``notification.document`` /
+    ``notification.replaced``, for callers fanning one publish out to
+    many queries; they are shared, not copied."""
+    if replaced is None and notification.replaced is not None:
+        replaced = document_payload(notification.replaced)
     payload = {
         "op": "notify",
         "query_id": notification.query_id,
@@ -123,9 +126,7 @@ def notification_payload(
             if document is not None
             else document_payload(notification.document)
         ),
-        "replaced": (
-            document_payload(replaced) if replaced is not None else None
-        ),
+        "replaced": replaced,
     }
     if offset is not None:
         payload["offset"] = int(offset)
@@ -274,9 +275,60 @@ def parse_request(payload: Any) -> Dict[str, Any]:
 # -- NDJSON framing -------------------------------------------------------
 
 
-def encode_line(payload: Dict[str, Any]) -> bytes:
-    """One message as a ``\\n``-terminated UTF-8 JSON line."""
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+#: The one JSON encoder every frame goes through (what ``json.dumps``
+#: builds per call for these separators).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Key orders of a ``notify`` frame built by :func:`notification_payload`,
+#: without and with the event-log offset.
+_NOTIFY_KEYS = ("op", "query_id", "document", "replaced")
+_NOTIFY_KEYS_OFFSET = _NOTIFY_KEYS + ("offset",)
+
+
+def _encode_scalar(value: Any) -> str:
+    """``_encode(value)``; an ``int`` without building an encoder."""
+    return int.__repr__(value) if type(value) is int else _encode(value)
+
+
+def _memo_encode(value: Any, memo: Dict[int, str]) -> str:
+    """``_encode(value)``, once per object per memo."""
+    text = memo.get(id(value))
+    if text is None:
+        text = memo[id(value)] = _encode(value)
+    return text
+
+
+def encode_line(
+    payload: Dict[str, Any], memo: Optional[Dict[int, str]] = None
+) -> bytes:
+    """One message as a ``\\n``-terminated UTF-8 JSON line.
+
+    ``memo`` lets a writer that encodes several frames at once serialise
+    a document payload shared by several ``notify`` frames only once.
+    It maps ``id()`` of an already-encoded object to its JSON, so it
+    must not outlive the payloads it was filled from: only a live
+    object's id is unique.  A ``notify`` frame with exactly
+    :func:`notification_payload`'s keys is composed from its parts;
+    every other frame is one ``json.dumps``.  The bytes are the same
+    either way.
+    """
+    if memo is not None and payload.get("op") == "notify":
+        keys = tuple(payload)
+        if keys == _NOTIFY_KEYS or keys == _NOTIFY_KEYS_OFFSET:
+            parts = [
+                '{"op":"notify","query_id":',
+                _encode_scalar(payload["query_id"]),
+                ',"document":',
+                _memo_encode(payload["document"], memo),
+                ',"replaced":',
+                _memo_encode(payload["replaced"], memo),
+            ]
+            if len(keys) == 5:
+                parts.append(',"offset":')
+                parts.append(_encode_scalar(payload["offset"]))
+            parts.append("}\n")
+            return "".join(parts).encode("utf-8")
+    return (_encode(payload) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:

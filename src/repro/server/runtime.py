@@ -1156,23 +1156,31 @@ class ServerRuntime:
         its outbox until acked — whether or not it is attached.
 
         ``payloads`` maps doc id -> document payload for the documents
-        the caller already serialised (it is filled in for the rest), so
-        a document is serialised once per batch however many queries it
-        reaches; each notification's payload is likewise built once and
-        the one dict shared by the outbox and the session queue —
-        neither mutates it.
+        the caller already serialised (it is filled in for the rest,
+        evicted documents included), so a document is serialised once
+        per batch however many queries it reaches or leaves, and a
+        connection that writes several of its notifications at once
+        encodes it once per write.  Each notification's payload is
+        likewise built once and the one dict shared by the outbox and
+        the session queue — neither mutates it.
         """
         touched: Dict[int, List[int]] = {}
 
-        def build(notification: Notification, offset: Optional[int]):
-            doc_id = notification.document.doc_id
-            document = payloads.get(doc_id)
-            if document is None:
-                document = payloads[doc_id] = document_payload(
-                    notification.document
+        def shared(document: Document) -> Dict[str, Any]:
+            payload = payloads.get(document.doc_id)
+            if payload is None:
+                payload = payloads[document.doc_id] = document_payload(
+                    document
                 )
+            return payload
+
+        def build(notification: Notification, offset: Optional[int]):
+            replaced = notification.replaced
             return notification_payload(
-                notification, offset=offset, document=document
+                notification,
+                offset=offset,
+                document=shared(notification.document),
+                replaced=shared(replaced) if replaced is not None else None,
             )
 
         for notification in notifications:

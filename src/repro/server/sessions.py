@@ -3,7 +3,8 @@
 A :class:`SubscriberSession` is the server side of one subscriber
 connection (TCP or in-process): it owns the subscriber's query ids and a
 bounded outbound queue of protocol messages.  The matcher task *offers*
-messages; the transport *pulls* them with :meth:`next_message`.
+messages; the transport *pulls* them with :meth:`next_messages` — every
+queued message in one call, so a TCP connection writes them at once.
 
 The queue bound is where slow consumers meet the matcher, and the
 session's policy decides what gives (see
@@ -80,6 +81,9 @@ class SubscriberSession:
         # -- exact accounting ------------------------------------------
         self.enqueued = 0
         self.delivered = 0
+        #: Pulls that took queued messages: ``delivered / pulls`` is the
+        #: transport's frames per write.
+        self.pulls = 0
         self.dropped = 0
         self.coalesced = 0
 
@@ -134,29 +138,43 @@ class SubscriberSession:
 
     # -- transport side ---------------------------------------------------
 
-    async def next_message(self) -> Optional[Dict[str, Any]]:
-        """Pull the next message, waiting while the queue is empty.
+    async def next_messages(
+        self, limit: Optional[int] = None
+    ) -> List[Dict[str, Any]]:
+        """Pull every queued message (at most ``limit``), waiting while
+        the queue is empty.
 
         After the session closes, remaining queued messages are still
-        delivered, followed by one ``{"op": "closed"}`` message, then
-        ``None`` forever.
+        delivered, followed by one ``[{"op": "closed"}]`` pull, then
+        ``[]`` forever.
         """
         async with self._cond:
             while not self.closed and (self.stalled or not self._items):
                 await self._cond.wait()
-            if self._items:
-                entry = self._items.popleft()
-                if entry[_QUERY] is not None:
-                    pending = self._pending.get(entry[_QUERY])
-                    if pending is entry:
-                        del self._pending[entry[_QUERY]]
-                self.delivered += 1
+            items = self._items
+            if items:
+                count = len(items) if limit is None else min(limit, len(items))
+                pending = self._pending
+                messages = []
+                for _ in range(count):
+                    entry = items.popleft()
+                    if pending and pending.get(entry[_QUERY]) is entry:
+                        del pending[entry[_QUERY]]
+                    messages.append(entry[_PAYLOAD])
+                self.delivered += count
+                self.pulls += 1
                 self._cond.notify_all()
-                return entry[_PAYLOAD]
+                return messages
             if not self._close_delivered:
                 self._close_delivered = True
-                return closed_payload(self.close_reason or "closed")
-            return None
+                return [closed_payload(self.close_reason or "closed")]
+            return []
+
+    async def next_message(self) -> Optional[Dict[str, Any]]:
+        """Pull one message: :meth:`next_messages` with a limit of one,
+        ``None`` where that returns ``[]``."""
+        messages = await self.next_messages(1)
+        return messages[0] if messages else None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -207,6 +225,7 @@ class SubscriberSession:
             "queries": len(self.queries),
             "enqueued": self.enqueued,
             "delivered": self.delivered,
+            "pulls": self.pulls,
             "dropped": self.dropped,
             "coalesced": self.coalesced,
             "closed": self.closed,

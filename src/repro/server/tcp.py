@@ -99,30 +99,43 @@ class NdjsonTcpServer:
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        payload: Dict[str, Any],
+        payloads: List[Dict[str, Any]],
     ) -> bool:
-        """Write one NDJSON frame; False ends the caller's loop.
+        """Write NDJSON frames with one ``write`` and one ``drain``;
+        False ends the caller's loop.
 
-        The ``tcp.write`` injection point simulates a connection lost
-        mid-frame: a ``torn`` fault flushes only half the frame before
-        closing, any other injected fault closes without writing.
+        The frames share one :func:`encode_line` memo, so a document
+        payload several of them carry is serialised once.  Each frame is
+        still encoded by its own ``encode_line`` call made from here:
+        the benchmark tracer attributes those calls to the server by
+        this function's name.
+
+        The ``tcp.write`` injection point fires once per frame and
+        simulates a connection lost mid-frame: the frames before the
+        faulting one are written, a ``torn`` fault adds half of its
+        frame, and the transport closes.
         """
-        data = encode_line(payload)
+        memo: Dict[int, str] = {}
         injector = self._runtime.config.fault_injector
-        if injector is not None:
-            try:
-                injector.fire("tcp.write")
-            except InjectedFaultError as exc:
-                async with write_lock:
-                    with _suppress_all():
-                        if getattr(exc, "action", "") == "torn":
-                            writer.write(data[: len(data) // 2])
+        frames = []
+        for payload in payloads:
+            data = encode_line(payload, memo)
+            if injector is not None:
+                try:
+                    injector.fire("tcp.write")
+                except InjectedFaultError as exc:
+                    if getattr(exc, "action", "") == "torn":
+                        frames.append(data[: len(data) // 2])
+                    async with write_lock:
+                        with _suppress_all():
+                            writer.write(b"".join(frames))
                             await writer.drain()
-                        writer.close()
-                return False
+                            writer.close()
+                    return False
+            frames.append(data)
         try:
             async with write_lock:
-                writer.write(data)
+                writer.write(b"".join(frames))
                 await writer.drain()
         except (ConnectionError, OSError, RuntimeError):
             # A peer that vanished mid-frame surfaces as ConnectionError,
@@ -245,7 +258,7 @@ class NdjsonTcpServer:
             except Exception as exc:
                 reply = error_reply(exc, pending.reply_to)
             if connected and not await self._write_frame(
-                writer, write_lock, reply
+                writer, write_lock, [reply]
             ):
                 connected = False
                 with _suppress_all():
@@ -257,7 +270,8 @@ class NdjsonTcpServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
-        """Forward session pushes to the socket until the session ends.
+        """Forward session pushes to the socket until the session ends:
+        each wake-up pulls every queued message and writes them at once.
 
         On exit the transport is closed: when a push write fails on a
         half-closed socket, the reader side of the connection may still
@@ -269,10 +283,10 @@ class NdjsonTcpServer:
         """
         try:
             while True:
-                message = await session.next_message()
-                if message is None:
+                messages = await session.next_messages()
+                if not messages:
                     break
-                if not await self._write_frame(writer, write_lock, message):
+                if not await self._write_frame(writer, write_lock, messages):
                     break
         finally:
             with _suppress_all():

@@ -457,6 +457,55 @@ def test_torn_reply_frame_mid_burst_ends_the_connection():
     assert state == "running"
 
 
+def test_torn_push_frame_mid_pull_ends_the_connection():
+    from repro.simulation import FaultPlan
+
+    async def scenario():
+        # Frame 1 is the subscribe reply; the session's one pull then
+        # carries five notifications, and the third of them (frame 4)
+        # is torn.
+        runtime, server, host, port = await start_stack(
+            fault_injector=FaultPlan.parse("tcp.write@4:torn").injector()
+        )
+        reader, writer = await open_raw(host, port)
+        await send_burst(writer, [{"op": "subscribe", "id": 0,
+                                  "keywords": ["coffee"]}])
+        replies, _pushes = await read_replies(reader, 1)
+        (session,) = runtime._sessions.values()
+        await session.set_stalled(True)
+        for index in range(5):
+            await runtime.publish(
+                tokens=["coffee", f"u{index}"], created_at=float(index + 1)
+            )
+        queued = session.depth
+        await session.set_stalled(False)
+        pushes = [
+            decode_line(await asyncio.wait_for(reader.readline(), 5.0))
+            for _ in range(2)
+        ]
+        torn = await asyncio.wait_for(reader.read(), 5.0)
+        writer.close()
+        # The connection is gone, its session retired, the server fine.
+        await wait_until(lambda: runtime.stats()["sessions"] == [])
+        client = await NdjsonTcpClient.connect(host, port)
+        ack = await client.publish(tokens=["tea"], created_at=9.0)
+        state = (await client.stats())["state"]
+        await client.close()
+        await server.stop()
+        await runtime.stop()
+        return replies, queued, session, pushes, torn, ack, state
+
+    replies, queued, session, pushes, torn, ack, state = run(scenario())
+    assert replies[0]["ok"] and queued == 5
+    assert (session.delivered, session.pulls) == (5, 1)
+    assert [push["document"]["doc_id"] for push in pushes] == [0, 1]
+    # Half of the third notification, then EOF — never a whole frame.
+    assert torn and not torn.endswith(b"\n")
+    assert b'"op":"notify"' in torn
+    assert ack["doc_id"] == 5
+    assert state == "running"
+
+
 def test_throttled_connection_keeps_order_and_stalls_in_submit():
     async def scenario():
         runtime, server, host, port = await start_stack(
