@@ -193,39 +193,3 @@ def verify_cover(
     for document in cover:
         covered |= coverage.get(document.doc_id, set())
     return covered >= all_queries
-
-
-def make_universe_for_benchmark(
-    n_queries: int,
-    n_documents: int,
-    seed: int = 0,
-    coverage_probability: float = 0.25,
-) -> Tuple[BlockUniverse, List[int]]:
-    """Synthetic universe for benchmarking :func:`greedy_mcs_gen`.
-
-    Each document covers every query independently with
-    ``coverage_probability``, plus one guaranteed "hub" document covering
-    everything so at least one cover always exists.
-    """
-    import random
-
-    from repro.text.vectors import TermVector
-
-    rng = random.Random(seed)
-    query_ids = list(range(n_queries))
-    universe = BlockUniverse("w")
-    for doc_id in range(n_documents):
-        holders = {
-            query_id
-            for query_id in query_ids
-            if rng.random() < coverage_probability
-        }
-        if doc_id == 0:
-            holders = set(query_ids)
-        if not holders:
-            continue
-        universe.documents[doc_id] = Document(
-            doc_id, TermVector({"w": 1}), float(doc_id)
-        )
-        universe.coverage[doc_id] = holders
-    return universe, query_ids

@@ -140,10 +140,6 @@ class Strategy:
         store and ``_queries`` are already restored when this runs."""
         raise NotImplementedError
 
-    def referenced_doc_ids(self) -> Set[int]:
-        """Documents the strategy still needs (checkpoint retention)."""
-        raise NotImplementedError
-
     def check_invariants(self) -> List[str]:
         """Mode-specific invariant audit; returns violation descriptions.
 
@@ -456,9 +452,6 @@ class WindowStrategy(Strategy):
             self._states[query_id] = qstate
             self._index(query)
 
-    def referenced_doc_ids(self) -> Set[int]:
-        return {doc_id for _seq, doc_id in self._window}
-
     # -- invariants --------------------------------------------------------
 
     def check_invariants(self) -> List[str]:
@@ -755,12 +748,6 @@ class SpatialStrategy(Strategy):
                 engine.store.pin(int(doc_id))
             self._states[query_id] = qstate
             self._cells.setdefault(cell, []).append(query_id)
-
-    def referenced_doc_ids(self) -> Set[int]:
-        referenced: Set[int] = set()
-        for state in self._states.values():
-            referenced.update(state.result)
-        return referenced
 
     # -- invariants --------------------------------------------------------
 

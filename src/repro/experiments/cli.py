@@ -27,50 +27,7 @@ from repro.config import (
     METHOD_CONFIGS,
     SLOW_CONSUMER_POLICIES,
 )
-from repro.experiments import sweeps
-from repro.experiments.workload import WorkloadSpec
-
-
-def _single(fn):
-    return lambda spec: [fn(spec)]
-
-
-def _pair(fn):
-    return lambda spec: list(fn(spec))
-
-
-def _triple(fn):
-    return lambda spec: list(fn(spec))
-
-
-#: figure key -> (description, runner returning a list of result objects)
-FIGURES: Dict[str, tuple] = {
-    "fig4": ("doc processing & insertion over time (LQD)", _pair(sweeps.time_effect)),
-    "fig5": ("effect of # query keywords", _pair(sweeps.query_keywords)),
-    "fig6": ("effect of k", _single(sweeps.result_count)),
-    "fig7": ("scaling # queries (+ fig8 index size)", _triple(sweeps.query_scale)),
-    "tab6": ("user study proxies", lambda spec: [sweeps.user_study(spec)]),
-    "fig9": ("vs DisC / MSInc on SQD", _pair(sweeps.other_systems)),
-    "fig10": ("effect of block size", _single(sweeps.block_size)),
-    "fig11": ("effect of arrival rate", _pair(sweeps.arrival_rate)),
-    "fig12": ("effect of alpha", _single(sweeps.alpha_effect)),
-    "fig13": ("effect of decaying scale", _single(sweeps.decay_scale)),
-    "fig14": ("effect of Phi_max", _single(sweeps.phi_max)),
-    "fig15": ("effect of delta_s", _single(sweeps.delta_s)),
-    "fig16": ("effect of # document terms", _single(sweeps.doc_terms)),
-    "fig17": ("scalability on SQD", _single(sweeps.sqd_scale)),
-    "fig18": ("DisC window size", _single(sweeps.window_size)),
-    "abl-aw": ("ablation: aggregated weights", _single(sweeps.agg_weights_ablation)),
-    "abl-init": ("ablation: init strategy", _single(sweeps.init_strategy_ablation)),
-}
-
-SCALES: Dict[str, WorkloadSpec] = {
-    "micro": WorkloadSpec(
-        n_queries=300, n_history=500, n_settle=40, n_measure=50, k=10
-    ),
-    "tiny": sweeps.TINY,
-    "small": sweeps.SMALL,
-}
+from repro.experiments.sweeps import FIGURES, SCALES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,8 +434,9 @@ def run_dlq(args) -> int:
 
 def run_figures(
     keys: Sequence[str], scale: str, out_dir: str = None
-) -> List[str]:
-    """Run the requested figures; return the rendered tables."""
+) -> List[object]:
+    """Run the requested figures; print each table, write it to
+    ``out_dir/<figure>.txt`` when given, and return the result objects."""
     if "all" in keys:
         keys = list(FIGURES)
     unknown = [key for key in keys if key not in FIGURES]
@@ -488,28 +446,26 @@ def run_figures(
             f"(available: {', '.join(FIGURES)})"
         )
     spec = SCALES[scale]
-    rendered: List[str] = []
+    results: List[object] = []
     for key in keys:
         _description, runner = FIGURES[key]
         for result in runner(spec):
             table = result.format_table()
-            rendered.append(table)
+            results.append(result)
             print(table)
             print()
             if out_dir:
                 os.makedirs(out_dir, exist_ok=True)
-                name = getattr(result, "figure", key)
-                name = (
-                    str(name)
-                    .lower()
-                    .replace(" ", "")
-                    .replace("(", "_")
-                    .replace(")", "")
-                    or key
-                )
-                with open(os.path.join(out_dir, f"{name}.txt"), "w") as handle:
+                path = os.path.join(out_dir, record_name(result))
+                with open(path, "w") as handle:
                     handle.write(table + "\n")
-    return rendered
+    return results
+
+
+def record_name(result) -> str:
+    """File name of a result's table: ``Figure 7(a)`` -> ``figure7_a.txt``."""
+    name = result.figure.lower().replace(" ", "")
+    return name.replace("(", "_").replace(")", "") + ".txt"
 
 
 def main(argv: Sequence[str] = None) -> int:

@@ -68,11 +68,12 @@ class UserStudyResult:
     table: Dict[str, Dict[str, float]]
     raw: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
+    figure = "Table 6"
     ASPECTS = ("Relevance", "Recency", "Range of Int.", "Overall")
 
     def format_table(self) -> str:
         lines = [
-            "== Table 6: User Study (automatic proxies, 1-5 rescaled) ==",
+            f"== {self.figure}: User Study (automatic proxies, 1-5 rescaled) ==",
             f"{'Method':>18s} " + " ".join(f"{a:>14s}" for a in self.ASPECTS),
         ]
         for method, row in self.table.items():

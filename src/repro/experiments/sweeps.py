@@ -1,19 +1,25 @@
-"""Parameter sweeps reproducing every table and figure of Section 8.
+"""Every table and figure of Section 8, as one registry.
 
-Each function regenerates one figure/table at a configurable scale.  The
-``TINY`` spec keeps the whole suite runnable in minutes of pure Python;
-``SMALL`` is roughly 4x larger for overnight runs.  DESIGN.md §4 maps
-figures to these functions; EXPERIMENTS.md records measured shapes.
+``FIGURES`` maps a figure key (``repro run <key>``) to a description and
+a runner that returns the figure's result tables for a base spec from
+``SCALES``.  Ten figures vary one ``WorkloadSpec`` field over a list of
+values and compare methods at each value: each is one row of ``SWEEPS``,
+and ``_sweep`` runs any row.  Figures 4, 9, 11 and 18, Table 6 and the
+two ablations are not one-parameter sweeps and keep their own functions.
+DESIGN.md §4 maps figures to keys; EXPERIMENTS.md records measured
+shapes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.baselines.disc import tune_radius
 from repro.experiments.results import FigureResult, UserStudyResult
 from repro.experiments.runner import MethodRun, run_das_methods, run_method
-from repro.experiments.workload import DAS_METHODS, Workload, WorkloadSpec, build_workload
+from repro.experiments.workload import DAS_METHODS, WorkloadSpec, build_workload
 from repro.metrics.quality import (
     QualityReport,
     evaluate_result_set,
@@ -21,19 +27,26 @@ from repro.metrics.quality import (
     user_study_table,
 )
 
-#: Scaled-down default spec for the benchmark suite (pure Python).
-TINY = WorkloadSpec(
-    n_queries=1500, n_history=2000, n_settle=100, n_measure=100, k=20
-)
-#: A larger spec for longer runs.
-SMALL = WorkloadSpec(
-    n_queries=6000, n_history=6000, n_settle=300, n_measure=300, k=30
-)
-
-
-def _merge(into: Dict[str, Dict], fresh: Dict[str, Dict]) -> None:
-    for method, values in fresh.items():
-        into.setdefault(method, {}).update(values)
+#: Base specs by scale name.  ``micro`` keeps a whole figure to about a
+#: second (tests); ``tiny`` is the recorded scale (``benchmarks/out``);
+#: ``small`` is roughly 4x larger for longer runs.
+SCALES: Dict[str, WorkloadSpec] = {
+    "micro": WorkloadSpec(
+        n_queries=300,
+        n_history=300,
+        n_settle=40,
+        n_measure=50,
+        k=10,
+        vocab_size=3000,
+        n_topics=30,
+    ),
+    "tiny": WorkloadSpec(
+        n_queries=1500, n_history=2000, n_settle=100, n_measure=100, k=20
+    ),
+    "small": WorkloadSpec(
+        n_queries=6000, n_history=6000, n_settle=300, n_measure=300, k=30
+    ),
+}
 
 
 def _sims_per_doc(run: MethodRun) -> float:
@@ -47,93 +60,204 @@ def _evals_per_doc(run: MethodRun) -> float:
 def work_companions(
     figure: str,
     param_name: str,
-    values: Sequence,
     runs_by_value: Dict[object, Dict[str, MethodRun]],
 ) -> List[FigureResult]:
     """Deterministic work-counter tables attached to a wall-clock figure."""
-    sims: Dict[str, Dict[object, float]] = {}
-    evals: Dict[str, Dict[object, float]] = {}
-    skips: Dict[str, Dict[object, float]] = {}
-    for value, runs in runs_by_value.items():
-        _merge(sims, {m: {value: _sims_per_doc(r)} for m, r in runs.items()})
-        _merge(evals, {m: {value: _evals_per_doc(r)} for m, r in runs.items()})
-        _merge(
-            skips,
-            {
-                m: {value: 100.0 * r.blocks_skipped_ratio}
-                for m, r in runs.items()
-            },
-        )
+    tables = (
+        ("similarity evaluations per document", "sims/doc", _sims_per_doc),
+        ("queries evaluated per document", "evals/doc", _evals_per_doc),
+        (
+            "blocks skipped by group filtering",
+            "% of blocks",
+            lambda run: 100.0 * run.blocks_skipped_ratio,
+        ),
+    )
     return [
         FigureResult(
             figure=f"{figure} [work]",
-            title="similarity evaluations per document",
+            title=title,
             param_name=param_name,
-            param_values=list(values),
-            series=sims,
-            unit="sims/doc",
-        ),
-        FigureResult(
-            figure=f"{figure} [work]",
-            title="queries evaluated per document",
-            param_name=param_name,
-            param_values=list(values),
-            series=evals,
-            unit="evals/doc",
-        ),
-        FigureResult(
-            figure=f"{figure} [work]",
-            title="blocks skipped by group filtering",
-            param_name=param_name,
-            param_values=list(values),
-            series=skips,
-            unit="% of blocks",
-        ),
+            param_values=list(runs_by_value),
+            series=_series(runs_by_value, measure),
+            unit=unit,
+        )
+        for title, unit, measure in tables
     ]
 
 
-def _sweep(
-    base: WorkloadSpec,
-    param_name: str,
-    values: Sequence,
-    spec_for,
-    methods: Sequence[str] = DAS_METHODS,
-    measure=lambda run: run.doc_ms,
-    unit: str = "ms/doc",
-    figure: str = "",
-    title: str = "",
-    notes: str = "",
-) -> FigureResult:
-    """Generic sweep: rebuild the workload per value, run all methods."""
+def _series(
+    runs_by_value: Dict[object, Dict[str, MethodRun]],
+    measure: Callable[[MethodRun], float],
+) -> Dict[str, Dict[object, float]]:
+    """``{method: {value: measure(run)}}`` in method order."""
     series: Dict[str, Dict[object, float]] = {}
+    for value, runs in runs_by_value.items():
+        for method, run in runs.items():
+            series.setdefault(method, {})[value] = measure(run)
+    return series
+
+
+# -- One-parameter sweeps -------------------------------------------------------
+
+#: What a sweep table reports per (value, method): unit and reader.
+MEASURES: Dict[str, Tuple[str, Callable[[MethodRun], float]]] = {
+    "doc": ("ms/doc", lambda run: run.doc_ms),
+    "insert": ("ms/query", lambda run: run.insert_ms),
+    "index": (
+        "MB (approx)",
+        lambda run: (run.index_report or {}).get("approx_bytes", 0) / 1e6,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A figure family that varies one ``WorkloadSpec`` field.
+
+    Each value rebuilds the workload and runs every method once; each
+    entry of ``tables`` (figure id, title, ``MEASURES`` key) selects one
+    table from those runs, and the first also carries the ``[work]``
+    companions.
+    """
+
+    param: str
+    field: str
+    values: Tuple
+    tables: Tuple[Tuple[str, str, str], ...]
+    methods: Tuple[str, ...] = DAS_METHODS
+    #: Fixed overrides applied to the scale's spec before sweeping.
+    base: Tuple[Tuple[str, object], ...] = ()
+    #: Maps a tabled value to the field's value (identity by default).
+    field_value: Callable = lambda value: value
+
+
+SWEEPS: Dict[str, Sweep] = {
+    "fig5": Sweep(
+        param="max |q.psi|",
+        field="max_query_terms",
+        values=(1, 3, 5, 8),
+        tables=(
+            (
+                "Figure 5(a)",
+                "Effect of # query keywords on document processing",
+                "doc",
+            ),
+            (
+                "Figure 5(b)",
+                "Effect of # query keywords on query insertion",
+                "insert",
+            ),
+        ),
+    ),
+    "fig6": Sweep(
+        param="k",
+        field="k",
+        values=(5, 10, 20, 30),
+        tables=(("Figure 6", "Effect of # maintained results (k)", "doc"),),
+    ),
+    "fig7": Sweep(
+        param="# queries",
+        field="n_queries",
+        values=(500, 1000, 2000, 4000),
+        tables=(
+            ("Figure 7(a)", "Document processing vs # indexed queries", "doc"),
+            ("Figure 7(b)", "Query insertion vs # indexed queries", "insert"),
+            ("Figure 8", "Index size vs # indexed queries", "index"),
+        ),
+    ),
+    "fig10": Sweep(
+        param="p_max",
+        field="block_size",
+        values=(16, 64, 256, 1024),
+        tables=(
+            ("Figure 10", "Effect of block size (postings per block)", "doc"),
+        ),
+        methods=("BIRT", "IFilter", "GIFilter"),
+    ),
+    "fig12": Sweep(
+        param="alpha",
+        field="alpha",
+        values=(0.1, 0.3, 0.5, 0.7, 0.9),
+        tables=(("Figure 12", "Effect of alpha (relevance weight)", "doc"),),
+    ),
+    "fig13": Sweep(
+        param="decay scale",
+        field="decay_scale",
+        values=(0.1, 0.3, 0.5, 0.7, 0.9),
+        tables=(("Figure 13", "Effect of the decaying scale", "doc"),),
+    ),
+    "fig14": Sweep(
+        param="phi_max entries",
+        field="phi_max",
+        values=(2_000, 10_000, 50_000, -1),
+        tables=(
+            (
+                "Figure 14",
+                "Effect of Phi_max (AW summary budget; -1 = unlimited)",
+                "doc",
+            ),
+        ),
+        methods=("IFilter", "GIFilter"),
+    ),
+    "fig15": Sweep(
+        param="delta_s",
+        field="delta_s",
+        values=(0.1, 0.3, 0.5, 0.7, 0.9),
+        tables=(
+            ("Figure 15", "Effect of delta_s (MCS rebuild threshold)", "doc"),
+        ),
+        methods=("GIFilter",),
+    ),
+    "fig16": Sweep(
+        param="# doc terms",
+        field="doc_length",
+        values=(5, 10, 15, 20),
+        tables=(("Figure 16", "Effect of # distinct document terms", "doc"),),
+        field_value=lambda n: (max(2, n - 2), n + 2),
+    ),
+    "fig17": Sweep(
+        param="# queries",
+        field="n_queries",
+        values=(250, 500, 1000, 2000),
+        tables=(("Figure 17", "Scalability on SQD", "doc"),),
+        base=(("query_set", "sqd"),),
+    ),
+}
+
+
+def _sweep(sweep: Sweep, spec: WorkloadSpec) -> List[FigureResult]:
+    """Run every method at every value of ``sweep``; return its tables."""
+    base = spec.evolve(**dict(sweep.base))
     runs_by_value: Dict[object, Dict[str, MethodRun]] = {}
-    for value in values:
-        workload = build_workload(spec_for(base, value))
-        runs = run_das_methods(workload, methods)
-        runs_by_value[value] = runs
-        _merge(
-            series,
-            {method: {value: measure(run)} for method, run in runs.items()},
+    for value in sweep.values:
+        changes = {sweep.field: sweep.field_value(value)}
+        workload = build_workload(base.evolve(**changes))
+        runs_by_value[value] = run_das_methods(workload, sweep.methods)
+    results = []
+    for figure, title, measure in sweep.tables:
+        unit, read = MEASURES[measure]
+        results.append(
+            FigureResult(
+                figure=figure,
+                title=title,
+                param_name=sweep.param,
+                param_values=list(sweep.values),
+                series=_series(runs_by_value, read),
+                unit=unit,
+            )
         )
-    return FigureResult(
-        figure=figure,
-        title=title,
-        param_name=param_name,
-        param_values=list(values),
-        series=series,
-        unit=unit,
-        notes=notes,
-        companions=work_companions(figure, param_name, values, runs_by_value),
+    results[0].companions = work_companions(
+        results[0].figure, sweep.param, runs_by_value
     )
+    return results
 
 
 # -- Figure 4: time effect -----------------------------------------------------
 
 
-def time_effect(
-    spec: WorkloadSpec = TINY, n_intervals: int = 6
-) -> Tuple[FigureResult, FigureResult]:
+def time_effect(spec: WorkloadSpec) -> List[FigureResult]:
     """Figure 4(a, b): doc-processing and insertion cost over time."""
+    n_intervals = 6
     workload = build_workload(spec)
     runs = run_das_methods(workload, DAS_METHODS, n_intervals=n_intervals)
     intervals = list(range(1, n_intervals + 1))
@@ -156,7 +280,7 @@ def time_effect(
         param_values=intervals,
         series=doc_series,
         companions=work_companions(
-            "Figure 4(a)", "segment", ["measured"], {"measured": runs}
+            "Figure 4(a)", "segment", {"measured": runs}
         ),
     )
     fig_b = FigureResult(
@@ -168,139 +292,26 @@ def time_effect(
         unit="ms/query",
         notes="insertion cost is flat over time; reported per interval",
     )
-    return fig_a, fig_b
-
-
-# -- Figure 5: number of query keywords ---------------------------------------
-
-
-def query_keywords(
-    spec: WorkloadSpec = TINY, values: Sequence[int] = (1, 3, 5, 8)
-) -> Tuple[FigureResult, FigureResult]:
-    """Figure 5(a, b): effect of |q.ψ| on processing and insertion."""
-    doc_series: Dict[str, Dict[object, float]] = {}
-    insert_series: Dict[str, Dict[object, float]] = {}
-    runs_by_value: Dict[object, Dict[str, MethodRun]] = {}
-    for value in values:
-        workload = build_workload(
-            spec.evolve(min_query_terms=1, max_query_terms=value)
-        )
-        runs = run_das_methods(workload, DAS_METHODS)
-        runs_by_value[value] = runs
-        _merge(doc_series, {m: {value: r.doc_ms} for m, r in runs.items()})
-        _merge(insert_series, {m: {value: r.insert_ms} for m, r in runs.items()})
-    fig_a = FigureResult(
-        figure="Figure 5(a)",
-        title="Effect of # query keywords on document processing",
-        param_name="max |q.psi|",
-        param_values=list(values),
-        series=doc_series,
-        companions=work_companions(
-            "Figure 5(a)", "max |q.psi|", values, runs_by_value
-        ),
-    )
-    fig_b = FigureResult(
-        figure="Figure 5(b)",
-        title="Effect of # query keywords on query insertion",
-        param_name="max |q.psi|",
-        param_values=list(values),
-        series=insert_series,
-        unit="ms/query",
-    )
-    return fig_a, fig_b
-
-
-# -- Figure 6: number of maintained results ------------------------------------
-
-
-def result_count(
-    spec: WorkloadSpec = TINY, values: Sequence[int] = (5, 10, 20, 30)
-) -> FigureResult:
-    """Figure 6: effect of k on document processing."""
-    return _sweep(
-        spec,
-        "k",
-        values,
-        lambda base, k: base.evolve(k=k),
-        figure="Figure 6",
-        title="Effect of # maintained results (k)",
-    )
-
-
-# -- Figures 7-8: number of indexed queries ------------------------------------
-
-
-def query_scale(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[int] = (500, 1000, 2000, 4000),
-) -> Tuple[FigureResult, FigureResult, FigureResult]:
-    """Figures 7(a, b) and 8: scaling the number of indexed queries."""
-    doc_series: Dict[str, Dict[object, float]] = {}
-    insert_series: Dict[str, Dict[object, float]] = {}
-    size_series: Dict[str, Dict[object, float]] = {}
-    runs_by_value: Dict[object, Dict[str, MethodRun]] = {}
-    for value in values:
-        workload = build_workload(spec.evolve(n_queries=value))
-        runs = run_das_methods(workload, DAS_METHODS)
-        runs_by_value[value] = runs
-        _merge(doc_series, {m: {value: r.doc_ms} for m, r in runs.items()})
-        _merge(insert_series, {m: {value: r.insert_ms} for m, r in runs.items()})
-        _merge(
-            size_series,
-            {
-                m: {value: (r.index_report or {}).get("approx_bytes", 0) / 1e6}
-                for m, r in runs.items()
-            },
-        )
-    fig_a = FigureResult(
-        figure="Figure 7(a)",
-        title="Document processing vs # indexed queries",
-        param_name="# queries",
-        param_values=list(values),
-        series=doc_series,
-        companions=work_companions(
-            "Figure 7(a)", "# queries", values, runs_by_value
-        ),
-    )
-    fig_b = FigureResult(
-        figure="Figure 7(b)",
-        title="Query insertion vs # indexed queries",
-        param_name="# queries",
-        param_values=list(values),
-        series=insert_series,
-        unit="ms/query",
-    )
-    fig_c = FigureResult(
-        figure="Figure 8",
-        title="Index size vs # indexed queries",
-        param_name="# queries",
-        param_values=list(values),
-        series=size_series,
-        unit="MB (approx)",
-    )
-    return fig_a, fig_b, fig_c
+    return [fig_a, fig_b]
 
 
 # -- Table 6: user study ---------------------------------------------------------
 
 
-def user_study(
-    spec: Optional[WorkloadSpec] = None,
-    n_queries: int = 50,
-    snapshots: int = 3,
-    k: int = 5,
-) -> UserStudyResult:
+def user_study(spec: WorkloadSpec) -> List[UserStudyResult]:
     """Table 6: quality proxies for GIFilter/MSInc (α=0.3, 0.7) and DisC.
 
     Mirrors Section 8.4.1: trending-topic queries, result sets recorded
     at several timestamps, rated per aspect.  Ratings are automatic
     proxies rescaled to 1-5 across methods (DESIGN.md §2).
     """
+    snapshots = 3
+    k = 5
     # "We generate 50 subscription queries by choosing 50 trending topics
     # as query keywords": one topic per query.
-    base = (spec if spec is not None else TINY).evolve(
+    base = spec.evolve(
         query_set="sqd",
-        n_queries=n_queries,
+        n_queries=50,
         k=k,
         min_query_terms=1,
         max_query_terms=1,
@@ -334,24 +345,11 @@ def user_study(
                 record(label, engine, scorer, decay, engine.clock.now)
 
     for alpha in (0.3, 0.7):
-        engine = Workload(
-            spec=base.evolve(alpha=alpha),
-            corpus=workload.corpus,
-            history=workload.history,
-            settle=workload.settle,
-            measure=workload.measure,
-            queries=workload.queries,
-        ).make_engine("GIFilter")
+        variant = replace(workload, spec=base.evolve(alpha=alpha))
+        engine = variant.make_engine("GIFilter")
         drive(f"GIFilter a={alpha}", engine, engine.scorer, engine.decay)
 
-        msinc = Workload(
-            spec=base.evolve(alpha=alpha),
-            corpus=workload.corpus,
-            history=workload.history,
-            settle=workload.settle,
-            measure=workload.measure,
-            queries=workload.queries,
-        ).make_msinc()
+        msinc = variant.make_msinc()
         drive(f"MSInc a={alpha}", msinc, msinc._scorer, msinc._decay)
 
     # DisC: tune the radius so queries return ~k results (Sec 8.4.1).
@@ -385,20 +383,15 @@ def user_study(
         }
         for label, report in means.items()
     }
-    return UserStudyResult(table=user_study_table(means), raw=raw)
+    return [UserStudyResult(table=user_study_table(means), raw=raw)]
 
 
 # -- Figure 9: comparison with DisC / MSInc -------------------------------------
 
 
-def other_systems(
-    spec: Optional[WorkloadSpec] = None,
-) -> Tuple[FigureResult, FigureResult]:
+def other_systems(spec: WorkloadSpec) -> List[FigureResult]:
     """Figure 9(a, b): efficiency vs DisC and MSInc on SQD."""
-    if spec is None:
-        base = TINY.evolve(query_set="sqd", n_queries=max(200, TINY.n_queries // 4))
-    else:
-        base = spec.evolve(query_set="sqd")
+    base = spec.evolve(query_set="sqd")
     workload = build_workload(base)
     runs = run_das_methods(workload, DAS_METHODS)
     runs["DisC"] = run_method(workload, workload.make_disc, "DisC")
@@ -411,9 +404,7 @@ def other_systems(
         param_values=[label],
         series={m: {label: r.doc_ms} for m, r in runs.items()},
         notes="DisC amortises periodic re-evaluation over documents",
-        companions=work_companions(
-            "Figure 9(a)", "# queries", [label], {label: runs}
-        ),
+        companions=work_companions("Figure 9(a)", "# queries", {label: runs}),
     )
     fig_b = FigureResult(
         figure="Figure 9(b)",
@@ -423,35 +414,13 @@ def other_systems(
         series={m: {label: r.insert_ms} for m, r in runs.items()},
         unit="ms/query",
     )
-    return fig_a, fig_b
-
-
-# -- Figure 10: block size -------------------------------------------------------
-
-
-def block_size(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[int] = (16, 64, 256, 1024),
-) -> FigureResult:
-    """Figure 10: effect of the number of postings per block."""
-    return _sweep(
-        spec,
-        "p_max",
-        values,
-        lambda base, p: base.evolve(block_size=p),
-        methods=("BIRT", "IFilter", "GIFilter"),
-        figure="Figure 10",
-        title="Effect of block size (postings per block)",
-    )
+    return [fig_a, fig_b]
 
 
 # -- Figure 11: arrival rate -----------------------------------------------------
 
 
-def arrival_rate(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[int] = (25, 50, 100, 200),
-) -> Tuple[FigureResult, FigureResult]:
+def arrival_rate(spec: WorkloadSpec) -> List[FigureResult]:
     """Figure 11(a, b): total per-minute cost vs arrival rates.
 
     Processing cost per document is rate-independent, so the per-minute
@@ -459,19 +428,16 @@ def arrival_rate(
     time of publishing `rate` documents (a) and inserting `rate` queries
     (b).
     """
-    workload = build_workload(spec)
-    doc_series: Dict[str, Dict[object, float]] = {}
-    insert_series: Dict[str, Dict[object, float]] = {}
-    runs = run_das_methods(workload, DAS_METHODS)
-    for value in values:
-        _merge(
-            doc_series,
-            {m: {value: r.doc_ms * value / 1000.0} for m, r in runs.items()},
-        )
-        _merge(
-            insert_series,
-            {m: {value: r.insert_ms * value / 1000.0} for m, r in runs.items()},
-        )
+    values = (25, 50, 100, 200)
+    runs = run_das_methods(build_workload(spec), DAS_METHODS)
+    doc_series = {
+        m: {value: r.doc_ms * value / 1000.0 for value in values}
+        for m, r in runs.items()
+    }
+    insert_series = {
+        m: {value: r.insert_ms * value / 1000.0 for value in values}
+        for m, r in runs.items()
+    }
     fig_a = FigureResult(
         figure="Figure 11(a)",
         title="Total document-processing time per minute vs arrival rate",
@@ -488,131 +454,16 @@ def arrival_rate(
         series=insert_series,
         unit="s/minute",
     )
-    return fig_a, fig_b
-
-
-# -- Figure 12: alpha ------------------------------------------------------------
-
-
-def alpha_effect(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-) -> FigureResult:
-    """Figure 12: effect of the relevance/diversity trade-off α."""
-    return _sweep(
-        spec,
-        "alpha",
-        values,
-        lambda base, a: base.evolve(alpha=a),
-        figure="Figure 12",
-        title="Effect of alpha (relevance weight)",
-    )
-
-
-# -- Figure 13: decaying scale ----------------------------------------------------
-
-
-def decay_scale(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-) -> FigureResult:
-    """Figure 13: effect of the recency decaying scale."""
-    return _sweep(
-        spec,
-        "decay scale",
-        values,
-        lambda base, s: base.evolve(decay_scale=s),
-        figure="Figure 13",
-        title="Effect of the decaying scale",
-    )
-
-
-# -- Figure 14: phi_max -----------------------------------------------------------
-
-
-def phi_max(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[int] = (2_000, 10_000, 50_000, -1),
-) -> FigureResult:
-    """Figure 14: effect of the aggregated-weight memory budget."""
-    return _sweep(
-        spec,
-        "phi_max entries",
-        values,
-        lambda base, p: base.evolve(phi_max=p),
-        methods=("IFilter", "GIFilter"),
-        figure="Figure 14",
-        title="Effect of Phi_max (AW summary budget; -1 = unlimited)",
-    )
-
-
-# -- Figure 15: delta_s -----------------------------------------------------------
-
-
-def delta_s(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-) -> FigureResult:
-    """Figure 15: effect of the MCS rebuild threshold δ_s."""
-    return _sweep(
-        spec,
-        "delta_s",
-        values,
-        lambda base, d: base.evolve(delta_s=d),
-        methods=("GIFilter",),
-        figure="Figure 15",
-        title="Effect of delta_s (MCS rebuild threshold)",
-    )
-
-
-# -- Figure 16: distinct document terms ---------------------------------------------
-
-
-def doc_terms(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[int] = (5, 10, 15, 20),
-) -> FigureResult:
-    """Figure 16: effect of the number of distinct document terms."""
-    return _sweep(
-        spec,
-        "# doc terms",
-        values,
-        lambda base, n: base.evolve(doc_length=(max(2, n - 2), n + 2)),
-        figure="Figure 16",
-        title="Effect of # distinct document terms",
-    )
-
-
-# -- Figure 17: SQD scalability ------------------------------------------------------
-
-
-def sqd_scale(
-    spec: WorkloadSpec = TINY,
-    values: Sequence[int] = (250, 500, 1000, 2000),
-) -> FigureResult:
-    """Figure 17: scalability on the SQD query set."""
-    return _sweep(
-        spec.evolve(query_set="sqd"),
-        "# queries",
-        values,
-        lambda base, n: base.evolve(n_queries=n),
-        figure="Figure 17",
-        title="Scalability on SQD",
-    )
+    return [fig_a, fig_b]
 
 
 # -- Figure 18: DisC window size -------------------------------------------------------
 
 
-def window_size(
-    spec: Optional[WorkloadSpec] = None,
-    values: Sequence[int] = (250, 500, 1000, 2000),
-) -> FigureResult:
+def window_size(spec: WorkloadSpec) -> List[FigureResult]:
     """Figure 18: DisC runtime vs sliding window size |W_f|."""
-    base = (spec if spec is not None else TINY).evolve(
-        query_set="sqd", n_queries=200
-    )
-    workload = build_workload(base)
+    values = (250, 500, 1000, 2000)
+    workload = build_workload(spec.evolve(query_set="sqd", n_queries=200))
     series: Dict[str, Dict[object, float]] = {"DisC": {}}
     for value in values:
         run = run_method(
@@ -621,19 +472,21 @@ def window_size(
             "DisC",
         )
         series["DisC"][value] = run.doc_ms
-    return FigureResult(
-        figure="Figure 18",
-        title="DisC: effect of sliding window size |W_f|",
-        param_name="|W_f|",
-        param_values=list(values),
-        series=series,
-    )
+    return [
+        FigureResult(
+            figure="Figure 18",
+            title="DisC: effect of sliding window size |W_f|",
+            param_name="|W_f|",
+            param_values=list(values),
+            series=series,
+        )
+    ]
 
 
 # -- Ablations (DESIGN.md §5) ------------------------------------------------------------
 
 
-def init_strategy_ablation(spec: WorkloadSpec = TINY) -> FigureResult:
+def init_strategy_ablation(spec: WorkloadSpec) -> List[FigureResult]:
     """Result-bootstrap strategies (DESIGN.md §6): recent / relevant / greedy.
 
     Measures subscription cost and the post-settle match rate — a weaker
@@ -654,17 +507,19 @@ def init_strategy_ablation(spec: WorkloadSpec = TINY) -> FigureResult:
             / max(1, run.counters.docs_published),
             "ms/doc": run.doc_ms,
         }
-    return FigureResult(
-        figure="Ablation A3",
-        title="Result-set initialisation strategy",
-        param_name="metric",
-        param_values=["insert ms/q", "matches/doc", "ms/doc"],
-        series=series,
-        unit="mixed",
-    )
+    return [
+        FigureResult(
+            figure="Ablation A3",
+            title="Result-set initialisation strategy",
+            param_name="metric",
+            param_values=["insert ms/q", "matches/doc", "ms/doc"],
+            series=series,
+            unit="mixed",
+        )
+    ]
 
 
-def agg_weights_ablation(spec: WorkloadSpec = TINY) -> FigureResult:
+def agg_weights_ablation(spec: WorkloadSpec) -> List[FigureResult]:
     """Aggregated term weights on/off at fixed block structure."""
     workload = build_workload(spec)
     runs = {
@@ -676,18 +531,43 @@ def agg_weights_ablation(spec: WorkloadSpec = TINY) -> FigureResult:
         ),
     }
     series = {
-        label: {
-            "ms/doc": run.doc_ms,
-            "sims/doc": run.counters.sim_evaluations
-            / max(1, run.counters.docs_published),
-        }
+        label: {"ms/doc": run.doc_ms, "sims/doc": _sims_per_doc(run)}
         for label, run in runs.items()
     }
-    return FigureResult(
-        figure="Ablation A2",
-        title="Aggregated term weight summaries on/off",
-        param_name="metric",
-        param_values=["ms/doc", "sims/doc"],
-        series=series,
-        unit="mixed",
-    )
+    return [
+        FigureResult(
+            figure="Ablation A2",
+            title="Aggregated term weight summaries on/off",
+            param_name="metric",
+            param_values=["ms/doc", "sims/doc"],
+            series=series,
+            unit="mixed",
+        )
+    ]
+
+
+Runner = Callable[[WorkloadSpec], Sequence]
+
+#: figure key -> (description, runner returning the figure's tables)
+FIGURES: Dict[str, Tuple[str, Runner]] = {
+    "fig4": ("doc processing & insertion over time (LQD)", time_effect),
+    "fig5": ("effect of # query keywords", partial(_sweep, SWEEPS["fig5"])),
+    "fig6": ("effect of k", partial(_sweep, SWEEPS["fig6"])),
+    "fig7": (
+        "scaling # queries (+ fig8 index size)",
+        partial(_sweep, SWEEPS["fig7"]),
+    ),
+    "tab6": ("user study proxies", user_study),
+    "fig9": ("vs DisC / MSInc on SQD", other_systems),
+    "fig10": ("effect of block size", partial(_sweep, SWEEPS["fig10"])),
+    "fig11": ("effect of arrival rate", arrival_rate),
+    "fig12": ("effect of alpha", partial(_sweep, SWEEPS["fig12"])),
+    "fig13": ("effect of decaying scale", partial(_sweep, SWEEPS["fig13"])),
+    "fig14": ("effect of Phi_max", partial(_sweep, SWEEPS["fig14"])),
+    "fig15": ("effect of delta_s", partial(_sweep, SWEEPS["fig15"])),
+    "fig16": ("effect of # document terms", partial(_sweep, SWEEPS["fig16"])),
+    "fig17": ("scalability on SQD", partial(_sweep, SWEEPS["fig17"])),
+    "fig18": ("DisC window size", window_size),
+    "abl-aw": ("ablation: aggregated weights", agg_weights_ablation),
+    "abl-init": ("ablation: init strategy", init_strategy_ablation),
+}

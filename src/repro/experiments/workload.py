@@ -1,7 +1,7 @@
 """Standard experimental workload (Section 8.2, scaled).
 
 One place defines the corpus, query sets and engine construction used by
-every figure's benchmark, so parameter sweeps vary exactly one knob
+every figure, so parameter sweeps vary exactly one knob
 against a common baseline.  Scales are chosen for pure Python: thousands
 of queries instead of millions, hundreds of measured documents instead
 of hours of stream — DESIGN.md §2 records the substitution.
@@ -138,6 +138,8 @@ class Workload:
 def build_workload(spec: Optional[WorkloadSpec] = None) -> Workload:
     """Generate the corpus, stream segments and query set for a spec."""
     spec = spec if spec is not None else WorkloadSpec()
+    if spec.query_set not in ("lqd", "sqd"):
+        raise ValueError(f"unknown query_set {spec.query_set!r}")
     corpus = SyntheticTweetCorpus(
         vocab_size=spec.vocab_size,
         n_topics=spec.n_topics,
@@ -162,15 +164,13 @@ def build_workload(spec: Optional[WorkloadSpec] = None) -> Workload:
             min_terms=spec.min_query_terms,
             max_terms=spec.max_query_terms,
         )
-    elif spec.query_set == "sqd":
+    else:
         queries = sqd_queries(
             corpus.trending_terms(per_topic=2),
             spec.n_queries,
             min_terms=spec.min_query_terms,
             max_terms=spec.max_query_terms,
         )
-    else:
-        raise ValueError(f"unknown query_set {spec.query_set!r}")
     return Workload(
         spec=spec,
         corpus=corpus,

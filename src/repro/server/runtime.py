@@ -202,9 +202,6 @@ class ServerRuntime:
         self._eventlog = None
         self._dlq: Optional[DeadLetterQueue] = None
         self._registry: Optional[SubscriberRegistry] = None
-        #: query_id -> durable subscriber name (survives detach; the
-        #: live ``_owners`` mapping only covers attached sessions).
-        self._durable_owners: Dict[int, str] = {}
         self._checkpoint_offset = -1
         self._appended_since_checkpoint = 0
         self._checkpoints_written = 0
@@ -307,9 +304,6 @@ class ServerRuntime:
         self._eventlog = state.log
         self._registry = state.registry
         self._checkpoint_offset = state.checkpoint_offset
-        for name in registry.names():
-            for query_id in registry.get(name).queries:
-                self._durable_owners[query_id] = name
         self._recovery = {
             "checkpoint_offset": state.checkpoint_offset,
             "replayed": state.replayed,
@@ -983,7 +977,6 @@ class ServerRuntime:
                     # Only a resumed session names a subscriber, and
                     # resume requires the event log.
                     self._registry.record_subscribe(name, query_id, keywords)
-                    self._durable_owners[query_id] = name
                 self._owners[query_id] = item.session
                 if item.session is not None:
                     item.session.queries.add(query_id)
@@ -994,12 +987,8 @@ class ServerRuntime:
                 if item.session is not None and owner is not item.session:
                     # A durable subscriber may unsubscribe its own
                     # (re-attached) queries even while routing lags.
-                    name = (
-                        item.session.subscriber
-                        if item.session is not None
-                        else None
-                    )
-                    if name is None or self._durable_owners.get(query_id) != name:
+                    name = item.session.subscriber
+                    if name is None or self._registry.owner_of(query_id) != name:
                         raise UnknownQueryError(
                             f"query {query_id} is not owned by this session"
                         )
@@ -1007,12 +996,11 @@ class ServerRuntime:
                     self._eventlog.append(
                         unsubscribe_record(
                             query_id,
-                            subscriber=self._durable_owners.get(query_id),
+                            subscriber=self._registry.owner_of(query_id),
                         )
                     )
                     self._appended_since_checkpoint += 1
                     self._registry.record_unsubscribe(query_id)
-                    self._durable_owners.pop(query_id, None)
                 self._engine.unsubscribe(query_id)
                 self._owners.pop(query_id, None)
                 if owner is not None:
@@ -1191,7 +1179,7 @@ class ServerRuntime:
             )
             payload = None
             if offset is not None and self._registry is not None:
-                name = self._durable_owners.get(notification.query_id)
+                name = self._registry.owner_of(notification.query_id)
                 if name is not None:
                     payload = build(notification, offset)
                     self._registry.offer(
@@ -1259,12 +1247,11 @@ class ServerRuntime:
                     self._eventlog.append(
                         unsubscribe_record(
                             query_id,
-                            subscriber=self._durable_owners.get(query_id),
+                            subscriber=self._registry.owner_of(query_id),
                         )
                     )
                     self._appended_since_checkpoint += 1
                     self._registry.record_unsubscribe(query_id)
-                    self._durable_owners.pop(query_id, None)
                 try:
                     self._engine.unsubscribe(query_id)
                 except ReproError:
@@ -1307,7 +1294,6 @@ class ServerRuntime:
         for query_id in state.queries:
             self._owners[query_id] = session
             session.queries.add(query_id)
-            self._durable_owners[query_id] = name
         if offset is not None and offset >= 0:
             self._eventlog.append(ack_record(name, int(offset)))
             self._appended_since_checkpoint += 1

@@ -54,6 +54,24 @@ def table_rows(result_set) -> List[Row]:
     return [Row(*row) for row in result_set.rows()]
 
 
+@pytest.fixture(scope="session")
+def micro_figure(tmp_path_factory):
+    """``run_figures([key], "micro", out_dir=...)`` once per key and
+    session: returns the result objects and the file names written."""
+    from repro.experiments.cli import run_figures
+
+    runs = {}
+
+    def run(key):
+        if key not in runs:
+            out = tmp_path_factory.mktemp(key)
+            results = run_figures([key], "micro", out_dir=str(out))
+            runs[key] = (results, sorted(os.listdir(out)))
+        return runs[key]
+
+    return run
+
+
 @pytest.fixture
 def rng():
     return random.Random(20150531)

@@ -23,12 +23,10 @@ def test_list_command(capsys):
         assert key in out
 
 
-def test_run_single_figure_micro(capsys, tmp_path):
-    tables = run_figures(["fig6"], "micro", out_dir=str(tmp_path))
-    assert tables
-    assert any("Figure 6" in table for table in tables)
-    written = list(tmp_path.iterdir())
-    assert written, "table files should be written"
+def test_run_single_figure_micro(micro_figure):
+    results, written = micro_figure("fig6")
+    assert [result.figure for result in results] == ["Figure 6"]
+    assert written == ["figure6.txt"], "table files should be written"
 
 
 def test_run_unknown_figure_exits():

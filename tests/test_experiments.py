@@ -1,25 +1,19 @@
-"""Tests for the experiment harness (workloads, runner, sweeps).
+"""Tests for the experiment harness (workloads, runner, figures).
 
-Sweeps run at micro scale here — these tests check plumbing and result
-shapes, not performance claims (the benchmarks do that).
+Figures run at micro scale here — these tests check plumbing and result
+shapes, not performance claims (``benchmarks/e2e`` does that).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import sweeps
 from repro.experiments.results import FigureResult
 from repro.experiments.runner import run_das_methods, run_method
-from repro.experiments.workload import (
-    DAS_METHODS,
-    WorkloadSpec,
-    build_workload,
-)
+from repro.experiments.sweeps import SCALES
+from repro.experiments.workload import DAS_METHODS, build_workload
 
-MICRO = WorkloadSpec(
-    n_queries=60, n_history=150, n_settle=20, n_measure=30, k=5
-)
+MICRO = SCALES["micro"]
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +23,10 @@ def micro_workload():
 
 def test_build_workload_segments(micro_workload):
     w = micro_workload
-    assert len(w.history) == 150
-    assert len(w.settle) == 20
-    assert len(w.measure) == 30
-    assert len(w.queries) == 60
+    assert len(w.history) == MICRO.n_history
+    assert len(w.settle) == MICRO.n_settle
+    assert len(w.measure) == MICRO.n_measure
+    assert len(w.queries) == MICRO.n_queries
     # stream discipline across segments
     all_docs = w.history + w.settle + w.measure
     ids = [d.doc_id for d in all_docs]
@@ -70,12 +64,12 @@ def test_run_method_produces_measurements(micro_workload):
         micro_workload,
         lambda: micro_workload.make_engine("GIFilter"),
         "GIFilter",
-        n_intervals=3,
+        n_intervals=2,
     )
     assert run.method == "GIFilter"
     assert run.doc_ms >= 0.0
     assert run.insert_ms >= 0.0
-    assert len(run.interval_doc_ms) == 3
+    assert len(run.interval_doc_ms) == 2
     assert run.counters.docs_published == MICRO.n_measure
     assert run.index_report is not None
     assert 0.0 <= run.blocks_skipped_ratio <= 1.0
@@ -104,39 +98,52 @@ def test_figure_result_formatting():
     assert ratios == {1: 1.0, 2: 1.0}
 
 
-def test_time_effect_sweep_micro():
-    fig_a, fig_b = sweeps.time_effect(MICRO, n_intervals=2)
-    assert set(fig_a.series) == set(DAS_METHODS)
-    assert fig_a.param_values == [1, 2]
-    assert all(v >= 0 for s in fig_a.series.values() for v in s.values())
-    assert set(fig_b.series) == set(DAS_METHODS)
+def test_time_effect_sweep_micro(micro_figure):
+    results, _files = micro_figure("fig4")
+    fig_a, fig_b = results
+    assert fig_a.figure == "Figure 4(a)" and fig_b.figure == "Figure 4(b)"
+    assert fig_a.param_values == [1, 2, 3, 4, 5, 6]
+    assert list(fig_a.series) == list(DAS_METHODS)
+    assert list(fig_b.series) == list(DAS_METHODS)
+    assert fig_b.unit == "ms/query"
 
 
-def test_result_count_sweep_micro():
-    fig = sweeps.result_count(MICRO, values=(2, 4))
-    assert fig.param_values == [2, 4]
+def test_result_count_sweep_micro(micro_figure):
+    (fig,), _files = micro_figure("fig6")
+    assert fig.param_values == [5, 10, 20, 30]
     for method in DAS_METHODS:
-        assert set(fig.series[method]) == {2, 4}
+        assert set(fig.series[method]) == {5, 10, 20, 30}
 
 
-def test_block_size_sweep_micro():
-    fig = sweeps.block_size(MICRO, values=(4, 16))
-    assert set(fig.series) == {"BIRT", "IFilter", "GIFilter"}
+def test_block_size_sweep_micro(micro_figure):
+    (fig,), _files = micro_figure("fig10")
+    assert fig.param_values == [16, 64, 256, 1024]
+    assert list(fig.series) == ["BIRT", "IFilter", "GIFilter"]
 
 
-def test_user_study_micro():
-    result = sweeps.user_study(
-        MICRO.evolve(n_queries=10), n_queries=10, snapshots=2, k=3
-    )
-    assert result.table
+def test_user_study_micro(micro_figure):
+    (result,), _files = micro_figure("tab6")
+    assert set(result.table) == {
+        "GIFilter a=0.3",
+        "GIFilter a=0.7",
+        "MSInc a=0.3",
+        "MSInc a=0.7",
+        "DisC",
+    }
     for row in result.table.values():
         for aspect in ("Relevance", "Recency", "Range of Int.", "Overall"):
             assert 1.0 <= row[aspect] <= 5.0
     text = result.format_table()
     assert "Table 6" in text
+    # Within one method, lowering alpha should not *narrow* the range of
+    # interests; the effect is small, so allow slack, not a strict order.
+    assert (
+        result.raw["GIFilter a=0.3"]["Range of Int."]
+        >= result.raw["GIFilter a=0.7"]["Range of Int."] - 0.05
+    )
 
 
-def test_window_size_sweep_micro():
-    fig = sweeps.window_size(MICRO.evolve(n_queries=10), values=(50, 100))
+def test_window_size_sweep_micro(micro_figure):
+    (fig,), _files = micro_figure("fig18")
     assert list(fig.series) == ["DisC"]
-    assert set(fig.series["DisC"]) == {50, 100}
+    assert set(fig.series["DisC"]) == {250, 500, 1000, 2000}

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import run_das_methods, run_method
-from repro.experiments.workload import WorkloadSpec, build_workload
+from repro.experiments.runner import run_method
+from repro.experiments.sweeps import SCALES
+from repro.experiments.workload import build_workload
 
-SPEC = WorkloadSpec(
-    n_queries=40, n_history=100, n_settle=10, n_measure=24, k=4
-)
+SPEC = SCALES["micro"]
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +21,9 @@ def test_intervals_partition_the_measured_segment(workload):
         workload,
         lambda: workload.make_engine("IFilter"),
         "IFilter",
-        n_intervals=4,
+        n_intervals=5,  # 50 docs -> five chunks of 10
     )
-    assert len(run.interval_doc_ms) == 4
+    assert len(run.interval_doc_ms) == 5
     assert all(ms >= 0 for ms in run.interval_doc_ms)
     # doc_ms is the weighted mean of the intervals (equal-sized chunks).
     assert run.doc_ms == pytest.approx(
@@ -37,9 +36,9 @@ def test_uneven_interval_split(workload):
         workload,
         lambda: workload.make_engine("IRT"),
         "IRT",
-        n_intervals=5,  # 24 docs / 5 -> chunks of 4 with a remainder
+        n_intervals=4,  # 50 docs / 4 -> chunks of 12 with a remainder
     )
-    assert len(run.interval_doc_ms) >= 5
+    assert len(run.interval_doc_ms) == 5
     assert run.counters.docs_published == SPEC.n_measure
 
 
