@@ -111,8 +111,10 @@ class DasEngine:
             self._stats, self._config.smoothing_lambda
         )
         self._decay = ExponentialDecay(self._config.decay_base)
-        #: Per-publish memo of decay powers (cleared at each publish; the
-        #: same handful of age gaps recurs across all evaluated queries).
+        #: Memo of decay powers by age, cleared at each publish: the same
+        #: handful of age gaps recurs across all evaluated queries, and a
+        #: subscribe's seed ranking reads and fills it too (a power is a
+        #: pure function of the age, so an entry is never stale).
         self._decay_cache = CachedDecay(self._decay)
         #: Per-publish memo ``{result doc_id: Sim(d_n, r)}``: the result
         #: sets and MCS covers a document reaches hold the same few
@@ -341,16 +343,17 @@ class DasEngine:
             self._config.init_scan_limit,
             strategy=self._init_strategy,
             scorer=self._scorer,
-            decay=self._decay,
+            decay=self._decay_cache,
             now=self._clock.now,
             alpha=self._config.alpha,
             with_trels=True,
         )
-        for index, trel in enumerate(trels):
-            if trel is None:
-                trels[index] = self._scorer.trel(
-                    query.terms, seeds[index].vector
-                )
+        if trels and trels[0] is None:
+            # Nothing was ranked (``recent``, or at most k candidates):
+            # every seed is unscored, so score them all in one pass.
+            trels = self._scorer.trels(
+                query.terms, [document.vector for document in seeds]
+            )
         cosines, aw_dots = result_set.seed(seeds, trels)
         self.counters.sim_evaluations += cosines
         self.counters.aw_dot_products += aw_dots

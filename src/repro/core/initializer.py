@@ -2,7 +2,7 @@
 
 "When the system receives a DAS query, the query is firstly initialized
 by traversing the document lists" — the store's recent matching
-documents seed the result set.  Two strategies are provided:
+documents seed the result set.  Three strategies are provided:
 
 ``relevant`` (default)
     The k candidates with the best ``α · R(q, d)`` (relevance × recency)
@@ -21,7 +21,10 @@ documents seed the result set.  Two strategies are provided:
     similarity cost over m candidates (m is capped at ``4k``).
 
 All strategies are shared by the optimised engine and the naive oracle,
-so their states agree from the first published document onward.
+so their states agree from the first published document onward.  The
+engine ranks through its :class:`~repro.scoring.recency.CachedDecay`
+and the oracle through a plain decay: ``T(d)`` is a pure function of
+the age, so both read the same floats.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.scoring.diversity import diversity_coefficient
-from repro.scoring.recency import ExponentialDecay
+from repro.scoring.recency import CachedDecay, ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
@@ -46,7 +49,7 @@ def select_initial_documents(
     scan_limit: int,
     strategy: str = DEFAULT_INIT_STRATEGY,
     scorer: LanguageModelScorer = None,
-    decay: ExponentialDecay = None,
+    decay: Union[ExponentialDecay, CachedDecay] = None,
     now: float = 0.0,
     alpha: float = 0.3,
     with_trels: bool = False,
@@ -72,10 +75,8 @@ def select_initial_documents(
     if scorer is None or decay is None:
         raise ValueError(f"{strategy} initialisation needs a scorer and decay")
     trels = scorer.trels(terms, [document.vector for document in candidates])
-    keys = [
-        trel * decay.at(document.created_at, now)
-        for trel, document in zip(trels, candidates)
-    ]
+    recencies = _recencies(candidates, decay, now)
+    keys = [trel * recency for trel, recency in zip(trels, recencies)]
     picked = sorted(range(len(candidates)), key=keys.__getitem__, reverse=True)
     if strategy == "relevant":
         picked = picked[:k]
@@ -83,9 +84,11 @@ def select_initial_documents(
         # Pre-truncate by relevance so the O(k·m) similarity work stays
         # bounded even with large scan limits.
         if len(candidates) > 4 * k:
-            candidates = [candidates[index] for index in picked[: 4 * k]]
-            trels = [trels[index] for index in picked[: 4 * k]]
-        picked = _greedy_max_sum(candidates, trels, k, decay, now, alpha)
+            kept = picked[: 4 * k]
+            candidates = [candidates[index] for index in kept]
+            trels = [trels[index] for index in kept]
+            recencies = [recencies[index] for index in kept]
+        picked = _greedy_max_sum(candidates, trels, recencies, k, alpha)
     picked.sort(key=lambda index: candidates[index].doc_id)
     documents = [candidates[index] for index in picked]
     if with_trels:
@@ -93,19 +96,40 @@ def select_initial_documents(
     return documents
 
 
+def _recencies(
+    documents: Sequence[Document],
+    decay: Union[ExponentialDecay, CachedDecay],
+    now: float,
+) -> List[float]:
+    """``T(d)`` of each document at ``now``.
+
+    Reads the decay's ``powers`` memo first when it has one (the
+    engine's :class:`~repro.scoring.recency.CachedDecay`) and calls
+    ``at_age`` only on a miss; a plain decay computes every power.
+    """
+    powers = getattr(decay, "powers", {})
+    at_age = decay.at_age
+    recencies = []
+    for document in documents:
+        age = now - document.created_at
+        recency = powers.get(age)
+        if recency is None:
+            recency = at_age(age)
+        recencies.append(recency)
+    return recencies
+
+
 def _greedy_max_sum(
     candidates: Sequence[Document],
     trels: Sequence[float],
+    recencies: Sequence[float],
     k: int,
-    decay: ExponentialDecay,
-    now: float,
     alpha: float,
 ) -> List[int]:
     """Indices into ``candidates`` of the greedy max-sum selection."""
     coeff = diversity_coefficient(alpha, k)
     relevances = [
-        alpha * trel * decay.at(candidate.created_at, now)
-        for candidate, trel in zip(candidates, trels)
+        alpha * trel * recency for trel, recency in zip(trels, recencies)
     ]
     selected: List[int] = []
     remaining = list(range(len(candidates)))

@@ -65,21 +65,23 @@ class LanguageModelScorer:
         once per (document, keyword); every score is the same float
         expression in the same product order as :meth:`trel`, so
         ``trels(terms, vectors)[i] == trel(terms, vectors[i])`` exactly.
+        A keyword absent from the document multiplies its background
+        directly: ``(1-λ)·0/len + b == b`` bit for bit, at every λ (and
+        an empty document contains no keyword).
         """
-        terms = tuple(query_terms)
-        backgrounds = [self.background(term) for term in terms]
+        keywords = [(term, self.background(term)) for term in query_terms]
         foreground = 1.0 - self._lambda
         scores = []
         for vector in vectors:
             length = vector.length
+            frequency = vector._tf.get
             score = 1.0
-            if length == 0:
-                for background in backgrounds:
+            for term, background in keywords:
+                count = frequency(term)
+                if count is None:
                     score *= background
-            else:
-                frequency = vector.frequency
-                for term, background in zip(terms, backgrounds):
-                    score *= foreground * frequency(term) / length + background
+                else:
+                    score *= foreground * count / length + background
             scores.append(score)
         return scores
 

@@ -89,10 +89,16 @@ class DocumentStore:
 
         Used for result-set initialisation of new subscriptions.  At most
         ``limit`` documents are returned; duplicates across terms are
-        merged.
+        merged.  A bucket holds the ids of live documents only, oldest
+        first (eviction removes an id from every bucket), so one term's
+        answer is its bucket's tail as it stands.
         """
         if limit <= 0:
             return []
+        terms = tuple(terms)
+        if len(terms) == 1:
+            bucket = self._term_index.get(terms[0], ())
+            return list(map(self._docs.get, islice(reversed(bucket), limit)))
         candidate_ids: set = set()
         for term in terms:
             bucket = self._term_index.get(term)
@@ -102,12 +108,7 @@ class DocumentStore:
                 # the nearer end).
                 candidate_ids.update(islice(reversed(bucket), limit))
         ordered = sorted(candidate_ids, reverse=True)[:limit]
-        docs = []
-        for doc_id in ordered:
-            doc = self._docs.get(doc_id)
-            if doc is not None:
-                docs.append(doc)
-        return docs
+        return list(map(self._docs.get, ordered))
 
     # -- pinning & eviction ----------------------------------------------
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import UNLIMITED
 from repro.errors import DocumentOrderError, DuplicateDocumentError
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
@@ -149,3 +152,57 @@ def test_recent_matching_takes_each_bucket_tail():
     assert [
         d.doc_id for d in store.recent_matching(["z", "y"], limit=10)
     ] == [10, 9, 6, 4, 3, 0]
+
+
+_STORE_TERMS = st.sampled_from("abcd")
+#: One-term, duplicate-term and multi-term queries, each at several
+#: limits (0 included), checked after every step of a drawn history.
+_FIXED_QUERIES = [
+    (terms, limit)
+    for terms in (["a"], ["a", "a"], ["b", "d"], ["a", "b", "c", "d"], ["z"])
+    for limit in (0, 1, 3, 100)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.sampled_from([UNLIMITED, 1, 3]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "add", "add", "pin", "unpin"]),
+            st.lists(_STORE_TERMS, min_size=1, max_size=3),
+            st.integers(0, 40),
+        ),
+        max_size=30,
+    ),
+    queries=st.lists(
+        st.tuples(
+            st.lists(_STORE_TERMS, min_size=1, max_size=4), st.integers(0, 6)
+        ),
+        max_size=4,
+    ),
+)
+def test_recent_matching_is_the_brute_force_scan(capacity, steps, queries):
+    """``recent_matching`` equals a scan of the live documents: those
+    holding any of the terms, newest first, at most ``limit`` of them —
+    through pins, unpins and evictions of a capacity-bound store."""
+    store = DocumentStore(capacity)
+    next_id = 0
+    for action, tokens, pick in steps:
+        if action == "add":
+            store.add(Document.from_tokens(next_id, tokens, float(next_id)))
+            next_id += 1
+        elif next_id:
+            doc_id = pick % next_id
+            if action == "pin":
+                store.pin(doc_id)
+            else:
+                store.unpin(doc_id)
+        for terms, limit in _FIXED_QUERIES + queries:
+            expected = [
+                document
+                for document in store.newest_first()
+                if any(term in document.vector for term in terms)
+            ][:limit]
+            assert store.recent_matching(terms, limit) == expected
+            assert store.recent_matching(iter(terms), limit) == expected

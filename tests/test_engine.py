@@ -285,10 +285,23 @@ def test_subscribe_scores_once_and_completes_eq24_with_one_dot(monkeypatch):
         ),
         abs=1e-12,
     )
-    # With no more candidates than k nothing was ranked, so each seed is
-    # scored once, directly.
+    # With no more candidates than k nothing was ranked, so the seeds are
+    # scored afterwards, all of them in one ``trels`` pass.
+    passes = []
+    real_trels = scorer_type.trels
+    monkeypatch.setattr(
+        scorer_type,
+        "trels",
+        lambda self, terms, vectors: passes.append(len(vectors))
+        or real_trels(self, terms, vectors),
+    )
     engine.subscribe(DasQuery(1, ["extra2"]))
-    assert len(calls) == len(engine.results(1)) == 2
+    assert calls == []
+    assert passes == [len(engine.results(1))] == [2]
+    assert [e.trel for e in table_rows(engine._result_sets[1])] == [
+        real_trel(engine.scorer, ("extra2",), e.document.vector)
+        for e in table_rows(engine._result_sets[1])
+    ]
 
 
 def test_warmup_admit_maintains_nothing_until_the_fill():

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.initializer import select_initial_documents
+from repro.baselines.naive import NaiveEngine
+from repro.config import EngineConfig
+from repro.core.engine import DasEngine
+from repro.core.initializer import INIT_STRATEGIES, select_initial_documents
+from repro.core.query import DasQuery
+from repro.core.result_set import QueryResultSet
 from repro.scoring.recency import ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.document import Document
@@ -166,3 +173,110 @@ def test_unscored_seeds_come_back_without_trel():
     assert select_initial_documents(
         store, ["zz"], 2, 10, with_trels=True
     ) == ([], [])
+
+
+# -- the engine's seeding against the naive oracle ---------------------------
+
+_SEED_WORDS = "pqrstu"
+
+
+def _seed_stream(token_lists):
+    # Pairs of documents share a timestamp, so seed rankings meet the
+    # same age twice and read the decay memo back.
+    return [
+        Document.from_tokens(i, tokens, float(i // 2) * 0.75)
+        for i, tokens in enumerate(token_lists)
+    ]
+
+
+@pytest.mark.parametrize("strategy", INIT_STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    scan_limit=st.sampled_from([3, 256]),
+    # λ = 0.5 scales by a power of two, which hides a reassociated PS.
+    smoothing=st.sampled_from([0.0, 0.3, 1.0]),
+    token_lists=st.lists(
+        st.lists(st.sampled_from(_SEED_WORDS), min_size=1, max_size=6),
+        min_size=1,
+        max_size=24,
+    ),
+    schedule=st.lists(
+        st.tuples(
+            st.integers(0, 24),
+            st.lists(
+                st.sets(st.sampled_from(_SEED_WORDS), min_size=1, max_size=3),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@example(
+    k=2,
+    scan_limit=256,
+    smoothing=0.3,
+    token_lists=[["p", "q"], ["p"], ["p", "r"], ["p", "p"], ["s"], ["p"]],
+    # {"p"} has more candidates than k, {"s"} and {"u"} fewer.
+    schedule=[(6, [{"p"}, {"s"}, {"u"}, {"p", "s"}])],
+).via("more and fewer candidates than k")
+def test_subscribe_seeds_as_the_naive_engine_does(
+    strategy, k, scan_limit, smoothing, token_lists, schedule
+):
+    """The optimised engine's seeding (one ``trels`` pass, ranking read
+    through its decay memo, single-term store scan) picks the naive
+    oracle's seeds in its order, stores its ``TRel`` floats and the
+    ``sim_acc`` of a table admitted row by row; the memo it leaves holds
+    only exact powers, and a publish after it notifies as an engine whose
+    memo was cleared does."""
+    config = EngineConfig(
+        k=k,
+        decay_base=1.05,
+        smoothing_lambda=smoothing,
+        block_size=2,
+        init_scan_limit=scan_limit,
+    )
+    engine = DasEngine(config, init_strategy=strategy)
+    cleared = DasEngine(config, init_strategy=strategy)
+    naive = NaiveEngine(
+        config.evolve(
+            use_blocks=False, use_group_filter=False, use_agg_weights=False
+        ),
+        init_strategy=strategy,
+    )
+    plain = ExponentialDecay(config.decay_base)
+    documents = _seed_stream(token_lists)
+    bursts = sorted(schedule, key=lambda step: step[0])
+    # Publish up to each burst's position, subscribe the burst, and
+    # publish the rest of the stream after the last one.
+    starts = [0] + [position for position, _ in bursts]
+    stops = [position for position, _ in bursts] + [len(documents)]
+    bursts.append((len(documents), []))
+    query_id = 0
+    for start, stop, (_, query_terms) in zip(starts, stops, bursts):
+        for document in documents[start:stop]:
+            notified = engine.publish(document)
+            assert notified == cleared.publish(document)
+            naive.publish(document)
+        for terms in query_terms:
+            query = DasQuery(query_id, sorted(terms))
+            query_id += 1
+            seeds = [d.doc_id for d in engine.subscribe(query)]
+            cleared.subscribe(query)
+            assert seeds == [d.doc_id for d in naive.subscribe(query)]
+            table = engine._result_sets[query.query_id]
+            rows = naive._results[query.query_id]
+            assert list(table._trels) == [row.trel for row in rows]
+            twin = QueryResultSet(k, alpha=config.alpha)
+            for row in rows:
+                twin.admit(row.document, row.trel)
+            assert list(table._sim) == list(twin._sim)
+        for age, power in engine._decay_cache.powers.items():
+            assert power == plain.at_age(age)
+        cleared._decay_cache.clear()
+    for qid in range(query_id):
+        assert [d.doc_id for d in engine.results(qid)] == [
+            d.doc_id for d in naive.results(qid)
+        ]
