@@ -40,22 +40,22 @@ class AggregatedTermWeights:
         return self._weights.get(term, 0.0)
 
     def add_document(self, vector: TermVector) -> None:
-        """Fold one document's unit weights into the table."""
-        norm = vector.norm
-        if norm == 0.0:
-            return
+        """Fold one document's unit weights into the table.
+
+        A term the table does not hold yet stores the vector's own
+        ``units`` float — the value ``0.0 + unit`` would give, without a
+        new float per entry."""
         weights = self._weights
-        for term, count in vector.items():
-            weights[term] = weights.get(term, 0.0) + count / norm
+        get = weights.get
+        for term, unit in zip(vector._tf, vector.units):
+            weight = get(term)
+            weights[term] = unit if weight is None else weight + unit
 
     def remove_document(self, vector: TermVector) -> None:
         """Subtract a previously added document's unit weights."""
-        norm = vector.norm
-        if norm == 0.0:
-            return
         weights = self._weights
-        for term, count in vector.items():
-            remaining = weights.get(term, 0.0) - count / norm
+        for term, unit in zip(vector._tf, vector.units):
+            remaining = weights.get(term, 0.0) - unit
             if abs(remaining) <= _ZERO_TOLERANCE:
                 weights.pop(term, None)
             else:

@@ -292,12 +292,16 @@ class DasEngine:
         # columns (~30 B: sys.getsizeof of the four columns of full k=20
         # tables after admit / seed and replace churn, CPython 3.11,
         # over-allocation included, read 29.4-31.0 B per row), an AW
-        # entry is a dict slot plus a float (~60 B), an MCS member is a
-        # reference (~8 B).
+        # entry is a dict slot and, for the 12-16 % of entries not holding
+        # a stored document's own ``units`` float, a 24 B float (~40 B:
+        # sys.getsizeof of the tables plus 24 B per unshared value after
+        # the measured phases of the three in-process benchmark
+        # workloads, CPython 3.11, read 38.3-41.7 B per entry), an MCS
+        # member is a reference (~8 B).
         report["approx_bytes"] = (
             report["postings"] * 28
             + report["result_entries"] * 30
-            + report["aw_entries"] * 60
+            + report["aw_entries"] * 40
             + report["mcs_documents"] * 8
         )
         return report

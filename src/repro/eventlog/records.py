@@ -100,8 +100,19 @@ def validate_record(record: Any) -> Dict[str, Any]:
             raise ReproError(
                 "publish record doc requires a numeric 'created_at'"
             )
-        if not isinstance(doc.get("tf"), dict):
+        tf = doc.get("tf")
+        if not isinstance(tf, dict):
             raise ReproError("publish record doc requires a 'tf' term map")
+        for term, count in tf.items():
+            if (
+                type(term) is not str
+                or type(count) is not int
+                or count < 0
+            ):
+                raise ReproError(
+                    "publish record 'tf' must map strings to non-negative "
+                    f"integers, got {term!r}: {count!r}"
+                )
     elif kind in ("subscribe", "unsubscribe"):
         query_id = record.get("query_id")
         if not isinstance(query_id, int) or isinstance(query_id, bool):

@@ -15,6 +15,7 @@ per stream document.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
@@ -27,20 +28,28 @@ class TermVector:
         Euclidean norm ``sqrt(sum tf^2)`` — the ``||d.v_d||`` of Eq. 20/22.
     length:
         Total token count ``|d.v_d|`` used by the language model.
+    units:
+        ``tf / norm`` per term, in term order — the document's addends to
+        an aggregated-weight table (Definition 7).  A table that does not
+        yet hold a term stores the document's own float, so one float
+        serves every table the document is summarised in.
     """
 
-    __slots__ = ("_tf", "norm", "length")
+    __slots__ = ("_tf", "norm", "length", "units")
 
     def __init__(self, tf: Mapping[str, int]) -> None:
         cleaned: Dict[str, int] = {}
         for term, count in tf.items():
+            if type(count) is not int:
+                count = _integral_count(term, count)
             if count < 0:
                 raise ValueError(f"negative term frequency for {term!r}: {count}")
             if count:
-                cleaned[term] = int(count)
+                cleaned[term] = count
         self._tf = cleaned
         self.length = sum(cleaned.values())
-        self.norm = math.sqrt(sum(c * c for c in cleaned.values()))
+        norm = self.norm = math.sqrt(sum(c * c for c in cleaned.values()))
+        self.units = tuple(count / norm for count in cleaned.values())
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "TermVector":
@@ -96,8 +105,8 @@ class TermVector:
         return f"TermVector({preview}{suffix})"
 
     def __reduce__(self):
-        # Pickle only the term frequencies; the norm and length are
-        # rebuilt on load.
+        # Pickle only the term frequencies; the norm, length and units
+        # are rebuilt on load.
         return (TermVector, (self._tf,))
 
     # -- geometry -------------------------------------------------------------
@@ -114,6 +123,21 @@ class TermVector:
         if self.norm == 0.0:
             return 0.0
         return self._tf.get(term, 0) / self.norm
+
+
+def _integral_count(term: str, count: object) -> int:
+    """``count`` as an ``int`` when it is a whole number (``2.0`` is 2);
+    ``ValueError`` otherwise — a fraction would truncate, and a ``bool``
+    is not a count."""
+    if isinstance(count, float):
+        if count.is_integer():
+            return int(count)
+    elif not isinstance(count, bool):
+        try:
+            return operator.index(count)
+        except TypeError:
+            pass
+    raise ValueError(f"term frequency for {term!r} is not an integer: {count!r}")
 
 
 def cosine_similarity(a: TermVector, b: TermVector) -> float:

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import UNLIMITED
-from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
+from repro.core.agg_weights import (
+    _ZERO_TOLERANCE,
+    AggregatedTermWeights,
+    MemoryBudget,
+)
 from repro.text.vectors import TermVector, cosine_similarity
 
 tokens_strategy = st.lists(st.sampled_from("abcde"), min_size=1, max_size=8)
@@ -59,6 +63,66 @@ def test_similarity_sum_empty_cases():
     assert aw.similarity_sum(TermVector({"a": 1})) == 0.0
     aw.add_document(TermVector({"a": 1}))
     assert aw.similarity_sum(TermVector({})) == 0.0
+
+
+def _reference_add(weights, vector):
+    """The table's add before entries shared the document's floats."""
+    norm = vector.norm
+    if norm == 0.0:
+        return
+    for term, count in vector.items():
+        weights[term] = weights.get(term, 0.0) + count / norm
+
+
+def _reference_remove(weights, vector):
+    norm = vector.norm
+    if norm == 0.0:
+        return
+    for term, count in vector.items():
+        remaining = weights.get(term, 0.0) - count / norm
+        if abs(remaining) <= _ZERO_TOLERANCE:
+            weights.pop(term, None)
+        else:
+            weights[term] = remaining
+
+
+tf_strategy = st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 4), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(tf_strategy, min_size=1, max_size=8),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=40),
+)
+def test_shared_units_leave_every_weight_bit_identical(tfs, ops):
+    """Add/remove sequences give the same floats (``==``) in the same key
+    order as ``get(term, 0.0) + count / norm``; an entry written last by
+    the add that created it is that document's own ``units`` float."""
+    vectors = [TermVector(tf) for tf in tfs]
+    aw = AggregatedTermWeights()
+    reference = {}
+    resident = []
+    owner = {}  # term -> (vector, index) while the entry is that add's float
+    for is_add, pick in ops:
+        if is_add or not resident:
+            vector = vectors[pick % len(vectors)]
+            for index, term in enumerate(vector):
+                if term in reference:
+                    owner.pop(term, None)
+                else:
+                    owner[term] = (vector, index)
+            aw.add_document(vector)
+            _reference_add(reference, vector)
+            resident.append(vector)
+        else:
+            vector = resident.pop(pick % len(resident))
+            for term in vector:
+                owner.pop(term, None)
+            aw.remove_document(vector)
+            _reference_remove(reference, vector)
+        assert list(aw._weights.items()) == list(reference.items())
+        for term, (vector, index) in owner.items():
+            assert aw._weights[term] is vector.units[index]
 
 
 def test_budget_reserve_release():

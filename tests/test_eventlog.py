@@ -79,6 +79,14 @@ def test_validate_record_accepts_every_kind():
         {"kind": "publish", "doc": None},
         {"kind": "publish", "doc": {"doc_id": "x", "created_at": 0, "tf": {}}},
         {"kind": "publish", "doc": {"doc_id": 1, "created_at": 0, "tf": []}},
+        # A tf map is what TermVector counts: string terms, whole
+        # non-negative counts (a fraction would truncate or zero a norm).
+        {"kind": "publish", "doc": {"doc_id": 1, "created_at": 0, "tf": {"a": 0.5}}},
+        {"kind": "publish", "doc": {"doc_id": 1, "created_at": 0, "tf": {"a": 2.0}}},
+        {"kind": "publish", "doc": {"doc_id": 1, "created_at": 0, "tf": {"a": True}}},
+        {"kind": "publish", "doc": {"doc_id": 1, "created_at": 0, "tf": {"a": -1}}},
+        {"kind": "publish", "doc": {"doc_id": 1, "created_at": 0, "tf": {"a": "1"}}},
+        {"kind": "publish", "doc": {"doc_id": 1, "created_at": 0, "tf": {1: 1}}},
         {"kind": "subscribe", "query_id": True, "terms": ["a"]},
         {"kind": "subscribe", "query_id": 1, "terms": "a"},
         {"kind": "unsubscribe", "query_id": 1, "subscriber": 9},
@@ -277,6 +285,45 @@ def test_injected_torn_write_poisons_the_handle(tmp_eventlog):
     assert reopened.end == 1  # the half line was truncated away
     assert reopened.torn_dropped == 1
     assert reopened.append(publish(1)) == 1
+
+
+def _rewrite_tf(directory, offset, tf):
+    """Replace the ``tf`` map of the publish at ``offset`` on disk with
+    one that is still well-formed JSON."""
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        for index, raw in enumerate(lines):
+            entry = json.loads(raw)
+            if entry["offset"] == offset:
+                entry["record"]["doc"]["tf"] = tf
+                lines[index] = (json.dumps(entry) + "\n").encode("utf-8")
+                with open(path, "wb") as handle:
+                    handle.writelines(lines)
+                return
+    raise AssertionError(f"offset {offset} not on disk")
+
+
+def test_fractional_tf_on_disk_is_a_torn_tail_or_corruption(tmp_eventlog):
+    """Recovery rebuilds documents from on-disk ``tf`` maps: a fractional
+    count fails validation, so a last line is dropped as a torn tail and
+    an earlier one is corruption — it never reaches ``TermVector``."""
+    directory, open_log = tmp_eventlog
+    log = open_log(segment_entries=100)
+    for i in range(3):
+        log.append(publish(i))
+    log.close()
+    _rewrite_tf(directory, 2, {"coffee": 0.5})
+    reopened = open_log(segment_entries=100)
+    assert reopened.end == 2
+    assert reopened.torn_dropped == 1
+    reopened.append(publish(2))
+    reopened.append(publish(3))
+    reopened.close()
+    _rewrite_tf(directory, 1, {"coffee": 2.9})
+    with pytest.raises(ReproError):
+        open_log(segment_entries=100)
 
 
 def test_segment_gap_is_corruption(tmp_eventlog):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -47,7 +48,32 @@ def test_negative_frequency_rejected():
         TermVector({"a": -1})
 
 
+@pytest.mark.parametrize("count", [0.5, 2.9, -0.5, True, False, "1", None, math.nan, math.inf])
+def test_non_integer_frequency_rejected(count):
+    """A fraction used to truncate (0.5 kept ``{"x": 0}``: non-empty with
+    norm 0.0, and publishing it divided by zero); a bool is not a count."""
+    with pytest.raises(ValueError):
+        TermVector({"x": count})
+
+
+def test_integral_float_frequency_is_a_count():
+    vector = TermVector({"a": 2.0, "b": 0.0, "c": 1})
+    assert vector == TermVector({"a": 2, "c": 1})
+    assert type(vector.frequency("a")) is int
+    assert vector.units == TermVector({"a": 2, "c": 1}).units
+
+
+@given(st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 50)))
+def test_units_are_tf_over_norm_and_survive_pickling(tf):
+    vector = TermVector(tf)
+    assert vector.units == tuple(c / vector.norm for c in vector._tf.values())
+    copy = pickle.loads(pickle.dumps(vector))
+    assert copy.units == vector.units
+    assert list(copy) == list(vector)
+
+
 def test_empty_vector_properties():
+    assert EMPTY_VECTOR.units == ()
     assert EMPTY_VECTOR.norm == 0.0
     assert EMPTY_VECTOR.length == 0
     assert not EMPTY_VECTOR
