@@ -21,7 +21,7 @@ over-estimate would drop true results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.mcs import (
     BlockUniverse,
@@ -56,7 +56,9 @@ class PostingsBlock:
         #: Members whose result sets are still warming up.  They admit
         #: every matching document, so a group skip must still evaluate
         #: them individually; the block summaries cover the filled rest.
-        self.unfilled_ids: List[int] = []
+        #: The shared empty tuple until a refresh finds one: nothing
+        #: appends to it, and most blocks never hold a warm-up member.
+        self.unfilled_ids: Sequence[int] = ()
         self.dtrel_min: float = _NEG_INF
         self.trel_max_de: float = 0.0
         self.earliest_de: float = 0.0
@@ -123,7 +125,7 @@ class PostingsBlock:
             created = result_set.kept_created
             if created < earliest:
                 earliest = created
-        self.unfilled_ids = unfilled
+        self.unfilled_ids = unfilled or ()
         self.has_unfilled = bool(unfilled)
         if len(unfilled) == len(self.query_ids):
             # Nothing filled: no meaningful summary exists.
@@ -154,7 +156,7 @@ class PostingsBlock:
         if summary is None:
             return False
         self.dtrel_min, self.trel_max_de, self.earliest_de = summary
-        self.unfilled_ids = []
+        self.unfilled_ids = ()
         self.has_unfilled = False
         self.meta_dirty = False
         return True

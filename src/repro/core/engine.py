@@ -40,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import METHOD_CONFIGS, EngineConfig
 from repro.core.agg_weights import MemoryBudget
+from repro.core.blocks import PostingsBlock
 from repro.core.events import Notification
 from repro.core.filtering import (
     TIE_EPSILON,
@@ -139,11 +140,11 @@ class DasEngine:
         )
         self._queries: Dict[int, DasQuery] = {}
         self._result_sets: Dict[int, QueryResultSet] = {}
-        #: query id -> [(term, block)] memberships, as ``insert``
-        #: returned them: a query's block never changes after insertion,
-        #: so updates mark it and ``unsubscribe`` hands it back to
-        #: ``remove``.
-        self._memberships: Dict[int, List[Tuple[str, object]]] = {}
+        #: query id -> its blocks, one per ``query.terms`` entry, as
+        #: ``insert`` returned them: a query's blocks never change after
+        #: insertion, so updates mark them and ``unsubscribe`` hands them
+        #: back to ``remove`` with the query.
+        self._memberships: Dict[int, Tuple[PostingsBlock, ...]] = {}
         self._last_query_id: Optional[int] = None
         self._init_strategy = init_strategy
         self.counters = counters if counters is not None else Counters()
@@ -287,7 +288,13 @@ class DasEngine:
             "warmup_queries": sum(not rs.is_full for rs in result_sets),
             "stored_documents": len(self._store),
         }
-        # Rough footprint: a posting is an int (28 B in CPython), a result
+        # Rough footprint: a posting is a slot in its block's
+        # ``query_ids`` list and one in its query's memberships tuple, the
+        # id object being the query's own (~48 B with the list and tuple
+        # headers and over-allocation shared among them: sys.getsizeof of
+        # every block's ``query_ids`` and every memberships tuple after
+        # the measured phases of the three in-process benchmark
+        # workloads, CPython 3.11, read 33.1-61.0 B per posting), a result
         # row is a list slot, two doubles and a flag byte in its table's
         # columns (~30 B: sys.getsizeof of the four columns of full k=20
         # tables after admit / seed and replace churn, CPython 3.11,
@@ -299,7 +306,7 @@ class DasEngine:
         # workloads, CPython 3.11, read 38.3-41.7 B per entry), an MCS
         # member is a reference (~8 B).
         report["approx_bytes"] = (
-            report["postings"] * 28
+            report["postings"] * 48
             + report["result_entries"] * 30
             + report["aw_entries"] * 40
             + report["mcs_documents"] * 8
@@ -366,8 +373,7 @@ class DasEngine:
         self._queries[query.query_id] = query
         self._result_sets[query.query_id] = result_set
         self._last_query_id = query.query_id
-        touched = self._index.insert(query)
-        self._memberships[query.query_id] = touched
+        self._memberships[query.query_id] = self._index.insert(query)
         # The insert dropped the touched blocks' MCS summaries; the first
         # group check that meets a block rebuilds it (Section 7.1).
         self.counters.queries_subscribed += 1
@@ -384,7 +390,7 @@ class DasEngine:
         for document in result_set._docs:
             self._store.unpin(document.doc_id)
         result_set.release_budget()
-        self._index.remove(query_id, self._memberships.pop(query_id))
+        self._index.remove(query, self._memberships.pop(query_id))
 
     def _query_of(self, query_id: int) -> DasQuery:
         query = self._queries.get(query_id)
@@ -775,7 +781,7 @@ class DasEngine:
             self.counters.aw_dot_products += aw_dots
             config = self._config
             if config.use_blocks:
-                for _term, block in self._memberships[query_id]:
+                for block in self._memberships[query_id]:
                     block.meta_dirty = True
                     if config.use_group_filter:
                         block.mcs_sets = None
@@ -844,7 +850,7 @@ class DasEngine:
             return
         use_group_filter = self._config.use_group_filter
         invalidated = None
-        for _term, block in self._memberships[query_id]:
+        for block in self._memberships[query_id]:
             block.meta_dirty = True
             # Since the check backoff few blocks hold covers at all.
             if use_group_filter and block.mcs_sets:

@@ -349,7 +349,7 @@ class FlatPostingsIndex:
                     # match (same as QuerySummaryColumns.summarize).
                     block.trel_max_de = max(0.0, float(trel_max[index]))
                     block.earliest_de = float(earliest[index])
-                    block.unfilled_ids = []
+                    block.unfilled_ids = ()
                     block.has_unfilled = False
                     block.meta_dirty = False
                     if counters is not None:

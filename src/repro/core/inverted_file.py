@@ -3,8 +3,9 @@
 One postings list per term; each list is a sequence of
 :class:`~repro.core.blocks.PostingsBlock` objects whose id ranges are
 disjoint and ascending.  Nothing looks a block up by id: a query's
-``(term, block)`` memberships are the list :meth:`QueryInvertedFile.insert`
-returns, and :meth:`QueryInvertedFile.remove` takes them back.  With
+memberships are the tuple of blocks :meth:`QueryInvertedFile.insert`
+returns, one per ``query.terms`` entry in that order, and
+:meth:`QueryInvertedFile.remove` takes the query and that tuple back.  With
 ``block_size = None`` the file degrades to a plain (unblocked) inverted
 file — the structure used by the IRT baseline.
 """
@@ -65,8 +66,9 @@ class QueryInvertedFile:
     def block_size(self) -> Optional[int]:
         return self._block_size
 
-    def insert(self, query: DasQuery) -> List[Tuple[str, PostingsBlock]]:
-        """Add a query to every keyword's list; returns touched blocks."""
+    def insert(self, query: DasQuery) -> Tuple[PostingsBlock, ...]:
+        """Add a query to every keyword's list; returns the touched
+        blocks, one per ``query.terms`` entry, in that order."""
         touched = []
         for term in query.terms:
             postings = self._lists.get(term)
@@ -77,15 +79,16 @@ class QueryInvertedFile:
             block = postings.append(query.query_id, self._block_size)
             self._blocks_total += len(postings.blocks) - before
             self._postings_total += 1
-            touched.append((term, block))
-        return touched
+            touched.append(block)
+        return tuple(touched)
 
     def remove(
-        self, query_id: int, touched: List[Tuple[str, PostingsBlock]]
+        self, query: DasQuery, blocks: Tuple[PostingsBlock, ...]
     ) -> None:
-        """Drop a query from the ``(term, block)`` list :meth:`insert`
-        returned for it, and the blocks and lists that become empty."""
-        for term, block in touched:
+        """Drop a query from the blocks :meth:`insert` returned for it,
+        and the blocks and lists that become empty."""
+        query_id = query.query_id
+        for term, block in zip(query.terms, blocks):
             if not block.remove(query_id):
                 continue
             self._postings_total -= 1

@@ -275,8 +275,7 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
     engine._queries[query.query_id] = query
     engine._result_sets[query.query_id] = result_set
     engine._last_query_id = query.query_id
-    touched = engine._index.insert(query)
-    engine._memberships[query.query_id] = touched
+    engine._memberships[query.query_id] = engine._index.insert(query)
     engine.counters.queries_subscribed += 1
     if not result_set.is_full:
         # A warm-up table is its rows: whatever ``sim_acc`` / ``in_r1`` an

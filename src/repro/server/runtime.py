@@ -56,6 +56,7 @@ from repro.core.events import Notification
 from repro.core.query import DasQuery
 from repro.errors import (
     ConfigurationError,
+    ProtocolError,
     ReproError,
     ServerClosedError,
     UnknownQueryError,
@@ -624,10 +625,19 @@ class ServerRuntime:
             raise ReproError(
                 "ack requires a session resumed as a durable subscriber"
             )
-        self._eventlog.append(ack_record(name, int(offset)))
+        offset = int(offset)
+        end = self._eventlog.end
+        if offset >= end:
+            # An ack past every logged op would raise the acked floor
+            # over offsets not yet written, and the registry would then
+            # drop the subscriber's future notifications as confirmed.
+            raise ProtocolError(
+                f"ack offset {offset} is past the log's end ({end})"
+            )
+        self._eventlog.append(ack_record(name, offset))
         self._appended_since_checkpoint += 1
-        trimmed = self._registry.ack(name, int(offset))
-        session.acked_offset = max(session.acked_offset, int(offset))
+        trimmed = self._registry.ack(name, offset)
+        session.acked_offset = max(session.acked_offset, offset)
         return {
             "subscriber": name,
             "acked": self._registry.get(name).acked,

@@ -15,9 +15,8 @@ document, serves two access patterns, and bounds memory:
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
 from itertools import islice
-from typing import Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.config import UNLIMITED
 from repro.errors import DocumentOrderError, DuplicateDocumentError
@@ -27,15 +26,17 @@ from repro.stream.document import Document
 class DocumentStore:
     """Ordered store of published documents with pinning and eviction."""
 
-    def __init__(self, capacity: int = UNLIMITED, index_terms: bool = True) -> None:
+    def __init__(self, capacity: int = UNLIMITED) -> None:
         self._capacity = capacity
-        self._index_terms = index_terms
-        self._docs: "OrderedDict[int, Document]" = OrderedDict()
+        # Insertion order and ``reversed()`` are a plain dict's own.
+        self._docs: Dict[int, Document] = {}
         self._pins: Dict[int, int] = {}
         self._last_id: Optional[int] = None
         self._last_time: float = float("-inf")
-        # term -> ids of stored documents containing the term, oldest first.
-        self._term_index: Dict[str, Deque[int]] = {}
+        # term -> ids of stored documents containing the term, oldest
+        # first.  A list, not a deque: most buckets hold one or a few ids,
+        # and a deque reserves a 64-slot block for the first.
+        self._term_index: Dict[str, List[int]] = {}
 
     # -- insertion -------------------------------------------------------
 
@@ -58,12 +59,11 @@ class DocumentStore:
         self._docs[doc_id] = document
         self._last_id = doc_id
         self._last_time = document.created_at
-        if self._index_terms:
-            for term in document.vector.terms():
-                bucket = self._term_index.get(term)
-                if bucket is None:
-                    bucket = deque()
-                    self._term_index[term] = bucket
+        for term in document.vector.terms():
+            bucket = self._term_index.get(term)
+            if bucket is None:
+                self._term_index[term] = [doc_id]
+            else:
                 bucket.append(doc_id)
         self._evict_if_needed()
 
@@ -104,8 +104,7 @@ class DocumentStore:
             bucket = self._term_index.get(term)
             if bucket:
                 # The most recent `limit` ids of each term bucket, walked
-                # from the tail: indexing a deque costs O(distance from
-                # the nearer end).
+                # from the tail, so a long bucket costs `limit` steps.
                 candidate_ids.update(islice(reversed(bucket), limit))
         ordered = sorted(candidate_ids, reverse=True)[:limit]
         return list(map(self._docs.get, ordered))
@@ -146,14 +145,13 @@ class DocumentStore:
                     break
         for doc_id in victims:
             document = self._docs.pop(doc_id)
-            if self._index_terms:
-                for term in document.vector.terms():
-                    bucket = self._term_index.get(term)
-                    if bucket is None:
-                        continue
-                    try:
-                        bucket.remove(doc_id)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del self._term_index[term]
+            for term in document.vector.terms():
+                bucket = self._term_index.get(term)
+                if bucket is None:
+                    continue
+                try:
+                    bucket.remove(doc_id)
+                except ValueError:
+                    pass
+                if not bucket:
+                    del self._term_index[term]

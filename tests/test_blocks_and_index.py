@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.blocks import PostingsBlock
+from repro.core.engine import DasEngine
 from repro.core.inverted_file import PostingsList, QueryInvertedFile
 from repro.core.query import DasQuery
 from repro.core.result_set import QueryResultSet
@@ -64,7 +67,9 @@ def test_refresh_metadata_all_filled():
     block.refresh_metadata(result_sets)
     assert not block.meta_dirty
     assert not block.has_unfilled
-    assert block.unfilled_ids == []
+    # No warm-up member: the one shared empty tuple, not a fresh list.
+    assert block.unfilled_ids == ()
+    assert block.unfilled_ids is PostingsBlock().unfilled_ids
     assert block.trel_max_de == pytest.approx(0.4)
     assert block.earliest_de == 0.0
     expected_min = min(
@@ -151,8 +156,13 @@ def test_postings_list_unbounded_single_block():
 
 def test_insert_returns_touched_blocks():
     index = QueryInvertedFile(block_size=4)
-    touched = index.insert(DasQuery(0, ["a", "b"]))
-    assert {term for term, _ in touched} == {"a", "b"}
+    query = DasQuery(0, ["b", "a"])
+    touched = index.insert(query)
+    # One block per ``query.terms`` entry, in that (sorted) order.
+    assert type(touched) is tuple and len(touched) == len(query.terms) == 2
+    for term, block in zip(query.terms, touched):
+        assert block is index.list_for(term).blocks[-1]
+        assert block.query_ids == [0]
     assert index.term_count == 2
     assert index.posting_count == 2
 
@@ -161,9 +171,9 @@ def test_insert_and_find():
     index = QueryInvertedFile(block_size=2)
     for qid in range(4):
         touched = index.insert(DasQuery(qid, ["x"]))
-    assert len(touched) == 1
-    term, block = touched[0]
-    assert term == "x" and block.query_ids == [2, 3]
+    assert type(touched) is tuple and len(touched) == 1
+    (block,) = touched
+    assert block.query_ids == [2, 3]
     assert block is index.list_for("x").blocks[-1]
     assert index.block_count == 2
 
@@ -172,31 +182,34 @@ def test_remove_query():
     index = QueryInvertedFile(block_size=4)
     q = DasQuery(0, ["a", "b"])
     touched = index.insert(q)
-    index.remove(q.query_id, touched)
+    index.remove(q, touched)
     assert index.term_count == 0
     assert index.posting_count == 0
     assert index.block_count == 0
-    index.remove(q.query_id, touched)  # idempotent
+    index.remove(q, touched)  # idempotent
     assert index.posting_count == 0 and index.block_count == 0
 
 
 def test_postings_list_remove_drops_empty_blocks():
     index = QueryInvertedFile(block_size=1)
-    touched = {qid: index.insert(DasQuery(qid, ["w"])) for qid in (1, 2, 3)}
-    index.remove(2, touched[2])
+    queries = {qid: DasQuery(qid, ["w"]) for qid in (1, 2, 3)}
+    touched = {qid: index.insert(q) for qid, q in queries.items()}
+    index.remove(queries[2], touched[2])
     assert [block.query_ids for block in index.list_for("w")] == [[1], [3]]
     assert index.block_count == 2 and index.posting_count == 2
-    index.remove(2, touched[2])
+    index.remove(queries[2], touched[2])
     assert index.block_count == 2 and index.posting_count == 2
 
 
 def test_remove_from_a_many_block_list():
     index = QueryInvertedFile(block_size=4)
     ids = list(range(0, 400, 2))  # 200 even ids, 50 blocks of 4
-    touched = {
-        qid: index.insert(DasQuery(qid, ["w", f"own{qid}"])) for qid in ids
-    }
-    w_block = {qid: dict(touched[qid])["w"] for qid in ids}
+    queries = {qid: DasQuery(qid, ["w", f"own{qid}"]) for qid in ids}
+    touched = {qid: index.insert(queries[qid]) for qid in ids}
+    # Blocks align with the sorted ``query.terms``: ("own…", "w").
+    assert all(queries[qid].terms == (f"own{qid}", "w") for qid in ids)
+    w_block = {qid: touched[qid][1] for qid in ids}
+    assert all(w_block[qid] in index.list_for("w").blocks for qid in ids)
     plist = index.list_for("w")
     assert len(plist) == 50
 
@@ -211,7 +224,7 @@ def test_remove_from_a_many_block_list():
     # stays; its own one-posting list goes.
     for qid in (0, 198, 398):
         block = w_block[qid]
-        index.remove(qid, touched[qid])
+        index.remove(queries[qid], touched[qid])
         assert qid not in block.query_ids and block in plist.blocks
         assert index.list_for(f"own{qid}") is None
         assert totals_agree()
@@ -220,7 +233,7 @@ def test_remove_from_a_many_block_list():
     # Emptying a block in the middle drops it — and only it.
     middle = w_block[200]
     for qid in list(middle.query_ids):
-        index.remove(qid, touched[qid])
+        index.remove(queries[qid], touched[qid])
     assert len(plist) == 49 and middle not in plist.blocks
     assert totals_agree()
     assert plist.posting_count == 200 - 3 - 4
@@ -237,3 +250,82 @@ def test_mcs_document_count():
     index = QueryInvertedFile(block_size=4)
     index.insert(DasQuery(0, ["a"]))
     assert index.mcs_document_count() == 0
+
+
+# -- engine memberships ---------------------------------------------------------------
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("publish"),
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
+        ),
+        st.tuples(
+            st.just("subscribe"),
+            st.sets(st.sampled_from("abcdef"), min_size=1, max_size=3),
+        ),
+        st.tuples(st.just("unsubscribe"), st.integers(0, 30)),
+    ),
+    max_size=40,
+)
+
+
+def _postings_by_term(index):
+    return {
+        term: [qid for block in index.list_for(term) for qid in block.query_ids]
+        for term in index.terms()
+    }
+
+
+def _check_memberships(engine):
+    index = engine._index
+    assert set(engine._memberships) == set(engine._queries)
+    for query_id, blocks in engine._memberships.items():
+        query = engine._queries[query_id]
+        assert type(blocks) is tuple and len(blocks) == len(query.terms)
+        for term, block in zip(query.terms, blocks):
+            assert any(block is b for b in index.list_for(term).blocks)
+            assert query_id in block.query_ids
+    walked = [block for _term, block in index.items()]
+    assert index.block_count == len(walked)
+    assert index.posting_count == sum(len(block) for block in walked)
+    assert all(walked), "an empty block outlived its last posting"
+    # Every term's postings, in order, are a fresh index's over the live
+    # queries (block boundaries may differ: removals leave gaps).
+    fresh = QueryInvertedFile(index.block_size)
+    for query_id in sorted(engine._queries):
+        fresh.insert(engine._queries[query_id])
+    assert _postings_by_term(index) == _postings_by_term(fresh)
+    assert index.posting_count == fresh.posting_count
+    assert index.term_count == fresh.term_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=_STEPS)
+def test_memberships_follow_subscribe_unsubscribe_publish(steps):
+    """After every step a query's memberships are the tuple of its blocks
+    aligned with ``query.terms``, each one in its term's list and holding
+    the query; unsubscribing everything leaves a fresh, empty index."""
+    engine = DasEngine.for_method("GIFilter", k=2, block_size=2)
+    next_doc, next_query = 0, 0
+    for action, arg in steps:
+        if action == "publish":
+            engine.publish(Document.from_tokens(next_doc, arg, float(next_doc)))
+            next_doc += 1
+        elif action == "subscribe":
+            engine.subscribe(DasQuery(next_query, sorted(arg)))
+            next_query += 1
+        elif engine._queries:
+            live = sorted(engine._queries)
+            engine.unsubscribe(live[arg % len(live)])
+        _check_memberships(engine)
+    for query_id in list(engine._queries):
+        engine.unsubscribe(query_id)
+        _check_memberships(engine)
+    empty = QueryInvertedFile(engine._index.block_size)
+    assert (
+        engine._index.term_count,
+        engine._index.posting_count,
+        engine._index.block_count,
+    ) == (empty.term_count, empty.posting_count, empty.block_count) == (0, 0, 0)
+    assert engine._memberships == {}

@@ -206,3 +206,18 @@ def test_recent_matching_is_the_brute_force_scan(capacity, steps, queries):
             ][:limit]
             assert store.recent_matching(terms, limit) == expected
             assert store.recent_matching(iter(terms), limit) == expected
+
+
+def test_term_buckets_are_lists_and_docs_a_plain_dict():
+    """Buckets are lists sized to their ids (most hold one); documents
+    sit in a plain dict.  ``test_recent_matching_is_the_brute_force_scan``
+    is the behavioural check of both."""
+    store = DocumentStore(capacity=3)
+    for i, tokens in enumerate([["a", "b"], ["a"], ["c"], ["a", "d"], ["e"]]):
+        store.add(Document.from_tokens(i, tokens, float(i)))
+    assert type(store._docs) is dict
+    assert list(store._docs) == [2, 3, 4]
+    assert store._term_index == {"a": [3], "c": [2], "d": [3], "e": [4]}
+    assert all(type(bucket) is list for bucket in store._term_index.values())
+    with pytest.raises(TypeError):
+        DocumentStore(index_terms=False)

@@ -320,8 +320,9 @@ def test_warmup_admit_maintains_nothing_until_the_fill():
     result_set = engine._result_sets[0]
     assert result_set.size == 1 and result_set.aggregated_weights is None
     assert engine.index_size_report()["warmup_queries"] == 1
-    blocks = [block for _term, block in engine._memberships[0]]
-    assert blocks
+    blocks = engine._memberships[0]
+    assert type(blocks) is tuple and len(blocks) == 1
+    assert blocks[0] is engine._index.list_for("coffee").blocks[-1]
 
     def publish_over_settled_blocks(document):
         for block in blocks:

@@ -19,7 +19,7 @@ import pytest
 from repro.config import ServerConfig
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ProtocolError, ReproError
 from repro.eventlog import (
     DeadLetterQueue,
     EventLog,
@@ -644,6 +644,47 @@ def test_runtime_resume_ack_dlq_ops(tmp_path):
         assert names == ["alice"]
         report = await client.dlq()
         assert report["enabled"] and report["entries"] == []
+        await client.close()
+        await runtime.stop()
+
+    run(scenario())
+
+
+def test_ack_past_the_log_end_is_refused(tmp_path):
+    """An ack at or past the log's end names an op that does not exist
+    yet: it gets an error reply and is not logged, so it cannot raise the
+    acked floor over later notifications and silence the subscriber."""
+    directory = str(tmp_path / "log")
+
+    async def scenario():
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        await client.resume("alice", -1)
+        sub = await client.subscribe(["coffee"])  # offset 0
+        end = (await client.stats())["eventlog"]["end"]
+        assert end == 1
+        for offset in (10**9, end):
+            with pytest.raises(ProtocolError, match="past the log's end"):
+                await client.ack(offset)
+        assert (await client.stats())["eventlog"]["end"] == end
+        state = (await client.stats())["subscribers"]["subscribers"][0]
+        assert state["acked"] == -1
+        # Detach, publish, reattach: the missed notification is replayed.
+        await client.close()
+        published = await InProcessClient(runtime).publish(
+            tokens=["coffee"], created_at=1.0
+        )
+        assert published["offset"] == end
+        client = InProcessClient(runtime)
+        resumed = await client.resume("alice")
+        assert resumed["acked"] == -1 and resumed["replayed"] == 1
+        missed = (await drain(client, 1))[0]
+        assert missed["offset"] == published["offset"]
+        assert missed["query_id"] == sub["query_id"]
+        # The last logged offset itself is a valid ack.
+        acked = await client.ack(missed["offset"])
+        assert acked["acked"] == missed["offset"] and acked["trimmed"] == 1
         await client.close()
         await runtime.stop()
 
