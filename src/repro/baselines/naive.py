@@ -26,7 +26,7 @@ from repro.errors import DuplicateQueryError, UnknownQueryError
 from repro.metrics.instrumentation import Counters
 from repro.scoring.recency import ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
-from repro.stream.clock import SimulationClock
+from repro.stream.clock import SimulationClock, require_not_before
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
 from repro.text.collection_stats import CollectionStatistics
@@ -157,6 +157,7 @@ class NaiveEngine:
     # -- document processing ------------------------------------------------------
 
     def publish(self, document: Document) -> List[Notification]:
+        require_not_before(self._clock, document)
         if document.created_at > self._clock.now:
             self._clock.advance_to(document.created_at)
         self._stats.add(document.vector)

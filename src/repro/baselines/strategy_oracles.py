@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.metrics.instrumentation import Counters
 from repro.scoring.relevance import LanguageModelScorer
-from repro.stream.clock import SimulationClock
+from repro.stream.clock import SimulationClock, require_not_before
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
 from repro.text.collection_stats import CollectionStatistics
@@ -82,6 +82,7 @@ class _OracleBase:
         return len(self._queries)
 
     def _ingest(self, document: Document) -> None:
+        require_not_before(self._clock, document)
         if document.created_at > self._clock.now:
             self._clock.advance_to(document.created_at)
         self._stats.add(document.vector)

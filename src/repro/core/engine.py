@@ -65,7 +65,7 @@ from repro.metrics.instrumentation import Counters
 from repro.scoring.diversity import diversity_coefficient, dr_score
 from repro.scoring.recency import CachedDecay, ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
-from repro.stream.clock import SimulationClock
+from repro.stream.clock import SimulationClock, require_not_before
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
 from repro.telemetry import Telemetry
@@ -408,6 +408,7 @@ class DasEngine:
 
     def publish(self, document: Document) -> List[Notification]:
         """Process one stream document; returns the triggered updates."""
+        require_not_before(self._clock, document)
         if self._strategy is not None:
             return self._strategy.publish(document)
         self._decay_cache.clear()
@@ -434,11 +435,13 @@ class DasEngine:
         notifications: List[Notification] = []
         if self._strategy is not None:
             for document in documents:
+                require_not_before(self._clock, document)
                 notifications.extend(self._strategy.publish(document))
             return notifications
         self._decay_cache.clear()
         lists_memo: Dict[str, Optional[PostingsList]] = {}
         for document in documents:
+            require_not_before(self._clock, document)
             notifications.extend(self._publish_one(document, lists_memo))
         return notifications
 

@@ -11,11 +11,12 @@ never strands an un-acked delivery.
 newest readable checkpoint (torn or corrupt candidates — a crash during
 ``checkpoint.write`` — are skipped in favour of older ones), restore the
 engine and registry from it, then re-apply every logged record above its
-offset in offset order.  Publish replay regenerates notifications and
-re-buffers them for their durable owners, which is what makes a resumed
-subscriber's stream byte-identical to an uninterrupted run: logged-but-
-unacked ops (the at-least-once in-doubt window) surface exactly once,
-via the outbox.
+offset in offset order, each read from its segment file as replay
+reaches it (the log keeps no records in memory).  Publish replay
+regenerates notifications and re-buffers them for their durable owners,
+which is what makes a resumed subscriber's stream byte-identical to an
+uninterrupted run: logged-but-unacked ops (the at-least-once in-doubt
+window) surface exactly once, via the outbox.
 """
 
 from __future__ import annotations

@@ -23,10 +23,11 @@ Durability contract:
 * ``compact_to(offset)`` additionally rewrites the *head* segment when
   ``offset`` falls inside it, physically reclaiming entries every
   durable subscriber has acked and a checkpoint covers.  The rewrite is
-  crash-safe: the surviving suffix is written to a temporary file,
-  fsynced, renamed into place and only then is the old segment removed
-  — a crash in between leaves an overlapping pair, and the recovery
-  scan keeps the earlier (superset) segment and deletes the leftover.
+  crash-safe: the surviving lines are copied byte for byte to a
+  temporary file, fsynced, renamed into place and only then is the old
+  segment removed — a crash in between leaves an overlapping pair, and
+  the recovery scan keeps the earlier (superset) segment and deletes
+  the leftover.
 
 Fsync policies: ``always`` fsyncs once per append call (one fsync covers
 a whole ``append_many`` batch), ``batch`` fsyncs on rotation, explicit
@@ -36,13 +37,18 @@ The ``eventlog.fault`` injection point fires on every append call:
 ``raise`` rejects the batch before any byte is written, ``torn`` writes
 half of the first record's line and poisons the handle (the simulated
 process must reopen — exactly what a real crash forces).
+
+Memory: the log holds no records, only each segment's ``[base, count]``.
+The open-time scan validates every line and keeps the counts;
+:meth:`EventLog.entries_since` reads the records back from the files.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InjectedFaultError, ReproError
 from repro.eventlog.records import validate_record
@@ -106,15 +112,12 @@ class EventLog:
         self.compactions = 0
         self.reclaimed_bytes = 0
         os.makedirs(directory, exist_ok=True)
-        #: Retained entries, contiguous from ``self._base``.
-        self._entries: List[Dict[str, Any]] = []
-        self._base = 0
         #: Per-segment bookkeeping (base offset, entry count), including
-        #: the active segment last.
+        #: the active segment last; the retained window is contiguous.
         self._segments: List[List[int]] = []
         self._scan()
         if not self._segments:
-            self._segments.append([self._base, 0])
+            self._segments.append([0, 0])
         active_base = self._segments[-1][0]
         self._active_path = os.path.join(directory, segment_name(active_base))
         self._file = open(self._active_path, "ab")
@@ -137,7 +140,6 @@ class EventLog:
             base = _parse_segment_base(name)
             path = os.path.join(self.directory, name)
             if expected is None:
-                self._base = base
                 expected = base
             elif base < expected:
                 # A compaction renamed its rewritten head segment into
@@ -165,12 +167,12 @@ class EventLog:
                 self.torn_dropped += 1
             self._segments.append([base, count])
             expected += count
-        self.recovered = len(self._entries)
+        self.recovered = sum(count for _, count in self._segments)
 
     def _scan_segment(
         self, path: str, expected: int
     ) -> Tuple[int, int, bool]:
-        """Read one segment; returns (entries, good byte length, torn?)."""
+        """Validate one segment; returns (entries, good byte length, torn?)."""
         count = 0
         good_bytes = 0
         with open(path, "rb") as handle:
@@ -179,9 +181,8 @@ class EventLog:
                 if not bad:
                     try:
                         parsed = json.loads(raw.decode("utf-8"))
-                        offset = parsed["offset"]
-                        record = validate_record(parsed["record"])
-                        bad = offset != expected + count
+                        validate_record(parsed["record"])
+                        bad = parsed["offset"] != expected + count
                     except (ValueError, KeyError, TypeError, ReproError):
                         bad = True
                 if bad:
@@ -195,7 +196,6 @@ class EventLog:
                             f"{expected + count}"
                         )
                     return count, good_bytes, True
-                self._entries.append(record)
                 count += 1
                 good_bytes += len(raw)
         return count, good_bytes, False
@@ -205,12 +205,13 @@ class EventLog:
     @property
     def base(self) -> int:
         """Offset of the oldest retained entry."""
-        return self._base
+        return self._segments[0][0]
 
     @property
     def end(self) -> int:
         """Offset the next accepted op will get."""
-        return self._base + len(self._entries)
+        base, count = self._segments[-1]
+        return base + count
 
     def append(self, record: Dict[str, Any]) -> int:
         return self.append_many([record])[0]
@@ -247,7 +248,6 @@ class EventLog:
                 self._rotate()
             offset = self.end
             self._file.write(_encode_entry(offset, record))
-            self._entries.append(record)
             self._segments[-1][1] += 1
             self.appended += 1
             offsets.append(offset)
@@ -282,29 +282,47 @@ class EventLog:
 
     def entries_since(
         self, offset: int
-    ) -> List[Tuple[int, Dict[str, Any]]]:
+    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Retained ``(offset, record)`` pairs with offset >= ``offset``.
 
-        Raises when ``offset`` predates the retained window — the caller
-        needs a checkpoint, not a replay.
+        Raises at call time when ``offset`` predates the retained window
+        — the caller needs a checkpoint, not a replay.  The pairs are
+        read from the segment files as the iterator is advanced, up to
+        the end the log had at call time; truncating or compacting the
+        log before the iterator is exhausted is an error.
         """
         start = max(int(offset), 0)
-        if start < self._base:
+        if start < self.base:
             raise ReproError(
                 f"offset {offset} predates the retained log (base "
-                f"{self._base}); recover from a checkpoint"
+                f"{self.base}); recover from a checkpoint"
             )
-        return [
-            (self._base + index, self._entries[index])
-            for index in range(start - self._base, len(self._entries))
-        ]
+        if not self._closed:
+            self._file.flush()
+        segments = [(base, count) for base, count in self._segments]
+        return self._read(start, segments)
+
+    def _read(
+        self, start: int, segments: List[Tuple[int, int]]
+    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        for base, count in segments:
+            if base + count <= start:
+                continue
+            skip = max(start - base, 0)
+            path = os.path.join(self.directory, segment_name(base))
+            with open(path, "rb") as handle:
+                # ``count`` bounds the read: a poisoned handle may have
+                # left half a line after the last accepted entry.
+                for offset, raw in enumerate(
+                    islice(handle, skip, count), base + skip
+                ):
+                    yield offset, json.loads(raw)["record"]
 
     def truncate_to(self, offset: int) -> int:
         """Drop whole segments entirely below ``offset``; returns the new
         base.  A checkpoint at ``offset`` makes everything before it
         redundant; partial segments (and the active one) are retained, so
         the base only moves in segment-sized steps."""
-        removed = 0
         while len(self._segments) > 1:
             base, count = self._segments[0]
             if base + count > offset:
@@ -313,11 +331,7 @@ class EventLog:
             self.reclaimed_bytes += os.path.getsize(path)
             os.remove(path)
             self._segments.pop(0)
-            removed += count
-        if removed:
-            del self._entries[:removed]
-            self._base += removed
-        return self._base
+        return self.base
 
     def compact_to(self, offset: int) -> int:
         """Physically reclaim every retained entry below ``offset``.
@@ -336,7 +350,7 @@ class EventLog:
         self.truncate_to(offset)
         if offset > self.end:
             offset = self.end
-        if offset > self._base:
+        if offset > self.base:
             head_base, head_count = self._segments[0]
             keep = head_base + head_count - offset
             is_active = len(self._segments) == 1
@@ -350,14 +364,11 @@ class EventLog:
             tmp_path = os.path.join(
                 self.directory, f"compact-{offset:020d}.tmp"
             )
-            drop = offset - self._base
-            with open(tmp_path, "wb") as handle:
-                for index in range(drop, drop + keep):
-                    handle.write(
-                        _encode_entry(
-                            self._base + index, self._entries[index]
-                        )
-                    )
+            drop = offset - head_base
+            with open(old_path, "rb") as source, open(
+                tmp_path, "wb"
+            ) as handle:
+                handle.writelines(islice(source, drop, drop + keep))
                 handle.flush()
                 if self.fsync_policy != "never":
                     os.fsync(handle.fileno())
@@ -369,9 +380,7 @@ class EventLog:
             os.rename(tmp_path, new_path)
             os.remove(old_path)
             self.reclaimed_bytes += old_size - os.path.getsize(new_path)
-            del self._entries[:drop]
             self._segments[0] = [offset, keep]
-            self._base = offset
             if is_active:
                 self._active_path = new_path
                 self._file = open(self._active_path, "ab")

@@ -376,19 +376,23 @@ def run_kill9_suite(
         oracle, log_end = _oracle_stream(directory)
         log = EventLog(directory, fsync="never")
         try:
-            by_offset = dict(log.entries_since(0))
+            logged_terms = {
+                offset: set(record["doc"]["tf"])
+                for offset, record in log.entries_since(0)
+                if offset in accepted and record["kind"] == "publish"
+            }
         finally:
             log.close()
 
         # Zero accepted-op loss: every acked publish survived the kills.
         for offset, tokens in sorted(accepted.items()):
-            record = by_offset.get(offset)
-            if record is None or record["kind"] != "publish":
+            terms = logged_terms.get(offset)
+            if terms is None:
                 check(f"accepted offset {offset} missing from log", False)
             else:
                 check(
                     f"accepted offset {offset} term set",
-                    set(record["doc"]["tf"]) == set(tokens),
+                    terms == set(tokens),
                 )
 
         # No duplicate delivery, offsets non-decreasing, stream == oracle.

@@ -7,6 +7,8 @@ experiment driver advances rather than the wall clock.
 
 from __future__ import annotations
 
+from repro.errors import DocumentOrderError
+
 
 class SimulationClock:
     """Monotonic simulated time in seconds."""
@@ -38,3 +40,19 @@ class SimulationClock:
 
     def __repr__(self) -> str:
         return f"SimulationClock(now={self._now:.3f})"
+
+
+def require_not_before(clock: SimulationClock, document) -> None:
+    """Refuse ``document`` if it was created before ``clock.now``.
+
+    An engine treats the document it is publishing as current
+    (``T(d_n) = 1``) while the brute-force oracle decays it by
+    ``now - created_at``, so a document behind the clock would make the
+    two disagree.  Engines call this before any state changes; ``not >=``
+    refuses a NaN time as well.
+    """
+    if not document.created_at >= clock.now:
+        raise DocumentOrderError(
+            f"document {document.doc_id} created_at {document.created_at} "
+            f"is before the engine clock {clock.now}"
+        )

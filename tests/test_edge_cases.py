@@ -7,15 +7,20 @@ index behaviour around unsubscription.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveEngine
+from repro.baselines.strategy_oracles import SpatialOracle, WindowOracle
 from repro.config import EngineConfig
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
+from repro.errors import DocumentOrderError
 from repro.scoring.relevance import LanguageModelScorer
+from repro.stream.clock import SimulationClock
 from repro.stream.document import Document
 from repro.text.collection_stats import CollectionStatistics
 from repro.text.vectors import TermVector
@@ -171,12 +176,81 @@ def test_documents_at_identical_timestamps():
 
 
 def test_out_of_order_document_rejected():
-    from repro.errors import DocumentOrderError
-
     engine = DasEngine.for_method("GIFilter", k=2)
     engine.publish(doc(5, ["kw"], t=5.0))
     with pytest.raises(DocumentOrderError):
         engine.publish(doc(4, ["kw"], t=6.0))
+
+
+def _ahead_engines(mode="decay"):
+    config = EngineConfig(k=2, decay_base=1.5, mode=mode)
+    if mode == "decay":
+        oracle = NaiveEngine(config, clock=SimulationClock(30.0))
+    elif mode == "window":
+        oracle = WindowOracle(config, clock=SimulationClock(30.0))
+    else:
+        oracle = SpatialOracle(config, clock=SimulationClock(30.0))
+    return DasEngine(config, clock=SimulationClock(30.0)), oracle
+
+
+def _outcome(target, document):
+    """The notifications as plain tuples, or the refusal with what it left."""
+    before = (target.counters.as_dict(), len(target.store))
+    try:
+        notes = target.publish(document)
+    except DocumentOrderError:
+        assert (target.counters.as_dict(), len(target.store)) == before
+        return "refused"
+    return [
+        (n.query_id, n.document.doc_id, n.replaced and n.replaced.doc_id)
+        for n in notes
+    ]
+
+
+@pytest.mark.parametrize("mode", ["decay", "window", "spatial"])
+def test_document_behind_the_clock_is_refused_by_engine_and_oracle(mode):
+    """An engine whose clock is ahead of a document used to treat it as
+    current (T = 1) while its oracle decayed it; both now refuse it and
+    change nothing, and agree on every document at or after the clock."""
+    rng = random.Random(0)
+    engine, oracle = _ahead_engines(mode)
+    where = (0.5, 0.5) if mode == "spatial" else None
+    engine.subscribe(DasQuery(1, ("a",), location=where))
+    oracle.subscribe(DasQuery(1, ("a",), location=where))
+    outcomes = []
+    for i in range(40):
+        terms = ["a"] + rng.sample("bcdefghi", rng.randint(1, 4))
+        if mode == "spatial":
+            where = (rng.random(), rng.random())
+        document = Document.from_tokens(i, terms, float(i), location=where)
+        outcomes.append(_outcome(engine, document))
+        assert _outcome(oracle, document) == outcomes[-1]
+    assert outcomes[:30] == ["refused"] * 30
+    # A document exactly at the clock (doc 30, t = 30.0) is accepted.
+    assert all(outcome != "refused" for outcome in outcomes[30:])
+    assert len(engine.store) == len(oracle.store) == 10
+
+
+def test_publish_batch_refuses_before_any_state_changes():
+    engine = DasEngine(EngineConfig(k=2), clock=SimulationClock(30.0))
+    engine.subscribe(DasQuery(1, ("a",)))
+    before = engine.counters.as_dict()
+    with pytest.raises(DocumentOrderError):
+        engine.publish_batch([doc(0, ["a"], t=29.0)])
+    assert engine.counters.as_dict() == before
+    assert len(engine.store) == 0
+
+
+def test_publish_batch_refuses_like_sequential_publishes():
+    engine = DasEngine(EngineConfig(k=2))
+    engine.subscribe(DasQuery(1, ("a",)))
+    batch = [doc(0, ["a"], t=5.0), doc(1, ["a"], t=6.0), doc(2, ["a"], t=4.0)]
+    with pytest.raises(DocumentOrderError):
+        engine.publish_batch(batch)
+    # The documents before the refused one were published, as they are
+    # by one publish call each.
+    assert sorted(d.doc_id for d in engine.results(1)) == [0, 1]
+    assert engine.clock.now == 6.0
 
 
 def test_single_term_vocabulary_stream():

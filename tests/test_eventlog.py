@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_append_assigns_contiguous_offsets_and_rotates(tmp_eventlog):
     assert log.rotations == 2
     names = sorted(n for n in os.listdir(directory) if n.endswith(".seg"))
     assert names == [segment_name(0), segment_name(3), segment_name(6)]
-    assert log.entries_since(5) == [(5, publish(5)), (6, publish(6))]
+    assert list(log.entries_since(5)) == [(5, publish(5)), (6, publish(6))]
 
 
 def test_append_many_is_one_durability_unit(tmp_eventlog):
@@ -147,6 +148,33 @@ def test_entries_since_below_base_raises(tmp_eventlog):
     assert log.base == 4
     with pytest.raises(ReproError):
         log.entries_since(0)
+
+
+def test_appended_records_are_not_kept_in_memory(tmp_eventlog):
+    _, open_log = tmp_eventlog
+    log = open_log(segment_entries=512, fsync="never")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, 5000, 4):
+            log.append_many([publish(i) for i in range(start, start + 4)])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert log.end == 5000
+    assert retained / 5000 < 16
+
+
+def test_entries_since_reads_the_window_it_was_called_on(tmp_eventlog):
+    _, open_log = tmp_eventlog
+    log = open_log(segment_entries=3)
+    for i in range(4):
+        log.append(publish(i))
+    entries = log.entries_since(1)
+    assert iter(entries) is entries
+    log.append(publish(4))
+    assert list(entries) == [(i, publish(i)) for i in range(1, 4)]
+    assert [o for o, _ in log.entries_since(0)] == [0, 1, 2, 3, 4]
 
 
 def test_truncate_never_deletes_the_active_segment(tmp_eventlog):
@@ -342,7 +370,7 @@ def test_segment_gap_is_corruption(tmp_eventlog):
 
 def test_corpus_clean_replays_bytes(eventlog_corpus):
     log = EventLog(eventlog_corpus("clean"), fsync="never")
-    entries = log.entries_since(0)
+    entries = list(log.entries_since(0))
     assert [offset for offset, _ in entries] == list(range(10))
     kinds = [record["kind"] for _, record in entries]
     assert kinds == (

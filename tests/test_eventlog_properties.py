@@ -23,6 +23,7 @@ import os
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -40,6 +41,7 @@ from repro.eventlog import (
     recover,
     subscribe_record,
 )
+from repro.errors import ReproError
 
 VOCAB = ["coffee", "espresso", "beans", "tea", "green", "milk"]
 
@@ -64,7 +66,8 @@ records_strategy = st.builds(
 
 
 class EventLogMachine(RuleBasedStateMachine):
-    """Append / crash-reopen / torn-tail / truncate vs a list model."""
+    """Append / crash-reopen / torn-tail / truncate / compact vs a list
+    model; the records are read back from the segment files."""
 
     def __init__(self):
         super().__init__()
@@ -129,19 +132,26 @@ class EventLogMachine(RuleBasedStateMachine):
         assert self.model_base <= new_base <= max(offset, self.model_base)
         self.model_base = new_base
 
+    @rule(data=st.data())
+    def compact(self, data):
+        offset = data.draw(
+            st.integers(min_value=0, max_value=len(self.model)),
+            label="compact_to",
+        )
+        self.log.compact_to(offset)
+        self.model_base = max(self.model_base, offset)
+
     @invariant()
     def retained_equals_model(self):
         if self.log is None:
             return
         assert self.log.base == self.model_base
         assert self.log.end == len(self.model)
-        entries = self.log.entries_since(self.model_base)
-        assert [offset for offset, _ in entries] == list(
-            range(self.model_base, len(self.model))
-        )
-        assert [record for _, record in entries] == self.model[
-            self.model_base :
-        ]
+        entries = list(self.log.entries_since(self.log.base))
+        assert entries == list(enumerate(self.model))[self.model_base :]
+        if self.model_base > 0:
+            with pytest.raises(ReproError):
+                self.log.entries_since(self.model_base - 1)
 
     def teardown(self):
         if self.log is not None:
@@ -261,7 +271,7 @@ def test_roundtrip_any_chunking(records, chunk, entries):
             log.append_many(records[start : start + chunk])
         log.close()
         reopened = EventLog(directory, segment_entries=entries)
-        assert reopened.entries_since(0) == list(enumerate(records))
+        assert list(reopened.entries_since(0)) == list(enumerate(records))
         assert reopened.end == len(records)
         reopened.close()
     finally:
