@@ -15,7 +15,7 @@ from repro.core.filtering import (
     quick_relevance_bound,
 )
 from repro.core.initializer import select_initial_documents
-from repro.core.inverted_file import PostingsList, QueryInvertedFile
+from repro.core.inverted_file import QueryInvertedFile
 from repro.core.mcs import (
     BlockUniverse,
     build_universe,
@@ -33,7 +33,6 @@ __all__ = [
     "MemoryBudget",
     "Notification",
     "PostingsBlock",
-    "PostingsList",
     "QueryInvertedFile",
     "QueryResultSet",
     "TIE_EPSILON",

@@ -40,7 +40,6 @@ class PostingsBlock:
     __slots__ = (
         "query_ids",
         "meta_dirty",
-        "has_unfilled",
         "unfilled_ids",
         "dtrel_min",
         "trel_max_de",
@@ -52,7 +51,6 @@ class PostingsBlock:
     def __init__(self) -> None:
         self.query_ids: List[int] = []
         self.meta_dirty: bool = True
-        self.has_unfilled: bool = True
         #: Members whose result sets are still warming up.  They admit
         #: every matching document, so a group skip must still evaluate
         #: them individually; the block summaries cover the filled rest.
@@ -66,6 +64,11 @@ class PostingsBlock:
         #: covering set exists" (the bound then degrades to BIRT's 0).
         self.mcs_sets: Optional[List[CoverSet]] = None
         self.mcs_initial_count: int = 0
+
+    @property
+    def has_unfilled(self) -> bool:
+        """Whether the last refresh found a member still warming up."""
+        return bool(self.unfilled_ids)
 
     # -- postings ------------------------------------------------------------
 
@@ -126,7 +129,6 @@ class PostingsBlock:
             if created < earliest:
                 earliest = created
         self.unfilled_ids = unfilled or ()
-        self.has_unfilled = bool(unfilled)
         if len(unfilled) == len(self.query_ids):
             # Nothing filled: no meaningful summary exists.
             self.dtrel_min = _NEG_INF
@@ -157,7 +159,6 @@ class PostingsBlock:
             return False
         self.dtrel_min, self.trel_max_de, self.earliest_de = summary
         self.unfilled_ids = ()
-        self.has_unfilled = False
         self.meta_dirty = False
         return True
 

@@ -52,7 +52,7 @@ from repro.core.filtering import (
     quick_relevance_bound,
 )
 from repro.core.initializer import select_initial_documents
-from repro.core.inverted_file import PostingsList, QueryInvertedFile
+from repro.core.inverted_file import QueryInvertedFile
 from repro.core.query import DasQuery
 from repro.core.result_set import QueryResultSet
 from repro.core.strategies import make_strategy
@@ -294,11 +294,13 @@ class DasEngine:
         # headers and over-allocation shared among them: sys.getsizeof of
         # every block's ``query_ids`` and every memberships tuple after
         # the measured phases of the three in-process benchmark
-        # workloads, CPython 3.11, read 33.1-61.0 B per posting), a result
-        # row is a list slot, two doubles and a flag byte in its table's
-        # columns (~30 B: sys.getsizeof of the four columns of full k=20
-        # tables after admit / seed and replace churn, CPython 3.11,
-        # over-allocation included, read 29.4-31.0 B per row), an AW
+        # workloads, CPython 3.11, read 33.1-61.0 B per posting; a term's
+        # own list of blocks, 64 B with one block, is not counted), a
+        # result row is a list slot and a double in its table's columns,
+        # plus a double and a flag byte once the table holds an R2 row
+        # (~24 B: sys.getsizeof of the columns of full k=20 tables, sized
+        # exactly at the fill, read 22.8 B per row on the same runs, and
+        # of all tables, warm-up ones over-allocated, 23.0-29.9 B), an AW
         # entry is a dict slot and, for the 12-16 % of entries not holding
         # a stored document's own ``units`` float, a 24 B float (~40 B:
         # sys.getsizeof of the tables plus 24 B per unshared value after
@@ -307,7 +309,7 @@ class DasEngine:
         # member is a reference (~8 B).
         report["approx_bytes"] = (
             report["postings"] * 48
-            + report["result_entries"] * 30
+            + report["result_entries"] * 24
             + report["aw_entries"] * 40
             + report["mcs_documents"] * 8
         )
@@ -439,7 +441,7 @@ class DasEngine:
                 notifications.extend(self._strategy.publish(document))
             return notifications
         self._decay_cache.clear()
-        lists_memo: Dict[str, Optional[PostingsList]] = {}
+        lists_memo: Dict[str, Optional[List[PostingsBlock]]] = {}
         for document in documents:
             require_not_before(self._clock, document)
             notifications.extend(self._publish_one(document, lists_memo))
@@ -448,7 +450,7 @@ class DasEngine:
     def _publish_one(
         self,
         document: Document,
-        lists_memo: Dict[str, Optional[PostingsList]],
+        lists_memo: Dict[str, Optional[List[PostingsBlock]]],
     ) -> List[Notification]:
         """Telemetry shell around :meth:`_publish_core`: one publish span
         per document, with per-stage latency attribution and (for sampled
@@ -471,7 +473,7 @@ class DasEngine:
     def _publish_core(
         self,
         document: Document,
-        lists_memo: Dict[str, Optional[PostingsList]],
+        lists_memo: Dict[str, Optional[List[PostingsBlock]]],
     ) -> List[Notification]:
         """Algorithm 2 for one document; ``lists_memo`` caches postings
         lookups for the enclosing batch (the index is frozen while a
@@ -490,13 +492,13 @@ class DasEngine:
         now = self._clock.now
 
         # Postings lists of the document's terms that index any query.
-        lists: Dict[str, PostingsList] = {}
+        lists: Dict[str, List[PostingsBlock]] = {}
         for term in vector.terms():
-            postings = lists_memo.get(term, _UNRESOLVED)
-            if postings is _UNRESOLVED:
-                postings = lists_memo[term] = self._index.list_for(term)
-            if postings is not None and postings.blocks:
-                lists[term] = postings
+            blocks = lists_memo.get(term, _UNRESOLVED)
+            if blocks is _UNRESOLVED:
+                blocks = lists_memo[term] = self._index.list_for(term)
+            if blocks is not None:
+                lists[term] = blocks
         if not lists:
             return notifications
         # A reached query is in the list of each of its keywords, so the
@@ -514,8 +516,8 @@ class DasEngine:
         use_blocks = self._config.use_blocks
         starts = [
             (block.query_ids[0], term, block)
-            for term, postings in lists.items()
-            for block in postings.blocks
+            for term, blocks in lists.items()
+            for block in blocks
         ]
         if use_blocks:
             starts.sort()

@@ -175,7 +175,7 @@ class FlatPostingsIndex:
     index — and every remove flows through the mirror.  The linked
     structure stays the source of truth: structural invalidations
     (a block deletion shifting ordinals, the compaction threshold) are
-    repaired by rebuilding the term from its :class:`PostingsList`.
+    repaired by rebuilding the term from its list of blocks.
     """
 
     def __init__(self, columns, counters=None) -> None:
@@ -257,7 +257,7 @@ class FlatPostingsIndex:
         qids: List[int] = []
         starts: List[int] = []
         if postings is not None:
-            for block in postings.blocks:
+            for block in postings:
                 starts.append(len(qids))
                 qids.extend(block.query_ids)
         count = len(qids)
@@ -350,7 +350,6 @@ class FlatPostingsIndex:
                     block.trel_max_de = max(0.0, float(trel_max[index]))
                     block.earliest_de = float(earliest[index])
                     block.unfilled_ids = ()
-                    block.has_unfilled = False
                     block.meta_dirty = False
                     if counters is not None:
                         counters.columnar_refreshes += 1
@@ -388,13 +387,12 @@ class FlatPostingsIndex:
         summaries, same association order, same memoized decay powers).
         """
         states: List[Tuple[str, FlatTermPostings]] = []
-        for term, postings in lists.items():
-            state = self.term_state(term, postings)
-            blocks = postings.blocks
+        for term, blocks in lists.items():
+            state = self.term_state(term, blocks)
             if state.summaries_stale or state.block_count != len(blocks):
                 if state.block_count != len(blocks):
                     # Defensive: a structural drift the hooks missed.
-                    self._rebuild(state, postings)
+                    self._rebuild(state, blocks)
                 self.sync_term(
                     state, blocks, result_sets, alpha, coeff, counters
                 )

@@ -1,8 +1,9 @@
 """Block-based query inverted file (Section 4.3, Figure 2).
 
-One postings list per term; each list is a sequence of
+One postings list per term: a plain ``list`` of
 :class:`~repro.core.blocks.PostingsBlock` objects whose id ranges are
-disjoint and ascending.  Nothing looks a block up by id: a query's
+disjoint and ascending — most terms hold one block, so a list is all a
+term owns besides it.  Nothing looks a block up by id: a query's
 memberships are the tuple of blocks :meth:`QueryInvertedFile.insert`
 returns, one per ``query.terms`` entry in that order, and
 :meth:`QueryInvertedFile.remove` takes the query and that tuple back.  With
@@ -18,36 +19,6 @@ from repro.core.blocks import PostingsBlock
 from repro.core.query import DasQuery
 
 
-class PostingsList:
-    """All blocks of one term."""
-
-    __slots__ = ("term", "blocks")
-
-    def __init__(self, term: str) -> None:
-        self.term = term
-        self.blocks: List[PostingsBlock] = []
-
-    def append(self, query_id: int, block_size: Optional[int]) -> PostingsBlock:
-        """Append a posting, opening a new block when the last one is full."""
-        if not self.blocks or (
-            block_size is not None and len(self.blocks[-1]) >= block_size
-        ):
-            self.blocks.append(PostingsBlock())
-        block = self.blocks[-1]
-        block.append(query_id)
-        return block
-
-    @property
-    def posting_count(self) -> int:
-        return sum(len(block) for block in self.blocks)
-
-    def __iter__(self) -> Iterator[PostingsBlock]:
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
 class QueryInvertedFile:
     """Term -> postings list mapping for all subscribed queries."""
 
@@ -55,7 +26,7 @@ class QueryInvertedFile:
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1 or None, got {block_size}")
         self._block_size = block_size
-        self._lists: Dict[str, PostingsList] = {}
+        self._lists: Dict[str, List[PostingsBlock]] = {}
         # Incremental totals: ``DasEngine.index_size_report`` reads them
         # for the Figure 8 footprint and every benchmark run's notes, so
         # they must not be O(terms) walks.
@@ -70,14 +41,21 @@ class QueryInvertedFile:
         """Add a query to every keyword's list; returns the touched
         blocks, one per ``query.terms`` entry, in that order."""
         touched = []
+        block_size = self._block_size
         for term in query.terms:
-            postings = self._lists.get(term)
-            if postings is None:
-                postings = PostingsList(term)
-                self._lists[term] = postings
-            before = len(postings.blocks)
-            block = postings.append(query.query_id, self._block_size)
-            self._blocks_total += len(postings.blocks) - before
+            blocks = self._lists.get(term)
+            if blocks is None:
+                # A one-element display: the list is allocated at size 1.
+                block = PostingsBlock()
+                self._lists[term] = [block]
+                self._blocks_total += 1
+            elif block_size is not None and len(blocks[-1]) >= block_size:
+                block = PostingsBlock()
+                blocks.append(block)
+                self._blocks_total += 1
+            else:
+                block = blocks[-1]
+            block.append(query.query_id)
             self._postings_total += 1
             touched.append(block)
         return tuple(touched)
@@ -94,13 +72,14 @@ class QueryInvertedFile:
             self._postings_total -= 1
             if block.query_ids:
                 continue
-            postings = self._lists[term]
-            postings.blocks.remove(block)
+            term_blocks = self._lists[term]
+            term_blocks.remove(block)
             self._blocks_total -= 1
-            if not postings.blocks:
+            if not term_blocks:
                 del self._lists[term]
 
-    def list_for(self, term: str) -> Optional[PostingsList]:
+    def list_for(self, term: str) -> Optional[List[PostingsBlock]]:
+        """The term's blocks in id order (never empty), or None."""
         return self._lists.get(term)
 
     # -- accounting (Figure 8) --------------------------------------------------
@@ -120,8 +99,8 @@ class QueryInvertedFile:
     def mcs_document_count(self) -> int:
         """Total document references held by MCS summaries."""
         total = 0
-        for postings in self._lists.values():
-            for block in postings:
+        for blocks in self._lists.values():
+            for block in blocks:
                 if block.mcs_sets:
                     total += sum(len(cover) for cover in block.mcs_sets)
         return total
@@ -135,6 +114,6 @@ class QueryInvertedFile:
         Read-only traversal for invariant checkers and diagnostics;
         callers must not mutate block metadata.
         """
-        for term, postings in self._lists.items():
-            for block in postings:
+        for term, blocks in self._lists.items():
+            for block in blocks:
                 yield term, block

@@ -1,12 +1,27 @@
 """Query result tables (Table 3) and per-query result maintenance.
 
 A table stores its rows as columns, oldest first: the documents in a
-list, their text relevances ``TRel(q, d)`` and *accumulated
-similarities* (Eq. 24: the sum of similarities to the strictly newer
-documents of the result) in two ``array('d')``, and one flag byte per
-row (:data:`IN_R1`, :data:`AW_RESIDENT`).  No row is an object of its
-own, so a table is four collector-tracked objects (itself, its document
-list and the two arrays; the bytearray is untracked) whatever ``k`` is;
+list and their text relevances ``TRel(q, d)`` in an ``array('d')``.
+The *accumulated similarity* of Eq. 24 (the sum of similarities to the
+strictly newer documents of the result) and the :data:`IN_R1` /
+:data:`AW_RESIDENT` flags are held only where they say something:
+
+* the oldest row's ``Sim_acc`` and ``IN_R1`` bit are two attributes of
+  the table (0.0 and False below ``k``; the oldest row is never
+  summarised);
+* the rows behind it get a ``Sim_acc`` ``array('d')`` and a flag
+  ``bytearray`` only once one of them stays out of the summary (R2) —
+  while every one is summarised, each holds ``Sim_acc = 0.0`` and
+  ``IN_R1 | AW_RESIDENT`` (below ``k``: 0.0 and no flags), which the
+  table does not store.  :meth:`QueryResultSet._settle` creates the two
+  columns when the fill leaves a row in R2 (no summary, or a refused
+  ``Φ_max`` reservation) and :meth:`QueryResultSet.replace` when a new
+  row is refused; from then on they stay.
+
+No row is an object of its own, so a table reaches three
+collector-tracked objects of its own (itself, its document list and its
+``TRel`` array; four with the R2 columns, the bytearray being
+untracked) whatever ``k`` is;
 :meth:`QueryResultSet.rows` is the read-only tuple view for cold
 readers.  Only the oldest row's Eq. 24 value is ever read (Eq. 25
 below), so the table completes it *at promotion* instead of growing
@@ -57,6 +72,7 @@ result set has a filtering condition (Def. 3) for them to evaluate.
 from __future__ import annotations
 
 from array import array
+from itertools import islice, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import EngineConfig
@@ -64,7 +80,7 @@ from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
 from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
 from repro.stream.document import Document
-from repro.text.vectors import TermVector, cached_cosines
+from repro.text.vectors import TermVector, cached_cosines, cosine_similarity
 
 #: Row flag: the row was granted ``Φ_max`` budget for the AW summary (R1).
 IN_R1 = 1
@@ -85,6 +101,8 @@ class QueryResultSet:
         "k",
         "_docs",
         "_trels",
+        "_head_sim",
+        "_head_r1",
         "_sim",
         "_flags",
         "_aw",
@@ -119,14 +137,19 @@ class QueryResultSet:
         self.kept_rel: Optional[float] = None
         self.kept_div: Optional[float] = None
         self.kept_created: Optional[float] = None
-        #: The row columns, oldest first.  ``_sim`` is Eq. 24's
-        #: ``Sim_acc``: complete for the oldest row; any other row holds
-        #: its similarities to newer non-summarised rows only, until
-        #: promotion adds the summarised rest.
+        #: The row columns, oldest first.
         self._docs: List[Document] = []
         self._trels = array("d")
-        self._sim = array("d")
-        self._flags = bytearray()
+        #: The oldest row's Eq. 24 ``Sim_acc`` (complete) and its
+        #: ``IN_R1`` bit; 0.0 and False below ``k``.
+        self._head_sim = 0.0
+        self._head_r1 = False
+        #: ``Sim_acc`` and flags of ``rows()[1:]``, None until one of
+        #: them stays out of the summary (then they stay).  A row there
+        #: holds its similarities to newer non-summarised rows only,
+        #: until promotion adds the summarised rest.
+        self._sim: Optional[array] = None
+        self._flags: Optional[bytearray] = None
         self._track_aw = track_aggregated_weights
         self._budget = budget
         #: Table 4; None until the table fills (and always without AW).
@@ -149,12 +172,22 @@ class QueryResultSet:
         """``(document, trel, sim_acc, in_r1, aw_resident)`` per row,
         oldest first — a copy, for checkpoints, audits and tests; the
         publish path reads the columns."""
-        return [
+        docs = self._docs
+        if not docs:
+            return []
+        if self._flags is not None:
+            sims, flags = self._sim, self._flags
+        else:
+            sims = repeat(0.0)
+            flags = repeat(IN_R1 | AW_RESIDENT if self.is_full else 0)
+        rows = [(docs[0], self._trels[0], self._head_sim, self._head_r1, False)]
+        rows.extend(
             (document, trel, sim, bool(flag & IN_R1), bool(flag & AW_RESIDENT))
             for document, trel, sim, flag in zip(
-                self._docs, self._trels, self._sim, self._flags
+                islice(docs, 1, None), islice(self._trels, 1, None), sims, flags
             )
-        ]
+        )
+        return rows
 
     def documents(self) -> List[Document]:
         """Result documents, oldest first."""
@@ -189,7 +222,7 @@ class QueryResultSet:
         if coeff is None:
             coeff = diversity_coefficient(alpha, self.k)
         pairs = len(self._docs) - 1
-        return alpha * self._trels[0] + coeff * (pairs - self._sim[0])
+        return alpha * self._trels[0] + coeff * (pairs - self._head_sim)
 
     def dr_oldest(
         self,
@@ -203,7 +236,7 @@ class QueryResultSet:
         if coeff is None:
             coeff = diversity_coefficient(alpha, self.k)
         pairs = len(self._docs) - 1
-        return alpha * self._trels[0] * recency + coeff * (pairs - self._sim[0])
+        return alpha * self._trels[0] * recency + coeff * (pairs - self._head_sim)
 
     # -- similarity sums ------------------------------------------------------
 
@@ -231,11 +264,10 @@ class QueryResultSet:
             # are no direct (R2) cosines left.
             if not self._r2_count:
                 return total, 0, aw_used
-            flags = self._flags
             rows = [
-                docs[index]
-                for index in range(1, len(docs))
-                if not flags[index] & AW_RESIDENT
+                document
+                for document, flag in zip(islice(docs, 1, None), self._flags)
+                if not flag & AW_RESIDENT
             ]
         tail_sum = 0.0
         for sim in cached_cosines(vector, rows, sim_cache):
@@ -286,8 +318,6 @@ class QueryResultSet:
             raise ValueError("result set is full; use replace()")
         docs.append(document)
         self._trels.append(trel)
-        self._sim.append(0.0)
-        self._flags.append(0)
         return self._settle() if len(docs) == self.k else (0, 0)
 
     def seed(
@@ -300,49 +330,106 @@ class QueryResultSet:
             raise ValueError("seed() needs an empty result set")
         if len(documents) > self.k:
             raise ValueError(f"{len(documents)} seeds exceed k={self.k}")
-        self._extend_rows(documents, trels)
-        return self._settle() if len(self._docs) == self.k else (0, 0)
-
-    def _extend_rows(
-        self, documents: Sequence[Document], trels: Sequence[float]
-    ) -> None:
-        """Append warm-up rows: no similarity accumulated, no flags."""
         self._docs.extend(documents)
         self._trels.extend(trels)
-        self._sim.extend([0.0] * len(documents))
-        self._flags.extend(bytes(len(documents)))
+        return self._settle() if len(self._docs) == self.k else (0, 0)
+
+    def restore(
+        self,
+        documents: Sequence[Document],
+        trels: Sequence[float],
+        in_r1: Sequence[bool],
+        head_sim: float,
+    ) -> None:
+        """Fill the empty table with a checkpoint's rows, oldest first, in
+        the layout a live table holding them has.
+
+        A warm-up table is its rows: ``in_r1`` and ``head_sim`` are read
+        only for a full one.  That rebuilds the summary over ``R1 \\
+        {d_e}``, reserving ``Φ_max`` row by row; a row the file calls
+        R1 whose reservation is refused stays out.  The oldest row's
+        Eq. 24 value is ``head_sim`` (complete in every file); a
+        non-oldest row holds only its similarities to newer
+        non-summarised rows, re-derived here — files written before
+        promotion-time completion carry full totals there.
+        """
+        if self._docs:
+            raise ValueError("restore() needs an empty result set")
+        if len(documents) < self.k:
+            self._docs.extend(documents)
+            self._trels.extend(trels)
+            return
+        docs = self._docs = list(documents)
+        self._trels = array("d", trels)
+        self._head_sim = head_sim
+        self._head_r1 = bool(in_r1[0])
+        budget = self._budget
+        if self._track_aw:
+            self._aw = AggregatedTermWeights()
+        for index in range(1, len(docs)):
+            vector = docs[index].vector
+            if (
+                self._aw is not None
+                and in_r1[index]
+                and (budget is None or budget.try_reserve(len(vector)))
+            ):
+                self._aw.add_document(vector)
+                continue
+            self._r2_count += 1
+            sim, flags = self._r2_columns()
+            flags[index - 1] = 0
+            for older in range(1, index):
+                sim[older - 1] += cosine_similarity(vector, docs[older].vector)
+        self._keep_thresholds()
 
     def _settle(self) -> Tuple[int, int]:
         """Build the filtering state of a table that just reached ``k``
         rows; returns ``(cosines, aw_dots)``.
 
-        Each non-oldest row settles its R1/R2 side in row order — the
-        ``Φ_max`` reservations and the AW weights are those of folding
-        the rows in one by one as they arrived.  A row that stays out of
-        the summary pays its cosines to every older row; the oldest
-        row's Eq. 24 value is then completed the way :meth:`replace`
-        completes a promoted row, by one Lemma 6 dot product against the
-        summary, which holds exactly its newer R1 rows.
+        The two row columns are copied to their exact size first: a full
+        table only ever pops one row and appends one.  Each non-oldest
+        row settles its R1/R2 side in row order — the ``Φ_max``
+        reservations and the AW weights are those of folding the rows in
+        one by one as they arrived.  A row that stays out of the summary
+        pays its cosines to every older row; the oldest row's Eq. 24
+        value is then completed the way :meth:`replace` completes a
+        promoted row, by one Lemma 6 dot product against the summary,
+        which holds exactly its newer R1 rows.
         """
-        docs, sim, flags = self._docs, self._sim, self._flags
+        docs = self._docs = self._docs[:]
+        self._trels = self._trels[:]
         if self._track_aw:
             self._aw = AggregatedTermWeights()
+        head_sim = 0.0
         cosines = 0
         for index in range(1, len(docs)):
             vector = docs[index].vector
             if self._join_summary(vector):
-                flags[index] = IN_R1 | AW_RESIDENT
                 continue
+            sim, flags = self._r2_columns()
+            flags[index - 1] = 0
             sims = cached_cosines(vector, docs[:index], None)
-            for older, value in enumerate(sims):
-                sim[older] += value
+            head_sim += sims[0]
+            for older in range(1, index):
+                sim[older - 1] += sims[older]
             cosines += index
+        aw_dots = 0
         if self._r2_count < len(docs) - 1:
-            sim[0] += self._aw.similarity_sum(docs[0].vector)
-            self._keep_thresholds()
-            return cosines, 1
+            head_sim += self._aw.similarity_sum(docs[0].vector)
+            aw_dots = 1
+        self._head_sim = head_sim
         self._keep_thresholds()
-        return cosines, 0
+        return cosines, aw_dots
+
+    def _r2_columns(self) -> Tuple[array, bytearray]:
+        """``Sim_acc`` and flags of ``rows()[1:]``, created on first need
+        as what a table without them holds: every such row summarised,
+        owing no similarity.  The caller then marks the row that leaves."""
+        if self._flags is None:
+            rest = len(self._docs) - 1
+            self._sim = array("d", bytes(8 * rest))
+            self._flags = bytearray((IN_R1 | AW_RESIDENT,)) * rest
+        return self._sim, self._flags
 
     def _keep_thresholds(self) -> None:
         """Keep the oldest row's halves of Eq. 25 — the same float
@@ -350,7 +437,7 @@ class QueryResultSet:
         oldest row or its ``Sim_acc`` changes."""
         docs = self._docs
         self.kept_rel = self._alpha * self._trels[0]
-        self.kept_div = self._coeff * ((len(docs) - 1) - self._sim[0])
+        self.kept_div = self._coeff * ((len(docs) - 1) - self._head_sim)
         self.kept_created = docs[0].created_at
 
     def replace(
@@ -370,53 +457,61 @@ class QueryResultSet:
         count = len(docs)
         if count < self.k:
             raise ValueError("result set is warming up; use admit()")
-        flags, sim, trels = self._flags, self._sim, self._trels
-        # The evicted row is never AW-resident (the oldest is excluded
-        # from the summary), so only its budget-free removal happens here.
-        assert not flags[0] & AW_RESIDENT
         aw = self._aw
         cosines = 0
-        flag = 0
+        head_sim = 0.0
+        head_r1 = False
         if count > 1:
             # Row 1 is about to become the oldest: it leaves the summary.
-            if flags[1] & AW_RESIDENT:
+            # (The evicted oldest row never was in it.)
+            flags = self._flags
+            if flags is None or flags[0] & AW_RESIDENT:
                 head_vector = docs[1].vector
                 aw.remove_document(head_vector)
-                flags[1] = IN_R1
+                head_r1 = True
                 if self._budget is not None:
                     self._budget.release(len(head_vector))
             else:
                 self._r2_count -= 1
+                head_r1 = bool(flags[0] & IN_R1)
             if self._join_summary(document.vector):
                 flag = IN_R1 | AW_RESIDENT
             else:
+                flag = 0
+                sim = self._r2_columns()[0]
                 sims = self.similarities_to_kept(document.vector, sim_cache)
-                for index, value in enumerate(sims, 1):
+                for index, value in enumerate(sims):
                     sim[index] += value
                 cosines = len(sims)
+            if self._flags is not None:
+                sim, flags = self._sim, self._flags
+                head_sim = sim[0]
+                del sim[0]
+                del flags[0]
+                sim.append(0.0)
+                flags.append(flag)
         evicted = docs.pop(0)
-        del trels[0]
-        del sim[0]
-        del flags[0]
+        del self._trels[0]
         docs.append(document)
-        trels.append(trel)
-        sim.append(0.0)
-        flags.append(flag)
+        self._trels.append(trel)
         aw_dots = 0
         if count > 1 and aw is not None:
             # The summary now holds exactly the R1 documents newer than
             # the promoted row (itself removed, ``document`` added).  Never
             # through the publish's cosine memo — that is keyed to
             # ``document``.
-            sim[0] += aw.similarity_sum(docs[0].vector)
+            head_sim += aw.similarity_sum(docs[0].vector)
             aw_dots = 1
+        self._head_sim = head_sim
+        self._head_r1 = head_r1
         self._keep_thresholds()
         return evicted, cosines, aw_dots
 
     def _join_summary(self, vector: TermVector) -> bool:
         """Settle a non-oldest row's R1/R2 side (the oldest row stays out
         of the summary by definition); True when it joined the summary —
-        the caller then sets the row's ``IN_R1 | AW_RESIDENT`` flags."""
+        otherwise the caller clears the row's flags in
+        :meth:`_r2_columns`."""
         if self._aw is not None and (
             self._budget is None or self._budget.try_reserve(len(vector))
         ):
@@ -427,11 +522,13 @@ class QueryResultSet:
 
     def release_budget(self) -> None:
         """Return all reserved AW budget (used on unsubscribe)."""
-        if self._budget is None:
+        docs = self._docs
+        if self._budget is None or self._aw is None or len(docs) < 2:
             return
-        docs, flags = self._docs, self._flags
-        for index, flag in enumerate(flags):
+        flags = self._r2_columns()[1]
+        for index in range(1, len(docs)):
+            flag = flags[index - 1]
             if flag & AW_RESIDENT:
                 self._budget.release(len(docs[index].vector))
-                flags[index] = flag & IN_R1
+                flags[index - 1] = flag & IN_R1
                 self._r2_count += 1

@@ -25,12 +25,11 @@ import os
 from typing import Dict, List, Optional
 
 from repro.config import EngineConfig
-from repro.core.agg_weights import AggregatedTermWeights
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
-from repro.core.result_set import AW_RESIDENT, IN_R1, QueryResultSet
+from repro.core.result_set import QueryResultSet
 from repro.stream.document import Document
-from repro.text.vectors import TermVector, cosine_similarity
+from repro.text.vectors import TermVector
 
 #: Format marker for forward compatibility.
 CHECKPOINT_VERSION = 1
@@ -254,7 +253,7 @@ def _merge_shards(payload: Dict) -> Dict:
 
 
 def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None:
-    """Register a query and rebuild its result table's columns."""
+    """Register a query and rebuild its result table."""
     result_set = QueryResultSet(
         engine.config.k,
         budget=engine._budget,
@@ -271,46 +270,20 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
             )
         documents.append(document)
         engine.store.pin(document.doc_id)
-    result_set._extend_rows(documents, [float(row["trel"]) for row in rows])
+    # A warm-up table is its rows: whatever ``sim_acc`` / ``in_r1`` an
+    # older file carries for them is recomputed when the table fills.
+    full = len(documents) >= result_set.k
+    result_set.restore(
+        documents,
+        [float(row["trel"]) for row in rows],
+        [bool(row["in_r1"]) for row in rows] if full else (),
+        float(rows[0]["sim_acc"]) if full else 0.0,
+    )
     engine._queries[query.query_id] = query
     engine._result_sets[query.query_id] = result_set
     engine._last_query_id = query.query_id
     engine._memberships[query.query_id] = engine._index.insert(query)
     engine.counters.queries_subscribed += 1
-    if not result_set.is_full:
-        # A warm-up table is its rows: whatever ``sim_acc`` / ``in_r1`` an
-        # older file carries for them is recomputed when the table fills.
-        return
-    # Rebuild the aggregated weight table over R1 \ {oldest} and account
-    # for its budget.
-    budget = engine._budget
-    flags = result_set._flags
-    if rows[0]["in_r1"]:
-        flags[0] = IN_R1
-    if result_set._track_aw:
-        aw = result_set._aw = AggregatedTermWeights()
-        for index in range(1, len(documents)):
-            vector = documents[index].vector
-            if rows[index]["in_r1"] and (
-                budget is None or budget.try_reserve(len(vector))
-            ):
-                aw.add_document(vector)
-                flags[index] = IN_R1 | AW_RESIDENT
-    result_set._r2_count = sum(not flag & AW_RESIDENT for flag in flags[1:])
-    # Eq. 24 continuity: the oldest row's value is complete in every
-    # file; a non-oldest row holds only its similarities to newer
-    # non-summarised documents (promotion adds the summarised rest), and
-    # files written before promotion-time completion carry full totals
-    # there — so re-derive those slots instead of trusting the file.
-    sim = result_set._sim
-    sim[0] = float(rows[0]["sim_acc"])
-    for newer in range(2, len(documents)):
-        if flags[newer] & AW_RESIDENT:
-            continue
-        vector = documents[newer].vector
-        for index in range(1, newer):
-            sim[index] += cosine_similarity(vector, documents[index].vector)
-    result_set._keep_thresholds()
 
 
 def _write_atomic(

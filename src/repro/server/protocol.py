@@ -190,6 +190,26 @@ def _is_finite_number(value: Any) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _validate_terms(value: Any, field: str) -> None:
+    """``keywords`` / ``tokens``: absent, or a list of non-empty strings.
+
+    Checked here, before anything is queued or logged: a term the engine
+    cannot take would otherwise fail after its event-log record was
+    written (and again on every replay of it), and one bad publish fails
+    the whole micro-batch it shares."""
+    if value is None:
+        return
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(term, str) and term for term in value
+    ):
+        raise ProtocolError(f"'{field}' must be a list of non-empty strings")
+
+
+def _validate_text(value: Any) -> None:
+    if value is not None and not isinstance(value, str):
+        raise ProtocolError("'text' must be a string")
+
+
 def _validate_location(location: Any, op: str) -> None:
     """Shape check for strategy-mode locations: an (x, y) number pair.
 
@@ -218,15 +238,16 @@ def parse_request(payload: Any) -> Dict[str, Any]:
             f"unknown op {op!r}; expected one of {REQUEST_OPS}"
         )
     if op in ("unsubscribe", "results"):
-        if not isinstance(payload.get("query_id"), int):
+        query_id = payload.get("query_id")
+        if not isinstance(query_id, int) or isinstance(query_id, bool):
             raise ProtocolError(f"{op} requires an integer 'query_id'")
     if op == "subscribe":
         keywords = payload.get("keywords")
         text = payload.get("text")
         if keywords is None and text is None:
             raise ProtocolError("subscribe requires 'keywords' or 'text'")
-        if keywords is not None and not isinstance(keywords, (list, tuple)):
-            raise ProtocolError("'keywords' must be a list of terms")
+        _validate_terms(keywords, "keywords")
+        _validate_text(text)
         _validate_location(payload.get("location"), "subscribe")
         window = payload.get("window")
         if window is not None and (
@@ -243,8 +264,8 @@ def parse_request(payload: Any) -> Dict[str, Any]:
         text = payload.get("text")
         if tokens is None and text is None:
             raise ProtocolError("publish requires 'tokens' or 'text'")
-        if tokens is not None and not isinstance(tokens, (list, tuple)):
-            raise ProtocolError("'tokens' must be a list of terms")
+        _validate_terms(tokens, "tokens")
+        _validate_text(text)
         created_at = payload.get("created_at")
         if created_at is not None and not _is_finite_number(created_at):
             raise ProtocolError("'created_at' must be a finite number")

@@ -296,9 +296,16 @@ class InvariantMonitor:
                 continue
             if not result_set.is_full:
                 self.checks["warmup"] += 1
-                if result_set.aggregated_weights is not None or any(
-                    in_r1 or aw_resident or sim_acc
-                    for _, _, sim_acc, in_r1, aw_resident in result_set.rows()
+                # A warm-up table is its documents and TRels: no summary,
+                # no R2 column (even an all-zero one), nothing in rows().
+                if (
+                    result_set.aggregated_weights is not None
+                    or result_set._sim is not None
+                    or result_set._flags is not None
+                    or any(
+                        in_r1 or aw_resident or sim_acc
+                        for _, _, sim_acc, in_r1, aw_resident in result_set.rows()
+                    )
                 ):
                     self._record(
                         "warmup",

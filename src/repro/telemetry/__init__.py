@@ -79,6 +79,161 @@ STAGE_COUNTERS = {
     "result_update": ("matches", "mcs_invalidations"),
 }
 
+#: The callables a span tracer times, as ``(owner, attribute, layer)``:
+#: ``owner`` is a dotted module path, with ``:Class`` for a class
+#: attribute, and ``attribute`` must be in that owner's own ``vars()``
+#: (a tracer swaps ``vars(owner)[attribute]``).  Owners are strings, so
+#: this package imports none of them; :func:`resolve_span_sites` imports
+#: them when asked.  A module-level owner is the module the caller looks
+#: the name up in, which is not always where it is defined.
+SPAN_SITES = (
+    ("repro.core.engine:DasEngine", "publish", "core.engine.publish"),
+    ("repro.core.engine:DasEngine", "publish_batch", "core.engine.publish"),
+    ("repro.core.engine:DasEngine", "subscribe", "core.engine.subscribe"),
+    ("repro.core.engine:DasEngine", "unsubscribe", "core.engine.unsubscribe"),
+    ("repro.core.engine", "select_initial_documents", "core.initializer.scan"),
+    (
+        "repro.scoring.relevance:LanguageModelScorer",
+        "trel_from_ps",
+        "scoring.ps",
+    ),
+    ("repro.scoring.relevance:LanguageModelScorer", "trel", "scoring.ps"),
+    ("repro.scoring.relevance:LanguageModelScorer", "trels", "scoring.ps"),
+    ("repro.stream.document:Document", "from_tokens", "text.vectorize"),
+    (
+        "repro.core.inverted_file:QueryInvertedFile",
+        "list_for",
+        "core.inverted_file.list_for",
+    ),
+    (
+        "repro.core.inverted_file:QueryInvertedFile",
+        "insert",
+        "core.inverted_file.insert",
+    ),
+    (
+        "repro.core.inverted_file:QueryInvertedFile",
+        "remove",
+        "core.inverted_file.remove",
+    ),
+    (
+        "repro.core.engine",
+        "block_threshold_lower_bound",
+        "core.filtering.group_check",
+    ),
+    (
+        "repro.core.engine",
+        "block_trel_upper_bound",
+        "core.filtering.group_check",
+    ),
+    (
+        "repro.core.engine",
+        "block_similarity_lower_bound",
+        "core.filtering.group_check",
+    ),
+    ("repro.core.engine", "group_filters_out", "core.filtering.group_check"),
+    (
+        "repro.core.blocks:PostingsBlock",
+        "refresh_metadata",
+        "core.blocks.refresh",
+    ),
+    (
+        "repro.core.blocks:PostingsBlock",
+        "refresh_from_columns",
+        "core.blocks.refresh",
+    ),
+    (
+        "repro.core.blocks:PostingsBlock",
+        "rebuild_mcs",
+        "core.blocks.mcs_rebuild",
+    ),
+    (
+        "repro.core.blocks:PostingsBlock",
+        "invalidate_mcs_with",
+        "core.mcs.invalidate",
+    ),
+    ("repro.core.blocks", "greedy_mcs_gen", "core.mcs.greedy"),
+    (
+        "repro.core.result_set:QueryResultSet",
+        "dr_oldest",
+        "core.result_set.similarity",
+    ),
+    (
+        "repro.core.result_set:QueryResultSet",
+        "similarity_sum",
+        "core.result_set.similarity",
+    ),
+    (
+        "repro.core.result_set:QueryResultSet",
+        "similarities_to",
+        "core.result_set.similarity",
+    ),
+    (
+        "repro.core.result_set:QueryResultSet",
+        "similarities_to_kept",
+        "core.result_set.similarity",
+    ),
+    (
+        "repro.core.result_set:QueryResultSet",
+        "admit",
+        "core.result_set.update",
+    ),
+    (
+        "repro.core.result_set:QueryResultSet",
+        "replace",
+        "core.result_set.update",
+    ),
+    (
+        "repro.core.flat_postings:FlatPostingsIndex",
+        "prepare",
+        "core.flat_postings.prepare",
+    ),
+    (
+        "repro.core.columnar:QuerySummaryColumns",
+        "update",
+        "core.columnar.update",
+    ),
+    (
+        "repro.stream.document_store:DocumentStore",
+        "add",
+        "stream.document_store.add",
+    ),
+    (
+        "repro.stream.document_store:DocumentStore",
+        "pin",
+        "stream.document_store.pin",
+    ),
+    (
+        "repro.stream.document_store:DocumentStore",
+        "unpin",
+        "stream.document_store.pin",
+    ),
+    ("repro.server.runtime", "parse_request", "server.protocol.decode"),
+    ("repro.server.runtime", "notification_payload", "server.protocol.encode"),
+    ("repro.server.runtime", "document_payload", "server.protocol.encode"),
+    ("repro.eventlog:SubscriberRegistry", "offer", "eventlog.outbox"),
+    ("repro.eventlog:EventLog", "append_many", "eventlog.append"),
+    # Waiting for the disk, apart from the append's own work.
+    ("os", "fsync", "eventlog.fsync"),
+)
+
+
+def resolve_span_sites():
+    """``(owner object, attribute, layer)`` for every :data:`SPAN_SITES`
+    entry, importing each owner's module; raises ``KeyError`` naming a
+    site whose attribute its owner no longer defines."""
+    import importlib
+
+    resolved = []
+    for dotted, attribute, layer in SPAN_SITES:
+        module, _, class_name = dotted.partition(":")
+        owner = importlib.import_module(module)
+        if class_name:
+            owner = getattr(owner, class_name)
+        if attribute not in vars(owner):
+            raise KeyError(f"span site {dotted}.{attribute} ({layer}) is gone")
+        resolved.append((owner, attribute, layer))
+    return resolved
+
 
 class CountingClock:
     """A clock that advances one fixed step per reading.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.blocks import PostingsBlock
 from repro.core.engine import DasEngine
-from repro.core.inverted_file import PostingsList, QueryInvertedFile
+from repro.core.inverted_file import QueryInvertedFile
 from repro.core.query import DasQuery
 from repro.core.result_set import QueryResultSet
 from repro.stream.document import Document
@@ -132,23 +132,29 @@ def test_invalidate_noop_cases():
     assert block.invalidate_mcs_with(frozenset()) == 0
 
 
-# -- PostingsList ------------------------------------------------------------------
+# -- postings lists: a term's list of blocks ------------------------------------
 
 
 def test_postings_list_blocks_split_at_capacity():
-    plist = PostingsList("w")
+    index = QueryInvertedFile(block_size=2)
     for qid in range(5):
-        plist.append(qid, block_size=2)
-    assert len(plist) == 3
-    assert [len(b) for b in plist] == [2, 2, 1]
-    assert plist.posting_count == 5
+        index.insert(DasQuery(qid, ["w"]))
+    blocks = index.list_for("w")
+    # The list *is* the term's postings: no wrapper around the blocks.
+    assert type(blocks) is list
+    assert [len(b) for b in blocks] == [2, 2, 1]
+    assert [b.query_ids for b in blocks] == [[0, 1], [2, 3], [4]]
+    assert index.block_count == 3 and index.posting_count == 5
+    assert index.list_for("x") is None
 
 
 def test_postings_list_unbounded_single_block():
-    plist = PostingsList("w")
+    index = QueryInvertedFile(block_size=None)
     for qid in range(100):
-        plist.append(qid, block_size=None)
-    assert len(plist) == 1
+        index.insert(DasQuery(qid, ["w"]))
+    (block,) = index.list_for("w")
+    assert block.query_ids == list(range(100))
+    assert index.block_count == 1 and index.posting_count == 100
 
 
 # -- QueryInvertedFile ----------------------------------------------------------------
@@ -161,7 +167,7 @@ def test_insert_returns_touched_blocks():
     # One block per ``query.terms`` entry, in that (sorted) order.
     assert type(touched) is tuple and len(touched) == len(query.terms) == 2
     for term, block in zip(query.terms, touched):
-        assert block is index.list_for(term).blocks[-1]
+        assert block is index.list_for(term)[-1]
         assert block.query_ids == [0]
     assert index.term_count == 2
     assert index.posting_count == 2
@@ -174,7 +180,7 @@ def test_insert_and_find():
     assert type(touched) is tuple and len(touched) == 1
     (block,) = touched
     assert block.query_ids == [2, 3]
-    assert block is index.list_for("x").blocks[-1]
+    assert block is index.list_for("x")[-1]
     assert index.block_count == 2
 
 
@@ -209,7 +215,7 @@ def test_remove_from_a_many_block_list():
     # Blocks align with the sorted ``query.terms``: ("own…", "w").
     assert all(queries[qid].terms == (f"own{qid}", "w") for qid in ids)
     w_block = {qid: touched[qid][1] for qid in ids}
-    assert all(w_block[qid] in index.list_for("w").blocks for qid in ids)
+    assert all(w_block[qid] in index.list_for("w") for qid in ids)
     plist = index.list_for("w")
     assert len(plist) == 50
 
@@ -225,7 +231,7 @@ def test_remove_from_a_many_block_list():
     for qid in (0, 198, 398):
         block = w_block[qid]
         index.remove(queries[qid], touched[qid])
-        assert qid not in block.query_ids and block in plist.blocks
+        assert qid not in block.query_ids and block in plist
         assert index.list_for(f"own{qid}") is None
         assert totals_agree()
     assert len(plist) == 50
@@ -234,9 +240,9 @@ def test_remove_from_a_many_block_list():
     middle = w_block[200]
     for qid in list(middle.query_ids):
         index.remove(queries[qid], touched[qid])
-    assert len(plist) == 49 and middle not in plist.blocks
+    assert len(plist) == 49 and middle not in plist
     assert totals_agree()
-    assert plist.posting_count == 200 - 3 - 4
+    assert sum(len(block) for block in plist) == 200 - 3 - 4
     survivors = [q for block in plist for q in block.query_ids]
     assert survivors == sorted(survivors)
 
@@ -284,7 +290,7 @@ def _check_memberships(engine):
         query = engine._queries[query_id]
         assert type(blocks) is tuple and len(blocks) == len(query.terms)
         for term, block in zip(query.terms, blocks):
-            assert any(block is b for b in index.list_for(term).blocks)
+            assert any(block is b for b in index.list_for(term))
             assert query_id in block.query_ids
     walked = [block for _term, block in index.items()]
     assert index.block_count == len(walked)

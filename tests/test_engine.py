@@ -322,7 +322,7 @@ def test_warmup_admit_maintains_nothing_until_the_fill():
     assert engine.index_size_report()["warmup_queries"] == 1
     blocks = engine._memberships[0]
     assert type(blocks) is tuple and len(blocks) == 1
-    assert blocks[0] is engine._index.list_for("coffee").blocks[-1]
+    assert blocks[0] is engine._index.list_for("coffee")[-1]
 
     def publish_over_settled_blocks(document):
         for block in blocks:

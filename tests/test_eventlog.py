@@ -766,6 +766,61 @@ def test_runtime_restart_replays_and_resumes_catchup(tmp_path):
     run(after())
 
 
+def test_malformed_requests_never_reach_the_log_or_a_batch(tmp_path):
+    """A request whose terms the engine cannot take is refused before it
+    is queued: it writes no record (a logged one would fail again on
+    every restart), a bad publish does not fail the good ones sharing
+    its micro-batch or burn their doc ids, and the log restarts."""
+    directory = str(tmp_path / "log")
+    refused = [
+        {"op": "subscribe", "keywords": ["coffee", 5]},
+        {"op": "subscribe", "keywords": [5]},
+        {"op": "subscribe", "text": 5},
+        {"op": "results", "query_id": True},
+        {"op": "unsubscribe", "query_id": False},
+    ]
+
+    async def before():
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        await client.resume("alice", -1)
+        sub = await client.subscribe(["coffee"])
+        for payload in refused:
+            with pytest.raises(ProtocolError):
+                await client.request(payload)
+        assert (await client.stats())["eventlog"]["end"] == 1
+        replies = await asyncio.gather(
+            client.publish(tokens=["coffee"], created_at=1.0),
+            client.request(
+                {"op": "publish", "tokens": [7, "coffee"], "created_at": 1.0}
+            ),
+            client.publish(tokens=["coffee", "beans"], created_at=2.0),
+            return_exceptions=True,
+        )
+        assert isinstance(replies[1], ProtocolError)
+        assert [reply["doc_id"] for reply in replies[::2]] == [0, 1]
+        assert len(await drain(client, 2)) == 2
+        assert (await client.stats())["eventlog"]["end"] == 3
+        await client.close()
+        await runtime.stop(drain=False)
+        return sub["query_id"]
+
+    query_id = run(before())
+
+    async def after():
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        results = await client.results(query_id)
+        assert [row["doc_id"] for row in results] == [1, 0]
+        assert (await client.subscribe(["beans"]))["query_id"] == query_id + 1
+        await client.close()
+        await runtime.stop()
+
+    run(after())
+
+
 def test_subscriber_lag_and_slow_consumer_gauges(tmp_path):
     """"How far behind is subscriber s" from the running server: ``lag``
     in stats.subscribers and the lag / outbox / dead-letter gauges."""

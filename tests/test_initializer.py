@@ -272,7 +272,10 @@ def test_subscribe_seeds_as_the_naive_engine_does(
             twin = QueryResultSet(k, alpha=config.alpha)
             for row in rows:
                 twin.admit(row.document, row.trel)
-            assert list(table._sim) == list(twin._sim)
+            # Every row's TRel, Eq. 24 sum and R1 / AW bits, exactly.
+            assert [(row[0].doc_id, *row[1:]) for row in table.rows()] == [
+                (row[0].doc_id, *row[1:]) for row in twin.rows()
+            ]
         for age, power in engine._decay_cache.powers.items():
             assert power == plain.at_age(age)
         cleared._decay_cache.clear()

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import EngineConfig
 from repro.core.agg_weights import AggregatedTermWeights, MemoryBudget
-from repro.core.result_set import QueryResultSet
+from repro.core.result_set import AW_RESIDENT, IN_R1, QueryResultSet
+from repro.scoring.diversity import diversity_coefficient
 from repro.scoring.recency import ExponentialDecay
 from repro.stream.document import Document
-from repro.text.vectors import TermVector, cosine_similarity
+from repro.text.vectors import TermVector, cached_cosines, cosine_similarity
 from tests.conftest import table_rows
 
 
@@ -594,12 +598,22 @@ def _tracked_count(table):
     return count
 
 
+#: Tracked objects :func:`_tracked_count` reached from a full table when
+#: every table carried ``Sim_acc`` and flag columns from its first row:
+#: the table, its document list, its two ``array('d')`` columns and its
+#: AW summary (the object and its dict), plus, with a budget, the
+#: ``MemoryBudget`` and its instance dict.
+_ALWAYS_COLUMNS_TRACKED = {None: 8, 5: 10}
+
+
 @pytest.mark.parametrize("phi_max", [None, 5])
 @pytest.mark.parametrize("fill", ["admit", "seed"])
 def test_row_state_is_not_gc_tracked(fill, phi_max):
     """A full table reaches the same tracked objects whatever ``k`` is:
-    its rows are columns, not one object each.  A tight ``Φ_max`` leaves
-    rows on both sides of the R1/R2 split."""
+    its rows are columns, not one object each, and the R2 columns add
+    one tracked array where they exist — never more than a table that
+    always carried them.  A tight ``Φ_max`` leaves rows on both sides
+    of the R1/R2 split."""
     counts = {}
     for k in (2, 20, 40):
         documents = [
@@ -615,11 +629,14 @@ def test_row_state_is_not_gc_tracked(fill, phi_max):
         for document in documents[k:]:
             table.replace(document, 0.25)
         assert table.is_full
+        columns = table._flags is not None
         if phi_max is not None and k > 2:
             flags = [row[4] for row in table.rows()[1:]]
-            assert any(flags) and not all(flags)
+            assert any(flags) and not all(flags) and columns
         counts[k] = _tracked_count(table)
-    assert len(set(counts.values())) == 1, counts
+        assert counts[k] <= _ALWAYS_COLUMNS_TRACKED[phi_max] - (not columns)
+        # Only the ``Sim_acc`` column is tracked (a bytearray is not).
+        assert counts[k] - columns == _ALWAYS_COLUMNS_TRACKED[phi_max] - 1
 
 
 def test_rows_is_a_tuple_copy_of_the_columns():
@@ -641,3 +658,321 @@ def test_rows_is_a_tuple_copy_of_the_columns():
     ]
     rows.pop()
     assert table.size == 3
+
+
+# -- the lean layout against a table that always carries both columns -----------
+
+
+class _AlwaysColumnsTable:
+    """Reference result table holding ``Sim_acc`` and the flag byte of
+    every row from its first admit, the oldest row included — what
+    :class:`QueryResultSet` stores only while a row is in R2.  Same
+    maintenance, same float expressions in the same order."""
+
+    def __init__(self, k, budget=None, track_aggregated_weights=True):
+        self.k = k
+        self._coeff = diversity_coefficient(EngineConfig.alpha, k)
+        self._docs, self._trels = [], array("d")
+        self._sim, self._flags = array("d"), bytearray()
+        self._budget, self._track_aw = budget, track_aggregated_weights
+        self._aw, self._r2_count = None, 0
+        self.kept_rel = self.kept_div = self.kept_created = None
+
+    @property
+    def is_full(self):
+        return len(self._docs) >= self.k
+
+    def rows(self):
+        return [
+            (document, trel, sim, bool(flag & IN_R1), bool(flag & AW_RESIDENT))
+            for document, trel, sim, flag in zip(
+                self._docs, self._trels, self._sim, self._flags
+            )
+        ]
+
+    def dr_oldest(self, now, decay, alpha):
+        recency = decay.at(self._docs[0].created_at, now)
+        pairs = len(self._docs) - 1
+        return alpha * self._trels[0] * recency + self._coeff * (
+            pairs - self._sim[0]
+        )
+
+    def static_dr_oldest(self, alpha):
+        pairs = len(self._docs) - 1
+        return alpha * self._trels[0] + self._coeff * (pairs - self._sim[0])
+
+    def similarity_sum(self, vector):
+        docs, total, aw_used = self._docs, 0.0, 0
+        if self._aw is None:
+            rows = docs[1:]
+        else:
+            total += self._aw.similarity_sum(vector)
+            aw_used = 1
+            if not self._r2_count:
+                return total, 0, aw_used
+            rows = [
+                docs[i]
+                for i in range(1, len(docs))
+                if not self._flags[i] & AW_RESIDENT
+            ]
+        tail = 0.0
+        for sim in cached_cosines(vector, rows, None):
+            tail += sim
+        return total + tail, len(rows), aw_used
+
+    def admit(self, document, trel):
+        self._docs.append(document)
+        self._trels.append(trel)
+        self._sim.append(0.0)
+        self._flags.append(0)
+        return self._settle() if len(self._docs) == self.k else (0, 0)
+
+    def seed(self, documents, trels):
+        for document, trel in zip(documents, trels):
+            self._docs.append(document)
+            self._trels.append(trel)
+            self._sim.append(0.0)
+            self._flags.append(0)
+        return self._settle() if len(self._docs) == self.k else (0, 0)
+
+    def _settle(self):
+        docs, sim, flags = self._docs, self._sim, self._flags
+        if self._track_aw:
+            self._aw = AggregatedTermWeights()
+        cosines = 0
+        for index in range(1, len(docs)):
+            if self._join_summary(docs[index].vector):
+                flags[index] = IN_R1 | AW_RESIDENT
+                continue
+            for older, value in enumerate(
+                cached_cosines(docs[index].vector, docs[:index], None)
+            ):
+                sim[older] += value
+            cosines += index
+        aw_dots = 0
+        if self._r2_count < len(docs) - 1:
+            sim[0] += self._aw.similarity_sum(docs[0].vector)
+            aw_dots = 1
+        self._keep()
+        return cosines, aw_dots
+
+    def _keep(self):
+        self.kept_rel = EngineConfig.alpha * self._trels[0]
+        self.kept_div = self._coeff * ((len(self._docs) - 1) - self._sim[0])
+        self.kept_created = self._docs[0].created_at
+
+    def replace(self, document, trel):
+        docs, sim, flags = self._docs, self._sim, self._flags
+        count, aw, cosines, flag = len(docs), self._aw, 0, 0
+        if count > 1:
+            if flags[1] & AW_RESIDENT:
+                aw.remove_document(docs[1].vector)
+                flags[1] = IN_R1
+                if self._budget is not None:
+                    self._budget.release(len(docs[1].vector))
+            else:
+                self._r2_count -= 1
+            if self._join_summary(document.vector):
+                flag = IN_R1 | AW_RESIDENT
+            else:
+                sims = cached_cosines(document.vector, docs[1:], None)
+                for index, value in enumerate(sims, 1):
+                    sim[index] += value
+                cosines = len(sims)
+        evicted = docs.pop(0)
+        del self._trels[0], sim[0], flags[0]
+        docs.append(document)
+        self._trels.append(trel)
+        sim.append(0.0)
+        flags.append(flag)
+        aw_dots = 0
+        if count > 1 and aw is not None:
+            sim[0] += aw.similarity_sum(docs[0].vector)
+            aw_dots = 1
+        self._keep()
+        return evicted, cosines, aw_dots
+
+    def _join_summary(self, vector):
+        if self._aw is not None and (
+            self._budget is None or self._budget.try_reserve(len(vector))
+        ):
+            self._aw.add_document(vector)
+            return True
+        self._r2_count += 1
+        return False
+
+    def release_budget(self):
+        if self._budget is None:
+            return
+        for index, flag in enumerate(self._flags):
+            if flag & AW_RESIDENT:
+                self._budget.release(len(self._docs[index].vector))
+                self._flags[index] = flag & IN_R1
+                self._r2_count += 1
+
+
+def _read_back(table, probe, now, decay):
+    """Everything a reader gets out of a table, floats as ``.hex()``."""
+    def hexed(value):
+        return value.hex() if isinstance(value, float) else value
+
+    rows = [
+        (document.doc_id, trel.hex(), sim.hex(), in_r1, aw_resident)
+        for document, trel, sim, in_r1, aw_resident in table.rows()
+    ]
+    kept = [hexed(v) for v in (table.kept_rel, table.kept_div, table.kept_created)]
+    state = [rows, kept, table._r2_count]
+    if table._aw is not None:
+        state.append([(t, w.hex()) for t, w in table._aw._weights.items()])
+    if len(rows) >= table.k:
+        alpha = EngineConfig.alpha
+        state += [
+            table.dr_oldest(now, decay, alpha).hex(),
+            table.static_dr_oldest(alpha).hex(),
+            [hexed(v) for v in table.similarity_sum(probe)],
+        ]
+    return state
+
+
+_LAYOUT_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            _CHURN_TOKENS,
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        st.tuples(st.just("seed"), st.integers(min_value=0, max_value=6)),
+        st.tuples(st.just("release")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 5]),
+    regime=st.sampled_from(["unlimited", "tight", "none"]),
+    ops=_LAYOUT_OPS,
+    probe=st.lists(st.sampled_from("abcde"), min_size=1, max_size=4),
+)
+def test_lean_layout_reads_back_an_always_columns_table(k, regime, ops, probe):
+    """Random admit / seed / replace / ``release_budget`` runs without a
+    budget, with a tight ``Φ_max`` (so R2 columns appear mid-life) and
+    without AW: every row, kept threshold, ``dr_oldest``, Eq. 13 term,
+    ``similarity_sum``, AW weight, returned work and budget use is bit
+    for bit the reference's, and the R2 columns exist only once some
+    non-oldest row has been out of the summary."""
+    budgets = [MemoryBudget(6) if regime == "tight" else None for _ in "ab"]
+    track = regime != "none"
+    lean = QueryResultSet(k, budget=budgets[0], track_aggregated_weights=track)
+    reference = _AlwaysColumnsTable(
+        k, budget=budgets[1], track_aggregated_weights=track
+    )
+    decay, probe = ExponentialDecay(1.01), TermVector.from_tokens(probe)
+    next_id, ever_r2 = 0, False
+    for op in ops:
+        if op[0] == "add":
+            document = doc(next_id, op[1])
+            next_id += 1
+            work = []
+            for table in (lean, reference):
+                if table.is_full:
+                    evicted, *rest = table.replace(document, op[2])
+                    work.append((evicted.doc_id, *rest))
+                else:
+                    work.append(table.admit(document, op[2]))
+            assert work[0] == work[1]
+        elif op[0] == "seed" and not lean.size:
+            documents = [
+                doc(next_id + i, ["abcd"[(next_id + i) % 4], "e"])
+                for i in range(min(op[1], k))
+            ]
+            next_id += len(documents)
+            trels = [0.125 * (i + 1) for i in range(len(documents))]
+            assert lean.seed(documents, trels) == reference.seed(
+                documents, trels
+            )
+        elif op[0] == "release":
+            lean.release_budget()
+            reference.release_budget()
+        now = float(next_id)
+        assert _read_back(lean, probe, now, decay) == _read_back(
+            reference, probe, now, decay
+        )
+        if budgets[0] is not None:
+            assert budgets[0].used == budgets[1].used
+        ever_r2 = ever_r2 or lean._r2_count > 0
+        if not lean.is_full:
+            assert lean._sim is None and lean._flags is None
+        elif ever_r2:
+            assert len(lean._sim) == len(lean._flags) == lean.size - 1
+        else:
+            assert lean._sim is None and lean._flags is None
+
+
+def _allocated_in(build, *modules):
+    """Bytes ``build()`` leaves allocated from lines of ``modules``
+    (documents and AW summaries, built elsewhere, do not count)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        kept = build()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    filters = [tracemalloc.Filter(True, module.__file__) for module in modules]
+    stats = after.filter_traces(filters).compare_to(
+        before.filter_traces(filters), "filename"
+    )
+    del kept
+    return sum(stat.size_diff for stat in stats)
+
+
+def test_a_table_allocates_only_what_its_filtering_reads():
+    """tracemalloc bytes from ``result_set.py`` / the index modules, CPython
+    3.11: a k = 20 warm-up table with 5 rows is 312 B (520 B when every
+    table carried its ``Sim_acc`` and flag columns from the first row), a
+    full k = 20 table under unlimited ``Φ_max`` after 25 replaces 784 B
+    (1,140 B), and a term with one posting 248 B (328 B when each term's
+    blocks sat in a postings-list object)."""
+    import repro.core.blocks as blocks_module
+    import repro.core.inverted_file as inverted_file_module
+    import repro.core.result_set as result_set_module
+    from repro.core.inverted_file import QueryInvertedFile
+    from repro.core.query import DasQuery
+
+    documents = [
+        doc(i, [f"t{i % 7}", f"u{i % 5}", "w"]) for i in range(45)
+    ]
+
+    def warm_up():
+        table = QueryResultSet(20)
+        for document in documents[:5]:
+            table.admit(document, 0.5)
+        return table
+
+    def full():
+        table = QueryResultSet(20)
+        for document in documents[:20]:
+            table.admit(document, 0.5)
+        for document in documents[20:]:
+            table.replace(document, 0.25)
+        return table
+
+    def index_of(terms):
+        def build():
+            index = QueryInvertedFile(block_size=16)
+            for query_id, term in enumerate(terms):
+                index.insert(DasQuery(query_id, [term]))
+            return index
+
+        return build
+
+    assert _allocated_in(warm_up, result_set_module) <= 416
+    assert _allocated_in(full, result_set_module) <= 960
+    index_modules = (inverted_file_module, blocks_module)
+    one_term = _allocated_in(index_of(["seed"]), *index_modules)
+    two_terms = _allocated_in(index_of(["seed", "solo"]), *index_modules)
+    assert two_terms - one_term <= 288

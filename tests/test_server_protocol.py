@@ -202,6 +202,40 @@ def test_parse_request_rejects_malformed(request_payload):
         parse_request(request_payload)
 
 
+@pytest.mark.parametrize(
+    "request_payload",
+    [
+        # A term the engine cannot take: refused here, before the request
+        # is queued or logged (it would fail after its record was written).
+        {"op": "subscribe", "keywords": ["a", 5]},
+        {"op": "subscribe", "keywords": [5]},
+        {"op": "subscribe", "keywords": ["a", ""]},
+        {"op": "subscribe", "keywords": [None]},
+        {"op": "subscribe", "text": 5},
+        {"op": "subscribe", "text": ["a"]},
+        {"op": "publish", "tokens": [7, "y"]},
+        {"op": "publish", "tokens": ["y", ""]},
+        {"op": "publish", "text": {"a": 1}},
+        # ``true`` is an int to Python; it must not name query 1.
+        {"op": "results", "query_id": True},
+        {"op": "unsubscribe", "query_id": False},
+    ],
+)
+def test_parse_request_rejects_what_the_engine_cannot_take(request_payload):
+    with pytest.raises(ProtocolError):
+        parse_request(request_payload)
+
+
+def test_parse_request_accepts_well_formed_terms():
+    for payload in (
+        {"op": "subscribe", "keywords": ["a", "b"]},
+        {"op": "subscribe", "text": "coffee beans"},
+        {"op": "publish", "tokens": ["a"], "text": "a b"},
+        {"op": "results", "query_id": 0},
+    ):
+        assert parse_request(payload) is payload
+
+
 def test_error_reply_carries_repro_type_and_reraises():
     reply = error_reply(UnknownQueryError("query 9"), reply_to=4)
     assert reply == {

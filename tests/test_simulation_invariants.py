@@ -9,12 +9,13 @@ monitor must record the violation.
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.core.engine import DasEngine
 from repro.core.events import Notification
 from repro.core.query import DasQuery
-from repro.core.result_set import AW_RESIDENT
 from repro.simulation import (
     InstrumentedEngine,
     InvariantMonitor,
@@ -71,13 +72,12 @@ def test_oracle_can_be_disabled():
 
 
 def _columns(result_set):
-    """A result table's row columns, for tests that corrupt a row."""
-    return (
-        result_set._docs,
-        result_set._trels,
-        result_set._sim,
-        result_set._flags,
-    )
+    """A result table's row columns, for tests that corrupt a row: the
+    documents and TRels, and the R2 columns where the table has them."""
+    columns = [result_set._docs, result_set._trels]
+    if result_set._flags is not None:
+        columns += [result_set._sim, result_set._flags]
+    return columns
 
 
 def test_size_check_flags_overfull_and_out_of_order_results():
@@ -154,7 +154,8 @@ def test_sim_acc_check_flags_a_double_counted_promotion():
     assert result_set.is_full and monitor.violations == []
     # The row behind the oldest carries similarity mass promotion will
     # add again (what trusting a per-entry checkpoint total would do).
-    result_set._sim[1] += 0.25
+    sim, _flags = result_set._r2_columns()
+    sim[0] += 0.25
     feed(instrumented, 6, start_id=6)
     assert monitor.checks["lemma1"] > 0
     assert any(
@@ -229,14 +230,22 @@ def test_warmup_check_flags_filtering_state_below_k():
     assert not result_set.is_full
     assert monitor.checks["warmup"] == 1 and monitor.violations == []
     # An eagerly built summary (the pre-fill contract) must be caught on
-    # the next warm-up admit, and so must a row that reserved budget.
+    # the next warm-up admit, and so must either R2 column, even one that
+    # says nothing: a warm-up table is its documents and TRels.
     result_set._aw = AggregatedTermWeights()
     feed(instrumented, 1, start_id=1)
     result_set._aw = None
-    result_set._flags[1] |= AW_RESIDENT
     probe = result_set.documents()[1]
-    monitor.after_publish(probe, [Notification(0, probe, None)])
-    assert [v.name for v in monitor.violations] == ["warmup", "warmup"]
+    rest = result_set.size - 1
+    planted_columns = (
+        ("_sim", array("d", [0.0] * rest)),
+        ("_flags", bytearray(rest)),
+    )
+    for planted, column in planted_columns:
+        setattr(result_set, planted, column)
+        monitor.after_publish(probe, [Notification(0, probe, None)])
+        setattr(result_set, planted, None)
+    assert [v.name for v in monitor.violations] == ["warmup"] * 3
     assert "2 of 3 results" in monitor.violations[0].detail
 
 

@@ -25,10 +25,12 @@ from repro.telemetry import (
     ENGINE_STAGES,
     LatencyHistogram,
     PIPELINE_STAGES,
+    SPAN_SITES,
     Telemetry,
     TraceSampler,
     effectiveness_gauges,
     render_exposition,
+    resolve_span_sites,
 )
 from repro.text.vectors import TermVector
 
@@ -411,3 +413,35 @@ def test_metrics_op_rejected_before_parse_fix():
 
     assert "metrics" in REQUEST_OPS
     assert parse_request({"op": "metrics"}) == {"op": "metrics"}
+
+
+# -- span sites -----------------------------------------------------------------
+
+
+def test_every_span_site_resolves():
+    """Each traced callable is in its owner's own ``vars()`` — what a
+    tracer swaps — so deleting or renaming one fails here rather than in
+    a traced benchmark run."""
+    resolved = resolve_span_sites()
+    assert len(resolved) == len(SPAN_SITES)
+    for owner, attribute, layer in resolved:
+        original = vars(owner)[attribute]
+        if isinstance(original, classmethod):
+            original = original.__func__
+        assert callable(original), (owner, attribute)
+        assert layer.split(".")[0] in {
+            "core", "scoring", "text", "stream", "server", "eventlog",
+        }
+    # Subscribe scoring is scoring, not initializer or subscribe time.
+    assert (
+        "repro.scoring.relevance:LanguageModelScorer", "trels", "scoring.ps"
+    ) in SPAN_SITES
+
+
+def test_a_missing_span_site_names_itself(monkeypatch):
+    import repro.telemetry as telemetry_module
+
+    gone = ("repro.core.result_set:QueryResultSet", "_extend_rows", "x.y")
+    monkeypatch.setattr(telemetry_module, "SPAN_SITES", SPAN_SITES + (gone,))
+    with pytest.raises(KeyError, match="QueryResultSet._extend_rows"):
+        telemetry_module.resolve_span_sites()

@@ -43,9 +43,9 @@ class ChecksFirstEngine(DasEngine):
         vector = document.vector
         lists = {}
         for term in vector.terms():
-            postings = self._index.list_for(term)
-            if postings is not None and postings.blocks:
-                lists[term] = postings
+            blocks = self._index.list_for(term)
+            if blocks is not None:
+                lists[term] = blocks
         if not lists:
             return notifications
         now = self._clock.now
@@ -56,8 +56,8 @@ class ChecksFirstEngine(DasEngine):
         walked = {term: [] for term in lists}
         starts = sorted(
             (block.query_ids[0], term, block)
-            for term, postings in lists.items()
-            for block in postings.blocks
+            for term, blocks in lists.items()
+            for block in blocks
         )
         for _first_id, term, block in starts:
             if use_blocks and self._check_sitout:
