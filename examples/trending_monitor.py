@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 from repro import DasEngine, SyntheticTweetCorpus
-from repro.metrics.quality import evaluate_result_set, mean_report
+from repro.experiments.quality import evaluate_result_set, mean_report
 from repro.workloads import sqd_queries
 
 N_QUERIES = 400

@@ -54,9 +54,9 @@ from repro.server import (
     NdjsonTcpServer,
     ServerRuntime,
 )
-from repro.metrics import Counters
 from repro.scoring import ExponentialDecay, LanguageModelScorer
 from repro.stream import Document, DocumentStore, SimulationClock
+from repro.telemetry import Counters
 from repro.text import CollectionStatistics, TermVector, Tokenizer
 from repro.workloads import SyntheticTweetCorpus, lqd_queries, sqd_queries
 

@@ -26,9 +26,9 @@ from typing import Deque, Dict, List, Optional, Sequence
 from repro.core.events import Notification
 from repro.core.query import DasQuery
 from repro.errors import DuplicateQueryError, UnknownQueryError
-from repro.metrics.instrumentation import Counters
 from repro.stream.clock import SimulationClock
 from repro.stream.document import Document
+from repro.telemetry import Counters
 from repro.text.vectors import angular_distance
 
 ALGORITHMS = ("basic", "greedy")

@@ -21,12 +21,12 @@ from repro.core.events import Notification
 from repro.core.filtering import TIE_EPSILON
 from repro.core.query import DasQuery
 from repro.errors import DuplicateQueryError, UnknownQueryError
-from repro.metrics.instrumentation import Counters
 from repro.scoring.diversity import dr_score
 from repro.scoring.recency import ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.clock import SimulationClock
 from repro.stream.document import Document
+from repro.telemetry import Counters
 from repro.text.collection_stats import CollectionStatistics
 
 

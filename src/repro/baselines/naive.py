@@ -23,12 +23,12 @@ from repro.core.filtering import TIE_EPSILON
 from repro.core.initializer import select_initial_documents
 from repro.core.query import DasQuery
 from repro.errors import DuplicateQueryError, UnknownQueryError
-from repro.metrics.instrumentation import Counters
 from repro.scoring.recency import ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.clock import SimulationClock, require_not_before
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
+from repro.telemetry import Counters
 from repro.text.collection_stats import CollectionStatistics
 from repro.text.vectors import dissimilarity
 

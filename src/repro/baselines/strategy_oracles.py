@@ -32,11 +32,11 @@ from repro.errors import (
     DuplicateQueryError,
     UnknownQueryError,
 )
-from repro.metrics.instrumentation import Counters
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.clock import SimulationClock, require_not_before
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
+from repro.telemetry import Counters
 from repro.text.collection_stats import CollectionStatistics
 
 

@@ -140,27 +140,10 @@ class PostingsBlock:
             self.earliest_de = earliest
         self.meta_dirty = False
 
-    def refresh_from_columns(self, columns) -> bool:
-        """Refresh from a :class:`~repro.core.columnar.QuerySummaryColumns`.
-
-        Not called by the engine (a dirty block is refreshed by
-        :meth:`refresh_metadata`); kept, with :mod:`repro.core.columnar`,
-        only because ``benchmarks/e2e/tracing.py`` patches it by name.
-        Returns True when the columnar store covered every member (all
-        filled), refreshing the summaries bit-identically to
-        :meth:`refresh_metadata`; False when any member is unknown or
-        unfilled.
-        """
-        slots = columns.slots_for(self.query_ids)
-        if slots is None:
-            return False
-        summary = columns.summarize(slots)
-        if summary is None:
-            return False
-        self.dtrel_min, self.trel_max_de, self.earliest_de = summary
-        self.unfilled_ids = ()
-        self.meta_dirty = False
-        return True
+    def refresh_from_columns(self, *args, **kwargs):
+        """Placeholder: ``benchmarks/e2e/tracing.py`` patches it by name,
+        and the benchmark PR (ROADMAP 4(b)) deletes it."""
+        raise NotImplementedError("the columnar summary mirror was deleted")
 
     # -- MCS summary -----------------------------------------------------------
 

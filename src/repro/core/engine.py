@@ -61,14 +61,13 @@ from repro.errors import (
     QueryOrderError,
     UnknownQueryError,
 )
-from repro.metrics.instrumentation import Counters
 from repro.scoring.diversity import diversity_coefficient, dr_score
 from repro.scoring.recency import CachedDecay, ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.clock import SimulationClock, require_not_before
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
-from repro.telemetry import Telemetry
+from repro.telemetry import Counters, Telemetry
 from repro.text.collection_stats import CollectionStatistics
 from repro.text.vectors import SimCache
 

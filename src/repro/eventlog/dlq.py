@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: The DLQ lives next to the event segments in the log directory.
 DLQ_FILENAME = "dlq.seg"
@@ -36,8 +36,11 @@ class DeadLetterQueue:
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, DLQ_FILENAME)
         self._fsync = fsync == "always"
-        self._entries: List[Dict[str, Any]] = read_dlq(directory)
+        self._entries, good_bytes = _read_segment(self.path)
         self._file = open(self.path, "ab")
+        # A crash mid-write leaves a torn last line: cut it, or the next
+        # entry would land on it and every later read would stop there.
+        self._file.truncate(good_bytes)
         self._closed = False
 
     def add(
@@ -98,10 +101,15 @@ class DeadLetterQueue:
 def read_dlq(directory: str) -> List[Dict[str, Any]]:
     """Offline read of a DLQ segment (``repro dlq`` and recovery share
     it); a missing file is an empty queue, a torn tail is dropped."""
-    path = os.path.join(directory, DLQ_FILENAME)
-    if not os.path.exists(path):
-        return []
+    return _read_segment(os.path.join(directory, DLQ_FILENAME))[0]
+
+
+def _read_segment(path: str) -> Tuple[List[Dict[str, Any]], int]:
+    """The entries before the first bad line, and their byte length."""
     entries: List[Dict[str, Any]] = []
+    good_bytes = 0
+    if not os.path.exists(path):
+        return entries, good_bytes
     with open(path, "rb") as handle:
         for raw in handle:
             if not raw.endswith(b"\n"):
@@ -112,4 +120,5 @@ def read_dlq(directory: str) -> List[Dict[str, Any]]:
                 break
             if isinstance(entry, dict):
                 entries.append(entry)
-    return entries
+            good_bytes += len(raw)
+    return entries, good_bytes

@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.metrics.instrumentation import Counters
 from repro.experiments.workload import Workload
+from repro.telemetry import Counters
 
 
 @dataclass

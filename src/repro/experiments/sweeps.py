@@ -17,15 +17,15 @@ from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.baselines.disc import tune_radius
-from repro.experiments.results import FigureResult, UserStudyResult
-from repro.experiments.runner import MethodRun, run_das_methods, run_method
-from repro.experiments.workload import DAS_METHODS, WorkloadSpec, build_workload
-from repro.metrics.quality import (
+from repro.experiments.quality import (
     QualityReport,
     evaluate_result_set,
     mean_report,
     user_study_table,
 )
+from repro.experiments.results import FigureResult, UserStudyResult
+from repro.experiments.runner import MethodRun, run_das_methods, run_method
+from repro.experiments.workload import DAS_METHODS, WorkloadSpec, build_workload
 
 #: Base specs by scale name.  ``micro`` keeps a whole figure to about a
 #: second (tests); ``tiny`` is the recorded scale (``benchmarks/out``);

@@ -72,7 +72,6 @@ from repro.eventlog import (
     unsubscribe_record,
     write_checkpoint,
 )
-from repro.metrics.instrumentation import BatchHistogram
 from repro.persistence.checkpoint import checkpoint
 from repro.server.protocol import (
     document_payload,
@@ -86,6 +85,7 @@ from repro.server.sessions import SubscriberSession
 from repro.stream.document import Document
 from repro.telemetry import (
     PIPELINE_STAGES,
+    BatchHistogram,
     LatencyHistogram,
     Telemetry,
     effectiveness_gauges,
@@ -1287,6 +1287,14 @@ class ServerRuntime:
             # close already ran (and found nothing to detach), so
             # attaching now would bind the subscriber to a dead session.
             raise ServerClosedError("session closed before it resumed")
+        end = self._eventlog.end
+        if offset is not None and offset >= end:
+            # Resuming acks ``offset``: the same hole as an ack past the
+            # end (see :meth:`ack`), so the same refusal, before the
+            # subscriber is created, attached or anything is logged.
+            raise ProtocolError(
+                f"resume offset {offset} is past the log's end ({end})"
+            )
         state = self._registry.get_or_create(name)
         if state.session_id is not None and state.session_id != session.session_id:
             live = self._sessions.get(state.session_id)

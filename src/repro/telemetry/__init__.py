@@ -1,4 +1,4 @@
-"""Unified telemetry: stage histograms, spans, effectiveness.
+"""Unified telemetry: work counters, stage histograms, spans, effectiveness.
 
 One :class:`Telemetry` instance observes every publish an engine
 processes.  The engine calls :meth:`Telemetry.begin_publish` /
@@ -28,16 +28,101 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional
 
-from repro.metrics.instrumentation import Counters
 from repro.telemetry.effectiveness import (
     BOUNDED_RATIOS,
     effectiveness_gauges,
 )
-from repro.telemetry.histogram import DEFAULT_BOUNDS, LatencyHistogram
+from repro.telemetry.histogram import (
+    DEFAULT_BOUNDS,
+    BatchHistogram,
+    LatencyHistogram,
+)
 from repro.telemetry.prometheus import render_exposition
 from repro.telemetry.spans import PublishObservation, TraceSampler
+
+
+@dataclass
+class Counters:
+    """Mutable work counters; engines increment these on their hot paths.
+
+    Machine-independent accounting of the work a publish did (postings
+    visited, blocks skipped, similarity evaluations, ...): pure-Python
+    wall-clock numbers are a poor proxy for the paper's Java
+    measurements (DESIGN.md §2), so the figures report both.
+    """
+
+    docs_published: int = 0
+    queries_subscribed: int = 0
+    postings_visited: int = 0
+    blocks_visited: int = 0
+    blocks_skipped: int = 0
+    group_checks: int = 0
+    #: Block boundaries passed with no check while the engine's
+    #: group-check backoff sat them out (``group_checks`` counts only
+    #: checks actually run).
+    group_checks_deferred: int = 0
+    queries_evaluated: int = 0
+    #: Evaluations dismissed before the Lemma 6 dot (relevance + keyword
+    #: floor).
+    quick_rejections: int = 0
+    sim_evaluations: int = 0
+    #: Of ``sim_evaluations``, the values served by the publish-scoped
+    #: cosine cache instead of being computed.
+    sim_cache_hits: int = 0
+    aw_dot_products: int = 0
+    matches: int = 0
+    #: Of ``matches``, those that replaced the oldest result of a full
+    #: query; the rest are warm-up admits.
+    replacements: int = 0
+    mcs_rebuilds: int = 0
+    mcs_invalidations: int = 0
+    #: ``batches_vectorized``, ``batches_scalar``, ``columnar_refreshes``,
+    #: ``flat_skips`` and ``postings_compactions`` stay zero (one cosine
+    #: kernel and no mirror, DESIGN.md §7/§12/§15); kept because
+    #: ``benchmarks/e2e/layers.py`` reads them by name.
+    batches_vectorized: int = 0
+    batches_scalar: int = 0
+    columnar_refreshes: int = 0
+    scalar_refreshes: int = 0
+    flat_skips: int = 0
+    postings_compactions: int = 0
+    window_expiries: int = 0
+    window_promotions: int = 0
+    cells_visited: int = 0
+    cells_skipped: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def snapshot(self) -> "Counters":
+        return Counters(**self.as_dict())
+
+    def delta(self, earlier: "Counters") -> "Counters":
+        """Counters accumulated since ``earlier`` (self - earlier)."""
+        return Counters(
+            **{
+                name: value - getattr(earlier, name)
+                for name, value in self.as_dict().items()
+            }
+        )
+
+    def load(self, values: Dict[str, int]) -> None:
+        """Overwrite every counter from a dict (checkpoint restore).
+
+        Unknown keys are ignored so newer checkpoints stay loadable;
+        fields absent from ``values`` keep their current value.
+        """
+        for f in fields(self):
+            if f.name in values:
+                setattr(self, f.name, int(values[f.name]))
+
+    def reset(self) -> None:
+        for f in fields(self):
+            setattr(self, f.name, 0)
+
 
 #: Engine-side stages of one publish, in pipeline order.  Every stage is
 #: observed exactly once per publish; ``postings_traversal`` is the
@@ -375,7 +460,9 @@ def empty_snapshot() -> Dict:
 
 __all__ = [
     "BOUNDED_RATIOS",
+    "BatchHistogram",
     "CountingClock",
+    "Counters",
     "DEFAULT_BOUNDS",
     "ENGINE_STAGES",
     "LatencyHistogram",

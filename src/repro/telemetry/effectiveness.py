@@ -4,7 +4,7 @@ The paper's evaluation axis is *work avoided*: blocks skipped by the
 group condition (Ineq. 11), candidates dismissed before the Lemma 6 dot
 (relevance + keyword floor), and how many exact similarity evaluations
 each delivered match ultimately cost.  These gauges are pure
-functions of :class:`repro.metrics.instrumentation.Counters`, so they
+functions of :class:`repro.telemetry.Counters`, so they
 are exact and deterministic.
 
 Every ratio degrades to ``0.0`` on a zero denominator (a fresh engine
@@ -13,9 +13,10 @@ reports all-zero effectiveness rather than NaN).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Union
 
-from repro.metrics.instrumentation import Counters
+if TYPE_CHECKING:
+    from repro.telemetry import Counters
 
 #: Gauges whose value is a proportion and must stay within [0, 1].
 BOUNDED_RATIOS = (
@@ -36,7 +37,7 @@ def effectiveness_gauges(
 ) -> Dict[str, float]:
     """Derived filtering-effectiveness gauges, keyed by gauge name."""
     values = (
-        counters.as_dict() if isinstance(counters, Counters) else counters
+        counters if isinstance(counters, Mapping) else counters.as_dict()
     )
     blocks_visited = values["blocks_visited"]
     blocks_skipped = values["blocks_skipped"]

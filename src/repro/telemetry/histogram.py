@@ -1,6 +1,7 @@
-"""Fixed-bucket latency histograms with a JSON-safe wire form.
+"""Fixed-bucket latency histograms with a JSON-safe wire form, and the
+serving runtime's micro-batch size histogram.
 
-The histogram is the telemetry layer's only latency primitive: a fixed,
+The latency histogram is the telemetry layer's only latency primitive: a fixed,
 strictly increasing tuple of bucket upper bounds (Prometheus ``le``
 semantics — a bucket counts observations ``<=`` its bound) plus one
 overflow bucket and a running sum.
@@ -105,3 +106,43 @@ class LatencyHistogram:
             out.append(total)
         return out
 
+
+class BatchHistogram:
+    """Power-of-two histogram of micro-batch sizes.
+
+    The serving runtime coalesces pending publishes into adaptive
+    micro-batches; this records the realised batch-size distribution
+    (buckets ``1``, ``2``, ``3-4``, ``5-8``, ...) so operators can see
+    whether batching is actually engaging under load.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: Dict[str, int] = {}
+        self.batches = 0
+        self.documents = 0
+        self.max_size = 0
+
+    @staticmethod
+    def bucket_of(size: int) -> str:
+        if size <= 2:
+            return str(size)
+        upper = 1 << (size - 1).bit_length()
+        return f"{upper // 2 + 1}-{upper}"
+
+    def record(self, size: int) -> None:
+        if size < 1:
+            raise ValueError(f"batch size must be >= 1, got {size}")
+        bucket = self.bucket_of(size)
+        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+        self.batches += 1
+        self.documents += size
+        if size > self.max_size:
+            self.max_size = size
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "batches": self.batches,
+            "documents": self.documents,
+            "max_size": self.max_size,
+            "buckets": dict(self._buckets),
+        }

@@ -1,14 +1,16 @@
-"""The engine runs on the standard library alone.
+"""The package runs on the standard library alone.
 
 NumPy is not a dependency of the package: every method subscribes,
 publishes and round-trips a checkpoint without it ever being imported
 (``import numpy`` alone costs a server process about 14 MB of RSS).  A
 fresh interpreter is used because the test process may have imported it
-for other reasons.
+for other reasons.  No module under ``src/repro`` imports it either,
+checked on the source so the check does not depend on what is installed.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -54,3 +56,29 @@ def test_engine_never_imports_numpy():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"
+
+
+def test_no_module_under_src_imports_numpy():
+    """Read from the source, so it holds whether or not NumPy is
+    installed and whichever modules the interpreter has loaded."""
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    offenders = []
+    for directory, _, names in os.walk(package):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "numpy" for m in modules):
+                    offenders.append(
+                        f"{os.path.relpath(path, package)}:{node.lineno}"
+                    )
+    assert offenders == []

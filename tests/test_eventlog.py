@@ -417,13 +417,18 @@ def test_dlq_appends_and_reads_back(tmp_path):
     dlq.close()
     offline = read_dlq(directory)
     assert [entry["seq"] for entry in offline] == [0, 1]
-    # A torn tail is dropped, not fatal.
+    # A torn tail is dropped, not fatal, and reopening cuts it: an entry
+    # added after it is read back rather than lost behind the fragment.
     with open(dlq.path, "ab") as handle:
         handle.write(b'{"seq": 2, "subscr')
     assert len(read_dlq(directory)) == 2
     reopened = DeadLetterQueue(directory)
     assert len(reopened) == 2
+    reopened.add("carol", 11, 3, {"op": "notify"}, "overflow", 1)
     reopened.close()
+    assert [entry["subscriber"] for entry in read_dlq(directory)] == [
+        "alice", "bob", "carol"
+    ]
 
 
 def test_read_dlq_missing_file_is_empty(tmp_path):
@@ -681,13 +686,18 @@ def test_runtime_resume_ack_dlq_ops(tmp_path):
 def test_ack_past_the_log_end_is_refused(tmp_path):
     """An ack at or past the log's end names an op that does not exist
     yet: it gets an error reply and is not logged, so it cannot raise the
-    acked floor over later notifications and silence the subscriber."""
+    acked floor over later notifications and silence the subscriber.  A
+    resume offset is an ack too, refused before the subscriber exists."""
     directory = str(tmp_path / "log")
 
     async def scenario():
         runtime = ServerRuntime(small_engine(), eventlog_config(directory))
         await runtime.start()
         client = InProcessClient(runtime)
+        for offset in (10**9, 0):  # the empty log's end is 0
+            with pytest.raises(ProtocolError, match="past the log's end"):
+                await client.resume("alice", offset)
+        assert (await client.stats())["subscribers"]["subscribers"] == []
         await client.resume("alice", -1)
         sub = await client.subscribe(["coffee"])  # offset 0
         end = (await client.stats())["eventlog"]["end"]
@@ -705,6 +715,8 @@ def test_ack_past_the_log_end_is_refused(tmp_path):
         )
         assert published["offset"] == end
         client = InProcessClient(runtime)
+        with pytest.raises(ProtocolError, match="past the log's end"):
+            await client.resume("alice", end + 1)
         resumed = await client.resume("alice")
         assert resumed["acked"] == -1 and resumed["replayed"] == 1
         missed = (await drain(client, 1))[0]

@@ -1,11 +1,11 @@
-"""Tests for counters and the user-study quality proxies."""
+"""Tests for the work counters, the batch-size histogram and the
+user-study quality proxies."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics.instrumentation import Counters
-from repro.metrics.quality import (
+from repro.experiments.quality import (
     QualityReport,
     evaluate_result_set,
     likert_rescale,
@@ -18,6 +18,7 @@ from repro.metrics.quality import (
 from repro.scoring.recency import ExponentialDecay
 from repro.scoring.relevance import LanguageModelScorer
 from repro.stream.document import Document
+from repro.telemetry import BatchHistogram, Counters
 from repro.text.collection_stats import CollectionStatistics
 
 
@@ -49,6 +50,24 @@ def test_counters_reset_and_dict():
     assert counters.as_dict()["matches"] == 4
     counters.reset()
     assert counters.matches == 0
+
+
+# -- Batch-size histogram ----------------------------------------------------
+
+
+def test_batch_histogram_buckets():
+    histogram = BatchHistogram()
+    for size in (1, 2, 3, 4, 7, 8, 9, 64):
+        histogram.record(size)
+    report = histogram.as_dict()
+    assert report["batches"] == 8
+    assert report["documents"] == 98
+    assert report["max_size"] == 64
+    assert report["buckets"] == {
+        "1": 1, "2": 1, "3-4": 2, "5-8": 2, "9-16": 1, "33-64": 1,
+    }
+    with pytest.raises(ValueError):
+        histogram.record(0)
 
 
 # -- Quality proxies --------------------------------------------------------------

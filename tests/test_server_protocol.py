@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.config import ConfigurationError, ServerConfig
 from repro.errors import ProtocolError, UnknownQueryError
-from repro.metrics.instrumentation import BatchHistogram
 from repro.server.protocol import (
     decode_line,
     document_from_payload,
@@ -265,24 +264,6 @@ def test_server_config_validation():
     with pytest.raises(ConfigurationError):
         ServerConfig(port=70000)
     assert ServerConfig().evolve(port=0).port == 0
-
-
-# -- micro-batch formation ------------------------------------------------
-
-
-def test_batch_histogram_buckets():
-    histogram = BatchHistogram()
-    for size in (1, 2, 3, 4, 7, 8, 9, 64):
-        histogram.record(size)
-    report = histogram.as_dict()
-    assert report["batches"] == 8
-    assert report["documents"] == 98
-    assert report["max_size"] == 64
-    assert report["buckets"] == {
-        "1": 1, "2": 1, "3-4": 2, "5-8": 2, "9-16": 1, "33-64": 1,
-    }
-    with pytest.raises(ValueError):
-        histogram.record(0)
 
 
 # -- session primitives ---------------------------------------------------

@@ -16,11 +16,11 @@ import pytest
 from repro.config import EngineConfig
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
-from repro.metrics.instrumentation import Counters
 from repro.stream.document import Document
 from repro.telemetry import (
     BOUNDED_RATIOS,
     CountingClock,
+    Counters,
     DEFAULT_BOUNDS,
     ENGINE_STAGES,
     LatencyHistogram,
