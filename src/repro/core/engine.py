@@ -316,12 +316,10 @@ class DasEngine:
 
     # -- subscription ---------------------------------------------------------
 
-    def subscribe(self, query: DasQuery) -> List[Document]:
-        """Register a DAS query; returns its initial results, newest first.
-
-        Query ids must be strictly increasing (the inverted file is
-        append-only, Section 4.3).
-        """
+    def check_subscribe(self, query: DasQuery) -> None:
+        """Raise what :meth:`subscribe` would refuse ``query`` with, and
+        change nothing (the serving runtime logs only a query that
+        passes)."""
         if query.query_id in self._queries:
             raise DuplicateQueryError(f"query {query.query_id} already subscribed")
         if (
@@ -332,6 +330,16 @@ class DasEngine:
                 f"query id {query.query_id} is not after previous id "
                 f"{self._last_query_id}"
             )
+        if self._strategy is not None:
+            self._strategy.check_subscribe(query)
+
+    def subscribe(self, query: DasQuery) -> List[Document]:
+        """Register a DAS query; returns its initial results, newest first.
+
+        Query ids must be strictly increasing (the inverted file is
+        append-only, Section 4.3).
+        """
+        self.check_subscribe(query)
         if self._strategy is not None:
             # The strategy owns seeding and result maintenance; the engine
             # keeps owning id bookkeeping so every caller (runtime, harness,

@@ -116,6 +116,10 @@ class Strategy:
     # query-id guards: the engine validates ids, the strategy maintains
     # per-query state.
 
+    def check_subscribe(self, query: DasQuery) -> None:
+        """Refuse a query this mode cannot serve (before any state
+        changes); every query passes by default."""
+
     def subscribe(self, query: DasQuery) -> List[Document]:
         raise NotImplementedError
 
@@ -576,7 +580,7 @@ class SpatialStrategy(Strategy):
 
     # -- subscription -----------------------------------------------------
 
-    def subscribe(self, query: DasQuery) -> List[Document]:
+    def check_subscribe(self, query: DasQuery) -> None:
         if query.location is None:
             raise ConfigurationError(
                 f"query {query.query_id}: spatial mode requires a "
@@ -588,6 +592,8 @@ class SpatialStrategy(Strategy):
                 f"query {query.query_id} location {query.location} is "
                 "outside the unit square"
             )
+
+    def subscribe(self, query: DasQuery) -> List[Document]:
         engine = self._engine
         cell = self._cell_of(query.location)
         state = _SpatialQueryState(query, cell)

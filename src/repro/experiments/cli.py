@@ -22,11 +22,7 @@ import os
 import sys
 from typing import Dict, List, Sequence
 
-from repro.config import (
-    DEFAULT_OUTBOX_CAPACITY,
-    METHOD_CONFIGS,
-    SLOW_CONSUMER_POLICIES,
-)
+from repro.config import METHOD_CONFIGS, SLOW_CONSUMER_POLICIES, ServerConfig
 from repro.experiments.sweeps import FIGURES, SCALES
 
 
@@ -57,6 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to write tables to (default: stdout only)",
     )
 
+    # Every serve setting's default is the ServerConfig field's.
+    defaults = ServerConfig()
     serve = commands.add_parser(
         "serve",
         help="run the NDJSON-over-TCP pub/sub server",
@@ -66,9 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
             "(subscribe/unsubscribe/publish/results/stats)."
         ),
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
+    serve.add_argument("--host", default=defaults.host, help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
+        "--port",
+        type=int,
+        default=defaults.port,
+        help="bind port (0 = ephemeral)",
     )
     serve.add_argument(
         "--method",
@@ -93,33 +94,36 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--policy",
         choices=SLOW_CONSUMER_POLICIES,
-        default="block",
-        help="slow-consumer policy for subscriber sessions (default: block)",
+        default=defaults.slow_consumer_policy,
+        help=(
+            "slow-consumer policy for subscriber sessions "
+            "(default: %(default)s)"
+        ),
     )
     serve.add_argument(
         "--ingest-capacity",
         type=int,
-        default=1024,
-        help="bound of the publish ingestion queue (default: 1024)",
+        default=defaults.ingest_capacity,
+        help="bound of the publish ingestion queue (default: %(default)s)",
     )
     serve.add_argument(
         "--outbound-capacity",
         type=int,
-        default=64,
-        help="bound of each subscriber delivery queue (default: 64)",
+        default=defaults.outbound_capacity,
+        help="bound of each subscriber delivery queue (default: %(default)s)",
     )
     serve.add_argument(
         "--max-batch",
         type=int,
-        default=64,
+        default=defaults.max_batch_size,
         help=(
             "cap on a micro-batch, and on one connection's read-ahead "
-            "window (default: 64)"
+            "window (default: %(default)s)"
         ),
     )
     serve.add_argument(
         "--eventlog-dir",
-        default=None,
+        default=defaults.eventlog_dir,
         help=(
             "enable the durability tier: write-ahead event log, replay "
             "recovery, resume/ack/dlq ops (default: disabled)"
@@ -128,28 +132,28 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--eventlog-fsync",
         choices=("always", "batch", "never"),
-        default="always",
-        help="event-log fsync policy (default: always)",
+        default=defaults.eventlog_fsync,
+        help="event-log fsync policy (default: %(default)s)",
     )
     serve.add_argument(
         "--eventlog-segment-entries",
         type=int,
-        default=512,
-        help="entries per event-log segment file (default: 512)",
+        default=defaults.eventlog_segment_entries,
+        help="entries per event-log segment file (default: %(default)s)",
     )
     serve.add_argument(
         "--eventlog-checkpoint-every",
         type=int,
-        default=0,
+        default=defaults.eventlog_checkpoint_every,
         help=(
-            "checkpoint + truncate the log every N appends "
-            "(default: 0 = never; recovery replays the whole log)"
+            "checkpoint + truncate the log every N appends, 0 = never "
+            "(recovery replays the whole log) (default: %(default)s)"
         ),
     )
     serve.add_argument(
         "--outbox-capacity",
         type=int,
-        default=DEFAULT_OUTBOX_CAPACITY,
+        default=defaults.outbox_capacity,
         help=(
             "retained notifications per durable subscriber before the "
             "oldest is dead-lettered (default: %(default)s)"
@@ -158,26 +162,26 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dlq-max-attempts",
         type=int,
-        default=3,
+        default=defaults.dlq_max_attempts,
         help=(
             "redeliveries before a notification is dead-lettered "
-            "(default: 3)"
+            "(default: %(default)s)"
         ),
     )
     serve.add_argument(
         "--throttle-rate",
         type=float,
-        default=0.0,
+        default=defaults.throttle_rate,
         help=(
-            "per-client publish token-bucket refill rate per second "
-            "(default: 0 = unthrottled)"
+            "per-client publish token-bucket refill rate per second, "
+            "0 = unthrottled (default: %(default)s)"
         ),
     )
     serve.add_argument(
         "--throttle-burst",
         type=int,
-        default=8,
-        help="token-bucket burst capacity (default: 8)",
+        default=defaults.throttle_burst,
+        help="token-bucket burst capacity (default: %(default)s)",
     )
 
     metrics = commands.add_parser(
@@ -191,10 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     metrics.add_argument(
-        "--host", default="127.0.0.1", help="server address"
+        "--host", default=defaults.host, help="server address"
     )
     metrics.add_argument(
-        "--port", type=int, default=8765, help="server port (default: 8765)"
+        "--port",
+        type=int,
+        default=defaults.port,
+        help="server port (default: %(default)s)",
     )
 
     simulate = commands.add_parser(
@@ -284,13 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_serve_runtime(args):
-    """Build the (runtime, tcp server) pair for the ``serve`` command."""
-    from repro.config import ServerConfig
+    """Build the (runtime, tcp server) pair for the ``serve`` command
+    from :func:`build_parser` output."""
     from repro.core.engine import DasEngine
     from repro.server import NdjsonTcpServer, ServerRuntime
 
-    mode = getattr(args, "mode", "decay")
-    engine = DasEngine.for_method(args.method, k=args.k, mode=mode)
+    engine = DasEngine.for_method(args.method, k=args.k, mode=args.mode)
     config = ServerConfig(
         ingest_capacity=args.ingest_capacity,
         outbound_capacity=args.outbound_capacity,
@@ -298,20 +304,14 @@ def build_serve_runtime(args):
         slow_consumer_policy=args.policy,
         host=args.host,
         port=args.port,
-        eventlog_dir=getattr(args, "eventlog_dir", None),
-        eventlog_fsync=getattr(args, "eventlog_fsync", "always"),
-        eventlog_segment_entries=getattr(
-            args, "eventlog_segment_entries", 512
-        ),
-        eventlog_checkpoint_every=getattr(
-            args, "eventlog_checkpoint_every", 0
-        ),
-        outbox_capacity=getattr(
-            args, "outbox_capacity", DEFAULT_OUTBOX_CAPACITY
-        ),
-        dlq_max_attempts=getattr(args, "dlq_max_attempts", 3),
-        throttle_rate=getattr(args, "throttle_rate", 0.0),
-        throttle_burst=getattr(args, "throttle_burst", 8),
+        eventlog_dir=args.eventlog_dir,
+        eventlog_fsync=args.eventlog_fsync,
+        eventlog_segment_entries=args.eventlog_segment_entries,
+        eventlog_checkpoint_every=args.eventlog_checkpoint_every,
+        outbox_capacity=args.outbox_capacity,
+        dlq_max_attempts=args.dlq_max_attempts,
+        throttle_rate=args.throttle_rate,
+        throttle_burst=args.throttle_burst,
     )
     runtime = ServerRuntime(engine, config)
     return runtime, NdjsonTcpServer(runtime)
@@ -362,17 +362,16 @@ def run_simulate(args) -> int:
     from repro.simulation import SimulationHarness, run_default_suite
     from repro.simulation.harness import default_engine_config
 
-    mode = getattr(args, "mode", "decay")
     engine_config = None
-    if mode != "decay":
+    if args.mode != "decay":
         # Small strategy-mode engine mirroring the decay default's scale:
         # a 16-document window / 4x4 grid keeps expiries and cell skips
         # frequent within an 80-op schedule.
         engine_config = default_engine_config(
-            mode=mode, window_size=16, spatial_cells=4
+            mode=args.mode, window_size=16, spatial_cells=4
         )
 
-    if getattr(args, "scenario", None) == "kill9-load":
+    if args.scenario == "kill9-load":
         from repro.simulation.eventlog import run_kill9_suite
 
         report = run_kill9_suite(

@@ -4,10 +4,13 @@ The subsystem that turns the engine into a long-running network
 service (see DESIGN.md §8):
 
 * :class:`ServerRuntime` — bounded ingestion queue + single matcher task
-  draining what is queued into micro-batches (group commit);
+  draining what is queued into micro-batches (group commit); every op
+  enters through ``submit_request`` / ``complete_request``;
 * :class:`SubscriberSession` — bounded per-subscriber delivery with
   ``block`` / ``drop_oldest`` / ``coalesce`` / ``disconnect`` policies;
-* :class:`InProcessClient` — the session protocol without a socket;
+* :class:`InProcessClient` — the session protocol without a socket,
+  with the op methods the TCP client has too
+  (:class:`repro.server.protocol.ProtocolClient`);
 * :class:`NdjsonTcpServer` / :class:`NdjsonTcpClient` — the same
   protocol as newline-delimited JSON over TCP, each connection a
   pipeline (requests may be sent without awaiting replies).

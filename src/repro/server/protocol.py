@@ -3,8 +3,11 @@
 Every message — request, reply, or server push — is one JSON object; on
 the TCP transport each object is one ``\\n``-terminated line (NDJSON).
 The in-process transport exchanges the *same* dict shapes without the
-serialisation round-trip, so a client tested in-process behaves
-identically over the wire.
+serialisation round-trip.  Both clients inherit their op methods from
+:class:`ProtocolClient` below and the server answers both through
+``ServerRuntime.submit_request`` / ``complete_request``, so a client
+tested in-process sends the same requests and gets the same replies over
+the wire.
 
 Requests carry an ``op`` plus op-specific fields and an optional client
 ``id`` echoed back as ``reply_to``:
@@ -12,9 +15,11 @@ Requests carry an ``op`` plus op-specific fields and an optional client
 ====================  =====================================================
 op                    fields
 ====================  =====================================================
-``subscribe``         ``keywords`` (list of terms) or ``text`` (tokenised)
+``subscribe``         ``keywords`` (list of terms) or ``text`` (tokenised);
+                      optional ``location`` [x, y], ``window``
 ``unsubscribe``       ``query_id``
-``publish``           ``tokens`` (list) or ``text``; optional ``created_at``
+``publish``           ``tokens`` (list) or ``text``; optional
+                      ``created_at``, ``location`` [x, y]
 ``results``           ``query_id``
 ``stats``             —
 ``metrics``           — (reply carries Prometheus exposition text)
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import repro.errors as errors
 from repro.core.events import Notification
@@ -363,3 +368,108 @@ def decode_line(line: bytes) -> Dict[str, Any]:
             f"expected a JSON object per line, got {type(payload).__name__}"
         )
     return payload
+
+
+# -- client ops -----------------------------------------------------------
+
+
+def _request(op: str, **fields: Any) -> Dict[str, Any]:
+    """A request with the fields that are not None, in argument order."""
+    payload: Dict[str, Any] = {"op": op}
+    payload.update((k, v) for k, v in fields.items() if v is not None)
+    return payload
+
+
+class ProtocolClient:
+    """The protocol's ops, one method each, for every transport.
+
+    A transport subclass supplies ``request(payload)`` (send one request;
+    return the successful reply or raise its structured error),
+    ``next_message(timeout)`` and ``close()``, and hands every pushed
+    message to :meth:`_saw`, so ``last_offset`` backs the ``resume`` /
+    ``ack`` defaults.
+    """
+
+    #: Highest event-log offset of a pushed message seen so far.
+    last_offset = -1
+
+    def _saw(self, message: Dict[str, Any]) -> None:
+        offset = message.get("offset")
+        if isinstance(offset, int) and offset > self.last_offset:
+            self.last_offset = offset
+
+    async def subscribe(
+        self,
+        keywords: Optional[Iterable[str]] = None,
+        text: Optional[str] = None,
+        location: Optional[Sequence[float]] = None,
+        window: Optional[int] = None,
+    ) -> Dict[str, Any]:
+        return await self.request(
+            _request(
+                "subscribe",
+                keywords=list(keywords) if keywords is not None else None,
+                text=text,
+                location=list(location) if location is not None else None,
+                window=window,
+            )
+        )
+
+    async def unsubscribe(self, query_id: int) -> Dict[str, Any]:
+        return await self.request({"op": "unsubscribe", "query_id": query_id})
+
+    async def publish(
+        self,
+        tokens: Optional[Sequence[str]] = None,
+        text: Optional[str] = None,
+        created_at: Optional[float] = None,
+        location: Optional[Sequence[float]] = None,
+    ) -> Dict[str, Any]:
+        return await self.request(
+            _request(
+                "publish",
+                tokens=list(tokens) if tokens is not None else None,
+                text=text,
+                created_at=created_at,
+                location=list(location) if location is not None else None,
+            )
+        )
+
+    async def resume(
+        self, subscriber: str, offset: Optional[int] = None
+    ) -> Dict[str, Any]:
+        """Attach this session to a durable subscriber identity.
+
+        ``offset`` defaults to ``last_offset`` (acking it server-side); a
+        negative one (``-1``) replays every retained notification.
+        """
+        if offset is None:
+            offset = self.last_offset
+        return await self.request(
+            _request(
+                "resume",
+                subscriber=subscriber,
+                offset=offset if offset >= 0 else None,
+            )
+        )
+
+    async def ack(self, offset: Optional[int] = None) -> Dict[str, Any]:
+        """Confirm delivery up to ``offset`` (default: ``last_offset``)."""
+        if offset is None:
+            offset = self.last_offset
+        return await self.request({"op": "ack", "offset": int(offset)})
+
+    async def dlq(self, limit: Optional[int] = None) -> Dict[str, Any]:
+        """Inspect the server's dead-letter queue."""
+        return await self.request(_request("dlq", limit=limit))
+
+    async def results(self, query_id: int) -> List[Dict[str, Any]]:
+        reply = await self.request({"op": "results", "query_id": query_id})
+        return reply["results"]
+
+    async def stats(self) -> Dict[str, Any]:
+        return (await self.request({"op": "stats"}))["stats"]
+
+    async def metrics(self) -> str:
+        """Prometheus text exposition of the server's telemetry."""
+        return (await self.request({"op": "metrics"}))["metrics"]

@@ -12,10 +12,13 @@ Architecture (one event loop, one thread, one matcher):
                               per-subscriber sessions <----+  route notifications
                               (bounded, slow-consumer policy)
 
-Every engine operation — subscribe, unsubscribe, publish, results — flows
-through the single ingestion queue and is executed by the single matcher
-task, so the engine only ever sees one call at a time and the dequeue
-order *is* the accepted serialization: under any interleaving of
+Every op enters through :meth:`ServerRuntime.submit_request` (then
+:meth:`~ServerRuntime.complete_request`), the one entry both transports
+and the simulation harness use.  Every engine operation — subscribe,
+unsubscribe, publish, results — flows through the single ingestion
+queue and is executed by the single matcher task, so the engine only
+ever sees one call at a time and the dequeue order *is* the accepted
+serialization: under any interleaving of
 concurrent publishers, each subscriber observes exactly the notification
 subsequence of one sequential publish order (the order acknowledged ids
 were assigned).  Engine calls run directly on the event loop: a batch
@@ -48,7 +51,7 @@ import asyncio
 import os
 import time
 from contextlib import suppress
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SLOW_CONSUMER_POLICIES, ServerConfig
 from repro.core.engine import DasEngine
@@ -435,7 +438,7 @@ class ServerRuntime:
             self._retired_drops[session.policy] += session.dropped
             self._retired_coalesced += session.coalesced
 
-    # -- public operations -------------------------------------------------
+    # -- queueing ----------------------------------------------------------
 
     def _require_running(self, op: str) -> None:
         if self._state != "running":
@@ -463,83 +466,15 @@ class ServerRuntime:
     ) -> object:
         return await (await self._enqueue_control(kind, session, args))
 
-    async def subscribe(
-        self,
-        session: SubscriberSession,
-        keywords: Iterable[str],
-        location: Optional[Tuple[float, float]] = None,
-        window: Optional[int] = None,
-    ) -> Tuple[int, List[Document]]:
-        """Register a subscription owned by ``session``.
-
-        ``location``/``window`` are the strategy-mode subscribe options
-        (spatial anchor, per-query sliding-window override); they pass
-        straight through to :class:`~repro.core.query.DasQuery`, whose
-        validation — and the engine's mode check — surfaces as a
-        structured error to the caller.
-        """
-        return await (
-            await self._enqueue_subscribe(session, keywords, location, window)
-        )
-
-    async def _enqueue_subscribe(
-        self,
-        session: Optional[SubscriberSession],
-        keywords: Iterable[str],
-        location: Optional[Tuple[float, float]],
-        window: Optional[int],
-    ) -> asyncio.Future:
-        if session is not None:
-            session.subscribed = True
-        return await self._enqueue_control(
-            "subscribe", session, (tuple(keywords), location, window)
-        )
-
-    async def unsubscribe(
-        self, query_id: int, session: Optional[SubscriberSession] = None
-    ) -> None:
-        await self._submit_control("unsubscribe", session, query_id)
-
-    async def results(self, query_id: int) -> List[Document]:
-        return await self._submit_control("results", None, query_id)
-
-    async def publish(
-        self,
-        tokens: Optional[Sequence[str]] = None,
-        text: Optional[str] = None,
-        created_at: Optional[float] = None,
-        session: Optional[SubscriberSession] = None,
-        location: Optional[Tuple[float, float]] = None,
-    ) -> Dict[str, float]:
-        """Submit one document; resolves once its notifications are
-        enqueued to every (non-stalled) subscriber session.
-
-        Returns ``{"doc_id", "created_at"}`` — the accepted identity —
-        plus ``"offset"`` when the event log is enabled.  ``session``
-        identifies the publisher for per-session throttling.
-        """
-        return await (
-            await self._enqueue_publish(
-                tokens, text, created_at, session, location
-            )
-        )
-
     async def _enqueue_publish(
-        self,
-        tokens: Optional[Sequence[str]],
-        text: Optional[str],
-        created_at: Optional[float],
-        session: Optional[SubscriberSession],
-        location: Optional[Tuple[float, float]],
+        self, session: Optional[SubscriberSession], request: Dict[str, Any]
     ) -> asyncio.Future:
-        """Queue one document; returns the future of its ack.
+        """Queue one parsed publish; returns the future of its ack.
 
         Suspends for the session's throttle and while the ingest queue
         is full — nothing else — so successive calls from one task are
         matched in call order.
         """
-        if tokens is None and text is None:
-            raise ReproError("publish requires tokens or text")
         self._require_running("publish")
         if self._config.throttle_rate > 0.0 and session is not None:
             await self._throttle(session)
@@ -547,14 +482,15 @@ class ServerRuntime:
         if self._injector is not None:
             self._injector.fire("ingest.put")
         future = self._loop.create_future()
+        location = request.get("location")
         await self._ingest.put(
             _PublishItem(
-                tokens,
-                text,
-                created_at,
+                request.get("tokens"),
+                request.get("text"),
+                request.get("created_at"),
                 future,
                 enqueued_at=self._now(),
-                location=location,
+                location=tuple(location) if location is not None else None,
             )
         )
         return future
@@ -590,31 +526,7 @@ class ServerRuntime:
                 f"{op} requires the event log (set eventlog_dir)"
             )
 
-    async def resume(
-        self,
-        session: SubscriberSession,
-        subscriber: str,
-        offset: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Attach ``session`` to a durable subscriber and replay its
-        retained notifications above ``offset`` (default: its acked
-        floor).  Runs through the matcher barrier so the replayed
-        entries and subsequent live notifications form one gap-free,
-        duplicate-free stream."""
-        return await (await self._enqueue_resume(session, subscriber, offset))
-
-    async def _enqueue_resume(
-        self,
-        session: SubscriberSession,
-        subscriber: str,
-        offset: Optional[int],
-    ) -> asyncio.Future:
-        self._require_eventlog("resume")
-        return await self._enqueue_control(
-            "resume", session, (subscriber, offset)
-        )
-
-    def ack(
+    def _ack(
         self, session: SubscriberSession, offset: int
     ) -> Dict[str, Any]:
         """Confirm delivery up to ``offset`` for the session's durable
@@ -644,7 +556,7 @@ class ServerRuntime:
             "trimmed": trimmed,
         }
 
-    def dlq_report(self, limit: Optional[int] = None) -> Dict[str, Any]:
+    def _dlq_report(self, limit: Optional[int] = None) -> Dict[str, Any]:
         """The ``dlq`` op payload (also works with the log disabled)."""
         if self._dlq is None:
             return {"enabled": False, "stats": None, "entries": []}
@@ -748,7 +660,7 @@ class ServerRuntime:
             "effectiveness": effectiveness_gauges(counters),
         }
 
-    def metrics_text(self) -> str:
+    def _metrics_text(self) -> str:
         """The ``metrics`` op payload: Prometheus text exposition."""
         counters = self._engine.counters.as_dict()
         telemetry = self._telemetry_section(counters)
@@ -784,9 +696,15 @@ class ServerRuntime:
     # -- transport-facing dispatch ----------------------------------------
 
     async def submit_request(
-        self, session: SubscriberSession, payload: object
+        self, session: Optional[SubscriberSession], payload: object
     ) -> "PendingReply":
         """First half of a protocol request: parse it and queue its work.
+
+        Every op enters the runtime here, so nothing reaches the queue or
+        the event log without passing :func:`parse_request`.  ``session``
+        is the caller's session; ``None`` (the simulation harness's
+        anonymous ops) owns nothing, is not throttled and may unsubscribe
+        any query.
 
         Suspends only for the session's publish throttle or a full
         ingest queue, so a transport that submits one connection's
@@ -804,14 +722,7 @@ class ServerRuntime:
             op = request["op"]
             future = None
             if op == "publish":
-                location = request.get("location")
-                future = await self._enqueue_publish(
-                    request.get("tokens"),
-                    request.get("text"),
-                    request.get("created_at"),
-                    session,
-                    tuple(location) if location is not None else None,
-                )
+                future = await self._enqueue_publish(session, request)
             elif op == "subscribe":
                 keywords = request.get("keywords")
                 if keywords is None:
@@ -819,23 +730,27 @@ class ServerRuntime:
 
                     keywords = tokenize(request["text"])
                 location = request.get("location")
-                future = await self._enqueue_subscribe(
+                if session is not None:
+                    session.subscribed = True
+                future = await self._enqueue_control(
+                    "subscribe",
                     session,
-                    keywords,
-                    tuple(location) if location is not None else None,
-                    request.get("window"),
+                    (
+                        tuple(keywords),
+                        tuple(location) if location is not None else None,
+                        request.get("window"),
+                    ),
                 )
-            elif op == "unsubscribe":
+            elif op in ("unsubscribe", "results"):
                 future = await self._enqueue_control(
-                    "unsubscribe", session, request["query_id"]
-                )
-            elif op == "results":
-                future = await self._enqueue_control(
-                    "results", None, request["query_id"]
+                    op, session, request["query_id"]
                 )
             elif op == "resume":
-                future = await self._enqueue_resume(
-                    session, request["subscriber"], request.get("offset")
+                self._require_eventlog("resume")
+                future = await self._enqueue_control(
+                    "resume",
+                    session,
+                    (request["subscriber"], request.get("offset")),
                 )
         except ReproError as exc:
             return PendingReply(reply_to, error=exc)
@@ -885,11 +800,11 @@ class ServerRuntime:
                 "results": [document_payload(doc) for doc in result],
             }
         if op == "ack":
-            return self.ack(session, request["offset"])
+            return self._ack(session, request["offset"])
         if op == "dlq":
-            return self.dlq_report(request.get("limit"))
+            return self._dlq_report(request.get("limit"))
         if op == "metrics":
-            return {"metrics": self.metrics_text()}
+            return {"metrics": self._metrics_text()}
         if op == "stats":
             return {"stats": self.stats()}
         # resume: like publish, the matcher's result already is the
@@ -897,7 +812,7 @@ class ServerRuntime:
         return result
 
     async def handle_request(
-        self, session: SubscriberSession, payload: object
+        self, session: Optional[SubscriberSession], payload: object
     ) -> Dict[str, Any]:
         """Execute one protocol request; always returns a reply dict."""
         return await self.complete_request(
@@ -965,9 +880,14 @@ class ServerRuntime:
                     if item.session is not None
                     else None
                 )
+                query = DasQuery(
+                    query_id, keywords, location=location, window=window
+                )
                 if self._eventlog is not None:
                     # WAL discipline: the subscribe record (naming the
-                    # id it will get) is durable before the engine call.
+                    # id it will get) is durable before the engine call,
+                    # and written only for a query the engine will take.
+                    self._engine.check_subscribe(query)
                     self._eventlog.append(
                         subscribe_record(
                             query_id,
@@ -978,11 +898,7 @@ class ServerRuntime:
                         )
                     )
                     self._appended_since_checkpoint += 1
-                initial = self._engine.subscribe(
-                    DasQuery(
-                        query_id, keywords, location=location, window=window
-                    )
-                )
+                initial = self._engine.subscribe(query)
                 if name is not None:
                     # Only a resumed session names a subscriber, and
                     # resume requires the event log.

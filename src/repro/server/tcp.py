@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from contextlib import suppress
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InjectedFaultError, ProtocolError
 from repro.server.protocol import (
+    ProtocolClient,
     decode_line,
     encode_line,
     error_reply,
@@ -44,19 +46,8 @@ MAX_LINE_BYTES = 1 << 20
 class NdjsonTcpServer:
     """NDJSON TCP front-end for a :class:`ServerRuntime`."""
 
-    def __init__(
-        self,
-        runtime: ServerRuntime,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        policy: Optional[str] = None,
-        capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, runtime: ServerRuntime) -> None:
         self._runtime = runtime
-        self._host = host if host is not None else runtime.config.host
-        self._port = port if port is not None else runtime.config.port
-        self._policy = policy
-        self._capacity = capacity
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.Task] = set()
         self.address: Optional[Tuple[str, int]] = None
@@ -65,8 +56,8 @@ class NdjsonTcpServer:
         """Bind and start serving; returns the bound ``(host, port)``."""
         self._server = await asyncio.start_server(
             self._handle_connection,
-            self._host,
-            self._port,
+            self._runtime.config.host,
+            self._runtime.config.port,
             limit=MAX_LINE_BYTES,
         )
         sockname = self._server.sockets[0].getsockname()
@@ -127,7 +118,7 @@ class NdjsonTcpServer:
                     if getattr(exc, "action", "") == "torn":
                         frames.append(data[: len(data) // 2])
                     async with write_lock:
-                        with _suppress_all():
+                        with suppress(BaseException):
                             writer.write(b"".join(frames))
                             await writer.drain()
                             writer.close()
@@ -152,12 +143,10 @@ class NdjsonTcpServer:
         task = asyncio.current_task()
         self._connections.add(task)
         try:
-            session = self._runtime.open_session(
-                policy=self._policy, capacity=self._capacity
-            )
+            session = self._runtime.open_session()
         except Exception:
             # Runtime already draining/stopped: refuse the connection.
-            with _suppress_all():
+            with suppress(BaseException):
                 writer.close()
                 await writer.wait_closed()
             self._connections.discard(task)
@@ -224,7 +213,7 @@ class NdjsonTcpServer:
             replier.cancel()
             pusher.cancel()
             for helper in (replier, pusher):
-                with _suppress_all():
+                with suppress(BaseException):
                     await helper
             # Replies nobody will read any more: the one cut off between
             # submit and the window, and those still queued in it.
@@ -232,7 +221,7 @@ class NdjsonTcpServer:
                 pending.abandon()
             while not window.empty():
                 window.get_nowait().abandon()
-            with _suppress_all():
+            with suppress(BaseException):
                 writer.close()
                 await writer.wait_closed()
             self._connections.discard(task)
@@ -261,7 +250,7 @@ class NdjsonTcpServer:
                 writer, write_lock, [reply]
             ):
                 connected = False
-                with _suppress_all():
+                with suppress(BaseException):
                     writer.close()
 
     async def _push_loop(
@@ -289,22 +278,13 @@ class NdjsonTcpServer:
                 if not await self._write_frame(writer, write_lock, messages):
                     break
         finally:
-            with _suppress_all():
+            with suppress(BaseException):
                 writer.close()
 
 
-class _suppress_all:
-    """``contextlib.suppress`` for connection teardown (any error)."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return True
-
-
-class NdjsonTcpClient:
-    """Reference NDJSON client: request/reply plus a push mailbox.
+class NdjsonTcpClient(ProtocolClient):
+    """Reference NDJSON client: request/reply plus a push mailbox; its op
+    methods are :class:`~repro.server.protocol.ProtocolClient`'s.
 
     Usage::
 
@@ -368,8 +348,6 @@ class NdjsonTcpClient:
         self._resub_task: Optional[asyncio.Task] = None
         #: Durable subscriber identity; set via the option or resume().
         self._subscriber = subscriber
-        #: Highest event-log offset observed on any push or resume reply.
-        self.last_offset = -1
         self.reconnects = 0
         self.resubscribed = 0
         self.resumed = 0
@@ -421,9 +399,7 @@ class NdjsonTcpClient:
                     if future is not None and not future.done():
                         future.set_result(payload)
                 else:
-                    offset = payload.get("offset")
-                    if isinstance(offset, int) and offset > self.last_offset:
-                        self.last_offset = offset
+                    self._saw(payload)
                     await self._messages.put(payload)
         finally:
             self._connected.set()
@@ -464,7 +440,7 @@ class NdjsonTcpClient:
                 )
             except OSError:
                 continue
-            with _suppress_all():
+            with suppress(BaseException):
                 self._writer.close()
             self._reader = reader
             self._writer = writer
@@ -539,8 +515,21 @@ class NdjsonTcpClient:
                     await asyncio.sleep(0.01)
                     continue
                 raise ConnectionError(f"write failed: {exc}") from None
-            reply = await future
-            return raise_for_reply(reply)
+            reply = raise_for_reply(await future)
+            self._track(payload, reply)
+            return reply
+
+    def _track(self, payload: Dict[str, Any], reply: Dict[str, Any]) -> None:
+        """Remember what a reconnect re-issues: the subscriptions, or the
+        durable identity that replaces them."""
+        op = payload["op"]
+        if op == "subscribe":
+            self._subscriptions[reply["query_id"]] = payload
+        elif op == "unsubscribe":
+            self._subscriptions.pop(payload["query_id"], None)
+        elif op == "resume":
+            self._subscriber = payload["subscriber"]
+            self.resumed += 1
 
     def connection_stats(self) -> Dict[str, Any]:
         """Reconnect/resubscribe accounting for stats surfaces."""
@@ -563,100 +552,8 @@ class NdjsonTcpClient:
         network partition — the reader hits EOF, pending requests fail
         with ``ConnectionError``, and the backoff dial-out takes over.
         """
-        with _suppress_all():
+        with suppress(BaseException):
             self._writer.close()
-
-    # -- ops --------------------------------------------------------------
-
-    async def subscribe(
-        self,
-        keywords: Optional[Iterable[str]] = None,
-        text: Optional[str] = None,
-        location: Optional[Sequence[float]] = None,
-        window: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"op": "subscribe"}
-        if keywords is not None:
-            payload["keywords"] = list(keywords)
-        if text is not None:
-            payload["text"] = text
-        if location is not None:
-            payload["location"] = list(location)
-        if window is not None:
-            payload["window"] = window
-        reply = await self.request(dict(payload))
-        self._subscriptions[reply["query_id"]] = payload
-        return reply
-
-    async def unsubscribe(self, query_id: int) -> Dict[str, Any]:
-        reply = await self.request(
-            {"op": "unsubscribe", "query_id": query_id}
-        )
-        self._subscriptions.pop(query_id, None)
-        return reply
-
-    async def publish(
-        self,
-        tokens: Optional[Sequence[str]] = None,
-        text: Optional[str] = None,
-        created_at: Optional[float] = None,
-        location: Optional[Sequence[float]] = None,
-    ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"op": "publish"}
-        if tokens is not None:
-            payload["tokens"] = list(tokens)
-        if text is not None:
-            payload["text"] = text
-        if created_at is not None:
-            payload["created_at"] = created_at
-        if location is not None:
-            payload["location"] = list(location)
-        return await self.request(payload)
-
-    async def resume(
-        self, subscriber: str, offset: Optional[int] = None
-    ) -> Dict[str, Any]:
-        """Attach this connection to a durable subscriber identity.
-
-        ``offset`` defaults to the highest offset this client has seen
-        (acking it server-side); pass ``-1`` to replay every retained
-        notification instead.
-        """
-        if offset is None and self.last_offset >= 0:
-            offset = self.last_offset
-        payload: Dict[str, Any] = {"op": "resume", "subscriber": subscriber}
-        if offset is not None and offset >= 0:
-            payload["offset"] = offset
-        reply = await self.request(payload)
-        self._subscriber = subscriber
-        self.resumed += 1
-        return reply
-
-    async def ack(self, offset: Optional[int] = None) -> Dict[str, Any]:
-        """Confirm delivery up to ``offset`` (default: all seen)."""
-        if offset is None:
-            offset = self.last_offset
-        return await self.request({"op": "ack", "offset": int(offset)})
-
-    async def dlq(self, limit: Optional[int] = None) -> Dict[str, Any]:
-        """Inspect the server's dead-letter queue."""
-        payload: Dict[str, Any] = {"op": "dlq"}
-        if limit is not None:
-            payload["limit"] = limit
-        return await self.request(payload)
-
-    async def results(self, query_id: int) -> List[Dict[str, Any]]:
-        reply = await self.request({"op": "results", "query_id": query_id})
-        return reply["results"]
-
-    async def stats(self) -> Dict[str, Any]:
-        reply = await self.request({"op": "stats"})
-        return reply["stats"]
-
-    async def metrics(self) -> str:
-        """Prometheus text exposition of the server's telemetry."""
-        reply = await self.request({"op": "metrics"})
-        return reply["metrics"]
 
     async def send_raw(self, data: bytes) -> None:
         """Write raw bytes (tests use this for malformed lines)."""
@@ -675,11 +572,11 @@ class NdjsonTcpClient:
         self._closed = True
         if self._resub_task is not None:
             self._resub_task.cancel()
-            with _suppress_all():
+            with suppress(BaseException):
                 await self._resub_task
         self._reader_task.cancel()
-        with _suppress_all():
+        with suppress(BaseException):
             await self._reader_task
-        with _suppress_all():
+        with suppress(BaseException):
             self._writer.close()
             await self._writer.wait_closed()

@@ -32,7 +32,7 @@ from repro.errors import ConfigurationError, InjectedFaultError
 
 #: Every injection point threaded through the production/harness path.
 INJECTION_POINTS = (
-    "ingest.put",  # ServerRuntime.publish, before the queue put
+    "ingest.put",  # a submitted publish, before the queue put
     "engine.publish_batch",  # matcher, before the engine batch call
     "engine.doc",  # InstrumentedEngine, before each document of a batch
     "engine.results",  # matcher results op + coalesce snapshot reads

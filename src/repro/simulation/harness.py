@@ -38,6 +38,7 @@ from repro.persistence.checkpoint import (
     restore as restore_engine,
     save as save_checkpoint,
 )
+from repro.server.protocol import raise_for_reply
 from repro.server.runtime import ServerRuntime
 from repro.server.sessions import SubscriberSession
 from repro.simulation.faults import FaultInjector, FaultPlan
@@ -395,18 +396,23 @@ class SimulationHarness:
     ) -> None:
         kind = op["op"]
         if kind == "subscribe":
-            location = op.get("location")
-            query_id, _initial = await runtime.subscribe(
+            reply = await _call(
+                runtime,
                 sessions[op["actor"]],
-                op["keywords"],
-                location=tuple(location) if location is not None else None,
-                window=op.get("window"),
+                {
+                    "op": "subscribe",
+                    "keywords": op["keywords"],
+                    "location": op.get("location"),
+                    "window": op.get("window"),
+                },
             )
-            active.append((query_id, op["actor"]))
+            active.append((reply["query_id"], op["actor"]))
         elif kind == "unsubscribe":
             if active:
                 query_id, _actor = active.pop(op["index"] % len(active))
-                await runtime.unsubscribe(query_id)
+                await _call(
+                    runtime, None, {"op": "unsubscribe", "query_id": query_id}
+                )
         elif kind == "publish":
             bursts = op["burst"]
             locations = op.get("locations") or [None] * len(bursts)
@@ -425,11 +431,10 @@ class SimulationHarness:
                         return
             acks = await asyncio.gather(
                 *(
-                    runtime.publish(
-                        tokens=tokens,
-                        location=(
-                            tuple(location) if location is not None else None
-                        ),
+                    _call(
+                        runtime,
+                        None,
+                        {"op": "publish", "tokens": tokens, "location": location},
                     )
                     for tokens, location in zip(bursts, locations)
                 ),
@@ -441,7 +446,9 @@ class SimulationHarness:
         elif kind == "results":
             if active:
                 query_id, _actor = active[op["index"] % len(active)]
-                await runtime.results(query_id)
+                await _call(
+                    runtime, None, {"op": "results", "query_id": query_id}
+                )
         elif kind == "consume":
             actor = op["actor"]
             session = sessions[actor]
@@ -462,6 +469,13 @@ class SimulationHarness:
                 consumed[actor] += 1
         else:  # pragma: no cover - schedule generator invariant
             raise ReproError(f"unknown op kind {kind!r}")
+
+
+async def _call(
+    runtime: ServerRuntime, session: Optional[SubscriberSession], payload: Dict
+) -> Dict:
+    """One op through the runtime's protocol entry; a refusal re-raised."""
+    return raise_for_reply(await runtime.handle_request(session, payload))
 
 
 async def _drain_session(session: SubscriberSession) -> int:

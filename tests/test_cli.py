@@ -95,6 +95,7 @@ def test_restart_under_other_engine_flags_refuses_the_checkpoint(tmp_path):
 
     from repro.errors import ConfigurationError
     from repro.experiments.cli import build_serve_runtime
+    from repro.server import InProcessClient
 
     def runtime(k):
         argv = ["serve", "--port", "0", "--k", str(k)]
@@ -104,7 +105,7 @@ def test_restart_under_other_engine_flags_refuses_the_checkpoint(tmp_path):
     async def scenario():
         first = runtime(3)
         await first.start()
-        await first.subscribe(first.open_session(), ["coffee"])
+        await InProcessClient(first).subscribe(["coffee"])
         await first.checkpoint_eventlog()
         await first.stop()
 

@@ -20,7 +20,12 @@ import pytest
 from repro.config import ServerConfig
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
-from repro.errors import ConfigurationError, ProtocolError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    EmptyQueryError,
+    ProtocolError,
+    ReproError,
+)
 from repro.eventlog import (
     DeadLetterQueue,
     EventLog,
@@ -731,6 +736,65 @@ def test_ack_past_the_log_end_is_refused(tmp_path):
     run(scenario())
 
 
+@pytest.mark.parametrize(
+    "mode, refused",
+    [
+        # The tokenizer leaves no keyword: the query is empty.
+        ("decay", [({"text": "the of and"}, EmptyQueryError)]),
+        # Spatial mode needs a location inside the unit square.
+        (
+            "spatial",
+            [
+                ({"keywords": ["coffee"]}, ConfigurationError),
+                (
+                    {"keywords": ["coffee"], "location": [1.5, 0.5]},
+                    ConfigurationError,
+                ),
+            ],
+        ),
+    ],
+)
+def test_refused_subscribe_is_not_logged(tmp_path, mode, refused):
+    """A subscribe the engine refuses gets an error reply and writes no
+    log record: the log's end does not move, the next accepted subscribe
+    still gets id 0, and a restart replays the log without an error."""
+    directory = str(tmp_path / "log")
+
+    def runtime():
+        engine = DasEngine.for_method(
+            "GIFilter", k=3, block_size=4, mode=mode, spatial_cells=3
+        )
+        return ServerRuntime(engine, eventlog_config(directory))
+
+    async def before():
+        server = runtime()
+        await server.start()
+        client = InProcessClient(server)
+        for fields, error in refused:
+            with pytest.raises(error):
+                await client.request({"op": "subscribe", **fields})
+        end = (await client.stats())["eventlog"]["end"]
+        accepted = await client.request(
+            {"op": "subscribe", "keywords": ["coffee"], "location": [0.5, 0.5]}
+        )
+        await server.stop()
+        return end, accepted["query_id"]
+
+    assert run(before()) == (0, 0)
+
+    async def after():
+        server = runtime()
+        await server.start()
+        recovery = server.stats()["eventlog"]["recovery"]
+        queries = server.engine.query_count
+        await server.stop()
+        return recovery, queries
+
+    recovery, queries = run(after())
+    assert recovery["replay_errors"] == 0 and recovery["replayed"] == 1
+    assert queries == 1
+
+
 def test_runtime_restart_replays_and_resumes_catchup(tmp_path):
     directory = str(tmp_path / "log")
 
@@ -1087,7 +1151,7 @@ def test_eventlog_requires_checkpointable_engine(tmp_path):
     async def scenario():
         runtime = ServerRuntime(small_engine(), eventlog_config(directory))
         await runtime.start()
-        await runtime.subscribe(runtime.open_session(), ["coffee"])
+        await InProcessClient(runtime).subscribe(["coffee"])
         await runtime.checkpoint_eventlog()
         await runtime.stop()
 

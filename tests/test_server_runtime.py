@@ -166,13 +166,14 @@ def test_graceful_shutdown_flushes_ingestion_and_delivery():
         )
         await runtime.start()
         subscriber = InProcessClient(runtime)
+        publisher = InProcessClient(runtime)
         reply = await subscriber.subscribe(["x"])
         query_id = reply["query_id"]
         # Queue publishes without awaiting acks, then immediately stop:
         # drain must still process every accepted item.
         publish_tasks = [
             asyncio.create_task(
-                runtime.publish(tokens=["x", f"u{i}"], created_at=float(i))
+                publisher.publish(tokens=["x", f"u{i}"], created_at=float(i))
             )
             for i in range(12)
         ]
@@ -205,7 +206,7 @@ def test_rejects_work_after_stop():
         await client.subscribe(["x"])
         await runtime.stop()
         with pytest.raises(ServerClosedError):
-            await runtime.publish(tokens=["x"])
+            await client.publish(tokens=["x"])
         with pytest.raises(ServerClosedError):
             runtime.open_session()
         # stats still answer after shutdown (admin surface).
@@ -250,7 +251,7 @@ def test_adaptive_batching_engages_under_backlog():
         # coalesce multiple documents per engine call.
         tasks = [
             asyncio.create_task(
-                runtime.publish(tokens=["coffee", f"u{i}"], created_at=float(i))
+                client.publish(tokens=["coffee", f"u{i}"], created_at=float(i))
             )
             for i in range(60)
         ]
@@ -339,7 +340,7 @@ def test_matcher_drains_to_the_cap_and_stops_at_a_barrier():
             await runtime.complete_request(reply) for reply in pending
         ]
         batched = runtime.stats()["batches"]["buckets"]
-        await runtime.publish(tokens=["coffee", "alone"], created_at=9.0)
+        await client.publish(tokens=["coffee", "alone"], created_at=9.0)
         after = runtime.stats()["batches"]["buckets"]
         await runtime.stop()
         return replies, batched, after
@@ -460,10 +461,10 @@ def test_matcher_survives_a_poisoned_batch():
         await runtime.start()
         subscriber = InProcessClient(runtime)
         await subscriber.subscribe(["coffee"])
-        first = await runtime.publish(tokens=["coffee", "a"])
+        first = await subscriber.publish(tokens=["coffee", "a"])
         with pytest.raises(InjectedFaultError):
-            await runtime.publish(tokens=["coffee", "b"])
-        third = await runtime.publish(tokens=["coffee", "c"])
+            await subscriber.publish(tokens=["coffee", "b"])
+        third = await subscriber.publish(tokens=["coffee", "c"])
         delivered = []
         for _ in range(2):
             message = await subscriber.next_message(timeout=5.0)
@@ -509,7 +510,7 @@ def test_stop_reports_documents_lost_to_a_faulted_drain():
 
         reader = asyncio.create_task(read_to_the_end())
         publish_tasks = [
-            asyncio.create_task(runtime.publish(tokens=["x", f"u{i}"]))
+            asyncio.create_task(subscriber.publish(tokens=["x", f"u{i}"]))
             for i in range(6)
         ]
         await asyncio.sleep(0)  # let every put land before the sentinel

@@ -10,7 +10,12 @@ import pytest
 from repro.config import ServerConfig
 from repro.core.engine import DasEngine
 from repro.errors import UnknownQueryError
-from repro.server import NdjsonTcpClient, NdjsonTcpServer, ServerRuntime
+from repro.server import (
+    InProcessClient,
+    NdjsonTcpClient,
+    NdjsonTcpServer,
+    ServerRuntime,
+)
 from repro.server.protocol import decode_line, encode_line
 from tests.test_server_runtime import KEYWORD_SETS, replay_reference, triple
 
@@ -193,9 +198,9 @@ def burst_of(count, first=0):
 async def stalled_subscriber(runtime):
     """An in-process ``block`` session that never pulls: its second
     notification wedges the matcher until the session is drained."""
-    session = runtime.open_session(policy="block", capacity=1)
-    await runtime.subscribe(session, ["coffee"])
-    return session
+    client = InProcessClient(runtime, policy="block", capacity=1)
+    await client.subscribe(["coffee"])
+    return client.session
 
 
 def test_pipelined_publishes_batch_group_commit_and_reply_in_order(tmp_path):
@@ -383,7 +388,7 @@ def test_subscribe_pipelined_just_before_a_drop_is_still_retired(tmp_path):
         writer.write_eof()
         await wait_until(lambda: runtime.stats()["sessions"] == [])
         # A barrier: the queued resume has been executed by now.
-        await runtime.publish(tokens=["tea"], created_at=99.0)
+        await InProcessClient(runtime).publish(tokens=["tea"], created_at=99.0)
         connected = [
             entry["connected"]
             for entry in runtime.stats()["subscribers"]["subscribers"]
@@ -473,10 +478,12 @@ def test_torn_push_frame_mid_pull_ends_the_connection():
         replies, _pushes = await read_replies(reader, 1)
         (session,) = runtime._sessions.values()
         await session.set_stalled(True)
+        publisher = InProcessClient(runtime)
         for index in range(5):
-            await runtime.publish(
+            await publisher.publish(
                 tokens=["coffee", f"u{index}"], created_at=float(index + 1)
             )
+        await publisher.close()
         queued = session.depth
         await session.set_stalled(False)
         pushes = [
@@ -630,3 +637,70 @@ def test_durable_subscriber_that_keeps_up_is_never_dead_lettered(tmp_path):
     assert state["dead_lettered"] == 0
     assert stats["dlq"]["entries"] == 0
     assert stats["policy_drops"]["block"] == 0
+
+
+async def parity_transcript(transport, mode, directory):
+    """One op script through one client: a strategy-mode subscribe
+    (``location`` or ``window``), publishes, then ``ack`` and ``resume``
+    with their default offsets.  Returns the replies without
+    ``reply_to`` and every pushed message."""
+    engine = DasEngine.for_method(
+        "GIFilter", k=3, block_size=4, mode=mode, window_size=3,
+        spatial_cells=3,
+    )
+    runtime, server, host, port = await start_stack(
+        engine, eventlog_dir=directory
+    )
+    if transport == "tcp":
+        client = await NdjsonTcpClient.connect(host, port)
+    else:
+        client = InProcessClient(runtime)
+    where = {"location": [0.5, 0.5]} if mode == "spatial" else {}
+    replies = [await client.resume("alice")]
+    replies.append(await client.subscribe(["coffee"], **(where or {"window": 2})))
+    sentinel = await client.subscribe(["zzz"], **where)
+    replies.append(sentinel)
+    for index in range(4):
+        replies.append(
+            await client.publish(
+                tokens=["coffee", f"u{index}"],
+                created_at=float(index + 1),
+                **where,
+            )
+        )
+    # The sentinel query's notification is the last push of the script.
+    replies.append(await client.publish(tokens=["zzz"], created_at=9.0, **where))
+    pushes = []
+    while not pushes or pushes[-1]["query_id"] != sentinel["query_id"]:
+        pushes.append(await client.next_message(timeout=5.0))
+    replies.append(await client.ack())
+    replies.append(await client.resume("alice"))
+    await client.close()
+    await server.stop()
+    await runtime.stop()
+    replies = [
+        {key: value for key, value in reply.items() if key != "reply_to"}
+        for reply in replies
+    ]
+    return replies, pushes
+
+
+@pytest.mark.parametrize("mode", ["spatial", "window"])
+def test_in_process_and_tcp_clients_are_interchangeable(tmp_path, mode):
+    """Both clients share one set of op methods and one server entry:
+    the same script gets the same replies and the same pushes over
+    either transport, strategy options and default offsets included."""
+    transcripts = {
+        transport: run(
+            parity_transcript(transport, mode, str(tmp_path / transport))
+        )
+        for transport in ("inprocess", "tcp")
+    }
+    assert transcripts["inprocess"] == transcripts["tcp"]
+    replies, pushes = transcripts["tcp"]
+    last_offset = replies[-3]["offset"]  # the sentinel publish
+    assert replies[-2]["acked"] == last_offset  # ack() acks what was seen
+    assert replies[-1]["acked"] == last_offset  # so does resume()
+    assert {push["query_id"] for push in pushes} == {
+        replies[1]["query_id"], replies[2]["query_id"]
+    }

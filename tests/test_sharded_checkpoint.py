@@ -265,17 +265,18 @@ def test_served_sharded_restart_never_reissues_a_query_id(tmp_path, replayed):
     from repro.eventlog import write_checkpoint
     from repro.eventlog.recovery import latest_checkpoint
     from repro.experiments.cli import build_parser, build_serve_runtime
+    from repro.server import InProcessClient
 
     argv = ["serve", "--port", "0", "--eventlog-dir", str(tmp_path)]
 
     async def scenario():
         runtime, _tcp = build_serve_runtime(build_parser().parse_args(argv))
         await runtime.start()
-        session = runtime.open_session()
-        ids = [(await runtime.subscribe(session, ["w"]))[0] for _ in range(3)]
+        client = InProcessClient(runtime)
+        ids = [(await client.subscribe(["w"]))["query_id"] for _ in range(3)]
         if replayed:
             await runtime.checkpoint_eventlog()
-        await runtime.unsubscribe(ids[-1], session)
+        await client.unsubscribe(ids[-1])
         if not replayed:
             await runtime.checkpoint_eventlog()
         await runtime.stop()
@@ -294,9 +295,7 @@ def test_served_sharded_restart_never_reissues_a_query_id(tmp_path, replayed):
         recovery = runtime.stats()["eventlog"]["recovery"]
         assert recovery["checkpoint_offset"] >= 0
         assert (recovery["replayed"] > 0) is replayed
-        query_id, _initial = await runtime.subscribe(
-            runtime.open_session(), ["w"]
-        )
+        query_id = (await InProcessClient(runtime).subscribe(["w"]))["query_id"]
         await runtime.stop()
         return ids, query_id
 
