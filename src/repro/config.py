@@ -179,6 +179,10 @@ class EngineConfig:
 #:     Close the session; a consumer too slow to keep up is kicked.
 SLOW_CONSUMER_POLICIES = ("block", "drop_oldest", "coalesce", "disconnect")
 
+#: Event-log fsync policies (``ServerConfig.eventlog_fsync``): every
+#: append call, segment rotation only, or never.
+FSYNC_POLICIES = ("always", "batch", "never")
+
 #: Retained notifications per durable subscriber, the one default behind
 #: ``ServerConfig.outbox_capacity``, ``SubscriberRegistry`` and ``serve
 #: --outbox-capacity``.  Sized well above a subscriber's ack cadence plus
@@ -293,9 +297,9 @@ class ServerConfig:
             raise ConfigurationError(
                 "fault_injector must expose a fire(point) method"
             )
-        if self.eventlog_fsync not in ("always", "batch", "never"):
+        if self.eventlog_fsync not in FSYNC_POLICIES:
             raise ConfigurationError(
-                f"eventlog_fsync must be 'always', 'batch' or 'never', "
+                f"eventlog_fsync must be one of {FSYNC_POLICIES}, "
                 f"got {self.eventlog_fsync!r}"
             )
         if self.eventlog_segment_entries < 1:

@@ -26,13 +26,14 @@ from repro.eventlog.records import (
 )
 from repro.eventlog.recovery import (
     RecoveredState,
+    apply_record,
+    check_record,
     checkpoint_path,
     latest_checkpoint,
     recover,
-    replay_record,
     write_checkpoint,
 )
-from repro.eventlog.segments import FSYNC_POLICIES, EventLog, segment_name
+from repro.eventlog.segments import EventLog, segment_name
 from repro.eventlog.subscribers import SubscriberRegistry, SubscriberState
 from repro.eventlog.throttle import TokenBucket
 
@@ -40,19 +41,19 @@ __all__ = [
     "DLQ_FILENAME",
     "DeadLetterQueue",
     "EventLog",
-    "FSYNC_POLICIES",
     "RECORD_KINDS",
     "RecoveredState",
     "SubscriberRegistry",
     "SubscriberState",
     "TokenBucket",
     "ack_record",
+    "apply_record",
+    "check_record",
     "checkpoint_path",
     "latest_checkpoint",
     "publish_record",
     "read_dlq",
     "recover",
-    "replay_record",
     "segment_name",
     "subscribe_record",
     "unsubscribe_record",

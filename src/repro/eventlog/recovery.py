@@ -12,7 +12,10 @@ newest readable checkpoint (torn or corrupt candidates — a crash during
 ``checkpoint.write`` — are skipped in favour of older ones), restore the
 engine and registry from it, then re-apply every logged record above its
 offset in offset order, each read from its segment file as replay
-reaches it (the log keeps no records in memory).  Publish replay
+reaches it (the log keeps no records in memory).  A record is re-applied
+by :func:`apply_record`, the function the serving runtime applies every
+subscribe, unsubscribe and ack with after logging it, so the live and
+the replayed state cannot drift apart.  Publish replay
 regenerates notifications and re-buffers them for their durable owners,
 which is what makes a resumed subscriber's stream byte-identical to an
 uninterrupted run: logged-but-unacked ops (the at-least-once in-doubt
@@ -126,54 +129,72 @@ class RecoveredState:
     replay_errors: List[Tuple[int, str]] = field(default_factory=list)
 
 
-def replay_record(
+def _query_of(record: Dict[str, Any]) -> DasQuery:
+    return DasQuery(
+        record["query_id"],
+        record["terms"],
+        location=record.get("location"),
+        window=record.get("window"),
+    )
+
+
+def check_record(engine: object, record: Dict[str, Any]) -> None:
+    """Raise what :func:`apply_record` would refuse ``record`` with,
+    changing nothing: the serving runtime logs only a record that
+    passes, so replaying its log meets no refusal."""
+    kind = record["kind"]
+    if kind == "subscribe":
+        engine.check_subscribe(_query_of(record))
+    elif kind == "unsubscribe":
+        engine._query_of(record["query_id"])
+
+
+def apply_record(
     engine: object,
-    registry: SubscriberRegistry,
-    offset: int,
+    registry: Optional[SubscriberRegistry],
+    offset: Optional[int],
     record: Dict[str, Any],
-) -> None:
-    """Re-apply one logged record to an engine + registry pair.
+) -> Any:
+    """Apply one record to an engine + registry pair (``registry`` is
+    None for a server without the log): how a subscribe, unsubscribe or
+    ack changes state, live or replayed.  Returns a subscribe's initial
+    results, an ack's count of trimmed outbox entries.
 
     Publish replay re-buffers the regenerated notifications for their
-    durable owners (offsets at or below a subscriber's acked floor are
-    dropped by the registry, keeping replay idempotent).
+    durable owners (the registry drops offsets at or below an acked
+    floor, keeping replay idempotent); the live server routes its
+    publish batches itself.
     """
+    kind = record["kind"]
+    if kind == "subscribe":
+        initial = engine.subscribe(_query_of(record))
+        name = record.get("subscriber")
+        if name is not None:
+            registry.record_subscribe(name, record["query_id"])
+        return initial
+    if kind == "unsubscribe":
+        if registry is not None:
+            registry.record_unsubscribe(record["query_id"])
+        engine.unsubscribe(record["query_id"])
+        return None
+    if kind == "ack":
+        return registry.ack(record["subscriber"], record["offset"])
     from repro.server.protocol import (
         document_from_payload,
         notification_payload,
     )
 
-    kind = record["kind"]
-    if kind == "subscribe":
-        location = record.get("location")
-        engine.subscribe(
-            DasQuery(
-                record["query_id"],
-                record["terms"],
-                location=tuple(location) if location is not None else None,
-                window=record.get("window"),
-            )
-        )
-        name = record.get("subscriber")
+    document = document_from_payload(record["doc"])
+    for notification in engine.publish_batch([document]):
+        name = registry.owner_of(notification.query_id)
         if name is not None:
-            registry.record_subscribe(name, record["query_id"], record["terms"])
-    elif kind == "unsubscribe":
-        registry.record_unsubscribe(record["query_id"])
-        engine.unsubscribe(record["query_id"])
-    elif kind == "ack":
-        registry.ack(record["subscriber"], record["offset"])
-    else:  # publish
-        document = document_from_payload(record["doc"])
-        notifications = engine.publish_batch([document])
-        for notification in notifications:
-            name = registry.owner_of(notification.query_id)
-            if name is not None:
-                registry.offer(
-                    name,
-                    offset,
-                    notification.query_id,
-                    notification_payload(notification, offset=offset),
-                )
+            registry.offer(
+                name,
+                offset,
+                notification.query_id,
+                notification_payload(notification, offset=offset),
+            )
+    return None
 
 
 def _require_same_config(restored: EngineConfig, provided: EngineConfig) -> None:
@@ -238,7 +259,7 @@ def recover(
     )
     for offset, record in log.entries_since(replay_from):
         try:
-            replay_record(engine, registry, offset, record)
+            apply_record(engine, registry, offset, record)
         except ReproError as exc:
             # Tolerated: e.g. unsubscribing a query the engine no longer
             # knows.  Replay must converge on the pre-crash state, not

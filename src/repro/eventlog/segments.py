@@ -50,14 +50,13 @@ import os
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.config import FSYNC_POLICIES
 from repro.errors import InjectedFaultError, ReproError
 from repro.eventlog.records import validate_record
 
 #: Segment file naming: events-<20-digit base offset>.seg
 SEGMENT_PREFIX = "events-"
 SEGMENT_SUFFIX = ".seg"
-
-FSYNC_POLICIES = ("always", "batch", "never")
 
 
 def segment_name(base: int) -> str:

@@ -21,7 +21,7 @@ existed: their queries retire with the connection.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Set
 
 from repro.config import DEFAULT_OUTBOX_CAPACITY
 from repro.errors import ReproError
@@ -44,8 +44,8 @@ class SubscriberState:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        #: query_id -> terms list (enough to re-derive ownership).
-        self.queries: Dict[int, List[str]] = {}
+        #: Ids of the queries it owns (the engine holds their terms).
+        self.queries: Set[int] = set()
         #: Highest global offset this subscriber confirmed (-1 = none).
         self.acked = -1
         #: Retained ``{"offset", "query_id", "payload", "attempts"}``
@@ -109,17 +109,14 @@ class SubscriberRegistry:
     def owner_of(self, query_id: int) -> Optional[str]:
         return self._owners.get(query_id)
 
-    def record_subscribe(
-        self, name: str, query_id: int, terms: Iterable[str]
-    ) -> None:
-        state = self.get_or_create(name)
-        state.queries[int(query_id)] = list(terms)
+    def record_subscribe(self, name: str, query_id: int) -> None:
+        self.get_or_create(name).queries.add(int(query_id))
         self._owners[int(query_id)] = name
 
     def record_unsubscribe(self, query_id: int) -> None:
         name = self._owners.pop(int(query_id), None)
         if name is not None:
-            self._states[name].queries.pop(int(query_id), None)
+            self._states[name].queries.discard(int(query_id))
 
     def attach(self, name: str, session_id: int) -> None:
         self.get_or_create(name).session_id = session_id
@@ -229,10 +226,7 @@ class SubscriberRegistry:
                 {
                     "name": state.name,
                     "acked": state.acked,
-                    "queries": {
-                        str(query_id): terms
-                        for query_id, terms in sorted(state.queries.items())
-                    },
+                    "queries": sorted(state.queries),
                     "outbox": [dict(entry) for entry in state.outbox],
                     "buffered": state.buffered,
                     "replayed": state.replayed,
@@ -245,12 +239,13 @@ class SubscriberRegistry:
         }
 
     def load(self, payload: Dict[str, Any]) -> None:
-        """Restore a :meth:`snapshot` into this (empty) registry."""
+        """Restore a :meth:`snapshot` into this (empty) registry; older
+        snapshots map each query id to its terms instead of listing ids."""
         for record in payload.get("subscribers", []):
             state = self.get_or_create(record["name"])
             state.acked = int(record["acked"])
-            for query_id, terms in record.get("queries", {}).items():
-                state.queries[int(query_id)] = list(terms)
+            for query_id in record.get("queries", ()):
+                state.queries.add(int(query_id))
                 self._owners[int(query_id)] = state.name
             state.outbox = deque(dict(entry) for entry in record["outbox"])
             state.buffered = int(record.get("buffered", 0))

@@ -22,7 +22,12 @@ import os
 import sys
 from typing import Dict, List, Sequence
 
-from repro.config import METHOD_CONFIGS, SLOW_CONSUMER_POLICIES, ServerConfig
+from repro.config import (
+    FSYNC_POLICIES,
+    METHOD_CONFIGS,
+    SLOW_CONSUMER_POLICIES,
+    ServerConfig,
+)
 from repro.experiments.sweeps import FIGURES, SCALES
 
 
@@ -131,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--eventlog-fsync",
-        choices=("always", "batch", "never"),
+        choices=FSYNC_POLICIES,
         default=defaults.eventlog_fsync,
         help="event-log fsync policy (default: %(default)s)",
     )

@@ -56,7 +56,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.config import SLOW_CONSUMER_POLICIES, ServerConfig
 from repro.core.engine import DasEngine
 from repro.core.events import Notification
-from repro.core.query import DasQuery
 from repro.errors import (
     ConfigurationError,
     ProtocolError,
@@ -69,6 +68,8 @@ from repro.eventlog import (
     SubscriberRegistry,
     TokenBucket,
     ack_record,
+    apply_record,
+    check_record,
     publish_record,
     recover,
     subscribe_record,
@@ -530,7 +531,8 @@ class ServerRuntime:
         self, session: SubscriberSession, offset: int
     ) -> Dict[str, Any]:
         """Confirm delivery up to ``offset`` for the session's durable
-        subscriber; logged so recovery trims the outbox identically."""
+        subscriber (``resume`` acks through here too); logged so recovery
+        trims the outbox identically."""
         self._require_eventlog("ack")
         name = session.subscriber if session is not None else None
         if name is None:
@@ -538,23 +540,24 @@ class ServerRuntime:
                 "ack requires a session resumed as a durable subscriber"
             )
         offset = int(offset)
-        end = self._eventlog.end
-        if offset >= end:
-            # An ack past every logged op would raise the acked floor
-            # over offsets not yet written, and the registry would then
-            # drop the subscriber's future notifications as confirmed.
-            raise ProtocolError(
-                f"ack offset {offset} is past the log's end ({end})"
-            )
-        self._eventlog.append(ack_record(name, offset))
-        self._appended_since_checkpoint += 1
-        trimmed = self._registry.ack(name, offset)
+        self._require_logged("ack", offset)
+        trimmed = self._commit(ack_record(name, offset))
         session.acked_offset = max(session.acked_offset, offset)
         return {
             "subscriber": name,
             "acked": self._registry.get(name).acked,
             "trimmed": trimmed,
         }
+
+    def _require_logged(self, op: str, offset: int) -> None:
+        """Refuse an ack past every logged op: its floor would cover
+        offsets not yet written, and the registry would drop their
+        notifications as confirmed."""
+        end = self._eventlog.end
+        if offset >= end:
+            raise ProtocolError(
+                f"{op} offset {offset} is past the log's end ({end})"
+            )
 
     def _dlq_report(self, limit: Optional[int] = None) -> Dict[str, Any]:
         """The ``dlq`` op payload (also works with the log disabled)."""
@@ -729,17 +732,12 @@ class ServerRuntime:
                     from repro.text.tokenizer import tokenize
 
                     keywords = tokenize(request["text"])
-                location = request.get("location")
                 if session is not None:
                     session.subscribed = True
                 future = await self._enqueue_control(
                     "subscribe",
                     session,
-                    (
-                        tuple(keywords),
-                        tuple(location) if location is not None else None,
-                        request.get("window"),
-                    ),
+                    (keywords, request.get("location"), request.get("window")),
                 )
             elif op in ("unsubscribe", "results"):
                 future = await self._enqueue_control(
@@ -747,6 +745,8 @@ class ServerRuntime:
                 )
             elif op == "resume":
                 self._require_eventlog("resume")
+                if session is None:
+                    raise ReproError("resume requires a session")
                 future = await self._enqueue_control(
                     "resume",
                     session,
@@ -873,39 +873,18 @@ class ServerRuntime:
     async def _run_control(self, item: _ControlItem) -> None:
         try:
             if item.kind == "subscribe":
-                keywords, location, window = item.args
+                terms, location, window = item.args
+                session = item.session
                 query_id = self._next_query_id()
-                name = (
-                    item.session.subscriber
-                    if item.session is not None
-                    else None
+                # Only a resumed session names a subscriber, and resume
+                # requires the event log.
+                name = session.subscriber if session is not None else None
+                initial = self._commit(
+                    subscribe_record(query_id, terms, name, location, window)
                 )
-                query = DasQuery(
-                    query_id, keywords, location=location, window=window
-                )
-                if self._eventlog is not None:
-                    # WAL discipline: the subscribe record (naming the
-                    # id it will get) is durable before the engine call,
-                    # and written only for a query the engine will take.
-                    self._engine.check_subscribe(query)
-                    self._eventlog.append(
-                        subscribe_record(
-                            query_id,
-                            list(keywords),
-                            subscriber=name,
-                            location=location,
-                            window=window,
-                        )
-                    )
-                    self._appended_since_checkpoint += 1
-                initial = self._engine.subscribe(query)
-                if name is not None:
-                    # Only a resumed session names a subscriber, and
-                    # resume requires the event log.
-                    self._registry.record_subscribe(name, query_id, keywords)
-                self._owners[query_id] = item.session
-                if item.session is not None:
-                    item.session.queries.add(query_id)
+                self._owners[query_id] = session
+                if session is not None:
+                    session.queries.add(query_id)
                 result = (query_id, initial)
             elif item.kind == "unsubscribe":
                 query_id = item.args
@@ -918,19 +897,7 @@ class ServerRuntime:
                         raise UnknownQueryError(
                             f"query {query_id} is not owned by this session"
                         )
-                if self._eventlog is not None:
-                    self._eventlog.append(
-                        unsubscribe_record(
-                            query_id,
-                            subscriber=self._registry.owner_of(query_id),
-                        )
-                    )
-                    self._appended_since_checkpoint += 1
-                    self._registry.record_unsubscribe(query_id)
-                self._engine.unsubscribe(query_id)
-                self._owners.pop(query_id, None)
-                if owner is not None:
-                    owner.queries.discard(query_id)
+                self._unsubscribe(query_id)
                 result = None
             elif item.kind == "resume":
                 result = await self._resume(item.session, item.args)
@@ -1163,27 +1130,34 @@ class ServerRuntime:
     def _retire_queries(self, session: SubscriberSession) -> None:
         """Unsubscribe every query a closing session owns (matcher ctx).
 
-        With the event log enabled each retirement is logged first, so
-        recovery does not resurrect queries whose anonymous owner is
-        gone.
+        Each retirement is logged like any unsubscribe, so recovery does
+        not resurrect queries whose anonymous owner is gone.
         """
         for query_id in list(session.queries):
             if self._owners.get(query_id) is session:
-                if self._eventlog is not None:
-                    self._eventlog.append(
-                        unsubscribe_record(
-                            query_id,
-                            subscriber=self._registry.owner_of(query_id),
-                        )
-                    )
-                    self._appended_since_checkpoint += 1
-                    self._registry.record_unsubscribe(query_id)
-                try:
-                    self._engine.unsubscribe(query_id)
-                except ReproError:
-                    pass
-                self._owners.pop(query_id, None)
+                self._unsubscribe(query_id)
         session.queries.clear()
+
+    def _unsubscribe(self, query_id: int) -> None:
+        """Log and apply one unsubscribe, then stop routing the query."""
+        registry = self._registry
+        owner = registry.owner_of(query_id) if registry is not None else None
+        self._commit(unsubscribe_record(query_id, subscriber=owner))
+        session = self._owners.pop(query_id, None)
+        if session is not None:
+            session.queries.discard(query_id)
+
+    def _commit(self, record: Dict[str, Any]) -> Any:
+        """Refuse, log, count and apply one subscribe, unsubscribe or ack
+        record; returns what :func:`apply_record` — the function recovery
+        replays the log with — returns.  Only a record
+        :func:`check_record` passes is written; without the event log the
+        same steps run, minus the append."""
+        check_record(self._engine, record)
+        if self._eventlog is not None:
+            self._eventlog.append(record)
+            self._appended_since_checkpoint += 1
+        return apply_record(self._engine, self._registry, None, record)
 
     # -- durability tier (DESIGN.md §14) -----------------------------------
 
@@ -1203,14 +1177,10 @@ class ServerRuntime:
             # close already ran (and found nothing to detach), so
             # attaching now would bind the subscriber to a dead session.
             raise ServerClosedError("session closed before it resumed")
-        end = self._eventlog.end
-        if offset is not None and offset >= end:
-            # Resuming acks ``offset``: the same hole as an ack past the
-            # end (see :meth:`ack`), so the same refusal, before the
-            # subscriber is created, attached or anything is logged.
-            raise ProtocolError(
-                f"resume offset {offset} is past the log's end ({end})"
-            )
+        if offset is not None:
+            # Resuming acks ``offset``: refused before the subscriber is
+            # created, attached or anything is logged.
+            self._require_logged("resume", offset)
         state = self._registry.get_or_create(name)
         if state.session_id is not None and state.session_id != session.session_id:
             live = self._sessions.get(state.session_id)
@@ -1229,10 +1199,7 @@ class ServerRuntime:
             self._owners[query_id] = session
             session.queries.add(query_id)
         if offset is not None and offset >= 0:
-            self._eventlog.append(ack_record(name, int(offset)))
-            self._appended_since_checkpoint += 1
-            self._registry.ack(name, int(offset))
-            session.acked_offset = max(session.acked_offset, int(offset))
+            self._ack(session, offset)
         replayed = 0
         for entry in self._registry.pending(name, offset):
             delivered = await session.offer(

@@ -477,19 +477,22 @@ class NdjsonTcpClient(ProtocolClient):
             return
 
     async def _resubscribe(self) -> None:
-        """Re-issue tracked subscriptions on the fresh connection."""
-        for old_id, payload in list(self._subscriptions.items()):
-            try:
+        """Re-issue tracked subscriptions on the fresh connection; the
+        replies' ids replace the old ones in one swap (a restarted server
+        may hand out an id that is still an old key here)."""
+        previous = list(self._subscriptions.items())
+        renewed: Dict[int, Dict[str, Any]] = {}
+        try:
+            for old_id, payload in previous:
                 reply = await self.request(dict(payload))
-            except Exception:
-                # The connection dropped again (or the server refused);
-                # the next reconnect pass picks up where this one left.
-                return
-            new_id = reply["query_id"]
-            self._subscriptions.pop(old_id, None)
-            self._subscriptions[new_id] = payload
-            self.resubscriptions[old_id] = new_id
-            self.resubscribed += 1
+                renewed[reply["query_id"]] = payload
+                self.resubscriptions[old_id] = reply["query_id"]
+                self.resubscribed += 1
+        except Exception:
+            # The connection dropped again (or the server refused): the
+            # next reconnect pass re-issues the whole old map.
+            renewed = dict(previous)
+        self._subscriptions = renewed
 
     async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         while True:

@@ -25,6 +25,7 @@ from repro.errors import (
     EmptyQueryError,
     ProtocolError,
     ReproError,
+    UnknownQueryError,
 )
 from repro.eventlog import (
     DeadLetterQueue,
@@ -44,6 +45,7 @@ from repro.eventlog import (
 )
 from repro.persistence.checkpoint import checkpoint
 from repro.server import InProcessClient, ServerRuntime
+from repro.server.protocol import raise_for_reply
 from repro.simulation.faults import FaultPlan
 
 
@@ -445,7 +447,7 @@ def test_read_dlq_missing_file_is_empty(tmp_path):
 
 def test_registry_offer_ack_pending_cycle():
     registry = SubscriberRegistry(outbox_capacity=8, max_attempts=3)
-    registry.record_subscribe("alice", 0, ["coffee"])
+    registry.record_subscribe("alice", 0)
     assert registry.owner_of(0) == "alice"
     for offset in range(4):
         registry.offer("alice", offset, 0, {"offset": offset})
@@ -485,14 +487,49 @@ def test_registry_overflow_dead_letters_oldest(tmp_path):
 
 def test_registry_snapshot_load_roundtrip():
     registry = SubscriberRegistry(outbox_capacity=8, max_attempts=3)
-    registry.record_subscribe("alice", 0, ["coffee"])
-    registry.record_subscribe("alice", 2, ["tea"])
+    registry.record_subscribe("alice", 0)
+    registry.record_subscribe("alice", 2)
     registry.offer("alice", 3, 0, {"offset": 3})
     registry.ack("alice", 1)
     restored = SubscriberRegistry(outbox_capacity=8, max_attempts=3)
     restored.load(json.loads(json.dumps(registry.snapshot())))
     assert restored.snapshot() == registry.snapshot()
     assert restored.owner_of(2) == "alice"
+
+
+def test_registry_loads_a_snapshot_that_maps_ids_to_terms():
+    """Checkpoints written while the registry kept each query's terms map
+    query id to terms; they load into the same owners, and are saved
+    back as the id list."""
+    snapshot = {
+        "subscribers": [
+            {
+                "name": "alice",
+                "acked": 1,
+                "queries": {"0": ["coffee"], "2": ["tea"]},
+                "outbox": [
+                    {
+                        "offset": 3,
+                        "query_id": 0,
+                        "payload": {"offset": 3},
+                        "attempts": 0,
+                    }
+                ],
+                "buffered": 1,
+                "replayed": 0,
+                "dead_lettered": 0,
+            }
+        ]
+    }
+    registry = SubscriberRegistry()
+    registry.load(snapshot)
+    assert registry.owner_of(0) == registry.owner_of(2) == "alice"
+    assert registry.get("alice").queries == {0, 2}
+    saved = registry.snapshot()["subscribers"][0]
+    assert saved["queries"] == [0, 2]
+    assert {**saved, "queries": snapshot["subscribers"][0]["queries"]} == (
+        snapshot["subscribers"][0]
+    )
 
 
 def test_registry_validates_limits():
@@ -571,7 +608,7 @@ def test_checkpoint_replaces_replay_and_prunes(tmp_eventlog):
     registry = SubscriberRegistry()
     log.append(subscribe_record(0, ["coffee"], subscriber="alice"))
     engine.subscribe(DasQuery(0, ["coffee"]))
-    registry.record_subscribe("alice", 0, ["coffee"])
+    registry.record_subscribe("alice", 0)
     for i in range(5):
         log.append(publish(i, ("coffee",)))
         from repro.server.protocol import document_from_payload
@@ -740,24 +777,41 @@ def test_ack_past_the_log_end_is_refused(tmp_path):
     "mode, refused",
     [
         # The tokenizer leaves no keyword: the query is empty.
-        ("decay", [({"text": "the of and"}, EmptyQueryError)]),
+        (
+            "decay",
+            [({"op": "subscribe", "text": "the of and"}, EmptyQueryError)],
+        ),
         # Spatial mode needs a location inside the unit square.
         (
             "spatial",
             [
-                ({"keywords": ["coffee"]}, ConfigurationError),
                 (
-                    {"keywords": ["coffee"], "location": [1.5, 0.5]},
+                    {"op": "subscribe", "keywords": ["coffee"]},
+                    ConfigurationError,
+                ),
+                (
+                    {
+                        "op": "subscribe",
+                        "keywords": ["coffee"],
+                        "location": [1.5, 0.5],
+                    },
                     ConfigurationError,
                 ),
             ],
         ),
+        # An anonymous unsubscribe may name any query, but not one the
+        # engine does not hold.
+        (
+            "decay",
+            [({"op": "unsubscribe", "query_id": 999}, UnknownQueryError)],
+        ),
     ],
 )
 def test_refused_subscribe_is_not_logged(tmp_path, mode, refused):
-    """A subscribe the engine refuses gets an error reply and writes no
-    log record: the log's end does not move, the next accepted subscribe
-    still gets id 0, and a restart replays the log without an error."""
+    """A subscribe or unsubscribe the engine refuses gets an error reply
+    and writes no log record: the log's end does not move, the next
+    accepted subscribe still gets id 0, and a restart replays the log
+    without an error."""
     directory = str(tmp_path / "log")
 
     def runtime():
@@ -770,9 +824,9 @@ def test_refused_subscribe_is_not_logged(tmp_path, mode, refused):
         server = runtime()
         await server.start()
         client = InProcessClient(server)
-        for fields, error in refused:
+        for request, error in refused:
             with pytest.raises(error):
-                await client.request({"op": "subscribe", **fields})
+                raise_for_reply(await server.handle_request(None, request))
         end = (await client.stats())["eventlog"]["end"]
         accepted = await client.request(
             {"op": "subscribe", "keywords": ["coffee"], "location": [0.5, 0.5]}
@@ -1179,6 +1233,29 @@ def test_resume_requires_eventlog(tmp_path):
         assert stats["eventlog"] is None
         assert stats["throttling"] is None
         await client.close()
+        await runtime.stop()
+
+    run(scenario())
+
+
+def test_resume_and_ack_without_a_session_are_refused(tmp_path):
+    """The anonymous ops (no session) have no subscriber to resume or
+    ack as: both get an error reply, and nothing is logged or
+    registered."""
+    directory = str(tmp_path / "log")
+
+    async def scenario():
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        for request in (
+            {"op": "resume", "subscriber": "alice"},
+            {"op": "ack", "offset": 0},
+        ):
+            with pytest.raises(ReproError, match="requires a session"):
+                raise_for_reply(await runtime.handle_request(None, request))
+        stats = runtime.stats()
+        assert stats["eventlog"]["end"] == 0
+        assert stats["subscribers"]["subscribers"] == []
         await runtime.stop()
 
     run(scenario())

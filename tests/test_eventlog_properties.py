@@ -11,13 +11,16 @@ truncation, redelivery), checking the invariants the server relies on:
   and exact dead-letter accounting.
 
 The functional properties pin round-trips: arbitrary record batches
-survive arbitrary chunking + reopen, and :func:`repro.eventlog.recover`
+survive arbitrary chunking + reopen, :func:`repro.eventlog.recover`
 is a pure function of the directory — two recoveries of the same bytes
-produce byte-identical registry snapshots and notification payloads.
+produce byte-identical registry snapshots and notification payloads —
+and recovering what a durable runtime logged rebuilds the state that
+runtime held, whatever ops it was sent (refused ones included).
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import shutil
@@ -32,6 +35,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.config import ServerConfig
 from repro.core.engine import DasEngine
 from repro.eventlog import (
     EventLog,
@@ -42,6 +46,8 @@ from repro.eventlog import (
     subscribe_record,
 )
 from repro.errors import ReproError
+from repro.server import InProcessClient, ServerRuntime
+from repro.server.protocol import raise_for_reply
 
 VOCAB = ["coffee", "espresso", "beans", "tea", "green", "milk"]
 
@@ -322,5 +328,137 @@ def test_recovery_is_deterministic(terms, docs, ack_at):
             )
 
         assert snapshot() == snapshot()
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+#: Each resume is one redelivery attempt of every retained entry, and a
+#: redelivery dead-letter is not logged: scripts stay below the limit.
+MAX_ATTEMPTS = 3
+
+script_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("subscribe"), tokens_strategy, st.booleans()),
+        st.tuples(
+            st.just("unsubscribe"),
+            st.integers(min_value=0, max_value=12),
+            st.booleans(),
+        ),
+        st.tuples(st.just("publish"), tokens_strategy),
+        st.tuples(st.just("ack"), st.integers(min_value=-1, max_value=40)),
+        st.tuples(st.just("resume"), st.integers(min_value=-1, max_value=40)),
+        st.tuples(st.just("checkpoint")),
+    ),
+    max_size=30,
+)
+
+
+def _state_of(engine, registry):
+    """What recovery must rebuild: per-query results, query ids, owners,
+    acked floors and retained ``(offset, query_id, payload)`` entries.
+
+    A resume writes no record unless it acks an offset, so a subscriber
+    that holds nothing (no ack, no query, no entry) is left out."""
+    query_ids = sorted(engine._queries)
+    names = [
+        name
+        for name in registry.names()
+        if registry.get(name).acked >= 0
+        or registry.get(name).queries
+        or registry.get(name).outbox
+    ]
+    return {
+        "results": {
+            query_id: [d.doc_id for d in engine.results(query_id)]
+            for query_id in query_ids
+        },
+        "owners": dict(registry._owners),
+        "acked": {name: registry.get(name).acked for name in names},
+        "outboxes": {
+            name: json.dumps(
+                [
+                    (entry["offset"], entry["query_id"], entry["payload"])
+                    for entry in registry.get(name).outbox
+                ],
+                sort_keys=True,
+            )
+            for name in names
+        },
+    }
+
+
+@given(script=script_strategy)
+@settings(max_examples=30, deadline=None)
+def test_recovery_rebuilds_what_the_runtime_served(script):
+    """Subscribe (anonymous or durable), unsubscribe (unknown ids too),
+    publish, ack, resume and checkpoint against a durable runtime, stop
+    it without draining, and recover the directory into a fresh engine:
+    the recovered state is the live one, and replay meets no refusal."""
+    directory = tempfile.mkdtemp(prefix="repro-evlog-run-")
+
+    def engine():
+        return DasEngine.for_method("GIFilter", k=2, block_size=4)
+
+    async def serve():
+        runtime = ServerRuntime(
+            engine(),
+            ServerConfig(
+                eventlog_dir=directory,
+                eventlog_segment_entries=3,
+                eventlog_fsync="never",
+                outbound_capacity=4096,
+                dlq_max_attempts=MAX_ATTEMPTS,
+            ),
+        )
+        await runtime.start()
+        alice = InProcessClient(runtime)
+        await alice.resume("alice", -1)
+        resumes = 1
+        created_at = 0.0
+        for op, *args in script:
+            end = runtime.stats()["eventlog"]["end"]
+            try:
+                if op == "subscribe":
+                    keywords, durable = args
+                    if durable:
+                        await alice.subscribe(keywords)
+                    else:
+                        raise_for_reply(
+                            await runtime.handle_request(
+                                None, {"op": "subscribe", "keywords": keywords}
+                            )
+                        )
+                elif op == "unsubscribe":
+                    query_id, durable = args
+                    request = {"op": "unsubscribe", "query_id": query_id}
+                    session = alice.session if durable else None
+                    raise_for_reply(
+                        await runtime.handle_request(session, request)
+                    )
+                elif op == "publish":
+                    created_at += 1.0
+                    await alice.publish(tokens=args[0], created_at=created_at)
+                elif op == "ack":
+                    await alice.ack(args[0])
+                elif op == "resume" and resumes < MAX_ATTEMPTS:
+                    resumes += 1
+                    await alice.resume("alice", args[0])
+                elif op == "checkpoint":
+                    await runtime.checkpoint_eventlog()
+            except ReproError:
+                # Refused: nothing was logged.
+                assert runtime.stats()["eventlog"]["end"] == end
+        live = _state_of(runtime.engine, runtime._registry)
+        await runtime.stop(drain=False)
+        return live
+
+    try:
+        live = asyncio.run(asyncio.wait_for(serve(), 30.0))
+        state = recover(directory, engine(), segment_entries=3)
+        state.log.close()
+        assert state.replay_errors == []
+        assert _state_of(state.engine, state.registry) == live
+        # Both sides share apply_record; this holds it to the engine.
+        assert set(live["owners"]) <= set(live["results"])
     finally:
         shutil.rmtree(directory, ignore_errors=True)

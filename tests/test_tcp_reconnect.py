@@ -15,7 +15,12 @@ import pytest
 
 from repro.config import ServerConfig
 from repro.core.engine import DasEngine
-from repro.server import NdjsonTcpClient, NdjsonTcpServer, ServerRuntime
+from repro.server import (
+    InProcessClient,
+    NdjsonTcpClient,
+    NdjsonTcpServer,
+    ServerRuntime,
+)
 
 
 def run(coroutine, timeout=30.0):
@@ -75,6 +80,53 @@ def test_client_reconnects_and_resubscribes():
             assert note["op"] == "notify"
             assert note["query_id"] == new_id
             await publisher.close()
+        finally:
+            await client.close()
+            await server.stop()
+            await runtime.stop()
+
+    run(scenario())
+
+
+def test_resubscribe_keeps_subscriptions_whose_ids_the_new_server_reuses():
+    """The client holds ids {0, 3}; the restarted server on the same port
+    hands out 3 and 4.  Both subscriptions are tracked under their new
+    ids, not one of them overwritten by the other's re-issue."""
+
+    async def scenario():
+        runtime, server, host, port = await start_stack()
+        client = await NdjsonTcpClient.connect(
+            host, port, reconnect=True, backoff_base=0.01
+        )
+        try:
+            for word in ("coffee", "tea", "milk", "beans"):
+                await client.subscribe([word])
+            await client.unsubscribe(1)
+            await client.unsubscribe(2)
+            # The replacement has already given out ids 0, 1 and 2.
+            replacement = ServerRuntime(
+                DasEngine.for_method("GIFilter", k=3, block_size=4),
+                ServerConfig(outbound_capacity=256, port=port),
+            )
+            await replacement.start()
+            filler = InProcessClient(replacement)
+            for word in ("x", "y", "z"):
+                await filler.subscribe([word])
+            await server.stop()
+            await runtime.stop()
+            runtime, server = replacement, NdjsonTcpServer(replacement)
+            await server.start()
+            await wait_for(
+                lambda: client.connection_stats()["resubscribed"] >= 2
+            )
+            assert client.connection_stats()["resubscriptions"] == {
+                0: 3,
+                3: 4,
+            }
+            assert {
+                query_id: payload["keywords"]
+                for query_id, payload in client._subscriptions.items()
+            } == {3: ["coffee"], 4: ["beans"]}
         finally:
             await client.close()
             await server.stop()
