@@ -10,10 +10,15 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, EmptyQueryError
+from repro.text.vectors import intern_term
 
 
 class DasQuery:
     """Immutable subscription: an id plus a deduplicated keyword tuple.
+
+    Keywords that are exactly ``str`` are interned, so a query shares its
+    term objects with the stored documents and the inverted file's keys
+    (see :class:`repro.text.vectors.TermVector`).
 
     Strategy modes (DESIGN.md §16) attach two optional options:
     ``location`` — an ``(x, y)`` pair in the unit square, required by the
@@ -30,7 +35,7 @@ class DasQuery:
         location: Optional[Tuple[float, float]] = None,
         window: Optional[int] = None,
     ) -> None:
-        terms: Tuple[str, ...] = tuple(sorted(set(keywords)))
+        terms: Tuple[str, ...] = tuple(sorted(set(map(intern_term, keywords))))
         if not terms:
             raise EmptyQueryError(f"query {query_id} has no keywords")
         if any(not term for term in terms):

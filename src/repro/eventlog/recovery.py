@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.config import EngineConfig
 from repro.core.query import DasQuery
 from repro.errors import ConfigurationError, ReproError
-from repro.eventlog.segments import EventLog
+from repro.eventlog.segments import EventLog, sync_directory
 from repro.eventlog.subscribers import SubscriberRegistry
 from repro.persistence.checkpoint import _write_atomic, restore
 
@@ -71,6 +71,7 @@ def write_checkpoint(
     subscribers_payload: Dict[str, Any],
     injector: Optional[object] = None,
     keep: int = 2,
+    fsync: str = "always",
 ) -> str:
     """Atomically write a checkpoint at ``offset``; prunes old ones.
 
@@ -78,7 +79,10 @@ def write_checkpoint(
     (one temp-file, fsync and replace sequence): an injected
     ``checkpoint.write`` ``torn`` fault leaves a truncated *temp* file —
     never a truncated checkpoint — so recovery falls back to the previous
-    one.
+    one.  The directory is then fsynced under the log's ``fsync`` policy
+    (:func:`repro.eventlog.segments.sync_directory`), so the new name is
+    durable before an older checkpoint — or, in the caller, any log
+    segment the checkpoint covers — is removed.
     """
     payload = {
         "version": EVENTLOG_CHECKPOINT_VERSION,
@@ -88,6 +92,7 @@ def write_checkpoint(
     }
     path = checkpoint_path(directory, offset)
     _write_atomic(path, json.dumps(payload), injector)
+    sync_directory(directory, fsync)
     for old in _checkpoint_offsets(directory)[:-keep]:
         os.remove(checkpoint_path(directory, old))
     return path

@@ -32,6 +32,10 @@ Durability contract:
 Fsync policies: ``always`` fsyncs once per append call (one fsync covers
 a whole ``append_many`` batch), ``batch`` fsyncs on rotation, explicit
 :meth:`sync` and :meth:`close`, ``never`` leaves flushing to the OS.
+Under ``always`` and ``batch`` the directory itself is fsynced
+(:func:`sync_directory`) after every name the log creates, renames or
+removes — open, rotation, truncation, compaction — since a file's fsync
+need not make its directory entry durable.
 
 The ``eventlog.fault`` injection point fires on every append call:
 ``raise`` rejects the batch before any byte is written, ``torn`` writes
@@ -68,6 +72,20 @@ def _parse_segment_base(name: str) -> Optional[int]:
         return None
     digits = name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)]
     return int(digits) if digits.isdigit() else None
+
+
+def sync_directory(directory: str, fsync: str) -> bool:
+    """Fsync ``directory`` so the names created, renamed or removed in it
+    survive a crash; skipped under the ``never`` policy.  Returns whether
+    it synced."""
+    if fsync == "never":
+        return False
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    return True
 
 
 def _encode_entry(offset: int, record: Dict[str, Any]) -> bytes:
@@ -120,6 +138,13 @@ class EventLog:
         active_base = self._segments[-1][0]
         self._active_path = os.path.join(directory, segment_name(active_base))
         self._file = open(self._active_path, "ab")
+        # The scan may have removed or cut files, and the active segment
+        # may be new.
+        self._sync_directory()
+
+    def _sync_directory(self) -> None:
+        if sync_directory(self.directory, self.fsync_policy):
+            self.fsyncs += 1
 
     # -- recovery scan ----------------------------------------------------
 
@@ -266,6 +291,7 @@ class EventLog:
         self._segments.append([base, 0])
         self._active_path = os.path.join(self.directory, segment_name(base))
         self._file = open(self._active_path, "ab")
+        self._sync_directory()
         self.rotations += 1
 
     def sync(self) -> None:
@@ -322,6 +348,7 @@ class EventLog:
         base.  A checkpoint at ``offset`` makes everything before it
         redundant; partial segments (and the active one) are retained, so
         the base only moves in segment-sized steps."""
+        before = len(self._segments)
         while len(self._segments) > 1:
             base, count = self._segments[0]
             if base + count > offset:
@@ -330,6 +357,8 @@ class EventLog:
             self.reclaimed_bytes += os.path.getsize(path)
             os.remove(path)
             self._segments.pop(0)
+        if len(self._segments) < before:
+            self._sync_directory()
         return self.base
 
     def compact_to(self, offset: int) -> int:
@@ -375,9 +404,12 @@ class EventLog:
             new_path = os.path.join(self.directory, segment_name(offset))
             # Rename before removing the original: a crash in between
             # leaves an overlapping pair the recovery scan resolves in
-            # favour of the original (see _scan).
+            # favour of the original (see _scan).  The rename is made
+            # durable first, so the removal can never survive without it.
             os.rename(tmp_path, new_path)
+            self._sync_directory()
             os.remove(old_path)
+            self._sync_directory()
             self.reclaimed_bytes += old_size - os.path.getsize(new_path)
             self._segments[0] = [offset, keep]
             if is_active:

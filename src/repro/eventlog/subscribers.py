@@ -211,11 +211,19 @@ class SubscriberRegistry:
         This is the replay floor for log compaction: entries at or below
         it have been confirmed by *every* durable subscriber, so no
         catch-up replay can ever need them again.  A subscriber that has
-        never acked reports -1, pinning the floor at the log base.
+        never acked reports -1, pinning the floor at the log base.  One
+        that owns no query and retains no entry has nothing to replay
+        and does not count: a ``resume`` that acks nothing writes no
+        record, so recovery would not know it either.
         """
-        if not self._states:
-            return None
-        return min(state.acked for state in self._states.values())
+        return min(
+            (
+                state.acked
+                for state in self._states.values()
+                if state.queries or state.outbox
+            ),
+            default=None,
+        )
 
     # -- checkpoint embedding ----------------------------------------------
 

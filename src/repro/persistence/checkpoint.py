@@ -29,7 +29,7 @@ from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
 from repro.core.result_set import QueryResultSet
 from repro.stream.document import Document
-from repro.text.vectors import TermVector
+from repro.text.vectors import TermVector, intern_term
 
 #: Format marker for forward compatibility.
 CHECKPOINT_VERSION = 1
@@ -145,10 +145,11 @@ def restore(payload: Dict) -> DasEngine:
 
     # Collection statistics are restored wholesale (re-adding documents
     # would double-count documents that were evicted from the store but
-    # already folded into the statistics).
+    # already folded into the statistics).  Their terms are interned
+    # like a TermVector's, so the documents below share these objects.
     stats = engine.stats
     stats._term_counts = {
-        term: int(count)
+        intern_term(term): int(count)
         for term, count in payload["stats"]["term_counts"].items()
     }
     stats._total_tokens = int(payload["stats"]["total_tokens"])

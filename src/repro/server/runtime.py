@@ -1245,6 +1245,7 @@ class ServerRuntime:
             checkpoint(self._engine),
             self._registry.snapshot(),
             injector=self._injector,
+            fsync=self._config.eventlog_fsync,
         )
         # Reclaim only what is BOTH checkpoint-covered and fully acked:
         # a durable subscriber that has not confirmed an offset may still

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from sys import intern
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
@@ -30,9 +31,15 @@ class TermVector:
         Total token count ``|d.v_d|`` used by the language model.
     units:
         ``tf / norm`` per term, in term order — the document's addends to
-        an aggregated-weight table (Definition 7).  A table that does not
-        yet hold a term stores the document's own float, so one float
-        serves every table the document is summarised in.
+        an aggregated-weight table (Definition 7).  Terms with equal
+        counts share one float, and a table that does not yet hold a term
+        stores the document's own float, so one float serves every term
+        of that count in every table the document is summarised in.
+
+    Terms that are exactly ``str`` are interned: a term decoded from the
+    wire, a checkpoint or the event log becomes the one object every
+    stored document, query, index key and collection count of that term
+    shares (DESIGN.md §6).
     """
 
     __slots__ = ("_tf", "norm", "length", "units")
@@ -45,11 +52,16 @@ class TermVector:
             if count < 0:
                 raise ValueError(f"negative term frequency for {term!r}: {count}")
             if count:
-                cleaned[term] = count
+                cleaned[intern_term(term)] = count
         self._tf = cleaned
-        self.length = sum(cleaned.values())
-        norm = self.norm = math.sqrt(sum(c * c for c in cleaned.values()))
-        self.units = tuple(count / norm for count in cleaned.values())
+        counts = cleaned.values()
+        self.length = sum(counts)
+        norm = self.norm = math.sqrt(sum(c * c for c in counts))
+        shared: Dict[int, float] = {}
+        for count in counts:
+            if count not in shared:
+                shared[count] = count / norm
+        self.units = tuple(map(shared.__getitem__, counts))
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "TermVector":
@@ -123,6 +135,12 @@ class TermVector:
         if self.norm == 0.0:
             return 0.0
         return self._tf.get(term, 0) / self.norm
+
+
+def intern_term(term: str) -> str:
+    """``sys.intern(term)`` for a term that is exactly ``str``; any other
+    term (a ``str`` subclass, which ``sys.intern`` refuses) as given."""
+    return intern(term) if type(term) is str else term
 
 
 def _integral_count(term: str, count: object) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import stat
 import tracemalloc
 
 import pytest
@@ -33,6 +34,7 @@ from repro.eventlog import (
     SubscriberRegistry,
     TokenBucket,
     ack_record,
+    checkpoint_path,
     latest_checkpoint,
     publish_record,
     read_dlq,
@@ -218,6 +220,70 @@ def test_compact_to_rewrites_head_segment(tmp_eventlog):
     log.close()
     reopened = open_log(segment_entries=4)
     assert reopened.base == 6 and reopened.end == 11
+
+
+def _record_directory_syncs(monkeypatch):
+    """Spy on ``os.fsync`` / ``os.replace`` / ``os.remove``: returns the
+    list of ``("dir-fsync",)``, ``("replace", name)`` and ``("remove",
+    name)`` events, in order."""
+    events = []
+    fsync, replace, remove = os.fsync, os.replace, os.remove
+
+    def spy_fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            events.append(("dir-fsync",))
+        return fsync(fd)
+
+    def spy_replace(source, target):
+        events.append(("replace", os.path.basename(target)))
+        return replace(source, target)
+
+    def spy_remove(path):
+        events.append(("remove", os.path.basename(path)))
+        return remove(path)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    monkeypatch.setattr(os, "remove", spy_remove)
+    return events
+
+
+@pytest.mark.parametrize("fsync", ["always", "batch", "never"])
+def test_directory_is_synced_after_each_name_change(
+    tmp_eventlog, monkeypatch, fsync
+):
+    """Open, rotation, truncation and compaction each fsync the log
+    directory (and count it), except under ``never``; so does the
+    creation of the DLQ file."""
+    directory, open_log = tmp_eventlog
+    events = _record_directory_syncs(monkeypatch)
+    synced = 0 if fsync == "never" else 1
+    log = open_log(fsync=fsync, segment_entries=2)
+    assert events == [("dir-fsync",)] * synced
+    assert log.fsyncs == synced
+    log.append_many([publish(0), publish(1)])
+    del events[:]
+    before = log.fsyncs
+    log.append(publish(2))  # rotates
+    assert events == [("dir-fsync",)] * synced
+    # The closed segment's fsync and the directory's; ``always`` adds
+    # the append's own.
+    appended = {"always": 1, "batch": 0, "never": 0}[fsync]
+    assert log.fsyncs == before + 2 * synced + appended
+    log.append_many([publish(3), publish(4)])  # rotates into [4, 5)
+    dir_syncs = [("dir-fsync",)] * synced
+    del events[:]
+    log.truncate_to(2)  # drops [0, 2)
+    assert events == [("remove", segment_name(0))] + dir_syncs
+    del events[:]
+    log.compact_to(3)  # renames [3, 4) into place, then drops [2, 4)
+    assert events == dir_syncs + [("remove", segment_name(2))] + dir_syncs
+    del events[:]
+    DeadLetterQueue(directory, fsync=fsync).close()
+    assert events == dir_syncs
+    del events[:]
+    DeadLetterQueue(directory, fsync=fsync).close()  # already exists
+    assert events == []
 
 
 def test_compact_to_swaps_the_active_append_handle(tmp_eventlog):
@@ -440,6 +506,34 @@ def test_dlq_appends_and_reads_back(tmp_path):
 
 def test_read_dlq_missing_file_is_empty(tmp_path):
     assert read_dlq(str(tmp_path)) == []
+
+
+def test_dead_letters_are_not_kept_in_memory(tmp_path):
+    """Only the count and the tallies stay in memory; entries (payload
+    included) are read back from the file."""
+    dlq = DeadLetterQueue(str(tmp_path), fsync="never")
+    payload = {
+        "op": "notify",
+        "query_id": 1,
+        "document": {"doc_id": 7, "created_at": 7.0, "tf": {"coffee": 2}},
+        "replaced": None,
+    }
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for offset in range(2000):
+            dlq.add("alice", offset, 1, dict(payload), "overflow", 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / 2000 < 16
+    assert len(dlq) == 2000
+    assert dlq.stats()["by_subscriber"] == {"alice": 2000}
+    newest = dlq.entries(2)
+    assert [entry["seq"] for entry in newest] == [1998, 1999]
+    assert newest[1]["payload"] == payload
+    assert len(dlq.entries()) == 2000
+    dlq.close()
 
 
 # -- subscriber registry ---------------------------------------------------
@@ -1147,6 +1241,43 @@ def test_runtime_checkpoint_compacts_to_ack_floor(tmp_path):
         await runtime.stop()
 
     run(after())
+
+
+def test_checkpoint_name_is_durable_before_the_log_behind_it_goes(
+    tmp_path, monkeypatch
+):
+    """A checkpoint reclaims the log it covers only after its own name
+    reached the disk: the checkpoint file is replaced into place, the
+    directory is fsynced, and only then is a segment removed."""
+    directory = str(tmp_path / "log")
+    events = _record_directory_syncs(monkeypatch)
+
+    async def scenario():
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        await client.resume("alice", -1)
+        await client.subscribe(["coffee"])
+        for i in range(8):
+            await client.publish(tokens=["coffee"], created_at=float(i))
+        await client.ack(8)
+        del events[:]
+        result = await runtime.checkpoint_eventlog()
+        assert result["log_base"] == 9
+        await client.close()
+        await runtime.stop()
+
+    run(scenario())
+    replaced = events.index(
+        ("replace", os.path.basename(checkpoint_path(directory, 10)))
+    )
+    synced = events.index(("dir-fsync",), replaced)
+    removed = [
+        position
+        for position, event in enumerate(events)
+        if event[0] == "remove" and event[1].startswith("events-")
+    ]
+    assert removed and replaced < synced < removed[0]
 
 
 def test_runtime_periodic_checkpointing(tmp_path):

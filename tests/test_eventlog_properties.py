@@ -40,6 +40,7 @@ from repro.core.engine import DasEngine
 from repro.eventlog import (
     EventLog,
     SubscriberRegistry,
+    SubscriberState,
     ack_record,
     publish_record,
     recover,
@@ -355,45 +356,53 @@ script_strategy = st.lists(
 
 def _state_of(engine, registry):
     """What recovery must rebuild: per-query results, query ids, owners,
-    acked floors and retained ``(offset, query_id, payload)`` entries.
-
-    A resume writes no record unless it acks an offset, so a subscriber
-    that holds nothing (no ack, no query, no entry) is left out."""
+    the compaction floor ``min_acked()``, and each subscriber's acked
+    floor and retained ``(offset, query_id, payload)`` entries."""
     query_ids = sorted(engine._queries)
-    names = [
-        name
-        for name in registry.names()
-        if registry.get(name).acked >= 0
-        or registry.get(name).queries
-        or registry.get(name).outbox
-    ]
     return {
         "results": {
             query_id: [d.doc_id for d in engine.results(query_id)]
             for query_id in query_ids
         },
         "owners": dict(registry._owners),
-        "acked": {name: registry.get(name).acked for name in names},
-        "outboxes": {
-            name: json.dumps(
-                [
-                    (entry["offset"], entry["query_id"], entry["payload"])
-                    for entry in registry.get(name).outbox
-                ],
-                sort_keys=True,
-            )
-            for name in names
+        "min_acked": registry.min_acked(),
+        "subscribers": {
+            name: _held_by(registry.get(name)) for name in registry.names()
         },
     }
 
 
-@given(script=script_strategy)
-@settings(max_examples=30, deadline=None)
-def test_recovery_rebuilds_what_the_runtime_served(script):
-    """Subscribe (anonymous or durable), unsubscribe (unknown ids too),
-    publish, ack, resume and checkpoint against a durable runtime, stop
-    it without draining, and recover the directory into a fresh engine:
-    the recovered state is the live one, and replay meets no refusal."""
+def _held_by(state):
+    return (
+        state.acked,
+        json.dumps(
+            [
+                (entry["offset"], entry["query_id"], entry["payload"])
+                for entry in state.outbox
+            ],
+            sort_keys=True,
+        ),
+    )
+
+
+def _same_state(live, recovered):
+    """``live == recovered``, where a subscriber one side lacks reads as
+    the fresh one ``resume`` would create: acked -1, nothing retained.
+    (A resume that acks nothing writes no record.)"""
+    fresh = _held_by(SubscriberState(""))
+    names = set(live["subscribers"]) | set(recovered["subscribers"])
+
+    def filled(side):
+        held = {name: side["subscribers"].get(name, fresh) for name in names}
+        return {**side, "subscribers": held}
+
+    return filled(live) == filled(recovered)
+
+
+def _serve_and_recover(script_body):
+    """Run ``script_body(runtime, alice)`` against a durable runtime
+    after ``alice`` resumed at -1, stop it without draining, recover the
+    directory into a fresh engine; returns (live, recovered state)."""
     directory = tempfile.mkdtemp(prefix="repro-evlog-run-")
 
     def engine():
@@ -413,6 +422,52 @@ def test_recovery_rebuilds_what_the_runtime_served(script):
         await runtime.start()
         alice = InProcessClient(runtime)
         await alice.resume("alice", -1)
+        await script_body(runtime, alice)
+        live = _state_of(runtime.engine, runtime._registry)
+        await runtime.stop(drain=False)
+        return live
+
+    try:
+        live = asyncio.run(asyncio.wait_for(serve(), 30.0))
+        state = recover(directory, engine(), segment_entries=3)
+        state.log.close()
+        return live, state
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def test_a_subscriber_that_holds_nothing_pins_no_log():
+    """A resume that acks nothing writes no record, so recovery does not
+    know the subscriber; live, it must not pin the log either (it read
+    -1 in ``min_acked()``, recovered None).  Once it owns a query it
+    pins the log in both."""
+
+    async def nothing(runtime, alice):
+        pass
+
+    async def subscribe(runtime, alice):
+        await alice.subscribe(["coffee"])
+
+    live, state = _serve_and_recover(nothing)
+    recovered = _state_of(state.engine, state.registry)
+    assert live["min_acked"] is None
+    assert recovered["min_acked"] is None
+    assert _same_state(live, recovered)
+
+    live, state = _serve_and_recover(subscribe)
+    assert live["min_acked"] == -1
+    assert _state_of(state.engine, state.registry) == live
+
+
+@given(script=script_strategy)
+@settings(max_examples=30, deadline=None)
+def test_recovery_rebuilds_what_the_runtime_served(script):
+    """Subscribe (anonymous or durable), unsubscribe (unknown ids too),
+    publish, ack, resume and checkpoint against a durable runtime, stop
+    it without draining, and recover the directory into a fresh engine:
+    the recovered state is the live one, and replay meets no refusal."""
+
+    async def play(runtime, alice):
         resumes = 1
         created_at = 0.0
         for op, *args in script:
@@ -448,17 +503,9 @@ def test_recovery_rebuilds_what_the_runtime_served(script):
             except ReproError:
                 # Refused: nothing was logged.
                 assert runtime.stats()["eventlog"]["end"] == end
-        live = _state_of(runtime.engine, runtime._registry)
-        await runtime.stop(drain=False)
-        return live
 
-    try:
-        live = asyncio.run(asyncio.wait_for(serve(), 30.0))
-        state = recover(directory, engine(), segment_entries=3)
-        state.log.close()
-        assert state.replay_errors == []
-        assert _state_of(state.engine, state.registry) == live
-        # Both sides share apply_record; this holds it to the engine.
-        assert set(live["owners"]) <= set(live["results"])
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
+    live, state = _serve_and_recover(play)
+    assert state.replay_errors == []
+    assert _same_state(live, _state_of(state.engine, state.registry))
+    # Both sides share apply_record; this holds it to the engine.
+    assert set(live["owners"]) <= set(live["results"])
