@@ -192,6 +192,10 @@ FSYNC_POLICIES = ("always", "batch", "never")
 #: of subscriber lag.  Memory follows the actual backlog, not the bound.
 DEFAULT_OUTBOX_CAPACITY = 4096
 
+#: Documents per matcher micro-batch (``ServerConfig.max_batch_size``) and
+#: per publish run :func:`repro.eventlog.recover` replays in one call.
+DEFAULT_BATCH_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -212,7 +216,7 @@ class ServerConfig:
     #: Cap on a matcher micro-batch (it drains what is queued, up to
     #: this many documents) and on how many requests a TCP connection
     #: reads ahead of its replies.
-    max_batch_size: int = 64
+    max_batch_size: int = DEFAULT_BATCH_SIZE
     #: Default slow-consumer policy for new sessions (per-session
     #: overridable), one of :data:`SLOW_CONSUMER_POLICIES`.
     slow_consumer_policy: str = "block"

@@ -26,6 +26,7 @@ from repro.eventlog.records import (
 )
 from repro.eventlog.recovery import (
     RecoveredState,
+    apply_publishes,
     apply_record,
     check_record,
     checkpoint_path,
@@ -47,6 +48,7 @@ __all__ = [
     "SubscriberState",
     "TokenBucket",
     "ack_record",
+    "apply_publishes",
     "apply_record",
     "check_record",
     "checkpoint_path",

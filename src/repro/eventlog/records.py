@@ -6,8 +6,9 @@ under one monotonic global offset *before* the engine sees it:
 
 ``publish``
     One record per document — never per batch — so a global offset names
-    one accepted op and replay re-applies documents one by one in the
-    accepted order.  Carries the full wire-form document payload
+    one accepted op; replay re-applies runs of them in the accepted
+    order, however the live server batched them.  Carries the full
+    wire-form document payload
     (explicit ``doc_id`` and ``created_at``), so replay is byte-identical
     regardless of clocks or id counters at recovery time.
 ``subscribe`` / ``unsubscribe``

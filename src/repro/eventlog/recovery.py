@@ -12,14 +12,15 @@ newest readable checkpoint (torn or corrupt candidates — a crash during
 ``checkpoint.write`` — are skipped in favour of older ones), restore the
 engine and registry from it, then re-apply every logged record above its
 offset in offset order, each read from its segment file as replay
-reaches it (the log keeps no records in memory).  A record is re-applied
-by :func:`apply_record`, the function the serving runtime applies every
-subscribe, unsubscribe and ack with after logging it, so the live and
-the replayed state cannot drift apart.  Publish replay
-regenerates notifications and re-buffers them for their durable owners,
-which is what makes a resumed subscriber's stream byte-identical to an
-uninterrupted run: logged-but-unacked ops (the at-least-once in-doubt
-window) surface exactly once, via the outbox.
+reaches it (the log keeps no records in memory).  The serving runtime
+changes state through the same functions, so the live and the replayed
+state cannot drift apart: :func:`apply_record` for a subscribe,
+unsubscribe or ack, :func:`apply_publishes` for a run of publishes,
+which replay cuts at any other record and at
+:data:`~repro.config.DEFAULT_BATCH_SIZE` documents (a batch matches as
+its documents would one at a time).  Logged-but-unacked ops (the
+at-least-once in-doubt window) surface exactly once, via the outbox, so
+a resumed subscriber's stream is byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -27,14 +28,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import groupby, islice
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.config import EngineConfig
+from repro.config import DEFAULT_BATCH_SIZE, EngineConfig
+from repro.core.events import Notification
 from repro.core.query import DasQuery
 from repro.errors import ConfigurationError, ReproError
-from repro.eventlog.segments import EventLog, sync_directory
+from repro.eventlog.segments import EventLog
 from repro.eventlog.subscribers import SubscriberRegistry
 from repro.persistence.checkpoint import _write_atomic, restore
+from repro.stream.document import Document
 
 #: Checkpoint file naming: checkpoint-<20-digit offset>.json
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -42,6 +46,8 @@ CHECKPOINT_SUFFIX = ".json"
 
 #: Format marker for the combined engine+registry checkpoint file.
 EVENTLOG_CHECKPOINT_VERSION = 1
+
+_Entry = Tuple[int, Dict[str, Any]]  # (offset, record) read from the log
 
 
 def checkpoint_path(directory: str, offset: int) -> str:
@@ -76,13 +82,12 @@ def write_checkpoint(
     """Atomically write a checkpoint at ``offset``; prunes old ones.
 
     Same crash discipline as :func:`repro.persistence.checkpoint.save`
-    (one temp-file, fsync and replace sequence): an injected
-    ``checkpoint.write`` ``torn`` fault leaves a truncated *temp* file —
-    never a truncated checkpoint — so recovery falls back to the previous
-    one.  The directory is then fsynced under the log's ``fsync`` policy
-    (:func:`repro.eventlog.segments.sync_directory`), so the new name is
-    durable before an older checkpoint — or, in the caller, any log
-    segment the checkpoint covers — is removed.
+    (one temp-file, fsync, replace and directory-fsync sequence): an
+    injected ``checkpoint.write`` ``torn`` fault leaves a truncated
+    *temp* file — never a truncated checkpoint — so recovery falls back
+    to the previous one.  The directory sync follows the log's ``fsync``
+    policy, so the new name is durable before an older checkpoint — or,
+    in the caller, any log segment the checkpoint covers — is removed.
     """
     payload = {
         "version": EVENTLOG_CHECKPOINT_VERSION,
@@ -91,8 +96,7 @@ def write_checkpoint(
         "subscribers": subscribers_payload,
     }
     path = checkpoint_path(directory, offset)
-    _write_atomic(path, json.dumps(payload), injector)
-    sync_directory(directory, fsync)
+    _write_atomic(path, json.dumps(payload), injector, fsync)
     for old in _checkpoint_offsets(directory)[:-keep]:
         os.remove(checkpoint_path(directory, old))
     return path
@@ -129,8 +133,8 @@ class RecoveredState:
     log: EventLog
     checkpoint_offset: int = -1
     replayed: int = 0
-    #: (offset, error string) for tolerated replay anomalies (e.g. an
-    #: unsubscribe whose query a later checkpoint already removed).
+    #: (offset, error) per tolerated replay anomaly, e.g. an unsubscribe of
+    #: a query already gone; a refused publish run under its first offset.
     replay_errors: List[Tuple[int, str]] = field(default_factory=list)
 
 
@@ -163,12 +167,8 @@ def apply_record(
     """Apply one record to an engine + registry pair (``registry`` is
     None for a server without the log): how a subscribe, unsubscribe or
     ack changes state, live or replayed.  Returns a subscribe's initial
-    results, an ack's count of trimmed outbox entries.
-
-    Publish replay re-buffers the regenerated notifications for their
-    durable owners (the registry drops offsets at or below an acked
-    floor, keeping replay idempotent); the live server routes its
-    publish batches itself.
+    results, an ack's count of trimmed outbox entries.  A publish record
+    goes through :func:`apply_publishes` as a run of one.
     """
     kind = record["kind"]
     if kind == "subscribe":
@@ -184,22 +184,62 @@ def apply_record(
         return None
     if kind == "ack":
         return registry.ack(record["subscriber"], record["offset"])
-    from repro.server.protocol import (
-        document_from_payload,
-        notification_payload,
-    )
-
-    document = document_from_payload(record["doc"])
-    for notification in engine.publish_batch([document]):
-        name = registry.owner_of(notification.query_id)
-        if name is not None:
-            registry.offer(
-                name,
-                offset,
-                notification.query_id,
-                notification_payload(notification, offset=offset),
-            )
+    _replay_publishes(engine, registry, [(offset, record)])
     return None
+
+
+def apply_publishes(
+    engine: object,
+    registry: Optional[SubscriberRegistry],
+    documents: List[Document],
+    offsets: Optional[List[int]] = None,
+    payloads: Optional[Dict[int, Dict[str, Any]]] = None,
+    matched: Optional[Callable[[], None]] = None,
+) -> List[Tuple[Notification, Optional[int], Optional[Dict[str, Any]]]]:
+    """Apply a run of logged publishes, live or replayed: one
+    ``engine.publish_batch`` (``matched()`` is called when it returns),
+    then each notification whose query a durable subscriber owns is
+    offered to its outbox under its document's log offset (``offsets``
+    in document order; None without the log).  Document payloads come
+    from ``payloads`` (doc id -> payload), built and added when missing.
+    Returns ``(notification, offset, outbox payload or None)`` in the
+    engine's order, for the caller to route."""
+    from repro.server.protocol import notification_payload
+
+    notifications = engine.publish_batch(documents)
+    if matched is not None:
+        matched()
+    offset_of = dict(zip([doc.doc_id for doc in documents], offsets or ()))
+    payloads = {} if payloads is None else payloads
+    kept = []
+    for notification in notifications:
+        offset = offset_of.get(notification.document.doc_id)
+        payload = None
+        if offset is not None:
+            name = registry.owner_of(notification.query_id)
+            if name is not None:
+                payload = notification_payload(notification, offset, payloads)
+                registry.offer(name, offset, notification.query_id, payload)
+        kept.append((notification, offset, payload))
+    return kept
+
+
+def _replay_publishes(
+    engine: object, registry: SubscriberRegistry, run: List[_Entry]
+) -> None:
+    from repro.server.protocol import document_from_payload
+
+    documents = [document_from_payload(record["doc"]) for _, record in run]
+    apply_publishes(engine, registry, documents, [offset for offset, _ in run])
+
+
+def _runs(entries: Iterator[_Entry], limit: int) -> Iterator[List[_Entry]]:
+    """``entries`` cut into replay units: up to ``limit`` consecutive
+    publish records, or one record of any other kind."""
+    kinds = groupby(entries, lambda entry: entry[1]["kind"] == "publish")
+    for publishes, group in kinds:
+        size = limit if publishes else 1
+        yield from iter(lambda: list(islice(group, size)), [])
 
 
 def _require_same_config(restored: EngineConfig, provided: EngineConfig) -> None:
@@ -262,14 +302,18 @@ def recover(
         log=log,
         checkpoint_offset=checkpoint_offset,
     )
-    for offset, record in log.entries_since(replay_from):
+    for run in _runs(log.entries_since(replay_from), DEFAULT_BATCH_SIZE):
+        offset, record = run[0]
         try:
-            apply_record(engine, registry, offset, record)
+            if record["kind"] == "publish":
+                _replay_publishes(engine, registry, run)
+            else:
+                apply_record(engine, registry, offset, record)
         except ReproError as exc:
             # Tolerated: e.g. unsubscribing a query the engine no longer
             # knows.  Replay must converge on the pre-crash state, not
             # die on an op the live server also treated as a client
             # error.
             state.replay_errors.append((offset, str(exc)))
-        state.replayed += 1
+        state.replayed += len(run)
     return state

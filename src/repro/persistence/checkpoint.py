@@ -20,6 +20,7 @@ the original: same results, same thresholds, same future decisions
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from typing import Dict, List, Optional
@@ -36,24 +37,7 @@ CHECKPOINT_VERSION = 1
 
 
 def _config_to_dict(config: EngineConfig) -> Dict:
-    return {
-        "k": config.k,
-        "alpha": config.alpha,
-        "smoothing_lambda": config.smoothing_lambda,
-        "decay_base": config.decay_base,
-        "block_size": config.block_size,
-        "delta_s": config.delta_s,
-        "phi_max": config.phi_max,
-        "use_blocks": config.use_blocks,
-        "use_group_filter": config.use_group_filter,
-        "use_agg_weights": config.use_agg_weights,
-        "init_scan_limit": config.init_scan_limit,
-        "store_capacity": config.store_capacity,
-        "mode": config.mode,
-        "window_size": config.window_size,
-        "spatial_cells": config.spatial_cells,
-        "spatial_weight": config.spatial_weight,
-    }
+    return dataclasses.asdict(config)
 
 
 def _config_from_dict(payload: Dict) -> EngineConfig:
@@ -288,16 +272,21 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
 
 
 def _write_atomic(
-    path: str, data: str, injector: Optional[object] = None
+    path: str, data: str, injector: Optional[object] = None, fsync="always"
 ) -> None:
     """Write ``data`` to ``path`` so a crash leaves the old file or the new.
 
     The data goes to a sibling temp file, is fsynced, and is moved into
-    place with ``os.replace``.  A crash mid-write (simulated through the
+    place with ``os.replace``; the directory is then fsynced under the
+    ``fsync`` policy (skipped under ``never``), so the new name survives
+    a crash too.  A crash mid-write (simulated through the
     ``checkpoint.write`` injection point of ``injector``) leaves any
     previous file at ``path`` intact; a ``torn`` fault leaves a truncated
     temp file behind — never a truncated ``path``.
     """
+    # Imported here: repro.eventlog imports this module.
+    from repro.eventlog.segments import sync_directory
+
     tmp_path = path + ".tmp"
     with open(tmp_path, "w") as handle:
         if injector is not None:
@@ -311,6 +300,7 @@ def _write_atomic(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
+    sync_directory(os.path.dirname(path) or ".", fsync)
 
 
 def save(

@@ -111,30 +111,34 @@ def document_from_payload(payload: Dict[str, Any]) -> Document:
 def notification_payload(
     notification: Notification,
     offset: Optional[int] = None,
-    document: Optional[Dict[str, Any]] = None,
-    replaced: Optional[Dict[str, Any]] = None,
+    documents: Optional[Dict[int, Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """One result-set change; ``offset`` is the event-log offset of the
     publish that produced it (present only when the log is enabled).
 
-    ``document`` / ``replaced`` are the already-built
-    :func:`document_payload` of ``notification.document`` /
-    ``notification.replaced``, for callers fanning one publish out to
-    many queries; they are shared, not copied."""
-    if replaced is None and notification.replaced is not None:
-        replaced = document_payload(notification.replaced)
+    ``documents`` maps doc id -> :func:`document_payload`, for callers
+    fanning one batch out to many queries: a document's payload is taken
+    from it (built and added when missing), so it is built once and
+    shared, not copied."""
+    documents = {} if documents is None else documents
+    replaced = notification.replaced
     payload = {
         "op": "notify",
         "query_id": notification.query_id,
-        "document": (
-            document
-            if document is not None
-            else document_payload(notification.document)
+        "document": _shared_payload(notification.document, documents),
+        "replaced": (
+            None if replaced is None else _shared_payload(replaced, documents)
         ),
-        "replaced": replaced,
     }
     if offset is not None:
         payload["offset"] = int(offset)
+    return payload
+
+
+def _shared_payload(document: Document, documents: Dict) -> Dict[str, Any]:
+    payload = documents.get(document.doc_id)
+    if payload is None:
+        payload = documents[document.doc_id] = document_payload(document)
     return payload
 
 

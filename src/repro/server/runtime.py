@@ -7,7 +7,7 @@ Architecture (one event loop, one thread, one matcher):
     publishers --await put--> [bounded ingest queue] --> matcher task
                                                            |  drains what is queued
                                                            v  (on the loop)
-                                                     engine.publish_batch
+                                     log append, then apply_publishes
                                                            |
                               per-subscriber sessions <----+  route notifications
                               (bounded, slow-consumer policy)
@@ -68,6 +68,7 @@ from repro.eventlog import (
     SubscriberRegistry,
     TokenBucket,
     ack_record,
+    apply_publishes,
     apply_record,
     check_record,
     publish_record,
@@ -112,17 +113,23 @@ class _PublishItem:
         "enqueued_at",
     )
 
-    def __init__(
-        self, tokens, text, created_at, future, enqueued_at=0.0, location=None
-    ) -> None:
-        self.tokens = tokens
-        self.text = text
-        self.created_at = created_at
-        self.location = location
+    def __init__(self, request, future, enqueued_at) -> None:
+        self.tokens = request.get("tokens")
+        self.text = request.get("text")
+        self.created_at = request.get("created_at")
+        self.location = request.get("location")
         self.future = future
         #: Runtime clock reading at ingest-queue admission; the matcher
         #: observes ``dequeue - enqueued_at`` as ingest-queue wait.
         self.enqueued_at = enqueued_at
+
+    def document(self, doc_id: int, timestamp: float) -> Document:
+        """The document this publish is accepted as."""
+        if self.tokens is not None:
+            return Document.from_tokens(
+                doc_id, self.tokens, timestamp, self.text, self.location
+            )
+        return Document.from_text(doc_id, self.text, timestamp, self.location)
 
 
 class _ControlItem:
@@ -483,17 +490,7 @@ class ServerRuntime:
         if self._injector is not None:
             self._injector.fire("ingest.put")
         future = self._loop.create_future()
-        location = request.get("location")
-        await self._ingest.put(
-            _PublishItem(
-                request.get("tokens"),
-                request.get("text"),
-                request.get("created_at"),
-                future,
-                enqueued_at=self._now(),
-                location=tuple(location) if location is not None else None,
-            )
-        )
+        await self._ingest.put(_PublishItem(request, future, self._now()))
         return future
 
     async def _throttle(self, session: SubscriberSession) -> None:
@@ -920,6 +917,9 @@ class ServerRuntime:
                 item.future.set_result(result)
 
     async def _run_publish_batch(self, items: List[_PublishItem]) -> None:
+        """Append, match, route and ack one batch.  A failure before the
+        documents are in the engine propagates and fails the batch; one
+        after is a delivery error, and the acks still resolve."""
         dequeued_at = self._now()
         ingest_histogram = self._pipeline["ingest_queue"]
         prepared = []
@@ -937,50 +937,37 @@ class ServerRuntime:
             prepared.append((item, doc_id, timestamp))
             self._accepted += 1
 
-        offsets: Optional[Dict[int, int]] = None
+        offsets: Optional[List[int]] = None
         payloads: Dict[int, Dict[str, Any]] = {}
+        notify_started: Optional[float] = None
+
+        def matched() -> None:
+            nonlocal notify_started
+            self._pipeline["micro_batch"].observe(
+                max(0.0, self._now() - batch_started)
+            )
+            self._published += len(documents)
+            notify_started = self._now()
+
         try:
-            documents = []
-            for publish_item, doc_id, timestamp in prepared:
-                if publish_item.tokens is not None:
-                    documents.append(
-                        Document.from_tokens(
-                            doc_id,
-                            publish_item.tokens,
-                            timestamp,
-                            publish_item.text,
-                            publish_item.location,
-                        )
-                    )
-                else:
-                    documents.append(
-                        Document.from_text(
-                            doc_id,
-                            publish_item.text,
-                            timestamp,
-                            publish_item.location,
-                        )
-                    )
+            documents = [
+                item.document(doc_id, timestamp)
+                for item, doc_id, timestamp in prepared
+            ]
             if self._eventlog is not None:
                 # WAL discipline: the batch's records are durable *before*
-                # the engine matches it.  One append_many call = one fsync
-                # for the batch.
+                # the engine matches it, in one append (one fsync).
                 payloads = {
                     document.doc_id: document_payload(document)
                     for document in documents
                 }
                 append_started = self._now()
-                assigned = self._eventlog.append_many(
+                offsets = self._append(
                     [publish_record(payload) for payload in payloads.values()]
                 )
                 self._pipeline["eventlog_append"].observe(
                     max(0.0, self._now() - append_started)
                 )
-                self._appended_since_checkpoint += len(assigned)
-                offsets = {
-                    document.doc_id: offset
-                    for document, offset in zip(documents, assigned)
-                }
             if self._injector is not None:
                 if self._eventlog is not None:
                     # The post-append / pre-match crash window: a fault
@@ -990,94 +977,47 @@ class ServerRuntime:
                     self._injector.fire("eventlog.match")
                 self._injector.fire("engine.publish_batch")
             batch_started = self._now()
-            notifications = self._engine.publish_batch(documents)
-            self._pipeline["micro_batch"].observe(
-                max(0.0, self._now() - batch_started)
+            kept = apply_publishes(
+                self._engine,
+                self._registry,
+                documents,
+                offsets,
+                payloads,
+                matched,
             )
-        except Exception as exc:
-            self._matcher_errors += 1
-            for publish_item, _doc_id, _timestamp in prepared:
-                if not publish_item.future.done():
-                    publish_item.future.set_exception(exc)
-            return
-        self._published += len(documents)
-        notify_started = self._now()
-        try:
-            await self._route(notifications, offsets, payloads)
+            await self._route(kept, payloads)
         except Exception:
+            if notify_started is None:
+                raise
             # Delivery failures must not fail the publish acks: the
             # documents *are* in the engine.  Count and move on.
             self._delivery_errors += 1
         finally:
-            self._pipeline["notify"].observe(
-                max(0.0, self._now() - notify_started)
-            )
-        for publish_item, doc_id, timestamp in prepared:
-            if not publish_item.future.done():
-                ack: Dict[str, Any] = {
-                    "doc_id": doc_id,
-                    "created_at": timestamp,
-                }
+            if notify_started is not None:
+                self._pipeline["notify"].observe(
+                    max(0.0, self._now() - notify_started)
+                )
+        for index, (item, doc_id, timestamp) in enumerate(prepared):
+            if not item.future.done():
+                ack = {"doc_id": doc_id, "created_at": timestamp}
                 if offsets is not None:
-                    ack["offset"] = offsets[doc_id]
-                publish_item.future.set_result(ack)
+                    ack["offset"] = offsets[index]
+                item.future.set_result(ack)
 
     async def _route(
         self,
-        notifications: List[Notification],
-        offsets: Optional[Dict[int, int]],
+        kept: List[Tuple[Notification, Optional[int], Optional[Dict]]],
         payloads: Dict[int, Dict[str, Any]],
     ) -> None:
-        """Fan notifications out to their owning sessions.
-
-        Coalescing sessions receive one result-set snapshot per touched
-        query per batch instead of per-change notifications.  With the
-        event log enabled (``offsets`` maps doc id -> global offset),
-        every notification for a durable subscriber is also retained in
-        its outbox until acked — whether or not it is attached.
-
-        ``payloads`` maps doc id -> document payload for the documents
-        the caller already serialised (it is filled in for the rest,
-        evicted documents included), so a document is serialised once
-        per batch however many queries it reaches or leaves, and a
-        connection that writes several of its notifications at once
-        encodes it once per write.  Each notification's payload is
-        likewise built once and the one dict shared by the outbox and
-        the session queue — neither mutates it.
-        """
+        """Fan what :func:`apply_publishes` returned out to the owning
+        sessions.  A payload a durable outbox kept is shared with the
+        session queue (neither mutates it); the others are built here
+        from ``payloads`` (doc id -> document payload, filled in as
+        needed), so a document is serialised once per batch however many
+        queries it reaches or leaves.  Coalescing sessions receive one
+        result-set snapshot per touched query per batch instead."""
         touched: Dict[int, List[int]] = {}
-
-        def shared(document: Document) -> Dict[str, Any]:
-            payload = payloads.get(document.doc_id)
-            if payload is None:
-                payload = payloads[document.doc_id] = document_payload(
-                    document
-                )
-            return payload
-
-        def build(notification: Notification, offset: Optional[int]):
-            replaced = notification.replaced
-            return notification_payload(
-                notification,
-                offset=offset,
-                document=shared(notification.document),
-                replaced=shared(replaced) if replaced is not None else None,
-            )
-
-        for notification in notifications:
-            offset = (
-                offsets.get(notification.document.doc_id)
-                if offsets is not None
-                else None
-            )
-            payload = None
-            if offset is not None and self._registry is not None:
-                name = self._registry.owner_of(notification.query_id)
-                if name is not None:
-                    payload = build(notification, offset)
-                    self._registry.offer(
-                        name, offset, notification.query_id, payload
-                    )
+        for notification, offset, payload in kept:
             session = self._owners.get(notification.query_id)
             if session is None or session.closed:
                 continue
@@ -1087,7 +1027,7 @@ class ServerRuntime:
                     queries.append(notification.query_id)
                 continue
             if payload is None:
-                payload = build(notification, offset)
+                payload = notification_payload(notification, offset, payloads)
             delivered = await session.offer(payload, notification.query_id)
             if delivered and offset is not None:
                 session.delivered_offset = max(
@@ -1155,9 +1095,16 @@ class ServerRuntime:
         same steps run, minus the append."""
         check_record(self._engine, record)
         if self._eventlog is not None:
-            self._eventlog.append(record)
-            self._appended_since_checkpoint += 1
+            self._append([record])
         return apply_record(self._engine, self._registry, None, record)
+
+    def _append(self, records: List[Dict[str, Any]]) -> List[int]:
+        """Append ``records`` as one durability unit (one flush, and one
+        fsync under ``always``) and count them toward the next
+        auto-checkpoint; returns their offsets."""
+        offsets = self._eventlog.append_many(records)
+        self._appended_since_checkpoint += len(offsets)
+        return offsets
 
     # -- durability tier (DESIGN.md §14) -----------------------------------
 

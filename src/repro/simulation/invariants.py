@@ -54,9 +54,9 @@ accepted operation:
     The durability tier's offset/DLQ obligations
     (:meth:`InvariantMonitor.check_eventlog`, takes the serving
     runtime): log base <= end, the checkpoint never points past the
-    log, retained outboxes hold strictly ascending offsets all above
-    the acked floor, and the dead-letter accounting is consistent
-    with the DLQ segment.
+    log, retained outboxes hold strictly ascending ``(offset,
+    query_id)`` pairs all above the acked floor, and the dead-letter
+    accounting is consistent with the DLQ segment.
 
 :class:`InstrumentedEngine` wraps a :class:`DasEngine` so the monitor
 sees every document individually (mid-batch) and the ``engine.doc``
@@ -580,9 +580,9 @@ class InvariantMonitor:
           points past the log's end;
         * truncation safety: the base never advanced past the newest
           checkpoint (every un-checkpointed record is still replayable);
-        * outboxes: strictly ascending offsets, all above the owner's
-          acked floor (no retained entry the subscriber already
-          confirmed);
+        * outboxes: strictly ascending ``(offset, query_id)`` pairs,
+          all above the owner's acked floor (no retained entry the
+          subscriber already confirmed);
         * DLQ: the registry's dead-letter counters never exceed the
           DLQ segment (every counted entry was durably written) and
           every entry carries a known reason and sane offset.
@@ -614,17 +614,18 @@ class InvariantMonitor:
             for name in registry.names():
                 state = registry.get(name)
                 total_dead += state.dead_lettered
-                offsets = [entry["offset"] for entry in state.outbox]
-                if any(a >= b for a, b in zip(offsets, offsets[1:])):
+                # One publish may notify several of its queries.
+                keys = [(e["offset"], e["query_id"]) for e in state.outbox]
+                if any(a >= b for a, b in zip(keys, keys[1:])):
                     self._record(
                         "eventlog",
-                        f"subscriber {name!r} outbox offsets not strictly "
-                        f"ascending: {offsets}",
+                        f"subscriber {name!r} outbox (offset, query id) "
+                        f"pairs not strictly ascending: {keys}",
                     )
-                if offsets and offsets[0] <= state.acked:
+                if keys and keys[0][0] <= state.acked:
                     self._record(
                         "eventlog",
-                        f"subscriber {name!r} retains offset {offsets[0]} "
+                        f"subscriber {name!r} retains offset {keys[0][0]} "
                         f"at or below its acked floor {state.acked}",
                     )
         dlq = getattr(runtime, "_dlq", None)

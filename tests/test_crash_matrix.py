@@ -35,6 +35,7 @@ from repro.config import ServerConfig
 from repro.core.engine import DasEngine
 from repro.errors import ReproError
 from repro.server import InProcessClient, ServerRuntime
+from repro.simulation import InvariantMonitor
 from repro.simulation.faults import FaultPlan
 
 KILL_POINTS = (
@@ -186,6 +187,8 @@ async def run_with_crash(directory, kill_point):
 
     # -- recovery ---------------------------------------------------------
     runtime = await start_runtime(directory)
+    monitor = InvariantMonitor(runtime.engine, with_oracle=False)
+    monitor.check_eventlog(runtime)
     driver2 = Driver(runtime)
     driver2.received = driver.received
     driver2.acked = driver.acked
@@ -200,6 +203,8 @@ async def run_with_crash(directory, kill_point):
         await driver2.publish(tokens, created_at)
         await driver2.ack_seen()
     await driver2.drain()
+    monitor.check_eventlog(runtime)
+    assert monitor.checks["eventlog"] == 2 and monitor.violations == []
     stats = await driver2.client.stats()
     await driver2.client.close()
     await runtime.stop()

@@ -27,7 +27,7 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -49,6 +49,7 @@ from repro.eventlog import (
 from repro.errors import ReproError
 from repro.server import InProcessClient, ServerRuntime
 from repro.server.protocol import raise_for_reply
+from repro.simulation import InvariantMonitor
 
 VOCAB = ["coffee", "espresso", "beans", "tea", "green", "milk"]
 
@@ -346,6 +347,9 @@ script_strategy = st.lists(
             st.booleans(),
         ),
         st.tuples(st.just("publish"), tokens_strategy),
+        st.tuples(
+            st.just("burst"), st.lists(tokens_strategy, min_size=2, max_size=8)
+        ),
         st.tuples(st.just("ack"), st.integers(min_value=-1, max_value=40)),
         st.tuples(st.just("resume"), st.integers(min_value=-1, max_value=40)),
         st.tuples(st.just("checkpoint")),
@@ -459,15 +463,34 @@ def test_a_subscriber_that_holds_nothing_pins_no_log():
     assert _state_of(state.engine, state.registry) == live
 
 
+#: Two bursts back to back: live batches of 40 and 40, replayed as one
+#: run cut at 64 documents and a second of 16.
+_LONG_RUN = [
+    ("subscribe", ["coffee"], True),
+    ("subscribe", ["coffee", "beans"], True),
+    ("subscribe", ["tea", "milk"], False),
+    ("burst", [["coffee", "beans"], ["tea"], ["milk"], ["green"]] * 10),
+    ("burst", [["coffee"], ["tea", "green"], ["beans"], ["milk"]] * 10),
+    ("unsubscribe", 2, False),
+    ("burst", [["coffee", "tea"], ["coffee"]]),
+    ("ack", 50),
+    ("publish", ["coffee", "milk"]),
+]
+
+
 @given(script=script_strategy)
+@example(script=_LONG_RUN)
 @settings(max_examples=30, deadline=None)
 def test_recovery_rebuilds_what_the_runtime_served(script):
     """Subscribe (anonymous or durable), unsubscribe (unknown ids too),
-    publish, ack, resume and checkpoint against a durable runtime, stop
-    it without draining, and recover the directory into a fresh engine:
-    the recovered state is the live one, and replay meets no refusal."""
+    publish one at a time or in a pipelined burst the matcher batches,
+    ack, resume and checkpoint against a durable runtime, stop it
+    without draining, and recover the directory into a fresh engine:
+    the recovered state is the live one, and replay meets no refusal.
+    The invariant monitor audits the live runtime after every step."""
 
     async def play(runtime, alice):
+        monitor = InvariantMonitor(runtime.engine, with_oracle=False)
         resumes = 1
         created_at = 0.0
         for op, *args in script:
@@ -493,6 +516,15 @@ def test_recovery_rebuilds_what_the_runtime_served(script):
                 elif op == "publish":
                     created_at += 1.0
                     await alice.publish(tokens=args[0], created_at=created_at)
+                elif op == "burst":
+                    stamps = [created_at + 1.0 + i for i in range(len(args[0]))]
+                    created_at = stamps[-1]
+                    await asyncio.gather(
+                        *(
+                            alice.publish(tokens=tokens, created_at=stamp)
+                            for tokens, stamp in zip(args[0], stamps)
+                        )
+                    )
                 elif op == "ack":
                     await alice.ack(args[0])
                 elif op == "resume" and resumes < MAX_ATTEMPTS:
@@ -503,6 +535,8 @@ def test_recovery_rebuilds_what_the_runtime_served(script):
             except ReproError:
                 # Refused: nothing was logged.
                 assert runtime.stats()["eventlog"]["end"] == end
+            monitor.check_eventlog(runtime)
+        assert monitor.violations == []
 
     live, state = _serve_and_recover(play)
     assert state.replay_errors == []

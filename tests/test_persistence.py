@@ -158,8 +158,10 @@ def test_save_load_file_roundtrip(live_engine, tmp_path):
 def test_save_fsyncs_the_file_before_replacing(live_engine, tmp_path, monkeypatch):
     """The whole payload is flushed and fsynced before it takes the
     checkpoint's name, so a crash right after the rename cannot leave an
-    empty or partial checkpoint at ``path``."""
+    empty or partial checkpoint at ``path``; the directory is fsynced
+    after the rename, so the new name survives the crash too."""
     import os
+    import stat
 
     engine, _corpus, _docs = live_engine
     path = str(tmp_path / "engine.json")
@@ -167,7 +169,11 @@ def test_save_fsyncs_the_file_before_replacing(live_engine, tmp_path, monkeypatc
     real_fsync, real_replace = os.fsync, os.replace
 
     def fsync(fd):
-        events.append(("fsync", os.fstat(fd).st_size))
+        status = os.fstat(fd)
+        if stat.S_ISDIR(status.st_mode):
+            events.append(("dir-fsync", status.st_ino))
+        else:
+            events.append(("fsync", status.st_size))
         real_fsync(fd)
 
     def replace(src, dst):
@@ -180,6 +186,7 @@ def test_save_fsyncs_the_file_before_replacing(live_engine, tmp_path, monkeypatc
     assert events == [
         ("fsync", os.path.getsize(path)),
         ("replace", path + ".tmp", path),
+        ("dir-fsync", os.stat(tmp_path).st_ino),
     ]
 
 

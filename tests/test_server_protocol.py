@@ -151,17 +151,17 @@ def test_memo_encoding_is_byte_identical_to_json_dumps(batch):
 def test_memo_encodes_a_shared_document_once():
     document = Document.from_tokens(1, ["a"], 1.0)
     replaced = Document.from_tokens(0, ["a"], 0.5)
-    shared = document_payload(document)
-    evicted = document_payload(replaced)
+    documents = {}
     batch = [
         notification_payload(
-            Notification(query_id, document, replaced),
-            offset=9,
-            document=shared,
-            replaced=evicted,
+            Notification(query_id, document, replaced), 9, documents
         )
         for query_id in range(3)
     ]
+    shared, evicted = documents[1], documents[0]
+    assert shared == document_payload(document)
+    assert evicted == document_payload(replaced)
+    assert all(payload["document"] is shared for payload in batch)
     assert all(payload["replaced"] is evicted for payload in batch)
     memo = {}
     lines = [encode_line(payload, memo) for payload in batch]
