@@ -62,11 +62,7 @@ class NaiveEngine:
             self._stats, self._config.smoothing_lambda
         )
         self._decay = ExponentialDecay(self._config.decay_base)
-        self._store = (
-            store
-            if store is not None
-            else DocumentStore(self._config.store_capacity)
-        )
+        self._store = store if store is not None else DocumentStore()
         self._queries: Dict[int, DasQuery] = {}
         #: query id -> result rows, oldest first.
         self._results: Dict[int, List[_Result]] = {}
@@ -113,8 +109,6 @@ class NaiveEngine:
         ]
         self._queries[query.query_id] = query
         self._results[query.query_id] = rows
-        for document in seeds:
-            self._store.pin(document.doc_id)
         self.counters.queries_subscribed += 1
         return list(reversed(seeds))
 
@@ -122,8 +116,7 @@ class NaiveEngine:
         if query_id not in self._queries:
             raise UnknownQueryError(f"query {query_id} is not subscribed")
         del self._queries[query_id]
-        for row in self._results.pop(query_id):
-            self._store.unpin(row.document.doc_id)
+        del self._results[query_id]
 
     def results(self, query_id: int) -> List[Document]:
         rows = self._results.get(query_id)
@@ -176,7 +169,6 @@ class NaiveEngine:
             trel_new = self._scorer.trel(query.terms, vector)
             if len(rows) < config.k:
                 rows.append(_Result(document, trel_new))
-                self._store.pin(document.doc_id)
                 self.counters.matches += 1
                 notifications.append(Notification(query_id, document, None))
                 continue
@@ -186,8 +178,6 @@ class NaiveEngine:
             if dr_after > dr_before + TIE_EPSILON:
                 evicted = rows[0].document
                 self._results[query_id] = candidate
-                self._store.unpin(evicted.doc_id)
-                self._store.pin(document.doc_id)
                 self.counters.matches += 1
                 notifications.append(
                     Notification(query_id, document, evicted)

@@ -57,11 +57,7 @@ class _OracleBase:
         self._scorer = LanguageModelScorer(
             self._stats, self._config.smoothing_lambda
         )
-        self._store = (
-            store
-            if store is not None
-            else DocumentStore(self._config.store_capacity)
-        )
+        self._store = store if store is not None else DocumentStore()
         self._queries: Dict[int, DasQuery] = {}
         self.counters = counters if counters is not None else Counters()
 
@@ -141,10 +137,8 @@ class WindowOracle(_OracleBase):
         self._seq += 1
         seq = self._seq
         self._live.append((seq, document.doc_id))
-        self._store.pin(document.doc_id)
         while len(self._live) > self._config.window_size:
-            _seq, old_id = self._live.popleft()
-            self._store.unpin(old_id)
+            self._live.popleft()
         vector = document.vector
         notifications: List[Notification] = []
         k = self._config.k
@@ -284,8 +278,6 @@ class SpatialOracle(_OracleBase):
             doc_id: scores[doc_id] for doc_id in result
         }
         self._results[query.query_id] = result
-        for doc_id in result:
-            self._store.pin(doc_id)
         self.counters.queries_subscribed += 1
         return [self._store.get(doc_id) for doc_id in result]
 
@@ -294,8 +286,7 @@ class SpatialOracle(_OracleBase):
             raise UnknownQueryError(f"query {query_id} is not subscribed")
         del self._queries[query_id]
         del self._scores[query_id]
-        for doc_id in self._results.pop(query_id):
-            self._store.unpin(doc_id)
+        del self._results[query_id]
 
     def publish(self, document: Document) -> List[Notification]:
         self._ingest(document)
@@ -317,7 +308,6 @@ class SpatialOracle(_OracleBase):
                     key=lambda doc_id: (scores[doc_id], doc_id),
                     reverse=True,
                 )
-                self._store.pin(document.doc_id)
                 self.counters.matches += 1
                 notifications.append(Notification(query_id, document, None))
                 continue
@@ -330,8 +320,6 @@ class SpatialOracle(_OracleBase):
                     key=lambda doc_id: (scores[doc_id], doc_id),
                     reverse=True,
                 )
-                self._store.unpin(worst_id)
-                self._store.pin(document.doc_id)
                 self.counters.matches += 1
                 notifications.append(
                     Notification(

@@ -73,9 +73,6 @@ class EngineConfig:
     #: Number of most-recent matching documents scanned when initialising
     #: the result set of a freshly subscribed query.
     init_scan_limit: int = 256
-    #: Capacity of the shared document store (documents pinned by live
-    #: result sets are never evicted).  ``UNLIMITED`` keeps everything.
-    store_capacity: int = UNLIMITED
 
     # --- Strategy seam (repro.core.strategies, DESIGN.md §16) ---
     #: Ranking/expiry mode, one of :data:`STRATEGY_MODES`.
@@ -114,10 +111,6 @@ class EngineConfig:
         if self.phi_max != UNLIMITED and self.phi_max < 0:
             raise ConfigurationError(
                 f"phi_max must be >= 0 or UNLIMITED, got {self.phi_max}"
-            )
-        if self.store_capacity != UNLIMITED and self.store_capacity < 1:
-            raise ConfigurationError(
-                f"store_capacity must be >= 1 or UNLIMITED, got {self.store_capacity}"
             )
         if self.init_scan_limit < 0:
             raise ConfigurationError(
@@ -229,10 +222,12 @@ class ServerConfig:
     port: int = 8765
 
     # --- Deterministic-simulation hooks (see repro.simulation) ---
-    #: Wall-clock stand-in for default publish timestamps.  ``None``
-    #: uses ``time.time``; the simulation harness passes the ``now`` of
-    #: a :class:`~repro.stream.clock.SimulationClock` so accepted
-    #: timestamps are a pure function of the op schedule.
+    #: Wall-clock stand-in for default publish timestamps and for the
+    #: pipeline histograms' durations.  ``None`` stamps with
+    #: ``time.time`` and times with ``time.perf_counter``, so a
+    #: wall-clock step moves no duration; the simulation harness passes
+    #: the ``now`` of a :class:`~repro.stream.clock.SimulationClock` so
+    #: timestamps and histograms are a pure function of the op schedule.
     time_source: Optional[Callable[[], float]] = None
     #: Fault-injection hook (:class:`repro.simulation.faults.FaultInjector`
     #: or anything with a ``fire(point)`` method).  ``None`` disables

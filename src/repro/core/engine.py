@@ -124,11 +124,7 @@ class DasEngine:
         self._coeff = diversity_coefficient(
             self._config.alpha, self._config.k
         )
-        self._store = (
-            store
-            if store is not None
-            else DocumentStore(self._config.store_capacity)
-        )
+        self._store = store if store is not None else DocumentStore()
         self._budget = (
             MemoryBudget(self._config.phi_max)
             if self._config.use_agg_weights
@@ -377,8 +373,6 @@ class DasEngine:
         cosines, aw_dots = result_set.seed(seeds, trels)
         self.counters.sim_evaluations += cosines
         self.counters.aw_dot_products += aw_dots
-        for document in seeds:
-            self._store.pin(document.doc_id)
         self._queries[query.query_id] = query
         self._result_sets[query.query_id] = result_set
         self._last_query_id = query.query_id
@@ -396,8 +390,6 @@ class DasEngine:
             return
         result_set = self._result_sets.pop(query_id)
         del self._queries[query_id]
-        for document in result_set._docs:
-            self._store.unpin(document.doc_id)
         result_set.release_budget()
         self._index.remove(query, self._memberships.pop(query_id))
 
@@ -460,12 +452,11 @@ class DasEngine:
         lists_memo: Dict[str, Optional[List[PostingsBlock]]],
     ) -> List[Notification]:
         """Telemetry shell around :meth:`_publish_core`: one publish span
-        per document, with per-stage latency attribution and (for sampled
-        documents) a counter-delta trace."""
+        per document, with per-stage latency attribution."""
         telemetry = self.telemetry
         if telemetry is None:
             return self._publish_core(document, lists_memo)
-        observation = telemetry.begin_publish(document.doc_id, self.counters)
+        observation = telemetry.begin_publish()
         self._obs = observation
         try:
             notifications = self._publish_core(document, lists_memo)
@@ -474,7 +465,7 @@ class DasEngine:
             raise
         finally:
             self._obs = None
-        telemetry.end_publish(observation, self.counters)
+        telemetry.end_publish(observation)
         return notifications
 
     def _publish_core(
@@ -716,8 +707,8 @@ class DasEngine:
 
         Telemetry attribution: time from entry until the admit/replace
         decision counts as ``individual_filter``; the mutation itself
-        (result-set update, store pinning, notification, block
-        invalidation) counts as ``result_update``.
+        (result-set update, notification, block invalidation) counts as
+        ``result_update``.
         """
         self.counters.queries_evaluated += 1
         obs = self._obs
@@ -781,7 +772,6 @@ class DasEngine:
             obs.add("individual_filter", mutated - entered)
             entered = mutated
         cosines, aw_dots = result_set.admit(document, trel)
-        self._store.pin(document.doc_id)
         self.counters.matches += 1
         notifications.append(Notification(query_id, document, None))
         if result_set.is_full:
@@ -837,8 +827,6 @@ class DasEngine:
         )
         self.counters.sim_evaluations += cosines
         self.counters.aw_dot_products += aw_dots
-        self._store.unpin(evicted.doc_id)
-        self._store.pin(document.doc_id)
         self.counters.matches += 1
         self.counters.replacements += 1
         notifications.append(Notification(query_id, document, evicted))

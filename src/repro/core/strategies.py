@@ -196,8 +196,7 @@ class WindowStrategy(Strategy):
         #: Global arrival counter; documents never share a seq, so the
         #: (score, seq) ranking key is a strict total order.
         self._seq = 0
-        #: The newest ``config.window_size`` documents, oldest first,
-        #: each pinned in the store until it leaves the window.
+        #: The newest ``config.window_size`` documents, oldest first.
         self._window = deque()
         self._states: Dict[int, _WindowQueryState] = {}
         self._order = 0
@@ -282,10 +281,8 @@ class WindowStrategy(Strategy):
         self._seq += 1
         seq = self._seq
         self._window.append((seq, document.doc_id))
-        engine.store.pin(document.doc_id)
         while len(self._window) > engine.config.window_size:
-            _old_seq, old_id = self._window.popleft()
-            engine.store.unpin(old_id)
+            self._window.popleft()
 
         notifications: List[Notification] = []
         vector = document.vector
@@ -436,8 +433,6 @@ class WindowStrategy(Strategy):
         self._window = deque(
             (int(seq), int(doc_id)) for seq, doc_id in state["window"]
         )
-        for _seq, doc_id in self._window:
-            engine.store.pin(doc_id)
         self._states = {}
         self._order = 0
         self._term_queries = {}
@@ -612,8 +607,6 @@ class SpatialStrategy(Strategy):
         state.scores = {
             doc_id: state.scores[doc_id] for doc_id in state.result
         }
-        for doc_id in state.result:
-            engine.store.pin(doc_id)
         self._states[query.query_id] = state
         self._cells.setdefault(cell, []).append(query.query_id)
         self._thresholds.pop(cell, None)
@@ -621,8 +614,6 @@ class SpatialStrategy(Strategy):
 
     def unsubscribe(self, query: DasQuery) -> None:
         state = self._states.pop(query.query_id)
-        for doc_id in state.result:
-            self._engine.store.unpin(doc_id)
         members = self._cells[state.cell]
         members.remove(query.query_id)
         if not members:
@@ -687,7 +678,6 @@ class SpatialStrategy(Strategy):
                     state.scores[document.doc_id] = score
                     result.append(document.doc_id)
                     self._resort(state)
-                    engine.store.pin(document.doc_id)
                     counters.matches += 1
                     notifications.append(
                         Notification(query_id, document, None)
@@ -700,8 +690,6 @@ class SpatialStrategy(Strategy):
                     state.scores[document.doc_id] = score
                     result[-1] = document.doc_id
                     self._resort(state)
-                    engine.store.unpin(worst_id)
-                    engine.store.pin(document.doc_id)
                     counters.matches += 1
                     notifications.append(
                         Notification(
@@ -751,7 +739,6 @@ class SpatialStrategy(Strategy):
             for doc_id, score in row["result"]:
                 qstate.scores[int(doc_id)] = float(score)
                 qstate.result.append(int(doc_id))
-                engine.store.pin(int(doc_id))
             self._states[query_id] = qstate
             self._cells.setdefault(cell, []).append(query_id)
 

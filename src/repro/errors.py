@@ -50,10 +50,6 @@ class EmptyQueryError(ReproError):
     """A subscription was submitted without any keywords."""
 
 
-class EvictionError(ReproError):
-    """The document store cannot evict enough documents (all are pinned)."""
-
-
 class ProtocolError(ReproError):
     """A transport request is malformed (bad JSON, unknown op, bad field)."""
 

@@ -50,6 +50,9 @@ def _config_from_dict(payload: Dict) -> EngineConfig:
     # is optional, and the exact bound skips only where Eq. 19 verbatim
     # would have.
     payload.pop("group_bound_mode", None)
+    # Older files bound the document store; it keeps every document now,
+    # so the key is ignored.
+    payload.pop("store_capacity", None)
     return EngineConfig(**payload)
 
 
@@ -199,8 +202,7 @@ def _merge_shards(payload: Dict) -> Dict:
     "shards": [...], "last_query_id": ...}`` with one single-engine
     payload per shard.  Every shard saw the same stream, so config,
     clock and collection statistics are shard 0's; the store is the
-    union of the shard stores in id order, whose pins the restored rows
-    re-derive (each document's count summed over shards); work counters
+    union of the shard stores in id order; work counters
     add up field by field, except ``docs_published``, which every shard
     counted for every document.  The group-check backoff restarts at
     0, 0: a skip is optional, so that changes no decision.
@@ -254,7 +256,6 @@ def _restore_query(engine: DasEngine, query: DasQuery, rows: List[Dict]) -> None
                 f"checkpoint references missing document {row['doc']}"
             )
         documents.append(document)
-        engine.store.pin(document.doc_id)
     # A warm-up table is its rows: whatever ``sim_acc`` / ``in_r1`` an
     # older file carries for them is recomputed when the table fills.
     full = len(documents) >= result_set.k

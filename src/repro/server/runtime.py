@@ -190,6 +190,9 @@ class ServerRuntime:
         self._engine = engine
         self._batches = BatchHistogram()
         self._now = self._config.time_source or time.time
+        #: The pipeline histograms' clock: monotonic unless a test or the
+        #: simulation substitutes ``time_source``.
+        self._timer = self._config.time_source or time.perf_counter
         self._injector = self._config.fault_injector
         self._state = "new"
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -442,6 +445,7 @@ class ServerRuntime:
         session.queries.clear()
 
     def _remove_session(self, session: SubscriberSession) -> None:
+        self._buckets.pop(session.session_id, None)
         if self._sessions.pop(session.session_id, None) is not None:
             self._retired_drops[session.policy] += session.dropped
             self._retired_coalesced += session.coalesced
@@ -490,7 +494,7 @@ class ServerRuntime:
         if self._injector is not None:
             self._injector.fire("ingest.put")
         future = self._loop.create_future()
-        await self._ingest.put(_PublishItem(request, future, self._now()))
+        await self._ingest.put(_PublishItem(request, future, self._timer()))
         return future
 
     async def _throttle(self, session: SubscriberSession) -> None:
@@ -920,7 +924,7 @@ class ServerRuntime:
         """Append, match, route and ack one batch.  A failure before the
         documents are in the engine propagates and fails the batch; one
         after is a delivery error, and the acks still resolve."""
-        dequeued_at = self._now()
+        dequeued_at = self._timer()
         ingest_histogram = self._pipeline["ingest_queue"]
         prepared = []
         for item in items:
@@ -944,10 +948,10 @@ class ServerRuntime:
         def matched() -> None:
             nonlocal notify_started
             self._pipeline["micro_batch"].observe(
-                max(0.0, self._now() - batch_started)
+                max(0.0, self._timer() - batch_started)
             )
             self._published += len(documents)
-            notify_started = self._now()
+            notify_started = self._timer()
 
         try:
             documents = [
@@ -961,12 +965,12 @@ class ServerRuntime:
                     document.doc_id: document_payload(document)
                     for document in documents
                 }
-                append_started = self._now()
+                append_started = self._timer()
                 offsets = self._append(
                     [publish_record(payload) for payload in payloads.values()]
                 )
                 self._pipeline["eventlog_append"].observe(
-                    max(0.0, self._now() - append_started)
+                    max(0.0, self._timer() - append_started)
                 )
             if self._injector is not None:
                 if self._eventlog is not None:
@@ -976,7 +980,7 @@ class ServerRuntime:
                     # publishes).
                     self._injector.fire("eventlog.match")
                 self._injector.fire("engine.publish_batch")
-            batch_started = self._now()
+            batch_started = self._timer()
             kept = apply_publishes(
                 self._engine,
                 self._registry,
@@ -995,7 +999,7 @@ class ServerRuntime:
         finally:
             if notify_started is not None:
                 self._pipeline["notify"].observe(
-                    max(0.0, self._now() - notify_started)
+                    max(0.0, self._timer() - notify_started)
                 )
         for index, (item, doc_id, timestamp) in enumerate(prepared):
             if not item.future.done():

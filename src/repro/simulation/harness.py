@@ -194,11 +194,8 @@ class SimulationHarness:
 
     def _make_telemetry(self) -> Telemetry:
         """Deterministic telemetry: a counting clock instead of wall time,
-        so stage histograms are a pure function of the schedule, and a
-        seed-tied sampler so the traced document set replays exactly."""
-        return Telemetry(
-            time_fn=CountingClock(), sample_rate=0.25, seed=self.seed
-        )
+        so stage histograms are a pure function of the schedule."""
+        return Telemetry(time_fn=CountingClock())
 
     def run(self) -> Dict:
         return asyncio.run(self._run())

@@ -541,12 +541,6 @@ class InvariantMonitor:
                 f"finished={spans['finished']} + "
                 f"aborted={spans['aborted']}",
             )
-        if spans["sampled"] > spans["finished"]:
-            self._record(
-                "telemetry",
-                f"sampled spans ({spans['sampled']}) exceed finished "
-                f"({spans['finished']})",
-            )
         finished_delta = spans["finished"] - self._base_spans_finished
         for stage, wire in snapshot["stages"].items():
             observed = sum(wire["counts"])

@@ -1,16 +1,17 @@
 """Document lists (Figure 1): storage for arrived documents.
 
 The store keeps the text and temporal information of each published
-document, serves two access patterns, and bounds memory:
+document and serves two access patterns:
 
 * ``get(doc_id)`` — random access for individual filtering (R2 documents)
   and for resolving minimal-covering-set members;
 * ``recent_matching(terms, limit)`` — newest-first scan used when a fresh
   subscription initialises its result set "by traversing the document
-  lists" (Section 3);
-* eviction — past ``capacity`` documents the oldest *unpinned* documents
-  are dropped.  Result sets pin the documents they reference so a live
-  result can never dangle.
+  lists" (Section 3).
+
+It keeps every document: the paper bounds memory with ``Φ_max`` on the
+aggregated-weight summaries only (Definition 7), so a result row can
+never dangle.
 """
 
 from __future__ import annotations
@@ -18,19 +19,16 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.config import UNLIMITED
 from repro.errors import DocumentOrderError, DuplicateDocumentError
 from repro.stream.document import Document
 
 
 class DocumentStore:
-    """Ordered store of published documents with pinning and eviction."""
+    """Ordered store of published documents."""
 
-    def __init__(self, capacity: int = UNLIMITED) -> None:
-        self._capacity = capacity
+    def __init__(self) -> None:
         # Insertion order and ``reversed()`` are a plain dict's own.
         self._docs: Dict[int, Document] = {}
-        self._pins: Dict[int, int] = {}
         self._last_id: Optional[int] = None
         self._last_time: float = float("-inf")
         # term -> ids of stored documents containing the term, oldest
@@ -65,7 +63,6 @@ class DocumentStore:
                 self._term_index[term] = [doc_id]
             else:
                 bucket.append(doc_id)
-        self._evict_if_needed()
 
     # -- access ----------------------------------------------------------
 
@@ -89,9 +86,8 @@ class DocumentStore:
 
         Used for result-set initialisation of new subscriptions.  At most
         ``limit`` documents are returned; duplicates across terms are
-        merged.  A bucket holds the ids of live documents only, oldest
-        first (eviction removes an id from every bucket), so one term's
-        answer is its bucket's tail as it stands.
+        merged.  A bucket holds the ids of its term's documents, oldest
+        first, so one term's answer is its bucket's tail as it stands.
         """
         if limit <= 0:
             return []
@@ -109,49 +105,13 @@ class DocumentStore:
         ordered = sorted(candidate_ids, reverse=True)[:limit]
         return list(map(self._docs.get, ordered))
 
-    # -- pinning & eviction ----------------------------------------------
+    # -- placeholders ----------------------------------------------------
 
-    def pin(self, doc_id: int) -> None:
-        """Protect a document from eviction (refcounted)."""
-        self._pins[doc_id] = self._pins.get(doc_id, 0) + 1
+    def pin(self, *args, **kwargs):
+        """Placeholder: ``benchmarks/e2e/tracing.py`` patches it by name,
+        and the benchmark PR (ROADMAP 4(b)) deletes it."""
+        raise NotImplementedError("document-store eviction was deleted")
 
-    def unpin(self, doc_id: int) -> None:
-        """Release one pin; the document becomes evictable at zero pins."""
-        count = self._pins.get(doc_id, 0)
-        if count <= 1:
-            self._pins.pop(doc_id, None)
-        else:
-            self._pins[doc_id] = count - 1
-
-    def pin_count(self, doc_id: int) -> int:
-        return self._pins.get(doc_id, 0)
-
-    def _evict_if_needed(self) -> None:
-        if self._capacity == UNLIMITED:
-            return
-        excess = len(self._docs) - self._capacity
-        if excess <= 0:
-            return
-        # Scan oldest-first, skipping pinned documents and the newest one:
-        # it is still being published, so no result set has had the chance
-        # to pin it yet (a later ``add`` evicts it if none did).  Both may
-        # push the store over capacity; that is deliberate — results must
-        # stay resolvable.
-        victims = []
-        for doc_id in self._docs:
-            if doc_id != self._last_id and self._pins.get(doc_id, 0) == 0:
-                victims.append(doc_id)
-                if len(victims) == excess:
-                    break
-        for doc_id in victims:
-            document = self._docs.pop(doc_id)
-            for term in document.vector.terms():
-                bucket = self._term_index.get(term)
-                if bucket is None:
-                    continue
-                try:
-                    bucket.remove(doc_id)
-                except ValueError:
-                    pass
-                if not bucket:
-                    del self._term_index[term]
+    def unpin(self, *args, **kwargs):
+        """Placeholder, like :meth:`pin`."""
+        raise NotImplementedError("document-store eviction was deleted")

@@ -6,17 +6,9 @@ processes.  The engine calls :meth:`Telemetry.begin_publish` /
 attributes elapsed time to the filtering stages as it runs; end_publish
 folds the stage times into fixed-bucket latency histograms (one
 observation per stage per publish, so histogram counts are an exact
-function of documents processed) and, for deterministically sampled
-documents, materialises a span tree of per-stage counter deltas into a
-bounded trace ring.
-
-Determinism contract (the simulation harness and golden-trace tests
-rely on it):
-
-* sampling is a pure function of ``(seed, doc_id)`` — see
-  :class:`~repro.telemetry.spans.TraceSampler`;
-* with a :class:`CountingClock` as ``time_fn`` no wall-clock value ever
-  enters a histogram, so snapshots are byte-reproducible.
+function of documents processed).  With a :class:`CountingClock` as
+``time_fn`` no wall-clock value ever enters a histogram, so snapshots
+are byte-reproducible (the simulation harness relies on it).
 
 The serving pipeline's stages (ingest queue wait, micro-batch execution,
 notification fan-out) live runtime-side in
@@ -27,7 +19,6 @@ primitive and are merged into the same stats surface.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional
 
@@ -41,7 +32,7 @@ from repro.telemetry.histogram import (
     LatencyHistogram,
 )
 from repro.telemetry.prometheus import render_exposition
-from repro.telemetry.spans import PublishObservation, TraceSampler
+from repro.telemetry.spans import PublishObservation
 
 
 @dataclass
@@ -145,24 +136,6 @@ PIPELINE_STAGES = (
     "eventlog_append",
     "throttle_wait",
 )
-
-#: Which work counters each engine stage moves (for span counter deltas).
-STAGE_COUNTERS = {
-    "postings_traversal": (
-        "postings_visited",
-        "blocks_visited",
-        "blocks_skipped",
-    ),
-    "group_filter": ("group_checks", "group_checks_deferred", "mcs_rebuilds"),
-    "individual_filter": (
-        "queries_evaluated",
-        "quick_rejections",
-        "sim_evaluations",
-        "sim_cache_hits",
-        "aw_dot_products",
-    ),
-    "result_update": ("matches", "mcs_invalidations"),
-}
 
 #: The callables a span tracer times, as ``(owner, attribute, layer)``:
 #: ``owner`` is a dotted module path, with ``:Class`` for a class
@@ -341,43 +314,26 @@ class CountingClock:
 
 
 class Telemetry:
-    """Per-engine telemetry: stage histograms, span accounting, traces."""
+    """Per-engine telemetry: stage histograms and span accounting."""
 
-    def __init__(
-        self,
-        time_fn: Optional[Callable[[], float]] = None,
-        sample_rate: float = 1.0 / 16.0,
-        seed: int = 0,
-        trace_capacity: int = 64,
-    ) -> None:
+    def __init__(self, time_fn: Optional[Callable[[], float]] = None) -> None:
         self._time = time_fn if time_fn is not None else time.perf_counter
-        self.sampler = TraceSampler(seed, sample_rate)
         self._stage_histograms = {
             stage: LatencyHistogram() for stage in ENGINE_STAGES
         }
         self._spans_started = 0
         self._spans_finished = 0
         self._spans_aborted = 0
-        self._spans_sampled = 0
-        #: Most recent sampled traces (bounded; excluded from snapshots).
-        self.traces = deque(maxlen=trace_capacity)
 
     # -- publish lifecycle -------------------------------------------------
 
-    def begin_publish(
-        self, doc_id: int, counters: Counters
-    ) -> PublishObservation:
+    def begin_publish(self) -> PublishObservation:
         """Open the observation for one publish (engine hot path)."""
         self._spans_started += 1
-        baseline = (
-            counters.as_dict() if self.sampler.sampled(doc_id) else None
-        )
-        return PublishObservation(doc_id, self._time, baseline)
+        return PublishObservation(self._time)
 
-    def end_publish(
-        self, observation: PublishObservation, counters: Counters
-    ) -> None:
-        """Close one publish: observe stage histograms, capture a trace."""
+    def end_publish(self, observation: PublishObservation) -> None:
+        """Close one publish: observe its stage histograms."""
         total = self._time() - observation.started_at
         timed = sum(observation.stage_seconds.values())
         traversal = total - timed
@@ -389,45 +345,10 @@ class Telemetry:
                 observation.stage_seconds.get(stage, 0.0)
             )
         self._spans_finished += 1
-        if observation.baseline is not None:
-            self._spans_sampled += 1
-            self.traces.append(
-                self._build_trace(observation, counters.as_dict())
-            )
 
     def abort_publish(self, observation: PublishObservation) -> None:
         """A publish raised mid-flight; keep the span ledger balanced."""
         self._spans_aborted += 1
-
-    @staticmethod
-    def _build_trace(
-        observation: PublishObservation, after: Dict[str, int]
-    ) -> Dict:
-        """Span tree of one sampled publish: stage -> counter deltas.
-
-        Durations are intentionally excluded — the golden-trace test
-        compares structurally, and counter deltas are exact while
-        durations are host noise under a wall clock.
-        """
-        baseline = observation.baseline
-        delta = {
-            name: after[name] - baseline[name] for name in after
-        }
-        return {
-            "doc_id": observation.doc_id,
-            "root": "publish",
-            "stages": [
-                {
-                    "name": stage,
-                    "counters": {
-                        name: delta[name]
-                        for name in STAGE_COUNTERS[stage]
-                        if delta[name]
-                    },
-                }
-                for stage in ENGINE_STAGES
-            ],
-        }
 
     # -- aggregation -------------------------------------------------------
 
@@ -436,11 +357,10 @@ class Telemetry:
             "started": self._spans_started,
             "finished": self._spans_finished,
             "aborted": self._spans_aborted,
-            "sampled": self._spans_sampled,
         }
 
     def snapshot(self) -> Dict:
-        """JSON-safe snapshot (traces excluded, see module doc)."""
+        """JSON-safe snapshot."""
         return {
             "stages": {
                 stage: histogram.to_wire()
@@ -454,7 +374,7 @@ def empty_snapshot() -> Dict:
     """The snapshot of an engine without telemetry."""
     return {
         "stages": {},
-        "spans": {"started": 0, "finished": 0, "aborted": 0, "sampled": 0},
+        "spans": {"started": 0, "finished": 0, "aborted": 0},
     }
 
 
@@ -468,9 +388,7 @@ __all__ = [
     "LatencyHistogram",
     "PIPELINE_STAGES",
     "PublishObservation",
-    "STAGE_COUNTERS",
     "Telemetry",
-    "TraceSampler",
     "effectiveness_gauges",
     "empty_snapshot",
     "render_exposition",

@@ -32,7 +32,6 @@ def test_defaults_are_valid():
         ("block_size", 0),
         ("delta_s", -0.2),
         ("phi_max", -5),
-        ("store_capacity", 0),
         ("init_scan_limit", -1),
     ],
 )

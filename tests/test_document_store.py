@@ -1,4 +1,4 @@
-"""Tests for the document store: ordering, lookup, pinning, eviction."""
+"""Tests for the document store: ordering, lookup, newest-first scans."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import UNLIMITED
 from repro.errors import DocumentOrderError, DuplicateDocumentError
 from repro.stream.document import Document
 from repro.stream.document_store import DocumentStore
@@ -79,58 +78,6 @@ def test_recent_matching_filters_and_orders():
     assert store.recent_matching(["x"], limit=0) == []
 
 
-def test_eviction_drops_oldest_unpinned():
-    store = DocumentStore(capacity=3)
-    for doc in make_documents([["a"], ["b"], ["c"], ["d"]]):
-        store.add(doc)
-    assert len(store) == 3
-    assert store.get(0) is None
-    assert store.get(3) is not None
-
-
-def test_pinned_documents_survive_eviction():
-    store = DocumentStore(capacity=2)
-    docs = make_documents([["a"], ["b"], ["c"], ["d"]])
-    store.add(docs[0])
-    store.pin(0)
-    for doc in docs[1:]:
-        store.add(doc)
-    assert store.get(0) is not None  # pinned
-    assert store.get(1) is None  # evicted instead
-    assert len(store) <= 3
-
-
-def test_unpin_releases_refcount():
-    store = DocumentStore(capacity=1)
-    docs = make_documents([["a"], ["b"], ["c"]])
-    store.add(docs[0])
-    store.pin(0)
-    store.pin(0)
-    assert store.pin_count(0) == 2
-    store.unpin(0)
-    assert store.pin_count(0) == 1
-    store.unpin(0)
-    assert store.pin_count(0) == 0
-    store.add(docs[1])
-    store.add(docs[2])
-    assert store.get(0) is None
-
-
-def test_eviction_updates_term_index():
-    store = DocumentStore(capacity=1)
-    for doc in make_documents([["x"], ["x"], ["y"]]):
-        store.add(doc)
-    matches = store.recent_matching(["x"], limit=10)
-    assert matches == []  # both x-docs evicted
-    assert [d.doc_id for d in store.recent_matching(["y"], limit=10)] == [2]
-
-
-def test_unpin_unknown_is_noop():
-    store = DocumentStore()
-    store.unpin(42)  # must not raise
-    assert store.pin_count(42) == 0
-
-
 def test_recent_matching_takes_each_bucket_tail():
     """Buckets longer than ``limit`` contribute their newest ``limit``
     ids only, and documents shared by several terms are merged."""
@@ -166,15 +113,7 @@ _FIXED_QUERIES = [
 
 @settings(max_examples=60, deadline=None)
 @given(
-    capacity=st.sampled_from([UNLIMITED, 1, 3]),
-    steps=st.lists(
-        st.tuples(
-            st.sampled_from(["add", "add", "add", "pin", "unpin"]),
-            st.lists(_STORE_TERMS, min_size=1, max_size=3),
-            st.integers(0, 40),
-        ),
-        max_size=30,
-    ),
+    steps=st.lists(st.lists(_STORE_TERMS, min_size=1, max_size=3), max_size=30),
     queries=st.lists(
         st.tuples(
             st.lists(_STORE_TERMS, min_size=1, max_size=4), st.integers(0, 6)
@@ -182,22 +121,13 @@ _FIXED_QUERIES = [
         max_size=4,
     ),
 )
-def test_recent_matching_is_the_brute_force_scan(capacity, steps, queries):
-    """``recent_matching`` equals a scan of the live documents: those
+def test_recent_matching_is_the_brute_force_scan(steps, queries):
+    """``recent_matching`` equals a scan of the stored documents: those
     holding any of the terms, newest first, at most ``limit`` of them —
-    through pins, unpins and evictions of a capacity-bound store."""
-    store = DocumentStore(capacity)
-    next_id = 0
-    for action, tokens, pick in steps:
-        if action == "add":
-            store.add(Document.from_tokens(next_id, tokens, float(next_id)))
-            next_id += 1
-        elif next_id:
-            doc_id = pick % next_id
-            if action == "pin":
-                store.pin(doc_id)
-            else:
-                store.unpin(doc_id)
+    after every add of a drawn history."""
+    store = DocumentStore()
+    for doc_id, tokens in enumerate(steps):
+        store.add(Document.from_tokens(doc_id, tokens, float(doc_id)))
         for terms, limit in _FIXED_QUERIES + queries:
             expected = [
                 document
@@ -212,12 +142,16 @@ def test_term_buckets_are_lists_and_docs_a_plain_dict():
     """Buckets are lists sized to their ids (most hold one); documents
     sit in a plain dict.  ``test_recent_matching_is_the_brute_force_scan``
     is the behavioural check of both."""
-    store = DocumentStore(capacity=3)
+    store = DocumentStore()
     for i, tokens in enumerate([["a", "b"], ["a"], ["c"], ["a", "d"], ["e"]]):
         store.add(Document.from_tokens(i, tokens, float(i)))
     assert type(store._docs) is dict
-    assert list(store._docs) == [2, 3, 4]
-    assert store._term_index == {"a": [3], "c": [2], "d": [3], "e": [4]}
+    assert list(store._docs) == [0, 1, 2, 3, 4]
+    assert store._term_index == {
+        "a": [0, 1, 3], "b": [0], "c": [2], "d": [3], "e": [4]
+    }
     assert all(type(bucket) is list for bucket in store._term_index.values())
     with pytest.raises(TypeError):
         DocumentStore(index_terms=False)
+    with pytest.raises(TypeError):
+        DocumentStore(capacity=3)

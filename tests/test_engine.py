@@ -138,42 +138,10 @@ def test_unsubscribe_releases_everything():
     for i in range(3):
         engine.publish(doc(i, ["coffee"]))
     engine.subscribe(DasQuery(0, ["coffee"]))
-    assert engine.store.pin_count(2) == 1
     engine.unsubscribe(0)
     assert engine.query_count == 0
-    assert engine.store.pin_count(2) == 0
     # publishing continues without errors
     engine.publish(doc(10, ["coffee"], t=10.0))
-
-
-def test_results_are_pinned_against_eviction():
-    engine = DasEngine.for_method("GIFilter", k=2, store_capacity=3)
-    engine.subscribe(DasQuery(0, ["keep"]))
-    engine.publish(doc(0, ["keep"]))
-    engine.publish(doc(1, ["keep"]))
-    for i in range(2, 8):
-        engine.publish(doc(i, ["filler"]))
-    for document in engine.results(0):
-        assert engine.store.get(document.doc_id) is not None
-
-
-def test_bounded_store_keeps_the_document_it_is_publishing(tmp_path):
-    """The store is filled before any result set can pin the new
-    document; with every older one pinned it must not evict the new one,
-    which the engine then admits as a result row."""
-    from repro.persistence.checkpoint import load, save
-
-    engine = DasEngine.for_method("GIFilter", k=2, store_capacity=2)
-    engine.subscribe(DasQuery(0, ["coffee"]))
-    for i in range(3):
-        engine.publish(doc(i, ["coffee"]))
-    assert [d.doc_id for d in engine.results(0)] == [2, 1]
-    for document in engine.results(0):
-        assert engine.store.get(document.doc_id) is not None
-    path = str(tmp_path / "engine.json")
-    save(engine, path)
-    restored = load(path)
-    assert [d.doc_id for d in restored.results(0)] == [2, 1]
 
 
 def test_current_dr_nonnegative_and_consistent():

@@ -16,7 +16,6 @@ def test_all_errors_derive_from_repro_error():
         "DuplicateDocumentError",
         "DocumentOrderError",
         "EmptyQueryError",
-        "EvictionError",
     ):
         exc_type = getattr(errors, name)
         assert issubclass(exc_type, errors.ReproError)

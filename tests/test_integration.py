@@ -101,18 +101,6 @@ def test_unsubscribe_mid_stream_keeps_engine_consistent():
         assert engine.results(query.query_id) is not None
 
 
-def test_store_capacity_with_live_results():
-    """A bounded store never loses documents still referenced by results."""
-    engine = DasEngine.for_method("GIFilter", k=3, store_capacity=10)
-    engine.subscribe(DasQuery(0, ["pin"]))
-    for i in range(50):
-        tokens = ["pin"] if i % 5 == 0 else ["chaff", f"c{i}"]
-        engine.publish(Document.from_tokens(i, tokens, float(i)))
-    assert len(engine.store) <= 10 + 3  # capacity + pinned results
-    for document in engine.results(0):
-        assert engine.store.get(document.doc_id) is not None
-
-
 def test_two_engines_share_nothing():
     a = DasEngine.for_method("GIFilter", k=2)
     b = DasEngine.for_method("GIFilter", k=2)

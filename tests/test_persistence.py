@@ -434,6 +434,53 @@ def test_file_naming_a_group_bound_mode_restores(live_engine, bound):
         )
 
 
+def test_file_bounding_the_document_store_restores(tmp_path):
+    """Files written while the document store could evict carry the
+    config key ``"store_capacity"``.  The store keeps every document
+    now, so a file naming fewer documents than its result rows reference
+    restores — through ``restore`` and through the event log's
+    ``recover`` — to the result sets of the engine it describes."""
+    import os
+
+    from repro.core.query import DasQuery
+    from repro.eventlog import SubscriberRegistry, recover
+    from repro.eventlog.recovery import write_checkpoint
+    from repro.stream.document import Document
+
+    engine = DasEngine.for_method("GIFilter", k=3)
+    for query_id, terms in enumerate([["coffee"], ["tea"], ["coffee", "tea"]]):
+        engine.subscribe(DasQuery(query_id, terms))
+    for doc_id in range(10):
+        term = "coffee" if doc_id % 2 else "tea"
+        engine.publish(
+            Document.from_tokens(doc_id, [term, f"w{doc_id}"], float(doc_id))
+        )
+    payload = checkpoint(engine)
+    assert "store_capacity" not in payload["config"]
+    payload["config"]["store_capacity"] = 4
+
+    def results(restored):
+        return {
+            query_id: [d.doc_id for d in restored.results(query_id)]
+            for query_id in range(3)
+        }
+
+    expected = results(engine)
+    assert len({doc_id for ids in expected.values() for doc_id in ids}) > 4
+    assert results(restore(payload)) == expected
+
+    directory = str(tmp_path / "log")
+    os.makedirs(directory)
+    write_checkpoint(
+        directory, 0, payload, SubscriberRegistry().snapshot(), fsync="never"
+    )
+    state = recover(directory, DasEngine.for_method("GIFilter", k=3))
+    assert state.checkpoint_offset == 0
+    assert state.replay_errors == []
+    assert results(state.engine) == expected
+    state.log.close()
+
+
 def test_tight_phi_max_file_written_by_parent_commit_restores_and_continues():
     """``fixtures/checkpoint_parent_fd88421_tight_phi_max.json`` was
     written by the last commit that summarised warm-up tables: it is

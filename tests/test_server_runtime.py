@@ -541,3 +541,63 @@ def test_doc_ids_continue_after_preloaded_history():
         return ack
 
     assert run(scenario())["doc_id"] == 2
+
+
+def test_closed_sessions_leave_no_throttle_bucket():
+    """A throttled session's token bucket goes with the session, so
+    ``stats()["throttling"]["buckets"]`` lists open sessions only."""
+
+    async def scenario():
+        runtime = ServerRuntime(
+            small_engine(), ServerConfig(throttle_rate=1000.0)
+        )
+        await runtime.start()
+        for i in range(50):
+            client = InProcessClient(runtime)
+            await client.publish(tokens=["coffee"], created_at=float(i))
+            await client.close()
+        stats = runtime.stats()
+        await runtime.stop()
+        return stats
+
+    stats = run(scenario())
+    assert stats["accepted"] == 50
+    assert stats["sessions"] == []
+    assert stats["throttling"]["buckets"] == {}
+
+
+def test_pipeline_durations_ignore_wall_clock_steps(monkeypatch):
+    """With no ``time_source`` the pipeline histograms time with the
+    monotonic clock: a wall-clock step of an hour while a batch is being
+    matched records no hour of latency, and the default publish
+    timestamp still reads the wall clock."""
+    import time
+
+    wall = [5_000.0]
+    monkeypatch.setattr(time, "time", lambda: wall[0])
+
+    async def scenario():
+        engine = small_engine()
+        match = engine.publish_batch
+
+        def step_then_match(documents):
+            wall[0] += 3_600.0
+            return match(documents)
+
+        engine.publish_batch = step_then_match
+        runtime = ServerRuntime(engine, ServerConfig())
+        await runtime.start()
+        client = InProcessClient(runtime)
+        acks = await asyncio.gather(
+            *(client.publish(tokens=["coffee", f"w{i}"]) for i in range(4))
+        )
+        stats = runtime.stats()
+        await runtime.stop()
+        return acks, stats
+
+    acks, stats = run(scenario())
+    assert acks[0]["created_at"] == 5_000.0
+    stages = stats["telemetry"]["stages"]
+    assert sum(stages["micro_batch"]["counts"]) >= 1
+    for stage in ("ingest_queue", "micro_batch", "notify"):
+        assert stages[stage]["sum"] < 1.0, stage

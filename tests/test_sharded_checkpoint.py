@@ -105,7 +105,6 @@ def observable(engine):
         "current_dr": {qid: engine.current_dr(qid) for qid in engine._queries},
         "now": engine.clock.now,
         "stored": [d.doc_id for d in engine.store],
-        "pins": {d.doc_id: engine.store.pin_count(d.doc_id) for d in engine.store},
     }
 
 

@@ -1,7 +1,7 @@
 """Tests for the unified telemetry layer (ISSUE 5 tentpole).
 
 Covers the fixed-bucket latency histogram and its
-wire form, deterministic trace sampling, the per-publish span lifecycle,
+wire form, the per-publish span lifecycle,
 the derived filtering-effectiveness gauges, Prometheus text rendering,
 engine threading, and the server's ``stats``/``metrics`` surface over
 both transports plus the ``repro metrics`` CLI subcommand.
@@ -27,7 +27,6 @@ from repro.telemetry import (
     PIPELINE_STAGES,
     SPAN_SITES,
     Telemetry,
-    TraceSampler,
     effectiveness_gauges,
     render_exposition,
     resolve_span_sites,
@@ -82,34 +81,7 @@ def test_default_bounds_shape():
     assert DEFAULT_BOUNDS[-1] >= 1.0
 
 
-# -- sampling --------------------------------------------------------------
-
-
-def test_sampler_is_deterministic_and_rate_bounded():
-    sampler = TraceSampler(seed=7, rate=0.25)
-    first = [sampler.sampled(doc_id) for doc_id in range(400)]
-    second = [
-        TraceSampler(seed=7, rate=0.25).sampled(doc_id)
-        for doc_id in range(400)
-    ]
-    assert first == second  # pure function of (seed, doc_id)
-    rate = sum(first) / len(first)
-    assert 0.1 < rate < 0.45  # crc32 is roughly uniform
-
-    different = [
-        TraceSampler(seed=8, rate=0.25).sampled(doc_id)
-        for doc_id in range(400)
-    ]
-    assert first != different  # the seed matters
-
-    assert not any(
-        TraceSampler(seed=7, rate=0.0).sampled(i) for i in range(50)
-    )
-    assert all(
-        TraceSampler(seed=7, rate=1.0).sampled(i) for i in range(50)
-    )
-    with pytest.raises(ValueError):
-        TraceSampler(rate=1.5)
+# -- clock -----------------------------------------------------------------
 
 
 def test_counting_clock_is_deterministic():
@@ -169,37 +141,23 @@ def test_effectiveness_ratios():
 # -- Telemetry lifecycle ---------------------------------------------------
 
 
-def test_publish_lifecycle_and_trace_capture():
-    telemetry = Telemetry(
-        time_fn=CountingClock(), sample_rate=1.0, trace_capacity=4
-    )
-    counters = Counters()
-    observation = telemetry.begin_publish(0, counters)
+def test_publish_lifecycle():
+    telemetry = Telemetry(time_fn=CountingClock())
+    observation = telemetry.begin_publish()
     observation.add("group_filter", 2e-6)
-    counters.postings_visited += 3
-    counters.matches += 1
-    telemetry.end_publish(observation, counters)
+    observation.add("group_filter", -1.0)  # clamped to zero
+    telemetry.end_publish(observation)
 
     snapshot = telemetry.snapshot()
-    assert snapshot["spans"] == {
-        "started": 1, "finished": 1, "aborted": 0, "sampled": 1,
-    }
+    assert snapshot["spans"] == {"started": 1, "finished": 1, "aborted": 0}
     for stage in ENGINE_STAGES:
         assert sum(snapshot["stages"][stage]["counts"]) == 1
-
-    (trace,) = telemetry.traces
-    assert trace["doc_id"] == 0
-    assert trace["root"] == "publish"
-    by_stage = {span["name"]: span["counters"] for span in trace["stages"]}
-    assert by_stage["postings_traversal"] == {"postings_visited": 3}
-    assert by_stage["result_update"] == {"matches": 1}
-    assert by_stage["group_filter"] == {}  # zero deltas are elided
+    assert snapshot["stages"]["group_filter"]["sum"] == pytest.approx(2e-6)
 
 
 def test_abort_keeps_ledger_balanced():
-    telemetry = Telemetry(time_fn=CountingClock(), sample_rate=0.0)
-    counters = Counters()
-    observation = telemetry.begin_publish(1, counters)
+    telemetry = Telemetry(time_fn=CountingClock())
+    observation = telemetry.begin_publish()
     telemetry.abort_publish(observation)
     spans = telemetry.span_counts()
     assert spans["started"] == spans["finished"] + spans["aborted"] == 1
@@ -210,27 +168,13 @@ def test_abort_keeps_ledger_balanced():
     )
 
 
-def test_trace_ring_is_bounded():
-    telemetry = Telemetry(
-        time_fn=CountingClock(), sample_rate=1.0, trace_capacity=3
-    )
-    counters = Counters()
-    for doc_id in range(10):
-        observation = telemetry.begin_publish(doc_id, counters)
-        telemetry.end_publish(observation, counters)
-    assert len(telemetry.traces) == 3
-    assert [trace["doc_id"] for trace in telemetry.traces] == [7, 8, 9]
-    assert telemetry.span_counts()["sampled"] == 10
-
-
 # -- Prometheus rendering --------------------------------------------------
 
 
 def test_render_exposition_format():
-    telemetry = Telemetry(time_fn=CountingClock(), sample_rate=0.0)
+    telemetry = Telemetry(time_fn=CountingClock())
     counters = Counters(docs_published=4, matches=2, queries_evaluated=8)
-    observation = telemetry.begin_publish(0, counters)
-    telemetry.end_publish(observation, counters)
+    telemetry.end_publish(telemetry.begin_publish())
     snapshot = telemetry.snapshot()
     text = render_exposition(
         counters.as_dict(),
@@ -271,7 +215,7 @@ def test_render_exposition_format():
 
 
 def test_engine_observes_every_publish_once():
-    telemetry = Telemetry(time_fn=CountingClock(), sample_rate=1.0)
+    telemetry = Telemetry(time_fn=CountingClock())
     engine = DasEngine(
         EngineConfig(k=2, block_size=4),
         telemetry=telemetry,
@@ -287,14 +231,6 @@ def test_engine_observes_every_publish_once():
     assert snapshot["spans"]["aborted"] == 0
     for stage in ENGINE_STAGES:
         assert sum(snapshot["stages"][stage]["counts"]) == n_docs
-    # Traces carry the counter deltas of the engine's actual work.
-    assert len(telemetry.traces) == n_docs
-    total_matches = sum(
-        span["counters"].get("matches", 0)
-        for trace in telemetry.traces
-        for span in trace["stages"]
-    )
-    assert total_matches == engine.counters.matches
 
 
 def test_engine_without_telemetry_snapshots_none():
@@ -445,3 +381,43 @@ def test_a_missing_span_site_names_itself(monkeypatch):
     monkeypatch.setattr(telemetry_module, "SPAN_SITES", SPAN_SITES + (gone,))
     with pytest.raises(KeyError, match="QueryResultSet._extend_rows"):
         telemetry_module.resolve_span_sites()
+
+
+def test_the_benchmark_tracer_patches_only_span_sites():
+    """``benchmarks/e2e/tracing.install`` keeps its own list of traced
+    callables; every ``(owner, attribute, layer)`` it patches must be a
+    :data:`SPAN_SITES` entry, so the two lists cannot drift apart and a
+    placeholder the tracer still names cannot be deleted unnoticed."""
+    import importlib.util
+    import os
+
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "benchmarks", "e2e", "tracing.py"
+    )
+    spec = importlib.util.spec_from_file_location("e2e_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    class RecordingTracer:
+        def __init__(self):
+            self.patched = []
+
+        def patch(self, owner, attribute, layer):
+            self.patched.append((owner, attribute, layer))
+
+        def patch_by_caller(self, *args, **kwargs):
+            pass
+
+    tracer = RecordingTracer()
+    tracing.install(tracer)
+    assert tracer.patched
+    sites = {
+        (id(owner), attribute, layer)
+        for owner, attribute, layer in resolve_span_sites()
+    }
+    missing = [
+        (getattr(owner, "__name__", owner), attribute, layer)
+        for owner, attribute, layer in tracer.patched
+        if (id(owner), attribute, layer) not in sites
+    ]
+    assert missing == []

@@ -1,12 +1,15 @@
-"""Golden-trace regression test (ISSUE 5 satellite 3).
+"""Golden-trace regression test.
 
-Runs a fixed seeded workload through a fully-sampled engine and compares
-the captured span trees structurally against a committed fixture.  The
-traces contain only counter deltas (no durations), the engine's
-arithmetic is plain Python floats, and sampling is a pure function of
-``(seed, doc_id)`` — so the fixture is stable across hosts and runs; a
-mismatch means the pipeline's *shape* changed (stage attribution, span
-structure, or the filtering work a publish performs).
+Runs a fixed seeded workload one publish at a time and records, per
+document, the engine's work-counter deltas split by filtering stage,
+then compares the result with a committed fixture.  Counter deltas are
+exact (the engine's arithmetic is plain Python floats), so the fixture
+is stable across hosts and runs; a mismatch means the filtering work a
+publish performs, or the stage it is attributed to, changed.
+
+Publishing documents one at a time equals publishing them as a batch
+(``tests/test_backend_equivalence.py``), so the deltas are those of the
+batch as well.
 
 Regenerate after an intentional change with::
 
@@ -21,7 +24,7 @@ import os
 from repro.config import EngineConfig
 from repro.core.engine import DasEngine
 from repro.core.query import DasQuery
-from repro.telemetry import CountingClock, Telemetry
+from repro.telemetry import ENGINE_STAGES, CountingClock, Telemetry
 from repro.workloads.corpus import SyntheticTweetCorpus
 from repro.workloads.queries import lqd_queries
 
@@ -32,69 +35,89 @@ FIXTURE = os.path.join(
 N_DOCS = 40
 N_QUERIES = 6
 
+#: Which work counters each engine stage moves.
+STAGE_COUNTERS = {
+    "postings_traversal": (
+        "postings_visited",
+        "blocks_visited",
+        "blocks_skipped",
+    ),
+    "group_filter": ("group_checks", "group_checks_deferred", "mcs_rebuilds"),
+    "individual_filter": (
+        "queries_evaluated",
+        "quick_rejections",
+        "sim_evaluations",
+        "sim_cache_hits",
+        "aw_dot_products",
+    ),
+    "result_update": ("matches", "mcs_invalidations"),
+}
 
-def run_traced_workload():
-    """The fixed workload whose traces the fixture pins down."""
+
+def traced_publish(engine, document):
+    """Publish one document; its span tree of nonzero counter deltas."""
+    before = engine.counters.as_dict()
+    engine.publish(document)
+    after = engine.counters.as_dict()
+    return {
+        "doc_id": document.doc_id,
+        "root": "publish",
+        "stages": [
+            {
+                "name": stage,
+                "counters": {
+                    name: after[name] - before[name]
+                    for name in STAGE_COUNTERS[stage]
+                    if after[name] != before[name]
+                },
+            }
+            for stage in ENGINE_STAGES
+        ],
+    }
+
+
+def traced_workload_record():
+    """The fixed workload whose span ledger and traces the fixture pins
+    down."""
     corpus = SyntheticTweetCorpus(
         vocab_size=120, n_topics=5, doc_length=(4, 8), seed=23
     )
     documents = corpus.documents(N_DOCS)
     queries = lqd_queries(corpus, N_QUERIES, first_id=0)
-    telemetry = Telemetry(
-        time_fn=CountingClock(),
-        sample_rate=1.0,
-        seed=23,
-        trace_capacity=N_DOCS,
-    )
+    telemetry = Telemetry(time_fn=CountingClock())
     engine = DasEngine(
         EngineConfig(k=3, block_size=4),
         telemetry=telemetry,
     )
-    for document in documents[:10]:
-        engine.publish(document)
+    traces = [traced_publish(engine, document) for document in documents[:10]]
     for query in queries:
         engine.subscribe(DasQuery(query.query_id, query.terms))
-    engine.publish_batch(documents[10:])
-    return telemetry
-
-
-def traced_workload_record(telemetry):
-    return {"spans": telemetry.span_counts(), "traces": list(telemetry.traces)}
+    traces += [traced_publish(engine, document) for document in documents[10:]]
+    return {"spans": telemetry.span_counts(), "traces": traces}
 
 
 def test_golden_trace_matches_fixture():
-    current = traced_workload_record(run_traced_workload())
-    traces = current["traces"]
+    current = traced_workload_record()
     with open(FIXTURE) as handle:
         golden = json.load(handle)
 
     assert current["spans"] == golden["spans"]
-    assert len(traces) == len(golden["traces"])
+    assert len(current["traces"]) == len(golden["traces"]) == N_DOCS
     for index, (trace, expected) in enumerate(
-        zip(traces, golden["traces"])
+        zip(current["traces"], golden["traces"])
     ):
-        assert trace["doc_id"] == expected["doc_id"], f"trace {index}"
-        assert trace["root"] == expected["root"], f"trace {index}"
-        mine = {
-            span["name"]: span["counters"] for span in trace["stages"]
-        }
-        theirs = {
-            span["name"]: span["counters"] for span in expected["stages"]
-        }
-        assert mine == theirs, f"trace {index} (doc {trace['doc_id']})"
+        assert trace == expected, f"trace {index} (doc {trace['doc_id']})"
 
 
 def test_traces_are_run_independent():
     """Two runs of the same workload produce identical span trees."""
-    first = list(run_traced_workload().traces)
-    second = list(run_traced_workload().traces)
-    assert first == second
+    assert traced_workload_record() == traced_workload_record()
 
 
 if __name__ == "__main__":
     with open(FIXTURE, "w") as handle:
         json.dump(
-            traced_workload_record(run_traced_workload()),
+            traced_workload_record(),
             handle,
             indent=2,
             sort_keys=True,
