@@ -85,9 +85,10 @@ def write_checkpoint(
     (one temp-file, fsync, replace and directory-fsync sequence): an
     injected ``checkpoint.write`` ``torn`` fault leaves a truncated
     *temp* file — never a truncated checkpoint — so recovery falls back
-    to the previous one.  The directory sync follows the log's ``fsync``
-    policy, so the new name is durable before an older checkpoint — or,
-    in the caller, any log segment the checkpoint covers — is removed.
+    to the previous one (and deletes the temp file).  The directory sync
+    follows the log's ``fsync`` policy, so the new name is durable before
+    an older checkpoint — or, in the caller, any log segment the
+    checkpoint covers — is removed.
     """
     payload = {
         "version": EVENTLOG_CHECKPOINT_VERSION,
@@ -274,6 +275,11 @@ def recover(
     pre-configure capacity/DLQ wiring; a default one is built otherwise.
     """
     os.makedirs(directory, exist_ok=True)
+    for name in os.listdir(directory):
+        # A checkpoint write that failed or crashed before its rename
+        # leaves its temporary behind; the checkpoint before it stands.
+        if name.startswith(CHECKPOINT_PREFIX) and name.endswith(".tmp"):
+            os.remove(os.path.join(directory, name))
     if registry is None:
         registry = SubscriberRegistry()
     checkpoint = latest_checkpoint(directory)

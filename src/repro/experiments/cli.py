@@ -216,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Run seeded chaos simulations against the serving runtime with "
             "per-op invariant checking (result-set size, Lemma 1 replacement "
             "ordering, filtering-bound soundness, oracle equivalence, "
-            "crash-recovery replay).  Output is a JSON report that is "
-            "byte-for-byte identical across invocations with the same "
-            "arguments."
+            "recovery from the event log after a crash).  Output is a JSON "
+            "report that is byte-for-byte identical across invocations "
+            "with the same arguments."
         ),
     )
     simulate.add_argument(

@@ -170,6 +170,11 @@ class PendingReply:
             self.future.add_done_callback(_retrieve)
 
 
+def _refuse(item, exc: Exception) -> None:
+    if not item.future.done():
+        item.future.set_exception(exc)
+
+
 def _retrieve(future: asyncio.Future) -> None:
     if not future.cancelled():
         future.exception()
@@ -222,6 +227,9 @@ class ServerRuntime:
         self._checkpoints_written = 0
         self._checkpoint_errors = 0
         self._recovery: Optional[Dict[str, Any]] = None
+        #: Set when a logged batch failed before the engine matched it
+        #: all: from then on every queued and later request is refused.
+        self._failure: Optional[ServerClosedError] = None
         #: session_id -> publish token bucket (throttle_rate > 0 only).
         self._buckets: Dict[int, TokenBucket] = {}
         self._throttled_publishes = 0
@@ -535,6 +543,8 @@ class ServerRuntime:
         subscriber (``resume`` acks through here too); logged so recovery
         trims the outbox identically."""
         self._require_eventlog("ack")
+        if self._failure is not None:
+            raise ServerClosedError(f"cannot ack: {self._failure}")
         name = session.subscriber if session is not None else None
         if name is None:
             raise ReproError(
@@ -828,6 +838,9 @@ class ServerRuntime:
             item = await self._ingest.get()
             if item is _STOP:
                 return
+            if self._failure is not None:
+                _refuse(item, self._failure)
+                continue
             held = None
             if isinstance(item, _PublishItem):
                 # Group commit: everything that queued up while the last
@@ -849,22 +862,26 @@ class ServerRuntime:
                 except Exception as exc:
                     # One poisoned batch must not kill the matcher (and
                     # with it every queued future): fail this batch's
-                    # futures and keep serving.
+                    # futures and keep serving — or, fail-stopped,
+                    # refuse everything after it.
                     self._matcher_errors += 1
                     for failed in batch:
-                        if not failed.future.done():
-                            failed.future.set_exception(exc)
+                        _refuse(failed, exc)
                 self._inflight.clear()
                 self._batches.record(len(batch))
             else:
                 held = item
             if held is _STOP:
                 return
-            if held is not None:
+            if held is not None and self._failure is not None:
+                _refuse(held, self._failure)
+            elif held is not None:
                 self._inflight = [held]
                 await self._run_control(held)
                 self._inflight.clear()
-            if self._eventlog is not None:
+            if self._eventlog is not None and self._failure is None:
+                # Fail-stopped, the engine lags the log: a checkpoint
+                # now would let recovery skip the unmatched batch.
                 self._maybe_checkpoint()
             # Engine calls never suspend, and neither does ``get()`` while
             # items are queued: without this yield the matcher would drain
@@ -923,7 +940,11 @@ class ServerRuntime:
     async def _run_publish_batch(self, items: List[_PublishItem]) -> None:
         """Append, match, route and ack one batch.  A failure before the
         documents are in the engine propagates and fails the batch; one
-        after is a delivery error, and the acks still resolve."""
+        after is a delivery error, and the acks still resolve.  A failure
+        between the append and the end of the match also fail-stops a
+        durable runtime: the log now holds a batch the engine does not
+        (or holds in part), so nothing more is served until a restart
+        replays it."""
         dequeued_at = self._timer()
         ingest_histogram = self._pipeline["ingest_queue"]
         prepared = []
@@ -992,6 +1013,13 @@ class ServerRuntime:
             await self._route(kept, payloads)
         except Exception:
             if notify_started is None:
+                if offsets is not None:
+                    self._failure = ServerClosedError(
+                        "runtime failed: a logged batch did not match; "
+                        "restart to recover it"
+                    )
+                    if self._state == "running":
+                        self._state = "failed"
                 raise
             # Delivery failures must not fail the publish acks: the
             # documents *are* in the engine.  Count and move on.

@@ -37,7 +37,8 @@ INJECTION_POINTS = (
     "engine.doc",  # InstrumentedEngine, before each document of a batch
     "engine.results",  # matcher results op + coalesce snapshot reads
     "tcp.write",  # NdjsonTcpServer, before each outgoing frame
-    "checkpoint.write",  # persistence.checkpoint.save, mid-write
+    "checkpoint.write",  # persistence.checkpoint._write_atomic, mid-write
+    #   (save and eventlog write_checkpoint); torn leaves half a temp file
     "client.publish",  # harness: before submitting a publish op
     "consumer.pull",  # harness: before a consume op
     "eventlog.fault",  # EventLog.append_many, before any byte is written;
@@ -186,21 +187,3 @@ class FaultInjector:
 
     def arrivals(self, point: str) -> int:
         return self._arrivals.get(point, 0)
-
-    # -- crash-recovery support -------------------------------------------
-
-    def snapshot(self) -> Tuple:
-        """Opaque firing state, rewindable so a replayed op tail sees the
-        same faults as the pre-crash execution."""
-        return (
-            dict(self._arrivals),
-            [state[1] for state in self._states],
-            [dict(record) for record in self.fired],
-        )
-
-    def restore(self, state: Tuple) -> None:
-        arrivals, remaining, fired = state
-        self._arrivals = dict(arrivals)
-        for spec_state, budget in zip(self._states, remaining):
-            spec_state[1] = budget
-        self.fired = [dict(record) for record in fired]

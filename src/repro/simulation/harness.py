@@ -15,29 +15,25 @@ engine config, fault plan)``:
 
 After every op the :class:`~repro.simulation.invariants.InvariantMonitor`
 audits result-set sizes, Lemma 1 replacement ordering, the Lemma 2
-filtering bound, and oracle equivalence.  Crash-recovery runs checkpoint
-at op ``c``, kill the runtime without drain at op ``m``, restore, rewind
-the driver to ``c`` and replay — final result sets must equal an
-unfailed reference run's (the replay-equivalence invariant).
+filtering bound, and oracle equivalence.  A run with ``crash_at`` or
+``checkpoint_at`` serves from a temporary event-log directory; at op
+``crash_at`` it kills the runtime without drain and starts a new one on
+the same directory, whose recovery replays the whole log through a
+fresh monitored engine (oracle on), and the schedule goes on from there
+— final result sets must equal an unfailed reference run's (the
+replay-equivalence invariant).
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import random
-import shutil
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import EngineConfig, ServerConfig
 from repro.core.engine import DasEngine
 from repro.errors import ReproError
-from repro.persistence.checkpoint import (
-    checkpoint as take_checkpoint,
-    restore as restore_engine,
-    save as save_checkpoint,
-)
 from repro.server.protocol import raise_for_reply
 from repro.server.runtime import ServerRuntime
 from repro.server.sessions import SubscriberSession
@@ -61,6 +57,11 @@ ACTORS = (
     {"policy": "drop_oldest", "capacity": 8},
     {"policy": "coalesce", "capacity": 8},
 )
+
+#: Injection points between a durable batch's append and the end of its
+#: match.  A fault there fail-stops the runtime, so a crash run under one
+#: has no uninterrupted run to converge to.
+FAIL_STOP_POINTS = ("eventlog.match", "engine.publish_batch", "engine.doc")
 
 
 def default_engine_config(**overrides) -> EngineConfig:
@@ -165,19 +166,18 @@ class SimulationHarness:
         check_oracle: bool = True,
         checkpoint_at: Optional[int] = None,
         crash_at: Optional[int] = None,
-        checkpoint_path: Optional[str] = None,
     ) -> None:
         if isinstance(fault_plan, str):
             fault_plan = FaultPlan.parse(fault_plan)
-        if crash_at is not None:
-            if checkpoint_at is None or checkpoint_at >= crash_at:
+        if crash_at is not None and fault_plan is not None:
+            named = sorted(
+                {spec.point for spec in fault_plan.specs}
+                & set(FAIL_STOP_POINTS)
+            )
+            if named:
                 raise ValueError(
-                    "crash_at requires an earlier checkpoint_at"
-                )
-            if check_oracle:
-                raise ValueError(
-                    "the per-op oracle cannot be rewound across a crash; "
-                    "run crash scenarios with check_oracle=False"
+                    f"a crash run cannot inject at {named}: a durable "
+                    f"runtime fail-stops there"
                 )
         self.seed = seed
         self.n_ops = ops
@@ -190,7 +190,6 @@ class SimulationHarness:
         self.check_oracle = check_oracle
         self.checkpoint_at = checkpoint_at
         self.crash_at = crash_at
-        self.checkpoint_path = checkpoint_path
 
     def _make_telemetry(self) -> Telemetry:
         """Deterministic telemetry: a counting clock instead of wall time,
@@ -198,108 +197,85 @@ class SimulationHarness:
         return Telemetry(time_fn=CountingClock())
 
     def run(self) -> Dict:
-        return asyncio.run(self._run())
+        if self.crash_at is None and self.checkpoint_at is None:
+            return asyncio.run(self._run(None))
+        with tempfile.TemporaryDirectory(prefix="repro-sim-") as directory:
+            return asyncio.run(self._run(directory))
 
     # -- internals ---------------------------------------------------------
 
     async def _start_runtime(
         self,
-        instrumented: InstrumentedEngine,
         clock: SimulationClock,
         injector: Optional[FaultInjector],
-    ) -> Tuple[ServerRuntime, List[SubscriberSession]]:
+        directory: Optional[str],
+        op_index: int,
+    ) -> Tuple[ServerRuntime, List[SubscriberSession], InvariantMonitor]:
+        """A runtime over a fresh monitored engine.  On a used event-log
+        directory, ``start`` replays the log through the monitor, which
+        rebuilds its oracle as it goes."""
+        engine = DasEngine(
+            self.engine_config, telemetry=self._make_telemetry()
+        )
+        monitor = InvariantMonitor(engine, with_oracle=self.check_oracle)
+        monitor.op_index = op_index
+        instrumented = InstrumentedEngine(engine, monitor, injector)
         config = ServerConfig(
             time_source=lambda: clock.now,
             fault_injector=injector,
             ingest_capacity=64,
             max_batch_size=8,
             drain_timeout=5.0,
+            eventlog_dir=directory,
+            eventlog_fsync="never",
         )
         runtime = ServerRuntime(instrumented, config)
         await runtime.start()
+        if runtime.engine is not instrumented:
+            await runtime.stop(drain=False)
+            raise ReproError(
+                "recovery restored a checkpointed engine the monitor "
+                "does not watch"
+            )
         sessions = [
             runtime.open_session(
                 policy=actor["policy"], capacity=actor["capacity"]
             )
             for actor in ACTORS
         ]
-        return runtime, sessions
+        return runtime, sessions, monitor
 
-    async def _run(self) -> Dict:
+    async def _run(self, directory: Optional[str]) -> Dict:
         schedule = generate_schedule(
             random.Random(self.seed), self.n_ops, self.engine_config.mode
         )
         clock = SimulationClock(1000.0)
         injector = self.plan.injector() if self.plan is not None else None
-        engine = DasEngine(
-            self.engine_config, telemetry=self._make_telemetry()
+        runtime, sessions, monitor = await self._start_runtime(
+            clock, injector, directory, -1
         )
-        monitor = InvariantMonitor(engine, with_oracle=self.check_oracle)
-        instrumented = InstrumentedEngine(engine, monitor, injector)
-        runtime, sessions = await self._start_runtime(
-            instrumented, clock, injector
-        )
+        monitors = [monitor]
 
         active: List[Tuple[int, int]] = []  # (query_id, actor)
         errors: List[List] = []  # [op_index, error type]
         consumed = [0] * len(ACTORS)
         stall_until: Dict[int, int] = {}
-        snapshot: Optional[Dict] = None
-        crash_at = self.crash_at
-        recovered = False
-        checkpoint_file_error: Optional[str] = None
 
         index = 0
         while index < len(schedule):
-            if (
-                self.checkpoint_at is not None
-                and index == self.checkpoint_at
-                and snapshot is None
-            ):
-                snapshot = {
-                    "payload": take_checkpoint(engine),
-                    "clock": clock.now,
-                    "active": [list(pair) for pair in active],
-                    "errors": [list(record) for record in errors],
-                    "consumed": list(consumed),
-                    "schedule": list(schedule),
-                    "injector": (
-                        injector.snapshot() if injector is not None else None
-                    ),
-                }
-                if self.checkpoint_path is not None:
-                    try:
-                        save_checkpoint(
-                            engine, self.checkpoint_path, injector=injector
-                        )
-                    except ReproError as exc:
-                        checkpoint_file_error = type(exc).__name__
-                        errors.append([index, checkpoint_file_error])
-            if crash_at is not None and index == crash_at:
-                # Hard crash: no drain, in-memory engine state is lost.
+            if index == self.checkpoint_at:
+                try:
+                    await runtime.checkpoint_eventlog()
+                except ReproError as exc:
+                    errors.append([index, type(exc).__name__])
+            if index == self.crash_at:
+                # Hard crash: no drain, only the event log survives.
                 await runtime.stop(drain=False)
-                engine = restore_engine(snapshot["payload"])
-                # In-memory telemetry died with the crashed process; the
-                # restored engine starts a fresh ledger (the monitor
-                # re-baselines its delta checks on rebind).
-                engine.attach_telemetry(self._make_telemetry())
-                monitor.rebind(engine)
-                instrumented = InstrumentedEngine(engine, monitor, injector)
-                clock = SimulationClock(snapshot["clock"])
-                if injector is not None and snapshot["injector"] is not None:
-                    injector.restore(snapshot["injector"])
-                active = [tuple(pair) for pair in snapshot["active"]]
-                errors = [list(record) for record in snapshot["errors"]]
-                consumed = list(snapshot["consumed"])
-                schedule = list(snapshot["schedule"])
-                stall_until = {}
-                runtime, sessions = await self._start_runtime(
-                    instrumented, clock, injector
+                runtime, sessions, monitor = await self._start_runtime(
+                    clock, injector, directory, index
                 )
-                crash_at = None
-                recovered = True
-                index = self.checkpoint_at
-                continue
+                monitors.append(monitor)
+                stall_until.clear()
 
             monitor.op_index = index
             clock.advance(1.0)
@@ -323,6 +299,7 @@ class SimulationHarness:
             except ReproError as exc:
                 errors.append([index, type(exc).__name__])
             monitor.check_all()
+            monitor.check_eventlog(runtime)
             index += 1
 
         for actor in list(stall_until):
@@ -331,6 +308,8 @@ class SimulationHarness:
             consumed[actor] += await _drain_session(session)
         monitor.op_index = len(schedule)
         monitor.check_all()
+        monitor.check_eventlog(runtime)
+        engine = runtime.engine
         final = {
             "clock": clock.now,
             "queries": {
@@ -342,6 +321,11 @@ class SimulationHarness:
         }
         await runtime.stop()
         stats = runtime.stats()
+        violations = [
+            violation.as_dict()
+            for each in monitors
+            for violation in each.violations
+        ]
         report = {
             "seed": self.seed,
             "mode": self.engine_config.mode,
@@ -349,11 +333,14 @@ class SimulationHarness:
             "executed_ops": len(schedule),
             "fault_plan": str(self.plan) if self.plan is not None else "",
             "oracle": self.check_oracle,
-            "recovered": recovered,
+            "recovered": len(monitors) > 1,
             "errors": errors,
             "faults_fired": injector.fired if injector is not None else [],
-            "checks": dict(monitor.checks),
-            "violations": [v.as_dict() for v in monitor.violations],
+            "checks": {
+                name: sum(each.checks[name] for each in monitors)
+                for name in monitor.checks
+            },
+            "violations": violations,
             "consumed": consumed,
             "final": final,
             "stats": {
@@ -372,10 +359,10 @@ class SimulationHarness:
                     "telemetry",
                 )
             },
-            "ok": not monitor.violations,
+            "ok": not violations,
         }
-        if checkpoint_file_error is not None:
-            report["checkpoint_file_error"] = checkpoint_file_error
+        if directory is not None:
+            report["recovery"] = stats["eventlog"]["recovery"]
         return report
 
     async def _apply(
@@ -492,8 +479,9 @@ def run_default_suite(
     """The acceptance suite: one report per fault scenario, one seed.
 
     Every scenario replays the same seeded schedule under a different
-    fault plan; ``crash_recovery`` additionally compares its final state
-    to the unfailed ``clean`` run.  The returned dict is JSON-safe and
+    fault plan; ``crash_recovery`` and ``checkpoint_fault`` also crash
+    and recover, and compare their final state to the unfailed
+    ``clean`` run's (``equal``).  The returned dict is JSON-safe and
     deterministic — dumping it with ``sort_keys=True`` is byte-for-byte
     reproducible for a given seed.
     """
@@ -523,47 +511,22 @@ def run_default_suite(
         "chaos", generate_random_plan(random.Random(seed ^ 0x9E3779B9))
     )
 
-    # Checkpoint write failure: the atomic save must fail cleanly and
-    # leave no (partial) checkpoint behind.
-    tmpdir = tempfile.mkdtemp(prefix="repro-sim-")
-    try:
-        path = os.path.join(tmpdir, "ckpt.json")
-        report = run_scenario(
-            "checkpoint_fault",
-            "checkpoint.write@1:raise",
-            checkpoint_at=max(1, ops // 3),
-            checkpoint_path=path,
-        )
-        report["checkpoint_file_absent"] = not os.path.exists(path)
-        report["ok"] = report["ok"] and report["checkpoint_file_absent"]
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-    # Crash-recovery equivalence: checkpoint -> kill -> restore -> replay
-    # must converge to the unfailed reference run's result sets.
-    crashed = SimulationHarness(
-        seed,
-        ops=ops,
-        engine_config=engine_config,
-        check_oracle=False,
+    # Crash recovery: kill the runtime without drain and restart it on
+    # its event log; the replay must converge to the unfailed run's
+    # result sets.  checkpoint_fault first tears a checkpoint write,
+    # which recovery must skip in favour of the whole log.
+    crash_at = max(2, (2 * ops) // 3)
+    torn = run_scenario(
+        "checkpoint_fault",
+        "checkpoint.write@1:torn",
         checkpoint_at=max(1, ops // 3),
-        crash_at=max(2, (2 * ops) // 3),
-    ).run()
-    equal = crashed["final"] == clean["final"]
-    scenarios.append(
-        {
-            "scenario": "crash_recovery",
-            "equal": equal,
-            "recovered": crashed["recovered"],
-            "reference_final": clean["final"],
-            "crashed_final": crashed["final"],
-            "checks": crashed["checks"],
-            "violations": crashed["violations"],
-            "ok": equal
-            and crashed["recovered"]
-            and not crashed["violations"],
-        }
+        crash_at=crash_at,
     )
+    crashed = run_scenario("crash_recovery", crash_at=crash_at)
+    for report in (torn, crashed):
+        report["equal"] = report["final"] == clean["final"]
+        report["ok"] = report["ok"] and report["recovered"] and report["equal"]
+    torn["ok"] = torn["ok"] and torn["recovery"]["checkpoint_offset"] == -1
 
     return {
         "seed": seed,

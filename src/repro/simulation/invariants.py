@@ -136,45 +136,23 @@ class InvariantMonitor:
             "telemetry": 0,
             "eventlog": 0,
         }
-        self._take_telemetry_baseline()
+        self._prev_counters = engine.counters.as_dict()
+        # The stage-histogram delta check measures from the ledger the
+        # engine arrived with.
+        self._base_spans_finished = 0
+        self._base_stage_counts: Dict[str, int] = {}
+        telemetry = getattr(engine, "telemetry", None)
+        if telemetry is not None:
+            snapshot = telemetry.snapshot()
+            self._base_spans_finished = snapshot["spans"]["finished"]
+            self._base_stage_counts = {
+                stage: sum(wire["counts"])
+                for stage, wire in snapshot["stages"].items()
+            }
 
     @property
     def oracle(self) -> Optional[NaiveEngine]:
         return self._oracle
-
-    def rebind(self, engine: DasEngine) -> None:
-        """Point the monitor at a restored engine (crash-recovery replay).
-
-        The per-op oracle cannot be rewound to a checkpoint, so replay
-        runs must be created with ``with_oracle=False``; their
-        correctness check is final-state equality against an unfailed
-        reference run (see the harness).
-        """
-        if self._oracle is not None:
-            raise ValueError(
-                "cannot rebind a monitor with a live oracle; crash "
-                "scenarios must run with with_oracle=False"
-            )
-        self._engine = engine
-        self._pre.clear()
-        # A restored engine starts a fresh telemetry ledger; re-baseline
-        # so the histogram-vs-spans delta check compares like with like.
-        self._take_telemetry_baseline()
-
-    def _take_telemetry_baseline(self) -> None:
-        """Record the telemetry state the delta checks measure against."""
-        self._prev_counters = self._engine.counters.as_dict()
-        telemetry = getattr(self._engine, "telemetry", None)
-        if telemetry is None:
-            self._base_spans_finished = 0
-            self._base_stage_counts: Dict[str, int] = {}
-            return
-        snapshot = telemetry.snapshot()
-        self._base_spans_finished = snapshot["spans"]["finished"]
-        self._base_stage_counts = {
-            stage: sum(wire["counts"])
-            for stage, wire in snapshot["stages"].items()
-        }
 
     def _record(self, name: str, detail: str) -> None:
         self.violations.append(

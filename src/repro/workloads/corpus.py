@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.stream.document import Document
 from repro.text.vectors import TermVector
@@ -181,14 +181,6 @@ class SyntheticTweetCorpus:
             min(1.0, max(0.0, rng.gauss(cy, spread))),
         )
 
-    def token_stream(
-        self, rng: Optional[random.Random] = None
-    ) -> Iterator[List[str]]:
-        """Endless iterator of token lists."""
-        rng = rng if rng is not None else self._rng
-        while True:
-            yield self.generate_tokens(rng)
-
     def documents(
         self,
         n: int,
@@ -222,32 +214,6 @@ class SyntheticTweetCorpus:
             )
             timestamp += interval
         return documents
-
-    def document_stream(
-        self,
-        start_time: float = 0.0,
-        interval: float = 1.0,
-        first_id: int = 0,
-        rng: Optional[random.Random] = None,
-        with_locations: bool = False,
-    ) -> Iterator[Document]:
-        """Endless stream of documents with regular arrivals."""
-        rng = rng if rng is not None else self._rng
-        doc_id = first_id
-        timestamp = start_time
-        while True:
-            tokens = self.generate_tokens(rng)
-            yield Document(
-                doc_id,
-                TermVector.from_tokens(tokens),
-                timestamp,
-                text=" ".join(tokens),
-                location=(
-                    self.generate_location(rng) if with_locations else None
-                ),
-            )
-            doc_id += 1
-            timestamp += interval
 
     # -- query material -----------------------------------------------------------
 

@@ -24,8 +24,10 @@ from repro.core.query import DasQuery
 from repro.errors import (
     ConfigurationError,
     EmptyQueryError,
+    InjectedFaultError,
     ProtocolError,
     ReproError,
+    ServerClosedError,
     UnknownQueryError,
 )
 from repro.eventlog import (
@@ -762,6 +764,41 @@ def test_torn_checkpoint_falls_back_to_previous(tmp_eventlog):
     assert latest_checkpoint(directory)["offset"] == 1
 
 
+def test_recover_removes_stale_checkpoint_temporaries(tmp_eventlog):
+    """A checkpoint write that fails before its rename leaves its temp
+    file behind; recovery deletes it, and the checkpoint before it
+    stands."""
+    directory, open_log = tmp_eventlog
+    open_log(segment_entries=100).append(subscribe_record(0, ["coffee"]))
+    engine = _engine()
+    registry = SubscriberRegistry()
+    write_checkpoint(directory, 1, checkpoint(engine), registry.snapshot())
+    injector = FaultPlan.parse(
+        "checkpoint.write@1:torn; checkpoint.write@2:raise"
+    ).injector()
+    for offset in (2, 3):
+        with pytest.raises(ReproError):
+            write_checkpoint(
+                directory,
+                offset,
+                checkpoint(engine),
+                registry.snapshot(),
+                injector=injector,
+            )
+    stale = sorted(
+        os.path.basename(checkpoint_path(directory, offset)) + ".tmp"
+        for offset in (2, 3)
+    )
+    assert sorted(
+        name for name in os.listdir(directory) if name.endswith(".tmp")
+    ) == stale
+
+    state = recover(directory, _engine())
+    state.log.close()
+    assert state.checkpoint_offset == 1
+    assert not [name for name in os.listdir(directory) if name.endswith(".tmp")]
+
+
 # -- server runtime integration --------------------------------------------
 
 
@@ -941,6 +978,87 @@ def test_refused_subscribe_is_not_logged(tmp_path, mode, refused):
     recovery, queries = run(after())
     assert recovery["replay_errors"] == 0 and recovery["replayed"] == 1
     assert queries == 1
+
+
+@pytest.mark.parametrize(
+    "plan, checkpoint_every",
+    [("eventlog.match@2:raise", 0), ("engine.publish_batch@2:raise", 1)],
+)
+def test_a_logged_batch_that_fails_to_match_fail_stops_the_runtime(
+    tmp_path, plan, checkpoint_every
+):
+    """A batch that fails after its append leaves the log holding a
+    publish the engine does not: the runtime fails that batch, then
+    refuses every later request instead of serving results no replay
+    reproduces, and writes no checkpoint that would skip the batch.
+    stats stays readable, stop stays idempotent, and a restart on the
+    directory recovers the logged publish."""
+    directory = str(tmp_path / "log")
+
+    async def scenario():
+        runtime = ServerRuntime(
+            small_engine(),
+            eventlog_config(
+                directory,
+                fault_injector=FaultPlan.parse(plan).injector(),
+                eventlog_checkpoint_every=checkpoint_every,
+            ),
+        )
+        await runtime.start()
+        client = InProcessClient(runtime)
+        query_id = (await client.subscribe(["coffee"]))["query_id"]
+        assert (await client.publish(tokens=["coffee", "a"]))["doc_id"] == 0
+        with pytest.raises(InjectedFaultError):
+            await client.publish(tokens=["coffee", "b"])
+        for refused in (
+            client.publish(tokens=["coffee", "c"]),
+            client.results(query_id),
+            client.subscribe(["tea"]),
+        ):
+            with pytest.raises(ServerClosedError):
+                await refused
+        stats = await client.stats()
+        assert stats["state"] == "failed"
+        assert stats["matcher_errors"] == 1
+        assert stats["eventlog"]["end"] == 3  # subscribe and two publishes
+        await runtime.stop(drain=False)
+        await runtime.stop()
+        assert runtime.state == "stopped"
+
+        restarted = ServerRuntime(small_engine(), eventlog_config(directory))
+        await restarted.start()
+        results = await InProcessClient(restarted).results(query_id)
+        await restarted.stop()
+        return [document["doc_id"] for document in results]
+
+    assert run(scenario()) == [1, 0]
+
+
+def test_a_batch_that_fails_before_its_append_keeps_serving(tmp_path):
+    """A failure before anything is logged fails only its batch."""
+    directory = str(tmp_path / "log")
+
+    async def scenario():
+        runtime = ServerRuntime(
+            small_engine(),
+            eventlog_config(
+                directory,
+                fault_injector=FaultPlan.parse("eventlog.fault@2").injector(),
+            ),
+        )
+        await runtime.start()
+        client = InProcessClient(runtime)
+        query_id = (await client.subscribe(["coffee"]))["query_id"]
+        with pytest.raises(InjectedFaultError):
+            await client.publish(tokens=["coffee", "a"])
+        await client.publish(tokens=["coffee", "b"])
+        results = await client.results(query_id)
+        state = runtime.state
+        await client.close()
+        await runtime.stop()
+        return state, [document["doc_id"] for document in results]
+
+    assert run(scenario()) == ("running", [1])
 
 
 def test_runtime_restart_replays_and_resumes_catchup(tmp_path):

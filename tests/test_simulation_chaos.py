@@ -19,6 +19,7 @@ from repro.simulation import (
     SimulationHarness,
     generate_random_plan,
 )
+from repro.simulation.harness import FAIL_STOP_POINTS
 
 CHAOS = settings(
     max_examples=12,
@@ -56,6 +57,30 @@ def test_any_raising_fault_never_corrupts_state(seed, point, at, count):
     plan = f"{point}@{at}:raise*{count}"
     report = SimulationHarness(seed, ops=25, fault_plan=plan).run()
     assert report["ok"], (plan, report["violations"])
+
+
+@CHAOS
+@given(
+    seed=st.integers(min_value=0, max_value=2**20),
+    crash_at=st.integers(min_value=1, max_value=24),
+)
+def test_any_crash_converges_to_the_uninterrupted_run(seed, crash_at):
+    # Faults between a batch's append and its match fail-stop a durable
+    # runtime, so they are left out of a crash run's plan.
+    plan = FaultPlan(
+        [
+            spec
+            for spec in generate_random_plan(random.Random(seed)).specs
+            if spec.point not in FAIL_STOP_POINTS
+        ]
+    )
+    reference = SimulationHarness(seed, ops=25, fault_plan=plan).run()
+    crashed = SimulationHarness(
+        seed, ops=25, fault_plan=plan, crash_at=crash_at
+    ).run()
+    assert crashed["ok"], (str(plan), crashed["violations"])
+    assert crashed["recovered"] and crashed["checks"]["oracle"] > 0
+    assert crashed["final"] == reference["final"], str(plan)
 
 
 @given(

@@ -121,20 +121,6 @@ def test_points_count_arrivals_independently():
         injector.fire("engine.doc")  # engine.doc arrival 2
 
 
-def test_injector_snapshot_restore_rewinds_firing_state():
-    injector = FaultPlan.parse("engine.doc@2").injector()
-    injector.fire("engine.doc")
-    state = injector.snapshot()
-    with pytest.raises(InjectedFaultError):
-        injector.fire("engine.doc")
-    assert injector.fired
-    injector.restore(state)
-    assert injector.arrivals("engine.doc") == 1
-    assert injector.fired == []
-    with pytest.raises(InjectedFaultError):
-        injector.fire("engine.doc")  # the fault replays identically
-
-
 def test_server_config_rejects_injector_without_fire():
     with pytest.raises(ConfigurationError):
         ServerConfig(fault_injector=object())

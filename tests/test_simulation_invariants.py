@@ -263,17 +263,6 @@ def test_lemma1_check_flags_replacement_on_unfilled_query():
     )
 
 
-def test_rebind_requires_oracle_off():
-    engine, monitor, _instrumented = make_setup(with_oracle=True)
-    with pytest.raises(ValueError):
-        monitor.rebind(DasEngine(default_engine_config()))
-    engine2, monitor2, _ = make_setup(with_oracle=False)
-    replacement = DasEngine(default_engine_config())
-    monitor2.rebind(replacement)
-    monitor2.check_all()  # audits the replacement engine without error
-    assert monitor2.violations == []
-
-
 def test_instrumented_engine_delegates_like_a_plain_engine():
     engine, monitor, instrumented = make_setup()
     assert instrumented.inner is engine

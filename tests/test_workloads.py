@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.workloads.corpus import SyntheticTweetCorpus, zipf_weights
@@ -49,15 +47,6 @@ def test_corpus_deterministic_given_seed():
     a = SyntheticTweetCorpus(vocab_size=100, n_topics=4, seed=7).documents(10)
     b = SyntheticTweetCorpus(vocab_size=100, n_topics=4, seed=7).documents(10)
     assert [d.text for d in a] == [d.text for d in b]
-
-
-def test_corpus_stream_matches_documents():
-    corpus = SyntheticTweetCorpus(vocab_size=100, n_topics=4, seed=7)
-    stream = corpus.document_stream(rng=random.Random(3))
-    first = next(stream)
-    second = next(stream)
-    assert second.doc_id == first.doc_id + 1
-    assert second.created_at > first.created_at
 
 
 def test_trending_terms():
