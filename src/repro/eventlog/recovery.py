@@ -76,18 +76,20 @@ def write_checkpoint(
     engine_payload: Dict[str, Any],
     subscribers_payload: Dict[str, Any],
     injector: Optional[object] = None,
-    keep: int = 2,
     fsync: str = "always",
 ) -> str:
-    """Atomically write a checkpoint at ``offset``; prunes old ones.
+    """Atomically write a checkpoint at ``offset``; removes older ones.
 
-    Same crash discipline as :func:`repro.persistence.checkpoint.save`
-    (one temp-file, fsync, replace and directory-fsync sequence): an
-    injected ``checkpoint.write`` ``torn`` fault leaves a truncated
-    *temp* file — never a truncated checkpoint — so recovery falls back
-    to the previous one (and deletes the temp file).  The directory sync
-    follows the log's ``fsync`` policy, so the new name is durable before
-    an older checkpoint — or, in the caller, any log segment the
+    Only the newest checkpoint is kept: the caller then truncates the
+    log to its offset, and an older checkpoint could no longer be
+    replayed from there.  Same crash discipline as
+    :func:`repro.persistence.checkpoint.save` (one temp-file, fsync,
+    replace and directory-fsync sequence): an injected
+    ``checkpoint.write`` ``torn`` fault leaves a truncated *temp* file —
+    never a truncated checkpoint — and prunes nothing, so recovery falls
+    back to the previous one (and deletes the temp file).  The directory
+    sync follows the log's ``fsync`` policy, so the new name is durable
+    before an older checkpoint — or, in the caller, any log segment the
     checkpoint covers — is removed.
     """
     payload = {
@@ -98,7 +100,7 @@ def write_checkpoint(
     }
     path = checkpoint_path(directory, offset)
     _write_atomic(path, json.dumps(payload), injector, fsync)
-    for old in _checkpoint_offsets(directory)[:-keep]:
+    for old in _checkpoint_offsets(directory)[:-1]:
         os.remove(checkpoint_path(directory, old))
     return path
 
@@ -107,8 +109,9 @@ def latest_checkpoint(directory: str) -> Optional[Dict[str, Any]]:
     """Newest readable checkpoint payload, or None.
 
     Unreadable candidates (torn write that somehow reached the final
-    name, wrong version, truncated JSON) are skipped, not fatal — an
-    older checkpoint plus a longer replay is always available.
+    name, wrong version, truncated JSON) are skipped, not fatal; the
+    fallback replays only if the log still reaches back to its offset
+    (:func:`recover` raises on the gap otherwise).
     """
     for offset in reversed(_checkpoint_offsets(directory)):
         try:

@@ -19,23 +19,16 @@ Durability contract:
   acknowledged, dropping it is the correct at-most-once outcome for
   un-acked work).
 * ``truncate_to(offset)`` drops whole segments that a checkpoint made
-  redundant; the active segment is never deleted.
-* ``compact_to(offset)`` additionally rewrites the *head* segment when
-  ``offset`` falls inside it, physically reclaiming entries every
-  durable subscriber has acked and a checkpoint covers.  The rewrite is
-  crash-safe: the surviving lines are copied byte for byte to a
-  temporary file, fsynced, renamed into place and only then is the old
-  segment removed — a crash in between leaves an overlapping pair, and
-  the recovery scan keeps the earlier (superset) segment and deletes
-  the leftover.
+  redundant; the active segment is never deleted, so retention moves in
+  segment-sized steps.
 
 Fsync policies: ``always`` fsyncs once per append call (one fsync covers
 a whole ``append_many`` batch), ``batch`` fsyncs on rotation, explicit
 :meth:`sync` and :meth:`close`, ``never`` leaves flushing to the OS.
 Under ``always`` and ``batch`` the directory itself is fsynced
-(:func:`sync_directory`) after every name the log creates, renames or
-removes — open, rotation, truncation, compaction — since a file's fsync
-need not make its directory entry durable.
+(:func:`sync_directory`) after every name the log creates or removes —
+open, rotation, truncation — since a file's fsync need not make its
+directory entry durable.
 
 The ``eventlog.fault`` injection point fires on every append call:
 ``raise`` rejects the batch before any byte is written, ``torn`` writes
@@ -126,7 +119,6 @@ class EventLog:
         self.rotations = 0
         self.recovered = 0
         self.torn_dropped = 0
-        self.compactions = 0
         self.reclaimed_bytes = 0
         os.makedirs(directory, exist_ok=True)
         #: Per-segment bookkeeping (base offset, entry count), including
@@ -149,11 +141,6 @@ class EventLog:
     # -- recovery scan ----------------------------------------------------
 
     def _scan(self) -> None:
-        for name in os.listdir(self.directory):
-            # Stray temporaries from a compaction interrupted before its
-            # rename; the old segment is still in place, so just drop.
-            if name.startswith("compact-") and name.endswith(".tmp"):
-                os.remove(os.path.join(self.directory, name))
         names = sorted(
             name
             for name in os.listdir(self.directory)
@@ -165,14 +152,6 @@ class EventLog:
             path = os.path.join(self.directory, name)
             if expected is None:
                 expected = base
-            elif base < expected:
-                # A compaction renamed its rewritten head segment into
-                # place but crashed before removing the original.  The
-                # original (scanned first — lower base) is a strict
-                # superset, so the rewrite is redundant: delete it and
-                # let a later compaction redo the work.
-                os.remove(path)
-                continue
             elif base != expected:
                 raise ReproError(
                     f"event log gap: segment {name} starts at {base}, "
@@ -313,8 +292,8 @@ class EventLog:
         Raises at call time when ``offset`` predates the retained window
         — the caller needs a checkpoint, not a replay.  The pairs are
         read from the segment files as the iterator is advanced, up to
-        the end the log had at call time; truncating or compacting the
-        log before the iterator is exhausted is an error.
+        the end the log had at call time; truncating the log before the
+        iterator is exhausted is an error.
         """
         start = max(int(offset), 0)
         if start < self.base:
@@ -361,63 +340,6 @@ class EventLog:
             self._sync_directory()
         return self.base
 
-    def compact_to(self, offset: int) -> int:
-        """Physically reclaim every retained entry below ``offset``.
-
-        Goes one step beyond :meth:`truncate_to`: after whole redundant
-        segments are dropped, an ``offset`` that lands *inside* the head
-        segment rewrites that segment to its surviving suffix (the
-        active segment gets its append handle swapped, like a rotation).
-        The caller guarantees nothing below ``offset`` is ever replayed
-        again — the runtime passes ``min(checkpoint offset, lowest
-        subscriber ack + 1)``.  Returns the bytes reclaimed.
-        """
-        if self._closed:
-            raise ReproError("event log is closed")
-        before = self.reclaimed_bytes
-        self.truncate_to(offset)
-        if offset > self.end:
-            offset = self.end
-        if offset > self.base:
-            head_base, head_count = self._segments[0]
-            keep = head_base + head_count - offset
-            is_active = len(self._segments) == 1
-            old_path = os.path.join(
-                self.directory, segment_name(head_base)
-            )
-            old_size = os.path.getsize(old_path)
-            if is_active:
-                self._file.flush()
-                self._file.close()
-            tmp_path = os.path.join(
-                self.directory, f"compact-{offset:020d}.tmp"
-            )
-            drop = offset - head_base
-            with open(old_path, "rb") as source, open(
-                tmp_path, "wb"
-            ) as handle:
-                handle.writelines(islice(source, drop, drop + keep))
-                handle.flush()
-                if self.fsync_policy != "never":
-                    os.fsync(handle.fileno())
-                    self.fsyncs += 1
-            new_path = os.path.join(self.directory, segment_name(offset))
-            # Rename before removing the original: a crash in between
-            # leaves an overlapping pair the recovery scan resolves in
-            # favour of the original (see _scan).  The rename is made
-            # durable first, so the removal can never survive without it.
-            os.rename(tmp_path, new_path)
-            self._sync_directory()
-            os.remove(old_path)
-            self._sync_directory()
-            self.reclaimed_bytes += old_size - os.path.getsize(new_path)
-            self._segments[0] = [offset, keep]
-            if is_active:
-                self._active_path = new_path
-                self._file = open(self._active_path, "ab")
-            self.compactions += 1
-        return self.reclaimed_bytes - before
-
     # -- lifecycle / observability ----------------------------------------
 
     def close(self) -> None:
@@ -443,7 +365,6 @@ class EventLog:
             "rotations": self.rotations,
             "recovered": self.recovered,
             "torn_dropped": self.torn_dropped,
-            "compactions": self.compactions,
             "reclaimed_bytes": self.reclaimed_bytes,
         }
 

@@ -205,26 +205,6 @@ class SubscriberRegistry:
                 entry["attempts"],
             )
 
-    def min_acked(self) -> Optional[int]:
-        """Lowest acked offset across all durable subscribers, or None.
-
-        This is the replay floor for log compaction: entries at or below
-        it have been confirmed by *every* durable subscriber, so no
-        catch-up replay can ever need them again.  A subscriber that has
-        never acked reports -1, pinning the floor at the log base.  One
-        that owns no query and retains no entry has nothing to replay
-        and does not count: a ``resume`` that acks nothing writes no
-        record, so recovery would not know it either.
-        """
-        return min(
-            (
-                state.acked
-                for state in self._states.values()
-                if state.queries or state.outbox
-            ),
-            default=None,
-        )
-
     # -- checkpoint embedding ----------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:

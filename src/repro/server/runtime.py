@@ -1215,8 +1215,7 @@ class ServerRuntime:
 
     def _write_eventlog_checkpoint(self) -> Dict[str, Any]:
         """Checkpoint engine + registry at the current log end, then
-        drop the log segments the checkpoint made redundant and compact
-        the head segment down to the subscriber replay floor."""
+        drop the log segments the checkpoint made redundant."""
         offset = self._eventlog.end
         write_checkpoint(
             self._config.eventlog_dir,
@@ -1226,15 +1225,8 @@ class ServerRuntime:
             injector=self._injector,
             fsync=self._config.eventlog_fsync,
         )
-        # Reclaim only what is BOTH checkpoint-covered and fully acked:
-        # a durable subscriber that has not confirmed an offset may still
-        # resume against the retained log, so the lowest ack pins the
-        # floor (a silent subscriber therefore pins the log — visible as
-        # ``base`` lagging ``checkpoint_offset`` in stats.eventlog).
-        # Offset ``min_acked`` itself is confirmed delivered: floor +1.
-        min_acked = self._registry.min_acked()
-        floor = offset if min_acked is None else min(offset, min_acked + 1)
-        reclaimed = self._eventlog.compact_to(floor)
+        before = self._eventlog.reclaimed_bytes
+        self._eventlog.truncate_to(offset)
         self._checkpoint_offset = offset
         self._appended_since_checkpoint = 0
         self._checkpoints_written += 1
@@ -1242,5 +1234,5 @@ class ServerRuntime:
             "offset": offset,
             "checkpoints": self._checkpoints_written,
             "log_base": self._eventlog.base,
-            "reclaimed_bytes": reclaimed,
+            "reclaimed_bytes": self._eventlog.reclaimed_bytes - before,
         }

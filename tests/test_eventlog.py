@@ -199,31 +199,6 @@ def test_truncate_never_deletes_the_active_segment(tmp_eventlog):
     assert segment_name(4) in os.listdir(directory)
 
 
-def test_compact_to_rewrites_head_segment(tmp_eventlog):
-    directory, open_log = tmp_eventlog
-    log = open_log(segment_entries=4)
-    for i in range(10):
-        log.append(publish(i))
-    # truncate_to alone would stop at the segment boundary (base 4);
-    # compaction rewrites the head so the base lands exactly on 6.
-    reclaimed = log.compact_to(6)
-    assert reclaimed > 0
-    assert log.base == 6 and log.end == 10
-    assert log.compactions == 1
-    assert log.reclaimed_bytes == reclaimed
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".seg"))
-    assert names == [segment_name(6), segment_name(8)]
-    assert [o for o, _ in log.entries_since(6)] == [6, 7, 8, 9]
-    with pytest.raises(ReproError):
-        log.entries_since(5)
-    # The log keeps appending normally and a reopen sees exactly the
-    # surviving suffix.
-    log.append(publish(10))
-    log.close()
-    reopened = open_log(segment_entries=4)
-    assert reopened.base == 6 and reopened.end == 11
-
-
 def _record_directory_syncs(monkeypatch):
     """Spy on ``os.fsync`` / ``os.replace`` / ``os.remove``: returns the
     list of ``("dir-fsync",)``, ``("replace", name)`` and ``("remove",
@@ -254,9 +229,9 @@ def _record_directory_syncs(monkeypatch):
 def test_directory_is_synced_after_each_name_change(
     tmp_eventlog, monkeypatch, fsync
 ):
-    """Open, rotation, truncation and compaction each fsync the log
-    directory (and count it), except under ``never``; so does the
-    creation of the DLQ file."""
+    """Open, rotation and truncation each fsync the log directory (and
+    count it), except under ``never``; so does the creation of the DLQ
+    file."""
     directory, open_log = tmp_eventlog
     events = _record_directory_syncs(monkeypatch)
     synced = 0 if fsync == "never" else 1
@@ -278,9 +253,6 @@ def test_directory_is_synced_after_each_name_change(
     log.truncate_to(2)  # drops [0, 2)
     assert events == [("remove", segment_name(0))] + dir_syncs
     del events[:]
-    log.compact_to(3)  # renames [3, 4) into place, then drops [2, 4)
-    assert events == dir_syncs + [("remove", segment_name(2))] + dir_syncs
-    del events[:]
     DeadLetterQueue(directory, fsync=fsync).close()
     assert events == dir_syncs
     del events[:]
@@ -288,60 +260,21 @@ def test_directory_is_synced_after_each_name_change(
     assert events == []
 
 
-def test_compact_to_swaps_the_active_append_handle(tmp_eventlog):
-    directory, open_log = tmp_eventlog
-    log = open_log(segment_entries=100)
-    for i in range(5):
-        log.append(publish(i))
-    assert log.compact_to(3) > 0
-    assert log.base == 3
-    assert os.listdir(directory) == [segment_name(3)]
-    # Appends after the handle swap land in the rewritten segment.
-    log.append(publish(5))
-    log.close()
-    reopened = open_log(segment_entries=100)
-    assert [o for o, _ in reopened.entries_since(3)] == [3, 4, 5]
-
-
-def test_compact_to_is_noop_at_or_below_base(tmp_eventlog):
-    _, open_log = tmp_eventlog
-    log = open_log(segment_entries=4)
-    for i in range(3):
-        log.append(publish(i))
-    assert log.compact_to(0) == 0
-    assert log.compactions == 0
-    # Offsets past the end clamp: everything is reclaimable.
-    assert log.compact_to(99) > 0
-    assert log.base == log.end == 3
-
-
-def test_scan_resolves_interrupted_compaction_leftovers(tmp_eventlog):
+def test_scan_rejects_overlapping_segments(tmp_eventlog):
+    """Two segments whose offsets overlap are not a state the log ever
+    writes: the open-time scan refuses them as a gap in the history."""
     directory, open_log = tmp_eventlog
     log = open_log(segment_entries=3)
     for i in range(6):
         log.append(publish(i))
     log.close()
-    # Simulate a compaction that crashed after renaming its rewritten
-    # head (base 1, a subset of events-0) but before removing the
-    # original, plus a stray tmp from an even earlier attempt.
     encode = lambda o: (
         json.dumps({"offset": o, "record": publish(o)}) + "\n"
     ).encode()
     with open(os.path.join(directory, segment_name(1)), "wb") as fh:
         fh.write(encode(1) + encode(2))
-    with open(
-        os.path.join(directory, "compact-00000000000000000002.tmp"), "wb"
-    ) as fh:
-        fh.write(b"half a li")
-    reopened = open_log(segment_entries=3)
-    assert reopened.base == 0 and reopened.end == 6
-    assert reopened.recovered == 6
-    leftovers = [
-        n
-        for n in os.listdir(directory)
-        if n == segment_name(1) or n.endswith(".tmp")
-    ]
-    assert leftovers == []
+    with pytest.raises(ReproError, match="gap"):
+        open_log(segment_entries=3)
 
 
 def test_compact_leaves_the_dlq_alone(tmp_eventlog):
@@ -351,9 +284,9 @@ def test_compact_leaves_the_dlq_alone(tmp_eventlog):
     log = open_log(segment_entries=2)
     for i in range(5):
         log.append(publish(i))
-    log.compact_to(5)
-    assert log.base == 5
-    assert read_dlq(directory)  # the dead letter survived compaction
+    log.truncate_to(5)
+    assert log.base == 4  # the active segment stays
+    assert read_dlq(directory)  # the dead letter survived truncation
 
 
 def test_append_validates_before_writing(tmp_eventlog):
@@ -712,14 +645,10 @@ def test_checkpoint_replaces_replay_and_prunes(tmp_eventlog):
         engine.publish_batch([document_from_payload(doc_payload(i, ("coffee",)))])
     for offset in (2, 4, 6):
         write_checkpoint(
-            directory,
-            offset,
-            checkpoint(engine),
-            registry.snapshot(),
-            keep=2,
+            directory, offset, checkpoint(engine), registry.snapshot()
         )
     names = [n for n in os.listdir(directory) if n.startswith("checkpoint-")]
-    assert len(names) == 2  # keep=2 pruned the oldest
+    assert names == [os.path.basename(checkpoint_path(directory, 6))]
     assert latest_checkpoint(directory)["offset"] == 6
     log.truncate_to(6)
     log.close()
@@ -1312,49 +1241,52 @@ def test_runtime_throttling_counts_and_stats(tmp_path):
     run(scenario())
 
 
-def test_runtime_checkpoint_compacts_to_ack_floor(tmp_path):
+def test_checkpoint_truncates_past_a_subscriber_that_never_acks(tmp_path):
+    """The newest checkpoint alone decides what the log keeps: a durable
+    subscriber that never acks pins no segment below it.  The checkpoint
+    carries that subscriber's outbox, so a restart still recovers the
+    same results and ``resume`` replays every un-acked notification."""
     directory = str(tmp_path / "log")
 
-    async def scenario():
+    async def before():
         runtime = ServerRuntime(small_engine(), eventlog_config(directory))
         await runtime.start()
         client = InProcessClient(runtime)
         await client.resume("alice", -1)
-        await client.subscribe(["coffee"])
-        for i in range(8):
-            await client.publish(tokens=["coffee"], created_at=float(i))
+        query_id = (await client.subscribe(["coffee"]))["query_id"]
+        for i in range(10):  # offsets 1..10, over three 4-entry segments
+            await client.publish(
+                tokens=["coffee", f"t{i}"], created_at=float(i)
+            )
         result = await runtime.checkpoint_eventlog()
-        assert result["offset"] == 9
-        # alice has acked nothing, so despite the checkpoint every
-        # entry may still back a catch-up replay: nothing is reclaimed
-        # and the silent subscriber visibly pins the log base.
-        assert result["log_base"] == 0
-        assert result["reclaimed_bytes"] == 0
-        await client.ack(8)
-        result = await runtime.checkpoint_eventlog()
-        assert result["offset"] == 10  # + the ack record itself
-        # Floor = min_acked + 1 = 9: the two whole segments below are
-        # dropped and the head segment is rewritten in place to keep
-        # only the un-covered ack record.
-        assert result["log_base"] == 9
-        assert result["reclaimed_bytes"] > 0
+        assert result["offset"] == 11
         stats = await client.stats()
-        assert stats["eventlog"]["checkpoint_offset"] == 10
-        assert stats["eventlog"]["compactions"] == 1
-        assert stats["eventlog"]["reclaimed_bytes"] > 0
+        assert stats["eventlog"]["checkpoint_offset"] == 11
+        # Offset 11 lies in the segment based at 8; the two below go.
+        assert stats["eventlog"]["base"] == 8
+        assert result["log_base"] == 8 and result["reclaimed_bytes"] > 0
+        (alice,) = stats["subscribers"]["subscribers"]
+        assert alice["acked"] == -1 and alice["outbox_depth"] > 0
+        notes = await drain(client, alice["outbox_depth"])
+        results = await client.results(query_id)
         await client.close()
         await runtime.stop()
+        return query_id, notes, results
 
-    run(scenario())
+    query_id, notes, results = run(before())
 
     async def after():
         runtime = ServerRuntime(small_engine(), eventlog_config(directory))
         await runtime.start()
         client = InProcessClient(runtime)
         stats = await client.stats()
-        assert stats["eventlog"]["recovery"]["checkpoint_offset"] == 10
+        assert stats["eventlog"]["recovery"]["checkpoint_offset"] == 11
+        assert await client.results(query_id) == results
         resumed = await client.resume("alice")
-        assert resumed["queries"]  # ownership survived via the checkpoint
+        assert resumed["queries"] == [query_id]
+        assert resumed["acked"] == -1
+        assert resumed["replayed"] == len(notes)
+        assert await drain(client, len(notes)) == notes
         await client.close()
         await runtime.stop()
 
@@ -1381,7 +1313,7 @@ def test_checkpoint_name_is_durable_before_the_log_behind_it_goes(
         await client.ack(8)
         del events[:]
         result = await runtime.checkpoint_eventlog()
-        assert result["log_base"] == 9
+        assert result["log_base"] == 8
         await client.close()
         await runtime.stop()
 

@@ -74,8 +74,8 @@ records_strategy = st.builds(
 
 
 class EventLogMachine(RuleBasedStateMachine):
-    """Append / crash-reopen / torn-tail / truncate / compact vs a list
-    model; the records are read back from the segment files."""
+    """Append / crash-reopen / torn-tail / truncate vs a list model; the
+    records are read back from the segment files."""
 
     def __init__(self):
         super().__init__()
@@ -139,15 +139,6 @@ class EventLogMachine(RuleBasedStateMachine):
         new_base = self.log.truncate_to(offset)
         assert self.model_base <= new_base <= max(offset, self.model_base)
         self.model_base = new_base
-
-    @rule(data=st.data())
-    def compact(self, data):
-        offset = data.draw(
-            st.integers(min_value=0, max_value=len(self.model)),
-            label="compact_to",
-        )
-        self.log.compact_to(offset)
-        self.model_base = max(self.model_base, offset)
 
     @invariant()
     def retained_equals_model(self):
@@ -360,8 +351,8 @@ script_strategy = st.lists(
 
 def _state_of(engine, registry):
     """What recovery must rebuild: per-query results, query ids, owners,
-    the compaction floor ``min_acked()``, and each subscriber's acked
-    floor and retained ``(offset, query_id, payload)`` entries."""
+    and each subscriber's acked floor and retained ``(offset, query_id,
+    payload)`` entries."""
     query_ids = sorted(engine._queries)
     return {
         "results": {
@@ -369,7 +360,6 @@ def _state_of(engine, registry):
             for query_id in query_ids
         },
         "owners": dict(registry._owners),
-        "min_acked": registry.min_acked(),
         "subscribers": {
             name: _held_by(registry.get(name)) for name in registry.names()
         },
@@ -442,9 +432,8 @@ def _serve_and_recover(script_body):
 
 def test_a_subscriber_that_holds_nothing_pins_no_log():
     """A resume that acks nothing writes no record, so recovery does not
-    know the subscriber; live, it must not pin the log either (it read
-    -1 in ``min_acked()``, recovered None).  Once it owns a query it
-    pins the log in both."""
+    know the subscriber; live, it reads as a fresh one.  Once it owns a
+    query, recovery rebuilds it exactly as live."""
 
     async def nothing(runtime, alice):
         pass
@@ -454,12 +443,12 @@ def test_a_subscriber_that_holds_nothing_pins_no_log():
 
     live, state = _serve_and_recover(nothing)
     recovered = _state_of(state.engine, state.registry)
-    assert live["min_acked"] is None
-    assert recovered["min_acked"] is None
+    assert "alice" in live["subscribers"]
+    assert "alice" not in recovered["subscribers"]
     assert _same_state(live, recovered)
 
     live, state = _serve_and_recover(subscribe)
-    assert live["min_acked"] == -1
+    assert live["owners"]
     assert _state_of(state.engine, state.registry) == live
 
 
