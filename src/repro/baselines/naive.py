@@ -53,7 +53,6 @@ class NaiveEngine:
         stats: Optional[CollectionStatistics] = None,
         store: Optional[DocumentStore] = None,
         counters: Optional[Counters] = None,
-        init_strategy: str = "relevant",
     ) -> None:
         self._config = config if config is not None else EngineConfig()
         self._clock = clock if clock is not None else SimulationClock()
@@ -66,7 +65,6 @@ class NaiveEngine:
         self._queries: Dict[int, DasQuery] = {}
         #: query id -> result rows, oldest first.
         self._results: Dict[int, List[_Result]] = {}
-        self._init_strategy = init_strategy
         self.counters = counters if counters is not None else Counters()
 
     method_name = "Naive"
@@ -92,16 +90,16 @@ class NaiveEngine:
     def subscribe(self, query: DasQuery) -> List[Document]:
         if query.query_id in self._queries:
             raise DuplicateQueryError(f"query {query.query_id} already subscribed")
-        seeds = select_initial_documents(
+        # The per-seed ``trel`` below is the reference for the scored
+        # pass's floats, so the pass's own are dropped.
+        seeds, _ = select_initial_documents(
             self._store,
             query.terms,
             self._config.k,
             self._config.init_scan_limit,
-            strategy=self._init_strategy,
             scorer=self._scorer,
             decay=self._decay,
             now=self._clock.now,
-            alpha=self._config.alpha,
         )
         rows = [
             _Result(document, self._scorer.trel(query.terms, document.vector))

@@ -101,7 +101,6 @@ class DasEngine:
         stats: Optional[CollectionStatistics] = None,
         store: Optional[DocumentStore] = None,
         counters: Optional[Counters] = None,
-        init_strategy: str = "relevant",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._config = config if config is not None else EngineConfig()
@@ -141,7 +140,6 @@ class DasEngine:
         #: back to ``remove`` with the query.
         self._memberships: Dict[int, Tuple[PostingsBlock, ...]] = {}
         self._last_query_id: Optional[int] = None
-        self._init_strategy = init_strategy
         self.counters = counters if counters is not None else Counters()
         #: Ranking/expiry strategy seam (DESIGN.md §16).  ``None`` in the
         #: decay mode so the paper's hot path pays no indirection; the
@@ -357,19 +355,10 @@ class DasEngine:
             query.terms,
             self._config.k,
             self._config.init_scan_limit,
-            strategy=self._init_strategy,
             scorer=self._scorer,
             decay=self._decay_cache,
             now=self._clock.now,
-            alpha=self._config.alpha,
-            with_trels=True,
         )
-        if trels and trels[0] is None:
-            # Nothing was ranked (``recent``, or at most k candidates):
-            # every seed is unscored, so score them all in one pass.
-            trels = self._scorer.trels(
-                query.terms, [document.vector for document in seeds]
-            )
         cosines, aw_dots = result_set.seed(seeds, trels)
         self.counters.sim_evaluations += cosines
         self.counters.aw_dot_products += aw_dots

@@ -486,39 +486,6 @@ def window_size(spec: WorkloadSpec) -> List[FigureResult]:
 # -- Ablations (DESIGN.md §5) ------------------------------------------------------------
 
 
-def init_strategy_ablation(spec: WorkloadSpec) -> List[FigureResult]:
-    """Result-bootstrap strategies (DESIGN.md §6): recent / relevant / greedy.
-
-    Measures subscription cost and the post-settle match rate — a weaker
-    bootstrap leaves weak thresholds, so more stream documents displace
-    results.
-    """
-    from repro.core.engine import DasEngine
-
-    workload = build_workload(spec)
-    series: Dict[str, Dict[object, float]] = {}
-    for strategy in ("recent", "relevant", "greedy"):
-        base_engine = workload.make_engine("GIFilter")
-        engine = DasEngine(base_engine.config, init_strategy=strategy)
-        run = run_method(workload, lambda e=engine: e, strategy)
-        series[strategy] = {
-            "insert ms/q": run.insert_ms,
-            "matches/doc": run.counters.matches
-            / max(1, run.counters.docs_published),
-            "ms/doc": run.doc_ms,
-        }
-    return [
-        FigureResult(
-            figure="Ablation A3",
-            title="Result-set initialisation strategy",
-            param_name="metric",
-            param_values=["insert ms/q", "matches/doc", "ms/doc"],
-            series=series,
-            unit="mixed",
-        )
-    ]
-
-
 def agg_weights_ablation(spec: WorkloadSpec) -> List[FigureResult]:
     """Aggregated term weights on/off at fixed block structure."""
     workload = build_workload(spec)
@@ -569,5 +536,4 @@ FIGURES: Dict[str, Tuple[str, Runner]] = {
     "fig17": ("scalability on SQD", partial(_sweep, SWEEPS["fig17"])),
     "fig18": ("DisC window size", window_size),
     "abl-aw": ("ablation: aggregated weights", agg_weights_ablation),
-    "abl-init": ("ablation: init strategy", init_strategy_ablation),
 }

@@ -28,11 +28,6 @@ class ExponentialDecay:
             raise ValueError(f"horizon must be > 0, got {horizon}")
         return cls(scale ** (-1.0 / horizon))
 
-    @classmethod
-    def from_half_life(cls, half_life: float) -> "ExponentialDecay":
-        """Build a decay with value 0.5 after ``half_life`` seconds."""
-        return cls.from_scale(0.5, half_life)
-
     def at_age(self, age: float) -> float:
         """``T`` for a document ``age`` seconds old (clamped at age 0)."""
         if age <= 0.0:

@@ -110,10 +110,6 @@ class Counters:
             if f.name in values:
                 setattr(self, f.name, int(values[f.name]))
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
 
 #: Engine-side stages of one publish, in pipeline order.  Every stage is
 #: observed exactly once per publish; ``postings_traversal`` is the

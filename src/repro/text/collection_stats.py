@@ -15,7 +15,7 @@ statistics make this a non-issue, but small synthetic runs need it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.text.vectors import TermVector
 
@@ -48,10 +48,6 @@ class CollectionStatistics:
             counts[term] = counts.get(term, 0) + count
         self._total_tokens += vector.length
         self._total_documents += 1
-
-    def add_all(self, vectors: Iterable[TermVector]) -> None:
-        for vector in vectors:
-            self.add(vector)
 
     def term_count(self, term: str) -> int:
         """``Num(Coll, w)`` — occurrences of ``term`` in the collection."""

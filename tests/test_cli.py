@@ -11,7 +11,7 @@ def test_every_figure_key_registered():
     expected = {
         "fig4", "fig5", "fig6", "fig7", "tab6", "fig9", "fig10", "fig11",
         "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-        "abl-aw", "abl-init",
+        "abl-aw",
     }
     assert expected <= set(FIGURES)
 

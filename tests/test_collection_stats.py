@@ -43,15 +43,6 @@ def test_probability_unseen_floor():
     assert stats.probability("zz") == pytest.approx(1.0 / 10)
 
 
-def test_add_all():
-    stats = CollectionStatistics()
-    stats.add_all(
-        TermVector.from_tokens(t) for t in (["a"], ["b"], ["a", "b"])
-    )
-    assert stats.total_documents == 3
-    assert stats.total_tokens == 4
-
-
 def test_snapshot_is_independent():
     stats = CollectionStatistics()
     stats.add(TermVector.from_tokens(["a"]))

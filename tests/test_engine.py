@@ -200,25 +200,8 @@ def test_phi_max_zero_pushes_everything_to_r2():
     assert rs.aw_entry_count == 0
 
 
-def test_greedy_init_strategy():
-    engine = DasEngine(
-        DasEngine.for_method("GIFilter", k=2).config, init_strategy="greedy"
-    )
-    for i in range(8):
-        engine.publish(doc(i, ["coffee", f"y{i}"]))
-    results = engine.subscribe(DasQuery(0, ["coffee"]))
-    assert len(results) == 2
-
-
-def test_bad_init_strategy_rejected():
-    engine = DasEngine(init_strategy="nonsense")
-    engine.publish(doc(0, ["coffee"]))
-    with pytest.raises(ValueError):
-        engine.subscribe(DasQuery(0, ["coffee"]))
-
-
 def test_subscribe_scores_once_and_completes_eq24_with_one_dot(monkeypatch):
-    """Work pin (ISSUE 21): with more candidates than k the ``relevant``
+    """Work pin (ISSUE 21): with more candidates than k the seed
     ranking's one scored pass is the only scoring a subscribe does, and
     the oldest seed's accumulated similarity costs one Lemma 6 dot — no
     per-document ``trel`` call, no per-seed cosine."""
@@ -253,8 +236,8 @@ def test_subscribe_scores_once_and_completes_eq24_with_one_dot(monkeypatch):
         ),
         abs=1e-12,
     )
-    # With no more candidates than k nothing was ranked, so the seeds are
-    # scored afterwards, all of them in one ``trels`` pass.
+    # With no more candidates than k all of them seed, unranked, and the
+    # same single ``trels`` pass scores them.
     passes = []
     real_trels = scorer_type.trels
     monkeypatch.setattr(

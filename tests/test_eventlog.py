@@ -1293,6 +1293,68 @@ def test_checkpoint_truncates_past_a_subscriber_that_never_acks(tmp_path):
     run(after())
 
 
+def test_restart_on_a_checkpoint_seeds_new_subscriptions_as_the_writer(
+    tmp_path,
+):
+    """A runtime restarted on a directory holding an event-log checkpoint
+    runs the engine recovery rebuilt (not the fresh one it was given),
+    and that engine seeds a new subscription exactly as the engine that
+    wrote the checkpoint: the same seed ids and bit-equal stored TRel,
+    with more and with fewer matching documents than k."""
+    directory = str(tmp_path / "log")
+    probes = [["coffee"], ["tea"], ["coffee", "tea"], ["cake"], ["scone"]]
+
+    async def before():
+        runtime = ServerRuntime(small_engine(), eventlog_config(directory))
+        await runtime.start()
+        client = InProcessClient(runtime)
+        await client.subscribe(["coffee"])
+        for i in range(12):
+            tokens = ["coffee"] * (1 + i % 3) + [f"w{i % 5}"]
+            if i % 2:
+                tokens.append("tea")
+            if i == 7:
+                tokens.append("cake")
+            await client.publish(tokens=tokens, created_at=float(i))
+        result = await runtime.checkpoint_eventlog()
+        assert result["offset"] == 13
+        writer = runtime.engine
+        await client.close()
+        await runtime.stop()
+        return writer
+
+    writer = run(before())
+    config = writer.config
+    assert [
+        len(writer.store.recent_matching(terms, config.init_scan_limit))
+        for terms in probes
+    ] == [12, 6, 12, 1, 0]
+
+    async def after():
+        provided = small_engine()
+        runtime = ServerRuntime(provided, eventlog_config(directory))
+        await runtime.start()
+        assert runtime.engine is not provided
+        client = InProcessClient(runtime)
+        stats = await client.stats()
+        assert stats["eventlog"]["recovery"]["checkpoint_offset"] == 13
+        for terms in probes:
+            reply = await client.subscribe(terms)
+            query_id = reply["query_id"]
+            expected = writer.subscribe(DasQuery(query_id, terms))
+            assert [d["doc_id"] for d in reply["initial"]] == [
+                d.doc_id for d in expected
+            ]
+            assert [
+                trel.hex()
+                for trel in runtime.engine._result_sets[query_id]._trels
+            ] == [trel.hex() for trel in writer._result_sets[query_id]._trels]
+        await client.close()
+        await runtime.stop()
+
+    run(after())
+
+
 def test_checkpoint_name_is_durable_before_the_log_behind_it_goes(
     tmp_path, monkeypatch
 ):

@@ -1,4 +1,4 @@
-"""Tests for result-set initialisation strategies."""
+"""Tests for result-set initialisation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.baselines.naive import NaiveEngine
 from repro.config import EngineConfig
 from repro.core.engine import DasEngine
-from repro.core.initializer import INIT_STRATEGIES, select_initial_documents
+from repro.core.initializer import select_initial_documents
 from repro.core.query import DasQuery
 from repro.core.result_set import QueryResultSet
 from repro.scoring.recency import ExponentialDecay
@@ -30,93 +30,50 @@ def build_store(token_lists):
     return store, scorer, ExponentialDecay(1.01)
 
 
-def test_recent_strategy_returns_latest_matches_ascending():
-    store, scorer, decay = build_store(
-        [["x"], ["y"], ["x"], ["x"], ["z"]]
-    )
-    seeds = select_initial_documents(
-        store, ["x"], k=2, scan_limit=10, strategy="recent"
-    )
-    # recent_matching is newest-first; take k then sort ascending.
-    assert [d.doc_id for d in seeds] == [2, 3]
-
-
 def test_relevant_strategy_prefers_high_tf():
     store, scorer, decay = build_store(
         [["x", "x", "x"], ["x", "pad", "pad", "pad", "pad"], ["x", "x", "pad"]]
     )
-    seeds = select_initial_documents(
-        store,
-        ["x"],
-        k=2,
-        scan_limit=10,
-        strategy="relevant",
-        scorer=scorer,
-        decay=decay,
-        now=3.0,
+    seeds, _ = select_initial_documents(
+        store, ["x"], k=2, scan_limit=10, scorer=scorer, decay=decay, now=3.0
     )
     ids = {d.doc_id for d in seeds}
     assert ids == {0, 2}  # the two high-tf documents
     assert [d.doc_id for d in seeds] == sorted(ids)
 
 
-def test_greedy_strategy_diversifies():
-    store, scorer, decay = build_store(
-        [["x", "dup"], ["x", "dup"], ["x", "other"]]
-    )
-    seeds = select_initial_documents(
-        store,
-        ["x"],
-        k=2,
-        scan_limit=10,
-        strategy="greedy",
-        scorer=scorer,
-        decay=decay,
-        now=3.0,
-        alpha=0.1,
-    )
-    tokens = {t for d in seeds for t in d.vector.terms()}
-    assert "other" in tokens  # picked for diversity
-
-
 def test_empty_store_returns_nothing():
     store, scorer, decay = build_store([])
-    assert select_initial_documents(store, ["x"], 3, 10) == []
+    assert select_initial_documents(store, ["x"], 3, 10) == ([], [])
 
 
 def test_no_matches_returns_nothing():
     store, scorer, decay = build_store([["a"], ["b"]])
-    assert select_initial_documents(store, ["zz"], 3, 10) == []
+    assert select_initial_documents(store, ["zz"], 3, 10) == ([], [])
 
 
 def test_fewer_matches_than_k():
-    store, scorer, decay = build_store([["x"], ["y"]])
-    seeds = select_initial_documents(store, ["x"], k=5, scan_limit=10)
-    assert [d.doc_id for d in seeds] == [0]
-
-
-def test_unknown_strategy_rejected():
-    store, scorer, decay = build_store([["x"]])
-    with pytest.raises(ValueError):
-        select_initial_documents(store, ["x"], 1, 10, strategy="best")
+    store, scorer, decay = build_store([["x"], ["y"], ["x", "x"]])
+    seeds, trels = select_initial_documents(
+        store, ["x"], k=5, scan_limit=10, scorer=scorer, decay=decay, now=3.0
+    )
+    # All of them seed, oldest first, scored like a ranked pick.
+    assert [d.doc_id for d in seeds] == [0, 2]
+    assert trels == [scorer.trel(["x"], d.vector) for d in seeds]
 
 
 def test_relevant_requires_scorer():
     store, scorer, decay = build_store([["x"], ["x"], ["x"], ["x"]])
     with pytest.raises(ValueError):
-        select_initial_documents(store, ["x"], 2, 10, strategy="relevant")
-
-
-def test_greedy_requires_scorer():
-    store, scorer, decay = build_store([["x"], ["x"], ["x"], ["x"]])
+        select_initial_documents(store, ["x"], 2, 10)
     with pytest.raises(ValueError):
-        select_initial_documents(store, ["x"], 2, 10, strategy="greedy")
+        select_initial_documents(store, ["x"], 5, 10, scorer=scorer)
 
 
 def test_scan_limit_bounds_candidates():
     store, scorer, decay = build_store([["x"] for _ in range(10)])
-    seeds = select_initial_documents(
-        store, ["x"], k=10, scan_limit=3, strategy="recent"
+    seeds, _ = select_initial_documents(
+        store, ["x"], k=10, scan_limit=3, scorer=scorer, decay=decay, now=10.0
     )
     assert len(seeds) == 3
     assert [d.doc_id for d in seeds] == [7, 8, 9]
@@ -147,8 +104,7 @@ def test_relevant_ranking_is_the_per_document_sort(token_lists):
     for decay in (ExponentialDecay(1.0), ExponentialDecay(1.3)):
         now = float(len(token_lists))
         seeds, trels = select_initial_documents(
-            store, ("x", "y"), 2, 10, strategy="relevant",
-            scorer=scorer, decay=decay, now=now, with_trels=True,
+            store, ("x", "y"), 2, 10, scorer=scorer, decay=decay, now=now
         )
         expected = _reference_relevant(
             store, ("x", "y"), 2, 10, scorer, decay, now
@@ -156,23 +112,6 @@ def test_relevant_ranking_is_the_per_document_sort(token_lists):
         assert [d.doc_id for d in seeds] == [d.doc_id for d in expected]
         # The TRel handed back is the one ranked by, bit for bit.
         assert trels == [scorer.trel(("x", "y"), d.vector) for d in seeds]
-        assert seeds == select_initial_documents(
-            store, ("x", "y"), 2, 10, strategy="relevant",
-            scorer=scorer, decay=decay, now=now,
-        )
-
-
-def test_unscored_seeds_come_back_without_trel():
-    store, scorer, decay = build_store([["x"], ["x"], ["y"]])
-    for strategy, k in (("recent", 1), ("relevant", 5)):
-        seeds, trels = select_initial_documents(
-            store, ["x"], k, 10, strategy=strategy,
-            scorer=scorer, decay=decay, now=3.0, with_trels=True,
-        )
-        assert trels == [None] * len(seeds)
-    assert select_initial_documents(
-        store, ["zz"], 2, 10, with_trels=True
-    ) == ([], [])
 
 
 # -- the engine's seeding against the naive oracle ---------------------------
@@ -189,7 +128,6 @@ def _seed_stream(token_lists):
     ]
 
 
-@pytest.mark.parametrize("strategy", INIT_STRATEGIES)
 @settings(max_examples=25, deadline=None)
 @given(
     k=st.integers(1, 4),
@@ -223,7 +161,7 @@ def _seed_stream(token_lists):
     schedule=[(6, [{"p"}, {"s"}, {"u"}, {"p", "s"}])],
 ).via("more and fewer candidates than k")
 def test_subscribe_seeds_as_the_naive_engine_does(
-    strategy, k, scan_limit, smoothing, token_lists, schedule
+    k, scan_limit, smoothing, token_lists, schedule
 ):
     """The optimised engine's seeding (one ``trels`` pass, ranking read
     through its decay memo, single-term store scan) picks the naive
@@ -238,13 +176,12 @@ def test_subscribe_seeds_as_the_naive_engine_does(
         block_size=2,
         init_scan_limit=scan_limit,
     )
-    engine = DasEngine(config, init_strategy=strategy)
-    cleared = DasEngine(config, init_strategy=strategy)
+    engine = DasEngine(config)
+    cleared = DasEngine(config)
     naive = NaiveEngine(
         config.evolve(
             use_blocks=False, use_group_filter=False, use_agg_weights=False
-        ),
-        init_strategy=strategy,
+        )
     )
     plain = ExponentialDecay(config.decay_base)
     documents = _seed_stream(token_lists)

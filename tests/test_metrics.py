@@ -48,8 +48,6 @@ def test_counters_snapshot_independent():
 def test_counters_reset_and_dict():
     counters = Counters(matches=4)
     assert counters.as_dict()["matches"] == 4
-    counters.reset()
-    assert counters.matches == 0
 
 
 # -- Batch-size histogram ----------------------------------------------------

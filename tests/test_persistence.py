@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import DasEngine
+from repro.core.query import DasQuery
 from repro.persistence import CHECKPOINT_VERSION, checkpoint, load, restore, save
 from repro.workloads.corpus import SyntheticTweetCorpus
 from repro.workloads.queries import lqd_queries
@@ -142,6 +143,49 @@ def test_restore_preserves_subscription_order_constraint(live_engine):
     new_query = lqd_queries(corpus, 1, first_id=10_000)[0]
     clone.subscribe(new_query)
     assert clone.query_count == engine.query_count + 1
+
+
+def seeding(engine, query):
+    """What subscribing ``query`` seeds: ids and stored TRel bits."""
+    seeds = [d.doc_id for d in engine.subscribe(query)]
+    trels = [trel.hex() for trel in engine._result_sets[query.query_id]._trels]
+    return seeds, trels
+
+
+def test_loaded_engine_seeds_new_subscriptions_as_the_writer(
+    live_engine, tmp_path
+):
+    """A subscription made after ``save`` / ``load`` is seeded exactly as
+    the engine that wrote the file seeds it: the same seed ids and
+    bit-equal stored ``TRel``, with more and with fewer candidates than
+    k, and again after a publish both engines see."""
+    engine, corpus, docs = live_engine
+    path = str(tmp_path / "engine.json")
+    save(engine, path)
+    clone = load(path)
+    config = engine.config
+
+    def candidates(terms):
+        return len(engine.store.recent_matching(terms, config.init_scan_limit))
+
+    rare = next(
+        term
+        for document in docs[:90]
+        for term in document.vector.terms()
+        if candidates([term]) <= config.k
+    )
+    terms = [query.terms for query in lqd_queries(corpus, 20, first_id=0)]
+    terms[5:5] = [[rare]]
+    terms[16:16] = [[rare]]
+    queries = [DasQuery(1_000 + i, keywords) for i, keywords in enumerate(terms)]
+    assert sum(candidates(query.terms) > config.k for query in queries) == 20
+    for query in queries[:11]:
+        assert seeding(clone, query) == seeding(engine, query)
+    for document in docs[90:100]:
+        engine.publish(document)
+        clone.publish(document)
+    for query in queries[11:]:
+        assert seeding(clone, query) == seeding(engine, query)
 
 
 def test_save_load_file_roundtrip(live_engine, tmp_path):

@@ -185,11 +185,6 @@ def test_decay_from_scale():
     assert decay.at_age(3600.0) == pytest.approx(math.sqrt(0.5))
 
 
-def test_decay_from_half_life():
-    decay = ExponentialDecay.from_half_life(100.0)
-    assert decay.at_age(100.0) == pytest.approx(0.5)
-
-
 def test_no_decay():
     assert NO_DECAY.at(0.0, 1e9) == 1.0
 

@@ -148,9 +148,3 @@ def test_agg_weights_ablation(micro_figure):
         < fig.series["BIRT (no AW)"]["sims/doc"]
     )
 
-
-def test_init_strategy_ablation(micro_figure):
-    (fig,) = tables(micro_figure, "abl-init").values()
-    assert set(fig.series) == {"recent", "relevant", "greedy"}
-    for row in fig.series.values():
-        assert set(row) == {"insert ms/q", "matches/doc", "ms/doc"}
